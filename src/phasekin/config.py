@@ -8,6 +8,7 @@ the dotted path of the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -50,6 +51,13 @@ _POTENTIAL_KEYS = {
 def _need_number(value, path, minimum=None, strict_min=False, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not integer:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: must be finite, got an integer beyond the float range") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
     if integer and int(value) != value:
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if minimum is not None:
@@ -57,7 +65,7 @@ def _need_number(value, path, minimum=None, strict_min=False, integer=False):
             raise ConfigError(f"{path}: must be > {minimum}, got {value!r}")
         if not strict_min and value < minimum:
             raise ConfigError(f"{path}: must be >= {minimum}, got {value!r}")
-    return int(value) if integer else float(value)
+    return int(value) if integer else value
 
 
 def _take(section: dict, key: str, path: str):

@@ -2,12 +2,15 @@
 
 Each command writes its numeric artifacts plus a manifest echoing the
 resolved configuration.  A guard violation mid-run still writes the
-manifest, flagged as aborted, before the error propagates.
+manifest, flagged as aborted, before the error propagates.  ``simulate``
+first removes the snapshot files an earlier run left in the directory,
+so the snapshots present are exactly the ones its manifest lists.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .serialization import (
 from .states import marginal_over_R, marginal_over_pr
 
 CLASSICAL_SCAN_FRACTIONS = (1 / 16, 1 / 8, 1 / 4, 1 / 2)
+SNAPSHOT_FILE = re.compile(r"w_\d{6,}\.(bin|json)")
 
 
 def prepare_output_dir(config: ScenarioConfig, override: str | None = None) -> str:
@@ -96,6 +100,15 @@ def run_joint(config: ScenarioConfig, directory: str) -> list:
     return _finish(directory, "joint", config, outputs)
 
 
+def _remove_snapshots(directory: str) -> None:
+    try:
+        for name in os.listdir(directory):
+            if SNAPSHOT_FILE.fullmatch(name):
+                os.remove(os.path.join(directory, name))
+    except OSError as exc:
+        raise ConfigError(f"outputs: cannot clear old snapshots in {directory!r} ({exc})") from exc
+
+
 def run_simulate(config: ScenarioConfig, directory: str) -> list:
     grid = config.grid2()
     W0 = config.wigner(grid)
@@ -108,6 +121,7 @@ def run_simulate(config: ScenarioConfig, directory: str) -> list:
         method=config.method,
         snapshot_every=config.snapshot_every,
     )
+    _remove_snapshots(directory)
     outputs = []
     try:
         trajectory = propagate(W0, potential, params)

@@ -80,6 +80,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"grid\.n2"):
             parse_config({"grid": {"n2": 100, "n3": 16, "half_width": 8.0}})
 
+    def test_json_infinity_in_integer_field_rejected(self):
+        doc = json.loads('{"grid": {"n2": Infinity, "n3": 16, "half_width": 8.0}}')
+        with pytest.raises(ConfigError, match=r"^grid\.n2: must be finite"):
+            parse_config(doc)
+
+    def test_integer_beyond_float_range_in_integer_field_rejected(self):
+        doc = json.loads('{"grid": {"n2": 3' + "0" * 400 + ', "n3": 16, "half_width": 8.0}}')
+        with pytest.raises(ConfigError, match=r"^grid\.n2: must be a power of two"):
+            parse_config(doc)
+
+    def test_integer_beyond_float_range_in_float_field_rejected(self):
+        doc = json.loads('{"hbar": 1' + "0" * 400 + "}")
+        with pytest.raises(ConfigError, match=r"^hbar: must be finite"):
+            parse_config(doc)
+
     def test_round_trip_through_dict(self):
         config = load_config()
         assert parse_config(config.to_dict()) == config
@@ -145,6 +160,21 @@ class TestSimulateCommand:
         assert max(abs(p - 1.0) for p in probs) < 1e-10
         assert (out / "w_000000.bin").exists() and (out / "w_000002.bin").exists()
 
+    def test_rerun_leaves_no_stale_snapshots(self, tmp_path):
+        out = tmp_path / "out"
+        long_run = write_config(
+            tmp_path, "long.json", outputs=str(out), evolution=dict(FAST_EVOLUTION, snapshot_every=2)
+        )
+        assert main(["simulate", "--config", long_run]) == 0
+        assert (out / "w_000010.bin").exists()
+        (out / "unrelated.bin").write_text("kept")
+        assert main(["simulate", "--config", write_config(tmp_path, outputs=str(out))]) == 0
+        with open(out / "manifest.json") as fh:
+            listed = {name for name in json.load(fh)["outputs"] if name.startswith("w_")}
+        present = {p.name for p in out.iterdir() if p.name.startswith("w_")}
+        assert present == listed == {f"w_00000{i}.{ext}" for i in range(3) for ext in ("bin", "json")}
+        assert (out / "unrelated.bin").read_text() == "kept"
+
 
 class TestCumulantsCommand:
     def test_hbar_zero_report(self, tmp_path):
@@ -207,6 +237,24 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"hbar": -1}))
         assert main(["joint", "--config", str(bad)]) == 2
+
+    def test_json_nan_is_2_and_names_field(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"hbar": NaN}')
+        assert main(["simulate", "--config", str(bad)]) == 2
+        assert "hbar: must be finite" in capsys.readouterr().err
+
+    def test_json_integer_beyond_float_range_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"grid": {"n2": 3' + "0" * 400 + "}}")
+        assert main(["simulate", "--config", str(bad)]) == 2
+        assert "grid.n2: must be a power of two" in capsys.readouterr().err
+
+    def test_hbar_flag_nan_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, outputs=str(tmp_path / "out"))
+        assert main(["cumulants", "--config", cfg, "--hbar", "nan"]) == 2
+        assert "hbar: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"
