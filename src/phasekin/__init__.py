@@ -6,6 +6,9 @@ probability distributions under classical and quantum transport, and
 analyzes the coupling kernel's cumulant structure.
 """
 
+# The one statement of the version; pyproject.toml and the CLI read it.
+__version__ = "0.1.0"
+
 from .config import DEFAULT_CONFIG, ScenarioConfig, load_config, parse_config
 from .coupling import (
     CouplingKernelSample,
@@ -78,5 +81,3 @@ from .states import (
     sample_joint,
 )
 from .verification import VerificationReport, run_verification
-
-__version__ = "0.1.0"

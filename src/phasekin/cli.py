@@ -9,34 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import TOOL_NAME, TOOL_VERSION, load_config
+from . import __version__
+from .config import TOOL_NAME, keys_help, load_config
 from .errors import ConfigError, PhasekinError
 from .runner import prepare_output_dir, run_scenario
 from .serialization import write_manifest, write_resolved_config
 from .verification import run_verification
-
-CONFIG_KEYS_HELP = """\
-configuration keys (JSON document; unknown keys are rejected):
-  hbar                      quantum scale, >= 0 (default 1.0)
-  mass                      particle mass, > 0 (default 1.0)
-  epsilon                   contact-coupling strength (default 1.0)
-  grid.n2                   points per axis for 2-axis fields, power of two (default 128)
-  grid.n3                   points per axis for 3-axis fields, power of two, <= n2 (default 64)
-  grid.half_width           box half width L; grids span [-L, L) (default 8.0)
-  potential.kind            free | harmonic | quartic | from_density (default quartic)
-  potential.omega           harmonic frequency (harmonic only)
-  potential.a2, .a4         quartic coefficients, a4 > 0 (quartic only; defaults 0.5, 0.1)
-  rho_preset.mean, .sigma   Gaussian force-carrier density (defaults 0.0, 1.0)
-  wigner_preset.p0, .r0     phase-space center (defaults 0.0, 0.0)
-  wigner_preset.sigma_p, .sigma_r
-                            phase-space widths (defaults 1/sqrt(2))
-  evolution.dt              time step, > 0 (default 1e-3)
-  evolution.steps           step count, >= 1 (default 1000)
-  evolution.snapshot_every  snapshot cadence in steps (default 100)
-  evolution.method          series | spectral_kernel (default spectral_kernel)
-  outputs                   output directory path (default "out")
-  seed                      sampling seed, integer (default 0)
-"""
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -49,10 +27,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog=TOOL_NAME,
         description="Phase-space kinetics: joint-distribution builders, Wigner transport, "
         "and cross-cumulant analysis with bit-exact outputs.",
-        epilog=CONFIG_KEYS_HELP,
+        epilog=keys_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {TOOL_VERSION}")
+    parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, desc in (
         ("simulate", "propagate the phase-space distribution and write snapshots"),
@@ -64,14 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", default=None, help="JSON config file (defaults apply if omitted)")
         p.add_argument("--output-dir", metavar="PATH", default=None, help="override the outputs directory")
         p.add_argument("--hbar", type=float, default=None, help="override the hbar key")
-        p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, {"hbar": args.hbar, "seed": args.seed})
+        config = load_config(args.config, {"hbar": args.hbar})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -83,7 +60,7 @@ def main(argv=None) -> int:
             paths = [report.write(directory)]
             paths.append(write_resolved_config(directory, config.to_dict()))
             status = "complete" if report.overall_pass else "failed"
-            write_manifest(directory, "verify", config.to_dict(), status, paths, TOOL_NAME, TOOL_VERSION)
+            write_manifest(directory, "verify", config.to_dict(), status, paths, TOOL_NAME, __version__)
             for name, measured, tolerance, status_word, _ in report.rows():
                 print(f"{status_word:4s}  {name}  measured={measured:.6g}  tol={tolerance:.6g}")
             print("overall:", "pass" if report.overall_pass else "fail")

@@ -3,18 +3,27 @@
 Unknown keys are a hard error; silent typos in physics parameters are
 the worst failure mode this tool can have.  Validation messages carry
 the dotted path of the offending field.
+
+Each key is stated once, as a row of :data:`SCHEMA`.  The rows give the
+defaults (:data:`DEFAULT_CONFIG`), the validation (:func:`parse_config`),
+the resolved document (:meth:`ScenarioConfig.to_dict`) and the key list
+of the command-line help (:func:`keys_help`).  Sections other than
+``potential`` default key by key; ``potential`` takes its defaults only
+when the whole section is omitted, and the parameter keys it takes
+depend on its ``kind`` (:data:`POTENTIAL_PARAMS`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .grids import Grid1D, make_grid
 from .states import VirtualDensity, WignerDistribution, gaussian_density, gaussian_wigner
 from .dynamics import (
+    POTENTIAL_KINDS,
     Potential,
     free_potential,
     harmonic_potential,
@@ -23,55 +32,96 @@ from .dynamics import (
 )
 
 TOOL_NAME = "phasekin"
-TOOL_VERSION = "0.1.0"
 
 DEFAULT_SIGMA = 2**-0.5
 
-DEFAULT_CONFIG = {
-    "hbar": 1.0,
-    "mass": 1.0,
-    "epsilon": 1.0,
-    "grid": {"n2": 128, "n3": 64, "half_width": 8.0},
-    "potential": {"kind": "quartic", "a2": 0.5, "a4": 0.1},
-    "rho_preset": {"mean": 0.0, "sigma": 1.0},
-    "wigner_preset": {"p0": 0.0, "r0": 0.0, "sigma_p": DEFAULT_SIGMA, "sigma_r": DEFAULT_SIGMA},
-    "evolution": {"dt": 1e-3, "steps": 1000, "snapshot_every": 100, "method": "spectral_kernel"},
-    "outputs": "out",
-    "seed": 0,
-}
+# (dotted path, ScenarioConfig attribute, type or choices, default, bound, help).
+# Rows under ``potential`` fill the ``potential`` dict under their attribute;
+# a default of None means the key has none.
+SCHEMA = (
+    ("hbar", "hbar", float, 1.0, ">= 0", "quantum scale"),
+    ("mass", "mass", float, 1.0, "> 0", "particle mass"),
+    ("epsilon", "epsilon", float, 1.0, None, "contact-coupling strength"),
+    ("grid.n2", "n2", int, 128, ">= 16", "points per axis for 2-axis fields, power of two"),
+    ("grid.n3", "n3", int, 64, ">= 16", "points per axis for 3-axis fields, power of two, <= n2"),
+    ("grid.half_width", "half_width", float, 8.0, "> 0", "box half width L; grids span [-L, L)"),
+    ("potential.kind", "kind", POTENTIAL_KINDS, "quartic", None, "potential preset"),
+    ("potential.omega", "omega", float, None, "> 0", "harmonic frequency (harmonic only)"),
+    ("potential.a2", "a2", float, 0.5, None, "quartic x^2 coefficient (quartic only)"),
+    ("potential.a4", "a4", float, 0.1, "> 0", "quartic x^4 coefficient (quartic only)"),
+    ("rho_preset.mean", "rho_mean", float, 0.0, None, "Gaussian force-carrier density center"),
+    ("rho_preset.sigma", "rho_sigma", float, 1.0, "> 0", "Gaussian force-carrier density width"),
+    ("wigner_preset.p0", "p0", float, 0.0, None, "phase-space center in p"),
+    ("wigner_preset.r0", "r0", float, 0.0, None, "phase-space center in r"),
+    ("wigner_preset.sigma_p", "sigma_p", float, DEFAULT_SIGMA, "> 0", "phase-space width in p"),
+    ("wigner_preset.sigma_r", "sigma_r", float, DEFAULT_SIGMA, "> 0", "phase-space width in r"),
+    ("evolution.dt", "dt", float, 1e-3, "> 0", "time step"),
+    ("evolution.steps", "steps", int, 1000, ">= 1", "step count"),
+    ("evolution.snapshot_every", "snapshot_every", int, 100, ">= 1", "snapshot cadence in steps"),
+    ("evolution.method", "method", ("series", "spectral_kernel"), "spectral_kernel", None, "kick phase"),
+    ("outputs", "outputs", str, "out", None, "output directory path"),
+)
 
-_POTENTIAL_KEYS = {
-    "free": set(),
-    "harmonic": {"omega"},
-    "quartic": {"a2", "a4"},
-    "from_density": set(),
-}
+# The parameter keys of the potential kinds that take any.
+POTENTIAL_PARAMS = {"harmonic": ("omega",), "quartic": ("a2", "a4")}
 
 
-def _need_number(value, path, minimum=None, strict_min=False, integer=False):
+def _nest(pairs) -> dict:
+    """A nested document from (dotted path, value) pairs."""
+    doc = {}
+    for path, value in pairs:
+        *sections, key = path.split(".")
+        node = doc
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = value
+    return doc
+
+
+DEFAULT_CONFIG = _nest((path, default) for path, _, _, default, _, _ in SCHEMA if default is not None)
+
+
+def keys_help() -> str:
+    """One line per schema key: its meaning, bound and default."""
+    lines = [
+        "configuration keys (JSON document; unknown keys are rejected;",
+        "potential takes its defaults only when the whole section is omitted):",
+    ]
+    for path, _, kind, default, bound, text in SCHEMA:
+        if isinstance(kind, tuple):
+            text = f"{text}: {' | '.join(kind)}"
+        detail = f"{text}, {bound}" if bound else text
+        default_text = "no default" if default is None else f"default {json.dumps(default)}"
+        lines.append(f"  {path:<25} {detail} ({default_text})")
+    return "\n".join(lines) + "\n"
+
+
+def _check(path, value, kind, bound=None):
+    """Validate one value against its schema row's type or choices and bound."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{path}: must be one of {' | '.join(kind)}, got {value!r}")
+        return value
+    if kind is str:
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if not integer:
+    if kind is float:
         try:
             value = float(value)
         except OverflowError:
             raise ConfigError(f"{path}: must be finite, got an integer beyond the float range") from None
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
-    if integer and int(value) != value:
+    if kind is int and int(value) != value:
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None:
-        if strict_min and not value > minimum:
-            raise ConfigError(f"{path}: must be > {minimum}, got {value!r}")
-        if not strict_min and value < minimum:
-            raise ConfigError(f"{path}: must be >= {minimum}, got {value!r}")
-    return int(value) if integer else value
-
-
-def _take(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigError(f"{path}.{key}: missing")
-    return section[key]
+    if bound is not None:
+        op, limit = bound.split()
+        if not (value > float(limit) if op == ">" else value >= float(limit)):
+            raise ConfigError(f"{path}: must be {bound}, got {value!r}")
+    return int(value) if kind is int else value
 
 
 def _reject_unknown(section: dict, allowed, path: str) -> None:
@@ -80,27 +130,52 @@ def _reject_unknown(section: dict, allowed, path: str) -> None:
         raise ConfigError(f"{path}.{extra[0]}: unknown key")
 
 
+def _sections(doc: dict) -> dict:
+    """Each section's sub-document, by name ("" for the top level), checked
+    for shape and unknown keys."""
+    _reject_unknown(doc, DEFAULT_CONFIG, "config")
+    sections = {"": doc}
+    for name, defaults in DEFAULT_CONFIG.items():
+        if not isinstance(defaults, dict):
+            continue
+        if name == "potential":
+            section = doc.get(name, defaults)
+            if not isinstance(section, dict) or "kind" not in section:
+                raise ConfigError("potential.kind: missing")
+            kind = _check("potential.kind", section["kind"], POTENTIAL_KINDS)
+            allowed = ("kind",) + POTENTIAL_PARAMS.get(kind, ())
+        else:
+            section = doc.get(name, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"{name}: expected an object")
+            allowed = [path.split(".")[1] for path, *_ in SCHEMA if path.startswith(name + ".")]
+        _reject_unknown(section, allowed, name)
+        sections[name] = section
+    return sections
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated scenario, built by :func:`parse_config`; see :data:`SCHEMA`."""
+
     hbar: float
     mass: float
     epsilon: float
     n2: int
     n3: int
     half_width: float
-    potential: dict = field(default_factory=dict)
-    rho_mean: float = 0.0
-    rho_sigma: float = 1.0
-    p0: float = 0.0
-    r0: float = 0.0
-    sigma_p: float = DEFAULT_SIGMA
-    sigma_r: float = DEFAULT_SIGMA
-    dt: float = 1e-3
-    steps: int = 1000
-    snapshot_every: int = 100
-    method: str = "spectral_kernel"
-    outputs: str = "out"
-    seed: int = 0
+    potential: dict
+    rho_mean: float
+    rho_sigma: float
+    p0: float
+    r0: float
+    sigma_p: float
+    sigma_r: float
+    dt: float
+    steps: int
+    snapshot_every: int
+    method: str
+    outputs: str
 
     # grid and preset factories -------------------------------------------------
 
@@ -128,120 +203,36 @@ class ScenarioConfig:
         return potential_from_density(self.rho(grid), self.epsilon)
 
     def to_dict(self) -> dict:
-        return {
-            "hbar": self.hbar,
-            "mass": self.mass,
-            "epsilon": self.epsilon,
-            "grid": {"n2": self.n2, "n3": self.n3, "half_width": self.half_width},
-            "potential": dict(self.potential),
-            "rho_preset": {"mean": self.rho_mean, "sigma": self.rho_sigma},
-            "wigner_preset": {
-                "p0": self.p0,
-                "r0": self.r0,
-                "sigma_p": self.sigma_p,
-                "sigma_r": self.sigma_r,
-            },
-            "evolution": {
-                "dt": self.dt,
-                "steps": self.steps,
-                "snapshot_every": self.snapshot_every,
-                "method": self.method,
-            },
-            "outputs": self.outputs,
-            "seed": self.seed,
-        }
+        pairs = []
+        for path, attr, *_ in SCHEMA:
+            if not path.startswith("potential."):
+                pairs.append((path, getattr(self, attr)))
+            elif attr in self.potential:
+                pairs.append((path, self.potential[attr]))
+        return _nest(pairs)
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a raw configuration document into a ScenarioConfig."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config root: expected an object, got {type(doc).__name__}")
-    _reject_unknown(doc, DEFAULT_CONFIG, "config")
-
-    hbar = _need_number(doc.get("hbar", 1.0), "hbar", minimum=0.0)
-    mass = _need_number(doc.get("mass", 1.0), "mass", minimum=0.0, strict_min=True)
-    epsilon = _need_number(doc.get("epsilon", 1.0), "epsilon")
-
-    grid = doc.get("grid", DEFAULT_CONFIG["grid"])
-    if not isinstance(grid, dict):
-        raise ConfigError("grid: expected an object")
-    _reject_unknown(grid, {"n2", "n3", "half_width"}, "grid")
-    n2 = _need_number(grid.get("n2", 128), "grid.n2", minimum=16, integer=True)
-    n3 = _need_number(grid.get("n3", 64), "grid.n3", minimum=16, integer=True)
-    half_width = _need_number(grid.get("half_width", 8.0), "grid.half_width", minimum=0.0, strict_min=True)
-    for name, n in (("grid.n2", n2), ("grid.n3", n3)):
-        if n & (n - 1):
-            raise ConfigError(f"{name}: must be a power of two, got {n}")
-    if n3 > n2:
-        raise ConfigError(f"grid.n3: must not exceed grid.n2 ({n3} > {n2})")
-
-    pot = doc.get("potential", DEFAULT_CONFIG["potential"])
-    if not isinstance(pot, dict) or "kind" not in pot:
-        raise ConfigError("potential.kind: missing")
-    kind = pot["kind"]
-    if kind not in _POTENTIAL_KEYS:
-        raise ConfigError(f"potential.kind: unknown kind {kind!r}")
-    _reject_unknown(pot, _POTENTIAL_KEYS[kind] | {"kind"}, "potential")
-    potential = {"kind": kind}
-    if kind == "harmonic":
-        potential["omega"] = _need_number(_take(pot, "omega", "potential"), "potential.omega", 0.0, True)
-    if kind == "quartic":
-        potential["a2"] = _need_number(_take(pot, "a2", "potential"), "potential.a2")
-        potential["a4"] = _need_number(_take(pot, "a4", "potential"), "potential.a4", 0.0, True)
-
-    rho = doc.get("rho_preset", DEFAULT_CONFIG["rho_preset"])
-    if not isinstance(rho, dict):
-        raise ConfigError("rho_preset: expected an object")
-    _reject_unknown(rho, {"mean", "sigma"}, "rho_preset")
-    rho_mean = _need_number(rho.get("mean", 0.0), "rho_preset.mean")
-    rho_sigma = _need_number(rho.get("sigma", 1.0), "rho_preset.sigma", 0.0, True)
-
-    wig = doc.get("wigner_preset", DEFAULT_CONFIG["wigner_preset"])
-    if not isinstance(wig, dict):
-        raise ConfigError("wigner_preset: expected an object")
-    _reject_unknown(wig, {"p0", "r0", "sigma_p", "sigma_r"}, "wigner_preset")
-    p0 = _need_number(wig.get("p0", 0.0), "wigner_preset.p0")
-    r0 = _need_number(wig.get("r0", 0.0), "wigner_preset.r0")
-    sigma_p = _need_number(wig.get("sigma_p", DEFAULT_SIGMA), "wigner_preset.sigma_p", 0.0, True)
-    sigma_r = _need_number(wig.get("sigma_r", DEFAULT_SIGMA), "wigner_preset.sigma_r", 0.0, True)
-
-    evo = doc.get("evolution", DEFAULT_CONFIG["evolution"])
-    if not isinstance(evo, dict):
-        raise ConfigError("evolution: expected an object")
-    _reject_unknown(evo, {"dt", "steps", "snapshot_every", "method"}, "evolution")
-    dt = _need_number(evo.get("dt", 1e-3), "evolution.dt", 0.0, True)
-    steps = _need_number(evo.get("steps", 1000), "evolution.steps", 1, integer=True)
-    snapshot_every = _need_number(evo.get("snapshot_every", 100), "evolution.snapshot_every", 1, integer=True)
-    method = evo.get("method", "spectral_kernel")
-    if method not in ("series", "spectral_kernel"):
-        raise ConfigError(f"evolution.method: must be 'series' or 'spectral_kernel', got {method!r}")
-
-    outputs = doc.get("outputs", "out")
-    if not isinstance(outputs, str) or not outputs:
-        raise ConfigError(f"outputs: expected a non-empty path string, got {outputs!r}")
-    seed = _need_number(doc.get("seed", 0), "seed", integer=True)
-
-    return ScenarioConfig(
-        hbar=hbar,
-        mass=mass,
-        epsilon=epsilon,
-        n2=n2,
-        n3=n3,
-        half_width=half_width,
-        potential=potential,
-        rho_mean=rho_mean,
-        rho_sigma=rho_sigma,
-        p0=p0,
-        r0=r0,
-        sigma_p=sigma_p,
-        sigma_r=sigma_r,
-        dt=dt,
-        steps=steps,
-        snapshot_every=snapshot_every,
-        method=method,
-        outputs=outputs,
-        seed=seed,
-    )
+    sections = _sections(doc)
+    fields = {"potential": {}}
+    for path, attr, kind, default, bound, _ in SCHEMA:
+        name, _, key = path.rpartition(".")
+        section = sections[name]
+        if name != "potential":
+            fields[attr] = _check(path, section.get(key, default), kind, bound)
+        elif key == "kind" or key in POTENTIAL_PARAMS.get(section["kind"], ()):
+            if key not in section:
+                raise ConfigError(f"{path}: missing")
+            fields["potential"][attr] = _check(path, section[key], kind, bound)
+    for key in ("n2", "n3"):
+        if fields[key] & (fields[key] - 1):
+            raise ConfigError(f"grid.{key}: must be a power of two, got {fields[key]}")
+    if fields["n3"] > fields["n2"]:
+        raise ConfigError(f"grid.n3: must not exceed grid.n2 ({fields['n3']} > {fields['n2']})")
+    return ScenarioConfig(**fields)
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> ScenarioConfig:

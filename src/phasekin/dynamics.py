@@ -10,6 +10,13 @@ potential (where the odd-derivative series terminates and is exact):
   (i/hbar) [U(r + hbar lam/2) - U(r - hbar lam/2)], lam the FFT-native
   conjugate of p.
 
+The odd-derivative series is summed, like every derivative series in
+the package, by :func:`phasekin.grids.sum_series`.  So is the ``series``
+kick phase, the same expansion of the kick generator in powers of the
+shift: it terminates for polynomial potentials, and for a density-backed
+potential at hbar > 0 its terms grow from the first, so it raises
+:class:`NonConvergenceError` rather than return a wrong phase.
+
 The shifted difference U(r + s) - U(r - s) has one evaluator,
 :meth:`Potential.shifted_difference`.  Analytic presets use their closed
 forms; a density-backed potential uses its trigonometric interpolant,
@@ -38,25 +45,25 @@ about 9e-7 to 2.7e-6, past the 1e-6 verification tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from math import factorial
 
 import numpy as np
 
-from .errors import DecayGuardError, ImaginaryResidueError, NonConvergenceError
+from .errors import DecayGuardError, ImaginaryResidueError
 from .grids import (
+    IMAG_RESIDUE_TOL,
+    SERIES_CAP,  # noqa: F401  re-exported: the kick series obeys the same cap
     Field,
     Grid1D,
     derivative_array,
+    floored_fft,
     native_frequencies,
     require_same_grid,
+    sum_series,
 )
 from .states import JointDistribution, VirtualDensity, WignerDistribution, marginal_over_R
 
-SERIES_CAP = 20
-SERIES_CONVERGED_REL = 1e-12
-SERIES_FAIL_REL = 1e-8
-SPECTRAL_FLOOR_REL = 1e-13
-IMAG_RESIDUE_TOL = 1e-9
 # Snapshot guard during propagation: anharmonic transport grows physical
 # interference tails that saturate near 1e-7 of the peak at default
 # resolution; real boundary escape shows up at 1e-2 and above.
@@ -93,6 +100,9 @@ class Potential:
             require_same_grid(self.rho.grid, self.grid, "from_density potential")
 
     def samples(self, mass: float = 1.0) -> np.ndarray:
+        """U on the grid; the density form's interpolant there is epsilon * rho."""
+        if self.kind == "from_density":
+            return self.epsilon * self.rho.values
         return self.samples_at(self.grid.points, mass)
 
     def samples_at(self, x, mass: float = 1.0) -> np.ndarray:
@@ -156,8 +166,7 @@ class Potential:
             if order == 4:
                 return np.full_like(x, 24 * self.a4)
             return np.zeros_like(x)
-        hat = np.fft.fft(self.rho.values.astype(complex))
-        hat[np.abs(hat) < SPECTRAL_FLOOR_REL * np.abs(hat).max()] = 0.0
+        hat = floored_fft(self.rho.values)
         w = native_frequencies(self.grid)
         mult = (1j * w) ** order
         if order % 2 == 1:
@@ -239,56 +248,33 @@ def liouville_rhs(W: WignerDistribution, U: Potential, mass: float) -> Field:
     return Field((W.grid_p, W.grid_r), rhs)
 
 
+def _moyal_terms(W: WignerDistribution, U: Potential, hbar: float, mass: float):
+    """The n-th odd-derivative transport term, for n = 1, 2, ..."""
+    if hbar == 0.0:
+        return  # classical transport is exact
+    lam = native_frequencies(W.grid_p)
+    odd = 1j * lam
+    odd[W.grid_p.n // 2] = 0.0
+    w_hat = floored_fft(W.values, axis=0) * odd[:, None]  # first odd derivative accumulator
+    mult = ((1j * lam) ** 2)[:, None]
+    for n in count(1):
+        w_hat *= mult
+        dW = np.fft.ifft(w_hat, axis=0).real
+        coeff = (-1.0) ** n * (hbar / 2.0) ** (2 * n) / factorial(2 * n + 1)
+        yield coeff * U.derivative_samples(2 * n + 1, mass)[None, :] * dW
+
+
 def moyal_rhs_series(W, U: Potential, hbar: float, mass: float, n_max="auto") -> Field:
     """Quantum transport as the truncated odd-derivative series.
 
     For polynomial potentials the series terminates exactly; for a
-    density-backed potential derivatives are spectral with the same
-    floor filter and truncation rules as the joint-distribution series.
+    density-backed potential derivatives are spectral, and the floor
+    filter and truncation rule are the joint-distribution series' own
+    (:func:`phasekin.grids.sum_series`).
     """
     _check_rhs_inputs(W, U)
-    auto = n_max == "auto"
-    if not auto:
-        if int(n_max) != n_max or n_max < 0 or n_max > SERIES_CAP:
-            raise ValueError(f"n_max must be 'auto' or an integer in [0, {SERIES_CAP}], got {n_max}")
-        n_max = int(n_max)
     base = liouville_rhs(W, U, mass)
-    if hbar == 0.0 or (not auto and n_max == 0):
-        return base
-
-    total = base.values
-    w_hat = np.fft.fft(W.values.astype(complex), axis=0)
-    w_hat[np.abs(w_hat) < SPECTRAL_FLOOR_REL * np.abs(w_hat).max()] = 0.0
-    lam = native_frequencies(W.grid_p)
-    odd = (1j * lam).copy()
-    odd[W.grid_p.n // 2] = 0.0
-    w_hat = w_hat * odd[:, None]  # first odd derivative accumulator
-    mult = ((1j * lam) ** 2)[:, None]
-
-    cap = SERIES_CAP if auto else n_max
-    prev_norm = np.inf
-    last_norm = 0.0
-    reached_cap = True
-    for n in range(1, cap + 1):
-        w_hat = w_hat * mult
-        dW = np.fft.ifft(w_hat, axis=0).real
-        coeff = (-1.0) ** n * (hbar / 2.0) ** (2 * n) / factorial(2 * n + 1)
-        term = coeff * U.derivative_samples(2 * n + 1, mass)[None, :] * dW
-        term_norm = float(np.abs(term).max())
-        if auto and n >= 2 and term_norm > prev_norm:
-            last_norm = prev_norm
-            reached_cap = True
-            break
-        total = total + term
-        prev_norm = last_norm = term_norm
-        if auto and term_norm <= SERIES_CONVERGED_REL * float(np.abs(total).max()):
-            reached_cap = False
-            break
-    if auto and reached_cap and last_norm > SERIES_FAIL_REL * float(np.abs(total).max()):
-        raise NonConvergenceError(
-            f"odd-derivative series did not converge: last term is "
-            f"{last_norm / float(np.abs(total).max()):.3e} of the sum"
-        )
+    total = sum_series(base.values, _moyal_terms(W, U, hbar, mass), n_max, "odd-derivative series")
     return Field((W.grid_p, W.grid_r), total)
 
 
@@ -323,21 +309,28 @@ def collision_rhs(F: JointDistribution, epsilon: float, mass: float) -> Field:
     return Field((F.grid_p, F.grid_r), _streaming_term(W, mass) + dGdp)
 
 
+def _kick_terms(U: Potential, lam: np.ndarray, hbar: float, mass: float):
+    """The n-th Taylor term of the kick generator in the shift hbar lam / 2.
+
+    A polynomial potential's terms end with its last nonzero derivative.
+    """
+    s = hbar * lam / 2.0
+    for n in count(1):
+        du = U.derivative_samples(2 * n + 1, mass)
+        if not np.any(du):
+            return
+        yield np.multiply.outer(lam * s ** (2 * n), du) / factorial(2 * n + 1)
+
+
 def _kick_phase(U: Potential, grid_p: Grid1D, params: EvolutionParams) -> np.ndarray:
     lam = native_frequencies(grid_p)
-    if params.hbar == 0.0:
-        gen = np.multiply.outer(lam, U.derivative_samples(1, params.mass))
-    elif params.method == "spectral_kernel":
+    if params.hbar > 0.0 and params.method == "spectral_kernel":
         gen = U.shifted_difference(params.hbar * lam / 2.0, params.mass) / params.hbar
     else:
-        cap = SERIES_CAP if params.n_max == "auto" else int(params.n_max)
-        s = params.hbar * lam / 2.0
         gen = np.multiply.outer(lam, U.derivative_samples(1, params.mass))
-        for n in range(1, cap + 1):
-            du = U.derivative_samples(2 * n + 1, params.mass)
-            if not np.any(du):
-                break
-            gen = gen + np.multiply.outer(lam * s ** (2 * n), du) / factorial(2 * n + 1)
+        if params.hbar > 0.0:
+            terms = _kick_terms(U, lam, params.hbar, params.mass)
+            gen = sum_series(gen, terms, params.n_max, "kick-phase series")
     return np.exp(1j * params.dt * gen)
 
 
@@ -354,10 +347,11 @@ def _apply_phase(values: np.ndarray, phase: np.ndarray, axis: int) -> np.ndarray
     return values
 
 
-def _energy(W: WignerDistribution, U: Potential, mass: float) -> float:
+def _energy(W: WignerDistribution, u: np.ndarray, mass: float) -> float:
+    """Mean energy of W in the potential sampled on the grid as ``u``."""
     vol = W.grid_p.step * W.grid_r.step
     kinetic = float(((W.grid_p.points**2 / (2.0 * mass))[:, None] * W.values).sum() * vol)
-    potential = float((U.samples(mass)[None, :] * W.values).sum() * vol)
+    potential = float((u[None, :] * W.values).sum() * vol)
     return kinetic + potential
 
 
@@ -368,10 +362,11 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams) -> 
     half_stream = _shear(grid_p, grid_r, params.dt / 2.0, params.mass)
     full_stream = _shear(grid_p, grid_r, params.dt, params.mass)
     kick = _kick_phase(U, grid_p, params)
+    u = U.samples(params.mass)
 
     traj = Trajectory()
     traj.snapshots.append((0.0, W0))
-    traj.conserved.append((0.0, W0.normalization, _energy(W0, U, params.mass)))
+    traj.conserved.append((0.0, W0.normalization, _energy(W0, u, params.mass)))
 
     # first-same-as-last: the half-streams that close one step and open
     # the next run as one full stream; a snapshot takes its own closing
@@ -387,7 +382,7 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams) -> 
             except DecayGuardError as exc:
                 raise DecayGuardError(f"decay guard violated at t = {t}: {exc}") from exc
             traj.snapshots.append((t, snap))
-            traj.conserved.append((t, snap.normalization, _energy(snap, U, params.mass)))
+            traj.conserved.append((t, snap.normalization, _energy(snap, u, params.mass)))
         if step < params.steps:
             _apply_phase(values, full_stream, 1)
     return traj

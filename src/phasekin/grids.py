@@ -15,6 +15,10 @@ native ordering is internal.
 Derivatives are evaluated in the FFT-native spectral domain, where
 ``d/dx`` is multiplication by ``(i w)``; on real input the result is
 real (the unmatched Nyquist mode is dropped for odd orders).
+
+The derivative series of the joint builder, the Moyal transport and the
+kick phase share one truncation rule, :func:`sum_series`, and one
+spectral floor, :func:`floored_fft`.
 """
 
 from __future__ import annotations
@@ -23,12 +27,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecayGuardError, GridMismatchError
+from .errors import DecayGuardError, GridMismatchError, NonConvergenceError
 
 # Boundary magnitude above this fraction of the global max fails the decay
 # guard for 1- and 2-axis fields.  Exactly constant fields are exempt: they
 # are trivially periodic and carry no aliasing risk.
 DECAY_TOL = 1e-10
+
+SERIES_CAP = 20
+SERIES_CONVERGED_REL = 1e-12
+SERIES_FAIL_REL = 1e-8
+# below this fraction of the peak, box-truncation noise would pass for
+# high-order structure once a series amplifies it
+SPECTRAL_FLOOR_REL = 1e-13
+IMAG_RESIDUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -224,6 +236,47 @@ def derivative_array(values: np.ndarray, grid: Grid1D, axis: int, order: int) ->
     spec = np.fft.fft(values, axis=axis) * _reshape_for(mult, values.ndim, axis)
     out = np.fft.ifft(spec, axis=axis)
     return out.real if np.isrealobj(values) else out
+
+
+def floored_fft(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """FFT along one axis with every bin below 1e-13 of the peak zeroed."""
+    hat = np.fft.fft(values, axis=axis)
+    hat[np.abs(hat) < SPECTRAL_FLOOR_REL * np.abs(hat).max()] = 0.0
+    return hat
+
+
+def sum_series(base: np.ndarray, terms, n_max="auto", what: str = "series") -> np.ndarray:
+    """Add ``terms`` (the n-th term for n = 1, 2, ...) into ``base`` in place.
+
+    ``n_max="auto"`` adds terms until one falls below 1e-12 of the sum
+    (sup norms, cap 20).  A term larger than the one before stops the sum
+    unadded, keeping the smaller partial sum; if the last term added still
+    exceeds 1e-8 of the sum, :class:`NonConvergenceError` is raised.  An
+    integer ``n_max`` in [0, 20] adds that many terms unchecked.  Terms
+    that run out end the series exactly.
+    """
+    auto = n_max == "auto"
+    if not auto and (int(n_max) != n_max or not 0 <= n_max <= SERIES_CAP):
+        raise ValueError(f"n_max must be 'auto' or an integer in [0, {SERIES_CAP}], got {n_max}")
+    terms = iter(terms)
+    total, last_norm = base, 0.0
+    for n in range(1, (SERIES_CAP if auto else int(n_max)) + 1):
+        term = next(terms, None)
+        if term is None:
+            return total
+        norm = float(np.abs(term).max()) if auto else 0.0
+        if n >= 2 and norm > last_norm:
+            break
+        total += term
+        last_norm = norm
+        if auto and norm <= SERIES_CONVERGED_REL * float(np.abs(total).max()):
+            return total
+    if auto and last_norm > SERIES_FAIL_REL * float(np.abs(total).max()):
+        raise NonConvergenceError(
+            f"{what} did not converge: last term is "
+            f"{last_norm / float(np.abs(total).max()):.3e} of the sum after cap/growth stop"
+        )
+    return total
 
 
 def spectral_derivative(f: Field, axis: int, order: int) -> Field:

@@ -14,7 +14,8 @@ import re
 
 import numpy as np
 
-from .config import TOOL_NAME, TOOL_VERSION, ScenarioConfig
+from . import __version__
+from .config import TOOL_NAME, ScenarioConfig
 from .coupling import classical_joint, quantum_joint_series, quantum_joint_spectral
 from .cumulants import (
     classical_limit_scan,
@@ -60,7 +61,7 @@ def _finish(directory, command, config, outputs, status="complete", error=None):
             status,
             paths,
             TOOL_NAME,
-            TOOL_VERSION,
+            __version__,
             error=error,
         )
     )

@@ -1,11 +1,14 @@
 """The one-shot verification suite.
 
-Every check pins its tolerance here.  The derivative-series
-constructions converge only while ``hbar < 2 sigma_R sigma_p`` and a
-Gaussian needs ``half_width >= 8 sigma`` to satisfy the decay guard, so
-the equivalence checks carry per-hbar preset widths (and a wider box for
-hbar = 2); the identities under test are covariant under that joint
-rescaling of hbar and the widths, so nothing is lost.
+Every check pins its tolerance here.  Within their 20-term cap the
+derivative-series constructions converge only while
+``hbar^2 / (4 sigma_R^2 sigma_p^2)`` stays near or below 0.5 (0.510
+converges and 0.541 does not, at sigma_R = hbar = 1), well short of
+``hbar < 2 sigma_R sigma_p``, and a Gaussian needs
+``half_width >= 8 sigma`` to satisfy the decay guard, so the equivalence
+checks carry per-hbar preset widths (and a wider box for hbar = 2); the
+identities under test are covariant under that joint rescaling of hbar
+and the widths, so nothing is lost.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from phasekin import ConfigError, load_config, parse_config
+from phasekin import ConfigError, __version__, load_config, parse_config
 from phasekin.cli import main
 from phasekin.config import DEFAULT_CONFIG
 from phasekin.serialization import read_array
@@ -132,11 +132,23 @@ class TestJointCommand:
         b, _ = read_array(str(tmp_path / "out"), "f_spectral")
         assert np.abs(a - b).max() < 1e-12
 
-    def test_seed_override_is_echoed(self, tmp_path):
+    def test_seed_key_and_flag_are_gone(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config({"seed": 0})
         cfg = write_config(tmp_path, outputs=str(tmp_path / "out"))
-        assert main(["joint", "--config", cfg, "--seed", "99"]) == 0
-        with open(tmp_path / "out" / "manifest.json") as fh:
-            assert json.load(fh)["config"]["seed"] == 99
+        with pytest.raises(SystemExit) as exc:
+            main(["joint", "--config", cfg, "--seed", "99"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_version_is_the_package_version(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == f"phasekin {__version__}"
+        cfg = write_config(tmp_path, outputs=str(tmp_path / "out"))
+        assert main(["joint", "--config", cfg]) == 0
+        assert manifest_without_timestamp(tmp_path / "out")["version"] == __version__
 
     def test_unwritable_output_dir(self, tmp_path):
         # a path through a regular file can never become a directory
@@ -269,6 +281,19 @@ class TestExitCodes:
         manifest = manifest_without_timestamp(tmp_path / "out")
         assert manifest["status"] == "aborted"
         assert "error" in manifest
+
+    def test_density_kick_series_is_3(self, tmp_path):
+        # the kick's Taylor series in hbar diverges for a density potential
+        cfg = write_config(
+            tmp_path,
+            outputs=str(tmp_path / "out"),
+            potential={"kind": "from_density"},
+            evolution=dict(FAST_EVOLUTION, method="series"),
+        )
+        assert main(["simulate", "--config", cfg]) == 3
+        manifest = manifest_without_timestamp(tmp_path / "out")
+        assert manifest["status"] == "aborted"
+        assert manifest["error"].startswith("kick-phase series did not converge")
 
     def test_verify_failure_is_1(self, tmp_path):
         # resolution far too low for the acceptance tolerances

@@ -109,6 +109,19 @@ class TestQuantumJointSeries:
         with pytest.raises(NonConvergenceError):
             quantum_joint_series(rho_default, wigner_default, 2.0)
 
+    def test_convergence_window_is_narrower_than_two_sigma_product(self, rho_default):
+        # sigma_R = hbar = 1, so hbar^2 / (4 sigma_R^2 sigma_p^2) is 0.510 at
+        # sigma_p = 0.7 and 0.541 at sigma_p = 0.68; both lie inside
+        # hbar < 2 sigma_R sigma_p, but only the first converges in 20 terms
+        grid = rho_default.grid
+        W = gaussian_wigner(grid, grid, 0.0, 0.0, 0.7, 0.7)
+        a = quantum_joint_series(rho_default, W, 1.0)
+        b = quantum_joint_spectral(rho_default, W, 1.0)
+        assert np.abs(a.values - b.values).max() < 1e-8
+        W = gaussian_wigner(grid, grid, 0.0, 0.0, 0.68, 0.68)
+        with pytest.raises(NonConvergenceError, match=r"last term is 1\.\d+e-08 of the sum"):
+            quantum_joint_series(rho_default, W, 1.0)
+
     def test_nmax_cap_validated(self, rho_default, wigner_default):
         with pytest.raises(ValueError):
             quantum_joint_series(rho_default, wigner_default, 1.0, n_max=21)

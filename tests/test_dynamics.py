@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from phasekin import (
     EvolutionParams,
+    NonConvergenceError,
     WignerDistribution,
     analytic_free_evolution,
     classical_joint,
@@ -352,13 +353,22 @@ def _reference_run(kind, hbar, method, steps):
     return W0, U, _complex_strang_reference(W0, U, params)
 
 
+# The density kick series diverges for hbar > 0 and is refused
+# (TestKickSeries), so it has no trajectory to compare.
+STEPPER_CASES = [
+    (kind, hbar, method)
+    for kind in ("free", "harmonic", "quartic", "from_density")
+    for hbar in (0.0, 1.0)
+    for method in ("spectral_kernel", "series")
+    if not (kind == "from_density" and hbar > 0 and method == "series")
+]
+
+
 class TestStepperEquivalence:
     """The FSAL stepper against the six-pass Strang loop it replaced."""
 
     @pytest.mark.parametrize("snapshot_every", [1, 7, 200])
-    @pytest.mark.parametrize("method", ["spectral_kernel", "series"])
-    @pytest.mark.parametrize("hbar", [0.0, 1.0])
-    @pytest.mark.parametrize("kind", ["free", "harmonic", "quartic", "from_density"])
+    @pytest.mark.parametrize("kind,hbar,method", STEPPER_CASES)
     def test_matches_complex_reference(self, kind, hbar, method, snapshot_every):
         steps, dt = 200, 1e-3
         W0, U, ref = _reference_run(kind, hbar, method, steps)
@@ -393,3 +403,12 @@ class TestStepperEquivalence:
             for every in (1, 7, 50)
         ]
         assert np.array_equal(finals[0], finals[1]) and np.array_equal(finals[0], finals[2])
+
+
+class TestKickSeries:
+    def test_density_series_refused_at_positive_hbar(self, grid64):
+        W0 = gaussian_wigner(grid64, grid64, 0.0, 0.0, 2**-0.5, 2**-0.5)
+        U = _potential("from_density", grid64)
+        params = EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=10, method="series")
+        with pytest.raises(NonConvergenceError, match="^kick-phase series did not converge"):
+            propagate(W0, U, params)
