@@ -1,7 +1,9 @@
-"""Command-line entry point.
+"""Command-line entry point: argument parsing and exit codes.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 runtime guard violation.
+Every command runs through :func:`phasekin.runner.run_scenario`, which
+writes the outputs and the manifest.  Exit codes: 0 success, 1
+verification failure (manifest status ``failed``), 2 configuration
+error, 3 any other guard violation (manifest status ``aborted``).
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ import sys
 from . import __version__
 from .config import TOOL_NAME, keys_help, load_config
 from .errors import ConfigError, PhasekinError
-from .runner import prepare_output_dir, run_scenario
-from .serialization import write_manifest, write_resolved_config
-from .verification import run_verification
+from .runner import run_scenario
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -49,30 +49,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, {"hbar": args.hbar})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        if args.command == "verify":
-            directory = prepare_output_dir(config, args.output_dir)
-            report = run_verification(config)
-            paths = [report.write(directory)]
-            paths.append(write_resolved_config(directory, config.to_dict()))
-            status = "complete" if report.overall_pass else "failed"
-            write_manifest(directory, "verify", config.to_dict(), status, paths, TOOL_NAME, __version__)
-            for name, measured, tolerance, status_word, _ in report.rows():
-                print(f"{status_word:4s}  {name}  measured={measured:.6g}  tol={tolerance:.6g}")
-            print("overall:", "pass" if report.overall_pass else "fail")
-            return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAIL
-        run_scenario(config, args.command, args.output_dir)
-        return EXIT_OK
+        status = run_scenario(config, args.command, args.output_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PhasekinError as exc:
         print(f"runtime guard violation: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    return EXIT_VERIFY_FAIL if status == "failed" else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -247,8 +247,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Scena
             raise ConfigError(f"config file {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path!r}: invalid JSON ({exc})") from exc
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        doc[key] = value
+    if isinstance(doc, dict):  # any other root is refused by parse_config
+        doc.update({key: value for key, value in (overrides or {}).items() if value is not None})
     return parse_config(doc)

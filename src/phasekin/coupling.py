@@ -16,19 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from math import factorial
 
 import numpy as np
 
-from .errors import ImaginaryResidueError
 from .grids import (
-    IMAG_RESIDUE_TOL,
+    checked_real,
     conjugate,
     floored_fft,
     fourier_forward,
     fourier_inverse,
     native_frequencies,
     require_same_grid,
+    series_coefficient,
     sum_series,
 )
 from .states import JointDistribution, VirtualDensity, WignerDistribution
@@ -102,8 +101,7 @@ def _joint_terms(rho: VirtualDensity, W: WignerDistribution, hbar: float):
         w_hat *= mult_p
         d_rho = np.fft.ifft(rho_hat).real
         d_w = np.fft.ifft(w_hat, axis=0).real
-        coeff = (-1.0) ** n * (hbar / 2.0) ** (2 * n) / factorial(2 * n + 1)
-        yield coeff * np.multiply.outer(d_rho, d_w)
+        yield series_coefficient(hbar, n) * np.multiply.outer(d_rho, d_w)
 
 
 def quantum_joint_series(
@@ -143,12 +141,5 @@ def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: flo
     q = conjugate(W.grid_p).frequencies
     kernel = sinc_values(hbar * np.outer(K, q) / 2.0)
     f_t = rho_t[:, None, None] * kernel[:, :, None] * w_t[None, :, :]
-    f = fourier_inverse(f_t, grids, (0, 1, 2))
-    re_max = float(np.abs(f.real).max())
-    im_max = float(np.abs(f.imag).max())
-    if im_max > IMAG_RESIDUE_TOL * re_max:
-        raise ImaginaryResidueError(
-            f"spectral joint has imaginary residue {im_max:.3e} vs real max {re_max:.3e}; "
-            "aliasing or a broken kernel"
-        )
-    return JointDistribution(rho.grid, W.grid_p, W.grid_r, f.real, hbar)
+    f = checked_real(fourier_inverse(f_t, grids, (0, 1, 2)), "spectral joint")
+    return JointDistribution(rho.grid, W.grid_p, W.grid_r, f, hbar)

@@ -76,14 +76,11 @@ class CumulantReport:
     hbar: float = float("nan")
     kappa22: float = float("nan")
     kappa22_reference: float = float("nan")
-    phi_c2: float = float("nan")
-    phi_c4: float = float("nan")
     sigma_R2: float = float("nan")
     sigma_p2: float = float("nan")
     heisenberg_lhs: float = float("nan")
     heisenberg_rhs: float = float("nan")
     cauchy_schwarz_ok: bool = True
-    classical_slope: float = float("nan")
 
 
 def characteristic_function(F: JointDistribution) -> CharacteristicField:
@@ -200,9 +197,11 @@ def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> f
     hbars = [float(h) for h in hbars]
     if len(hbars) < 4:
         raise ValueError(f"scan needs at least 4 hbar values, got {len(hbars)}")
-    if any(h <= 0 for h in hbars):
-        raise ValueError("scan hbar values must be positive")
-    if max(hbars) / min(hbars) < 8.0:
+    if any(h < 0 for h in hbars):
+        raise ValueError("scan hbar values must not be negative")
+    if min(hbars) == 0.0:
+        raise DegenerateFitError("scan hbar value is 0 (underflowed?); the log-log fit needs positive values")
+    if max(hbars) < 8.0 * min(hbars):
         raise ValueError("scan hbar values must span at least a factor of 8")
     base = classical_joint(rho, W).values
     norms = []

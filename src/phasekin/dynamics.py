@@ -50,16 +50,17 @@ from math import factorial
 
 import numpy as np
 
-from .errors import DecayGuardError, ImaginaryResidueError
+from .errors import DecayGuardError
 from .grids import (
-    IMAG_RESIDUE_TOL,
     SERIES_CAP,  # noqa: F401  re-exported: the kick series obeys the same cap
     Field,
     Grid1D,
+    checked_real,
     derivative_array,
     floored_fft,
     native_frequencies,
     require_same_grid,
+    series_coefficient,
     sum_series,
 )
 from .states import JointDistribution, VirtualDensity, WignerDistribution, marginal_over_R
@@ -260,8 +261,7 @@ def _moyal_terms(W: WignerDistribution, U: Potential, hbar: float, mass: float):
     for n in count(1):
         w_hat *= mult
         dW = np.fft.ifft(w_hat, axis=0).real
-        coeff = (-1.0) ** n * (hbar / 2.0) ** (2 * n) / factorial(2 * n + 1)
-        yield coeff * U.derivative_samples(2 * n + 1, mass)[None, :] * dW
+        yield series_coefficient(hbar, n) * U.derivative_samples(2 * n + 1, mass)[None, :] * dW
 
 
 def moyal_rhs_series(W, U: Potential, hbar: float, mass: float, n_max="auto") -> Field:
@@ -286,14 +286,8 @@ def moyal_rhs_spectral(W: WignerDistribution, U: Potential, hbar: float, mass: f
     lam = native_frequencies(W.grid_p)
     du = U.shifted_difference(hbar * lam / 2.0, mass)
     w_hat = np.fft.fft(W.values, axis=0)
-    kicked = np.fft.ifft((1j / hbar) * du * w_hat, axis=0)
-    re_max = float(np.abs(kicked.real).max())
-    im_max = float(np.abs(kicked.imag).max())
-    if im_max > IMAG_RESIDUE_TOL * max(re_max, 1e-300):
-        raise ImaginaryResidueError(
-            f"spectral transport term has imaginary residue {im_max:.3e} vs {re_max:.3e}"
-        )
-    return Field((W.grid_p, W.grid_r), _streaming_term(W, mass) + kicked.real)
+    kicked = checked_real(np.fft.ifft((1j / hbar) * du * w_hat, axis=0), "spectral transport term")
+    return Field((W.grid_p, W.grid_r), _streaming_term(W, mass) + kicked)
 
 
 def collision_rhs(F: JointDistribution, epsilon: float, mass: float) -> Field:

@@ -18,7 +18,8 @@ class GridMismatchError(PhasekinError):
 
 
 class NormalizationError(PhasekinError):
-    """A distribution's quadrature integral is off its required value."""
+    """A distribution's quadrature integral is off its required value,
+    or not finite because its values overflowed."""
 
 
 class NonConvergenceError(PhasekinError):

@@ -23,11 +23,12 @@ spectral floor, :func:`floored_fft`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecayGuardError, GridMismatchError, NonConvergenceError
+from .errors import DecayGuardError, GridMismatchError, ImaginaryResidueError, NonConvergenceError
 
 # Boundary magnitude above this fraction of the global max fails the decay
 # guard for 1- and 2-axis fields.  Exactly constant fields are exempt: they
@@ -41,6 +42,22 @@ SERIES_FAIL_REL = 1e-8
 # high-order structure once a series amplifies it
 SPECTRAL_FLOOR_REL = 1e-13
 IMAG_RESIDUE_TOL = 1e-9
+
+
+def checked_real(values: np.ndarray, what: str) -> np.ndarray:
+    """Real part of a nominally real result.
+
+    Raises :class:`ImaginaryResidueError` when the imaginary sup norm
+    exceeds IMAG_RESIDUE_TOL of the real one.
+    """
+    re_max = float(np.abs(values.real).max())
+    im_max = float(np.abs(values.imag).max())
+    if im_max > IMAG_RESIDUE_TOL * max(re_max, 1e-300):
+        raise ImaginaryResidueError(
+            f"{what} has imaginary residue {im_max:.3e} vs real max {re_max:.3e}; "
+            "aliasing or a broken kernel"
+        )
+    return values.real
 
 
 @dataclass(frozen=True)
@@ -245,15 +262,27 @@ def floored_fft(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return hat
 
 
+def series_coefficient(hbar: float, n: int) -> float:
+    """(-1)^n (hbar/2)^(2n) / (2n+1)!, the n-th coefficient of the even
+    joint and odd Moyal series.
+
+    Raises :class:`NonConvergenceError` where (hbar/2)^(2n) overflows.
+    """
+    try:
+        return (-1.0) ** n * (hbar / 2.0) ** (2 * n) / math.factorial(2 * n + 1)
+    except OverflowError:
+        raise NonConvergenceError(f"series coefficient (hbar/2)^{2 * n} overflows at hbar = {hbar!r}") from None
+
+
 def sum_series(base: np.ndarray, terms, n_max="auto", what: str = "series") -> np.ndarray:
     """Add ``terms`` (the n-th term for n = 1, 2, ...) into ``base`` in place.
 
     ``n_max="auto"`` adds terms until one falls below 1e-12 of the sum
     (sup norms, cap 20).  A term larger than the one before stops the sum
-    unadded, keeping the smaller partial sum; if the last term added still
-    exceeds 1e-8 of the sum, :class:`NonConvergenceError` is raised.  An
-    integer ``n_max`` in [0, 20] adds that many terms unchecked.  Terms
-    that run out end the series exactly.
+    unadded, keeping the smaller partial sum.  :class:`NonConvergenceError`
+    is raised if the last term added still exceeds 1e-8 of the sum, or if
+    a term is not finite.  An integer ``n_max`` in [0, 20] adds that many
+    terms unchecked.  Terms that run out end the series exactly.
     """
     auto = n_max == "auto"
     if not auto and (int(n_max) != n_max or not 0 <= n_max <= SERIES_CAP):
@@ -265,6 +294,8 @@ def sum_series(base: np.ndarray, terms, n_max="auto", what: str = "series") -> n
         if term is None:
             return total
         norm = float(np.abs(term).max()) if auto else 0.0
+        if not math.isfinite(norm):
+            raise NonConvergenceError(f"{what} did not converge: term {n} is not finite")
         if n >= 2 and norm > last_norm:
             break
         total += term

@@ -1,10 +1,15 @@
-"""One-shot scenario commands: simulate, joint, and cumulants.
+"""The four commands and the one path every command runs through.
 
-Each command writes its numeric artifacts plus a manifest echoing the
-resolved configuration.  A guard violation mid-run still writes the
-manifest, flagged as aborted, before the error propagates.  ``simulate``
-first removes the snapshot files an earlier run left in the directory,
-so the snapshots present are exactly the ones its manifest lists.
+:func:`run_scenario` alone decides what a run leaves on disk.  It
+prepares the output directory and removes every file whose name a
+command writes (:data:`OUTPUT_FILE`), so a directory holds one run's
+files; other files stay.  It then runs the command body, turns a
+:class:`PhasekinError` into an ``aborted`` manifest before the error
+propagates, and writes ``resolved_config.json`` and ``manifest.json``
+last.  A command body (``run_simulate``, ``run_joint``,
+``run_cumulants``, ``run_verify``) computes its results, writes its own
+files and returns ``(outputs, status)``: status ``complete``, or
+``failed`` when a verification check fails.
 """
 
 from __future__ import annotations
@@ -32,15 +37,24 @@ from .serialization import (
     write_resolved_config,
 )
 from .states import marginal_over_R, marginal_over_pr
+from .verification import run_verification
 
 CLASSICAL_SCAN_FRACTIONS = (1 / 16, 1 / 8, 1 / 4, 1 / 2)
-SNAPSHOT_FILE = re.compile(r"w_\d{6,}\.(bin|json)")
+# Every file name a command writes; a test keeps it in step with the writers.
+OUTPUT_FILE = re.compile(
+    r"w_\d{6,}\.(bin|json)|f_(series|spectral)\.(bin|json)"
+    r"|(conserved|marginal_residuals|cumulant_report|verification_report)\.csv"
+    r"|(resolved_config|manifest)\.json"
+)
 
 
-def prepare_output_dir(config: ScenarioConfig, override: str | None = None) -> str:
+def _prepare_output_dir(config: ScenarioConfig, override: str | None) -> str:
     directory = override or config.outputs
     try:
         os.makedirs(directory, exist_ok=True)
+        for name in os.listdir(directory):
+            if OUTPUT_FILE.fullmatch(name):
+                os.remove(os.path.join(directory, name))
         probe = os.path.join(directory, ".write_probe")
         with open(probe, "w", encoding="utf-8") as fh:
             fh.write("")
@@ -50,38 +64,15 @@ def prepare_output_dir(config: ScenarioConfig, override: str | None = None) -> s
     return directory
 
 
-def _finish(directory, command, config, outputs, status="complete", error=None):
-    paths = list(outputs)
-    paths.append(write_resolved_config(directory, config.to_dict()))
-    paths.append(
-        write_manifest(
-            directory,
-            command,
-            config.to_dict(),
-            status,
-            paths,
-            TOOL_NAME,
-            __version__,
-            error=error,
-        )
-    )
-    return paths
-
-
-def run_joint(config: ScenarioConfig, directory: str) -> list:
+def run_joint(config: ScenarioConfig, directory: str) -> tuple:
     grid = config.grid3()
     rho = config.rho(grid)
     W = config.wigner(grid)
-    outputs = []
-    try:
-        f_series = quantum_joint_series(rho, W, config.hbar)
-        f_spectral = quantum_joint_spectral(rho, W, config.hbar)
-    except PhasekinError as exc:
-        _finish(directory, "joint", config, outputs, status="aborted", error=str(exc))
-        raise
+    f_series = quantum_joint_series(rho, W, config.hbar)
+    f_spectral = quantum_joint_spectral(rho, W, config.hbar)
     axis_names = ("R", "p", "r")
     grids = (grid, grid, grid)
-    outputs += write_array(directory, "f_series", f_series.values, axis_names, grids)
+    outputs = write_array(directory, "f_series", f_series.values, axis_names, grids)
     outputs += write_array(directory, "f_spectral", f_spectral.values, axis_names, grids)
     rows = []
     for label, F in (("series", f_series), ("spectral", f_spectral)):
@@ -98,19 +89,10 @@ def run_joint(config: ScenarioConfig, directory: str) -> list:
             rows,
         )
     )
-    return _finish(directory, "joint", config, outputs)
+    return outputs, "complete"
 
 
-def _remove_snapshots(directory: str) -> None:
-    try:
-        for name in os.listdir(directory):
-            if SNAPSHOT_FILE.fullmatch(name):
-                os.remove(os.path.join(directory, name))
-    except OSError as exc:
-        raise ConfigError(f"outputs: cannot clear old snapshots in {directory!r} ({exc})") from exc
-
-
-def run_simulate(config: ScenarioConfig, directory: str) -> list:
+def run_simulate(config: ScenarioConfig, directory: str) -> tuple:
     grid = config.grid2()
     W0 = config.wigner(grid)
     potential = config.build_potential(grid)
@@ -122,13 +104,8 @@ def run_simulate(config: ScenarioConfig, directory: str) -> list:
         method=config.method,
         snapshot_every=config.snapshot_every,
     )
-    _remove_snapshots(directory)
+    trajectory = propagate(W0, potential, params)
     outputs = []
-    try:
-        trajectory = propagate(W0, potential, params)
-    except PhasekinError as exc:
-        _finish(directory, "simulate", config, outputs, status="aborted", error=str(exc))
-        raise
     for index, (t, snap) in enumerate(trajectory.snapshots):
         outputs += write_array(
             directory, f"w_{index:06d}", snap.values, ("p", "r"), (grid, grid)
@@ -140,31 +117,26 @@ def run_simulate(config: ScenarioConfig, directory: str) -> list:
             trajectory.conserved,
         )
     )
-    return _finish(directory, "simulate", config, outputs)
+    return outputs, "complete"
 
 
-def run_cumulants(config: ScenarioConfig, directory: str) -> list:
+def run_cumulants(config: ScenarioConfig, directory: str) -> tuple:
     grid = config.grid3()
     rho = config.rho(grid)
     W = config.wigner(grid)
-    outputs = []
-    try:
-        if config.hbar == 0.0:
-            F = classical_joint(rho, W)
-        else:
-            F = quantum_joint_spectral(rho, W, config.hbar)
-        report = heisenberg_check(F, config.hbar)
-        phi = phi_field(F, rho, W)
-        c2, c4 = phi_series_coefficients(phi, config.hbar)
-        if config.hbar > 0.0:
-            slope = classical_limit_scan(
-                rho, W, [config.hbar * f for f in CLASSICAL_SCAN_FRACTIONS]
-            )
-        else:
-            slope = float("nan")
-    except PhasekinError as exc:
-        _finish(directory, "cumulants", config, outputs, status="aborted", error=str(exc))
-        raise
+    if config.hbar == 0.0:
+        F = classical_joint(rho, W)
+    else:
+        F = quantum_joint_spectral(rho, W, config.hbar)
+    report = heisenberg_check(F, config.hbar)
+    phi = phi_field(F, rho, W)
+    c2, c4 = phi_series_coefficients(phi, config.hbar)
+    if config.hbar > 0.0:
+        slope = classical_limit_scan(
+            rho, W, [config.hbar * f for f in CLASSICAL_SCAN_FRACTIONS]
+        )
+    else:
+        slope = float("nan")
     rows = [
         ("hbar", config.hbar),
         ("kappa22", report.kappa22),
@@ -178,18 +150,45 @@ def run_cumulants(config: ScenarioConfig, directory: str) -> list:
         ("cauchy_schwarz_ok", report.cauchy_schwarz_ok),
         ("classical_slope", slope),
     ]
-    outputs.append(
-        write_csv(os.path.join(directory, "cumulant_report.csv"), ("quantity", "value"), rows)
-    )
-    return _finish(directory, "cumulants", config, outputs)
+    path = write_csv(os.path.join(directory, "cumulant_report.csv"), ("quantity", "value"), rows)
+    return [path], "complete"
 
 
-def run_scenario(config: ScenarioConfig, command: str, output_dir: str | None = None) -> list:
-    directory = prepare_output_dir(config, output_dir)
-    if command == "joint":
-        return run_joint(config, directory)
-    if command == "simulate":
-        return run_simulate(config, directory)
-    if command == "cumulants":
-        return run_cumulants(config, directory)
-    raise ValueError(f"unknown command {command!r}")
+def run_verify(config: ScenarioConfig, directory: str) -> tuple:
+    """Run the verification suite, write its report and print one line per check."""
+    report = run_verification(config)
+    path = report.write(directory)
+    for name, measured, tolerance, status_word, _ in report.rows():
+        print(f"{status_word:4s}  {name}  measured={measured:.6g}  tol={tolerance:.6g}")
+    print("overall:", "pass" if report.overall_pass else "fail")
+    return [path], "complete" if report.overall_pass else "failed"
+
+
+def run_scenario(config: ScenarioConfig, command: str, output_dir: str | None = None) -> str:
+    """Run one command into its output directory; returns the manifest status.
+
+    A :class:`PhasekinError` from the command body is re-raised after the
+    ``aborted`` manifest is written.
+    """
+    # looked up per call, so a tracer that rebinds these module names sees every command
+    body = {
+        "simulate": run_simulate,
+        "joint": run_joint,
+        "cumulants": run_cumulants,
+        "verify": run_verify,
+    }.get(command)
+    if body is None:
+        raise ValueError(f"unknown command {command!r}")
+    directory = _prepare_output_dir(config, output_dir)
+    error = None
+    try:
+        outputs, status = body(config, directory)
+    except PhasekinError as exc:
+        outputs, status, error = [], "aborted", exc
+    resolved = config.to_dict()
+    paths = [*outputs, write_resolved_config(directory, resolved)]
+    message = None if error is None else str(error)
+    write_manifest(directory, command, resolved, status, paths, TOOL_NAME, __version__, error=message)
+    if error is not None:
+        raise error
+    return status

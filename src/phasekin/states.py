@@ -33,8 +33,16 @@ JOINT_NORMALIZATION_TOL = 1e-7
 MAX_MOMENT_ORDER = 8
 
 
-def _quadrature(values: np.ndarray, grids) -> float:
-    return float(values.sum() * np.prod([g.step for g in grids]))
+def _unit_integral(values: np.ndarray, grids, tol: float, what: str) -> float:
+    """The quadrature integral, which must be 1 within ``tol``.
+
+    A NaN or infinite value makes the integral non-finite, so this is
+    also the finiteness guard.
+    """
+    norm = float(values.sum() * np.prod([g.step for g in grids]))
+    if not abs(norm - 1.0) <= tol:
+        raise NormalizationError(f"{what} integrates to {norm!r}, expected 1 within {tol}")
+    return norm
 
 
 @dataclass(frozen=True)
@@ -56,18 +64,11 @@ class WignerDistribution:
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid_p.n, self.grid_r.n):
             raise ValueError(f"W shape {v.shape} does not match grids")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("W contains non-finite values")
-        norm = _quadrature(v, (self.grid_p, self.grid_r))
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(f"W integrates to {norm!r}, expected 1 within {NORMALIZATION_TOL}")
+        norm = _unit_integral(v, (self.grid_p, self.grid_r), NORMALIZATION_TOL, "W")
         object.__setattr__(self, "normalization", norm)
         ensure_decaying(v, self.decay_tol, "Wigner distribution")
 
     normalization: float = field(init=False, repr=False, compare=False)
-
-    def as_field(self) -> Field:
-        return Field((self.grid_p, self.grid_r), self.values)
 
 
 @dataclass(frozen=True)
@@ -82,17 +83,10 @@ class VirtualDensity:
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.n,):
             raise ValueError(f"density shape {v.shape} does not match grid")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("density contains non-finite values")
+        _unit_integral(v, (self.grid,), NORMALIZATION_TOL, "density")
         if v.min() < -1e-12:
             raise ValueError(f"density has negative values down to {v.min()!r}")
-        norm = _quadrature(v, (self.grid,))
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(f"density integrates to {norm!r}, expected 1 within {NORMALIZATION_TOL}")
         ensure_decaying(v, DECAY_TOL, "virtual density")
-
-    def as_field(self) -> Field:
-        return Field((self.grid,), self.values)
 
 
 @dataclass(frozen=True)
@@ -115,14 +109,7 @@ class JointDistribution:
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid_R.n, self.grid_p.n, self.grid_r.n):
             raise ValueError(f"F shape {v.shape} does not match grids")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("F contains non-finite values")
-        norm = _quadrature(v, (self.grid_R, self.grid_p, self.grid_r))
-        if abs(norm - 1.0) > JOINT_NORMALIZATION_TOL:
-            raise NormalizationError(f"F integrates to {norm!r}, expected 1 within {JOINT_NORMALIZATION_TOL}")
-
-    def as_field(self) -> Field:
-        return Field((self.grid_R, self.grid_p, self.grid_r), self.values)
+        _unit_integral(v, (self.grid_R, self.grid_p, self.grid_r), JOINT_NORMALIZATION_TOL, "F")
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import phasekin
 from phasekin import ConfigError, __version__, load_config, parse_config
 from phasekin.cli import main
 from phasekin.config import DEFAULT_CONFIG
+from phasekin.runner import OUTPUT_FILE
 from phasekin.serialization import read_array
 
 FAST_GRID = {"n2": 32, "n3": 32, "half_width": 8.0}
@@ -305,3 +309,79 @@ class TestExitCodes:
         assert main(["verify", "--config", cfg]) == 1
         report = (tmp_path / "out" / "verification_report.csv").read_text()
         assert ",fail," in report
+
+    def test_overrides_on_a_non_object_root_are_2(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1]")
+        assert main(["joint", "--config", str(bad), "--hbar", "1"]) == 2
+        assert "config root: expected an object, got list" in capsys.readouterr().err
+
+    # each reaches the overflow or underflow named in the error at this grid
+    @pytest.mark.parametrize(
+        "argv, code, error",
+        [
+            (["joint", "--hbar", "1e300"], 3, "series coefficient (hbar/2)^2 overflows"),
+            (["simulate", "--hbar", "1e100"], 3, "W integrates to nan"),
+            (["cumulants", "--hbar", "5e-324"], 3, "scan hbar value is 0"),
+            (["verify", "--hbar", "1e100"], 1, "NormalizationError: W integrates to nan"),
+        ],
+        ids=["joint", "simulate", "cumulants", "verify"],
+    )
+    def test_non_finite_results_exit_without_traceback(self, tmp_path, argv, code, error):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, outputs=str(out))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(phasekin.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasekin.cli", *argv, "--config", cfg],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        manifest = manifest_without_timestamp(out)
+        if code == 1:
+            assert manifest["status"] == "failed"
+            assert error in (out / "verification_report.csv").read_text()
+        else:
+            assert manifest["status"] == "aborted"
+            assert error in manifest["error"]
+
+
+class TestRunPath:
+    def test_joint_then_simulate_leaves_only_simulate_files(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, outputs=str(out))
+        assert main(["joint", "--config", cfg]) == 0
+        (out / "unrelated.txt").write_text("kept")
+        assert main(["simulate", "--config", cfg]) == 0
+        listed = set(manifest_without_timestamp(out)["outputs"])
+        assert {p.name for p in out.iterdir()} == listed | {"manifest.json", "unrelated.txt"}
+        assert "conserved.csv" in listed and not any(name.startswith("f_") for name in listed)
+        assert (out / "unrelated.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["simulate", "joint", "cumulants", "verify"])
+    def test_every_written_name_matches_the_output_pattern(self, tmp_path, command):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, outputs=str(out), grid={"n2": 64, "n3": 64, "half_width": 8.0})
+        assert main([command, "--config", cfg]) in (0, 1)  # verify may fail at this grid
+        names = {p.name for p in out.iterdir()}
+        assert names == set(manifest_without_timestamp(out)["outputs"]) | {"manifest.json"}
+        assert all(OUTPUT_FILE.fullmatch(name) for name in names)
+
+    def test_aborted_run_leaves_none_of_the_previous_runs_files(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["joint", "--config", write_config(tmp_path, outputs=str(out))]) == 0
+        diverging = write_config(tmp_path, "diverging.json", outputs=str(out), hbar=2.0)
+        assert main(["joint", "--config", diverging]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved_config.json"]
+        manifest = manifest_without_timestamp(out)
+        assert manifest["status"] == "aborted" and manifest["outputs"] == ["resolved_config.json"]
+
+    def test_failing_verify_writes_a_failed_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, outputs=str(out), grid={"n2": 16, "n3": 16, "half_width": 8.0})
+        assert main(["verify", "--config", cfg]) == 1
+        manifest = manifest_without_timestamp(out)
+        assert manifest["status"] == "failed"
+        assert manifest["outputs"] == ["resolved_config.json", "verification_report.csv"]

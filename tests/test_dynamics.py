@@ -412,3 +412,10 @@ class TestKickSeries:
         params = EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=10, method="series")
         with pytest.raises(NonConvergenceError, match="^kick-phase series did not converge"):
             propagate(W0, U, params)
+
+    def test_overflowing_kick_term_is_refused(self, grid64):
+        # the quartic's first term carries (hbar lam / 2)^2, beyond the float range here
+        W0 = gaussian_wigner(grid64, grid64, 0.0, 0.0, 2**-0.5, 2**-0.5)
+        params = EvolutionParams(mass=1.0, hbar=1e200, dt=1e-3, steps=10, method="series")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonConvergenceError, match="term 1 is not finite"):
+            propagate(W0, quartic_potential(grid64, 0.5, 0.1), params)

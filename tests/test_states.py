@@ -6,7 +6,11 @@ from numpy.testing import assert_allclose
 
 from phasekin import (
     DecayGuardError,
+    JointDistribution,
+    NormalizationError,
     SignedDensityError,
+    VirtualDensity,
+    WignerDistribution,
     classical_joint,
     gaussian_density,
     gaussian_wigner,
@@ -57,6 +61,20 @@ class TestGaussianWigner:
         # sigma_r * sigma_p = 0.5 is the equality case at hbar = 1
         w = gaussian_wigner(grid64, grid64, 0.0, 0.0, SIGMA_COHERENT, SIGMA_COHERENT)
         assert w.normalization == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_are_a_normalization_error(rho_default, wigner_default, bad):
+    F = classical_joint(rho_default, wigner_default)
+    for build, values in (
+        (lambda v: VirtualDensity(rho_default.grid, v), rho_default.values),
+        (lambda v: WignerDistribution(wigner_default.grid_p, wigner_default.grid_r, v), wigner_default.values),
+        (lambda v: JointDistribution(F.grid_R, F.grid_p, F.grid_r, v), F.values),
+    ):
+        spoiled = values.copy()
+        spoiled.flat[spoiled.size // 2] = bad
+        with pytest.raises(NormalizationError, match="integrates to (nan|inf|-inf)"):
+            build(spoiled)
 
 
 class TestMarginals:
