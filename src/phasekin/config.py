@@ -11,6 +11,9 @@ of the command-line help (:func:`keys_help`).  Sections other than
 ``potential`` default key by key; ``potential`` takes its defaults only
 when the whole section is omitted, and the parameter keys it takes
 depend on its ``kind`` (:data:`POTENTIAL_PARAMS`).
+
+A grid whose estimated peak memory exceeds :data:`MEMORY_BUDGET_BYTES`
+is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ from .dynamics import (
 TOOL_NAME = "phasekin"
 
 DEFAULT_SIGMA = 2**-0.5
+
+# Peak resident bytes per grid point, measured (numpy 2.4, 64-bit): 49 per
+# n3^3 point on `verify` (the 3-axis commands use 24-32) and 104 per n2^2
+# point on `simulate`, both at n up to 256 and 2048; rounded up here.
+BYTES_PER_N3_POINT = 56
+BYTES_PER_N2_POINT = 112
+MEMORY_BUDGET_BYTES = 4 * 2**30
 
 # (dotted path, ScenarioConfig attribute, type or choices, default, bound, help).
 # Rows under ``potential`` fill the ``potential`` dict under their attribute;
@@ -232,7 +242,22 @@ def parse_config(doc: dict) -> ScenarioConfig:
             raise ConfigError(f"grid.{key}: must be a power of two, got {fields[key]}")
     if fields["n3"] > fields["n2"]:
         raise ConfigError(f"grid.n3: must not exceed grid.n2 ({fields['n3']} > {fields['n2']})")
+    _check_memory(fields["n2"], fields["n3"])
     return ScenarioConfig(**fields)
+
+
+def _check_memory(n2: int, n3: int) -> None:
+    """Refuse grids whose estimated peak memory exceeds the budget, naming
+    the grid key with the larger share."""
+    shares = {"n3": BYTES_PER_N3_POINT * n3**3, "n2": BYTES_PER_N2_POINT * n2**2}
+    estimate = sum(shares.values())
+    if estimate > MEMORY_BUDGET_BYTES:
+        key = max(shares, key=shares.get)
+        gib = estimate / 2**30 if estimate < 2**1000 else math.inf  # beyond float range
+        raise ConfigError(
+            f"grid.{key}: estimated peak memory {gib:.3g} GiB "
+            f"exceeds the {MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
+        )
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> ScenarioConfig:

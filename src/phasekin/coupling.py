@@ -10,6 +10,16 @@ Two independent constructions of the same object:
 Each is the other's test oracle.  The series is evaluated with spectral
 derivatives of floored factor spectra and truncated by the shared rule
 in :func:`phasekin.grids.sum_series`.
+
+The spectral product never forms a three-axis transform.  Over r and k
+the forward and inverse transforms cancel, and the K inverse acts on
+``rho_hat(K) * sinc`` alone, giving the matrix
+``G(R, q) = IFT_K[rho_hat(K) sinc(hbar K q / 2)]``, n rows by n + 1
+frequencies -n/2 ... n/2.  What is left is
+``F(R, p, r) = IFT_q[G(R, q) W_hat(q, r)]`` with ``W_hat`` the transform
+over p only.  The joint is real, so only the ``q >= 0`` half of that
+product is formed and inverted, which needs ``G(R, -q) = conj G(R, q)``;
+that symmetry is checked on G (an O(n^2) guard) before the product.
 """
 
 from __future__ import annotations
@@ -20,11 +30,13 @@ from itertools import count
 import numpy as np
 
 from .grids import (
-    checked_real,
+    checked_hermitian,
     conjugate,
     floored_fft,
     fourier_forward,
     fourier_inverse,
+    half_spectrum_forward,
+    half_spectrum_inverse,
     native_frequencies,
     require_same_grid,
     series_coefficient,
@@ -131,15 +143,18 @@ def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: flo
     """Joint built in Fourier space via the sinc kernel on the (K, q) lattice.
 
     The kernel is evaluated everywhere, including its negative lobes; no
-    windowing is applied.
+    windowing is applied.  Built by the half-spectrum route of the module
+    docstring, whose largest array is the (n, n/2 + 1, n) complex
+    product; :class:`ImaginaryResidueError` if ``G(R, q)`` is not
+    Hermitian in q (a complex kernel, say).
     """
     _check_joint_inputs(rho, W)
-    grids = (rho.grid, W.grid_p, W.grid_r)
-    rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
-    w_t = fourier_forward(W.values, (W.grid_p, W.grid_r), (0, 1))
+    n_q = W.grid_p.n
     K = conjugate(rho.grid).frequencies
-    q = conjugate(W.grid_p).frequencies
-    kernel = sinc_values(hbar * np.outer(K, q) / 2.0)
-    f_t = rho_t[:, None, None] * kernel[:, :, None] * w_t[None, :, :]
-    f = checked_real(fourier_inverse(f_t, grids, (0, 1, 2)), "spectral joint")
+    q = conjugate(W.grid_p).step * np.arange(-(n_q // 2), n_q // 2 + 1)  # symmetric, both Nyquist bins
+    rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
+    G = fourier_inverse(rho_t[:, None] * sinc_values(hbar * np.outer(K, q) / 2.0), (rho.grid,), (0,))
+    G_half = checked_hermitian(G, 1, "spectral joint kernel G(R, q)")[:, n_q // 2 :]
+    w_half = half_spectrum_forward(W.values, W.grid_p, axis=0)
+    f = half_spectrum_inverse(G_half[:, :, None] * w_half[None, :, :], W.grid_p, axis=1)
     return JointDistribution(rho.grid, W.grid_p, W.grid_r, f, hbar)

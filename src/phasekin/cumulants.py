@@ -37,6 +37,11 @@ PHI_IMAG_TOL = 1e-6
 PHI_RATIO_FLOOR = 1e-2
 PHI_FIT_MAX_ARG = 0.5
 PHI_FIT_MIN_POINTS = 50
+# Largest accepted standard error of the fitted c4, relative to |c4|.  At
+# the default presets (n3 = 64) it is 2e-5 or less for hbar in [0.01, 1],
+# 0.2% at 3e-3, 0.65% at 2e-3 and 2.6% at 1.5e-3; below that the z^4
+# column sinks under the log ratio's rounding noise.
+PHI_FIT_MAX_REL_SE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -112,10 +117,18 @@ def phi_field(
     if k_index is None:
         k_index = F.grid_r.n // 2  # the k = 0 slice
 
-    f_t = characteristic_function(F).values[:, :, k_index]
+    ensure_decaying(F.values, JOINT_DECAY_TOL, "characteristic-function input")
+    # the k-th slice of the 3-axis transform: contract r with
+    # exp(i k r) * step first (cos and sin as two real columns), then
+    # transform the (R, p) plane
+    k = conjugate(F.grid_r).frequencies[k_index]
+    phase = np.stack([np.cos(k * F.grid_r.points), np.sin(k * F.grid_r.points)], axis=1) * F.grid_r.step
+    contracted = F.values @ phase
+    f_t = fourier_forward(contracted[..., 0] + 1j * contracted[..., 1], (F.grid_R, F.grid_p), (0, 1))
     rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
     w_t = fourier_forward(W.values, (W.grid_p, W.grid_r), (0, 1))
-    denom_full_max = float(np.abs(rho_t[:, None, None] * w_t[None, :, :]).max())
+    # peak of the full product rho_t(K) w_t(q, k); exact for an outer product
+    denom_full_max = float(np.abs(rho_t).max()) * float(np.abs(w_t).max())
     denom = rho_t[:, None] * w_t[None, :, k_index]
 
     mask = np.abs(denom) >= threshold * denom_full_max
@@ -139,7 +152,9 @@ def phi_series_coefficients(phi: PhiField, hbar: float) -> tuple:
 
     Fits against (hbar K q)^2 and (hbar K q)^4 (plus a sixth-order
     nuisance term) over masked samples with |hbar K q / 2| < 0.5 and
-    returns the two leading dimensionless coefficients.
+    returns the two leading dimensionless coefficients.  Raises
+    :class:`DegenerateFitError` when the fit's own standard error of c4
+    exceeds PHI_FIT_MAX_REL_SE of |c4|.
     """
     if hbar == 0.0:
         # the kernel argument vanishes identically; the expansion is trivial
@@ -155,6 +170,19 @@ def phi_series_coefficients(phi: PhiField, hbar: float) -> tuple:
     z = 2.0 * x[sel]  # hbar K q
     design = np.stack([z**2, z**4, z**6], axis=1)
     coeffs, *_ = np.linalg.lstsq(design, phi.values[sel], rcond=None)
+    residual = phi.values[sel] - design @ coeffs
+    # se(c4)^2 is the residual variance times the c4 diagonal entry of
+    # (D^T D)^-1 = V S^-2 V^T, taken from the SVD so that D's conditioning
+    # is not squared; a zero singular value makes it inf or NaN, refused below
+    _, sv, vt = np.linalg.svd(design, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_gram_c4 = float(np.sum((vt[:, 1] / sv) ** 2))
+    se_c4 = float(np.sqrt(residual @ residual / (count - design.shape[1]) * inv_gram_c4))
+    if not se_c4 <= PHI_FIT_MAX_REL_SE * abs(coeffs[1]):
+        raise DegenerateFitError(
+            f"generating-function fit is unresolved at hbar = {hbar}: the standard error of c4 is "
+            f"{se_c4 / abs(coeffs[1]):.3g} of |c4| (allowed {PHI_FIT_MAX_REL_SE})"
+        )
     return float(coeffs[0]), float(coeffs[1])
 
 

@@ -10,7 +10,10 @@ integral normalization::
 so the value at zero frequency equals the quadrature integral of ``f``.
 The inverse carries the ``1/(2 pi)`` per axis.  Frequencies are stored
 zero-centered with spacing ``pi / half_width``; the mapping to the FFT's
-native ordering is internal.
+native ordering is internal.  A real array's transform along one axis is
+Hermitian, ``F(-w) = conj F(w)``, so :func:`half_spectrum_forward` keeps
+only its ``n/2 + 1`` bins at ``w >= 0`` and :func:`half_spectrum_inverse`
+returns the real array from them; both follow the same convention.
 
 Derivatives are evaluated in the FFT-native spectral domain, where
 ``d/dx`` is multiplication by ``(i w)``; on real input the result is
@@ -58,6 +61,24 @@ def checked_real(values: np.ndarray, what: str) -> np.ndarray:
             "aliasing or a broken kernel"
         )
     return values.real
+
+
+def checked_hermitian(values: np.ndarray, axis: int, what: str) -> np.ndarray:
+    """``values`` sampled at frequencies symmetric about zero along ``axis``,
+    checked for ``values(-w) = conj values(w)``.
+
+    That symmetry is what a real inverse transform along ``axis`` assumes.
+    Raises :class:`ImaginaryResidueError` when the largest departure
+    exceeds IMAG_RESIDUE_TOL of the sup norm.
+    """
+    residue = float(np.abs(values - np.conj(np.flip(values, axis))).max())
+    scale = float(np.abs(values).max())
+    if residue > IMAG_RESIDUE_TOL * max(scale, 1e-300):
+        raise ImaginaryResidueError(
+            f"{what} is not Hermitian: residue {residue:.3e} vs max {scale:.3e}; "
+            "aliasing or a broken kernel"
+        )
+    return values
 
 
 @dataclass(frozen=True)
@@ -209,6 +230,30 @@ def fourier_inverse(values: np.ndarray, grids, axes) -> np.ndarray:
     return out
 
 
+def half_spectrum_forward(values: np.ndarray, grid: Grid1D, axis: int = 0) -> np.ndarray:
+    """:func:`fourier_forward` of a real array along one axis, at ``w >= 0`` only.
+
+    The output has ``n/2 + 1`` bins along ``axis``: zero frequency first,
+    the Nyquist frequency ``n/2 * pi / half_width`` last.
+    """
+    out = np.fft.ihfft(values, axis=axis, norm="forward")
+    out *= _reshape_for(grid.step * _alternating(grid.n // 2 + 1), out.ndim, axis)
+    return out
+
+
+def half_spectrum_inverse(values: np.ndarray, grid: Grid1D, axis: int = 0) -> np.ndarray:
+    """The real array whose :func:`half_spectrum_forward` is ``values``.
+
+    Bins at ``w < 0`` are taken as the conjugates of those at ``w > 0``;
+    the imaginary parts of the zero and Nyquist bins are dropped.
+    ``values`` is the work array and is overwritten.
+    """
+    scale = _reshape_for(_alternating(grid.n // 2 + 1) / grid.step, values.ndim, axis)
+    values.real *= scale
+    values.imag *= -scale
+    return np.fft.irfft(values, grid.n, axis=axis)
+
+
 def forward_transform(f: Field, axes=None) -> Field:
     """Transform a field; returns a field on the conjugate axes.
 
@@ -274,12 +319,17 @@ def series_coefficient(hbar: float, n: int) -> float:
         raise NonConvergenceError(f"series coefficient (hbar/2)^{2 * n} overflows at hbar = {hbar!r}") from None
 
 
+def _sup_norm(values: np.ndarray) -> float:
+    """max |values| of a real array, without an ``abs`` temporary."""
+    return float(np.maximum(values.max(), -values.min()))
+
+
 def sum_series(base: np.ndarray, terms, n_max="auto", what: str = "series") -> np.ndarray:
     """Add ``terms`` (the n-th term for n = 1, 2, ...) into ``base`` in place.
 
     ``n_max="auto"`` adds terms until one falls below 1e-12 of the sum
-    (sup norms, cap 20).  A term larger than the one before stops the sum
-    unadded, keeping the smaller partial sum.  :class:`NonConvergenceError`
+    (sup norms; terms and sum are real, cap 20).  A term larger than the
+    one before stops the sum unadded, keeping the smaller partial sum.  :class:`NonConvergenceError`
     is raised if the last term added still exceeds 1e-8 of the sum, or if
     a term is not finite.  An integer ``n_max`` in [0, 20] adds that many
     terms unchecked.  Terms that run out end the series exactly.
@@ -293,19 +343,19 @@ def sum_series(base: np.ndarray, terms, n_max="auto", what: str = "series") -> n
         term = next(terms, None)
         if term is None:
             return total
-        norm = float(np.abs(term).max()) if auto else 0.0
+        norm = _sup_norm(term) if auto else 0.0
         if not math.isfinite(norm):
             raise NonConvergenceError(f"{what} did not converge: term {n} is not finite")
         if n >= 2 and norm > last_norm:
             break
         total += term
         last_norm = norm
-        if auto and norm <= SERIES_CONVERGED_REL * float(np.abs(total).max()):
+        if auto and norm <= SERIES_CONVERGED_REL * _sup_norm(total):
             return total
-    if auto and last_norm > SERIES_FAIL_REL * float(np.abs(total).max()):
+    if auto and last_norm > SERIES_FAIL_REL * _sup_norm(total):
         raise NonConvergenceError(
             f"{what} did not converge: last term is "
-            f"{last_norm / float(np.abs(total).max()):.3e} of the sum after cap/growth stop"
+            f"{last_norm / _sup_norm(total):.3e} of the sum after cap/growth stop"
         )
     return total
 

@@ -129,14 +129,15 @@ def run_cumulants(config: ScenarioConfig, directory: str) -> tuple:
     else:
         F = quantum_joint_spectral(rho, W, config.hbar)
     report = heisenberg_check(F, config.hbar)
-    phi = phi_field(F, rho, W)
-    c2, c4 = phi_series_coefficients(phi, config.hbar)
+    # the scan first: it refuses scan values that underflow to 0, which
+    # would otherwise surface as an unresolved fit
     if config.hbar > 0.0:
         slope = classical_limit_scan(
             rho, W, [config.hbar * f for f in CLASSICAL_SCAN_FRACTIONS]
         )
     else:
         slope = float("nan")
+    c2, c4 = phi_series_coefficients(phi_field(F, rho, W), config.hbar)
     rows = [
         ("hbar", config.hbar),
         ("kappa22", report.kappa22),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,3 +386,47 @@ class TestRunPath:
         manifest = manifest_without_timestamp(out)
         assert manifest["status"] == "failed"
         assert manifest["outputs"] == ["resolved_config.json", "verification_report.csv"]
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize(
+        "grid, key",
+        [
+            ({"n2": 2**40, "n3": 2**40}, "grid.n3"),
+            ({"n2": 2**40, "n3": 64}, "grid.n2"),
+            ({"n2": 512, "n3": 512}, "grid.n3"),
+            ({"n2": 2**1100, "n3": 16}, "grid.n2"),  # an estimate beyond the float range
+        ],
+    )
+    def test_oversized_grid_is_refused_before_allocating(self, grid, key):
+        doc = dict(DEFAULT_CONFIG, grid=dict(DEFAULT_CONFIG["grid"], **grid))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=rf"^{key}: estimated peak memory .* exceeds the 4 GiB budget"):
+                parse_config(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_largest_grids_inside_the_budget_load(self):
+        for grid in ({"n2": 256, "n3": 256}, {"n2": 4096, "n3": 64}):
+            parse_config(dict(DEFAULT_CONFIG, grid=dict(DEFAULT_CONFIG["grid"], **grid)))
+
+    def test_cli_exits_2_naming_the_grid(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, outputs=str(out), grid={"n2": 2**40, "n3": 2**40, "half_width": 8.0})
+        assert main(["joint", "--config", cfg]) == 2
+        assert "config error: grid.n3: estimated peak memory" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUnresolvedFit:
+    def test_cumulants_at_tiny_hbar_is_3(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, outputs=str(out), grid={"n2": 128, "n3": 64, "half_width": 8.0})
+        assert main(["cumulants", "--config", cfg, "--hbar", "1e-4"]) == 3
+        manifest = manifest_without_timestamp(out)
+        assert manifest["status"] == "aborted"
+        assert manifest["error"].startswith("generating-function fit is unresolved at hbar = 0.0001")
+        assert not (out / "cumulant_report.csv").exists()

@@ -1,13 +1,17 @@
 """Coupling kernel and the two joint builders checking each other."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasekin import (
     GridMismatchError,
+    ImaginaryResidueError,
     NonConvergenceError,
     characteristic_function,
     classical_joint,
@@ -18,7 +22,9 @@ from phasekin import (
     quantum_joint_series,
     quantum_joint_spectral,
 )
-from phasekin.grids import conjugate, fourier_forward
+from phasekin import coupling
+from phasekin.coupling import sinc_values
+from phasekin.grids import checked_real, conjugate, fourier_forward, fourier_inverse
 
 
 def log_sinc_zeta_oracle(x, terms=50, dps=50):
@@ -201,3 +207,77 @@ def test_classical_limit_decay_slope(rho_default, wigner_default):
     ]
     slope = np.polyfit(np.log(hbars), np.log(norms), 1)[0]
     assert abs(slope - 2.0) < 0.1
+
+
+def full_complex_joint(rho, W, hbar):
+    """The three-axis route the half-spectrum builder replaced: transform W
+    over (p, r), multiply by rho_hat(K) sinc(hbar K q / 2) and invert all
+    three axes of the complex n^3 product."""
+    grids = (rho.grid, W.grid_p, W.grid_r)
+    rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
+    w_t = fourier_forward(W.values, (W.grid_p, W.grid_r), (0, 1))
+    K = conjugate(rho.grid).frequencies
+    q = conjugate(W.grid_p).frequencies
+    kernel = sinc_values(hbar * np.outer(K, q) / 2.0)
+    f_t = rho_t[:, None, None] * kernel[:, :, None] * w_t[None, :, :]
+    return checked_real(fourier_inverse(f_t, grids, (0, 1, 2)), "spectral joint")
+
+
+SIGMAS = st.floats(0.5, 1.0)
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestSpectralRoute:
+    @PROPERTY_SETTINGS
+    @given(
+        n_r=st.sampled_from([16, 32, 64]),
+        n_p=st.sampled_from([16, 32, 64]),
+        means=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+        sigmas=st.tuples(*[st.floats(0.4, 0.8)] * 3),
+        hbar=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    )
+    def test_matches_full_complex_route(self, n_r, n_p, means, sigmas, hbar):
+        grid_r, grid_p = make_grid(n_r, 8.0), make_grid(n_p, 8.0)
+        rho = gaussian_density(grid_r, means[0], sigmas[0])
+        W = gaussian_wigner(grid_p, grid_r, means[1], means[2], sigmas[1], sigmas[2])
+        F = quantum_joint_spectral(rho, W, hbar)
+        assert F.values.shape == (n_r, n_p, n_r)
+        assert np.abs(F.values - full_complex_joint(rho, W, hbar)).max() < 1e-14
+
+    def test_no_full_complex_cube(self, rho_default, wigner_default):
+        n = rho_default.grid.n
+        quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        tracemalloc.start()
+        try:
+            quantum_joint_spectral(rho_default, wigner_default, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (n, n/2 + 1, n) complex half spectrum and the real result;
+        # the full complex n^3 product alone is 16 n^3 bytes
+        assert peak < 24 * n**3
+
+    def test_complex_kernel_is_refused(self, rho_default, wigner_default, monkeypatch):
+        monkeypatch.setattr(coupling, "sinc_values", lambda x: (1 + 1e-3j) * sinc_values(x))
+        with pytest.raises(ImaginaryResidueError, match="spectral joint kernel G"):
+            quantum_joint_spectral(rho_default, wigner_default, 1.0)
+
+
+class TestBuilderAgreement:
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.sampled_from([32, 64]),
+        sigma_R=SIGMAS,
+        sigma_p=SIGMAS,
+        sigma_r=SIGMAS,
+        ratio=st.floats(0.0, 0.5),
+    )
+    def test_series_matches_spectral_inside_measured_window(self, n, sigma_R, sigma_p, sigma_r, ratio):
+        # ratio = hbar^2 / (4 sigma_R^2 sigma_p^2), the window the series converges in
+        grid = make_grid(n, 8.0)
+        hbar = 2.0 * sigma_R * sigma_p * np.sqrt(ratio)
+        rho = gaussian_density(grid, 0.0, sigma_R)
+        W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
+        a = quantum_joint_series(rho, W, hbar).values
+        b = quantum_joint_spectral(rho, W, hbar).values
+        assert np.abs(a - b).max() < 1e-8

@@ -1,13 +1,17 @@
 """Characteristic functions, the generating-function log-ratio, and cumulants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from phasekin import (
+    DecayGuardError,
     DegenerateFitError,
     EvolutionParams,
     ImaginaryResidueError,
     InsufficientSupportError,
+    JointDistribution,
     characteristic_function,
     classical_joint,
     classical_limit_scan,
@@ -25,8 +29,11 @@ from phasekin import (
     quartic_potential,
     sample_joint,
 )
+from phasekin.cumulants import PHI_FIT_MAX_ARG, PHI_RATIO_FLOOR
 from phasekin.grids import fourier_forward
 from phasekin.verification import kappa22_closed_form_oracle
+
+from conftest import gauss
 
 
 class TestCharacteristicFunction:
@@ -254,3 +261,85 @@ class TestPhiAlongTrajectory:
                 continue
             common = reference.mask & phi.mask
             assert np.abs(reference.values[common] - phi.values[common]).max() < 1e-6
+
+
+def phi_from_full_transform(F, rho, W, k_index, threshold=1e-6):
+    """The generating function read from the 3-axis characteristic function
+    and the full denominator, as phi_field computed it before it
+    contracted r first."""
+    f_t = characteristic_function(F).values[:, :, k_index]
+    rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
+    w_t = fourier_forward(W.values, (W.grid_p, W.grid_r), (0, 1))
+    denom_full_max = np.abs(rho_t[:, None, None] * w_t[None, :, :]).max()
+    denom = rho_t[:, None] * w_t[None, :, k_index]
+    mask = np.abs(denom) >= threshold * denom_full_max
+    ratio = np.where(mask, f_t / np.where(mask, denom, 1.0), 0.0)
+    mask &= ratio.real >= PHI_RATIO_FLOOR
+    values = np.full(denom.shape, np.nan)
+    values[mask] = np.log(ratio[mask]).real
+    return values, mask
+
+
+class TestPhiFieldSlice:
+    @pytest.mark.parametrize("offset", [0, 3, -7])
+    @pytest.mark.parametrize("centred", [True, False])
+    def test_matches_full_transform(self, grid64, offset, centred):
+        # off centre, the joint is not even in r, so k and -k differ
+        shift = 0.0 if centred else 0.6
+        rho = gaussian_density(grid64, -shift, 0.9)
+        W = gaussian_wigner(grid64, grid64, shift / 2, shift, 0.75, 0.7)
+        F = quantum_joint_spectral(rho, W, 1.0)
+        k_index = grid64.n // 2 + offset
+        phi = phi_field(F, rho, W, k_index=k_index)
+        values, mask = phi_from_full_transform(F, rho, W, k_index)
+        assert mask.sum() > 100 and np.array_equal(phi.mask, mask)
+        assert np.abs(phi.values[mask] - values[mask]).max() < 1e-8
+
+    def test_no_full_complex_cube(self, rho_default, wigner_default):
+        n = rho_default.grid.n
+        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        phi_field(F, rho_default, wigner_default)
+        tracemalloc.start()
+        try:
+            phi_field(F, rho_default, wigner_default)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n**3  # one complex n^3 array
+
+    def test_non_decaying_joint_is_refused(self, rho_default, wigner_default, grid64):
+        # a joint whose R profile is too wide for the box: it does not vanish at R = +-8
+        wide = gauss(grid64.points, 0.0, 3.0)
+        wide /= wide.sum() * grid64.step
+        F = JointDistribution(grid64, grid64, grid64, np.multiply.outer(wide, wigner_default.values))
+        with pytest.raises(DecayGuardError, match="characteristic-function input is not decaying"):
+            phi_field(F, rho_default, wigner_default)
+
+
+class TestFitResolution:
+    def test_coefficients_are_the_least_squares_fit(self, rho_default, wigner_default):
+        hbar = 1.0
+        phi = phi_field(quantum_joint_spectral(rho_default, wigner_default, hbar), rho_default, wigner_default)
+        x = hbar * np.multiply.outer(phi.freq_K.frequencies, phi.freq_q.frequencies) / 2.0
+        sel = phi.mask & (np.abs(x) < PHI_FIT_MAX_ARG) & (x != 0.0)
+        z = 2.0 * x[sel]
+        coeffs = np.linalg.lstsq(np.stack([z**2, z**4, z**6], axis=1), phi.values[sel], rcond=None)[0]
+        c2, c4 = phi_series_coefficients(phi, hbar)
+        assert (c2, c4) == (coeffs[0], coeffs[1])
+        # `phasekin cumulants` at the defaults (this preset) wrote these
+        # before the fit check and the one-slice phi_field
+        assert abs(c2 - -0.0416666780961127) < 1e-12
+        assert abs(c4 - -0.00034713921943442782) < 1e-12
+
+    @pytest.mark.parametrize("hbar", [3e-3, 0.01, 0.1])
+    def test_resolved_fit_is_accepted(self, rho_default, wigner_default, hbar):
+        phi = phi_field(quantum_joint_spectral(rho_default, wigner_default, hbar), rho_default, wigner_default)
+        c2, c4 = phi_series_coefficients(phi, hbar)
+        assert abs(c2 + 1.0 / 24.0) * 24.0 < 2e-3
+        assert abs(c4 + 1.0 / 2880.0) * 2880.0 < 5e-2
+
+    @pytest.mark.parametrize("hbar", [1e-3, 1e-4, 1e-100])
+    def test_unresolved_fit_is_refused(self, rho_default, wigner_default, hbar):
+        phi = phi_field(quantum_joint_spectral(rho_default, wigner_default, hbar), rho_default, wigner_default)
+        with pytest.raises(DegenerateFitError, match="generating-function fit is unresolved"):
+            phi_series_coefficients(phi, hbar)

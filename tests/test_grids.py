@@ -10,13 +10,24 @@ from numpy.testing import assert_allclose
 from phasekin import (
     DecayGuardError,
     Field,
+    ImaginaryResidueError,
+    NonConvergenceError,
     conjugate,
     forward_transform,
     inverse_transform,
     make_grid,
     spectral_derivative,
 )
-from phasekin.grids import boundary_ratio, ensure_decaying
+from phasekin.grids import (
+    _sup_norm,
+    boundary_ratio,
+    checked_hermitian,
+    ensure_decaying,
+    fourier_forward,
+    half_spectrum_forward,
+    half_spectrum_inverse,
+    sum_series,
+)
 
 from conftest import gauss
 
@@ -185,3 +196,45 @@ class TestDecayGuard:
         g = make_grid(128, 8.0)
         with pytest.raises(DecayGuardError):
             ensure_decaying(gauss(g.points, 6.0, 1.0))
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("n, half_width", [(16, 8.0), (64, 5.0)])
+    def test_forward_is_the_nonnegative_half_of_fourier_forward(self, n, half_width):
+        g = make_grid(n, half_width)
+        values = np.add.outer(np.sin(g.points), gauss(g.points, 0.4, 0.9))
+        full = fourier_forward(values, (g, g), (0,))
+        half = half_spectrum_forward(values, g, axis=0)
+        assert half.shape == (n // 2 + 1, n)
+        assert_allclose(half[:-1], full[n // 2 :], rtol=0, atol=1e-13)
+        assert_allclose(half[-1], full[0], rtol=0, atol=1e-13)  # Nyquist is stored at index 0
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_round_trip(self, axis):
+        g = make_grid(32, 6.0)
+        values = np.multiply.outer(gauss(g.points, -0.5, 0.8), gauss(g.points, 1.0, 0.6) + g.points / 20)
+        back = half_spectrum_inverse(half_spectrum_forward(values, g, axis), g, axis)
+        assert_allclose(back, values, rtol=0, atol=1e-15)
+
+    def test_hermitian_check_passes_a_real_transform_and_refuses_a_rotated_one(self):
+        g = make_grid(32, 8.0)
+        full = fourier_forward(gauss(g.points, 0.7, 1.0), (g,), (0,))
+        symmetric = np.append(full, full[0])  # frequencies -n/2 .. n/2
+        assert checked_hermitian(symmetric, 0, "spectrum") is symmetric
+        with pytest.raises(ImaginaryResidueError, match="spectrum is not Hermitian"):
+            checked_hermitian(symmetric * np.exp(1e-6j), 0, "spectrum")
+
+
+class TestSupNorm:
+    def test_equals_abs_max(self):
+        x = np.random.default_rng(3).normal(size=(7, 5))
+        for v in (x, -np.abs(x), np.abs(x), np.zeros(3)):
+            assert _sup_norm(v) == np.abs(v).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_term_is_refused(self, bad):
+        term = np.ones(4)
+        term[2] = bad
+        assert not np.isfinite(_sup_norm(term))
+        with pytest.raises(NonConvergenceError, match="term 1 is not finite"):
+            sum_series(np.ones(4), iter([term]))
