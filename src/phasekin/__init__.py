@@ -11,19 +11,14 @@ __version__ = "0.1.0"
 
 from .config import DEFAULT_CONFIG, ScenarioConfig, load_config, parse_config
 from .coupling import (
-    CouplingKernelSample,
     classical_joint,
-    coupling_kernel,
-    log_sinc_values,
     quantum_joint_series,
     quantum_joint_spectral,
     sinc_values,
 )
 from .cumulants import (
-    CharacteristicField,
     CumulantReport,
     PhiField,
-    characteristic_function,
     classical_limit_scan,
     heisenberg_check,
     kappa22,
@@ -55,7 +50,6 @@ from .errors import (
     NonConvergenceError,
     NormalizationError,
     PhasekinError,
-    SignedDensityError,
 )
 from .grids import (
     ConjugateGrid1D,
@@ -63,14 +57,10 @@ from .grids import (
     Grid1D,
     boundary_ratio,
     conjugate,
-    forward_transform,
-    inverse_transform,
     make_grid,
-    spectral_derivative,
 )
 from .states import (
     JointDistribution,
-    MomentSet,
     VirtualDensity,
     WignerDistribution,
     gaussian_density,
@@ -78,6 +68,5 @@ from .states import (
     marginal_over_R,
     marginal_over_pr,
     moments,
-    sample_joint,
 )
 from .verification import VerificationReport, run_verification

@@ -13,7 +13,9 @@ when the whole section is omitted, and the parameter keys it takes
 depend on its ``kind`` (:data:`POTENTIAL_PARAMS`).
 
 A grid whose estimated peak memory exceeds :data:`MEMORY_BUDGET_BYTES`
-is refused before anything is allocated.
+is refused before anything is allocated, and a step count whose
+estimated propagation time exceeds :data:`RUN_TIME_BUDGET_SECONDS`
+before a command starts.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ BYTES_PER_N3_POINT = 56
 BYTES_PER_N2_POINT = 112
 MEMORY_BUDGET_BYTES = 4 * 2**30
 
+# Propagation seconds per unit of steps * n2^2 * log2(n2).  Measured at
+# n2 = 128 on one pinned CPU (numpy 2.4): 0.32-0.34 ms a step, about 2.9 ns
+# a unit.  A unit costs up to 6 times more at n2 = 2048 or on slower hosts,
+# so the budget, a day at 2.9 ns, refuses only step counts that cannot finish.
+SECONDS_PER_STEP_UNIT = 2.9e-9
+RUN_TIME_BUDGET_SECONDS = 24 * 3600
+
 # (dotted path, ScenarioConfig attribute, type or choices, default, bound, help).
 # Rows under ``potential`` fill the ``potential`` dict under their attribute;
 # a default of None means the key has none.
@@ -68,7 +77,7 @@ SCHEMA = (
     ("evolution.dt", "dt", float, 1e-3, "> 0", "time step"),
     ("evolution.steps", "steps", int, 1000, ">= 1", "step count"),
     ("evolution.snapshot_every", "snapshot_every", int, 100, ">= 1", "snapshot cadence in steps"),
-    ("evolution.method", "method", ("series", "spectral_kernel"), "spectral_kernel", None, "kick phase"),
+    ("evolution.method", "method", ("spectral_kernel",), "spectral_kernel", None, "kick phase, one generator"),
     ("outputs", "outputs", str, "out", None, "output directory path"),
 )
 
@@ -243,6 +252,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if fields["n3"] > fields["n2"]:
         raise ConfigError(f"grid.n3: must not exceed grid.n2 ({fields['n3']} > {fields['n2']})")
     _check_memory(fields["n2"], fields["n3"])
+    _check_run_time(fields["steps"], fields["n2"])
     return ScenarioConfig(**fields)
 
 
@@ -257,6 +267,17 @@ def _check_memory(n2: int, n3: int) -> None:
         raise ConfigError(
             f"grid.{key}: estimated peak memory {gib:.3g} GiB "
             f"exceeds the {MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
+        )
+
+
+def _check_run_time(steps: int, n2: int) -> None:
+    """Refuse a step count whose estimated propagation time exceeds the budget."""
+    units = steps * n2**2 * (n2.bit_length() - 1)
+    if units > RUN_TIME_BUDGET_SECONDS / SECONDS_PER_STEP_UNIT:
+        hours = units * SECONDS_PER_STEP_UNIT / 3600 if units < 2**1000 else math.inf  # beyond float range
+        raise ConfigError(
+            f"evolution.steps: estimated propagation time {hours:.3g} h at grid.n2 = {n2} "
+            f"exceeds the {RUN_TIME_BUDGET_SECONDS / 3600:.3g} h budget"
         )
 
 

@@ -24,7 +24,6 @@ that symmetry is checked on G (an O(n^2) guard) before the product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
@@ -47,15 +46,6 @@ from .states import JointDistribution, VirtualDensity, WignerDistribution
 KERNEL_SWITCH = 1e-4
 
 
-@dataclass(frozen=True)
-class CouplingKernelSample:
-    """One evaluation of the sinc coupling kernel and its logarithm."""
-
-    x: float
-    sinc_value: float
-    log_sinc_value: float
-
-
 def sinc_values(x: np.ndarray) -> np.ndarray:
     """sin(x)/x, switching to its Taylor series below |x| = 1e-4."""
     x = np.asarray(x, dtype=float)
@@ -65,29 +55,6 @@ def sinc_values(x: np.ndarray) -> np.ndarray:
     xs = x[~big]
     out[~big] = 1.0 - xs**2 / 6.0 + xs**4 / 120.0
     return out
-
-
-def log_sinc_values(x: np.ndarray) -> np.ndarray:
-    """ln(sin(x)/x); NaN at (and within float noise of) the kernel zeros
-    and throughout the negative lobes."""
-    x = np.asarray(x, dtype=float)
-    out = np.full_like(x, np.nan)
-    small = np.abs(x) < KERNEL_SWITCH
-    xs = x[small]
-    out[small] = -(xs**2) / 6.0 - xs**4 / 180.0
-    s = sinc_values(x[~small])
-    ok = s > 1e-15
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out[~small] = np.where(ok, np.log(np.where(ok, s, 1.0)), np.nan)
-    return out
-
-
-def coupling_kernel(x: float) -> CouplingKernelSample:
-    """Evaluate the kernel at one dimensionless argument x = hbar K q / 2."""
-    if not np.isfinite(x):
-        raise ValueError(f"kernel argument must be finite, got {x}")
-    arr = np.array([float(x)])
-    return CouplingKernelSample(float(x), float(sinc_values(arr)[0]), float(log_sinc_values(arr)[0]))
 
 
 def _check_joint_inputs(rho: VirtualDensity, W: WignerDistribution) -> None:
@@ -116,12 +83,7 @@ def _joint_terms(rho: VirtualDensity, W: WignerDistribution, hbar: float):
         yield series_coefficient(hbar, n) * np.multiply.outer(d_rho, d_w)
 
 
-def quantum_joint_series(
-    rho: VirtualDensity,
-    W: WignerDistribution,
-    hbar: float,
-    n_max="auto",
-) -> JointDistribution:
+def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> JointDistribution:
     """Joint built from the even-derivative series; real term by term.
 
     Terms are summed by :func:`phasekin.grids.sum_series`, which raises
@@ -134,7 +96,7 @@ def quantum_joint_series(
     """
     _check_joint_inputs(rho, W)
     total = sum_series(
-        np.multiply.outer(rho.values, W.values), _joint_terms(rho, W, hbar), n_max, "derivative series"
+        np.multiply.outer(rho.values, W.values), _joint_terms(rho, W, hbar), "derivative series"
     )
     return JointDistribution(rho.grid, W.grid_p, W.grid_r, total, hbar)
 

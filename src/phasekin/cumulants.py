@@ -1,11 +1,11 @@
-"""Characteristic functions, the coupling generating function, and cumulants.
+"""The coupling generating function and the cumulants of a joint.
 
 The generating function is the log of the pointwise ratio between the
-joint's characteristic function and the product of the marginals'.  For
-the sinc-coupled joint it equals ``ln sinc(hbar K q / 2)`` wherever the
-ratio is well conditioned, is independent of the third frequency axis,
-and carries the second-second cross-cumulant in its leading expansion
-coefficient.
+joint's characteristic function (its 3-axis transform) and the product
+of the marginals'.  For the sinc-coupled joint it equals
+``ln sinc(hbar K q / 2)`` wherever the ratio is well conditioned, is
+independent of the third frequency axis, and carries the second-second
+cross-cumulant in its leading expansion coefficient.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .states import (
 )
 
 PHI_IMAG_TOL = 1e-6
+# Lattice points where the marginals' product falls below this fraction of
+# its peak are masked out: the ratio there is rounding noise.
+PHI_PRODUCT_FLOOR = 1e-6
 # Ratio floor masking out neighborhoods of the kernel zeros, where the log
 # is ill-conditioned (and complex beyond them).
 PHI_RATIO_FLOOR = 1e-2
@@ -42,19 +45,6 @@ PHI_FIT_MIN_POINTS = 50
 # 0.2% at 3e-3, 0.65% at 2e-3 and 2.6% at 1.5e-3; below that the z^4
 # column sinks under the log ratio's rounding noise.
 PHI_FIT_MAX_REL_SE = 1e-2
-
-
-@dataclass(frozen=True)
-class CharacteristicField:
-    """Complex transform of a joint on zero-centered conjugate axes."""
-
-    freq_R: ConjugateGrid1D
-    freq_p: ConjugateGrid1D
-    freq_r: ConjugateGrid1D
-    values: np.ndarray
-
-    def origin_value(self) -> complex:
-        return complex(self.values[self.freq_R.n // 2, self.freq_p.n // 2, self.freq_r.n // 2])
 
 
 @dataclass(frozen=True)
@@ -88,29 +78,19 @@ class CumulantReport:
     cauchy_schwarz_ok: bool = True
 
 
-def characteristic_function(F: JointDistribution) -> CharacteristicField:
-    """Forward transform of the joint on all three axes."""
-    ensure_decaying(F.values, JOINT_DECAY_TOL, "characteristic-function input")
-    grids = (F.grid_R, F.grid_p, F.grid_r)
-    values = fourier_forward(F.values, grids, (0, 1, 2))
-    return CharacteristicField(*(conjugate(g) for g in grids), values)
-
-
 def phi_field(
     F: JointDistribution,
     rho: VirtualDensity,
     W: WignerDistribution,
-    threshold: float = 1e-6,
     k_index: int | None = None,
 ) -> PhiField:
-    """Log-ratio of the joint's transform to the product of the marginals'.
+    """Log-ratio of the joint's transform to the product of the marginals'
+    on the ``k_index`` slice of the third frequency axis (default k = 0).
 
-    Masked where the product magnitude falls below ``threshold`` of its
-    peak or the ratio approaches the kernel zeros.  The imaginary part
-    must be negligible on the mask and is discarded.
+    Masked where the product magnitude falls below PHI_PRODUCT_FLOOR of
+    its peak or the ratio approaches the kernel zeros.  The imaginary
+    part must be negligible on the mask and is discarded.
     """
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
     require_same_grid(rho.grid, F.grid_R, "phi_field density grid")
     require_same_grid(W.grid_p, F.grid_p, "phi_field W p-grid")
     require_same_grid(W.grid_r, F.grid_r, "phi_field W r-grid")
@@ -131,7 +111,7 @@ def phi_field(
     denom_full_max = float(np.abs(rho_t).max()) * float(np.abs(w_t).max())
     denom = rho_t[:, None] * w_t[None, :, k_index]
 
-    mask = np.abs(denom) >= threshold * denom_full_max
+    mask = np.abs(denom) >= PHI_PRODUCT_FLOOR * denom_full_max
     ratio = np.zeros_like(denom)
     ratio[mask] = f_t[mask] / denom[mask]
     mask &= ratio.real >= PHI_RATIO_FLOOR

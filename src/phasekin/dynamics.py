@@ -10,12 +10,9 @@ potential (where the odd-derivative series terminates and is exact):
   (i/hbar) [U(r + hbar lam/2) - U(r - hbar lam/2)], lam the FFT-native
   conjugate of p.
 
-The odd-derivative series is summed, like every derivative series in
-the package, by :func:`phasekin.grids.sum_series`.  So is the ``series``
-kick phase, the same expansion of the kick generator in powers of the
-shift: it terminates for polynomial potentials, and for a density-backed
-potential at hbar > 0 its terms grow from the first, so it raises
-:class:`NonConvergenceError` rather than return a wrong phase.
+The odd-derivative series (:func:`moyal_rhs_series`, the transport
+oracle) is summed, like the joint builder's series, by
+:func:`phasekin.grids.sum_series`.
 
 The shifted difference U(r + s) - U(r - s) has one evaluator,
 :meth:`Potential.shifted_difference`.  Analytic presets use their closed
@@ -24,9 +21,10 @@ for which the difference is epsilon * n * ifft_k[2i sin(w_k s) U_k]:
 O(n^2 log n) time and O(n^2) memory for n shifts on n points.
 
 The time stepper is Strang-split: an exact streaming shear for dt/2, an
-exact potential phase kick for dt, and streaming again for dt/2.  Both
-substeps are unimodular in the spectral domain, so total probability is
-conserved to rounding.
+exact potential phase kick for dt, and streaming again for dt/2.  The
+kick's generator is the shifted difference over hbar, or its classical
+limit lam dU/dr at hbar = 0.  Both substeps are unimodular in the
+spectral domain, so total probability is conserved to rounding.
 
 The stepper is first-same-as-last: the trailing half-stream of one step
 and the leading half-stream of the next are applied as one full-stream
@@ -46,13 +44,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from math import factorial
 
 import numpy as np
 
 from .errors import DecayGuardError
 from .grids import (
-    SERIES_CAP,  # noqa: F401  re-exported: the kick series obeys the same cap
     Field,
     Grid1D,
     checked_real,
@@ -107,12 +103,8 @@ class Potential:
         return self.samples_at(self.grid.points, mass)
 
     def samples_at(self, x, mass: float = 1.0) -> np.ndarray:
-        """U evaluated at arbitrary points.
-
-        Analytic presets extend naturally beyond the box; the density
-        form uses its trigonometric interpolant (2L-periodic), which is
-        faithful because the density vanishes at the boundary.
-        """
+        """U of an analytic preset at arbitrary points; presets extend
+        naturally beyond the box."""
         x = np.asarray(x, dtype=float)
         if self.kind == "free":
             return np.zeros_like(x)
@@ -120,15 +112,7 @@ class Potential:
             return 0.5 * mass * self.omega**2 * x**2
         if self.kind == "quartic":
             return self.a2 * x**2 + self.a4 * x**4
-        return self.epsilon * self._interpolate_density(x)
-
-    def _interpolate_density(self, x: np.ndarray) -> np.ndarray:
-        g = self.grid
-        hat = np.fft.fft(self.rho.values) / g.n
-        w = native_frequencies(g)
-        # evaluate sum_k hat_k exp(i w_k (x - x_0)) at arbitrary x
-        phase = np.exp(1j * np.multiply.outer(x - g.points[0], w))
-        return (phase @ hat).real
+        raise ValueError("samples_at serves the analytic kinds; use samples() or shifted_difference()")
 
     def shifted_difference(self, s, mass: float = 1.0) -> np.ndarray:
         """U(r + s) - U(r - s) for every shift s (rows) and grid point r (columns).
@@ -198,8 +182,6 @@ class EvolutionParams:
     hbar: float
     dt: float
     steps: int
-    n_max: object = "auto"
-    method: str = "spectral_kernel"
     snapshot_every: int = 100
 
     def __post_init__(self) -> None:
@@ -211,8 +193,6 @@ class EvolutionParams:
             raise ValueError("dt must be positive")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.method not in ("series", "spectral_kernel"):
-            raise ValueError(f"method must be 'series' or 'spectral_kernel', got {self.method!r}")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
 
@@ -264,7 +244,7 @@ def _moyal_terms(W: WignerDistribution, U: Potential, hbar: float, mass: float):
         yield series_coefficient(hbar, n) * U.derivative_samples(2 * n + 1, mass)[None, :] * dW
 
 
-def moyal_rhs_series(W, U: Potential, hbar: float, mass: float, n_max="auto") -> Field:
+def moyal_rhs_series(W, U: Potential, hbar: float, mass: float) -> Field:
     """Quantum transport as the truncated odd-derivative series.
 
     For polynomial potentials the series terminates exactly; for a
@@ -274,7 +254,7 @@ def moyal_rhs_series(W, U: Potential, hbar: float, mass: float, n_max="auto") ->
     """
     _check_rhs_inputs(W, U)
     base = liouville_rhs(W, U, mass)
-    total = sum_series(base.values, _moyal_terms(W, U, hbar, mass), n_max, "odd-derivative series")
+    total = sum_series(base.values, _moyal_terms(W, U, hbar, mass), "odd-derivative series")
     return Field((W.grid_p, W.grid_r), total)
 
 
@@ -303,28 +283,12 @@ def collision_rhs(F: JointDistribution, epsilon: float, mass: float) -> Field:
     return Field((F.grid_p, F.grid_r), _streaming_term(W, mass) + dGdp)
 
 
-def _kick_terms(U: Potential, lam: np.ndarray, hbar: float, mass: float):
-    """The n-th Taylor term of the kick generator in the shift hbar lam / 2.
-
-    A polynomial potential's terms end with its last nonzero derivative.
-    """
-    s = hbar * lam / 2.0
-    for n in count(1):
-        du = U.derivative_samples(2 * n + 1, mass)
-        if not np.any(du):
-            return
-        yield np.multiply.outer(lam * s ** (2 * n), du) / factorial(2 * n + 1)
-
-
 def _kick_phase(U: Potential, grid_p: Grid1D, params: EvolutionParams) -> np.ndarray:
     lam = native_frequencies(grid_p)
-    if params.hbar > 0.0 and params.method == "spectral_kernel":
+    if params.hbar > 0.0:
         gen = U.shifted_difference(params.hbar * lam / 2.0, params.mass) / params.hbar
     else:
         gen = np.multiply.outer(lam, U.derivative_samples(1, params.mass))
-        if params.hbar > 0.0:
-            terms = _kick_terms(U, lam, params.hbar, params.mass)
-            gen = sum_series(gen, terms, params.n_max, "kick-phase series")
     return np.exp(1j * params.dt * gen)
 
 

@@ -30,10 +30,6 @@ class ImaginaryResidueError(PhasekinError):
     """A nominally real result carries a non-negligible imaginary part."""
 
 
-class SignedDensityError(PhasekinError):
-    """A joint distribution with negative lobes admits no sampling interpretation."""
-
-
 class InsufficientSupportError(PhasekinError):
     """Too few lattice points support a requested fit."""
 

@@ -19,9 +19,9 @@ Derivatives are evaluated in the FFT-native spectral domain, where
 ``d/dx`` is multiplication by ``(i w)``; on real input the result is
 real (the unmatched Nyquist mode is dropped for odd orders).
 
-The derivative series of the joint builder, the Moyal transport and the
-kick phase share one truncation rule, :func:`sum_series`, and one
-spectral floor, :func:`floored_fft`.
+The derivative series of the joint builder and of the Moyal transport
+share one truncation rule, :func:`sum_series`, and one spectral floor,
+:func:`floored_fft`.
 """
 
 from __future__ import annotations
@@ -124,9 +124,6 @@ class ConjugateGrid1D:
     step: float = field(init=False, repr=False, compare=False)
     frequencies: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def parent(self) -> Grid1D:
-        return Grid1D(self.n, self.half_width)
-
 
 def conjugate(grid: Grid1D) -> ConjugateGrid1D:
     return ConjugateGrid1D(grid.n, grid.half_width)
@@ -148,13 +145,6 @@ class Field:
         if self.values.shape != shape:
             raise ValueError(f"value shape {self.values.shape} does not match axes {shape}")
 
-    @property
-    def steps(self) -> tuple:
-        return tuple(a.step for a in self.axes)
-
-    def integral(self) -> complex:
-        return self.values.sum() * float(np.prod(self.steps))
-
 
 def make_grid(n: int, half_width: float) -> Grid1D:
     """Build a uniform grid; rejects non-power-of-two n and bad widths."""
@@ -162,8 +152,8 @@ def make_grid(n: int, half_width: float) -> Grid1D:
 
 
 def boundary_ratio(values: np.ndarray) -> float:
-    """Largest boundary-face magnitude over the global max magnitude."""
-    gmax = float(np.abs(values).max())
+    """Largest boundary-face magnitude of a real array over its global max magnitude."""
+    gmax = _sup_norm(values)
     if gmax == 0.0:
         return 0.0
     worst = 0.0
@@ -171,22 +161,18 @@ def boundary_ratio(values: np.ndarray) -> float:
         for idx in (0, -1):
             sl = [slice(None)] * values.ndim
             sl[ax] = idx
-            worst = max(worst, float(np.abs(values[tuple(sl)]).max()))
+            worst = max(worst, _sup_norm(values[tuple(sl)]))
     return worst / gmax
 
 
 def ensure_decaying(values: np.ndarray, tol: float = DECAY_TOL, what: str = "field") -> None:
-    """Raise :class:`DecayGuardError` unless boundary faces are negligible.
+    """Raise :class:`DecayGuardError` unless the boundary faces of the real
+    array ``values`` are negligible; no full-size temporary is made.
 
     Constant fields pass: they are exactly periodic.
     """
-    gmax = float(np.abs(values).max())
-    if gmax == 0.0:
-        return
-    if float(np.ptp(values.real)) <= 1e-14 * gmax and float(np.ptp(values.imag)) <= 1e-14 * gmax:
-        return
     ratio = boundary_ratio(values)
-    if ratio > tol:
+    if ratio > tol and float(np.ptp(values)) > 1e-14 * _sup_norm(values):
         raise DecayGuardError(
             f"{what} is not decaying: boundary magnitude is {ratio:.3e} of the "
             f"global maximum (allowed {tol:.1e})"
@@ -254,36 +240,6 @@ def half_spectrum_inverse(values: np.ndarray, grid: Grid1D, axis: int = 0) -> np
     return np.fft.irfft(values, grid.n, axis=axis)
 
 
-def forward_transform(f: Field, axes=None) -> Field:
-    """Transform a field; returns a field on the conjugate axes.
-
-    For a decaying field the value at all-zero frequency equals the
-    quadrature integral.
-    """
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("cannot transform a field with non-finite values")
-    axes = tuple(range(len(f.axes))) if axes is None else tuple(axes)
-    grids = [a if isinstance(a, Grid1D) else a.parent() for a in f.axes]
-    out = fourier_forward(f.values, grids, axes)
-    new_axes = list(f.axes)
-    for ax in axes:
-        new_axes[ax] = conjugate(grids[ax])
-    return Field(tuple(new_axes), out)
-
-
-def inverse_transform(f: Field, axes=None) -> Field:
-    """Invert :func:`forward_transform` on the given axes."""
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("cannot transform a field with non-finite values")
-    axes = tuple(i for i, a in enumerate(f.axes) if isinstance(a, ConjugateGrid1D)) if axes is None else tuple(axes)
-    grids = [a.parent() if isinstance(a, ConjugateGrid1D) else a for a in f.axes]
-    out = fourier_inverse(f.values, grids, axes)
-    new_axes = list(f.axes)
-    for ax in axes:
-        new_axes[ax] = grids[ax]
-    return Field(tuple(new_axes), out)
-
-
 def native_frequencies(grid: Grid1D) -> np.ndarray:
     """Angular frequencies in the FFT's native ordering."""
     return 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.step)
@@ -324,59 +280,37 @@ def _sup_norm(values: np.ndarray) -> float:
     return float(np.maximum(values.max(), -values.min()))
 
 
-def sum_series(base: np.ndarray, terms, n_max="auto", what: str = "series") -> np.ndarray:
+def sum_series(base: np.ndarray, terms, what: str) -> np.ndarray:
     """Add ``terms`` (the n-th term for n = 1, 2, ...) into ``base`` in place.
 
-    ``n_max="auto"`` adds terms until one falls below 1e-12 of the sum
-    (sup norms; terms and sum are real, cap 20).  A term larger than the
-    one before stops the sum unadded, keeping the smaller partial sum.  :class:`NonConvergenceError`
-    is raised if the last term added still exceeds 1e-8 of the sum, or if
-    a term is not finite.  An integer ``n_max`` in [0, 20] adds that many
-    terms unchecked.  Terms that run out end the series exactly.
+    Terms are added until one falls below 1e-12 of the sum (sup norms;
+    terms and sum are real, cap 20).  A term larger than the one before
+    stops the sum unadded, keeping the smaller partial sum.
+    :class:`NonConvergenceError` is raised if the last term added still
+    exceeds 1e-8 of the sum, or if a term is not finite.  Terms that run
+    out end the series exactly.
     """
-    auto = n_max == "auto"
-    if not auto and (int(n_max) != n_max or not 0 <= n_max <= SERIES_CAP):
-        raise ValueError(f"n_max must be 'auto' or an integer in [0, {SERIES_CAP}], got {n_max}")
     terms = iter(terms)
     total, last_norm = base, 0.0
-    for n in range(1, (SERIES_CAP if auto else int(n_max)) + 1):
+    for n in range(1, SERIES_CAP + 1):
         term = next(terms, None)
         if term is None:
             return total
-        norm = _sup_norm(term) if auto else 0.0
+        norm = _sup_norm(term)
         if not math.isfinite(norm):
             raise NonConvergenceError(f"{what} did not converge: term {n} is not finite")
         if n >= 2 and norm > last_norm:
             break
         total += term
         last_norm = norm
-        if auto and norm <= SERIES_CONVERGED_REL * _sup_norm(total):
+        if norm <= SERIES_CONVERGED_REL * _sup_norm(total):
             return total
-    if auto and last_norm > SERIES_FAIL_REL * _sup_norm(total):
+    if last_norm > SERIES_FAIL_REL * _sup_norm(total):
         raise NonConvergenceError(
             f"{what} did not converge: last term is "
             f"{last_norm / _sup_norm(total):.3e} of the sum after cap/growth stop"
         )
     return total
-
-
-def spectral_derivative(f: Field, axis: int, order: int) -> Field:
-    """Differentiate a field ``order`` times along ``axis``.
-
-    The field must decay along that axis; orders above ``n/4`` are
-    rejected as spectrally meaningless.
-    """
-    if order < 0 or int(order) != order:
-        raise ValueError(f"derivative order must be a nonnegative integer, got {order}")
-    grid = f.axes[axis]
-    if not isinstance(grid, Grid1D):
-        raise ValueError("spectral_derivative acts on coordinate axes, not conjugate axes")
-    if order > grid.n // 4:
-        raise ValueError(f"order {order} exceeds n/4 = {grid.n // 4} on this grid")
-    if order == 0:
-        return Field(f.axes, f.values.copy())
-    ensure_decaying(f.values, what=f"derivative input (axis {axis})")
-    return Field(f.axes, derivative_array(f.values, grid, axis, order))
 
 
 def require_same_grid(a: Grid1D, b: Grid1D, what: str) -> None:

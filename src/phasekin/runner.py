@@ -101,7 +101,6 @@ def run_simulate(config: ScenarioConfig, directory: str) -> tuple:
         hbar=config.hbar,
         dt=config.dt,
         steps=config.steps,
-        method=config.method,
         snapshot_every=config.snapshot_every,
     )
     trajectory = propagate(W0, potential, params)

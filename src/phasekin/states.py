@@ -1,4 +1,4 @@
-"""Distribution types, Gaussian presets, marginals, moments, and sampling.
+"""Distribution types, Gaussian presets, marginals, and moments.
 
 The joint distribution couples the force-carrier position R to the real
 particle's phase-space point (p, r).  R and r live on one shared grid so
@@ -14,14 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecayGuardError, NormalizationError, SignedDensityError
-from .grids import (
-    DECAY_TOL,
-    Field,
-    Grid1D,
-    ensure_decaying,
-    require_same_grid,
-)
+from .errors import DecayGuardError, NormalizationError
+from .grids import DECAY_TOL, Grid1D, ensure_decaying, require_same_grid
 
 # Decay guard applied to 3-axis joints: quantum corrections carry physical
 # R-tails around 1e-10 of the peak (1e-8 once built from evolved snapshots),
@@ -112,21 +106,6 @@ class JointDistribution:
         _unit_integral(v, (self.grid_R, self.grid_p, self.grid_r), JOINT_NORMALIZATION_TOL, "F")
 
 
-@dataclass(frozen=True)
-class MomentSet:
-    """Raw moments keyed by per-variable order tuples."""
-
-    moments: dict
-
-    def __getitem__(self, key):
-        if isinstance(key, int):
-            key = (key,)
-        return self.moments[tuple(key)]
-
-    def items(self):
-        return self.moments.items()
-
-
 def _check_preset_fits(grid: Grid1D, center: float, sigma: float, name: str) -> None:
     if not sigma > 0:
         raise ValueError(f"{name}: sigma must be positive, got {sigma}")
@@ -185,13 +164,11 @@ def _moment_grids(obj):
         return (obj.grid_p, obj.grid_r), obj.values, DECAY_TOL
     if isinstance(obj, JointDistribution):
         return (obj.grid_R, obj.grid_p, obj.grid_r), obj.values, JOINT_DECAY_TOL
-    if isinstance(obj, Field):
-        return tuple(obj.axes), obj.values, DECAY_TOL
     raise TypeError(f"cannot compute moments of {type(obj).__name__}")
 
 
-def moments(obj, orders) -> MomentSet:
-    """Quadrature raw moments of a distribution or field.
+def moments(obj, orders) -> dict:
+    """Quadrature raw moments of a distribution, keyed by order tuple.
 
     Order tuples index the object's leading axes; for a joint
     distribution a pair (a, b) means <R^a p^b> with r integrated out.
@@ -202,7 +179,7 @@ def moments(obj, orders) -> MomentSet:
     vol = float(np.prod([g.step for g in grids]))
     out = {}
     for order in orders:
-        key = (order,) if isinstance(order, int) else tuple(order)
+        key = tuple(order)
         if len(key) > len(grids):
             raise ValueError(f"order tuple {key} has more entries than axes")
         if any(o < 0 or int(o) != o for o in key):
@@ -216,32 +193,5 @@ def moments(obj, orders) -> MomentSet:
                 shape[ax] = grids[ax].n
                 weighted = weighted * (grids[ax].points ** o).reshape(shape)
         out[key] = float(weighted.sum() * vol)
-    return MomentSet(out)
+    return out
 
-
-def sample_joint(F: JointDistribution, count: int, seed: int) -> np.ndarray:
-    """Draw (R, p, r) triples from an effectively nonnegative joint.
-
-    Inverse-CDF over the flattened grid with per-cell uniform jitter;
-    reproducible for a fixed seed.  Returns an array of shape (count, 3).
-    """
-    if count < 1:
-        raise ValueError(f"sample count must be >= 1, got {count}")
-    vmax = float(F.values.max())
-    vmin = float(F.values.min())
-    if vmin < -1e-9 * vmax:
-        raise SignedDensityError(
-            f"joint has negative lobes (min {vmin:.3e} vs max {vmax:.3e}); "
-            "no sampling interpretation exists"
-        )
-    weights = np.clip(F.values, 0.0, None).ravel()
-    cdf = np.cumsum(weights)
-    total = cdf[-1]
-    rng = np.random.default_rng(seed)
-    picks = np.searchsorted(cdf, rng.random(count) * total, side="right")
-    picks = np.minimum(picks, weights.size - 1)
-    idx = np.unravel_index(picks, F.values.shape)
-    jitter = rng.random((count, 3)) - 0.5
-    grids = (F.grid_R, F.grid_p, F.grid_r)
-    cols = [g.points[i] + jitter[:, ax] * g.step for ax, (g, i) in enumerate(zip(grids, idx))]
-    return np.stack(cols, axis=1)

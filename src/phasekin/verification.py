@@ -1,7 +1,8 @@
 """The one-shot verification suite.
 
-Every check pins its tolerance here.  Within their 20-term cap the
-derivative-series constructions converge only while
+Every check pins its tolerance here.  Within their 20-term cap the two
+derivative series (the joint builder and the Moyal transport, the only
+users of :func:`phasekin.grids.sum_series`) converge only while
 ``hbar^2 / (4 sigma_R^2 sigma_p^2)`` stays near or below 0.5 (0.510
 converges and 0.541 does not, at sigma_R = hbar = 1), well short of
 ``hbar < 2 sigma_R sigma_p``, and a Gaussian needs

@@ -12,7 +12,7 @@ import pytest
 import phasekin
 from phasekin import ConfigError, __version__, load_config, parse_config
 from phasekin.cli import main
-from phasekin.config import DEFAULT_CONFIG
+from phasekin.config import DEFAULT_CONFIG, RUN_TIME_BUDGET_SECONDS, SECONDS_PER_STEP_UNIT
 from phasekin.runner import OUTPUT_FILE
 from phasekin.serialization import read_array
 
@@ -69,9 +69,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="hbar"):
             parse_config({"hbar": -1.0})
 
-    def test_bad_method(self):
-        with pytest.raises(ConfigError, match=r"evolution\.method"):
-            parse_config({"evolution": {"method": "rk4"}})
+    @pytest.mark.parametrize("method", ["rk4", "series"])
+    def test_bad_method(self, method):
+        # spectral_kernel is the one kick generator; saved configs may still name it
+        assert parse_config({"evolution": {"method": "spectral_kernel"}}).method == "spectral_kernel"
+        with pytest.raises(ConfigError, match=r"^evolution\.method: must be one of spectral_kernel"):
+            parse_config({"evolution": {"method": method}})
 
     def test_quartic_needs_positive_a4(self):
         with pytest.raises(ConfigError, match=r"potential\.a4"):
@@ -287,18 +290,16 @@ class TestExitCodes:
         assert manifest["status"] == "aborted"
         assert "error" in manifest
 
-    def test_density_kick_series_is_3(self, tmp_path):
-        # the kick's Taylor series in hbar diverges for a density potential
+    def test_series_kick_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             outputs=str(tmp_path / "out"),
             potential={"kind": "from_density"},
             evolution=dict(FAST_EVOLUTION, method="series"),
         )
-        assert main(["simulate", "--config", cfg]) == 3
-        manifest = manifest_without_timestamp(tmp_path / "out")
-        assert manifest["status"] == "aborted"
-        assert manifest["error"].startswith("kick-phase series did not converge")
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "config error: evolution.method: must be one of spectral_kernel" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_verify_failure_is_1(self, tmp_path):
         # resolution far too low for the acceptance tolerances
@@ -418,6 +419,30 @@ class TestMemoryBudget:
         cfg = write_config(tmp_path, outputs=str(out), grid={"n2": 2**40, "n3": 2**40, "half_width": 8.0})
         assert main(["joint", "--config", cfg]) == 2
         assert "config error: grid.n3: estimated peak memory" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRunTimeBudget:
+    def test_unfinishable_step_count_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^evolution\.steps: estimated propagation time inf h"):
+            parse_config({"evolution": {"steps": 10**400}})
+
+    @pytest.mark.parametrize("n2", [128, 256, 4096])
+    def test_both_sides_of_the_budget(self, n2):
+        def doc(steps):
+            return {"grid": {"n2": n2, "n3": 64, "half_width": 8.0}, "evolution": {"steps": steps}}
+
+        parse_config(doc(1000))  # the defaults, the benchmark grids and the largest n2 in the memory budget
+        limit = int(RUN_TIME_BUDGET_SECONDS / SECONDS_PER_STEP_UNIT) // (n2**2 * (n2.bit_length() - 1))
+        assert parse_config(doc(limit)).steps == limit
+        with pytest.raises(ConfigError, match=r"^evolution\.steps: .* exceeds the 24 h budget"):
+            parse_config(doc(limit + 1))
+
+    def test_cli_exits_2_naming_the_steps(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, outputs=str(out), evolution=dict(FAST_EVOLUTION, steps=10**400))
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "config error: evolution.steps: estimated propagation time" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -13,9 +13,7 @@ from phasekin import (
     GridMismatchError,
     ImaginaryResidueError,
     NonConvergenceError,
-    characteristic_function,
     classical_joint,
-    coupling_kernel,
     gaussian_density,
     gaussian_wigner,
     make_grid,
@@ -24,52 +22,32 @@ from phasekin import (
 )
 from phasekin import coupling
 from phasekin.coupling import sinc_values
-from phasekin.grids import checked_real, conjugate, fourier_forward, fourier_inverse
+from phasekin.grids import conjugate, fourier_forward
+
+from reference import full_complex_joint, joint_transform
 
 
-def log_sinc_zeta_oracle(x, terms=50, dps=50):
-    """ln(sin x / x) from the product formula: -sum zeta(2k) x^(2k) / (k pi^(2k)).
-
-    Extended-precision series evaluation, independent of the package's
-    ratio-plus-Taylor implementation.
-    """
-    with mpmath.workdps(dps):
-        xx = mpmath.mpf(x)
-        total = mpmath.mpf(0)
-        for k in range(1, terms + 1):
-            total -= mpmath.zeta(2 * k) * xx ** (2 * k) / (k * mpmath.pi ** (2 * k))
-        return float(total)
+def sinc(x):
+    return float(sinc_values(np.array([x]))[0])
 
 
-class TestCouplingKernel:
+class TestSincValues:
     def test_origin(self):
-        s = coupling_kernel(0.0)
-        assert s.sinc_value == 1.0
-        assert s.log_sinc_value == 0.0
+        assert sinc(0.0) == 1.0
 
     def test_half_pi(self):
-        assert coupling_kernel(math.pi / 2).sinc_value == pytest.approx(2 / math.pi, rel=1e-15)
+        assert sinc(math.pi / 2) == pytest.approx(2 / math.pi, rel=1e-15)
 
-    def test_log_sinc_against_zeta_series(self):
-        assert abs(coupling_kernel(0.1).log_sinc_value - log_sinc_zeta_oracle(0.1)) < 1e-12
-
-    @pytest.mark.parametrize("x", [1e-5, 5e-5, 2e-4, 0.3, 1.0, 2.5])
-    def test_log_sinc_across_switch_point(self, x):
-        # the oracle series converges like (x/pi)^(2k); give it enough terms
-        assert abs(coupling_kernel(x).log_sinc_value - log_sinc_zeta_oracle(x, terms=400)) < 1e-12
+    @pytest.mark.parametrize("x", [1e-5, 5e-5, 9.99e-5, 1e-4, 2e-4, 0.3, 1.0, 2.5, 4.0])
+    def test_across_switch_point(self, x):
+        # the Taylor branch below 1e-4 and sin(x)/x above it, against extended precision
+        with mpmath.workdps(50):
+            exact = float(mpmath.sin(x) / x)
+        assert abs(sinc(x) - exact) <= 1e-15 * abs(exact)
 
     def test_evenness(self):
-        for x in (0.3, 1.7, 4.0):
-            assert coupling_kernel(x).sinc_value == coupling_kernel(-x).sinc_value
-            a, b = coupling_kernel(x).log_sinc_value, coupling_kernel(-x).log_sinc_value
-            assert (a == b) or (np.isnan(a) and np.isnan(b))
-
-    def test_log_undefined_at_kernel_zero(self):
-        assert np.isnan(coupling_kernel(math.pi).log_sinc_value)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            coupling_kernel(float("nan"))
+        x = np.array([5e-5, 0.3, 1.7, 4.0])
+        assert np.array_equal(sinc_values(x), sinc_values(-x))
 
 
 class TestClassicalJoint:
@@ -100,11 +78,6 @@ class TestQuantumJointSeries:
         b = classical_joint(rho_default, wigner_default)
         assert np.abs(a.values - b.values).max() < 1e-14
 
-    def test_nmax_zero_is_classical(self, rho_default, wigner_default):
-        a = quantum_joint_series(rho_default, wigner_default, 1.0, n_max=0)
-        b = classical_joint(rho_default, wigner_default)
-        assert np.abs(a.values - b.values).max() < 1e-14
-
     def test_matches_spectral_builder(self, rho_default, wigner_default):
         a = quantum_joint_series(rho_default, wigner_default, 1.0)
         b = quantum_joint_spectral(rho_default, wigner_default, 1.0)
@@ -128,10 +101,6 @@ class TestQuantumJointSeries:
         with pytest.raises(NonConvergenceError, match=r"last term is 1\.\d+e-08 of the sum"):
             quantum_joint_series(rho_default, W, 1.0)
 
-    def test_nmax_cap_validated(self, rho_default, wigner_default):
-        with pytest.raises(ValueError):
-            quantum_joint_series(rho_default, wigner_default, 1.0, n_max=21)
-
 
 class TestQuantumJointSpectral:
     def test_hbar_zero_is_classical(self, rho_default, wigner_default):
@@ -144,7 +113,7 @@ class TestQuantumJointSpectral:
         # transforms recovers the kernel itself
         hbar = 1.0
         F = quantum_joint_spectral(rho_default, wigner_default, hbar)
-        f_t = characteristic_function(F).values
+        f_t = joint_transform(F)
         rho_t = fourier_forward(rho_default.values, (grid64,), (0,))
         w_t = fourier_forward(wigner_default.values, (grid64, grid64), (0, 1))
         denom = rho_t[:, None, None] * w_t[None, :, :]
@@ -165,7 +134,7 @@ class TestQuantumJointSpectral:
 
     def test_kernel_symmetry_of_built_joint(self, rho_default, wigner_default, grid64):
         F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        f_t = characteristic_function(F).values
+        f_t = joint_transform(F)
         rho_t = fourier_forward(rho_default.values, (grid64,), (0,))
         w_t = fourier_forward(wigner_default.values, (grid64, grid64), (0, 1))
         denom = rho_t[:, None, None] * w_t[None, :, :]
@@ -207,20 +176,6 @@ def test_classical_limit_decay_slope(rho_default, wigner_default):
     ]
     slope = np.polyfit(np.log(hbars), np.log(norms), 1)[0]
     assert abs(slope - 2.0) < 0.1
-
-
-def full_complex_joint(rho, W, hbar):
-    """The three-axis route the half-spectrum builder replaced: transform W
-    over (p, r), multiply by rho_hat(K) sinc(hbar K q / 2) and invert all
-    three axes of the complex n^3 product."""
-    grids = (rho.grid, W.grid_p, W.grid_r)
-    rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
-    w_t = fourier_forward(W.values, (W.grid_p, W.grid_r), (0, 1))
-    K = conjugate(rho.grid).frequencies
-    q = conjugate(W.grid_p).frequencies
-    kernel = sinc_values(hbar * np.outer(K, q) / 2.0)
-    f_t = rho_t[:, None, None] * kernel[:, :, None] * w_t[None, :, :]
-    return checked_real(fourier_inverse(f_t, grids, (0, 1, 2)), "spectral joint")
 
 
 SIGMAS = st.floats(0.5, 1.0)

@@ -1,4 +1,4 @@
-"""Characteristic functions, the generating-function log-ratio, and cumulants."""
+"""The joint's characteristic function, the generating-function log-ratio, and cumulants."""
 
 import tracemalloc
 
@@ -12,10 +12,8 @@ from phasekin import (
     ImaginaryResidueError,
     InsufficientSupportError,
     JointDistribution,
-    characteristic_function,
     classical_joint,
     classical_limit_scan,
-    coupling_kernel,
     gaussian_density,
     gaussian_wigner,
     harmonic_potential,
@@ -26,39 +24,38 @@ from phasekin import (
     phi_series_coefficients,
     propagate,
     quantum_joint_spectral,
-    quartic_potential,
-    sample_joint,
 )
-from phasekin.cumulants import PHI_FIT_MAX_ARG, PHI_RATIO_FLOOR
-from phasekin.grids import fourier_forward
+from phasekin.cumulants import PHI_FIT_MAX_ARG
+from phasekin.grids import conjugate, fourier_forward
 from phasekin.verification import kappa22_closed_form_oracle
 
 from conftest import gauss
+from reference import joint_transform, phi_from_full_transform, sample_joint
 
 
 class TestCharacteristicFunction:
     def test_origin_is_total_probability(self, rho_default, wigner_default):
         F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        assert abs(characteristic_function(F).origin_value() - 1.0) < 1e-7
+        mid = rho_default.grid.n // 2
+        assert abs(joint_transform(F)[mid, mid, mid] - 1.0) < 1e-7
 
     def test_classical_joint_factorizes(self, rho_default, wigner_default, grid64):
         F = classical_joint(rho_default, wigner_default)
-        out = characteristic_function(F).values
+        out = joint_transform(F)
         rho_t = fourier_forward(rho_default.values, (grid64,), (0,))
         w_t = fourier_forward(wigner_default.values, (grid64, grid64), (0, 1))
         assert np.abs(out - rho_t[:, None, None] * w_t[None, :, :]).max() < 1e-9
 
     def test_gaussian_axis_profile(self, rho_default, wigner_default, grid64):
         F = classical_joint(rho_default, wigner_default)
-        cf = characteristic_function(F)
-        K = cf.freq_R.frequencies
+        K = conjugate(grid64).frequencies
         mid = grid64.n // 2
-        profile = np.abs(cf.values[:, mid, mid])
+        profile = np.abs(joint_transform(F)[:, mid, mid])
         assert np.abs(profile - np.exp(-(K**2) / 2.0)).max() < 1e-8
 
     def test_hermitian_symmetry(self, rho_default, wigner_default):
         F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        v = characteristic_function(F).values
+        v = joint_transform(F)
         flipped = np.conj(v[::-1, ::-1, ::-1])
         # index 0 is the unpaired Nyquist plane; mirror of index i is n - i
         assert np.abs(v[1:, 1:, 1:] - flipped[:-1, :-1, :-1]).max() < 1e-10
@@ -77,9 +74,11 @@ class TestPhiField:
         K = phi.freq_K.frequencies
         q = phi.freq_q.frequencies
         x = hbar * np.multiply.outer(K, q) / 2.0
-        expected = np.array([[coupling_kernel(v).log_sinc_value for v in row] for row in x])
-        sel = phi.mask & np.isfinite(expected)
-        assert np.abs(phi.values[sel] - expected[sel]).max() < 1e-7
+        lobe = np.abs(x) < np.pi  # where sinc is positive
+        sel = phi.mask & lobe
+        assert sel.sum() > 400
+        expected = np.log(np.sinc(x[sel] / np.pi))  # np.sinc(y) is sin(pi y) / (pi y)
+        assert np.abs(phi.values[sel] - expected).max() < 1e-7
 
     def test_k_slices_agree(self, rho_default, wigner_default, grid64):
         F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
@@ -107,7 +106,7 @@ class TestPhiField:
         F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
         phi = phi_field(F, rho_default, wigner_default)
         mid = grid64.n // 2
-        f_t = characteristic_function(F).values[:, :, mid]
+        f_t = joint_transform(F)[:, :, mid]
         rho_t = fourier_forward(rho_default.values, (grid64,), (0,))
         w_t = fourier_forward(wigner_default.values, (grid64, grid64), (0, 1))[:, mid]
         recon = np.exp(phi.values[phi.mask]) * (rho_t[:, None] * w_t[None, :])[phi.mask]
@@ -261,23 +260,6 @@ class TestPhiAlongTrajectory:
                 continue
             common = reference.mask & phi.mask
             assert np.abs(reference.values[common] - phi.values[common]).max() < 1e-6
-
-
-def phi_from_full_transform(F, rho, W, k_index, threshold=1e-6):
-    """The generating function read from the 3-axis characteristic function
-    and the full denominator, as phi_field computed it before it
-    contracted r first."""
-    f_t = characteristic_function(F).values[:, :, k_index]
-    rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
-    w_t = fourier_forward(W.values, (W.grid_p, W.grid_r), (0, 1))
-    denom_full_max = np.abs(rho_t[:, None, None] * w_t[None, :, :]).max()
-    denom = rho_t[:, None] * w_t[None, :, k_index]
-    mask = np.abs(denom) >= threshold * denom_full_max
-    ratio = np.where(mask, f_t / np.where(mask, denom, 1.0), 0.0)
-    mask &= ratio.real >= PHI_RATIO_FLOOR
-    values = np.full(denom.shape, np.nan)
-    values[mask] = np.log(ratio[mask]).real
-    return values, mask
 
 
 class TestPhiFieldSlice:

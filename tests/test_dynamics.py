@@ -2,7 +2,6 @@
 
 import tracemalloc
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from phasekin import (
     EvolutionParams,
-    NonConvergenceError,
     WignerDistribution,
     analytic_free_evolution,
     classical_joint,
@@ -30,8 +28,10 @@ from phasekin import (
     quantum_joint_spectral,
     quartic_potential,
 )
-from phasekin.dynamics import SERIES_CAP
+from phasekin.dynamics import _moyal_terms
 from phasekin.grids import native_frequencies
+
+from reference import complex_strang_reference, potential_at
 
 
 class TestPotentials:
@@ -55,7 +55,11 @@ class TestPotentials:
 
     def test_interpolation_matches_samples(self, rho_default):
         U = potential_from_density(rho_default, 1.3)
-        assert np.abs(U.samples_at(rho_default.grid.points) - U.samples()).max() < 1e-12
+        assert np.abs(potential_at(U, rho_default.grid.points) - U.samples()).max() < 1e-12
+
+    def test_samples_at_serves_analytic_kinds_only(self, rho_default):
+        with pytest.raises(ValueError, match="samples_at serves the analytic kinds"):
+            potential_from_density(rho_default, 1.0).samples_at(0.0)
 
 
 class TestShiftedDifference:
@@ -64,7 +68,7 @@ class TestShiftedDifference:
         U = _potential(kind, grid64)
         s = native_frequencies(grid64) / 2.0
         r = grid64.points
-        direct = U.samples_at(r[None, :] + s[:, None]) - U.samples_at(r[None, :] - s[:, None])
+        direct = potential_at(U, r[None, :] + s[:, None]) - potential_at(U, r[None, :] - s[:, None])
         assert np.abs(U.shifted_difference(s) - direct).max() <= 1e-13
 
     def test_density_memory_is_quadratic(self):
@@ -141,10 +145,11 @@ class TestMoyalRhs:
         assert np.abs(a - b).max() < 1e-8
 
     def test_quartic_series_terminates_at_n1(self, grid128, wigner128):
-        U = quartic_potential(grid128, 0.5, 0.1)
-        a = moyal_rhs_series(wigner128, U, 1.0, 1.0, n_max=1).values
-        b = moyal_rhs_spectral(wigner128, U, 1.0, 1.0).values
-        assert np.abs(a - b).max() < 1e-8
+        # the quartic's fifth derivative vanishes, so every term after the
+        # first is exactly zero and the summed series is exact
+        terms = _moyal_terms(wigner128, quartic_potential(grid128, 0.5, 0.1), 1.0, 1.0)
+        assert np.any(next(terms))
+        assert not any(np.any(next(terms)) for _ in range(3))
 
     def test_spectral_requires_positive_hbar(self, grid128, wigner128):
         with pytest.raises(ValueError):
@@ -241,16 +246,6 @@ class TestPropagate:
         energies = [e for _, _, e in propagate(W0, U, params).conserved]
         assert max(abs(e - energies[0]) for e in energies) <= 1e-6
 
-    def test_methods_agree_for_quartic(self, grid128, wigner128):
-        U = quartic_potential(grid128, 0.5, 0.1)
-        finals = []
-        for method in ("series", "spectral_kernel"):
-            params = EvolutionParams(
-                mass=1.0, hbar=1.0, dt=1e-3, steps=200, method=method, snapshot_every=200
-            )
-            finals.append(propagate(wigner128, U, params).final().values)
-        assert np.abs(finals[0] - finals[1]).max() < 1e-10
-
     def test_second_order_convergence(self, grid64):
         W0 = gaussian_wigner(grid64, grid64, 0.0, 0.5, 2**-0.5, 2**-0.5)
         U = quartic_potential(grid64, 0.5, 0.1)
@@ -305,76 +300,25 @@ def _potential(kind, grid):
     return potential_from_density(gaussian_density(grid, 0.0, 1.0), 1.0)
 
 
-def _complex_strang_reference(W0, U, params):
-    """Reference stepper: six complex FFT passes per step, full spectra.
-
-    Returns W after every step (index 0 is W0); the real part is taken
-    only on output, so the unpaired Nyquist modes evolve unprojected.
-    """
-    grid_p, grid_r = W0.grid_p, W0.grid_r
-    lam = native_frequencies(grid_p)
-    r = grid_r.points
-    if params.hbar == 0.0:
-        gen = np.multiply.outer(lam, U.derivative_samples(1, params.mass))
-    elif params.method == "spectral_kernel":
-        shift = params.hbar * lam / 2.0
-        gen = (
-            U.samples_at(r[None, :] + shift[:, None], params.mass)
-            - U.samples_at(r[None, :] - shift[:, None], params.mass)
-        ) / params.hbar
-    else:
-        s = params.hbar * lam / 2.0
-        gen = np.multiply.outer(lam, U.derivative_samples(1, params.mass))
-        for n in range(1, SERIES_CAP + 1):
-            du = U.derivative_samples(2 * n + 1, params.mass)
-            if not np.any(du):
-                break
-            gen = gen + np.multiply.outer(lam * s ** (2 * n), du) / factorial(2 * n + 1)
-    kick = np.exp(1j * params.dt * gen)
-    k = native_frequencies(grid_r)
-    half_stream = np.exp(-1j * np.multiply.outer(grid_p.points, k) * params.dt / (2.0 * params.mass))
-
-    values = W0.values.astype(complex)
-    out = [W0.values]
-    for _ in range(params.steps):
-        values = np.fft.ifft(np.fft.fft(values, axis=1) * half_stream, axis=1)
-        values = np.fft.ifft(np.fft.fft(values, axis=0) * kick, axis=0)
-        values = np.fft.ifft(np.fft.fft(values, axis=1) * half_stream, axis=1)
-        out.append(values.real)
-    return out
-
-
 @lru_cache(maxsize=None)
-def _reference_run(kind, hbar, method, steps):
+def _reference_run(kind, hbar, steps):
     grid = make_grid(64, 8.0)
     W0 = gaussian_wigner(grid, grid, 0.0, 0.0, 2**-0.5, 2**-0.5)
     U = _potential(kind, grid)
-    params = EvolutionParams(mass=1.0, hbar=hbar, dt=1e-3, steps=steps, method=method)
-    return W0, U, _complex_strang_reference(W0, U, params)
-
-
-# The density kick series diverges for hbar > 0 and is refused
-# (TestKickSeries), so it has no trajectory to compare.
-STEPPER_CASES = [
-    (kind, hbar, method)
-    for kind in ("free", "harmonic", "quartic", "from_density")
-    for hbar in (0.0, 1.0)
-    for method in ("spectral_kernel", "series")
-    if not (kind == "from_density" and hbar > 0 and method == "series")
-]
+    params = EvolutionParams(mass=1.0, hbar=hbar, dt=1e-3, steps=steps)
+    return W0, U, complex_strang_reference(W0, U, params)
 
 
 class TestStepperEquivalence:
     """The FSAL stepper against the six-pass Strang loop it replaced."""
 
     @pytest.mark.parametrize("snapshot_every", [1, 7, 200])
-    @pytest.mark.parametrize("kind,hbar,method", STEPPER_CASES)
-    def test_matches_complex_reference(self, kind, hbar, method, snapshot_every):
+    @pytest.mark.parametrize("hbar", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["free", "harmonic", "quartic", "from_density"])
+    def test_matches_complex_reference(self, kind, hbar, snapshot_every):
         steps, dt = 200, 1e-3
-        W0, U, ref = _reference_run(kind, hbar, method, steps)
-        params = EvolutionParams(
-            mass=1.0, hbar=hbar, dt=dt, steps=steps, method=method, snapshot_every=snapshot_every
-        )
+        W0, U, ref = _reference_run(kind, hbar, steps)
+        params = EvolutionParams(mass=1.0, hbar=hbar, dt=dt, steps=steps, snapshot_every=snapshot_every)
         traj = propagate(W0, U, params)
         taken = [0] + [
             step for step in range(1, steps + 1) if step % snapshot_every == 0 or step == steps
@@ -387,7 +331,7 @@ class TestStepperEquivalence:
 
     @pytest.mark.parametrize("kind", ["free", "harmonic", "quartic", "from_density"])
     def test_single_step(self, kind):
-        W0, U, ref = _reference_run(kind, 1.0, "spectral_kernel", 1)
+        W0, U, ref = _reference_run(kind, 1.0, 1)
         params = EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=1)
         traj = propagate(W0, U, params)
         assert traj.times == [0.0, 1e-3]
@@ -403,19 +347,3 @@ class TestStepperEquivalence:
             for every in (1, 7, 50)
         ]
         assert np.array_equal(finals[0], finals[1]) and np.array_equal(finals[0], finals[2])
-
-
-class TestKickSeries:
-    def test_density_series_refused_at_positive_hbar(self, grid64):
-        W0 = gaussian_wigner(grid64, grid64, 0.0, 0.0, 2**-0.5, 2**-0.5)
-        U = _potential("from_density", grid64)
-        params = EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=10, method="series")
-        with pytest.raises(NonConvergenceError, match="^kick-phase series did not converge"):
-            propagate(W0, U, params)
-
-    def test_overflowing_kick_term_is_refused(self, grid64):
-        # the quartic's first term carries (hbar lam / 2)^2, beyond the float range here
-        W0 = gaussian_wigner(grid64, grid64, 0.0, 0.0, 2**-0.5, 2**-0.5)
-        params = EvolutionParams(mass=1.0, hbar=1e200, dt=1e-3, steps=10, method="series")
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonConvergenceError, match="term 1 is not finite"):
-            propagate(W0, quartic_potential(grid64, 0.5, 0.1), params)

@@ -1,14 +1,12 @@
-"""Presets, marginals, moment quadrature, and grid sampling."""
+"""Presets, marginals, moment quadrature, and the sampling oracle."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from phasekin import (
     DecayGuardError,
     JointDistribution,
     NormalizationError,
-    SignedDensityError,
     VirtualDensity,
     WignerDistribution,
     classical_joint,
@@ -19,10 +17,10 @@ from phasekin import (
     marginal_over_pr,
     moments,
     quantum_joint_spectral,
-    sample_joint,
 )
 
 from conftest import SIGMA_COHERENT, gauss
+from reference import sample_joint
 
 
 def dense_quadrature_moment(mean, sigma, order, half_width=8.0, n=4096):
@@ -39,7 +37,7 @@ class TestGaussianDensity:
         assert abs(rho.values.sum() * grid64.step - 1.0) < 1e-8
 
     def test_variance(self, grid64, rho_default):
-        assert abs(moments(rho_default, [2])[2] - 1.0) < 1e-6
+        assert abs(moments(rho_default, [(2,)])[(2,)] - 1.0) < 1e-6
 
     def test_decay_guard(self, grid64):
         with pytest.raises(DecayGuardError):
@@ -93,40 +91,35 @@ class TestMarginals:
 
 
 class TestMoments:
-    def test_gaussian_second_moment(self, rho_default):
-        assert abs(moments(rho_default, [(2,)])[(2,)] - 1.0) < 1e-6
-
     def test_zeroth_moment_is_one(self, rho_default, wigner_default):
-        assert abs(moments(rho_default, [0])[0] - 1.0) < 1e-7
+        assert abs(moments(rho_default, [(0,)])[(0,)] - 1.0) < 1e-7
         assert abs(moments(wigner_default, [(0, 0)])[(0, 0)] - 1.0) < 1e-7
 
     def test_gaussian_fourth_moment(self, grid64):
         rho = gaussian_density(grid64, 0.0, 1.0)
-        value = moments(rho, [4])[4]
+        value = moments(rho, [(4,)])[(4,)]
         assert abs(value - 3.0) < 1e-5
         assert abs(value - dense_quadrature_moment(0.0, 1.0, 4)) < 1e-5
 
     def test_order_cap(self, rho_default):
         with pytest.raises(ValueError):
-            moments(rho_default, [9])
+            moments(rho_default, [(9,)])
 
     def test_shifted_gaussian_binomial_identity(self, grid64):
         mu, sigma = 1.0, 0.8
         rho = gaussian_density(grid64, mu, sigma)
-        m = moments(rho, [1, 2, 4])
-        assert abs(m[1] - mu) < 1e-6
-        assert abs(m[2] - (sigma**2 + mu**2)) < 1e-5
+        m = moments(rho, [(1,), (2,), (4,)])
+        assert abs(m[(1,)] - mu) < 1e-6
+        assert abs(m[(2,)] - (sigma**2 + mu**2)) < 1e-5
         expected4 = mu**4 + 6 * mu**2 * sigma**2 + 3 * sigma**4
-        assert abs(m[4] - expected4) < 1e-5
+        assert abs(m[(4,)] - expected4) < 1e-5
 
-    def test_linearity_in_field(self, grid64):
+    def test_linearity_in_the_distribution(self, grid64):
         a = gaussian_density(grid64, 0.0, 1.0)
         b = gaussian_density(grid64, 0.5, 0.7)
-        mixed = 0.5 * a.values + 0.5 * b.values
-        from phasekin import Field
-
-        m_mixed = moments(Field((grid64,), mixed), [2])[2]
-        m_each = 0.5 * moments(a, [2])[2] + 0.5 * moments(b, [2])[2]
+        mixed = VirtualDensity(grid64, 0.5 * a.values + 0.5 * b.values)
+        m_mixed = moments(mixed, [(2,)])[(2,)]
+        m_each = 0.5 * moments(a, [(2,)])[(2,)] + 0.5 * moments(b, [(2,)])[(2,)]
         assert abs(m_mixed - m_each) < 1e-12
 
     def test_joint_pair_orders_marginalize_r(self, rho_default, wigner_default):
@@ -148,30 +141,3 @@ class TestSampleJoint:
         samples = sample_joint(F, 200_000, seed=3)
         assert abs(samples[:, 0].var() - 1.0) < 0.02
         assert abs(samples[:, 1].var() - 0.5) < 0.01
-
-    def test_zero_count_rejected(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
-        with pytest.raises(ValueError):
-            sample_joint(F, 0, seed=1)
-
-    def test_signed_density_rejected(self, rho_default, wigner_default):
-        F = quantum_joint_spectral(rho_default, wigner_default, 2.0)
-        assert F.values.min() < 0  # direct scan: genuinely quantum
-        with pytest.raises(SignedDensityError):
-            sample_joint(F, 100, seed=1)
-
-    def test_seed_reproducibility(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
-        a = sample_joint(F, 1000, seed=7)
-        b = sample_joint(F, 1000, seed=7)
-        assert_allclose(a, b, rtol=0, atol=0)
-
-    def test_two_seeds_within_binomial_error(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
-        n = 10**5
-        a = sample_joint(F, n, seed=11)
-        b = sample_joint(F, n, seed=12)
-        pa = (a[:, 0] > 0).mean()
-        pb = (b[:, 0] > 0).mean()
-        sigma_diff = np.sqrt(2 * 0.5 * 0.5 / n)
-        assert abs(pa - pb) <= 3 * sigma_diff
