@@ -35,7 +35,10 @@ def sample_joint(F, count, seed):
     Inverse-CDF over the flattened grid with per-cell uniform jitter;
     returns an array of shape (count, 3).
     """
-    assert F.values.min() >= -1e-9 * F.values.max(), "a joint with negative lobes cannot be sampled"
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    if F.values.min() < -1e-9 * F.values.max():
+        raise ValueError("a joint with negative lobes cannot be sampled")
     cdf = np.cumsum(np.clip(F.values, 0.0, None).ravel())
     rng = np.random.default_rng(seed)
     picks = np.minimum(np.searchsorted(cdf, rng.random(count) * cdf[-1], side="right"), cdf.size - 1)

@@ -22,6 +22,7 @@ from phasekin import (
 )
 from phasekin import coupling
 from phasekin.coupling import sinc_values
+from phasekin.cumulants import PHI_RATIO_FLOOR, phi_field
 from phasekin.grids import conjugate, fourier_forward
 
 from reference import full_complex_joint, joint_transform
@@ -31,7 +32,21 @@ def sinc(x):
     return float(sinc_values(np.array([x]))[0])
 
 
-class TestSincValues:
+def log_sinc_zeta_oracle(x, terms=50, dps=50):
+    """ln(sin x / x) from the product formula: -sum zeta(2k) x^(2k) / (k pi^(2k)).
+
+    Extended-precision series evaluation, independent of the package's
+    ratio-plus-Taylor implementation.
+    """
+    with mpmath.workdps(dps):
+        xx = mpmath.mpf(x)
+        total = mpmath.mpf(0)
+        for k in range(1, terms + 1):
+            total -= mpmath.zeta(2 * k) * xx ** (2 * k) / (k * mpmath.pi ** (2 * k))
+        return float(total)
+
+
+class TestCouplingKernel:
     def test_origin(self):
         assert sinc(0.0) == 1.0
 
@@ -45,9 +60,30 @@ class TestSincValues:
             exact = float(mpmath.sin(x) / x)
         assert abs(sinc(x) - exact) <= 1e-15 * abs(exact)
 
+    def test_log_sinc_against_zeta_series(self):
+        # phi = ln sinc is what the generating function reads, so the
+        # kernel must hold its precision in log space too
+        assert abs(math.log(sinc(0.1)) - log_sinc_zeta_oracle(0.1)) < 1e-12
+
+    @pytest.mark.parametrize("x", [1e-5, 5e-5, 2e-4, 0.3, 1.0, 2.5])
+    def test_log_sinc_across_switch_point(self, x):
+        # the oracle series converges like (x/pi)^(2k); give it enough terms
+        assert abs(math.log(sinc(x)) - log_sinc_zeta_oracle(x, terms=400)) < 1e-12
+
     def test_evenness(self):
         x = np.array([5e-5, 0.3, 1.7, 4.0])
         assert np.array_equal(sinc_values(x), sinc_values(-x))
+
+    def test_log_undefined_at_kernel_zero(self, rho_default, wigner_default):
+        # ln sinc has no value at the kernel zeros; phi_field leaves every
+        # lattice point where the kernel falls below its ratio floor unmasked
+        assert abs(sinc(math.pi)) < 1e-15
+        hbar = 1.0
+        phi = phi_field(quantum_joint_spectral(rho_default, wigner_default, hbar), rho_default, wigner_default)
+        x = hbar * np.multiply.outer(phi.freq_K.frequencies, phi.freq_q.frequencies) / 2.0
+        near_zero = np.abs(sinc_values(x)) < PHI_RATIO_FLOOR
+        assert near_zero.any() and not phi.mask[near_zero].any()
+        assert np.isnan(phi.values[near_zero]).all()
 
 
 class TestClassicalJoint:

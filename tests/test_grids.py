@@ -53,6 +53,13 @@ class TestMakeGrid:
 
 
 class TestForwardTransform:
+    def test_normalized_gaussian_has_unit_origin(self):
+        g = make_grid(128, 8.0)
+        v = gauss(g.points, 0.0, 1.0)
+        v /= v.sum() * g.step
+        out = fourier_forward(v, (g,), (0,))
+        assert abs(out[g.n // 2] - 1.0) < 1e-12
+
     def test_origin_is_the_integral(self):
         g = make_grid(128, 8.0)
         v = 3.0 * gauss(g.points, 0.4, 1.0)
@@ -113,11 +120,18 @@ class TestRoundTripAndParseval:
         assert abs(lhs - rhs) / lhs < 1e-10
 
 
-class TestDerivativeArray:
+class TestSpectralDerivative:
     def test_gaussian_first_derivative(self):
         g = make_grid(128, 8.0)
         f = np.exp(-(g.points**2) / 2.0)
         assert np.abs(derivative_array(f, g, 0, 1) - (-g.points * f)).max() < 1e-8
+
+    def test_order_zero_is_identity(self):
+        # even orders keep the unpaired Nyquist mode, so even a rough
+        # array comes back to rounding
+        g = make_grid(64, 8.0)
+        v = np.random.default_rng(5).standard_normal((g.n, 8))
+        assert np.abs(derivative_array(v, g, 0, 0) - v).max() < 1e-14 * np.abs(v).max()
 
     def test_fourth_derivative_against_symbolic_oracle(self):
         x = sympy.symbols("x")

@@ -91,6 +91,11 @@ class TestMarginals:
 
 
 class TestMoments:
+    def test_gaussian_second_moment(self, grid64):
+        rho = gaussian_density(grid64, 0.0, 0.7)
+        assert abs(moments(rho, [(2,)])[(2,)] - 0.49) < 1e-6
+        assert abs(moments(rho, [(2,)])[(2,)] - dense_quadrature_moment(0.0, 0.7, 2)) < 1e-6
+
     def test_zeroth_moment_is_one(self, rho_default, wigner_default):
         assert abs(moments(rho_default, [(0,)])[(0,)] - 1.0) < 1e-7
         assert abs(moments(wigner_default, [(0, 0)])[(0, 0)] - 1.0) < 1e-7
@@ -114,7 +119,7 @@ class TestMoments:
         expected4 = mu**4 + 6 * mu**2 * sigma**2 + 3 * sigma**4
         assert abs(m[(4,)] - expected4) < 1e-5
 
-    def test_linearity_in_the_distribution(self, grid64):
+    def test_linearity_in_field(self, grid64):
         a = gaussian_density(grid64, 0.0, 1.0)
         b = gaussian_density(grid64, 0.5, 0.7)
         mixed = VirtualDensity(grid64, 0.5 * a.values + 0.5 * b.values)
@@ -141,3 +146,30 @@ class TestSampleJoint:
         samples = sample_joint(F, 200_000, seed=3)
         assert abs(samples[:, 0].var() - 1.0) < 0.02
         assert abs(samples[:, 1].var() - 0.5) < 0.01
+
+    def test_zero_count_rejected(self, rho_default, wigner_default):
+        F = classical_joint(rho_default, wigner_default)
+        with pytest.raises(ValueError):
+            sample_joint(F, 0, seed=1)
+
+    def test_signed_density_rejected(self, rho_default, wigner_default):
+        F = quantum_joint_spectral(rho_default, wigner_default, 2.0)
+        assert F.values.min() < 0  # direct scan: genuinely quantum
+        with pytest.raises(ValueError, match="negative lobes"):
+            sample_joint(F, 100, seed=1)
+
+    def test_seed_reproducibility(self, rho_default, wigner_default):
+        F = classical_joint(rho_default, wigner_default)
+        a = sample_joint(F, 1000, seed=7)
+        b = sample_joint(F, 1000, seed=7)
+        assert np.array_equal(a, b)
+
+    def test_two_seeds_within_binomial_error(self, rho_default, wigner_default):
+        F = classical_joint(rho_default, wigner_default)
+        n = 10**5
+        a = sample_joint(F, n, seed=11)
+        b = sample_joint(F, n, seed=12)
+        pa = (a[:, 0] > 0).mean()
+        pb = (b[:, 0] > 0).mean()
+        sigma_diff = np.sqrt(2 * 0.5 * 0.5 / n)
+        assert abs(pa - pb) <= 3 * sigma_diff
