@@ -48,6 +48,7 @@ from .errors import (
     ImaginaryResidueError,
     InsufficientSupportError,
     NonConvergenceError,
+    NonFiniteError,
     NormalizationError,
     PhasekinError,
 )

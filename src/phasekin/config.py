@@ -252,7 +252,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if fields["n3"] > fields["n2"]:
         raise ConfigError(f"grid.n3: must not exceed grid.n2 ({fields['n3']} > {fields['n2']})")
     _check_memory(fields["n2"], fields["n3"])
-    _check_run_time(fields["steps"], fields["n2"])
+    check_run_time(fields["steps"], fields["n2"])
     return ScenarioConfig(**fields)
 
 
@@ -270,13 +270,14 @@ def _check_memory(n2: int, n3: int) -> None:
         )
 
 
-def _check_run_time(steps: int, n2: int) -> None:
-    """Refuse a step count whose estimated propagation time exceeds the budget."""
+def check_run_time(steps, n2: int, key: str = "evolution.steps") -> None:
+    """Refuse a step count whose estimated propagation time exceeds the
+    budget, naming the config key ``key`` that sets it."""
     units = steps * n2**2 * (n2.bit_length() - 1)
     if units > RUN_TIME_BUDGET_SECONDS / SECONDS_PER_STEP_UNIT:
         hours = units * SECONDS_PER_STEP_UNIT / 3600 if units < 2**1000 else math.inf  # beyond float range
         raise ConfigError(
-            f"evolution.steps: estimated propagation time {hours:.3g} h at grid.n2 = {n2} "
+            f"{key}: estimated propagation time {hours:.3g} h at grid.n2 = {n2} "
             f"exceeds the {RUN_TIME_BUDGET_SECONDS / 3600:.3g} h budget"
         )
 

@@ -51,6 +51,7 @@ from .errors import DecayGuardError
 from .grids import (
     Field,
     Grid1D,
+    _sup_norm,
     checked_real,
     derivative_array,
     floored_fft,
@@ -253,8 +254,9 @@ def moyal_rhs_series(W, U: Potential, hbar: float, mass: float) -> Field:
     (:func:`phasekin.grids.sum_series`).
     """
     _check_rhs_inputs(W, U)
-    base = liouville_rhs(W, U, mass)
-    total = sum_series(base.values, _moyal_terms(W, U, hbar, mass), "odd-derivative series")
+    base = liouville_rhs(W, U, mass).values
+    terms = ((term, _sup_norm(term)) for term in _moyal_terms(W, U, hbar, mass))
+    total = sum_series(terms, _sup_norm(base), lambda accepted: sum(accepted, base), "odd-derivative series")
     return Field((W.grid_p, W.grid_r), total)
 
 

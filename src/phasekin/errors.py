@@ -38,5 +38,10 @@ class DegenerateFitError(PhasekinError):
     """A regression input is degenerate (e.g. a norm underflowed)."""
 
 
+class NonFiniteError(PhasekinError):
+    """A numpy operation overflowed, divided by zero or produced an
+    invalid value (NaN) while a command ran."""
+
+
 class ConfigError(PhasekinError):
     """Scenario configuration is invalid; message carries the field path."""

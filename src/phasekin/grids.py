@@ -38,6 +38,7 @@ from .errors import DecayGuardError, GridMismatchError, ImaginaryResidueError, N
 # are trivially periodic and carry no aliasing risk.
 DECAY_TOL = 1e-10
 
+# default term cap of sum_series; the joint series sets its own
 SERIES_CAP = 20
 SERIES_CONVERGED_REL = 1e-12
 SERIES_FAIL_REL = 1e-8
@@ -280,37 +281,45 @@ def _sup_norm(values: np.ndarray) -> float:
     return float(np.maximum(values.max(), -values.min()))
 
 
-def sum_series(base: np.ndarray, terms, what: str) -> np.ndarray:
-    """Add ``terms`` (the n-th term for n = 1, 2, ...) into ``base`` in place.
+def sum_series(terms, scale: float, assemble, what: str, cap: int = SERIES_CAP):
+    """The one truncation rule of the derivative series.
 
-    Terms are added until one falls below 1e-12 of the sum (sup norms;
-    terms and sum are real, cap 20).  A term larger than the one before
-    stops the sum unadded, keeping the smaller partial sum.
-    :class:`NonConvergenceError` is raised if the last term added still
-    exceeds 1e-8 of the sum, or if a term is not finite.  Terms that run
-    out end the series exactly.
+    ``terms`` is a generator of ``(term, norm)`` for n = 1, 2, ...,
+    ``norm`` the sup norm of the n-th term, and ``scale`` is the sup norm
+    of the zeroth term, the base.  Terms are accepted until one falls
+    below 1e-12 of ``scale``, at most ``cap`` of them.  A term larger than
+    the one before stops the series unaccepted, keeping the smaller
+    partial sum; terms that run out end it exactly.  The generator is
+    then closed, and ``assemble(accepted)`` returns the base plus the
+    accepted terms, handed over in a list it may empty.
+    :class:`NonConvergenceError` is raised if a term is not finite, or
+    if the series stopped short of 1e-12 and its last accepted term
+    still exceeds 1e-8 of the assembled sum.
     """
-    terms = iter(terms)
-    total, last_norm = base, 0.0
-    for n in range(1, SERIES_CAP + 1):
-        term = next(terms, None)
-        if term is None:
-            return total
-        norm = _sup_norm(term)
-        if not math.isfinite(norm):
-            raise NonConvergenceError(f"{what} did not converge: term {n} is not finite")
-        if n >= 2 and norm > last_norm:
-            break
-        total += term
-        last_norm = norm
-        if norm <= SERIES_CONVERGED_REL * _sup_norm(total):
-            return total
-    if last_norm > SERIES_FAIL_REL * _sup_norm(total):
+    accepted, last_norm, converged = _accept_terms(terms, scale, what, cap)
+    terms.close()
+    total = assemble(accepted)
+    if not converged and last_norm > SERIES_FAIL_REL * _sup_norm(total):
         raise NonConvergenceError(
             f"{what} did not converge: last term is "
             f"{last_norm / _sup_norm(total):.3e} of the sum after cap/growth stop"
         )
     return total
+
+
+def _accept_terms(terms, scale: float, what: str, cap: int) -> tuple:
+    """(accepted terms, last accepted norm, converged) under :func:`sum_series`' rule."""
+    accepted, last_norm = [], 0.0
+    for n, (term, norm) in zip(range(1, cap + 1), terms):
+        if not math.isfinite(norm):
+            raise NonConvergenceError(f"{what} did not converge: term {n} is not finite")
+        if n >= 2 and norm > last_norm:
+            return accepted, last_norm, False
+        accepted.append(term)
+        last_norm = norm
+        if norm <= SERIES_CONVERGED_REL * scale:
+            return accepted, last_norm, True
+    return accepted, last_norm, len(accepted) < cap
 
 
 def require_same_grid(a: Grid1D, b: Grid1D, what: str) -> None:

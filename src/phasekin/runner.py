@@ -3,13 +3,15 @@
 :func:`run_scenario` alone decides what a run leaves on disk.  It
 prepares the output directory and removes every file whose name a
 command writes (:data:`OUTPUT_FILE`), so a directory holds one run's
-files; other files stay.  It then runs the command body, turns a
-:class:`PhasekinError` into an ``aborted`` manifest before the error
-propagates, and writes ``resolved_config.json`` and ``manifest.json``
-last.  A command body (``run_simulate``, ``run_joint``,
-``run_cumulants``, ``run_verify``) computes its results, writes its own
-files and returns ``(outputs, status)``: status ``complete``, or
-``failed`` when a verification check fails.
+files; other files stay.  It then runs the command body with numpy's
+overflow, divide-by-zero and invalid-value conditions raising
+:class:`NonFiniteError`, turns a :class:`PhasekinError` into an
+``aborted`` manifest before the error propagates, and writes
+``resolved_config.json`` and ``manifest.json`` last.  A command body
+(``run_simulate``, ``run_joint``, ``run_cumulants``, ``run_verify``)
+computes its results, writes its own files and returns
+``(outputs, status)``: status ``complete``, or ``failed`` when a
+verification check fails.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .cumulants import (
     phi_series_coefficients,
 )
 from .dynamics import EvolutionParams, propagate
-from .errors import ConfigError, PhasekinError
+from .errors import ConfigError, NonFiniteError, PhasekinError
 from .serialization import (
     write_array,
     write_csv,
@@ -40,11 +42,12 @@ from .states import marginal_over_R, marginal_over_pr
 from .verification import run_verification
 
 CLASSICAL_SCAN_FRACTIONS = (1 / 16, 1 / 8, 1 / 4, 1 / 2)
-# Every file name a command writes; a test keeps it in step with the writers.
+# Every file name a command writes, the manifest's temporary file included;
+# a test keeps it in step with the writers.
 OUTPUT_FILE = re.compile(
     r"w_\d{6,}\.(bin|json)|f_(series|spectral)\.(bin|json)"
     r"|(conserved|marginal_residuals|cumulant_report|verification_report)\.csv"
-    r"|(resolved_config|manifest)\.json"
+    r"|(resolved_config|manifest)\.json|manifest\.json\.tmp"
 )
 
 
@@ -164,6 +167,10 @@ def run_verify(config: ScenarioConfig, directory: str) -> tuple:
     return [path], "complete" if report.overall_pass else "failed"
 
 
+def _raise_non_finite(condition: str, flag: int) -> None:
+    raise NonFiniteError(f"numpy floating-point error: {condition}")
+
+
 def run_scenario(config: ScenarioConfig, command: str, output_dir: str | None = None) -> str:
     """Run one command into its output directory; returns the manifest status.
 
@@ -182,7 +189,8 @@ def run_scenario(config: ScenarioConfig, command: str, output_dir: str | None = 
     directory = _prepare_output_dir(config, output_dir)
     error = None
     try:
-        outputs, status = body(config, directory)
+        with np.errstate(over="call", invalid="call", divide="call", call=_raise_non_finite):
+            outputs, status = body(config, directory)
     except PhasekinError as exc:
         outputs, status, error = [], "aborted", exc
     resolved = config.to_dict()

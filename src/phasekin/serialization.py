@@ -106,7 +106,10 @@ def write_manifest(
     }
     if error is not None:
         doc["error"] = error
-    return _write_json(os.path.join(directory, "manifest.json"), doc)
+    # written whole or not at all: a reader never sees a half-written manifest
+    path = os.path.join(directory, "manifest.json")
+    os.replace(_write_json(path + ".tmp", doc), path)
+    return path
 
 
 def write_resolved_config(directory: str, config_dict: dict) -> str:

@@ -1,25 +1,26 @@
 """The one-shot verification suite.
 
-Every check pins its tolerance here.  Within their 20-term cap the two
-derivative series (the joint builder and the Moyal transport, the only
-users of :func:`phasekin.grids.sum_series`) converge only while
-``hbar^2 / (4 sigma_R^2 sigma_p^2)`` stays near or below 0.5 (0.510
-converges and 0.541 does not, at sigma_R = hbar = 1), well short of
-``hbar < 2 sigma_R sigma_p``, and a Gaussian needs
+Every check pins its tolerance here.  The joint builder's derivative
+series converges across ``hbar < 2 sigma_R sigma_p``, that is
+``hbar^2 / (4 sigma_R^2 sigma_p^2) < 1`` (at most 54 terms up to 0.99 on
+the verification grids), but the odd-derivative Moyal series, the
+transport oracle, keeps the 20-term cap of
+:func:`phasekin.grids.sum_series`, and a Gaussian needs
 ``half_width >= 8 sigma`` to satisfy the decay guard, so the equivalence
-checks carry per-hbar preset widths (and a wider box for hbar = 2); the
-identities under test are covariant under that joint rescaling of hbar
-and the widths, so nothing is lost.
+checks carry per-hbar preset widths with the ratio near 1/3 (and a wider
+box for hbar = 2); the identities under test are covariant under that
+joint rescaling of hbar and the widths, so nothing is lost.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, check_run_time
 from .coupling import classical_joint, quantum_joint_series, quantum_joint_spectral
 from .cumulants import (
     classical_limit_scan,
@@ -297,17 +298,24 @@ def check_classical_scaling(config: ScenarioConfig) -> list:
         return [_error_check("classical_scaling", exc)]
 
 
+def _oracle_steps(dt: float) -> tuple:
+    """Step counts of the dynamics oracles: free streaming for one time
+    unit, one harmonic period (omega = 1) and 1000 quartic steps.  Python
+    floats, so a ``dt`` whose reciprocal overflows gives an infinite count."""
+    return max(round(1.0 / dt, 0), 1.0), round(2.0 * math.pi / dt, 0), 1000.0
+
+
 def check_dynamics_oracles(config: ScenarioConfig) -> list:
     checks = []
     grid = config.grid2()
     mass = config.mass
     dt = config.dt
+    free_steps, period_steps, quartic_steps = (int(steps) for steps in _oracle_steps(dt))
     try:
         W0 = config.wigner(grid)
-        steps = max(int(round(1.0 / dt)), 1)
-        params = EvolutionParams(mass=mass, hbar=config.hbar, dt=dt, steps=steps, snapshot_every=steps)
+        params = EvolutionParams(mass=mass, hbar=config.hbar, dt=dt, steps=free_steps, snapshot_every=free_steps)
         final = propagate(W0, free_potential(grid), params).final()
-        reference = analytic_free_evolution(W0, steps * dt, mass)
+        reference = analytic_free_evolution(W0, free_steps * dt, mass)
         checks.append(
             _tol_check("dynamics[free_shear]", float(np.abs(final.values - reference.values).max()), 1e-6)
         )
@@ -317,7 +325,6 @@ def check_dynamics_oracles(config: ScenarioConfig) -> list:
         r0, omega = 1.0, 1.0
         W0 = gaussian_wigner(grid, grid, 0.0, r0, config.sigma_p, config.sigma_r)
         U = harmonic_potential(grid, omega)
-        period_steps = int(round(2.0 * np.pi / (omega * dt)))
         params = EvolutionParams(
             mass=mass,
             hbar=config.hbar,
@@ -337,7 +344,7 @@ def check_dynamics_oracles(config: ScenarioConfig) -> list:
     try:
         W0 = config.wigner(grid)
         U = quartic_potential(grid, 0.5, 0.1)
-        params = EvolutionParams(mass=mass, hbar=config.hbar, dt=dt, steps=1000, snapshot_every=100)
+        params = EvolutionParams(mass=mass, hbar=config.hbar, dt=dt, steps=quartic_steps, snapshot_every=100)
         trajectory = propagate(W0, U, params)
         probs = [prob for _, prob, _ in trajectory.conserved]
         energies = [energy for _, _, energy in trajectory.conserved]
@@ -374,7 +381,13 @@ def check_determinism(config: ScenarioConfig) -> list:
 
 
 def run_verification(config: ScenarioConfig) -> VerificationReport:
-    """Run every acceptance check at the configured resolution."""
+    """Run every acceptance check at the configured resolution.
+
+    The dynamics oracles take their step counts from ``evolution.dt``, so
+    a ``dt`` whose oracles cannot finish within the run-time budget is a
+    :class:`ConfigError` naming it, raised before any check runs.
+    """
+    check_run_time(sum(_oracle_steps(config.dt)), config.n2, "evolution.dt")
     checks = []
     checks += check_central_equivalence(config)
     checks += check_builder_equivalence(config)

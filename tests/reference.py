@@ -4,11 +4,23 @@ Each is the route a package function replaced, or the textbook form of
 what it evaluates, kept here so that tests compare against it.
 """
 
+from itertools import count
+
 import numpy as np
 
 from phasekin.cumulants import PHI_RATIO_FLOOR
-from phasekin.coupling import sinc_values
-from phasekin.grids import checked_real, conjugate, fourier_forward, fourier_inverse, native_frequencies
+from phasekin.coupling import JOINT_SERIES_CAP, sinc_values
+from phasekin.grids import (
+    _sup_norm,
+    checked_real,
+    conjugate,
+    floored_fft,
+    fourier_forward,
+    fourier_inverse,
+    native_frequencies,
+    series_coefficient,
+    sum_series,
+)
 
 
 def joint_transform(F):
@@ -60,6 +72,31 @@ def full_complex_joint(rho, W, hbar):
     kernel = sinc_values(hbar * np.outer(K, q) / 2.0)
     f_t = rho_t[:, None, None] * kernel[:, :, None] * w_t[None, :, :]
     return checked_real(fourier_inverse(f_t, grids, (0, 1, 2)), "spectral joint")
+
+
+def dense_joint_series(rho, W, hbar):
+    """The derivative-series joint as it was summed before the builder
+    factored it into one matrix product: every term a dense n^3 outer
+    product, its sup norm taken over the array, added into the dense base
+    in turn.  Truncated by the builder's own rule and cap."""
+    base = np.multiply.outer(rho.values, W.values)
+
+    def terms():
+        if hbar == 0.0:
+            return
+        rho_hat = floored_fft(rho.values)
+        w_hat = floored_fft(W.values, axis=0)
+        mult_R = (1j * native_frequencies(rho.grid)) ** 2
+        mult_p = ((1j * native_frequencies(W.grid_p)) ** 2)[:, None]
+        for n in count(1):
+            rho_hat *= mult_R
+            w_hat *= mult_p
+            d_rho = np.fft.ifft(rho_hat).real
+            d_w = np.fft.ifft(w_hat, axis=0).real
+            term = series_coefficient(hbar, n) * np.multiply.outer(d_rho, d_w)
+            yield term, _sup_norm(term)
+
+    return sum_series(terms(), _sup_norm(base), lambda accepted: sum(accepted, base), "dense series", JOINT_SERIES_CAP)
 
 
 def phi_from_full_transform(F, rho, W, k_index, threshold=1e-6):

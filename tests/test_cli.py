@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import phasekin
-from phasekin import ConfigError, __version__, load_config, parse_config
+from phasekin import ConfigError, verification, __version__, load_config, parse_config
 from phasekin.cli import main
 from phasekin.config import DEFAULT_CONFIG, RUN_TIME_BUDGET_SECONDS, SECONDS_PER_STEP_UNIT
 from phasekin.runner import OUTPUT_FILE
@@ -323,9 +324,9 @@ class TestExitCodes:
         "argv, code, error",
         [
             (["joint", "--hbar", "1e300"], 3, "series coefficient (hbar/2)^2 overflows"),
-            (["simulate", "--hbar", "1e100"], 3, "W integrates to nan"),
+            (["simulate", "--hbar", "1e100"], 3, "numpy floating-point error: overflow"),
             (["cumulants", "--hbar", "5e-324"], 3, "scan hbar value is 0"),
-            (["verify", "--hbar", "1e100"], 1, "NormalizationError: W integrates to nan"),
+            (["verify", "--hbar", "1e100"], 1, "NonFiniteError: numpy floating-point error: overflow"),
         ],
         ids=["joint", "simulate", "cumulants", "verify"],
     )
@@ -341,6 +342,7 @@ class TestExitCodes:
         )
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         manifest = manifest_without_timestamp(out)
         if code == 1:
             assert manifest["status"] == "failed"
@@ -379,6 +381,15 @@ class TestRunPath:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved_config.json"]
         manifest = manifest_without_timestamp(out)
         assert manifest["status"] == "aborted" and manifest["outputs"] == ["resolved_config.json"]
+
+    def test_stale_manifest_temp_file_is_cleared(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json.tmp").write_text("{half a manif")
+        assert main(["joint", "--config", write_config(tmp_path, outputs=str(out))]) == 0
+        names = {p.name for p in out.iterdir()}
+        assert "manifest.json.tmp" not in names
+        assert names == set(manifest_without_timestamp(out)["outputs"]) | {"manifest.json"}
 
     def test_failing_verify_writes_a_failed_manifest(self, tmp_path):
         out = tmp_path / "out"
@@ -444,6 +455,30 @@ class TestRunTimeBudget:
         assert main(["simulate", "--config", cfg]) == 2
         assert "config error: evolution.steps: estimated propagation time" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOracleRunTimeBudget:
+    @pytest.mark.parametrize("dt, hours", [(1e-9, r"\d\S*"), (1e-305, "inf"), (5e-324, "inf")])
+    def test_verify_refuses_oracles_that_cannot_finish(self, tmp_path, capsys, dt, hours):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, outputs=str(out), evolution=dict(FAST_EVOLUTION, dt=dt))
+        assert main(["verify", "--config", cfg]) == 2
+        assert re.search(rf"config error: evolution\.dt: estimated propagation time {hours} h", capsys.readouterr().err)
+        manifest = manifest_without_timestamp(out)
+        assert manifest["status"] == "aborted" and manifest["error"].startswith("evolution.dt:")
+        assert not (out / "verification_report.csv").exists()
+
+    def test_simulate_takes_the_same_dt(self, tmp_path):
+        cfg = write_config(tmp_path, outputs=str(tmp_path / "out"), evolution=dict(FAST_EVOLUTION, dt=1e-9))
+        assert main(["simulate", "--config", cfg]) == 0
+
+    def test_default_dt_is_inside_the_budget(self, monkeypatch):
+        # the checks are stubbed out: only the budget gate in front of them runs
+        for name in [n for n in dir(verification) if n.startswith("check_") and n != "check_run_time"]:
+            monkeypatch.setattr(verification, name, lambda config: [])
+        assert verification.run_verification(parse_config({})).checks == []
+        with pytest.raises(ConfigError, match=r"^evolution\.dt: "):
+            verification.run_verification(parse_config({"evolution": {"dt": 1e-9}}))
 
 
 class TestUnresolvedFit:

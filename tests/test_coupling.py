@@ -20,12 +20,12 @@ from phasekin import (
     quantum_joint_series,
     quantum_joint_spectral,
 )
-from phasekin import coupling
+from phasekin import coupling, grids
 from phasekin.coupling import sinc_values
 from phasekin.cumulants import PHI_RATIO_FLOOR, phi_field
 from phasekin.grids import conjugate, fourier_forward
 
-from reference import full_complex_joint, joint_transform
+from reference import dense_joint_series, full_complex_joint, joint_transform
 
 
 def sinc(x):
@@ -124,18 +124,38 @@ class TestQuantumJointSeries:
         with pytest.raises(NonConvergenceError):
             quantum_joint_series(rho_default, wigner_default, 2.0)
 
-    def test_convergence_window_is_narrower_than_two_sigma_product(self, rho_default):
-        # sigma_R = hbar = 1, so hbar^2 / (4 sigma_R^2 sigma_p^2) is 0.510 at
-        # sigma_p = 0.7 and 0.541 at sigma_p = 0.68; both lie inside
-        # hbar < 2 sigma_R sigma_p, but only the first converges in 20 terms
+    def test_converges_across_the_documented_window(self, rho_default):
+        # sigma_R = hbar = 1, so hbar^2 / (4 sigma_R^2 sigma_p^2) = 0.9, inside
+        # hbar < 2 sigma_R sigma_p; hbar = 2 above is outside and raises
         grid = rho_default.grid
-        W = gaussian_wigner(grid, grid, 0.0, 0.0, 0.7, 0.7)
+        sigma_p = 0.5 / math.sqrt(0.9)
+        W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_p)
         a = quantum_joint_series(rho_default, W, 1.0)
         b = quantum_joint_spectral(rho_default, W, 1.0)
-        assert np.abs(a.values - b.values).max() < 1e-8
-        W = gaussian_wigner(grid, grid, 0.0, 0.0, 0.68, 0.68)
-        with pytest.raises(NonConvergenceError, match=r"last term is 1\.\d+e-08 of the sum"):
-            quantum_joint_series(rho_default, W, 1.0)
+        assert np.abs(a.values - b.values).max() < 1e-12
+
+    def test_only_the_result_is_n_cubed(self, grid128, wigner128, monkeypatch):
+        # the terms stay factored: one n^3 result, the (n, N + 1) and
+        # (N + 1, n^2) factor matrices and O(n^2) scratch
+        used = []
+        accept = grids._accept_terms
+
+        def counting(*args):
+            accepted, last_norm, converged = accept(*args)
+            used.append(len(accepted))
+            return accepted, last_norm, converged
+
+        monkeypatch.setattr(grids, "_accept_terms", counting)
+        rho = gaussian_density(grid128, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            quantum_joint_series(rho, wigner128, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, factor_rows = grid128.n, used[0] + 1
+        assert factor_rows > 21  # past the old 20-term cap
+        assert peak <= 8 * n**3 + 8 * factor_rows * (n**2 + n) + 2**15
 
 
 class TestQuantumJointSpectral:
@@ -261,10 +281,11 @@ class TestBuilderAgreement:
         sigma_R=SIGMAS,
         sigma_p=SIGMAS,
         sigma_r=SIGMAS,
-        ratio=st.floats(0.0, 0.5),
+        ratio=st.floats(0.0, 0.99),
     )
     def test_series_matches_spectral_inside_measured_window(self, n, sigma_R, sigma_p, sigma_r, ratio):
-        # ratio = hbar^2 / (4 sigma_R^2 sigma_p^2), the window the series converges in
+        # ratio = hbar^2 / (4 sigma_R^2 sigma_p^2); the series converges for
+        # ratio < 1, that is hbar < 2 sigma_R sigma_p
         grid = make_grid(n, 8.0)
         hbar = 2.0 * sigma_R * sigma_p * np.sqrt(ratio)
         rho = gaussian_density(grid, 0.0, sigma_R)
@@ -272,3 +293,28 @@ class TestBuilderAgreement:
         a = quantum_joint_series(rho, W, hbar).values
         b = quantum_joint_spectral(rho, W, hbar).values
         assert np.abs(a - b).max() < 1e-8
+
+
+class TestFactoredSeries:
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.sampled_from([16, 32]),
+        means=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+        sigmas=st.tuples(*[st.floats(0.4, 0.8)] * 3),
+        ratio=st.floats(0.0, 4.0),
+    )
+    def test_matches_dense_accumulation(self, n, means, sigmas, ratio):
+        # each term as a dense outer product, added in turn: the same sum
+        # wherever that oracle converges, and the same refusal where it does not
+        grid = make_grid(n, 8.0)
+        rho = gaussian_density(grid, means[0], sigmas[0])
+        W = gaussian_wigner(grid, grid, means[1], means[2], sigmas[1], sigmas[2])
+        hbar = 2.0 * sigmas[0] * sigmas[1] * math.sqrt(ratio)
+        try:
+            expected = dense_joint_series(rho, W, hbar)
+        except NonConvergenceError:
+            with pytest.raises(NonConvergenceError):
+                quantum_joint_series(rho, W, hbar)
+            return
+        got = quantum_joint_series(rho, W, hbar).values
+        assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()

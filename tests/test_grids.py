@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phasekin import DecayGuardError, ImaginaryResidueError, NonConvergenceError, conjugate, make_grid
@@ -220,6 +222,51 @@ class TestHalfSpectrum:
             checked_hermitian(symmetric * np.exp(1e-6j), 0, "spectrum")
 
 
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def decaying_fields(draw):
+    """A sum of up to three Gaussian bumps on one or two axes, each centred
+    in the middle half of its axis and at most a tenth of it wide, so each
+    falls below 1e-12 of its own peak at the boundary."""
+    sizes = draw(st.lists(st.sampled_from([16, 32, 64]), min_size=1, max_size=2))
+    grids = [make_grid(n, draw(st.floats(4.0, 12.0))) for n in sizes]
+    values = 0.0
+    for _ in range(draw(st.integers(1, 3))):
+        bump = draw(st.floats(-2.0, 2.0).filter(lambda a: abs(a) > 0.1))
+        for g in grids:
+            center = draw(st.floats(-0.25, 0.25)) * g.half_width
+            width = draw(st.floats(0.05, 0.1)) * g.half_width
+            bump = np.multiply.outer(bump, gauss(g.points, center, width))
+        values = values + bump
+    return tuple(grids), values
+
+
+class TestTransformProperties:
+    @PROPERTY_SETTINGS
+    @given(field=decaying_fields())
+    def test_round_trip_and_zero_frequency(self, field):
+        grids, values = field
+        axes = tuple(range(values.ndim))
+        spectrum = fourier_forward(values, grids, axes)
+        back = fourier_inverse(spectrum, grids, axes)
+        scale = np.abs(values).max()
+        assert np.abs(back - values).max() <= 1e-14 * scale
+        # the zero-frequency bin, at index n/2 of each axis, is the quadrature integral
+        integral = values.sum() * np.prod([g.step for g in grids])
+        bound = 1e-14 * np.abs(values).sum() * np.prod([g.step for g in grids])
+        assert abs(spectrum[tuple(g.n // 2 for g in grids)] - integral) <= bound
+
+    @PROPERTY_SETTINGS
+    @given(field=decaying_fields(), axis=st.integers(0, 1))
+    def test_half_spectrum_round_trip(self, field, axis):
+        grids, values = field
+        axis = min(axis, values.ndim - 1)
+        back = half_spectrum_inverse(half_spectrum_forward(values, grids[axis], axis), grids[axis], axis)
+        assert np.abs(back - values).max() <= 1e-14 * np.abs(values).max()
+
+
 class TestSupNorm:
     def test_equals_abs_max(self):
         x = np.random.default_rng(3).normal(size=(7, 5))
@@ -232,4 +279,4 @@ class TestSupNorm:
         term[2] = bad
         assert not np.isfinite(_sup_norm(term))
         with pytest.raises(NonConvergenceError, match="term 1 is not finite"):
-            sum_series(np.ones(4), iter([term]), "series")
+            sum_series(((t, _sup_norm(t)) for t in [term]), 1.0, sum, "series")
