@@ -53,11 +53,8 @@ from .errors import (
     PhasekinError,
 )
 from .grids import (
-    ConjugateGrid1D,
-    Field,
     Grid1D,
     boundary_ratio,
-    conjugate,
     make_grid,
 )
 from .states import (

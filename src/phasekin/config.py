@@ -28,7 +28,6 @@ from .errors import ConfigError
 from .grids import Grid1D, make_grid
 from .states import VirtualDensity, WignerDistribution, gaussian_density, gaussian_wigner
 from .dynamics import (
-    POTENTIAL_KINDS,
     Potential,
     free_potential,
     harmonic_potential,
@@ -37,6 +36,8 @@ from .dynamics import (
 )
 
 TOOL_NAME = "phasekin"
+
+POTENTIAL_KINDS = ("free", "harmonic", "quartic", "from_density")
 
 DEFAULT_SIGMA = 2**-0.5
 
@@ -216,7 +217,7 @@ class ScenarioConfig:
         if kind == "free":
             return free_potential(grid)
         if kind == "harmonic":
-            return harmonic_potential(grid, self.potential["omega"])
+            return harmonic_potential(grid, self.potential["omega"], self.mass)
         if kind == "quartic":
             return quartic_potential(grid, self.potential["a2"], self.potential["a4"])
         return potential_from_density(self.rho(grid), self.epsilon)

@@ -34,7 +34,6 @@ import numpy as np
 from .grids import (
     _sup_norm,
     checked_hermitian,
-    conjugate,
     floored_fft,
     fourier_forward,
     fourier_inverse,
@@ -48,11 +47,6 @@ from .grids import (
 from .states import JointDistribution, VirtualDensity, WignerDistribution
 
 KERNEL_SWITCH = 1e-4
-# Term cap of the joint series.  A term costs O(n^2), so the cap is set by
-# the window, not by cost: inside hbar < 2 sigma_R sigma_p the series
-# converges in at most 54 terms on the verification grids (README), and
-# (2n + 1)! stays in float range up to n = 84.
-JOINT_SERIES_CAP = 64
 
 
 def sinc_values(x: np.ndarray) -> np.ndarray:
@@ -109,7 +103,7 @@ def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float
     On Gaussian presets the series converges inside the whole window
     hbar < 2 sigma_R sigma_p, that is hbar^2 / (4 sigma_R^2 sigma_p^2) < 1:
     measured at sigma_R = hbar = 1, n3 = 32 to 256 and half_width 8 or 12,
-    ratios up to 0.99 take at most 54 terms (JOINT_SERIES_CAP is 64) and
+    ratios up to 0.99 take at most 54 terms (SERIES_CAP is 64) and
     agree with :func:`quantum_joint_spectral` within 4.4e-14.  Outside it
     :class:`NonConvergenceError` is raised where the terms grow (hbar = 2
     on the coherent preset) or overflow; on coarse grids the floored
@@ -125,7 +119,7 @@ def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float
         return (factors_R @ factors_W).reshape(rho.grid.n, n_p, n_r)
 
     scale = _sup_norm(rho.values) * _sup_norm(W.values)
-    total = sum_series(_joint_terms(rho, W, hbar), scale, assemble, "derivative series", JOINT_SERIES_CAP)
+    total = sum_series(_joint_terms(rho, W, hbar), scale, assemble, "derivative series")
     return JointDistribution(rho.grid, W.grid_p, W.grid_r, total, hbar)
 
 
@@ -140,8 +134,8 @@ def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: flo
     """
     _check_joint_inputs(rho, W)
     n_q = W.grid_p.n
-    K = conjugate(rho.grid).frequencies
-    q = conjugate(W.grid_p).step * np.arange(-(n_q // 2), n_q // 2 + 1)  # symmetric, both Nyquist bins
+    K = rho.grid.frequencies
+    q = np.pi / W.grid_p.half_width * np.arange(-(n_q // 2), n_q // 2 + 1)  # symmetric, both Nyquist bins
     rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
     G = fourier_inverse(rho_t[:, None] * sinc_values(hbar * np.outer(K, q) / 2.0), (rho.grid,), (0,))
     G_half = checked_hermitian(G, 1, "spectral joint kernel G(R, q)")[:, n_q // 2 :]

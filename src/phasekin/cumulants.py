@@ -20,7 +20,7 @@ from .errors import (
     ImaginaryResidueError,
     InsufficientSupportError,
 )
-from .grids import ConjugateGrid1D, conjugate, ensure_decaying, fourier_forward, require_same_grid
+from .grids import ensure_decaying, fourier_forward, require_same_grid
 from .states import (
     JOINT_DECAY_TOL,
     JointDistribution,
@@ -51,8 +51,8 @@ PHI_FIT_MAX_REL_SE = 1e-2
 class PhiField:
     """Masked samples of the coupling generating function on the (K, q) lattice."""
 
-    freq_K: ConjugateGrid1D
-    freq_q: ConjugateGrid1D
+    K: np.ndarray
+    q: np.ndarray
     values: np.ndarray  # real; NaN where masked out
     mask: np.ndarray
     k_index: int
@@ -101,7 +101,7 @@ def phi_field(
     # the k-th slice of the 3-axis transform: contract r with
     # exp(i k r) * step first (cos and sin as two real columns), then
     # transform the (R, p) plane
-    k = conjugate(F.grid_r).frequencies[k_index]
+    k = F.grid_r.frequencies[k_index]
     phase = np.stack([np.cos(k * F.grid_r.points), np.sin(k * F.grid_r.points)], axis=1) * F.grid_r.step
     contracted = F.values @ phase
     f_t = fourier_forward(contracted[..., 0] + 1j * contracted[..., 1], (F.grid_R, F.grid_p), (0, 1))
@@ -124,7 +124,7 @@ def phi_field(
             f"generating function has imaginary part {im_max:.3e} on the mask (allowed {PHI_IMAG_TOL})"
         )
     values[mask] = logs.real
-    return PhiField(conjugate(F.grid_R), conjugate(F.grid_p), values, mask, k_index)
+    return PhiField(F.grid_R.frequencies, F.grid_p.frequencies, values, mask, k_index)
 
 
 def phi_series_coefficients(phi: PhiField, hbar: float) -> tuple:
@@ -139,7 +139,7 @@ def phi_series_coefficients(phi: PhiField, hbar: float) -> tuple:
     if hbar == 0.0:
         # the kernel argument vanishes identically; the expansion is trivial
         return 0.0, 0.0
-    x = hbar * np.multiply.outer(phi.freq_K.frequencies, phi.freq_q.frequencies) / 2.0
+    x = hbar * np.multiply.outer(phi.K, phi.q) / 2.0
     sel = phi.mask & (np.abs(x) < PHI_FIT_MAX_ARG) & (x != 0.0)
     count = int(sel.sum())
     if count < PHI_FIT_MIN_POINTS:

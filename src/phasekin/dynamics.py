@@ -14,11 +14,15 @@ The odd-derivative series (:func:`moyal_rhs_series`, the transport
 oracle) is summed, like the joint builder's series, by
 :func:`phasekin.grids.sum_series`.
 
-The shifted difference U(r + s) - U(r - s) has one evaluator,
-:meth:`Potential.shifted_difference`.  Analytic presets use their closed
-forms; a density-backed potential uses its trigonometric interpolant,
-for which the difference is epsilon * n * ifft_k[2i sin(w_k s) U_k]:
-O(n^2 log n) time and O(n^2) memory for n shifts on n points.
+A :class:`Potential` is either a polynomial, sum_k c_k r^k, or
+epsilon * rho.  The free, harmonic and quartic presets are polynomials,
+evaluated and differentiated exactly from their coefficients; the mass
+enters only the harmonic one, when it is built.  The shifted difference
+U(r + s) - U(r - s) has one evaluator,
+:meth:`Potential.shifted_difference`.  A density-backed potential uses
+its trigonometric interpolant, for which the difference is
+epsilon * n * ifft_k[2i sin(w_k s) U_k]: O(n^2 log n) time and O(n^2)
+memory for n shifts on n points.
 
 The time stepper is Strang-split: an exact streaming shear for dt/2, an
 exact potential phase kick for dt, and streaming again for dt/2.  The
@@ -49,7 +53,6 @@ import numpy as np
 
 from .errors import DecayGuardError
 from .grids import (
-    Field,
     Grid1D,
     _sup_norm,
     checked_real,
@@ -67,55 +70,28 @@ from .states import JointDistribution, VirtualDensity, WignerDistribution, margi
 # resolution; real boundary escape shows up at 1e-2 and above.
 PROPAGATION_DECAY_TOL = 1e-5
 
-POTENTIAL_KINDS = ("free", "harmonic", "quartic", "from_density")
-
-
-def _half_frequencies(grid: Grid1D) -> np.ndarray:
-    """Non-negative angular frequencies of ``rfft`` along one axis."""
-    return np.pi / grid.half_width * np.arange(grid.n // 2 + 1)
-
 
 @dataclass(frozen=True)
 class Potential:
-    """Newtonian potential on a grid: an analytic preset or a scaled density."""
+    """Newtonian potential on a grid: the polynomial sum_k c_k r^k of
+    ``coefficients`` (lowest power first), or ``epsilon * rho``."""
 
-    kind: str
     grid: Grid1D
-    omega: float = 0.0
-    a2: float = 0.0
-    a4: float = 0.0
+    coefficients: tuple = ()
     epsilon: float = 0.0
     rho: VirtualDensity | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in POTENTIAL_KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "quartic" and not self.a4 > 0:
-            raise ValueError("quartic potential needs a4 > 0 for confinement")
-        if self.kind == "from_density":
-            if self.rho is None:
-                raise ValueError("from_density potential needs a density")
+        if self.rho is not None:
             require_same_grid(self.rho.grid, self.grid, "from_density potential")
 
-    def samples(self, mass: float = 1.0) -> np.ndarray:
+    def samples(self) -> np.ndarray:
         """U on the grid; the density form's interpolant there is epsilon * rho."""
-        if self.kind == "from_density":
+        if self.rho is not None:
             return self.epsilon * self.rho.values
-        return self.samples_at(self.grid.points, mass)
+        return _polynomial(self.coefficients, self.grid.points)
 
-    def samples_at(self, x, mass: float = 1.0) -> np.ndarray:
-        """U of an analytic preset at arbitrary points; presets extend
-        naturally beyond the box."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "free":
-            return np.zeros_like(x)
-        if self.kind == "harmonic":
-            return 0.5 * mass * self.omega**2 * x**2
-        if self.kind == "quartic":
-            return self.a2 * x**2 + self.a4 * x**4
-        raise ValueError("samples_at serves the analytic kinds; use samples() or shifted_difference()")
-
-    def shifted_difference(self, s, mass: float = 1.0) -> np.ndarray:
+    def shifted_difference(self, s) -> np.ndarray:
         """U(r + s) - U(r - s) for every shift s (rows) and grid point r (columns).
 
         The density form evaluates its interpolant's difference as one
@@ -124,57 +100,53 @@ class Potential:
         """
         s = np.asarray(s, dtype=float)
         r = self.grid.points
-        if self.kind != "from_density":
-            return self.samples_at(r[None, :] + s[:, None], mass) - self.samples_at(
-                r[None, :] - s[:, None], mass
-            )
-        w = _half_frequencies(self.grid)
+        if self.rho is None:
+            c = self.coefficients
+            return _polynomial(c, r[None, :] + s[:, None]) - _polynomial(c, r[None, :] - s[:, None])
+        w = np.pi / self.grid.half_width * np.arange(self.grid.n // 2 + 1)  # rfft's frequencies
         # the Nyquist term's difference is imaginary, so irfft drops it,
         # exactly as the real part of the full interpolant does
         hat = np.fft.rfft(self.rho.values)
         return self.epsilon * np.fft.irfft(2j * np.sin(np.multiply.outer(s, w)) * hat, self.grid.n)
 
-    def derivative_samples(self, order: int, mass: float = 1.0) -> np.ndarray:
-        """d^order U / dr^order on the grid; analytic where possible."""
-        x = self.grid.points
-        if self.kind == "free":
-            return np.zeros_like(x)
-        if self.kind == "harmonic":
-            c = mass * self.omega**2
-            return {1: c * x, 2: np.full_like(x, c)}.get(order, np.zeros_like(x))
-        if self.kind == "quartic":
-            if order == 1:
-                return 2 * self.a2 * x + 4 * self.a4 * x**3
-            if order == 2:
-                return 2 * self.a2 + 12 * self.a4 * x**2
-            if order == 3:
-                return 24 * self.a4 * x
-            if order == 4:
-                return np.full_like(x, 24 * self.a4)
-            return np.zeros_like(x)
+    def derivative_samples(self, order: int) -> np.ndarray:
+        """d^order U / dr^order on the grid; exact for a polynomial."""
+        if self.rho is None:
+            c = self.coefficients
+            for _ in range(order):
+                c = tuple(k * ck for k, ck in enumerate(c))[1:]
+            return _polynomial(c, self.grid.points)
         hat = floored_fft(self.rho.values)
-        w = native_frequencies(self.grid)
-        mult = (1j * w) ** order
+        mult = (1j * native_frequencies(self.grid)) ** order
         if order % 2 == 1:
             mult[self.grid.n // 2] = 0.0
         return self.epsilon * np.fft.ifft(hat * mult).real
 
 
+def _polynomial(coefficients: tuple, x: np.ndarray) -> np.ndarray:
+    """The sum of c_k x**k over the nonzero c_k, lowest power first."""
+    terms = [c * x**k for k, c in enumerate(coefficients) if c]
+    return sum(terms[1:], terms[0]) if terms else np.zeros_like(x)
+
+
 def free_potential(grid: Grid1D) -> Potential:
-    return Potential("free", grid)
+    return Potential(grid)
 
 
-def harmonic_potential(grid: Grid1D, omega: float) -> Potential:
-    return Potential("harmonic", grid, omega=omega)
+def harmonic_potential(grid: Grid1D, omega: float, mass: float = 1.0) -> Potential:
+    """m omega^2 r^2 / 2: the one potential that depends on the mass."""
+    return Potential(grid, (0.0, 0.0, 0.5 * mass * omega**2))
 
 
 def quartic_potential(grid: Grid1D, a2: float, a4: float) -> Potential:
-    return Potential("quartic", grid, a2=a2, a4=a4)
+    if not a4 > 0:
+        raise ValueError("quartic potential needs a4 > 0 for confinement")
+    return Potential(grid, (0.0, 0.0, a2, 0.0, a4))
 
 
 def potential_from_density(rho: VirtualDensity, epsilon: float) -> Potential:
     """Contact-coupling potential: epsilon times the density, shared grid."""
-    return Potential("from_density", rho.grid, epsilon=epsilon, rho=rho)
+    return Potential(rho.grid, epsilon=epsilon, rho=rho)
 
 
 @dataclass(frozen=True)
@@ -188,7 +160,7 @@ class EvolutionParams:
     def __post_init__(self) -> None:
         if not self.mass > 0:
             raise ValueError("mass must be positive")
-        if self.hbar < 0:
+        if not self.hbar >= 0:
             raise ValueError("hbar must be nonnegative")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
@@ -222,15 +194,14 @@ def _streaming_term(W: WignerDistribution, mass: float) -> np.ndarray:
     return -W.grid_p.points[:, None] * dWdr / mass
 
 
-def liouville_rhs(W: WignerDistribution, U: Potential, mass: float) -> Field:
+def liouville_rhs(W: WignerDistribution, U: Potential, mass: float) -> np.ndarray:
     """Classical transport right-hand side, spectrally differentiated."""
     _check_rhs_inputs(W, U)
     dWdp = derivative_array(W.values, W.grid_p, 0, 1)
-    rhs = _streaming_term(W, mass) + U.derivative_samples(1, mass)[None, :] * dWdp
-    return Field((W.grid_p, W.grid_r), rhs)
+    return _streaming_term(W, mass) + U.derivative_samples(1)[None, :] * dWdp
 
 
-def _moyal_terms(W: WignerDistribution, U: Potential, hbar: float, mass: float):
+def _moyal_terms(W: WignerDistribution, U: Potential, hbar: float):
     """The n-th odd-derivative transport term, for n = 1, 2, ..."""
     if hbar == 0.0:
         return  # classical transport is exact
@@ -242,10 +213,10 @@ def _moyal_terms(W: WignerDistribution, U: Potential, hbar: float, mass: float):
     for n in count(1):
         w_hat *= mult
         dW = np.fft.ifft(w_hat, axis=0).real
-        yield series_coefficient(hbar, n) * U.derivative_samples(2 * n + 1, mass)[None, :] * dW
+        yield series_coefficient(hbar, n) * U.derivative_samples(2 * n + 1)[None, :] * dW
 
 
-def moyal_rhs_series(W, U: Potential, hbar: float, mass: float) -> Field:
+def moyal_rhs_series(W, U: Potential, hbar: float, mass: float) -> np.ndarray:
     """Quantum transport as the truncated odd-derivative series.
 
     For polynomial potentials the series terminates exactly; for a
@@ -254,25 +225,24 @@ def moyal_rhs_series(W, U: Potential, hbar: float, mass: float) -> Field:
     (:func:`phasekin.grids.sum_series`).
     """
     _check_rhs_inputs(W, U)
-    base = liouville_rhs(W, U, mass).values
-    terms = ((term, _sup_norm(term)) for term in _moyal_terms(W, U, hbar, mass))
-    total = sum_series(terms, _sup_norm(base), lambda accepted: sum(accepted, base), "odd-derivative series")
-    return Field((W.grid_p, W.grid_r), total)
+    base = liouville_rhs(W, U, mass)
+    terms = ((term, _sup_norm(term)) for term in _moyal_terms(W, U, hbar))
+    return sum_series(terms, _sup_norm(base), lambda accepted: sum(accepted, base), "odd-derivative series")
 
 
-def moyal_rhs_spectral(W: WignerDistribution, U: Potential, hbar: float, mass: float) -> Field:
+def moyal_rhs_spectral(W: WignerDistribution, U: Potential, hbar: float, mass: float) -> np.ndarray:
     """Quantum transport via the resummed shifted-potential multiplier."""
     _check_rhs_inputs(W, U)
     if not hbar > 0:
         raise ValueError("moyal_rhs_spectral needs hbar > 0; use liouville_rhs at hbar = 0")
     lam = native_frequencies(W.grid_p)
-    du = U.shifted_difference(hbar * lam / 2.0, mass)
+    du = U.shifted_difference(hbar * lam / 2.0)
     w_hat = np.fft.fft(W.values, axis=0)
     kicked = checked_real(np.fft.ifft((1j / hbar) * du * w_hat, axis=0), "spectral transport term")
-    return Field((W.grid_p, W.grid_r), _streaming_term(W, mass) + kicked)
+    return _streaming_term(W, mass) + kicked
 
 
-def collision_rhs(F: JointDistribution, epsilon: float, mass: float) -> Field:
+def collision_rhs(F: JointDistribution, epsilon: float, mass: float) -> np.ndarray:
     """Transport right-hand side from the joint via the collision integral.
 
     The interaction term is the momentum derivative of
@@ -282,15 +252,15 @@ def collision_rhs(F: JointDistribution, epsilon: float, mass: float) -> Field:
     G = epsilon * np.einsum("iki->ki", dF)
     W = marginal_over_R(F)
     dGdp = derivative_array(G, F.grid_p, 0, 1)
-    return Field((F.grid_p, F.grid_r), _streaming_term(W, mass) + dGdp)
+    return _streaming_term(W, mass) + dGdp
 
 
 def _kick_phase(U: Potential, grid_p: Grid1D, params: EvolutionParams) -> np.ndarray:
     lam = native_frequencies(grid_p)
     if params.hbar > 0.0:
-        gen = U.shifted_difference(params.hbar * lam / 2.0, params.mass) / params.hbar
+        gen = U.shifted_difference(params.hbar * lam / 2.0) / params.hbar
     else:
-        gen = np.multiply.outer(lam, U.derivative_samples(1, params.mass))
+        gen = np.multiply.outer(lam, U.derivative_samples(1))
     return np.exp(1j * params.dt * gen)
 
 
@@ -322,7 +292,7 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams) -> 
     half_stream = _shear(grid_p, grid_r, params.dt / 2.0, params.mass)
     full_stream = _shear(grid_p, grid_r, params.dt, params.mass)
     kick = _kick_phase(U, grid_p, params)
-    u = U.samples(params.mass)
+    u = U.samples()
 
     traj = Trajectory()
     traj.snapshots.append((0.0, W0))

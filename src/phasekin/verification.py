@@ -3,13 +3,13 @@
 Every check pins its tolerance here.  The joint builder's derivative
 series converges across ``hbar < 2 sigma_R sigma_p``, that is
 ``hbar^2 / (4 sigma_R^2 sigma_p^2) < 1`` (at most 54 terms up to 0.99 on
-the verification grids), but the odd-derivative Moyal series, the
-transport oracle, keeps the 20-term cap of
-:func:`phasekin.grids.sum_series`, and a Gaussian needs
-``half_width >= 8 sigma`` to satisfy the decay guard, so the equivalence
-checks carry per-hbar preset widths with the ratio near 1/3 (and a wider
-box for hbar = 2); the identities under test are covariant under that
-joint rescaling of hbar and the widths, so nothing is lost.
+the verification grids).  The equivalence checks carry per-hbar preset
+widths with that ratio near 1/3, where the odd-derivative Moyal series,
+the transport oracle, converges well inside the 64-term cap of
+:func:`phasekin.grids.sum_series`, and a wider box for hbar = 2, because
+a Gaussian needs ``half_width >= 8 sigma`` to satisfy the decay guard;
+the identities under test are covariant under that joint rescaling of
+hbar and the widths, so nothing is lost.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from .states import gaussian_density, gaussian_wigner, marginal_over_R, marginal
 
 # (sigma_R, sigma_p, sigma_r, half_width) per hbar; widths scale with hbar so
 # every derivative series keeps convergence ratio hbar^2/(4 sigma_R^2 sigma_p^2)
-# near 1/3 inside the box (the odd series needs the margin).
+# near 1/3 inside the box.  At n3 = 64 the odd series then converges in 15,
+# 24 and 22 terms, the joint series in 13, 21 and 20.
 EQUIV_PRESETS = {
     0.5: (1.0, 0.6, 0.6, 8.0),
     1.0: (1.0, 0.85, 0.85, 8.0),
@@ -107,16 +108,26 @@ def _rel_linf(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def check_central_equivalence(config: ScenarioConfig) -> list:
-    """Collision-integral transport on both joints equals the series transport."""
+    """Collision-integral transport on both joints equals the series transport.
+
+    The ``[series]`` and ``[spectral]`` rows differ by more than the two
+    joints do.  At n3 = 64 and hbar = 0.5, 1 and 2 the joints differ by
+    1.6e-14, 1.0e-14 and 5.2e-15, but their ``collision_rhs`` by 6.2e-13,
+    4.9e-13 and 9.4e-14: the R and p derivatives amplify each bin of the
+    gap by up to K_max = pi n3 / (2 L) each, and K_max^2 is about 158 at
+    L = 8.  Weighted by K q, 97-99% of the gap lies at |K| or |q| above
+    K_max / 2, yet only 6-9% in bins that ``floored_fft`` zeroes: it is
+    the builders' rounding, not the series' floor.
+    """
     checks = []
     for hbar in EQUIV_HBARS:
         try:
             grid, rho, W = _equiv_inputs(hbar, config.n3)
             U = potential_from_density(rho, config.epsilon)
-            reference = moyal_rhs_series(W, U, hbar, config.mass).values
+            reference = moyal_rhs_series(W, U, hbar, config.mass)
             for label, build in (("series", quantum_joint_series), ("spectral", quantum_joint_spectral)):
                 F = build(rho, W, hbar)
-                measured = _rel_linf(collision_rhs(F, config.epsilon, config.mass).values, reference)
+                measured = _rel_linf(collision_rhs(F, config.epsilon, config.mass), reference)
                 checks.append(_tol_check(f"central_equivalence[hbar={hbar}][{label}]", measured, 1e-6))
         except PhasekinError as exc:
             checks.append(_error_check(f"central_equivalence[hbar={hbar}]", exc))
@@ -171,12 +182,12 @@ def check_classical_reduction(config: ScenarioConfig) -> list:
     try:
         grid2 = config.grid2()
         W2 = config.wigner(grid2)
-        U = harmonic_potential(grid2, 1.0)
-        reference = liouville_rhs(W2, U, config.mass).values
+        U = harmonic_potential(grid2, 1.0, config.mass)
+        reference = liouville_rhs(W2, U, config.mass)
         worst = 0.0
         for hbar in EQUIV_HBARS:
-            worst = max(worst, float(np.abs(moyal_rhs_series(W2, U, hbar, config.mass).values - reference).max()))
-            worst = max(worst, float(np.abs(moyal_rhs_spectral(W2, U, hbar, config.mass).values - reference).max()))
+            worst = max(worst, float(np.abs(moyal_rhs_series(W2, U, hbar, config.mass) - reference).max()))
+            worst = max(worst, float(np.abs(moyal_rhs_spectral(W2, U, hbar, config.mass) - reference).max()))
         checks.append(_tol_check("classical_reduction[harmonic]", worst, 1e-9))
     except PhasekinError as exc:
         checks.append(_error_check("classical_reduction[harmonic]", exc))
@@ -324,7 +335,7 @@ def check_dynamics_oracles(config: ScenarioConfig) -> list:
     try:
         r0, omega = 1.0, 1.0
         W0 = gaussian_wigner(grid, grid, 0.0, r0, config.sigma_p, config.sigma_r)
-        U = harmonic_potential(grid, omega)
+        U = harmonic_potential(grid, omega, mass)
         params = EvolutionParams(
             mass=mass,
             hbar=config.hbar,

@@ -7,13 +7,13 @@ what it evaluates, kept here so that tests compare against it.
 from itertools import count
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from phasekin.cumulants import PHI_RATIO_FLOOR
-from phasekin.coupling import JOINT_SERIES_CAP, sinc_values
+from phasekin.coupling import sinc_values
 from phasekin.grids import (
     _sup_norm,
     checked_real,
-    conjugate,
     floored_fft,
     fourier_forward,
     fourier_inverse,
@@ -28,12 +28,12 @@ def joint_transform(F):
     return fourier_forward(F.values, (F.grid_R, F.grid_p, F.grid_r), (0, 1, 2))
 
 
-def potential_at(U, x, mass=1.0):
+def potential_at(U, x):
     """U at arbitrary points ``x``.  A density-backed potential uses its
     trigonometric interpolant (2L-periodic), faithful because the density
-    vanishes at the boundary; analytic presets use their closed forms."""
-    if U.kind != "from_density":
-        return U.samples_at(x, mass)
+    vanishes at the boundary; a polynomial one is evaluated by numpy."""
+    if U.rho is None:
+        return polyval(x, U.coefficients or (0.0,))
     g = U.grid
     hat = np.fft.fft(U.rho.values) / g.n
     # sum_k hat_k exp(i w_k (x - x_0)) at every x
@@ -67,8 +67,8 @@ def full_complex_joint(rho, W, hbar):
     grids = (rho.grid, W.grid_p, W.grid_r)
     rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
     w_t = fourier_forward(W.values, (W.grid_p, W.grid_r), (0, 1))
-    K = conjugate(rho.grid).frequencies
-    q = conjugate(W.grid_p).frequencies
+    K = rho.grid.frequencies
+    q = W.grid_p.frequencies
     kernel = sinc_values(hbar * np.outer(K, q) / 2.0)
     f_t = rho_t[:, None, None] * kernel[:, :, None] * w_t[None, :, :]
     return checked_real(fourier_inverse(f_t, grids, (0, 1, 2)), "spectral joint")
@@ -78,7 +78,7 @@ def dense_joint_series(rho, W, hbar):
     """The derivative-series joint as it was summed before the builder
     factored it into one matrix product: every term a dense n^3 outer
     product, its sup norm taken over the array, added into the dense base
-    in turn.  Truncated by the builder's own rule and cap."""
+    in turn.  Truncated by the builder's own rule."""
     base = np.multiply.outer(rho.values, W.values)
 
     def terms():
@@ -96,7 +96,7 @@ def dense_joint_series(rho, W, hbar):
             term = series_coefficient(hbar, n) * np.multiply.outer(d_rho, d_w)
             yield term, _sup_norm(term)
 
-    return sum_series(terms(), _sup_norm(base), lambda accepted: sum(accepted, base), "dense series", JOINT_SERIES_CAP)
+    return sum_series(terms(), _sup_norm(base), lambda accepted: sum(accepted, base), "dense series")
 
 
 def phi_from_full_transform(F, rho, W, k_index, threshold=1e-6):
@@ -127,11 +127,11 @@ def complex_strang_reference(W0, U, params):
     lam = native_frequencies(grid_p)
     r = grid_r.points
     if params.hbar == 0.0:
-        gen = np.multiply.outer(lam, U.derivative_samples(1, params.mass))
+        gen = np.multiply.outer(lam, U.derivative_samples(1))
     else:
         shift = params.hbar * lam / 2.0
-        plus = potential_at(U, r[None, :] + shift[:, None], params.mass)
-        gen = (plus - potential_at(U, r[None, :] - shift[:, None], params.mass)) / params.hbar
+        plus = potential_at(U, r[None, :] + shift[:, None])
+        gen = (plus - potential_at(U, r[None, :] - shift[:, None])) / params.hbar
     kick = np.exp(1j * params.dt * gen)
     k = native_frequencies(grid_r)
     half_stream = np.exp(-1j * np.multiply.outer(grid_p.points, k) * params.dt / (2.0 * params.mass))

@@ -23,7 +23,7 @@ from phasekin import (
 from phasekin import coupling, grids
 from phasekin.coupling import sinc_values
 from phasekin.cumulants import PHI_RATIO_FLOOR, phi_field
-from phasekin.grids import conjugate, fourier_forward
+from phasekin.grids import fourier_forward
 
 from reference import dense_joint_series, full_complex_joint, joint_transform
 
@@ -80,7 +80,7 @@ class TestCouplingKernel:
         assert abs(sinc(math.pi)) < 1e-15
         hbar = 1.0
         phi = phi_field(quantum_joint_spectral(rho_default, wigner_default, hbar), rho_default, wigner_default)
-        x = hbar * np.multiply.outer(phi.freq_K.frequencies, phi.freq_q.frequencies) / 2.0
+        x = hbar * np.multiply.outer(phi.K, phi.q) / 2.0
         near_zero = np.abs(sinc_values(x)) < PHI_RATIO_FLOOR
         assert near_zero.any() and not phi.mask[near_zero].any()
         assert np.isnan(phi.values[near_zero]).all()
@@ -174,7 +174,7 @@ class TestQuantumJointSpectral:
         w_t = fourier_forward(wigner_default.values, (grid64, grid64), (0, 1))
         denom = rho_t[:, None, None] * w_t[None, :, :]
         mask = np.abs(denom) > 1e-6 * np.abs(denom).max()
-        K = conjugate(grid64).frequencies
+        K = grid64.frequencies
         x = hbar * np.multiply.outer(K, K) / 2.0
         expected = np.where(np.abs(x) < 1e-4, 1 - x**2 / 6, np.sin(np.where(x == 0, 1, x)) / np.where(x == 0, 1, x))
         ratio = np.where(mask, f_t / np.where(mask, denom, 1.0), 0.0)

@@ -26,7 +26,7 @@ from phasekin import (
     quantum_joint_spectral,
 )
 from phasekin.cumulants import PHI_FIT_MAX_ARG
-from phasekin.grids import conjugate, fourier_forward
+from phasekin.grids import fourier_forward
 from phasekin.verification import kappa22_closed_form_oracle
 
 from conftest import gauss
@@ -48,7 +48,7 @@ class TestCharacteristicFunction:
 
     def test_gaussian_axis_profile(self, rho_default, wigner_default, grid64):
         F = classical_joint(rho_default, wigner_default)
-        K = conjugate(grid64).frequencies
+        K = grid64.frequencies
         mid = grid64.n // 2
         profile = np.abs(joint_transform(F)[:, mid, mid])
         assert np.abs(profile - np.exp(-(K**2) / 2.0)).max() < 1e-8
@@ -71,8 +71,8 @@ class TestPhiField:
         hbar = 1.0
         F = quantum_joint_spectral(rho_default, wigner_default, hbar)
         phi = phi_field(F, rho_default, wigner_default)
-        K = phi.freq_K.frequencies
-        q = phi.freq_q.frequencies
+        K = phi.K
+        q = phi.q
         x = hbar * np.multiply.outer(K, q) / 2.0
         lobe = np.abs(x) < np.pi  # where sinc is positive
         sel = phi.mask & lobe
@@ -302,7 +302,7 @@ class TestFitResolution:
     def test_coefficients_are_the_least_squares_fit(self, rho_default, wigner_default):
         hbar = 1.0
         phi = phi_field(quantum_joint_spectral(rho_default, wigner_default, hbar), rho_default, wigner_default)
-        x = hbar * np.multiply.outer(phi.freq_K.frequencies, phi.freq_q.frequencies) / 2.0
+        x = hbar * np.multiply.outer(phi.K, phi.q) / 2.0
         sel = phi.mask & (np.abs(x) < PHI_FIT_MAX_ARG) & (x != 0.0)
         z = 2.0 * x[sel]
         coeffs = np.linalg.lstsq(np.stack([z**2, z**4, z**6], axis=1), phi.values[sel], rcond=None)[0]

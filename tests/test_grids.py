@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from phasekin import DecayGuardError, ImaginaryResidueError, NonConvergenceError, conjugate, make_grid
+from phasekin import DecayGuardError, ImaginaryResidueError, NonConvergenceError, make_grid
 from phasekin.grids import (
     _sup_norm,
     boundary_ratio,
@@ -48,10 +48,11 @@ class TestMakeGrid:
             make_grid(64, half_width)
 
     def test_conjugate_spacing(self):
-        c = conjugate(make_grid(64, 8.0))
-        assert c.step == np.pi / 8.0
-        assert_allclose(c.frequencies, c.step * np.arange(-32, 32), rtol=0, atol=0)
-        assert c.frequencies[c.n // 2] == 0.0
+        g = make_grid(64, 8.0)
+        step = np.pi / g.half_width
+        assert step == np.pi / 8.0
+        assert_allclose(g.frequencies, step * np.arange(-32, 32), rtol=0, atol=0)
+        assert g.frequencies[g.n // 2] == 0.0
 
 
 class TestForwardTransform:
@@ -81,7 +82,7 @@ class TestForwardTransform:
         g = make_grid(128, 8.0)
         v = gauss(g.points, 0.0, 1.0)
         out = fourier_forward(v, (g,), (0,))
-        w = conjugate(g).frequencies
+        w = g.frequencies
         assert_allclose(out, np.exp(-(w**2) / 2.0), atol=1e-8)
 
     def test_shifted_gaussian_phase(self):
@@ -89,7 +90,7 @@ class TestForwardTransform:
         mu = 1.5
         v = gauss(g.points, mu, 1.0)
         out = fourier_forward(v, (g,), (0,))
-        w = conjugate(g).frequencies
+        w = g.frequencies
         expected = np.exp(1j * w * mu - w**2 / 2.0)  # +i convention fixes the phase sign
         assert_allclose(out, expected, atol=1e-8)
 
@@ -117,7 +118,7 @@ class TestRoundTripAndParseval:
         grids, v = _random_decaying_3d(seed=11)
         out = fourier_forward(v, grids, axes)
         lhs = (np.abs(v) ** 2).sum() * float(np.prod([g.step for g in grids]))
-        vol_out = float(np.prod([conjugate(g).step if ax in axes else g.step for ax, g in enumerate(grids)]))
+        vol_out = float(np.prod([np.pi / g.half_width if ax in axes else g.step for ax, g in enumerate(grids)]))
         rhs = (np.abs(out) ** 2).sum() * vol_out / (2 * np.pi) ** len(axes)
         assert abs(lhs - rhs) / lhs < 1e-10
 
