@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .grids import Grid1D, make_grid
-from .states import VirtualDensity, WignerDistribution, gaussian_density, gaussian_wigner
+from .states import VirtualDensity, WignerDistribution, gaussian_density, gaussian_wigner, preset_fits
 from .dynamics import (
     Potential,
     free_potential,
@@ -202,15 +202,16 @@ class ScenarioConfig:
     def grid2(self) -> Grid1D:
         return make_grid(self.n2, self.half_width)
 
-    def grid3(self) -> Grid1D:
-        return make_grid(self.n3, self.half_width)
+    def rho(self, grid: Grid1D) -> VirtualDensity:
+        return gaussian_density(grid, self.rho_mean, self.rho_sigma)
 
-    def rho(self, grid: Grid1D | None = None) -> VirtualDensity:
-        return gaussian_density(grid or self.grid3(), self.rho_mean, self.rho_sigma)
+    def wigner(self, grid: Grid1D) -> WignerDistribution:
+        return gaussian_wigner(grid, grid, self.p0, self.r0, self.sigma_p, self.sigma_r)
 
-    def wigner(self, grid: Grid1D | None = None) -> WignerDistribution:
-        g = grid or self.grid2()
-        return gaussian_wigner(g, g, self.p0, self.r0, self.sigma_p, self.sigma_r)
+    def joint_inputs(self) -> tuple:
+        """(rho, W) on the 3-axis grid: the inputs of the joint builders."""
+        grid = make_grid(self.n3, self.half_width)
+        return self.rho(grid), self.wigner(grid)
 
     def build_potential(self, grid: Grid1D) -> Potential:
         kind = self.potential["kind"]
@@ -237,12 +238,12 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"config root: expected an object, got {type(doc).__name__}")
     sections = _sections(doc)
-    fields = {"potential": {}}
+    fields, resolved = {"potential": {}}, {}
     for path, attr, kind, default, bound, _ in SCHEMA:
         name, _, key = path.rpartition(".")
         section = sections[name]
         if name != "potential":
-            fields[attr] = _check(path, section.get(key, default), kind, bound)
+            fields[attr] = resolved[path] = _check(path, section.get(key, default), kind, bound)
         elif key == "kind" or key in POTENTIAL_PARAMS.get(section["kind"], ()):
             if key not in section:
                 raise ConfigError(f"{path}: missing")
@@ -254,6 +255,13 @@ def parse_config(doc: dict) -> ScenarioConfig:
         raise ConfigError(f"grid.n3: must not exceed grid.n2 ({fields['n3']} > {fields['n2']})")
     _check_memory(fields["n2"], fields["n3"])
     check_run_time(fields["steps"], fields["n2"])
+    for section, center, sigma in (
+        ("rho_preset", "mean", "sigma"), ("wigner_preset", "p0", "sigma_p"), ("wigner_preset", "r0", "sigma_r")
+    ):
+        values = resolved[f"{section}.{center}"], resolved[f"{section}.{sigma}"]
+        if not preset_fits(fields["half_width"], *values):
+            rule = f"|{center}| + 8 {sigma} must not exceed grid.half_width = {fields['half_width']!r}"
+            raise ConfigError(f"{section}: {rule}, got {center} = {values[0]!r}, {sigma} = {values[1]!r}")
     return ScenarioConfig(**fields)
 
 

@@ -34,12 +34,12 @@ import numpy as np
 from .grids import (
     _sup_norm,
     checked_hermitian,
+    derivative_multiplier,
     floored_fft,
     fourier_forward,
     fourier_inverse,
     half_spectrum_forward,
     half_spectrum_inverse,
-    native_frequencies,
     require_same_grid,
     series_coefficient,
     sum_series,
@@ -67,7 +67,7 @@ def _check_joint_inputs(rho: VirtualDensity, W: WignerDistribution) -> None:
 def classical_joint(rho: VirtualDensity, W: WignerDistribution) -> JointDistribution:
     """Factorized joint: the outer product rho(R) W(p, r)."""
     _check_joint_inputs(rho, W)
-    return JointDistribution(rho.grid, W.grid_p, W.grid_r, np.multiply.outer(rho.values, W.values), 0.0)
+    return JointDistribution(rho.grid, W.grid_p, W.grid_r, np.multiply.outer(rho.values, W.values))
 
 
 def _joint_terms(rho: VirtualDensity, W: WignerDistribution, hbar: float):
@@ -80,8 +80,8 @@ def _joint_terms(rho: VirtualDensity, W: WignerDistribution, hbar: float):
         return  # the classical product is exact
     rho_hat = floored_fft(rho.values)
     w_hat = floored_fft(W.values, axis=0)
-    mult_R = (1j * native_frequencies(rho.grid)) ** 2
-    mult_p = ((1j * native_frequencies(W.grid_p)) ** 2)[:, None]
+    mult_R = derivative_multiplier(rho.grid, 2)
+    mult_p = derivative_multiplier(W.grid_p, 2)[:, None]
     for n in count(1):
         rho_hat *= mult_R
         w_hat *= mult_p
@@ -120,7 +120,7 @@ def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float
 
     scale = _sup_norm(rho.values) * _sup_norm(W.values)
     total = sum_series(_joint_terms(rho, W, hbar), scale, assemble, "derivative series")
-    return JointDistribution(rho.grid, W.grid_p, W.grid_r, total, hbar)
+    return JointDistribution(rho.grid, W.grid_p, W.grid_r, total)
 
 
 def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> JointDistribution:
@@ -141,4 +141,4 @@ def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: flo
     G_half = checked_hermitian(G, 1, "spectral joint kernel G(R, q)")[:, n_q // 2 :]
     w_half = half_spectrum_forward(W.values, W.grid_p, axis=0)
     f = half_spectrum_inverse(G_half[:, :, None] * w_half[None, :, :], W.grid_p, axis=1)
-    return JointDistribution(rho.grid, W.grid_p, W.grid_r, f, hbar)
+    return JointDistribution(rho.grid, W.grid_p, W.grid_r, f)

@@ -45,6 +45,7 @@ PHI_FIT_MIN_POINTS = 50
 # 0.2% at 3e-3, 0.65% at 2e-3 and 2.6% at 1.5e-3; below that the z^4
 # column sinks under the log ratio's rounding noise.
 PHI_FIT_MAX_REL_SE = 1e-2
+CLASSICAL_SCAN_FRACTIONS = (1 / 16, 1 / 8, 1 / 4, 1 / 2)
 
 
 @dataclass(frozen=True)
@@ -198,6 +199,12 @@ def heisenberg_check(F: JointDistribution, hbar: float) -> CumulantReport:
         heisenberg_rhs=hbar**2 / 2.0,
         cauchy_schwarz_ok=bool(kap >= -lhs - 1e-12),
     )
+
+
+def cumulant_pipeline(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
+    """(F, its heisenberg_check, its fitted (c2, c4)); F is the spectral joint, or the product at hbar = 0."""
+    F = classical_joint(rho, W) if hbar == 0.0 else quantum_joint_spectral(rho, W, hbar)
+    return F, heisenberg_check(F, hbar), phi_series_coefficients(phi_field(F, rho, W), hbar)
 
 
 def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> float:

@@ -57,6 +57,7 @@ from .grids import (
     _sup_norm,
     checked_real,
     derivative_array,
+    derivative_multiplier,
     floored_fft,
     native_frequencies,
     require_same_grid,
@@ -117,10 +118,7 @@ class Potential:
                 c = tuple(k * ck for k, ck in enumerate(c))[1:]
             return _polynomial(c, self.grid.points)
         hat = floored_fft(self.rho.values)
-        mult = (1j * native_frequencies(self.grid)) ** order
-        if order % 2 == 1:
-            mult[self.grid.n // 2] = 0.0
-        return self.epsilon * np.fft.ifft(hat * mult).real
+        return self.epsilon * np.fft.ifft(hat * derivative_multiplier(self.grid, order)).real
 
 
 def _polynomial(coefficients: tuple, x: np.ndarray) -> np.ndarray:
@@ -205,11 +203,8 @@ def _moyal_terms(W: WignerDistribution, U: Potential, hbar: float):
     """The n-th odd-derivative transport term, for n = 1, 2, ..."""
     if hbar == 0.0:
         return  # classical transport is exact
-    lam = native_frequencies(W.grid_p)
-    odd = 1j * lam
-    odd[W.grid_p.n // 2] = 0.0
-    w_hat = floored_fft(W.values, axis=0) * odd[:, None]  # first odd derivative accumulator
-    mult = ((1j * lam) ** 2)[:, None]
+    w_hat = floored_fft(W.values, axis=0) * derivative_multiplier(W.grid_p, 1)[:, None]  # first odd derivative
+    mult = derivative_multiplier(W.grid_p, 2)[:, None]
     for n in count(1):
         w_hat *= mult
         dW = np.fft.ifft(w_hat, axis=0).real

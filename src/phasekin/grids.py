@@ -212,13 +212,17 @@ def native_frequencies(grid: Grid1D) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.step)
 
 
-def derivative_array(values: np.ndarray, grid: Grid1D, axis: int, order: int) -> np.ndarray:
-    """Spectral derivative of given order along one axis of a plain array."""
-    w = native_frequencies(grid)
-    mult = (1j * w) ** order
+def derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
+    """``(i w)^order`` at the native frequencies, the spectral d^order/dx^order."""
+    mult = (1j * native_frequencies(grid)) ** order
     if order % 2 == 1:
         mult[grid.n // 2] = 0.0  # unmatched Nyquist mode has no real odd derivative
-    spec = np.fft.fft(values, axis=axis) * _reshape_for(mult, values.ndim, axis)
+    return mult
+
+
+def derivative_array(values: np.ndarray, grid: Grid1D, axis: int, order: int) -> np.ndarray:
+    """Spectral derivative of given order along one axis of a plain array."""
+    spec = np.fft.fft(values, axis=axis) * _reshape_for(derivative_multiplier(grid, order), values.ndim, axis)
     out = np.fft.ifft(spec, axis=axis)
     return out.real if np.isrealobj(values) else out
 

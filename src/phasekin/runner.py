@@ -23,13 +23,8 @@ import numpy as np
 
 from . import __version__
 from .config import TOOL_NAME, ScenarioConfig
-from .coupling import classical_joint, quantum_joint_series, quantum_joint_spectral
-from .cumulants import (
-    classical_limit_scan,
-    heisenberg_check,
-    phi_field,
-    phi_series_coefficients,
-)
+from .coupling import quantum_joint_series, quantum_joint_spectral
+from .cumulants import CLASSICAL_SCAN_FRACTIONS, classical_limit_scan, cumulant_pipeline
 from .dynamics import EvolutionParams, propagate
 from .errors import ConfigError, NonFiniteError, PhasekinError
 from .serialization import (
@@ -38,10 +33,9 @@ from .serialization import (
     write_manifest,
     write_resolved_config,
 )
-from .states import marginal_over_R, marginal_over_pr
+from .states import marginal_residuals
 from .verification import run_verification
 
-CLASSICAL_SCAN_FRACTIONS = (1 / 16, 1 / 8, 1 / 4, 1 / 2)
 # Every file name a command writes, the manifest's temporary file included;
 # a test keeps it in step with the writers.
 OUTPUT_FILE = re.compile(
@@ -68,23 +62,17 @@ def _prepare_output_dir(config: ScenarioConfig, override: str | None) -> str:
 
 
 def run_joint(config: ScenarioConfig, directory: str) -> tuple:
-    grid = config.grid3()
-    rho = config.rho(grid)
-    W = config.wigner(grid)
+    rho, W = config.joint_inputs()
     f_series = quantum_joint_series(rho, W, config.hbar)
     f_spectral = quantum_joint_spectral(rho, W, config.hbar)
     axis_names = ("R", "p", "r")
-    grids = (grid, grid, grid)
+    grids = (rho.grid,) * 3
     outputs = write_array(directory, "f_series", f_series.values, axis_names, grids)
     outputs += write_array(directory, "f_spectral", f_spectral.values, axis_names, grids)
     rows = []
     for label, F in (("series", f_series), ("spectral", f_spectral)):
-        rows.append(
-            (label, "over_R", float(np.abs(marginal_over_R(F).values - W.values).max()))
-        )
-        rows.append(
-            (label, "over_pr", float(np.abs(marginal_over_pr(F).values - rho.values).max()))
-        )
+        over_R, over_pr = marginal_residuals(F, rho, W)
+        rows += [(label, "over_R", over_R), (label, "over_pr", over_pr)]
     outputs.append(
         write_csv(
             os.path.join(directory, "marginal_residuals.csv"),
@@ -123,23 +111,12 @@ def run_simulate(config: ScenarioConfig, directory: str) -> tuple:
 
 
 def run_cumulants(config: ScenarioConfig, directory: str) -> tuple:
-    grid = config.grid3()
-    rho = config.rho(grid)
-    W = config.wigner(grid)
-    if config.hbar == 0.0:
-        F = classical_joint(rho, W)
-    else:
-        F = quantum_joint_spectral(rho, W, config.hbar)
-    report = heisenberg_check(F, config.hbar)
+    rho, W = config.joint_inputs()
     # the scan first: it refuses scan values that underflow to 0, which
     # would otherwise surface as an unresolved fit
-    if config.hbar > 0.0:
-        slope = classical_limit_scan(
-            rho, W, [config.hbar * f for f in CLASSICAL_SCAN_FRACTIONS]
-        )
-    else:
-        slope = float("nan")
-    c2, c4 = phi_series_coefficients(phi_field(F, rho, W), config.hbar)
+    scan = [config.hbar * f for f in CLASSICAL_SCAN_FRACTIONS]
+    slope = classical_limit_scan(rho, W, scan) if config.hbar > 0.0 else float("nan")
+    _, report, (c2, c4) = cumulant_pipeline(rho, W, config.hbar)
     rows = [
         ("hbar", config.hbar),
         ("kappa22", report.kappa22),

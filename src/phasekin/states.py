@@ -95,7 +95,6 @@ class JointDistribution:
     grid_p: Grid1D
     grid_r: Grid1D
     values: np.ndarray
-    hbar_used: float = 0.0
 
     def __post_init__(self) -> None:
         require_same_grid(self.grid_R, self.grid_r, "joint distribution R/r axes")
@@ -106,10 +105,15 @@ class JointDistribution:
         _unit_integral(v, (self.grid_R, self.grid_p, self.grid_r), JOINT_NORMALIZATION_TOL, "F")
 
 
+def preset_fits(half_width: float, center: float, sigma: float) -> bool:
+    """Whether a Gaussian preset decays inside the box: |center| + 8 sigma <= half_width."""
+    return not half_width < abs(center) + 8.0 * sigma
+
+
 def _check_preset_fits(grid: Grid1D, center: float, sigma: float, name: str) -> None:
     if not sigma > 0:
         raise ValueError(f"{name}: sigma must be positive, got {sigma}")
-    if grid.half_width < abs(center) + 8.0 * sigma:
+    if not preset_fits(grid.half_width, center, sigma):
         raise DecayGuardError(
             f"{name}: grid half_width {grid.half_width} cannot hold a Gaussian at "
             f"mean {center} with sigma {sigma} (needs |mean| + 8 sigma)"
@@ -155,6 +159,12 @@ def marginal_over_pr(F: JointDistribution) -> VirtualDensity:
     """Integrate out the real-particle phase space; recovers the density."""
     rho = F.values.sum(axis=(1, 2)) * F.grid_p.step * F.grid_r.step
     return VirtualDensity(F.grid_R, rho)
+
+
+def marginal_residuals(F: JointDistribution, rho: VirtualDensity, W: WignerDistribution) -> tuple:
+    """Sup-norm gaps of F's two marginals from the W and rho it was built from."""
+    over_R = float(np.abs(marginal_over_R(F).values - W.values).max())
+    return over_R, float(np.abs(marginal_over_pr(F).values - rho.values).max())
 
 
 def _moment_grids(obj):

@@ -23,11 +23,11 @@ import numpy as np
 from .config import ScenarioConfig, check_run_time
 from .coupling import classical_joint, quantum_joint_series, quantum_joint_spectral
 from .cumulants import (
+    CLASSICAL_SCAN_FRACTIONS,
     classical_limit_scan,
+    cumulant_pipeline,
     heisenberg_check,
     kappa22,
-    phi_field,
-    phi_series_coefficients,
 )
 from .dynamics import (
     EvolutionParams,
@@ -45,7 +45,7 @@ from .dynamics import (
 from .errors import PhasekinError
 from .grids import make_grid
 from .serialization import fmt, write_csv
-from .states import gaussian_density, gaussian_wigner, marginal_over_R, marginal_over_pr
+from .states import gaussian_density, gaussian_wigner, marginal_residuals
 
 # (sigma_R, sigma_p, sigma_r, half_width) per hbar; widths scale with hbar so
 # every derivative series keeps convergence ratio hbar^2/(4 sigma_R^2 sigma_p^2)
@@ -103,6 +103,10 @@ def _equiv_inputs(hbar: float, n3: int):
     return grid, rho, W
 
 
+def _cumulant_hbar(config: ScenarioConfig) -> float:
+    return config.hbar if config.hbar > 0 else 1.0
+
+
 def _rel_linf(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max() / np.abs(b).max())
 
@@ -156,9 +160,7 @@ def check_marginal_recovery(config: ScenarioConfig) -> list:
             grid, rho, W = _equiv_inputs(hbar, config.n3)
             worst = 0.0
             for build in (quantum_joint_series, quantum_joint_spectral):
-                F = build(rho, W, hbar)
-                worst = max(worst, float(np.abs(marginal_over_R(F).values - W.values).max()))
-                worst = max(worst, float(np.abs(marginal_over_pr(F).values - rho.values).max()))
+                worst = max(worst, *marginal_residuals(build(rho, W, hbar), rho, W))
             checks.append(_tol_check(f"marginal_recovery[hbar={hbar}]", worst, 1e-7))
         except PhasekinError as exc:
             checks.append(_error_check(f"marginal_recovery[hbar={hbar}]", exc))
@@ -167,10 +169,8 @@ def check_marginal_recovery(config: ScenarioConfig) -> list:
 
 def check_classical_reduction(config: ScenarioConfig) -> list:
     checks = []
-    grid3 = config.grid3()
     try:
-        rho = config.rho(grid3)
-        W3 = config.wigner(grid3)
+        rho, W3 = config.joint_inputs()
         base = classical_joint(rho, W3).values
         worst = max(
             float(np.abs(quantum_joint_series(rho, W3, 0.0).values - base).max()),
@@ -197,12 +197,7 @@ def check_classical_reduction(config: ScenarioConfig) -> list:
 def check_kernel_expansion(config: ScenarioConfig) -> list:
     checks = []
     try:
-        grid = config.grid3()
-        rho = config.rho(grid)
-        W = config.wigner(grid)
-        hbar = config.hbar if config.hbar > 0 else 1.0
-        F = quantum_joint_spectral(rho, W, hbar)
-        c2, c4 = phi_series_coefficients(phi_field(F, rho, W), hbar)
+        _, _, (c2, c4) = cumulant_pipeline(*config.joint_inputs(), _cumulant_hbar(config))
         checks.append(_tol_check("kernel_expansion[c2]", abs(c2 + 1.0 / 24.0) * 24.0, 2e-3))
         checks.append(_tol_check("kernel_expansion[c4]", abs(c4 + 1.0 / 2880.0) * 2880.0, 5e-2))
     except PhasekinError as exc:
@@ -236,10 +231,8 @@ def kappa22_closed_form_oracle(sigma_R: float, sigma_p: float, hbar: float, h: f
 def check_cross_cumulant(config: ScenarioConfig) -> list:
     checks = []
     try:
-        grid = config.grid3()
-        rho = config.rho(grid)
-        W = config.wigner(grid)
-        hbar = config.hbar if config.hbar > 0 else 1.0
+        rho, W = config.joint_inputs()
+        hbar = _cumulant_hbar(config)
         kap = kappa22(quantum_joint_spectral(rho, W, hbar))
         checks.append(Check("cross_cumulant[negative]", kap, 0.0, kap < 0.0, "requires kappa22 < 0"))
         kap_half = kappa22(quantum_joint_spectral(rho, W, hbar / 2.0))
@@ -300,10 +293,8 @@ def check_heisenberg(config: ScenarioConfig) -> list:
 
 def check_classical_scaling(config: ScenarioConfig) -> list:
     try:
-        grid = config.grid3()
-        rho = config.rho(grid)
-        W = config.wigner(grid)
-        slope = classical_limit_scan(rho, W, [1 / 16, 1 / 8, 1 / 4, 1 / 2])
+        # at the scan fractions of hbar = 1, whatever hbar is configured
+        slope = classical_limit_scan(*config.joint_inputs(), CLASSICAL_SCAN_FRACTIONS)
         return [_tol_check("classical_scaling[slope]", abs(slope - 2.0), 0.1, f"slope={fmt(slope)}")]
     except PhasekinError as exc:
         return [_error_check("classical_scaling", exc)]
@@ -353,9 +344,10 @@ def check_dynamics_oracles(config: ScenarioConfig) -> list:
     except PhasekinError as exc:
         checks.append(_error_check("dynamics[harmonic_center]", exc))
     try:
+        # mass 1, where a2 and a4 are calibrated: at 1.7 the p-tails reach the box
         W0 = config.wigner(grid)
         U = quartic_potential(grid, 0.5, 0.1)
-        params = EvolutionParams(mass=mass, hbar=config.hbar, dt=dt, steps=quartic_steps, snapshot_every=100)
+        params = EvolutionParams(mass=1.0, hbar=config.hbar, dt=dt, steps=quartic_steps, snapshot_every=100)
         trajectory = propagate(W0, U, params)
         probs = [prob for _, prob, _ in trajectory.conserved]
         energies = [energy for _, _, energy in trajectory.conserved]
@@ -371,15 +363,9 @@ def check_dynamics_oracles(config: ScenarioConfig) -> list:
 
 
 def _pipeline_bytes(config: ScenarioConfig) -> bytes:
-    grid = config.grid3()
-    rho = config.rho(grid)
-    W = config.wigner(grid)
-    hbar = config.hbar if config.hbar > 0 else 1.0
-    F = quantum_joint_spectral(rho, W, hbar)
-    report = heisenberg_check(F, hbar)
-    c2, c4 = phi_series_coefficients(phi_field(F, rho, W), hbar)
+    F, report, coefficients = cumulant_pipeline(*config.joint_inputs(), _cumulant_hbar(config))
     blob = F.values.astype("<f8").tobytes()
-    blob += np.array([report.kappa22, report.sigma_R2, report.sigma_p2, c2, c4], dtype="<f8").tobytes()
+    blob += np.array([report.kappa22, report.sigma_R2, report.sigma_p2, *coefficients], dtype="<f8").tobytes()
     return blob
 
 

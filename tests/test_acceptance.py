@@ -95,6 +95,16 @@ def test_criterion_09_dynamics_oracles(report):
     assert tols["dynamics[energy_drift]"] == 1e-6
 
 
+def test_kernel_expansion_measures_the_cumulants_report(report, tmp_path):
+    # verify fits the same generating function the cumulants command writes
+    assert main(["cumulants", "--output-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "cumulant_report.csv").read_text().splitlines()[1:]
+    written = {name: float(value) for name, value in (line.split(",") for line in lines if line.startswith("phi_"))}
+    measured = {c.name: c.measured for c in report.checks}
+    assert measured["kernel_expansion[c2]"] == abs(written["phi_c2"] + 1.0 / 24.0) * 24.0
+    assert measured["kernel_expansion[c4]"] == abs(written["phi_c4"] + 1.0 / 2880.0) * 2880.0
+
+
 def _tree_bytes(directory):
     out = {}
     for name in sorted(os.listdir(directory)):

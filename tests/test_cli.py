@@ -104,6 +104,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"^hbar: must be finite"):
             parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "preset, rule",
+        [
+            ({"rho_preset": {"mean": 1.0, "sigma": 1.0}}, "rho_preset: |mean| + 8 sigma"),
+            ({"wigner_preset": {"p0": 2.5}}, "wigner_preset: |p0| + 8 sigma_p"),
+            ({"wigner_preset": {"r0": -2.5}}, "wigner_preset: |r0| + 8 sigma_r"),
+        ],
+    )
+    def test_preset_outside_the_box_rejected(self, preset, rule):
+        with pytest.raises(ConfigError) as info:
+            parse_config(preset)
+        assert str(info.value).startswith(f"{rule} must not exceed grid.half_width = 8.0")
+
+    def test_preset_touching_the_box_accepted(self):
+        # the rule is |mean| + 8 sigma <= half_width, equality allowed
+        config = parse_config({"rho_preset": {"mean": 2.0, "sigma": 0.75}, "grid": {"half_width": 8.0}})
+        assert config.rho_mean + 8.0 * config.rho_sigma == config.half_width
+
     def test_round_trip_through_dict(self):
         config = load_config()
         assert parse_config(config.to_dict()) == config
@@ -281,6 +299,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["joint", "--config", str(bad)]) == 2
+
+    def test_preset_outside_the_box_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, outputs=str(tmp_path / "out"), rho_preset={"mean": 1.0, "sigma": 1.0})
+        assert main(["joint", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "rho_preset" in err and "grid.half_width" in err
+        assert not (tmp_path / "out").exists()
 
     def test_guard_violation_is_3(self, tmp_path):
         # sampling-free guard trip: the series builder diverges at hbar = 2

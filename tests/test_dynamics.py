@@ -6,6 +6,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyder, polyval
 from numpy.testing import assert_allclose
 
@@ -24,6 +26,7 @@ from phasekin import (
     make_grid,
     moyal_rhs_series,
     moyal_rhs_spectral,
+    parse_config,
     potential_from_density,
     propagate,
     quantum_joint_series,
@@ -32,7 +35,7 @@ from phasekin import (
 )
 from phasekin.dynamics import _moyal_terms
 from phasekin.grids import native_frequencies
-from phasekin.verification import EQUIV_PRESETS
+from phasekin.verification import EQUIV_PRESETS, check_dynamics_oracles
 
 from reference import complex_strang_reference, potential_at
 
@@ -283,6 +286,33 @@ class TestPropagate:
         energies = [e for _, _, e in propagate(W0, U, params).conserved]
         assert max(abs(e - energies[0]) for e in energies) <= 1e-6
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["free", "harmonic", "quartic"]),
+        centers=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        sigmas=st.tuples(st.floats(0.78, 0.875), st.floats(0.78, 0.875)),
+        hbar=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        dt=st.floats(1e-4, 1e-3),
+        steps=st.integers(1, 50),
+        every=st.integers(1, 50),
+    )
+    def test_probability_conserved_at_every_snapshot(self, kind, centers, sigmas, hbar, dt, steps, every):
+        # 32^2 on half_width 8 is coarse: widths from 0.78 (0.875 keeps
+        # |center| + 8 sigma inside the box) and dt up to 1e-3 keep every
+        # snapshot inside its decay guard; at width 0.75 and hbar = 2 the
+        # quartic kicks its tails to the box within 50 steps
+        grid = make_grid(32, 8.0)
+        W0 = gaussian_wigner(grid, grid, *centers, *sigmas)
+        U = {
+            "free": free_potential(grid),
+            "harmonic": harmonic_potential(grid, 1.0),
+            "quartic": quartic_potential(grid, 0.5, 0.1),
+        }[kind]
+        params = EvolutionParams(mass=1.0, hbar=hbar, dt=dt, steps=steps, snapshot_every=every)
+        conserved = propagate(W0, U, params).conserved
+        assert len(conserved) == 2 + (steps - 1) // every
+        assert all(abs(prob - 1.0) <= 1e-10 for _, prob, _ in conserved)
+
     def test_second_order_convergence(self, grid64):
         W0 = gaussian_wigner(grid64, grid64, 0.0, 0.5, 2**-0.5, 2**-0.5)
         U = quartic_potential(grid64, 0.5, 0.1)
@@ -306,6 +336,21 @@ class TestPropagate:
         assert times[0] == 0.0
         assert all(b > a for a, b in zip(times, times[1:]))
         assert traj.snapshots[0][1] is W0
+
+
+class TestDynamicsOracles:
+    def test_quartic_oracle_runs_at_its_calibrated_mass(self):
+        # a2 and a4 are set for mass 1; at mass 1.7 the quartic's momentum
+        # tails reach the box (a decay-guard row at n2 = 64).  The free and
+        # harmonic references are exact at any mass and keep the configured one.
+        checks = check_dynamics_oracles(parse_config({"mass": 1.7, "grid": {"n2": 64, "n3": 64}}))
+        assert [c.name for c in checks] == [
+            "dynamics[free_shear]",
+            "dynamics[harmonic_center]",
+            "dynamics[probability_drift]",
+            "dynamics[energy_drift]",
+        ]
+        assert all(c.passed for c in checks), [(c.name, c.measured, c.note) for c in checks]
 
 
 class TestAnalyticFreeEvolution:
