@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,20 @@ EQUIV_PRESETS = {
     1.0: (1.0, 0.85, 0.85, 8.0),
     2.0: (1.45, 1.2, 1.2, 12.0),
 }
-EQUIV_HBARS = (0.5, 1.0, 2.0)
+
+# The report's row order: a row's family is its name up to the first "[".
+FAMILIES = (
+    "central_equivalence",
+    "builder_equivalence",
+    "marginal_recovery",
+    "classical_reduction",
+    "kernel_expansion",
+    "cross_cumulant",
+    "heisenberg",
+    "classical_scaling",
+    "dynamics",
+    "determinism",
+)
 
 
 @dataclass(frozen=True)
@@ -91,16 +105,15 @@ def _tol_check(name, measured, tolerance, note="") -> Check:
     return Check(name, float(measured), float(tolerance), bool(measured <= tolerance), note)
 
 
-def _error_check(name, exc) -> Check:
-    return Check(name, float("nan"), 0.0, False, f"{type(exc).__name__}: {exc}")
-
-
-def _equiv_inputs(hbar: float, n3: int):
-    sigma_R, sigma_p, sigma_r, half_width = EQUIV_PRESETS[hbar]
-    grid = make_grid(n3, half_width)
-    rho = gaussian_density(grid, 0.0, sigma_R)
-    W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
-    return grid, rho, W
+@contextmanager
+def _failed_rows(checks: list, *names: str):
+    """Keep the rows the block appends to ``checks``; if it raises a
+    :class:`PhasekinError`, append one failed row per name, carrying the
+    error's type and message."""
+    try:
+        yield
+    except PhasekinError as exc:
+        checks.extend(Check(name, float("nan"), 0.0, False, f"{type(exc).__name__}: {exc}") for name in names)
 
 
 def _cumulant_hbar(config: ScenarioConfig) -> float:
@@ -111,65 +124,82 @@ def _rel_linf(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
-def check_central_equivalence(config: ScenarioConfig) -> list:
-    """Collision-integral transport on both joints equals the series transport.
+def check_equivalence_presets(config: ScenarioConfig) -> list:
+    """The central, builder, marginal and Heisenberg rows of every preset.
 
-    The ``[series]`` and ``[spectral]`` rows differ by more than the two
-    joints do.  At n3 = 64 and hbar = 0.5, 1 and 2 the joints differ by
-    1.6e-14, 1.0e-14 and 5.2e-15, but their ``collision_rhs`` by 6.2e-13,
-    4.9e-13 and 9.4e-14: the R and p derivatives amplify each bin of the
-    gap by up to K_max = pi n3 / (2 L) each, and K_max^2 is about 158 at
-    L = 8.  Weighted by K q, 97-99% of the gap lies at |K| or |q| above
-    K_max / 2, yet only 6-9% in bins that ``floored_fft`` zeroes: it is
-    the builders' rounding, not the series' floor.
+    Each preset's rho, W and joints are built once for all four families.
+    The central rows run first and drop the series joint before the
+    spectral one is built, so ``collision_rhs`` never holds two joints;
+    builder_equivalence builds the series joint again.  A family that
+    raises keeps its rows and ends in one failed row; the others go on.
+
+    The central ``[series]`` and ``[spectral]`` rows differ by more than
+    the two joints do.  At n3 = 64 and hbar = 0.5, 1 and 2 the joints
+    differ by 1.6e-14, 1.0e-14 and 5.2e-15, but their ``collision_rhs``
+    by 6.2e-13, 4.9e-13 and 9.4e-14: the R and p derivatives amplify each
+    bin of the gap by up to K_max = pi n3 / (2 L) each, and K_max^2 is
+    about 158 at L = 8.  Weighted by K q, 97-99% of the gap lies at |K|
+    or |q| above K_max / 2, yet only 6-9% in bins that ``floored_fft``
+    zeroes: it is the builders' rounding, not the series' floor.
     """
     checks = []
-    for hbar in EQUIV_HBARS:
-        try:
-            grid, rho, W = _equiv_inputs(hbar, config.n3)
-            U = potential_from_density(rho, config.epsilon)
-            reference = moyal_rhs_series(W, U, hbar, config.mass)
-            for label, build in (("series", quantum_joint_series), ("spectral", quantum_joint_spectral)):
-                F = build(rho, W, hbar)
-                measured = _rel_linf(collision_rhs(F, config.epsilon, config.mass), reference)
-                checks.append(_tol_check(f"central_equivalence[hbar={hbar}][{label}]", measured, 1e-6))
-        except PhasekinError as exc:
-            checks.append(_error_check(f"central_equivalence[hbar={hbar}]", exc))
-    return checks
+    builders = (("series", quantum_joint_series), ("spectral", quantum_joint_spectral))
+    families = ("central_equivalence", "builder_equivalence", "marginal_recovery", "heisenberg")
+    for hbar, (sigma_R, sigma_p, sigma_r, half_width) in EQUIV_PRESETS.items():
+        tag = f"[hbar={hbar}]"
+        with _failed_rows(checks, *(f"{family}{tag}" for family in families)):
+            grid = make_grid(config.n3, half_width)
+            rho = gaussian_density(grid, 0.0, sigma_R)
+            W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
+            joints = {}
 
+            def joint(build):
+                if build not in joints:
+                    joints[build] = build(rho, W, hbar)
+                return joints[build]
 
-def check_builder_equivalence(config: ScenarioConfig) -> list:
-    checks = []
-    for hbar in EQUIV_HBARS:
-        try:
-            grid, rho, W = _equiv_inputs(hbar, config.n3)
-            a = quantum_joint_series(rho, W, hbar).values
-            b = quantum_joint_spectral(rho, W, hbar).values
-            checks.append(
-                _tol_check(f"builder_equivalence[hbar={hbar}]", float(np.abs(a - b).max()), 1e-8)
-            )
-        except PhasekinError as exc:
-            checks.append(_error_check(f"builder_equivalence[hbar={hbar}]", exc))
-    return checks
-
-
-def check_marginal_recovery(config: ScenarioConfig) -> list:
-    checks = []
-    for hbar in EQUIV_HBARS:
-        try:
-            grid, rho, W = _equiv_inputs(hbar, config.n3)
-            worst = 0.0
-            for build in (quantum_joint_series, quantum_joint_spectral):
-                worst = max(worst, *marginal_residuals(build(rho, W, hbar), rho, W))
-            checks.append(_tol_check(f"marginal_recovery[hbar={hbar}]", worst, 1e-7))
-        except PhasekinError as exc:
-            checks.append(_error_check(f"marginal_recovery[hbar={hbar}]", exc))
+            with _failed_rows(checks, f"central_equivalence{tag}"):
+                U = potential_from_density(rho, config.epsilon)
+                reference = moyal_rhs_series(W, U, hbar, config.mass)
+                for label, build in builders:
+                    measured = _rel_linf(collision_rhs(joint(build), config.epsilon, config.mass), reference)
+                    checks.append(_tol_check(f"central_equivalence{tag}[{label}]", measured, 1e-6))
+                    joints.pop(quantum_joint_series, None)  # before the spectral joint is built
+            with _failed_rows(checks, f"builder_equivalence{tag}"):
+                gap = np.abs(joint(quantum_joint_series).values - joint(quantum_joint_spectral).values).max()
+                checks.append(_tol_check(f"builder_equivalence{tag}", float(gap), 1e-8))
+            with _failed_rows(checks, f"marginal_recovery{tag}"):
+                worst = 0.0
+                for _, build in builders:
+                    worst = max(worst, *marginal_residuals(joint(build), rho, W))
+                checks.append(_tol_check(f"marginal_recovery{tag}", worst, 1e-7))
+            with _failed_rows(checks, f"heisenberg{tag}"):
+                report = heisenberg_check(joint(quantum_joint_spectral), hbar)
+                margin = report.kappa22 + report.heisenberg_lhs
+                checks.append(
+                    Check(
+                        f"heisenberg[cauchy_schwarz]{tag}",
+                        margin,
+                        0.0,
+                        report.cauchy_schwarz_ok,
+                        "requires kappa22 >= -sigma_R2*sigma_p2",
+                    )
+                )
+                checks.append(
+                    Check(
+                        f"heisenberg[product]{tag}",
+                        report.heisenberg_lhs - report.heisenberg_rhs,
+                        float("inf"),
+                        True,
+                        f"lhs={fmt(report.heisenberg_lhs)} rhs={fmt(report.heisenberg_rhs)}",
+                    )
+                )
     return checks
 
 
 def check_classical_reduction(config: ScenarioConfig) -> list:
     checks = []
-    try:
+    with _failed_rows(checks, "classical_reduction[hbar=0]"):
         rho, W3 = config.joint_inputs()
         base = classical_joint(rho, W3).values
         worst = max(
@@ -177,31 +207,25 @@ def check_classical_reduction(config: ScenarioConfig) -> list:
             float(np.abs(quantum_joint_spectral(rho, W3, 0.0).values - base).max()),
         )
         checks.append(_tol_check("classical_reduction[hbar=0]", worst, 1e-12))
-    except PhasekinError as exc:
-        checks.append(_error_check("classical_reduction[hbar=0]", exc))
-    try:
+    with _failed_rows(checks, "classical_reduction[harmonic]"):
         grid2 = config.grid2()
         W2 = config.wigner(grid2)
         U = harmonic_potential(grid2, 1.0, config.mass)
         reference = liouville_rhs(W2, U, config.mass)
         worst = 0.0
-        for hbar in EQUIV_HBARS:
+        for hbar in EQUIV_PRESETS:
             worst = max(worst, float(np.abs(moyal_rhs_series(W2, U, hbar, config.mass) - reference).max()))
             worst = max(worst, float(np.abs(moyal_rhs_spectral(W2, U, hbar, config.mass) - reference).max()))
         checks.append(_tol_check("classical_reduction[harmonic]", worst, 1e-9))
-    except PhasekinError as exc:
-        checks.append(_error_check("classical_reduction[harmonic]", exc))
     return checks
 
 
 def check_kernel_expansion(config: ScenarioConfig) -> list:
     checks = []
-    try:
+    with _failed_rows(checks, "kernel_expansion"):
         _, _, (c2, c4) = cumulant_pipeline(*config.joint_inputs(), _cumulant_hbar(config))
         checks.append(_tol_check("kernel_expansion[c2]", abs(c2 + 1.0 / 24.0) * 24.0, 2e-3))
         checks.append(_tol_check("kernel_expansion[c4]", abs(c4 + 1.0 / 2880.0) * 2880.0, 5e-2))
-    except PhasekinError as exc:
-        checks.append(_error_check("kernel_expansion", exc))
     return checks
 
 
@@ -230,7 +254,7 @@ def kappa22_closed_form_oracle(sigma_R: float, sigma_p: float, hbar: float, h: f
 
 def check_cross_cumulant(config: ScenarioConfig) -> list:
     checks = []
-    try:
+    with _failed_rows(checks, "cross_cumulant"):
         rho, W = config.joint_inputs()
         hbar = _cumulant_hbar(config)
         kap = kappa22(quantum_joint_spectral(rho, W, hbar))
@@ -256,55 +280,24 @@ def check_cross_cumulant(config: ScenarioConfig) -> list:
                 "recorded, not asserted: measured vs nominal -hbar^2/2",
             )
         )
-    except PhasekinError as exc:
-        checks.append(_error_check("cross_cumulant", exc))
-    return checks
-
-
-def check_heisenberg(config: ScenarioConfig) -> list:
-    checks = []
-    for hbar in EQUIV_HBARS:
-        try:
-            grid, rho, W = _equiv_inputs(hbar, config.n3)
-            report = heisenberg_check(quantum_joint_spectral(rho, W, hbar), hbar)
-            margin = report.kappa22 + report.heisenberg_lhs
-            checks.append(
-                Check(
-                    f"heisenberg[cauchy_schwarz][hbar={hbar}]",
-                    margin,
-                    0.0,
-                    report.cauchy_schwarz_ok,
-                    "requires kappa22 >= -sigma_R2*sigma_p2",
-                )
-            )
-            checks.append(
-                Check(
-                    f"heisenberg[product][hbar={hbar}]",
-                    report.heisenberg_lhs - report.heisenberg_rhs,
-                    float("inf"),
-                    True,
-                    f"lhs={fmt(report.heisenberg_lhs)} rhs={fmt(report.heisenberg_rhs)}",
-                )
-            )
-        except PhasekinError as exc:
-            checks.append(_error_check(f"heisenberg[hbar={hbar}]", exc))
     return checks
 
 
 def check_classical_scaling(config: ScenarioConfig) -> list:
-    try:
+    checks = []
+    with _failed_rows(checks, "classical_scaling"):
         # at the scan fractions of hbar = 1, whatever hbar is configured
         slope = classical_limit_scan(*config.joint_inputs(), CLASSICAL_SCAN_FRACTIONS)
-        return [_tol_check("classical_scaling[slope]", abs(slope - 2.0), 0.1, f"slope={fmt(slope)}")]
-    except PhasekinError as exc:
-        return [_error_check("classical_scaling", exc)]
+        checks.append(_tol_check("classical_scaling[slope]", abs(slope - 2.0), 0.1, f"slope={fmt(slope)}"))
+    return checks
 
 
 def _oracle_steps(dt: float) -> tuple:
     """Step counts of the dynamics oracles: free streaming for one time
-    unit, one harmonic period (omega = 1) and 1000 quartic steps.  Python
-    floats, so a ``dt`` whose reciprocal overflows gives an infinite count."""
-    return max(round(1.0 / dt, 0), 1.0), round(2.0 * math.pi / dt, 0), 1000.0
+    unit, one harmonic period (omega = 1) and 1000 quartic steps, each at
+    least one.  Python floats, so a ``dt`` whose reciprocal overflows
+    gives an infinite count."""
+    return max(round(1.0 / dt, 0), 1.0), max(round(2.0 * math.pi / dt, 0), 1.0), 1000.0
 
 
 def check_dynamics_oracles(config: ScenarioConfig) -> list:
@@ -313,7 +306,7 @@ def check_dynamics_oracles(config: ScenarioConfig) -> list:
     mass = config.mass
     dt = config.dt
     free_steps, period_steps, quartic_steps = (int(steps) for steps in _oracle_steps(dt))
-    try:
+    with _failed_rows(checks, "dynamics[free_shear]"):
         W0 = config.wigner(grid)
         params = EvolutionParams(mass=mass, hbar=config.hbar, dt=dt, steps=free_steps, snapshot_every=free_steps)
         final = propagate(W0, free_potential(grid), params).final()
@@ -321,9 +314,7 @@ def check_dynamics_oracles(config: ScenarioConfig) -> list:
         checks.append(
             _tol_check("dynamics[free_shear]", float(np.abs(final.values - reference.values).max()), 1e-6)
         )
-    except PhasekinError as exc:
-        checks.append(_error_check("dynamics[free_shear]", exc))
-    try:
+    with _failed_rows(checks, "dynamics[harmonic_center]"):
         r0, omega = 1.0, 1.0
         W0 = gaussian_wigner(grid, grid, 0.0, r0, config.sigma_p, config.sigma_r)
         U = harmonic_potential(grid, omega, mass)
@@ -341,9 +332,7 @@ def check_dynamics_oracles(config: ScenarioConfig) -> list:
             center = float((grid.points[None, :] * snap.values).sum() * vol)
             worst = max(worst, abs(center - r0 * np.cos(omega * t)))
         checks.append(_tol_check("dynamics[harmonic_center]", worst, 1e-4))
-    except PhasekinError as exc:
-        checks.append(_error_check("dynamics[harmonic_center]", exc))
-    try:
+    with _failed_rows(checks, "dynamics[quartic]"):
         # mass 1, where a2 and a4 are calibrated: at 1.7 the p-tails reach the box
         W0 = config.wigner(grid)
         U = quartic_potential(grid, 0.5, 0.1)
@@ -357,8 +346,6 @@ def check_dynamics_oracles(config: ScenarioConfig) -> list:
         checks.append(
             _tol_check("dynamics[energy_drift]", max(abs(e - energies[0]) for e in energies), 1e-6)
         )
-    except PhasekinError as exc:
-        checks.append(_error_check("dynamics[quartic]", exc))
     return checks
 
 
@@ -370,30 +357,30 @@ def _pipeline_bytes(config: ScenarioConfig) -> bytes:
 
 
 def check_determinism(config: ScenarioConfig) -> list:
-    try:
+    checks = []
+    with _failed_rows(checks, "determinism"):
         same = _pipeline_bytes(config) == _pipeline_bytes(config)
-        return [Check("determinism[rebuild]", 0.0 if same else 1.0, 0.0, same, "byte-compare of repeated pipeline")]
-    except PhasekinError as exc:
-        return [_error_check("determinism", exc)]
+        note = "byte-compare of repeated pipeline"
+        checks.append(Check("determinism[rebuild]", 0.0 if same else 1.0, 0.0, same, note))
+    return checks
 
 
 def run_verification(config: ScenarioConfig) -> VerificationReport:
-    """Run every acceptance check at the configured resolution.
+    """Run every acceptance check at the configured resolution; the
+    report lists the rows family by family, in :data:`FAMILIES` order.
 
     The dynamics oracles take their step counts from ``evolution.dt``, so
     a ``dt`` whose oracles cannot finish within the run-time budget is a
     :class:`ConfigError` naming it, raised before any check runs.
     """
     check_run_time(sum(_oracle_steps(config.dt)), config.n2, "evolution.dt")
-    checks = []
-    checks += check_central_equivalence(config)
-    checks += check_builder_equivalence(config)
-    checks += check_marginal_recovery(config)
-    checks += check_classical_reduction(config)
-    checks += check_kernel_expansion(config)
-    checks += check_cross_cumulant(config)
-    checks += check_heisenberg(config)
-    checks += check_classical_scaling(config)
-    checks += check_dynamics_oracles(config)
-    checks += check_determinism(config)
-    return VerificationReport(checks)
+    checks = [
+        *check_equivalence_presets(config),
+        *check_classical_reduction(config),
+        *check_kernel_expansion(config),
+        *check_cross_cumulant(config),
+        *check_classical_scaling(config),
+        *check_dynamics_oracles(config),
+        *check_determinism(config),
+    ]
+    return VerificationReport(sorted(checks, key=lambda c: FAMILIES.index(c.name.split("[")[0])))

@@ -34,6 +34,30 @@ def _criterion(report, number, label, prefixes):
     return checks
 
 
+def test_rows_are_listed_family_by_family(report):
+    hbars = ("0.5", "1.0", "2.0")
+    assert [c.name for c in report.checks] == [
+        *(f"central_equivalence[hbar={h}][{b}]" for h in hbars for b in ("series", "spectral")),
+        *(f"builder_equivalence[hbar={h}]" for h in hbars),
+        *(f"marginal_recovery[hbar={h}]" for h in hbars),
+        "classical_reduction[hbar=0]",
+        "classical_reduction[harmonic]",
+        "kernel_expansion[c2]",
+        "kernel_expansion[c4]",
+        "cross_cumulant[negative]",
+        "cross_cumulant[scaling]",
+        "cross_cumulant[oracle]",
+        "cross_cumulant[reference_gap]",
+        *(f"heisenberg[{kind}][hbar={h}]" for h in hbars for kind in ("cauchy_schwarz", "product")),
+        "classical_scaling[slope]",
+        "dynamics[free_shear]",
+        "dynamics[harmonic_center]",
+        "dynamics[probability_drift]",
+        "dynamics[energy_drift]",
+        "determinism[rebuild]",
+    ]
+
+
 def test_criterion_01_central_equivalence(report):
     checks = _criterion(report, 1, "central equivalence, both builders", ["central_equivalence["])
     assert len(checks) == 6  # three hbar values, two builders

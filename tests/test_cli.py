@@ -493,6 +493,23 @@ class TestOracleRunTimeBudget:
         assert manifest["status"] == "aborted" and manifest["error"].startswith("evolution.dt:")
         assert not (out / "verification_report.csv").exists()
 
+    # above 4 pi a dt rounds the harmonic period to no steps; each oracle still runs one
+    @pytest.mark.parametrize("dt", [13.0, 1e300])
+    def test_verify_with_a_dt_longer_than_the_harmonic_period_fails_cleanly(self, tmp_path, dt):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, outputs=str(out), evolution=dict(FAST_EVOLUTION, dt=dt))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(phasekin.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasekin.cli", "verify", "--config", cfg],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert manifest_without_timestamp(out)["status"] == "failed"
+        assert "dynamics[harmonic_center],nan,0,fail," in (out / "verification_report.csv").read_text()
+
     def test_simulate_takes_the_same_dt(self, tmp_path):
         cfg = write_config(tmp_path, outputs=str(tmp_path / "out"), evolution=dict(FAST_EVOLUTION, dt=1e-9))
         assert main(["simulate", "--config", cfg]) == 0
