@@ -18,11 +18,12 @@ The spectral product never forms a three-axis transform.  Over r and k
 the forward and inverse transforms cancel, and the K inverse acts on
 ``rho_hat(K) * sinc`` alone, giving the matrix
 ``G(R, q) = IFT_K[rho_hat(K) sinc(hbar K q / 2)]``, n rows by n + 1
-frequencies -n/2 ... n/2.  What is left is
-``F(R, p, r) = IFT_q[G(R, q) W_hat(q, r)]`` with ``W_hat`` the transform
-over p only.  The joint is real, so only the ``q >= 0`` half of that
-product is formed and inverted, which needs ``G(R, -q) = conj G(R, q)``;
-that symmetry is checked on G (an O(n^2) guard) before the product.
+frequencies -n/2 ... n/2.  What is left is ``F(R, p, r) = IFT_q[G(R, q)
+W_hat(q, r)]`` with ``W_hat`` the transform over p only.  The joint is
+real, so only the ``q >= 0`` half of that product is formed and
+inverted, which needs ``G(R, -q) = conj G(R, q)``, checked on G (an
+O(n^2) guard).  The inverse's per-bin scale and conjugation act on G
+and ``W_hat``, so the n^3 product goes straight to a real inverse FFT.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from itertools import count
 import numpy as np
 
 from .grids import (
+    Grid1D,
+    _alternating,
     _sup_norm,
     checked_hermitian,
     derivative_multiplier,
@@ -39,7 +42,6 @@ from .grids import (
     fourier_forward,
     fourier_inverse,
     half_spectrum_forward,
-    half_spectrum_inverse,
     require_same_grid,
     series_coefficient,
     sum_series,
@@ -123,6 +125,24 @@ def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float
     return JointDistribution(rho.grid, W.grid_p, W.grid_r, total)
 
 
+def _kernel_half(rho: VirtualDensity, grid_p: Grid1D, hbar: float) -> np.ndarray:
+    """``G(R, q)`` at its n/2 + 1 bins ``q >= 0``, checked Hermitian in q."""
+    n_q = grid_p.n
+    K = rho.grid.frequencies
+    q = np.pi / grid_p.half_width * np.arange(-(n_q // 2), n_q // 2 + 1)  # symmetric, both Nyquist bins
+    rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
+    G = fourier_inverse(rho_t[:, None] * sinc_values(hbar * np.outer(K, q) / 2.0), (rho.grid,), (0,))
+    return checked_hermitian(G, 1, "spectral joint kernel G(R, q)")[:, n_q // 2 :]
+
+
+def _inverse_over_q(G_half: np.ndarray, w_half: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """``IFT_q[G(R, q) W_hat(q, r)]`` from the ``q >= 0`` halves of both
+    factors, as ``irfft`` of their conjugated product times ``alt / step``."""
+    scale = _alternating(grid.n // 2 + 1) / grid.step
+    product = np.conj(G_half * scale)[:, :, None] * np.conj(w_half)[None, :, :]
+    return np.fft.irfft(product, grid.n, axis=1)
+
+
 def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> JointDistribution:
     """Joint built in Fourier space via the sinc kernel on the (K, q) lattice.
 
@@ -133,12 +153,5 @@ def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: flo
     Hermitian in q (a complex kernel, say).
     """
     _check_joint_inputs(rho, W)
-    n_q = W.grid_p.n
-    K = rho.grid.frequencies
-    q = np.pi / W.grid_p.half_width * np.arange(-(n_q // 2), n_q // 2 + 1)  # symmetric, both Nyquist bins
-    rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
-    G = fourier_inverse(rho_t[:, None] * sinc_values(hbar * np.outer(K, q) / 2.0), (rho.grid,), (0,))
-    G_half = checked_hermitian(G, 1, "spectral joint kernel G(R, q)")[:, n_q // 2 :]
-    w_half = half_spectrum_forward(W.values, W.grid_p, axis=0)
-    f = half_spectrum_inverse(G_half[:, :, None] * w_half[None, :, :], W.grid_p, axis=1)
+    f = _inverse_over_q(_kernel_half(rho, W.grid_p, hbar), half_spectrum_forward(W.values, W.grid_p), W.grid_p)
     return JointDistribution(rho.grid, W.grid_p, W.grid_r, f)

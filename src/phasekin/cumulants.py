@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import classical_joint, quantum_joint_spectral
+from .coupling import _check_joint_inputs, _inverse_over_q, _kernel_half, classical_joint, quantum_joint_spectral
 from .errors import (
     DegenerateFitError,
     ImaginaryResidueError,
     InsufficientSupportError,
 )
-from .grids import ensure_decaying, fourier_forward, require_same_grid
+from .grids import _sup_norm, ensure_decaying, fourier_forward, half_spectrum_forward, require_same_grid
 from .states import (
     JOINT_DECAY_TOL,
     JointDistribution,
@@ -208,7 +208,10 @@ def cumulant_pipeline(rho: VirtualDensity, W: WignerDistribution, hbar: float) -
 
 
 def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> float:
-    """Log-log slope of the joint's departure from factorization versus hbar."""
+    """Log-log slope of the joint's departure from factorization versus hbar.
+
+    rho W is the spectral joint with kernel G(R, q) = rho(R), so the departure
+    is one n^3 inverse of the O(n^2) kernel G_hbar - rho times W_hat."""
     hbars = [float(h) for h in hbars]
     if len(hbars) < 4:
         raise ValueError(f"scan needs at least 4 hbar values, got {len(hbars)}")
@@ -218,10 +221,11 @@ def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> f
         raise DegenerateFitError("scan hbar value is 0 (underflowed?); the log-log fit needs positive values")
     if max(hbars) < 8.0 * min(hbars):
         raise ValueError("scan hbar values must span at least a factor of 8")
-    base = classical_joint(rho, W).values
+    _check_joint_inputs(rho, W)
+    w_half = half_spectrum_forward(W.values, W.grid_p)
     norms = []
     for h in hbars:
-        diff = float(np.abs(quantum_joint_spectral(rho, W, h).values - base).max())
+        diff = _sup_norm(_inverse_over_q(_kernel_half(rho, W.grid_p, h) - rho.values[:, None], w_half, W.grid_p))
         if diff < 1e-14:
             raise DegenerateFitError(f"departure norm underflowed at hbar = {h}")
         norms.append(diff)

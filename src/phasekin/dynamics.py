@@ -232,6 +232,7 @@ def moyal_rhs_spectral(W: WignerDistribution, U: Potential, hbar: float, mass: f
         raise ValueError("moyal_rhs_spectral needs hbar > 0; use liouville_rhs at hbar = 0")
     lam = native_frequencies(W.grid_p)
     du = U.shifted_difference(hbar * lam / 2.0)
+    du[W.grid_p.n // 2] = 0.0  # the unpaired Nyquist bin, as derivative_multiplier drops it for odd orders
     w_hat = np.fft.fft(W.values, axis=0)
     kicked = checked_real(np.fft.ifft((1j / hbar) * du * w_hat, axis=0), "spectral transport term")
     return _streaming_term(W, mass) + kicked

@@ -12,8 +12,7 @@ The inverse carries the ``1/(2 pi)`` per axis.  Frequencies are stored
 zero-centered with spacing ``pi / half_width``; the mapping to the FFT's
 native ordering is internal.  A real array's transform along one axis is
 Hermitian, ``F(-w) = conj F(w)``, so :func:`half_spectrum_forward` keeps
-only its ``n/2 + 1`` bins at ``w >= 0`` and :func:`half_spectrum_inverse`
-returns the real array from them; both follow the same convention.
+only its ``n/2 + 1`` bins at ``w >= 0``, in the same convention.
 
 Derivatives are evaluated in the FFT-native spectral domain, where
 ``d/dx`` is multiplication by ``(i w)``; on real input the result is
@@ -147,9 +146,7 @@ def ensure_decaying(values: np.ndarray, tol: float = DECAY_TOL, what: str = "fie
 
 
 def _alternating(n: int) -> np.ndarray:
-    alt = np.ones(n)
-    alt[1::2] = -1.0
-    return alt
+    return 1.0 - 2.0 * (np.arange(n) % 2)
 
 
 def _reshape_for(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
@@ -192,19 +189,6 @@ def half_spectrum_forward(values: np.ndarray, grid: Grid1D, axis: int = 0) -> np
     out = np.fft.ihfft(values, axis=axis, norm="forward")
     out *= _reshape_for(grid.step * _alternating(grid.n // 2 + 1), out.ndim, axis)
     return out
-
-
-def half_spectrum_inverse(values: np.ndarray, grid: Grid1D, axis: int = 0) -> np.ndarray:
-    """The real array whose :func:`half_spectrum_forward` is ``values``.
-
-    Bins at ``w < 0`` are taken as the conjugates of those at ``w > 0``;
-    the imaginary parts of the zero and Nyquist bins are dropped.
-    ``values`` is the work array and is overwritten.
-    """
-    scale = _reshape_for(_alternating(grid.n // 2 + 1) / grid.step, values.ndim, axis)
-    values.real *= scale
-    values.imag *= -scale
-    return np.fft.irfft(values, grid.n, axis=axis)
 
 
 def native_frequencies(grid: Grid1D) -> np.ndarray:

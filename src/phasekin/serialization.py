@@ -28,13 +28,9 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def write_array(directory: str, name: str, values: np.ndarray, axis_names, grids) -> list:
     """Write name.bin plus a name.json sidecar; returns the paths written."""
-    payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    payload = memoryview(np.ascontiguousarray(values, dtype="<f8").reshape(-1)).cast("B")  # no copy of C-order <f8
     bin_path = os.path.join(directory, name + ".bin")
     with open(bin_path, "wb") as fh:
         fh.write(payload)
@@ -48,7 +44,7 @@ def write_array(directory: str, name: str, values: np.ndarray, axis_names, grids
             str(axis): {"n": g.n, "half_width": g.half_width, "step": g.step}
             for axis, g in zip(axis_names, grids)
         },
-        "sha256": sha256_hex(payload),
+        "sha256": hashlib.sha256(payload).hexdigest(),
     }
     json_path = os.path.join(directory, name + ".json")
     _write_json(json_path, sidecar)
@@ -61,7 +57,7 @@ def read_array(directory: str, name: str):
         meta = json.load(fh)
     with open(os.path.join(directory, name + ".bin"), "rb") as fh:
         payload = fh.read()
-    if sha256_hex(payload) != meta["sha256"]:
+    if hashlib.sha256(payload).hexdigest() != meta["sha256"]:
         raise ValueError(f"checksum mismatch for {name}.bin")
     values = np.frombuffer(payload, dtype="<f8").reshape(meta["shape"])
     return values, meta

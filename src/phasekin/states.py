@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecayGuardError, NormalizationError
-from .grids import DECAY_TOL, Grid1D, ensure_decaying, require_same_grid
+from .grids import DECAY_TOL, Grid1D, _reshape_for, ensure_decaying, require_same_grid
 
 # Decay guard applied to 3-axis joints: quantum corrections carry physical
 # R-tails around 1e-10 of the peak (1e-8 once built from evolved snapshots),
@@ -182,14 +182,19 @@ def moments(obj, orders) -> dict:
 
     Order tuples index the object's leading axes; for a joint
     distribution a pair (a, b) means <R^a p^b> with r integrated out.
-    Total order is capped at 8.
+    Axes that no order tuple indexes are summed out once, before any
+    weighting, so a joint's pairs cost one n^3 pass and the rest is
+    O(n^2).  Total order is capped at 8.
     """
     grids, values, tol = _moment_grids(obj)
     ensure_decaying(values, tol, "moment input")
     vol = float(np.prod([g.step for g in grids]))
+    keys = [tuple(order) for order in orders]
+    kept = max(map(len, keys), default=values.ndim)
+    if kept < values.ndim:
+        values = values.sum(axis=tuple(range(kept, values.ndim)))
     out = {}
-    for order in orders:
-        key = tuple(order)
+    for key in keys:
         if len(key) > len(grids):
             raise ValueError(f"order tuple {key} has more entries than axes")
         if any(o < 0 or int(o) != o for o in key):
@@ -199,9 +204,6 @@ def moments(obj, orders) -> dict:
         weighted = values
         for ax, o in enumerate(key):
             if o:
-                shape = [1] * values.ndim
-                shape[ax] = grids[ax].n
-                weighted = weighted * (grids[ax].points ** o).reshape(shape)
+                weighted = weighted * _reshape_for(grids[ax].points ** o, values.ndim, ax)
         out[key] = float(weighted.sum() * vol)
     return out
-

@@ -10,8 +10,10 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from phasekin.cumulants import PHI_RATIO_FLOOR
-from phasekin.coupling import sinc_values
+from phasekin.coupling import classical_joint, quantum_joint_spectral, sinc_values
 from phasekin.grids import (
+    _alternating,
+    _reshape_for,
     _sup_norm,
     checked_real,
     floored_fft,
@@ -72,6 +74,36 @@ def full_complex_joint(rho, W, hbar):
     kernel = sinc_values(hbar * np.outer(K, q) / 2.0)
     f_t = rho_t[:, None, None] * kernel[:, :, None] * w_t[None, :, :]
     return checked_real(fourier_inverse(f_t, grids, (0, 1, 2)), "spectral joint")
+
+
+def half_spectrum_inverse(values, grid, axis=0):
+    """The real array whose ``half_spectrum_forward`` is ``values``, as the
+    spectral joint inverted its product before it folded the scale into G:
+    bins at w < 0 are the conjugates of those at w > 0, and the imaginary
+    parts of the zero and Nyquist bins are dropped."""
+    scale = _reshape_for(_alternating(grid.n // 2 + 1) / grid.step, values.ndim, axis)
+    return np.fft.irfft(np.conj(values) * scale, grid.n, axis=axis)
+
+
+def departure_norms(rho, W, hbars):
+    """max |F_hbar - F_0| from full joints, the route classical_limit_scan
+    took before it inverted the kernel difference G_hbar - rho directly."""
+    base = classical_joint(rho, W).values
+    return [float(np.abs(quantum_joint_spectral(rho, W, h).values - base).max()) for h in hbars]
+
+
+def full_weighting_moments(F, orders):
+    """Raw moments of a joint, each weighting all n^3 values before one sum,
+    as ``moments`` did before it summed out the unindexed axes first."""
+    grids = (F.grid_R, F.grid_p, F.grid_r)
+    vol = float(np.prod([g.step for g in grids]))
+    out = {}
+    for key in orders:
+        weighted = F.values
+        for ax, o in enumerate(key):
+            weighted = weighted * _reshape_for(grids[ax].points ** o, 3, ax)
+        out[key] = float(weighted.sum() * vol)
+    return out
 
 
 def dense_joint_series(rho, W, hbar):

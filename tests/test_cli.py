@@ -15,7 +15,8 @@ from phasekin import ConfigError, verification, __version__, load_config, parse_
 from phasekin.cli import main
 from phasekin.config import DEFAULT_CONFIG, RUN_TIME_BUDGET_SECONDS, SECONDS_PER_STEP_UNIT
 from phasekin.runner import OUTPUT_FILE
-from phasekin.serialization import read_array
+from phasekin.grids import make_grid
+from phasekin.serialization import read_array, write_array
 
 FAST_GRID = {"n2": 32, "n3": 32, "half_width": 8.0}
 FAST_EVOLUTION = {"dt": 1e-3, "steps": 20, "snapshot_every": 10, "method": "spectral_kernel"}
@@ -269,6 +270,26 @@ class TestDeterminismAndRoundTrip:
         main(["joint", "--config", cfg])
         values, meta = read_array(str(tmp_path / "out"), "f_series")
         assert list(values.shape) == meta["shape"]
+
+
+class TestWriteArray:
+    @pytest.mark.parametrize("layout", ["fortran", "big_endian", "strided"])
+    def test_any_layout_writes_the_c_order_little_endian_bytes(self, tmp_path, layout):
+        grid = make_grid(16, 4.0)
+        values = np.random.default_rng(5).normal(size=(16, 16, 16))
+        other = {
+            "fortran": np.asfortranarray(values),
+            "big_endian": values.astype(">f8"),
+            "strided": np.swapaxes(np.swapaxes(values, 0, 2).copy(), 0, 2),
+        }[layout]
+        names, grids = ("R", "p", "r"), (grid,) * 3
+        write_array(str(tmp_path), "c_order", values, names, grids)
+        write_array(str(tmp_path), "other", other, names, grids)
+        assert (tmp_path / "other.bin").read_bytes() == (tmp_path / "c_order.bin").read_bytes()
+        back, meta = read_array(str(tmp_path), "other")
+        _, meta_c = read_array(str(tmp_path), "c_order")
+        assert meta == meta_c
+        assert np.array_equal(back, values)
 
 
 class TestExitCodes:

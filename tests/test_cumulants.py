@@ -20,17 +20,20 @@ from phasekin import (
     heisenberg_check,
     kappa22,
     make_grid,
+    parse_config,
     phi_field,
     phi_series_coefficients,
     propagate,
     quantum_joint_spectral,
 )
+from phasekin import coupling, cumulants
 from phasekin.cumulants import PHI_FIT_MAX_ARG
 from phasekin.grids import fourier_forward
+from phasekin.runner import run_cumulants
 from phasekin.verification import kappa22_closed_form_oracle
 
-from conftest import gauss
-from reference import joint_transform, phi_from_full_transform, sample_joint
+from conftest import SIGMA_COHERENT, gauss
+from reference import departure_norms, joint_transform, phi_from_full_transform, sample_joint
 
 
 class TestCharacteristicFunction:
@@ -221,6 +224,46 @@ class TestClassicalLimitScan:
     def test_underflowing_departure_rejected(self, rho_default, wigner_default):
         with pytest.raises(DegenerateFitError):
             classical_limit_scan(rho_default, wigner_default, [1e-8, 2e-8, 4e-8, 1e-7])
+
+    @pytest.mark.parametrize("half_width", [8.0, 12.0])
+    def test_slope_matches_full_joint_departures(self, half_width):
+        # at half_width 12 the step is not a power of two, so the scale
+        # folded into G rounds differently from the full joints' route
+        grid = make_grid(64, half_width)
+        rho = gaussian_density(grid, 0.0, 1.0)
+        W = gaussian_wigner(grid, grid, 0.0, 0.0, SIGMA_COHERENT, SIGMA_COHERENT)
+        hbars = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
+        expected = np.polyfit(np.log(hbars), np.log(departure_norms(rho, W, hbars)), 1)[0]
+        assert abs(classical_limit_scan(rho, W, hbars) / expected - 1.0) < 1e-10
+
+
+class TestCumulantsCost:
+    def test_one_real_inverse_per_joint_and_no_product_joint(self, monkeypatch, tmp_path):
+        # four scan departures and the pipeline's joint; no classical_joint
+        # and no complex transform of an n^3 array
+        n3_calls = {"irfft": 0, "complex": 0, "classical_joint": 0}
+        irfft, fft, ifft = np.fft.irfft, np.fft.fft, np.fft.ifft
+
+        def counting(fn, key):
+            def wrapped(a, *args, **kwargs):
+                n3_calls[key] += np.ndim(a) == 3
+                return fn(a, *args, **kwargs)
+
+            return wrapped
+
+        def counted_classical_joint(*args):
+            n3_calls["classical_joint"] += 1
+            return classical_joint(*args)
+
+        monkeypatch.setattr(np.fft, "irfft", counting(irfft, "irfft"))
+        monkeypatch.setattr(np.fft, "fft", counting(fft, "complex"))
+        monkeypatch.setattr(np.fft, "ifft", counting(ifft, "complex"))
+        monkeypatch.setattr(coupling, "classical_joint", counted_classical_joint)
+        monkeypatch.setattr(cumulants, "classical_joint", counted_classical_joint)
+        config = parse_config({"grid": {"n2": 64, "n3": 64, "half_width": 8.0}})
+        assert config.hbar > 0.0
+        run_cumulants(config, str(tmp_path))
+        assert n3_calls == {"irfft": 5, "complex": 0, "classical_joint": 0}
 
 
 class TestMonteCarloConsistency:

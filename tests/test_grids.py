@@ -20,11 +20,11 @@ from phasekin.grids import (
     fourier_forward,
     fourier_inverse,
     half_spectrum_forward,
-    half_spectrum_inverse,
     sum_series,
 )
 
 from conftest import gauss
+from reference import half_spectrum_inverse
 
 
 class TestMakeGrid:

@@ -20,7 +20,7 @@ from phasekin import (
 )
 
 from conftest import SIGMA_COHERENT, gauss
-from reference import sample_joint
+from reference import full_weighting_moments, sample_joint
 
 
 def dense_quadrature_moment(mean, sigma, order, half_width=8.0, n=4096):
@@ -132,6 +132,21 @@ class TestMoments:
         m = moments(F, [(2, 2), (2, 0), (0, 2)])
         # independence: <R^2 p^2> = <R^2><p^2> for the factorized joint
         assert abs(m[(2, 2)] - m[(2, 0)] * m[(0, 2)]) < 1e-10
+
+    @pytest.mark.parametrize("orders", [[(2, 2), (2, 0), (0, 2)], [(4, 0), (2, 4), (0, 0)]])
+    def test_joint_pairs_match_full_weighting(self, rho_default, wigner_default, orders):
+        # r is summed out once before any weighting; the result moves by rounding only
+        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        expected = full_weighting_moments(F, orders)
+        for key, value in moments(F, orders).items():
+            assert abs(value - expected[key]) <= 1e-14 * abs(expected[key])
+
+    def test_joint_triples_still_weight_every_axis(self, rho_default, wigner_default):
+        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        orders = [(2, 2), (2, 0, 2), (2, 2, 2)]
+        expected = full_weighting_moments(F, orders)
+        for key, value in moments(F, orders).items():
+            assert abs(value - expected[key]) <= 1e-14 * abs(expected[key])
 
 
 class TestSampleJoint:
