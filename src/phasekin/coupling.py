@@ -23,7 +23,9 @@ W_hat(q, r)]`` with ``W_hat`` the transform over p only.  The joint is
 real, so only the ``q >= 0`` half of that product is formed and
 inverted, which needs ``G(R, -q) = conj G(R, q)``, checked on G (an
 O(n^2) guard).  The inverse's per-bin scale and conjugation act on G
-and ``W_hat``, so the n^3 product goes straight to a real inverse FFT.
+and ``W_hat``, so the product goes straight to a real inverse FFT.  It
+is formed and inverted a few rows of R at a time, so the largest array
+is the real n^3 joint itself.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ from .grids import (
 from .states import JointDistribution, VirtualDensity, WignerDistribution
 
 KERNEL_SWITCH = 1e-4
+# Rows of R per block of the inverse over q.  At n3 = 128 blocks of 2 to 8
+# rows time within noise of each other, 4 the fastest; 16 and more are slower.
+INVERSE_BLOCK = 4
 
 
 def sinc_values(x: np.ndarray) -> np.ndarray:
@@ -135,12 +140,26 @@ def _kernel_half(rho: VirtualDensity, grid_p: Grid1D, hbar: float) -> np.ndarray
     return checked_hermitian(G, 1, "spectral joint kernel G(R, q)")[:, n_q // 2 :]
 
 
-def _inverse_over_q(G_half: np.ndarray, w_half: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """``IFT_q[G(R, q) W_hat(q, r)]`` from the ``q >= 0`` halves of both
-    factors, as ``irfft`` of their conjugated product times ``alt / step``."""
-    scale = _alternating(grid.n // 2 + 1) / grid.step
-    product = np.conj(G_half * scale)[:, :, None] * np.conj(w_half)[None, :, :]
-    return np.fft.irfft(product, grid.n, axis=1)
+def _inverse_over_q(G_half: np.ndarray, w_half: np.ndarray, grid: Grid1D, out: np.ndarray):
+    """Yield ``IFT_q[G(R, q) W_hat(q, r)]`` from the ``q >= 0`` halves of
+    both factors, INVERSE_BLOCK rows of R at a time.
+
+    Each block is ``irfft`` of the factors' conjugated product times
+    ``alt / step``, formed in one reused (B, n/2 + 1, n) complex buffer.
+    It is written to its own rows of ``out`` when ``out`` has a row for
+    every R, and otherwise to the first rows of ``out``, a block buffer
+    that the next block overwrites.  Outside these buffers the work is O(n^2).
+    """
+    g = np.conj(G_half * (_alternating(grid.n // 2 + 1) / grid.step))[:, :, None]
+    w = np.conj(w_half)
+    n_R = len(g)
+    product = np.empty((min(INVERSE_BLOCK, n_R), *w.shape), dtype=complex)
+    for start in range(0, n_R, INVERSE_BLOCK):
+        rows = slice(start, min(start + INVERSE_BLOCK, n_R))
+        size = rows.stop - start
+        block = out[rows] if len(out) == n_R else out[:size]
+        np.fft.irfft(np.multiply(g[rows], w, out=product[:size]), grid.n, axis=1, out=block)
+        yield block
 
 
 def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> JointDistribution:
@@ -148,10 +167,14 @@ def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: flo
 
     The kernel is evaluated everywhere, including its negative lobes; no
     windowing is applied.  Built by the half-spectrum route of the module
-    docstring, whose largest array is the (n, n/2 + 1, n) complex
-    product; :class:`ImaginaryResidueError` if ``G(R, q)`` is not
-    Hermitian in q (a complex kernel, say).
+    docstring, whose largest array is the real n^3 result: the complex
+    product is formed a block of rows of R at a time, straight into it;
+    :class:`ImaginaryResidueError` if ``G(R, q)`` is not Hermitian in q
+    (a complex kernel, say).
     """
     _check_joint_inputs(rho, W)
-    f = _inverse_over_q(_kernel_half(rho, W.grid_p, hbar), half_spectrum_forward(W.values, W.grid_p), W.grid_p)
+    f = np.empty((rho.grid.n, W.grid_p.n, W.grid_r.n))
+    blocks = _inverse_over_q(_kernel_half(rho, W.grid_p, hbar), half_spectrum_forward(W.values, W.grid_p), W.grid_p, f)
+    for _ in blocks:
+        pass  # each block lands in its rows of f
     return JointDistribution(rho.grid, W.grid_p, W.grid_r, f)

@@ -11,10 +11,18 @@ cross-cumulant in its leading expansion coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .coupling import _check_joint_inputs, _inverse_over_q, _kernel_half, classical_joint, quantum_joint_spectral
+from .coupling import (
+    INVERSE_BLOCK,
+    _check_joint_inputs,
+    _inverse_over_q,
+    _kernel_half,
+    classical_joint,
+    quantum_joint_spectral,
+)
 from .errors import (
     DegenerateFitError,
     ImaginaryResidueError,
@@ -211,7 +219,8 @@ def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> f
     """Log-log slope of the joint's departure from factorization versus hbar.
 
     rho W is the spectral joint with kernel G(R, q) = rho(R), so the departure
-    is one n^3 inverse of the O(n^2) kernel G_hbar - rho times W_hat."""
+    is one n^3 inverse of the O(n^2) kernel G_hbar - rho times W_hat, taken
+    a block of rows of R at a time into one reused buffer."""
     hbars = [float(h) for h in hbars]
     if len(hbars) < 4:
         raise ValueError(f"scan needs at least 4 hbar values, got {len(hbars)}")
@@ -223,9 +232,12 @@ def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> f
         raise ValueError("scan hbar values must span at least a factor of 8")
     _check_joint_inputs(rho, W)
     w_half = half_spectrum_forward(W.values, W.grid_p)
+    buffer = np.empty((min(INVERSE_BLOCK, rho.grid.n), W.grid_p.n, W.grid_r.n))
     norms = []
     for h in hbars:
-        diff = _sup_norm(_inverse_over_q(_kernel_half(rho, W.grid_p, h) - rho.values[:, None], w_half, W.grid_p))
+        blocks = _inverse_over_q(_kernel_half(rho, W.grid_p, h) - rho.values[:, None], w_half, W.grid_p, buffer)
+        # np.maximum, unlike max, keeps a NaN block's NaN
+        diff = float(reduce(np.maximum, map(_sup_norm, blocks)))
         if diff < 1e-14:
             raise DegenerateFitError(f"departure norm underflowed at hbar = {h}")
         norms.append(diff)

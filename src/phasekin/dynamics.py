@@ -238,14 +238,20 @@ def moyal_rhs_spectral(W: WignerDistribution, U: Potential, hbar: float, mass: f
     return _streaming_term(W, mass) + kicked
 
 
+def _diagonal_R_derivative(F: JointDistribution) -> np.ndarray:
+    """``dF/dR`` at R = r, shape (n_p, n_r): each r column of F contracted
+    with row r of the spectral d/dR matrix, O(n^3) work in O(n^2) memory."""
+    d_R = derivative_array(np.eye(F.grid_R.n), F.grid_R, 0, 1)
+    return np.einsum("rR,Rpr->pr", d_R, F.values)
+
+
 def collision_rhs(F: JointDistribution, epsilon: float, mass: float) -> np.ndarray:
     """Transport right-hand side from the joint via the collision integral.
 
     The interaction term is the momentum derivative of
     ``epsilon * dF/dR`` sliced exactly on the diagonal R = r.
     """
-    dF = derivative_array(F.values, F.grid_R, 0, 1)
-    G = epsilon * np.einsum("iki->ki", dF)
+    G = epsilon * _diagonal_R_derivative(F)
     W = marginal_over_R(F)
     dGdp = derivative_array(G, F.grid_p, 0, 1)
     return _streaming_term(W, mass) + dGdp

@@ -7,9 +7,10 @@ files; other files stay.  It then runs the command body with numpy's
 overflow, divide-by-zero and invalid-value conditions raising
 :class:`NonFiniteError`, turns a :class:`PhasekinError` into an
 ``aborted`` manifest before the error propagates, and writes
-``resolved_config.json`` and ``manifest.json`` last.  A command body
-(``run_simulate``, ``run_joint``, ``run_cumulants``, ``run_verify``)
-computes its results, writes its own files and returns
+``resolved_config.json`` and ``manifest.json`` last.  An aborted run
+first removes what its body wrote, so it leaves only those two files.
+A command body (``run_simulate``, ``run_joint``, ``run_cumulants``,
+``run_verify``) computes its results, writes its own files and returns
 ``(outputs, status)``: status ``complete``, or ``failed`` when a
 verification check fails.
 """
@@ -45,13 +46,18 @@ OUTPUT_FILE = re.compile(
 )
 
 
+def _clear_outputs(directory: str) -> None:
+    """Remove every file in ``directory`` whose name a command writes."""
+    for name in os.listdir(directory):
+        if OUTPUT_FILE.fullmatch(name):
+            os.remove(os.path.join(directory, name))
+
+
 def _prepare_output_dir(config: ScenarioConfig, override: str | None) -> str:
     directory = override or config.outputs
     try:
         os.makedirs(directory, exist_ok=True)
-        for name in os.listdir(directory):
-            if OUTPUT_FILE.fullmatch(name):
-                os.remove(os.path.join(directory, name))
+        _clear_outputs(directory)
         probe = os.path.join(directory, ".write_probe")
         with open(probe, "w", encoding="utf-8") as fh:
             fh.write("")
@@ -62,17 +68,16 @@ def _prepare_output_dir(config: ScenarioConfig, override: str | None) -> str:
 
 
 def run_joint(config: ScenarioConfig, directory: str) -> tuple:
+    """Build, write and check one joint at a time, so only one is ever alive."""
     rho, W = config.joint_inputs()
-    f_series = quantum_joint_series(rho, W, config.hbar)
-    f_spectral = quantum_joint_spectral(rho, W, config.hbar)
-    axis_names = ("R", "p", "r")
     grids = (rho.grid,) * 3
-    outputs = write_array(directory, "f_series", f_series.values, axis_names, grids)
-    outputs += write_array(directory, "f_spectral", f_spectral.values, axis_names, grids)
-    rows = []
-    for label, F in (("series", f_series), ("spectral", f_spectral)):
+    outputs, rows = [], []
+    for label, build in (("series", quantum_joint_series), ("spectral", quantum_joint_spectral)):
+        F = build(rho, W, config.hbar)
+        outputs += write_array(directory, f"f_{label}", F.values, ("R", "p", "r"), grids)
         over_R, over_pr = marginal_residuals(F, rho, W)
         rows += [(label, "over_R", over_R), (label, "over_pr", over_pr)]
+        del F  # before the next build
     outputs.append(
         write_csv(
             os.path.join(directory, "marginal_residuals.csv"),
@@ -170,6 +175,7 @@ def run_scenario(config: ScenarioConfig, command: str, output_dir: str | None = 
             outputs, status = body(config, directory)
     except PhasekinError as exc:
         outputs, status, error = [], "aborted", exc
+        _clear_outputs(directory)  # what the body wrote before it failed
     resolved = config.to_dict()
     paths = [*outputs, write_resolved_config(directory, resolved)]
     message = None if error is None else str(error)

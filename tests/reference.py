@@ -10,15 +10,17 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from phasekin.cumulants import PHI_RATIO_FLOOR
-from phasekin.coupling import classical_joint, quantum_joint_spectral, sinc_values
+from phasekin.coupling import _kernel_half, classical_joint, quantum_joint_spectral, sinc_values
 from phasekin.grids import (
     _alternating,
     _reshape_for,
     _sup_norm,
     checked_real,
+    derivative_array,
     floored_fft,
     fourier_forward,
     fourier_inverse,
+    half_spectrum_forward,
     native_frequencies,
     series_coefficient,
     sum_series,
@@ -83,6 +85,24 @@ def half_spectrum_inverse(values, grid, axis=0):
     parts of the zero and Nyquist bins are dropped."""
     scale = _reshape_for(_alternating(grid.n // 2 + 1) / grid.step, values.ndim, axis)
     return np.fft.irfft(np.conj(values) * scale, grid.n, axis=axis)
+
+
+def one_shot_spectral_joint(rho, W, hbar):
+    """The spectral joint with its inverse over q taken in one call, as
+    quantum_joint_spectral did before it inverted a block of rows of R at
+    a time: the whole (n, n/2 + 1, n) complex product, then one irfft."""
+    G_half = _kernel_half(rho, W.grid_p, hbar)
+    w_half = half_spectrum_forward(W.values, W.grid_p)
+    scale = _alternating(W.grid_p.n // 2 + 1) / W.grid_p.step
+    product = np.conj(G_half * scale)[:, :, None] * np.conj(w_half)[None, :, :]
+    return np.fft.irfft(product, W.grid_p.n, axis=1)
+
+
+def full_derivative_diagonal(F):
+    """dF/dR on the diagonal R = r, read off the full n^3 complex
+    R-derivative of F, as collision_rhs took it before it contracted each
+    r column with one row of the differentiation matrix."""
+    return np.einsum("iki->ki", derivative_array(F.values, F.grid_R, 0, 1))
 
 
 def departure_norms(rho, W, hbars):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import phasekin
-from phasekin import ConfigError, verification, __version__, load_config, parse_config
+from phasekin import ConfigError, ImaginaryResidueError, runner, verification, __version__, load_config, parse_config
 from phasekin.cli import main
 from phasekin.config import DEFAULT_CONFIG, RUN_TIME_BUDGET_SECONDS, SECONDS_PER_STEP_UNIT
 from phasekin.runner import OUTPUT_FILE
@@ -427,6 +427,50 @@ class TestRunPath:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved_config.json"]
         manifest = manifest_without_timestamp(out)
         assert manifest["status"] == "aborted" and manifest["outputs"] == ["resolved_config.json"]
+
+    def test_joint_aborted_after_its_first_write_leaves_no_arrays(self, tmp_path, monkeypatch):
+        # run_joint writes f_series before it builds the spectral joint
+        def failing(*args):
+            raise ImaginaryResidueError("spectral joint kernel G(R, q) is not Hermitian")
+
+        monkeypatch.setattr(runner, "quantum_joint_spectral", failing)
+        out = tmp_path / "out"
+        assert main(["joint", "--config", write_config(tmp_path, outputs=str(out))]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved_config.json"]
+        manifest = manifest_without_timestamp(out)
+        assert manifest["status"] == "aborted" and manifest["outputs"] == ["resolved_config.json"]
+
+    def test_joint_outputs_in_order(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["joint", "--config", write_config(tmp_path, outputs=str(out))]) == 0
+        assert manifest_without_timestamp(out)["outputs"] == [
+            "f_series.bin",
+            "f_series.json",
+            "f_spectral.bin",
+            "f_spectral.json",
+            "marginal_residuals.csv",
+            "resolved_config.json",
+        ]
+        rows = (out / "marginal_residuals.csv").read_text().splitlines()
+        assert [row.rsplit(",", 1)[0] for row in rows[1:]] == [
+            "series,over_R",
+            "series,over_pr",
+            "spectral,over_R",
+            "spectral,over_pr",
+        ]
+
+    def test_joint_holds_one_joint_at_a_time(self, tmp_path):
+        # each joint is written and checked, then dropped before the next build
+        n = 64
+        config = parse_config({"grid": {"n2": n, "n3": n, "half_width": 8.0}})
+        runner.run_joint(config, str(tmp_path))
+        tracemalloc.start()
+        try:
+            runner.run_joint(config, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * 8 * n**3
 
     def test_stale_manifest_temp_file_is_cleared(self, tmp_path):
         out = tmp_path / "out"

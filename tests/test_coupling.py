@@ -25,7 +25,7 @@ from phasekin.coupling import sinc_values
 from phasekin.cumulants import PHI_RATIO_FLOOR, phi_field
 from phasekin.grids import fourier_forward
 
-from reference import dense_joint_series, full_complex_joint, joint_transform
+from reference import dense_joint_series, full_complex_joint, joint_transform, one_shot_spectral_joint
 
 
 def sinc(x):
@@ -264,9 +264,20 @@ class TestSpectralRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the (n, n/2 + 1, n) complex half spectrum and the real result;
-        # the full complex n^3 product alone is 16 n^3 bytes
-        assert peak < 24 * n**3
+        # the real result and one block of the complex half spectrum; the
+        # whole (n, n/2 + 1, n) half spectrum alone is 8 (n + 2) n^2 bytes
+        assert peak <= 1.5 * 8 * n**3
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("half_width", [8.0, 12.0])
+    def test_blocked_inverse_matches_one_shot(self, n, half_width):
+        # the same elementwise products and per-line transforms, so the
+        # same bits; at half_width 12 the step is not a power of two
+        grid = make_grid(n, half_width)
+        rho = gaussian_density(grid, 0.0, 1.0)
+        W = gaussian_wigner(grid, grid, 0.0, 0.0, 2**-0.5, 2**-0.5)
+        blocked = quantum_joint_spectral(rho, W, 1.0).values
+        assert np.array_equal(blocked, one_shot_spectral_joint(rho, W, 1.0))
 
     def test_complex_kernel_is_refused(self, rho_default, wigner_default, monkeypatch):
         monkeypatch.setattr(coupling, "sinc_values", lambda x: (1 + 1e-3j) * sinc_values(x))

@@ -237,16 +237,46 @@ class TestClassicalLimitScan:
         assert abs(classical_limit_scan(rho, W, hbars) / expected - 1.0) < 1e-10
 
 
+    def test_buffers_stay_below_one_joint(self, rho_default, wigner_default):
+        # one (B, n, n) real block and one (B, n/2 + 1, n) complex product,
+        # reused across the scan; no departure joint is formed
+        n = rho_default.grid.n
+        hbars = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
+        classical_limit_scan(rho_default, wigner_default, hbars)
+        tracemalloc.start()
+        try:
+            classical_limit_scan(rho_default, wigner_default, hbars)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 8 * n**3
+
+    def test_nan_block_gives_nan_slope(self, rho_default, wigner_default, monkeypatch):
+        # a NaN in a later block must reach the norm, which max() would drop
+        inverse = cumulants._inverse_over_q
+
+        def poisoned(*args):
+            for index, block in enumerate(inverse(*args)):
+                if index == 3:
+                    block[0, 0, 0] = np.nan
+                yield block
+
+        monkeypatch.setattr(cumulants, "_inverse_over_q", poisoned)
+        assert np.isnan(classical_limit_scan(rho_default, wigner_default, [1 / 16, 1 / 8, 1 / 4, 1 / 2]))
+
+
 class TestCumulantsCost:
     def test_one_real_inverse_per_joint_and_no_product_joint(self, monkeypatch, tmp_path):
-        # four scan departures and the pipeline's joint; no classical_joint
-        # and no complex transform of an n^3 array
+        # four scan departures and the pipeline's joint, each inverted over
+        # one (n, n/2 + 1, n) half spectrum in blocks of rows of R; no
+        # classical_joint and no complex transform of an n^3 array
         n3_calls = {"irfft": 0, "complex": 0, "classical_joint": 0}
         irfft, fft, ifft = np.fft.irfft, np.fft.fft, np.fft.ifft
 
         def counting(fn, key):
             def wrapped(a, *args, **kwargs):
-                n3_calls[key] += np.ndim(a) == 3
+                if np.ndim(a) == 3:
+                    n3_calls[key] += np.size(a) if key == "irfft" else 1
                 return fn(a, *args, **kwargs)
 
             return wrapped
@@ -260,10 +290,11 @@ class TestCumulantsCost:
         monkeypatch.setattr(np.fft, "ifft", counting(ifft, "complex"))
         monkeypatch.setattr(coupling, "classical_joint", counted_classical_joint)
         monkeypatch.setattr(cumulants, "classical_joint", counted_classical_joint)
-        config = parse_config({"grid": {"n2": 64, "n3": 64, "half_width": 8.0}})
+        n = 64
+        config = parse_config({"grid": {"n2": n, "n3": n, "half_width": 8.0}})
         assert config.hbar > 0.0
         run_cumulants(config, str(tmp_path))
-        assert n3_calls == {"irfft": 5, "complex": 0, "classical_joint": 0}
+        assert n3_calls == {"irfft": 5 * n * (n // 2 + 1) * n, "complex": 0, "classical_joint": 0}
 
 
 class TestMonteCarloConsistency:

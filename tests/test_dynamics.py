@@ -33,11 +33,11 @@ from phasekin import (
     quantum_joint_spectral,
     quartic_potential,
 )
-from phasekin.dynamics import _moyal_terms
+from phasekin.dynamics import _diagonal_R_derivative, _moyal_terms
 from phasekin.grids import native_frequencies
 from phasekin.verification import EQUIV_PRESETS, check_dynamics_oracles
 
-from reference import complex_strang_reference, potential_at
+from reference import complex_strang_reference, full_derivative_diagonal, potential_at
 
 
 class TestPotentials:
@@ -251,6 +251,16 @@ class TestCollisionRhs:
         F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
         rhs = collision_rhs(F, 1.0, 1.0)
         assert abs(rhs.sum() * grid64.step**2) < 1e-10
+
+    @pytest.mark.parametrize("hbar", sorted(EQUIV_PRESETS))
+    def test_diagonal_matches_full_derivative(self, hbar):
+        # the contracted diagonal against the full n^3 R-derivative's
+        sigma_R, sigma_p, sigma_r, half_width = EQUIV_PRESETS[hbar]
+        grid = make_grid(64, half_width)
+        rho = gaussian_density(grid, 0.0, sigma_R)
+        F = quantum_joint_spectral(rho, gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r), hbar)
+        expected = full_derivative_diagonal(F)
+        assert np.abs(_diagonal_R_derivative(F) - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestPropagate:
