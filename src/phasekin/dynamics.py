@@ -33,7 +33,8 @@ spectral domain, so total probability is conserved to rounding.
 The stepper is first-same-as-last: the trailing half-stream of one step
 and the leading half-stream of the next are applied as one full-stream
 phase, split back into two half-streams only where a snapshot is taken.
-That makes four complex FFT passes per step, each done in place.
+That makes four complex FFT passes per step, each done in place, and two
+where the kick phase is exactly 1 (a free potential), whose kick is skipped.
 
 Nyquist treatment: the state stays complex over the full spectrum, so
 the unpaired Nyquist bin of each transform keeps the imaginary part its
@@ -294,6 +295,7 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams) -> 
     half_stream = _shear(grid_p, grid_r, params.dt / 2.0, params.mass)
     full_stream = _shear(grid_p, grid_r, params.dt, params.mass)
     kick = _kick_phase(U, grid_p, params)
+    kicks = any((row != 1.0).any() for row in kick)  # row by row: no n^2 temporary
     u = U.samples()
 
     traj = Trajectory()
@@ -305,7 +307,8 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams) -> 
     # half-stream, so the trajectory does not depend on the cadence
     values = _apply_phase(W0.values.astype(complex), half_stream, 1)
     for step in range(1, params.steps + 1):
-        _apply_phase(values, kick, 0)
+        if kicks:
+            _apply_phase(values, kick, 0)
         if step % params.snapshot_every == 0 or step == params.steps:
             t = step * params.dt
             closed = _apply_phase(values.copy(), half_stream, 1).real.copy()

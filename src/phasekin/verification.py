@@ -14,6 +14,7 @@ hbar and the widths, so nothing is lost.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from contextlib import contextmanager
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig, check_run_time
-from .coupling import classical_joint, quantum_joint_series, quantum_joint_spectral
+from .coupling import quantum_joint_series, quantum_joint_spectral
 from .cumulants import (
     CLASSICAL_SCAN_FRACTIONS,
     classical_limit_scan,
@@ -124,14 +125,42 @@ def _rel_linf(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
+def _sup_gap(a, b) -> float:
+    """max |a - b| over paired rows, so no temporary is larger than one row."""
+    return max(float(np.abs(x - y).max()) for x, y in zip(a, b))
+
+
+def _attempt(compute, *args):
+    """``compute(*args)``, or the :class:`PhasekinError` it raises.  An
+    argument that is such an error is returned as is, without calling
+    ``compute``; :func:`_value` raises it inside a family's rows."""
+    for arg in args:
+        if isinstance(arg, PhasekinError):
+            return arg
+    try:
+        return compute(*args)
+    except PhasekinError as exc:
+        return exc.with_traceback(None)  # its frames would keep their joints alive
+
+
+def _value(outcome):
+    if isinstance(outcome, PhasekinError):
+        raise outcome
+    return outcome
+
+
 def check_equivalence_presets(config: ScenarioConfig) -> list:
     """The central, builder, marginal and Heisenberg rows of every preset.
 
-    Each preset's rho, W and joints are built once for all four families.
-    The central rows run first and drop the series joint before the
-    spectral one is built, so ``collision_rhs`` never holds two joints;
-    builder_equivalence builds the series joint again.  A family that
-    raises keeps its rows and ends in one failed row; the others go on.
+    Each preset's rho and W are built once, and each joint once.  The
+    series joint comes first and gives ``central_equivalence[series]`` and
+    its marginal residuals.  The spectral joint is built next, and the
+    builder gap is taken a row of R at a time while both are held: the
+    only moment with two joints alive.  The series joint is then dropped,
+    and the spectral one alone gives ``central_equivalence[spectral]``,
+    its marginal residuals and the Heisenberg rows.  A family whose work
+    raises keeps its rows and ends in one failed row carrying the first
+    error; the others go on.
 
     The central ``[series]`` and ``[spectral]`` rows differ by more than
     the two joints do.  At n3 = 64 and hbar = 0.5, 1 and 2 the joints
@@ -143,38 +172,44 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
     zeroes: it is the builders' rounding, not the series' floor.
     """
     checks = []
-    builders = (("series", quantum_joint_series), ("spectral", quantum_joint_spectral))
     families = ("central_equivalence", "builder_equivalence", "marginal_recovery", "heisenberg")
+
+    def moyal_reference(rho, W, hbar):
+        return moyal_rhs_series(W, potential_from_density(rho, config.epsilon), hbar, config.mass)
+
+    def transport_gap(reference, joint):
+        return _rel_linf(collision_rhs(joint, config.epsilon, config.mass), reference)
+
+    def builder_gap(series, spectral):
+        return _sup_gap(series.values, spectral.values)
+
     for hbar, (sigma_R, sigma_p, sigma_r, half_width) in EQUIV_PRESETS.items():
         tag = f"[hbar={hbar}]"
         with _failed_rows(checks, *(f"{family}{tag}" for family in families)):
             grid = make_grid(config.n3, half_width)
             rho = gaussian_density(grid, 0.0, sigma_R)
             W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
-            joints = {}
-
-            def joint(build):
-                if build not in joints:
-                    joints[build] = build(rho, W, hbar)
-                return joints[build]
-
+            reference = _attempt(moyal_reference, rho, W, hbar)
+            series = _attempt(quantum_joint_series, rho, W, hbar)
+            central_series = _attempt(transport_gap, reference, series)
+            residuals_series = _attempt(marginal_residuals, series, rho, W)
+            spectral = _attempt(quantum_joint_spectral, rho, W, hbar)
+            gap = _attempt(builder_gap, series, spectral)
+            del series
+            central_spectral = _attempt(transport_gap, reference, spectral)
+            residuals_spectral = _attempt(marginal_residuals, spectral, rho, W)
+            report = _attempt(heisenberg_check, spectral, hbar)
+            del spectral
             with _failed_rows(checks, f"central_equivalence{tag}"):
-                U = potential_from_density(rho, config.epsilon)
-                reference = moyal_rhs_series(W, U, hbar, config.mass)
-                for label, build in builders:
-                    measured = _rel_linf(collision_rhs(joint(build), config.epsilon, config.mass), reference)
-                    checks.append(_tol_check(f"central_equivalence{tag}[{label}]", measured, 1e-6))
-                    joints.pop(quantum_joint_series, None)  # before the spectral joint is built
+                for label, measured in (("series", central_series), ("spectral", central_spectral)):
+                    checks.append(_tol_check(f"central_equivalence{tag}[{label}]", _value(measured), 1e-6))
             with _failed_rows(checks, f"builder_equivalence{tag}"):
-                gap = np.abs(joint(quantum_joint_series).values - joint(quantum_joint_spectral).values).max()
-                checks.append(_tol_check(f"builder_equivalence{tag}", float(gap), 1e-8))
+                checks.append(_tol_check(f"builder_equivalence{tag}", _value(gap), 1e-8))
             with _failed_rows(checks, f"marginal_recovery{tag}"):
-                worst = 0.0
-                for _, build in builders:
-                    worst = max(worst, *marginal_residuals(joint(build), rho, W))
+                worst = max(0.0, *_value(residuals_series), *_value(residuals_spectral))
                 checks.append(_tol_check(f"marginal_recovery{tag}", worst, 1e-7))
             with _failed_rows(checks, f"heisenberg{tag}"):
-                report = heisenberg_check(joint(quantum_joint_spectral), hbar)
+                report = _value(report)
                 margin = report.kappa22 + report.heisenberg_lhs
                 checks.append(
                     Check(
@@ -201,11 +236,10 @@ def check_classical_reduction(config: ScenarioConfig) -> list:
     checks = []
     with _failed_rows(checks, "classical_reduction[hbar=0]"):
         rho, W3 = config.joint_inputs()
-        base = classical_joint(rho, W3).values
-        worst = max(
-            float(np.abs(quantum_joint_series(rho, W3, 0.0).values - base).max()),
-            float(np.abs(quantum_joint_spectral(rho, W3, 0.0).values - base).max()),
-        )
+        worst = 0.0
+        for build in (quantum_joint_series, quantum_joint_spectral):
+            # against the classical product rho(R) W(p, r), one row of R at a time
+            worst = max(worst, _sup_gap(build(rho, W3, 0.0).values, (r * W3.values for r in rho.values)))
         checks.append(_tol_check("classical_reduction[hbar=0]", worst, 1e-12))
     with _failed_rows(checks, "classical_reduction[harmonic]"):
         grid2 = config.grid2()
@@ -349,17 +383,20 @@ def check_dynamics_oracles(config: ScenarioConfig) -> list:
     return checks
 
 
-def _pipeline_bytes(config: ScenarioConfig) -> bytes:
+def _pipeline_digest(config: ScenarioConfig) -> bytes:
+    """SHA-256 of one cumulant pipeline at the cumulant hbar: the joint's
+    little-endian float64 bytes, read in place through a memoryview, then
+    kappa22, the two variances and the fitted (c2, c4)."""
     F, report, coefficients = cumulant_pipeline(*config.joint_inputs(), _cumulant_hbar(config))
-    blob = F.values.astype("<f8").tobytes()
-    blob += np.array([report.kappa22, report.sigma_R2, report.sigma_p2, *coefficients], dtype="<f8").tobytes()
-    return blob
+    digest = hashlib.sha256(memoryview(np.ascontiguousarray(F.values, dtype="<f8")))
+    digest.update(np.array([report.kappa22, report.sigma_R2, report.sigma_p2, *coefficients], dtype="<f8").tobytes())
+    return digest.digest()
 
 
 def check_determinism(config: ScenarioConfig) -> list:
     checks = []
     with _failed_rows(checks, "determinism"):
-        same = _pipeline_bytes(config) == _pipeline_bytes(config)
+        same = _pipeline_digest(config) == _pipeline_digest(config)
         note = "byte-compare of repeated pipeline"
         checks.append(Check("determinism[rebuild]", 0.0 if same else 1.0, 0.0, same, note))
     return checks

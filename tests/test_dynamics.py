@@ -352,6 +352,31 @@ class TestPropagate:
         err_fine = np.abs(run(0.01) - ref).max()
         assert err_coarse / err_fine == pytest.approx(4.0, rel=0.2)
 
+    @pytest.mark.parametrize("hbar", [0.0, 1.0])
+    @pytest.mark.parametrize("kind, passes", [("free", 2), ("harmonic", 4)])
+    def test_identity_kick_is_skipped(self, grid64, monkeypatch, hbar, kind, passes):
+        # a free kick phase is exactly 1, so a step only streams: 2 FFT passes, not 4
+        calls = []
+
+        def counted(transform):
+            def call(*args, **kwargs):
+                calls.append(transform)
+                return transform(*args, **kwargs)
+
+            return call
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        W0 = gaussian_wigner(grid64, grid64, 0.0, 0.0, 0.7, 0.7)
+        U = free_potential(grid64) if kind == "free" else harmonic_potential(grid64, 1.0)
+
+        def count(steps):
+            calls.clear()
+            propagate(W0, U, EvolutionParams(mass=1.0, hbar=hbar, dt=1e-3, steps=steps, snapshot_every=steps))
+            return len(calls)
+
+        assert count(20) - count(10) == 10 * passes
+
     def test_snapshot_times_strictly_increase(self, grid64):
         W0 = gaussian_wigner(grid64, grid64, 0.0, 0.0, 0.7, 0.7)
         params = EvolutionParams(mass=1.0, hbar=0.0, dt=0.01, steps=25, snapshot_every=10)

@@ -1,8 +1,12 @@
-"""The verification pass: its builder calls and its failed rows."""
+"""The verification pass: its builder calls, its failed rows and its n^3 memory."""
 
+import dataclasses
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from phasekin import NonConvergenceError, load_config, verification
+from phasekin import NonConvergenceError, load_config, parse_config, verification
 
 
 @pytest.fixture
@@ -34,7 +38,7 @@ def test_each_preset_joint_is_built_at_most_twice(monkeypatch, no_dynamics):
     spectral = _stub_builder(monkeypatch, "quantum_joint_spectral")
     assert verification.run_verification(load_config()).overall_pass
     # three presets and classical_reduction; cross_cumulant adds two spectral builds
-    assert len(series) <= 7
+    assert len(series) <= 4
     assert len(spectral) <= 6
 
 
@@ -74,3 +78,57 @@ def test_spectral_raising_keeps_the_rows_before_it(monkeypatch, no_dynamics):
     assert report.checks[kept].passed
     assert names[kept + 1] == "central_equivalence[hbar=1.0]"
     assert not any(name.startswith("cross_cumulant[") for name in names)
+
+
+@pytest.mark.parametrize(
+    "check, joints",
+    [
+        # both joints are held only while the builder gap is taken, row by row
+        ("check_equivalence_presets", 2.5),
+        # each hbar = 0 joint against the product, without a product joint
+        ("check_classical_reduction", 1.5),
+        # each pipeline's joint is hashed in place and dropped before the rebuild
+        ("check_determinism", 1.5),
+    ],
+)
+def test_check_holds_its_joints_one_at_a_time(check, joints):
+    n = 64
+    config = parse_config({"grid": {"n2": n, "n3": n, "half_width": 8.0}})
+    run = getattr(verification, check)
+    run(config)
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= joints * 8 * n**3
+
+
+def _one_ulp_in_the_joint(F, report):
+    peak = tuple(n // 2 for n in F.values.shape)
+    F.values[peak] = np.nextafter(F.values[peak], np.inf)
+    return F, report
+
+
+def _one_ulp_in_kappa22(F, report):
+    return F, dataclasses.replace(report, kappa22=np.nextafter(report.kappa22, np.inf))
+
+
+@pytest.mark.parametrize("perturb", [_one_ulp_in_the_joint, _one_ulp_in_kappa22], ids=["joint", "kappa22"])
+def test_determinism_catches_one_ulp_in_the_rebuild(monkeypatch, perturb):
+    pipeline = verification.cumulant_pipeline
+    runs = []
+
+    def stub(rho, W, hbar):
+        F, report, coefficients = pipeline(rho, W, hbar)
+        runs.append(hbar)
+        if len(runs) == 2:  # the rebuild
+            F, report = perturb(F, report)
+        return F, report, coefficients
+
+    monkeypatch.setattr(verification, "cumulant_pipeline", stub)
+    [row] = verification.check_determinism(load_config())
+    assert len(runs) == 2
+    assert (row.name, row.measured, row.passed) == ("determinism[rebuild]", 1.0, False)
+    assert row.note == "byte-compare of repeated pipeline"
