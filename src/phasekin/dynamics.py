@@ -65,7 +65,7 @@ from .grids import (
     series_coefficient,
     sum_series,
 )
-from .states import JointDistribution, VirtualDensity, WignerDistribution, marginal_over_R
+from .states import JointDistribution, VirtualDensity, WignerDistribution
 
 # Snapshot guard during propagation: anharmonic transport grows physical
 # interference tails that saturate near 1e-7 of the peak at default
@@ -253,7 +253,9 @@ def collision_rhs(F: JointDistribution, epsilon: float, mass: float) -> np.ndarr
     ``epsilon * dF/dR`` sliced exactly on the diagonal R = r.
     """
     G = epsilon * _diagonal_R_derivative(F)
-    W = marginal_over_R(F)
+    # at the snapshot guard, not the 1e-10 of marginal_over_R: a joint built
+    # from an evolved snapshot carries that snapshot's tails in its marginal
+    W = WignerDistribution(F.grid_p, F.grid_r, F.values.sum(axis=0) * F.grid_R.step, decay_tol=PROPAGATION_DECAY_TOL)
     dGdp = derivative_array(G, F.grid_p, 0, 1)
     return _streaming_term(W, mass) + dGdp
 

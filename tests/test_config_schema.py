@@ -2,13 +2,14 @@
 with a ConfigError or resolves to a config that round-trips."""
 
 import json
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasekin import ConfigError, parse_config
 from phasekin.cli import build_parser
-from phasekin.config import SCHEMA
+from phasekin.config import DEFAULT_CONFIG, SCHEMA
 
 JUNK = st.one_of(
     st.booleans(),
@@ -71,3 +72,9 @@ def test_every_schema_path_is_in_the_help():
     epilog = build_parser().epilog
     for row in SCHEMA:
         assert f"  {row[0]} " in epilog
+
+
+def test_readme_defaults_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == DEFAULT_CONFIG

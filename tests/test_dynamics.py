@@ -12,7 +12,9 @@ from numpy.polynomial.polynomial import polyder, polyval
 from numpy.testing import assert_allclose
 
 from phasekin import (
+    DecayGuardError,
     EvolutionParams,
+    JointDistribution,
     NonConvergenceError,
     WignerDistribution,
     analytic_free_evolution,
@@ -37,6 +39,7 @@ from phasekin.dynamics import _diagonal_R_derivative, _moyal_terms
 from phasekin.grids import native_frequencies
 from phasekin.verification import EQUIV_PRESETS, check_dynamics_oracles
 
+from conftest import gauss
 from reference import complex_strang_reference, full_derivative_diagonal, potential_at
 
 
@@ -261,6 +264,25 @@ class TestCollisionRhs:
         F = quantum_joint_spectral(rho, gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r), hbar)
         expected = full_derivative_diagonal(F)
         assert np.abs(_diagonal_R_derivative(F) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+    def test_takes_an_evolved_double_well_snapshot(self, grid64, rho_default, wigner_default):
+        # propagate accepts this snapshot at its 1e-5 guard; the marginal of
+        # its joint reaches 6.7e-8 of the peak at the boundary, over the 1e-10
+        # guard of a prepared W
+        params = EvolutionParams(mass=1.0, hbar=0.5, dt=1e-3, steps=500, snapshot_every=500)
+        W = propagate(wigner_default, quartic_potential(grid64, -0.5, 0.1), params).final()
+        F = quantum_joint_spectral(rho_default, W, 0.5)
+        expected = moyal_rhs_spectral(W, potential_from_density(rho_default, 1.0), 0.5, 1.0)
+        assert np.abs(collision_rhs(F, 1.0, 1.0) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_marginal_that_does_not_decay_is_refused(self, grid64, rho_default):
+        # sigma_r = 3 in a box of half-width 8: the r-tails reach 2.8e-2 of the peak
+        w = np.multiply.outer(gauss(grid64.points, 0.0, 0.7), gauss(grid64.points, 0.0, 3.0))
+        values = np.multiply.outer(rho_default.values, w / (w.sum() * grid64.step**2))
+        F = JointDistribution(grid64, grid64, grid64, values)
+        with pytest.raises(DecayGuardError, match="Wigner distribution is not decaying"):
+            collision_rhs(F, 1.0, 1.0)
 
 
 class TestPropagate:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phasekin import NonConvergenceError, load_config, parse_config, verification
+from phasekin import NonConvergenceError, cumulants, load_config, parse_config, verification
 
 
 @pytest.fixture
@@ -71,7 +71,10 @@ def test_spectral_raising_keeps_the_rows_before_it(monkeypatch, no_dynamics):
         "builder_equivalence[hbar=1.0]",
         "marginal_recovery[hbar=1.0]",
         "heisenberg[hbar=1.0]",
+        # the configured hbar is 1: its one joint feeds these three families
+        "kernel_expansion",
         "cross_cumulant",
+        "determinism",
     }
     names = [c.name for c in report.checks]
     kept = names.index("central_equivalence[hbar=1.0][series]")
@@ -87,8 +90,8 @@ def test_spectral_raising_keeps_the_rows_before_it(monkeypatch, no_dynamics):
         ("check_equivalence_presets", 2.5),
         # each hbar = 0 joint against the product, without a product joint
         ("check_classical_reduction", 1.5),
-        # each pipeline's joint is hashed in place and dropped before the rebuild
-        ("check_determinism", 1.5),
+        # the configured joint is hashed in place and dropped before the rebuild
+        ("check_configured_hbar", 1.5),
     ],
 )
 def test_check_holds_its_joints_one_at_a_time(check, joints):
@@ -121,14 +124,89 @@ def test_determinism_catches_one_ulp_in_the_rebuild(monkeypatch, perturb):
     runs = []
 
     def stub(rho, W, hbar):
-        F, report, coefficients = pipeline(rho, W, hbar)
         runs.append(hbar)
-        if len(runs) == 2:  # the rebuild
-            F, report = perturb(F, report)
+        F, report, coefficients = pipeline(rho, W, hbar)
+        F, report = perturb(F, report)
         return F, report, coefficients
 
     monkeypatch.setattr(verification, "cumulant_pipeline", stub)
-    [row] = verification.check_determinism(load_config())
-    assert len(runs) == 2
+    [row] = [c for c in verification.check_configured_hbar(load_config()) if c.name.startswith("determinism")]
+    assert len(runs) == 1  # the rebuild; the first digest is taken from the shared joint
     assert (row.name, row.measured, row.passed) == ("determinism[rebuild]", 1.0, False)
     assert row.note == "byte-compare of repeated pipeline"
+
+
+def test_configured_joint_is_built_twice(monkeypatch, no_dynamics):
+    # once for the rows and once for the determinism rebuild, plus the
+    # hbar/2 joint; 0.75 is none of the preset hbars
+    calls = _stub_builder(monkeypatch, "quantum_joint_spectral")
+    monkeypatch.setattr(cumulants, "quantum_joint_spectral", verification.quantum_joint_spectral)
+    verification.run_verification(parse_config({"hbar": 0.75}))
+    assert (calls.count(0.75), calls.count(0.375)) == (2, 1)
+
+
+def _configured_rows(report):
+    families = ("kernel_expansion", "cross_cumulant", "classical_scaling", "determinism")
+    return [c for c in report.checks if c.name.split("[")[0] in families]
+
+
+def test_failing_fit_leaves_cross_cumulant_standing(no_dynamics):
+    rows = _configured_rows(verification.run_verification(parse_config({"hbar": 1e-3})))
+    fit = (
+        "DegenerateFitError: generating-function fit is unresolved at hbar = 0.001: "
+        "the standard error of c4 is 0.262 of |c4| (allowed 0.01)"
+    )
+    assert [(c.name, c.passed, c.note) for c in rows if c.name != "classical_scaling[slope]"] == [
+        ("kernel_expansion", False, fit),
+        ("cross_cumulant[negative]", True, "requires kappa22 < 0"),
+        ("cross_cumulant[scaling]", True, "kappa22 at hbar vs hbar/2"),
+        ("cross_cumulant[oracle]", False, ""),
+        ("cross_cumulant[reference_gap]", True, "recorded, not asserted: measured vs nominal -hbar^2/2"),
+        ("determinism", False, fit),
+    ]
+    assert round(rows[3].measured, 3) == 0.323
+    assert rows[5].name == "classical_scaling[slope]" and rows[5].passed
+
+
+def test_moment_guard_fails_every_family_but_the_scan(no_dynamics):
+    rows = _configured_rows(verification.run_verification(parse_config({"hbar": 2.0})))
+    guard = (
+        "DecayGuardError: moment input is not decaying: "
+        "boundary magnitude is 2.777e-06 of the global maximum (allowed 1.0e-07)"
+    )
+    assert [(c.name, c.passed, c.note if not c.passed else "") for c in rows] == [
+        ("kernel_expansion", False, guard),
+        ("cross_cumulant", False, guard),
+        ("classical_scaling[slope]", True, ""),
+        ("determinism", False, guard),
+    ]
+
+
+def _raise(*args):
+    raise NonConvergenceError("stubbed")
+
+
+@pytest.mark.parametrize(
+    "name, failed",
+    [
+        ("heisenberg_check", ["kernel_expansion", "determinism"]),
+        ("phi_series_coefficients", ["kernel_expansion", "determinism"]),
+        ("classical_limit_scan", ["classical_scaling"]),
+        ("joint_inputs", ["kernel_expansion", "cross_cumulant", "classical_scaling", "determinism"]),
+    ],
+)
+def test_raising_step_fails_only_the_families_that_use_it(monkeypatch, no_dynamics, name, failed):
+    for owner in (verification, cumulants, verification.ScenarioConfig):
+        if hasattr(owner, name):
+            monkeypatch.setattr(owner, name, _raise)
+    rows = _configured_rows(verification.run_verification(parse_config({"hbar": 0.75})))
+    assert [c.name for c in rows if not c.passed] == failed
+    assert {c.note for c in rows if not c.passed} == {"NonConvergenceError: stubbed"}
+
+
+def test_half_hbar_joint_raising_keeps_the_row_before_it(monkeypatch, no_dynamics):
+    _stub_builder(monkeypatch, "quantum_joint_spectral", raise_at=0.375)
+    rows = _configured_rows(verification.run_verification(parse_config({"hbar": 0.75})))
+    assert [c.name for c in rows if not c.passed] == ["cross_cumulant"]
+    cross = [c.name for c in rows if c.name.startswith("cross_cumulant")]
+    assert cross == ["cross_cumulant[negative]", "cross_cumulant"]
