@@ -59,6 +59,7 @@ from .grids import (
 )
 from .states import (
     JointDistribution,
+    JointSums,
     VirtualDensity,
     WignerDistribution,
     gaussian_density,

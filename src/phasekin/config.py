@@ -42,10 +42,12 @@ POTENTIAL_KINDS = ("free", "harmonic", "quartic", "from_density")
 DEFAULT_SIGMA = 2**-0.5
 
 # Peak resident bytes per grid point above the post-import level, measured
-# (numpy 2.4, 64-bit): per n3^3 point 31 on `verify` at n3 = 64 and 21 at
-# 128, and 9-11 on `joint` and `cumulants` at n3 = 128 and 256 (18-20 at
-# 64); 104 per n2^2 point on `simulate`, at n2 up to 2048.  Rounded up
-# here, with headroom: the n3 figure is 56, not 32.
+# (numpy 2.4, 64-bit): per n3^3 point 27 on `verify` at n3 = 64 and 19 at
+# 128, where it holds up to two joints; `joint` and `cumulants` stream
+# their joints and hold no n^3 array, 3 at n3 = 128, 1 at 256 and 11-12
+# at 64, where the O(n^2) work dominates; 104 per n2^2 point on
+# `simulate`, at n2 up to 2048.  Rounded up here, with headroom: the n3
+# figure is 56, not 32.
 BYTES_PER_N3_POINT = 56
 BYTES_PER_N2_POINT = 112
 MEMORY_BUDGET_BYTES = 4 * 2**30

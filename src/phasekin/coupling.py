@@ -24,20 +24,28 @@ real, so only the ``q >= 0`` half of that product is formed and
 inverted, which needs ``G(R, -q) = conj G(R, q)``, checked on G (an
 O(n^2) guard).  The inverse's per-bin scale and conjugation act on G
 and ``W_hat``, so the product goes straight to a real inverse FFT.  It
-is formed and inverted a few rows of R at a time, so the largest array
-is the real n^3 joint itself.
+is formed and inverted a few rows of R at a time.
+
+Both builders are generators of blocks of INVERSE_BLOCK rows of R,
+written into a buffer the caller owns (:func:`series_blocks`,
+:func:`spectral_blocks`, and :func:`classical_blocks` for the product).
+Given a one-block buffer, as the ``joint`` and ``cumulants`` commands
+give them, no n^3 array is formed: each block is written and reduced
+before the next overwrites it.  :func:`quantum_joint_series`,
+:func:`quantum_joint_spectral` and :func:`classical_joint` collect the
+same blocks into one n^3 array.
 """
 
 from __future__ import annotations
-
-from itertools import count
 
 import numpy as np
 
 from .grids import (
     Grid1D,
     _alternating,
+    _reshape_for,
     _sup_norm,
+    accept_series,
     checked_hermitian,
     derivative_multiplier,
     floored_fft,
@@ -46,13 +54,13 @@ from .grids import (
     half_spectrum_forward,
     require_same_grid,
     series_coefficient,
-    sum_series,
 )
 from .states import JointDistribution, VirtualDensity, WignerDistribution
 
 KERNEL_SWITCH = 1e-4
-# Rows of R per block of the inverse over q.  At n3 = 128 blocks of 2 to 8
-# rows time within noise of each other, 4 the fastest; 16 and more are slower.
+# Rows of R per block of every streamed joint.  At n3 = 128 blocks of 2 to 8
+# rows time the spectral inverse over q within noise of each other, 4 the
+# fastest; 16 and more are slower.
 INVERSE_BLOCK = 4
 
 
@@ -71,41 +79,117 @@ def _check_joint_inputs(rho: VirtualDensity, W: WignerDistribution) -> None:
     require_same_grid(rho.grid, W.grid_r, "joint builder (R vs r axis)")
 
 
+def block_buffer(rho: VirtualDensity, W: WignerDistribution) -> np.ndarray:
+    """A reused buffer of one block of rows of R, for the ``*_blocks`` generators."""
+    return np.empty((min(INVERSE_BLOCK, rho.grid.n), W.grid_p.n, W.grid_r.n))
+
+
+def _row_blocks(n_R: int, out: np.ndarray):
+    """``(rows, block)`` for each INVERSE_BLOCK rows of R in turn.
+
+    ``block`` is the rows' own slice of ``out`` when ``out`` has a row for
+    every R, and otherwise the first rows of ``out``, a block buffer that
+    the next block overwrites.
+    """
+    for start in range(0, n_R, INVERSE_BLOCK):
+        rows = slice(start, min(start + INVERSE_BLOCK, n_R))
+        yield rows, out[rows] if len(out) == n_R else out[: rows.stop - start]
+
+
+def _collect(rho: VirtualDensity, W: WignerDistribution, blocks_into) -> JointDistribution:
+    """The joint whose blocks the generator ``blocks_into(out)`` yields, each
+    written straight into its rows of ``out``, one n^3 array."""
+    f = np.empty((rho.grid.n, W.grid_p.n, W.grid_r.n))
+    for _ in blocks_into(f):
+        pass
+    return JointDistribution(rho.grid, W.grid_p, W.grid_r, f)
+
+
+def classical_blocks(rho: VirtualDensity, W: WignerDistribution, out: np.ndarray):
+    """Blocks of rows of R of the factorized joint rho(R) W(p, r), written into ``out``."""
+    _check_joint_inputs(rho, W)
+    for rows, block in _row_blocks(rho.grid.n, out):
+        yield np.multiply(rho.values[rows, None, None], W.values, out=block)
+
+
 def classical_joint(rho: VirtualDensity, W: WignerDistribution) -> JointDistribution:
     """Factorized joint: the outer product rho(R) W(p, r)."""
-    _check_joint_inputs(rho, W)
-    return JointDistribution(rho.grid, W.grid_p, W.grid_r, np.multiply.outer(rho.values, W.values))
+    return _collect(rho, W, lambda out: classical_blocks(rho, W, out))
+
+
+def _even_derivatives(values: np.ndarray, grid: Grid1D):
+    """``d^2n values / dx^2n`` along axis 0 for n = 1, 2, ..., from the
+    floored spectrum (:func:`phasekin.grids.floored_fft`)."""
+    spectrum = floored_fft(values, axis=0)
+    mult = _reshape_for(derivative_multiplier(grid, 2), values.ndim, 0)
+    while True:
+        spectrum *= mult
+        yield np.fft.ifft(spectrum, axis=0).real
 
 
 def _joint_terms(rho: VirtualDensity, W: WignerDistribution, hbar: float):
-    """The n-th term of the joint series as its two factors, for n = 1, 2, ...
+    """The n-th term of the joint series by its density factor, for n = 1, 2, ...
 
-    Yields ``((c_n d^2n rho / dR^2n, d^2n W / dp^2n), norm)``: the term is
-    their outer product, so its sup norm is the product of theirs.
+    Yields ``(c_n d^2n rho / dR^2n, norm)``.  The term is the outer
+    product of that factor and ``d^2n W / dp^2n``, so its sup norm is the
+    product of theirs; the W factor is not kept.
     """
     if hbar == 0.0:
         return  # the classical product is exact
-    rho_hat = floored_fft(rho.values)
-    w_hat = floored_fft(W.values, axis=0)
-    mult_R = derivative_multiplier(rho.grid, 2)
-    mult_p = derivative_multiplier(W.grid_p, 2)[:, None]
-    for n in count(1):
-        rho_hat *= mult_R
-        w_hat *= mult_p
+    pairs = zip(_even_derivatives(rho.values, rho.grid), _even_derivatives(W.values, W.grid_p))
+    for n, (d_rho, d_w) in enumerate(pairs, 1):
         coeff = series_coefficient(hbar, n)
-        d_rho = np.fft.ifft(rho_hat).real
-        d_w = np.fft.ifft(w_hat, axis=0).real
-        yield (coeff * d_rho, d_w), abs(coeff) * (_sup_norm(d_rho) * _sup_norm(d_w))
+        yield coeff * d_rho, abs(coeff) * (_sup_norm(d_rho) * _sup_norm(d_w))
+
+
+def _series_factors(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
+    """``(A, B, verdict)``: the joint series' factor matrices and the
+    verdict of :func:`phasekin.grids.accept_series` on it.
+
+    Every term is an outer product ``c_n rho^(2n)(R) d_p^2n W(p, r)``, so
+    the sum is one matrix product ``A @ B``: A holds rho and the scaled
+    density derivatives as columns, B holds W and its momentum
+    derivatives as rows, truncated from the factors' sup norms.  The W
+    derivatives are taken again for B, straight into its rows: keeping
+    each until the count is known would hold B twice.
+    """
+    _check_joint_inputs(rho, W)
+    scale = _sup_norm(rho.values) * _sup_norm(W.values)
+    accepted, verdict = accept_series(_joint_terms(rho, W, hbar), scale, "derivative series")
+    factors_R = np.column_stack([rho.values, *accepted])
+    factors_W = np.empty((len(accepted) + 1, *W.values.shape))
+    factors_W[0] = W.values
+    for row, d_w in zip(factors_W[1:], _even_derivatives(W.values, W.grid_p)):
+        row[...] = d_w
+    return factors_R, factors_W.reshape(len(factors_W), -1), verdict
+
+
+def _product_blocks(factors_R: np.ndarray, factors_W: np.ndarray, verdict, out: np.ndarray):
+    """Yield ``A[rows] @ B`` for each block of rows of R, written into
+    ``out``; then the series' verdict, which needs the sum's sup norm."""
+    sup = 0.0
+    for rows, block in _row_blocks(len(factors_R), out):
+        np.matmul(factors_R[rows], factors_W, out=block.reshape(len(block), -1))
+        sup = np.maximum(sup, _sup_norm(block))  # np.maximum keeps a NaN
+        yield block
+    verdict(float(sup))
+
+
+def series_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float, out: np.ndarray):
+    """Blocks of rows of R of the derivative-series joint, written into ``out``.
+
+    The series is truncated on this call; whether it converged depends on
+    the sup norm of the whole sum, so :class:`NonConvergenceError` comes
+    after the last block.
+    """
+    return _product_blocks(*_series_factors(rho, W, hbar), out)
 
 
 def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> JointDistribution:
     """Joint built from the even-derivative series; real term by term.
 
-    Every term is an outer product ``c_n rho^(2n)(R) d_p^2n W(p, r)``, so
-    the sum is one matrix product ``A @ B``: A holds rho and the scaled
-    density derivatives as columns, B holds W and its momentum
-    derivatives as rows.  :func:`phasekin.grids.sum_series` truncates it
-    from the factors' sup norms, and only the result is n^3.
+    The blocks of :func:`series_blocks`, collected.  The n^3 result is
+    allocated once the factors are formed, so it is the only n^3 array.
 
     On Gaussian presets the series converges inside the whole window
     hbar < 2 sigma_R sigma_p, that is hbar^2 / (4 sigma_R^2 sigma_p^2) < 1:
@@ -116,18 +200,8 @@ def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float
     on the coherent preset) or overflow; on coarse grids the floored
     spectra can still end the series a little past ratio 1.
     """
-    _check_joint_inputs(rho, W)
-    n_p, n_r = W.values.shape
-
-    def assemble(terms: list) -> np.ndarray:
-        factors_R = np.column_stack([rho.values, *(d_rho for d_rho, _ in terms)])
-        factors_W = np.stack([W.values, *(d_w for _, d_w in terms)]).reshape(len(terms) + 1, n_p * n_r)
-        terms.clear()  # the W factors now live in factors_W alone
-        return (factors_R @ factors_W).reshape(rho.grid.n, n_p, n_r)
-
-    scale = _sup_norm(rho.values) * _sup_norm(W.values)
-    total = sum_series(_joint_terms(rho, W, hbar), scale, assemble, "derivative series")
-    return JointDistribution(rho.grid, W.grid_p, W.grid_r, total)
+    factors = _series_factors(rho, W, hbar)
+    return _collect(rho, W, lambda out: _product_blocks(*factors, out))
 
 
 def _kernel_half(rho: VirtualDensity, grid_p: Grid1D, hbar: float) -> np.ndarray:
@@ -142,39 +216,36 @@ def _kernel_half(rho: VirtualDensity, grid_p: Grid1D, hbar: float) -> np.ndarray
 
 def _inverse_over_q(G_half: np.ndarray, w_half: np.ndarray, grid: Grid1D, out: np.ndarray):
     """Yield ``IFT_q[G(R, q) W_hat(q, r)]`` from the ``q >= 0`` halves of
-    both factors, INVERSE_BLOCK rows of R at a time.
+    both factors, INVERSE_BLOCK rows of R at a time, written into ``out``
+    as :func:`_row_blocks` places them.
 
     Each block is ``irfft`` of the factors' conjugated product times
     ``alt / step``, formed in one reused (B, n/2 + 1, n) complex buffer.
-    It is written to its own rows of ``out`` when ``out`` has a row for
-    every R, and otherwise to the first rows of ``out``, a block buffer
-    that the next block overwrites.  Outside these buffers the work is O(n^2).
+    Outside these buffers the work is O(n^2).
     """
     g = np.conj(G_half * (_alternating(grid.n // 2 + 1) / grid.step))[:, :, None]
     w = np.conj(w_half)
-    n_R = len(g)
-    product = np.empty((min(INVERSE_BLOCK, n_R), *w.shape), dtype=complex)
-    for start in range(0, n_R, INVERSE_BLOCK):
-        rows = slice(start, min(start + INVERSE_BLOCK, n_R))
-        size = rows.stop - start
-        block = out[rows] if len(out) == n_R else out[:size]
-        np.fft.irfft(np.multiply(g[rows], w, out=product[:size]), grid.n, axis=1, out=block)
+    product = np.empty((min(INVERSE_BLOCK, len(g)), *w.shape), dtype=complex)
+    for rows, block in _row_blocks(len(g), out):
+        np.fft.irfft(np.multiply(g[rows], w, out=product[: len(block)]), grid.n, axis=1, out=block)
         yield block
+
+
+def spectral_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float, out: np.ndarray):
+    """Blocks of rows of R of the spectral joint, written into ``out``, by
+    the half-spectrum route of the module docstring;
+    :class:`ImaginaryResidueError` if ``G(R, q)`` is not Hermitian in q
+    (a complex kernel, say)."""
+    _check_joint_inputs(rho, W)
+    yield from _inverse_over_q(_kernel_half(rho, W.grid_p, hbar), half_spectrum_forward(W.values, W.grid_p), W.grid_p, out)
 
 
 def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> JointDistribution:
     """Joint built in Fourier space via the sinc kernel on the (K, q) lattice.
 
     The kernel is evaluated everywhere, including its negative lobes; no
-    windowing is applied.  Built by the half-spectrum route of the module
-    docstring, whose largest array is the real n^3 result: the complex
-    product is formed a block of rows of R at a time, straight into it;
-    :class:`ImaginaryResidueError` if ``G(R, q)`` is not Hermitian in q
-    (a complex kernel, say).
+    windowing is applied.  The blocks of :func:`spectral_blocks`,
+    collected: the complex product is formed a block of rows of R at a
+    time, straight into the real n^3 result.
     """
-    _check_joint_inputs(rho, W)
-    f = np.empty((rho.grid.n, W.grid_p.n, W.grid_r.n))
-    blocks = _inverse_over_q(_kernel_half(rho, W.grid_p, hbar), half_spectrum_forward(W.values, W.grid_p), W.grid_p, f)
-    for _ in blocks:
-        pass  # each block lands in its rows of f
-    return JointDistribution(rho.grid, W.grid_p, W.grid_r, f)
+    return _collect(rho, W, lambda out: spectral_blocks(rho, W, hbar, out))

@@ -16,24 +16,28 @@ from functools import reduce
 import numpy as np
 
 from .coupling import (
-    INVERSE_BLOCK,
     _check_joint_inputs,
     _inverse_over_q,
     _kernel_half,
+    block_buffer,
+    classical_blocks,
     classical_joint,
     quantum_joint_spectral,
+    spectral_blocks,
 )
 from .errors import (
     DegenerateFitError,
     ImaginaryResidueError,
     InsufficientSupportError,
 )
-from .grids import _sup_norm, ensure_decaying, fourier_forward, half_spectrum_forward, require_same_grid
+from .grids import Grid1D, _sup_norm, fourier_forward, half_spectrum_forward, require_same_grid
 from .states import (
     JOINT_DECAY_TOL,
     JointDistribution,
+    JointSums,
     VirtualDensity,
     WignerDistribution,
+    joint_sums,
     marginal_over_R,
     marginal_over_pr,
     moments,
@@ -87,8 +91,15 @@ class CumulantReport:
     cauchy_schwarz_ok: bool = True
 
 
+def _phi_phase(grid_r: Grid1D, k_index: int | None = None) -> np.ndarray:
+    """``exp(i k r) * step`` at the ``k_index`` frequency (default k = 0) as
+    a cos and a sin column: the contraction over r of :func:`phi_field`."""
+    k = grid_r.frequencies[grid_r.n // 2 if k_index is None else k_index]
+    return np.stack([np.cos(k * grid_r.points), np.sin(k * grid_r.points)], axis=1) * grid_r.step
+
+
 def phi_field(
-    F: JointDistribution,
+    F: JointDistribution | JointSums,
     rho: VirtualDensity,
     W: WignerDistribution,
     k_index: int | None = None,
@@ -96,9 +107,11 @@ def phi_field(
     """Log-ratio of the joint's transform to the product of the marginals'
     on the ``k_index`` slice of the third frequency axis (default k = 0).
 
-    Masked where the product magnitude falls below PHI_PRODUCT_FLOOR of
-    its peak or the ratio approaches the kernel zeros.  The imaginary
-    part must be negligible on the mask and is discarded.
+    ``F`` is a joint, or its :class:`JointSums` contracted with that
+    slice's phase.  Masked where the product magnitude falls below
+    PHI_PRODUCT_FLOOR of its peak or the ratio approaches the kernel
+    zeros.  The imaginary part must be negligible on the mask and is
+    discarded.
     """
     require_same_grid(rho.grid, F.grid_R, "phi_field density grid")
     require_same_grid(W.grid_p, F.grid_p, "phi_field W p-grid")
@@ -106,13 +119,12 @@ def phi_field(
     if k_index is None:
         k_index = F.grid_r.n // 2  # the k = 0 slice
 
-    ensure_decaying(F.values, JOINT_DECAY_TOL, "characteristic-function input")
     # the k-th slice of the 3-axis transform: contract r with
     # exp(i k r) * step first (cos and sin as two real columns), then
     # transform the (R, p) plane
-    k = F.grid_r.frequencies[k_index]
-    phase = np.stack([np.cos(k * F.grid_r.points), np.sin(k * F.grid_r.points)], axis=1) * F.grid_r.step
-    contracted = F.values @ phase
+    sums = joint_sums(F, _phi_phase(F.grid_r, k_index))
+    sums.ensure_decaying(JOINT_DECAY_TOL, "characteristic-function input")
+    contracted = sums.contracted
     f_t = fourier_forward(contracted[..., 0] + 1j * contracted[..., 1], (F.grid_R, F.grid_p), (0, 1))
     rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
     w_t = fourier_forward(W.values, (W.grid_p, W.grid_r), (0, 1))
@@ -175,27 +187,28 @@ def phi_series_coefficients(phi: PhiField, hbar: float) -> tuple:
     return float(coeffs[0]), float(coeffs[1])
 
 
-def kappa22(F: JointDistribution) -> float:
-    """Second-second cross combination <R^2 p^2> - <R^2><p^2>."""
+def kappa22(F: JointDistribution | JointSums) -> float:
+    """Second-second cross combination <R^2 p^2> - <R^2><p^2> of a joint or its sums."""
     m = moments(F, [(2, 2), (2, 0), (0, 2)])
     return m[(2, 2)] - m[(2, 0)] * m[(0, 2)]
 
 
-def heisenberg_check(F: JointDistribution, hbar: float) -> CumulantReport:
-    """Spread-of-squares inequality check on a joint distribution.
+def heisenberg_check(F: JointDistribution | JointSums, hbar: float) -> CumulantReport:
+    """Spread-of-squares inequality check on a joint distribution or its sums.
 
     sigma_{R^2} comes from the virtual-position marginal, sigma_{p^2}
     from the momentum moments of the recovered phase-space marginal;
     the measured cross-cumulant is checked against its Cauchy-Schwarz
     bound -sigma_{R^2} sigma_{p^2}.
     """
-    rho = marginal_over_pr(F)
-    W = marginal_over_R(F)
+    sums = joint_sums(F)
+    rho = marginal_over_pr(sums)
+    W = marginal_over_R(sums)
     m_rho = moments(rho, [(2,), (4,)])
     m_w = moments(W, [(2, 0), (4, 0)])
     sigma_R2 = float(np.sqrt(max(m_rho[(4,)] - m_rho[(2,)] ** 2, 0.0)))
     sigma_p2 = float(np.sqrt(max(m_w[(4, 0)] - m_w[(2, 0)] ** 2, 0.0)))
-    kap = kappa22(F)
+    kap = kappa22(sums)
     lhs = sigma_R2 * sigma_p2
     return CumulantReport(
         hbar=hbar,
@@ -209,10 +222,29 @@ def heisenberg_check(F: JointDistribution, hbar: float) -> CumulantReport:
     )
 
 
+def _report_and_fit(sums: JointSums, rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
+    return heisenberg_check(sums, hbar), phi_series_coefficients(phi_field(sums, rho, W), hbar)
+
+
 def cumulant_pipeline(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
-    """(F, its heisenberg_check, its fitted (c2, c4)); F is the spectral joint, or the product at hbar = 0."""
+    """(F, its heisenberg_check, its fitted (c2, c4)); F is the spectral joint, or the product at hbar = 0.
+
+    Both results come from one pass over F (:class:`JointSums`).  For a
+    caller that needs F itself; :func:`stream_cumulants` never holds it.
+    """
     F = classical_joint(rho, W) if hbar == 0.0 else quantum_joint_spectral(rho, W, hbar)
-    return F, heisenberg_check(F, hbar), phi_series_coefficients(phi_field(F, rho, W), hbar)
+    return (F, *_report_and_fit(joint_sums(F, _phi_phase(F.grid_r)), rho, W, hbar))
+
+
+def stream_cumulants(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
+    """The heisenberg_check and the fitted (c2, c4) of :func:`cumulant_pipeline`,
+    equal bit for bit, from the joint's blocks of rows of R: no n^3 array is formed."""
+    buffer = block_buffer(rho, W)
+    blocks = classical_blocks(rho, W, buffer) if hbar == 0.0 else spectral_blocks(rho, W, hbar, buffer)
+    sums = JointSums(rho.grid, W.grid_p, W.grid_r, _phi_phase(W.grid_r))
+    for block in blocks:
+        sums.add(block)
+    return _report_and_fit(sums.finish(), rho, W, hbar)
 
 
 def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> float:
@@ -232,7 +264,7 @@ def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> f
         raise ValueError("scan hbar values must span at least a factor of 8")
     _check_joint_inputs(rho, W)
     w_half = half_spectrum_forward(W.values, W.grid_p)
-    buffer = np.empty((min(INVERSE_BLOCK, rho.grid.n), W.grid_p.n, W.grid_r.n))
+    buffer = block_buffer(rho, W)
     norms = []
     for h in hbars:
         blocks = _inverse_over_q(_kernel_half(rho, W.grid_p, h) - rho.values[:, None], w_half, W.grid_p, buffer)

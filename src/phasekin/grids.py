@@ -119,16 +119,22 @@ def make_grid(n: int, half_width: float) -> Grid1D:
 
 def boundary_ratio(values: np.ndarray) -> float:
     """Largest boundary-face magnitude of a real array over its global max magnitude."""
-    gmax = _sup_norm(values)
-    if gmax == 0.0:
-        return 0.0
+    return _over_peak(face_sup(values), _sup_norm(values))
+
+
+def face_sup(values: np.ndarray) -> float:
+    """Largest magnitude on the boundary faces of a real array."""
     worst = 0.0
     for ax in range(values.ndim):
         for idx in (0, -1):
             sl = [slice(None)] * values.ndim
             sl[ax] = idx
             worst = max(worst, _sup_norm(values[tuple(sl)]))
-    return worst / gmax
+    return worst
+
+
+def _over_peak(boundary: float, peak: float) -> float:
+    return boundary / peak if peak != 0.0 else 0.0
 
 
 def ensure_decaying(values: np.ndarray, tol: float = DECAY_TOL, what: str = "field") -> None:
@@ -137,8 +143,15 @@ def ensure_decaying(values: np.ndarray, tol: float = DECAY_TOL, what: str = "fie
 
     Constant fields pass: they are exactly periodic.
     """
-    ratio = boundary_ratio(values)
-    if ratio > tol and float(np.ptp(values)) > 1e-14 * _sup_norm(values):
+    require_decay(face_sup(values), values.max(), values.min(), tol, what)
+
+
+def require_decay(boundary: float, vmax, vmin, tol: float, what: str) -> None:
+    """The verdict of :func:`ensure_decaying` from an array's :func:`face_sup`,
+    max and min, which a caller may have taken a block at a time."""
+    peak = float(np.maximum(vmax, -vmin))
+    ratio = _over_peak(boundary, peak)
+    if ratio > tol and float(vmax - vmin) > 1e-14 * peak:
         raise DecayGuardError(
             f"{what} is not decaying: boundary magnitude is {ratio:.3e} of the "
             f"global maximum (allowed {tol:.1e})"
@@ -250,15 +263,28 @@ def sum_series(terms, scale: float, assemble, what: str):
     if the series stopped short of 1e-12 and its last accepted term
     still exceeds 1e-8 of the assembled sum.
     """
+    accepted, verdict = accept_series(terms, scale, what)
+    total = assemble(accepted)
+    verdict(_sup_norm(total))
+    return total
+
+
+def accept_series(terms, scale: float, what: str) -> tuple:
+    """:func:`sum_series` without the assembly: the accepted terms, and the
+    verdict, a function of the assembled sum's sup norm that raises
+    :class:`NonConvergenceError` where :func:`sum_series` would.  A caller
+    that forms the sum a block at a time gives it the sup norm at the end."""
     accepted, last_norm, converged = _accept_terms(terms, scale, what)
     terms.close()
-    total = assemble(accepted)
-    if not converged and last_norm > SERIES_FAIL_REL * _sup_norm(total):
-        raise NonConvergenceError(
-            f"{what} did not converge: last term is "
-            f"{last_norm / _sup_norm(total):.3e} of the sum after cap/growth stop"
-        )
-    return total
+
+    def verdict(total_norm: float) -> None:
+        if not converged and last_norm > SERIES_FAIL_REL * total_norm:
+            raise NonConvergenceError(
+                f"{what} did not converge: last term is "
+                f"{last_norm / total_norm:.3e} of the sum after cap/growth stop"
+            )
+
+    return accepted, verdict
 
 
 def _accept_terms(terms, scale: float, what: str) -> tuple:

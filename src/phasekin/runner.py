@@ -24,17 +24,18 @@ import numpy as np
 
 from . import __version__
 from .config import TOOL_NAME, ScenarioConfig
-from .coupling import quantum_joint_series, quantum_joint_spectral
-from .cumulants import CLASSICAL_SCAN_FRACTIONS, classical_limit_scan, cumulant_pipeline
+from .coupling import block_buffer, series_blocks, spectral_blocks
+from .cumulants import CLASSICAL_SCAN_FRACTIONS, classical_limit_scan, stream_cumulants
 from .dynamics import EvolutionParams, propagate
 from .errors import ConfigError, NonFiniteError, PhasekinError
 from .serialization import (
+    RowBlocks,
     write_array,
     write_csv,
     write_manifest,
     write_resolved_config,
 )
-from .states import marginal_residuals
+from .states import JointSums, marginal_residuals
 from .verification import run_verification
 
 # Every file name a command writes, the manifest's temporary file included;
@@ -68,16 +69,19 @@ def _prepare_output_dir(config: ScenarioConfig, override: str | None) -> str:
 
 
 def run_joint(config: ScenarioConfig, directory: str) -> tuple:
-    """Build, write and check one joint at a time, so only one is ever alive."""
+    """Build, write and reduce each joint a block of rows of R at a time, in
+    one pass over its blocks: no n^3 array is ever held."""
     rho, W = config.joint_inputs()
     grids = (rho.grid,) * 3
+    shape = (rho.grid.n, W.grid_p.n, W.grid_r.n)
+    buffer = block_buffer(rho, W)
     outputs, rows = [], []
-    for label, build in (("series", quantum_joint_series), ("spectral", quantum_joint_spectral)):
-        F = build(rho, W, config.hbar)
-        outputs += write_array(directory, f"f_{label}", F.values, ("R", "p", "r"), grids)
-        over_R, over_pr = marginal_residuals(F, rho, W)
+    for label, blocks in (("series", series_blocks), ("spectral", spectral_blocks)):
+        sums = JointSums(rho.grid, W.grid_p, W.grid_r)
+        stream = RowBlocks(shape, sums.passing(blocks(rho, W, config.hbar, buffer)))
+        outputs += write_array(directory, f"f_{label}", stream, ("R", "p", "r"), grids)
+        over_R, over_pr = marginal_residuals(sums, rho, W)
         rows += [(label, "over_R", over_R), (label, "over_pr", over_pr)]
-        del F  # before the next build
     outputs.append(
         write_csv(
             os.path.join(directory, "marginal_residuals.csv"),
@@ -121,7 +125,7 @@ def run_cumulants(config: ScenarioConfig, directory: str) -> tuple:
     # would otherwise surface as an unresolved fit
     scan = [config.hbar * f for f in CLASSICAL_SCAN_FRACTIONS]
     slope = classical_limit_scan(rho, W, scan) if config.hbar > 0.0 else float("nan")
-    _, report, (c2, c4) = cumulant_pipeline(rho, W, config.hbar)
+    report, (c2, c4) = stream_cumulants(rho, W, config.hbar)
     rows = [
         ("hbar", config.hbar),
         ("kappa22", report.kappa22),

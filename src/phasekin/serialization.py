@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,12 +30,39 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def write_array(directory: str, name: str, values: np.ndarray, axis_names, grids) -> list:
-    """Write name.bin plus a name.json sidecar; returns the paths written."""
-    payload = memoryview(np.ascontiguousarray(values, dtype="<f8").reshape(-1)).cast("B")  # no copy of C-order <f8
+@dataclass(frozen=True)
+class RowBlocks:
+    """An array of ``shape`` handed over as consecutive blocks of rows of
+    its first axis, so that it need never be held whole."""
+
+    shape: tuple
+    blocks: object  # an iterable of arrays
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+
+def write_array(directory: str, name: str, values, axis_names, grids) -> list:
+    """Write name.bin plus a name.json sidecar; returns the paths written.
+
+    ``values`` is an array, written as one block, or a :class:`RowBlocks`.
+    Each block is written and hashed in turn, in place when it is C-order
+    little-endian float64, so the file and its checksum are those of the
+    whole array.
+    """
+    blocks = values.blocks if isinstance(values, RowBlocks) else (values,)
+    digest = hashlib.sha256()
+    written = 0
     bin_path = os.path.join(directory, name + ".bin")
     with open(bin_path, "wb") as fh:
-        fh.write(payload)
+        for block in blocks:
+            payload = memoryview(np.ascontiguousarray(block, dtype="<f8").reshape(-1)).cast("B")
+            fh.write(payload)
+            digest.update(payload)
+            written += payload.nbytes
+    if written != 8 * values.size:
+        raise ValueError(f"{name}: {written} bytes written for an array of shape {tuple(values.shape)}")
     sidecar = {
         "dtype": "float64",
         "byte_order": "little",
@@ -44,7 +73,7 @@ def write_array(directory: str, name: str, values: np.ndarray, axis_names, grids
             str(axis): {"n": g.n, "half_width": g.half_width, "step": g.step}
             for axis, g in zip(axis_names, grids)
         },
-        "sha256": hashlib.sha256(payload).hexdigest(),
+        "sha256": digest.hexdigest(),
     }
     json_path = os.path.join(directory, name + ".json")
     _write_json(json_path, sidecar)

@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecayGuardError, NormalizationError
-from .grids import DECAY_TOL, Grid1D, _reshape_for, ensure_decaying, require_same_grid
+from .grids import (
+    DECAY_TOL,
+    Grid1D,
+    _reshape_for,
+    _sup_norm,
+    ensure_decaying,
+    require_decay,
+    require_same_grid,
+)
 
 # Decay guard applied to 3-axis joints: quantum corrections carry physical
 # R-tails around 1e-10 of the peak (1e-8 once built from evolved snapshots),
@@ -27,13 +35,14 @@ JOINT_NORMALIZATION_TOL = 1e-7
 MAX_MOMENT_ORDER = 8
 
 
-def _unit_integral(values: np.ndarray, grids, tol: float, what: str) -> float:
-    """The quadrature integral, which must be 1 within ``tol``.
+def _unit_integral(total, grids, tol: float, what: str) -> float:
+    """The quadrature integral from the sum of the values, ``total``,
+    which must be 1 within ``tol``.
 
     A NaN or infinite value makes the integral non-finite, so this is
     also the finiteness guard.
     """
-    norm = float(values.sum() * np.prod([g.step for g in grids]))
+    norm = float(total * np.prod([g.step for g in grids]))
     if not abs(norm - 1.0) <= tol:
         raise NormalizationError(f"{what} integrates to {norm!r}, expected 1 within {tol}")
     return norm
@@ -58,7 +67,7 @@ class WignerDistribution:
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid_p.n, self.grid_r.n):
             raise ValueError(f"W shape {v.shape} does not match grids")
-        norm = _unit_integral(v, (self.grid_p, self.grid_r), NORMALIZATION_TOL, "W")
+        norm = _unit_integral(v.sum(), (self.grid_p, self.grid_r), NORMALIZATION_TOL, "W")
         object.__setattr__(self, "normalization", norm)
         ensure_decaying(v, self.decay_tol, "Wigner distribution")
 
@@ -77,7 +86,7 @@ class VirtualDensity:
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.n,):
             raise ValueError(f"density shape {v.shape} does not match grid")
-        _unit_integral(v, (self.grid,), NORMALIZATION_TOL, "density")
+        _unit_integral(v.sum(), (self.grid,), NORMALIZATION_TOL, "density")
         if v.min() < -1e-12:
             raise ValueError(f"density has negative values down to {v.min()!r}")
         ensure_decaying(v, DECAY_TOL, "virtual density")
@@ -102,7 +111,7 @@ class JointDistribution:
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid_R.n, self.grid_p.n, self.grid_r.n):
             raise ValueError(f"F shape {v.shape} does not match grids")
-        _unit_integral(v, (self.grid_R, self.grid_p, self.grid_r), JOINT_NORMALIZATION_TOL, "F")
+        _unit_integral(v.sum(), (self.grid_R, self.grid_p, self.grid_r), JOINT_NORMALIZATION_TOL, "F")
 
 
 def preset_fits(half_width: float, center: float, sigma: float) -> bool:
@@ -149,22 +158,121 @@ def gaussian_wigner(
     return WignerDistribution(grid_p, grid_r, v)
 
 
-def marginal_over_R(F: JointDistribution) -> WignerDistribution:
-    """Integrate out the virtual position; recovers W."""
-    w = F.values.sum(axis=0) * F.grid_R.step
-    return WignerDistribution(F.grid_p, F.grid_r, w)
+class JointSums:
+    """The O(n^2) reductions of a joint F(R, p, r) that its readers need,
+    taken in one pass over consecutive blocks of its rows of R.
+
+    Add the blocks in order (:meth:`add`, or :meth:`passing` on the way to
+    another consumer), then :meth:`finish`, which checks the normalization
+    as :class:`JointDistribution` does.  Each reduction equals its
+    whole-array numpy form bit for bit:
+
+    * ``over_R`` is ``F.sum(axis=0)``: the rows are added in order, as numpy does;
+    * ``over_pr`` is ``F.sum(axis=(1, 2))`` and ``over_r`` is ``F.sum(axis=2)``;
+    * ``contracted`` is ``F @ contract``, when a ``contract`` matrix over r is given;
+    * ``total`` is ``F.sum()``: numpy sums an array of power-of-two
+      rows pairwise, row sums first, and so are the ``over_pr`` entries;
+    * ``vmax``, ``vmin`` and ``boundary`` (the :func:`phasekin.grids.face_sup`)
+      give the decay guard, :meth:`ensure_decaying`.
+    """
+
+    def __init__(self, grid_R: Grid1D, grid_p: Grid1D, grid_r: Grid1D, contract: np.ndarray | None = None):
+        require_same_grid(grid_R, grid_r, "joint distribution R/r axes")
+        self.grid_R, self.grid_p, self.grid_r = grid_R, grid_p, grid_r
+        self.contract = contract
+        self.over_R = None
+        self.over_pr = np.empty(grid_R.n)
+        self.over_r = np.empty((grid_R.n, grid_p.n))
+        self.contracted = None if contract is None else np.empty((grid_R.n, grid_p.n, contract.shape[1]))
+        self.vmax = self.vmin = None
+        self.boundary = 0.0
+        self.rows = 0
+        self.total = None
+
+    def add(self, block: np.ndarray) -> None:
+        """Reduce the next ``len(block)`` rows of R."""
+        n_R = self.grid_R.n
+        rows = slice(self.rows, self.rows + len(block))
+        if block.shape[1:] != (self.grid_p.n, self.grid_r.n) or rows.stop > n_R:
+            raise ValueError(f"block of shape {block.shape} at row {rows.start} does not fit the joint's grids")
+        self.rows = rows.stop
+        self.over_pr[rows] = block.sum(axis=(1, 2))
+        self.over_r[rows] = block.sum(axis=2)
+        if self.contract is not None:
+            self.contracted[rows] = block @ self.contract
+        if self.over_R is None:
+            self.over_R, block_rest = block[0].copy(), block[1:]
+        else:
+            block_rest = block
+        for row in block_rest:
+            self.over_R += row
+        vmax, vmin = block.max(), block.min()
+        # np.maximum and np.minimum keep a NaN, as the whole-array max and min do
+        self.vmax = vmax if self.vmax is None else np.maximum(self.vmax, vmax)
+        self.vmin = vmin if self.vmin is None else np.minimum(self.vmin, vmin)
+        faces = [block[:, 0], block[:, -1], block[:, :, 0], block[:, :, -1]]
+        if rows.start == 0:
+            faces.append(block[0])
+        if rows.stop == n_R:
+            faces.append(block[-1])
+        self.boundary = max(self.boundary, *map(_sup_norm, faces))
+
+    def passing(self, blocks):
+        """Yield each block of ``blocks`` once it is added; finish after the last."""
+        for block in blocks:
+            self.add(block)
+            yield block
+        self.finish()
+
+    def finish(self) -> "JointSums":
+        """Take the total and check that F integrates to 1; returns self."""
+        if self.rows != self.grid_R.n:
+            raise ValueError(f"{self.rows} rows of R added, expected {self.grid_R.n}")
+        total = self.over_pr
+        while len(total) > 1:
+            total = total[0::2] + total[1::2]
+        self.total = total[0]
+        grids = (self.grid_R, self.grid_p, self.grid_r)
+        _unit_integral(self.total, grids, JOINT_NORMALIZATION_TOL, "F")
+        return self
+
+    def ensure_decaying(self, tol: float, what: str) -> None:
+        """:func:`phasekin.grids.ensure_decaying` on F, from its sums."""
+        require_decay(self.boundary, self.vmax, self.vmin, tol, what)
 
 
-def marginal_over_pr(F: JointDistribution) -> VirtualDensity:
-    """Integrate out the real-particle phase space; recovers the density."""
-    rho = F.values.sum(axis=(1, 2)) * F.grid_p.step * F.grid_r.step
-    return VirtualDensity(F.grid_R, rho)
+def joint_sums(F: JointDistribution | JointSums, contract: np.ndarray | None = None) -> JointSums:
+    """The :class:`JointSums` of a joint, reduced as one block; a
+    :class:`JointSums` is returned as it is, and must then have been
+    contracted with ``contract`` if one is given."""
+    if isinstance(F, JointSums):
+        if contract is not None and (F.contract is None or not np.array_equal(F.contract, contract)):
+            raise ValueError("joint sums were taken without the contraction asked for")
+        return F
+    sums = JointSums(F.grid_R, F.grid_p, F.grid_r, contract)
+    sums.add(F.values)
+    return sums.finish()
 
 
-def marginal_residuals(F: JointDistribution, rho: VirtualDensity, W: WignerDistribution) -> tuple:
-    """Sup-norm gaps of F's two marginals from the W and rho it was built from."""
-    over_R = float(np.abs(marginal_over_R(F).values - W.values).max())
-    return over_R, float(np.abs(marginal_over_pr(F).values - rho.values).max())
+def marginal_over_R(F: JointDistribution | JointSums) -> WignerDistribution:
+    """Integrate out the virtual position; recovers W.  ``F`` is a joint or its sums."""
+    sums = joint_sums(F)
+    return WignerDistribution(sums.grid_p, sums.grid_r, sums.over_R * sums.grid_R.step)
+
+
+def marginal_over_pr(F: JointDistribution | JointSums) -> VirtualDensity:
+    """Integrate out the real-particle phase space; recovers the density.
+    ``F`` is a joint or its sums."""
+    sums = joint_sums(F)
+    return VirtualDensity(sums.grid_R, sums.over_pr * sums.grid_p.step * sums.grid_r.step)
+
+
+def marginal_residuals(F: JointDistribution | JointSums, rho: VirtualDensity, W: WignerDistribution) -> tuple:
+    """Sup-norm gaps of F's two marginals from the W and rho it was built
+    from; ``F`` is a joint or its sums."""
+    sums = joint_sums(F)
+    over_R = float(np.abs(marginal_over_R(sums).values - W.values).max())
+    return over_R, float(np.abs(marginal_over_pr(sums).values - rho.values).max())
 
 
 def _moment_grids(obj):
@@ -184,10 +292,15 @@ def moments(obj, orders) -> dict:
     distribution a pair (a, b) means <R^a p^b> with r integrated out.
     Axes that no order tuple indexes are summed out once, before any
     weighting, so a joint's pairs cost one n^3 pass and the rest is
-    O(n^2).  Total order is capped at 8.
+    O(n^2).  A :class:`JointSums` is the joint with r summed out already,
+    so its orders are pairs at most.  Total order is capped at 8.
     """
-    grids, values, tol = _moment_grids(obj)
-    ensure_decaying(values, tol, "moment input")
+    if isinstance(obj, JointSums):
+        obj.ensure_decaying(JOINT_DECAY_TOL, "moment input")
+        grids, values = (obj.grid_R, obj.grid_p, obj.grid_r), obj.over_r
+    else:
+        grids, values, tol = _moment_grids(obj)
+        ensure_decaying(values, tol, "moment input")
     vol = float(np.prod([g.step for g in grids]))
     keys = [tuple(order) for order in orders]
     kept = max(map(len, keys), default=values.ndim)
@@ -195,7 +308,7 @@ def moments(obj, orders) -> dict:
         values = values.sum(axis=tuple(range(kept, values.ndim)))
     out = {}
     for key in keys:
-        if len(key) > len(grids):
+        if len(key) > values.ndim:
             raise ValueError(f"order tuple {key} has more entries than axes")
         if any(o < 0 or int(o) != o for o in key):
             raise ValueError(f"orders must be nonnegative integers, got {key}")

@@ -26,6 +26,7 @@ from .config import ScenarioConfig, check_run_time
 from .coupling import quantum_joint_series, quantum_joint_spectral
 from .cumulants import (
     CLASSICAL_SCAN_FRACTIONS,
+    _phi_phase,
     classical_limit_scan,
     cumulant_pipeline,
     heisenberg_check,
@@ -49,7 +50,7 @@ from .dynamics import (
 from .errors import PhasekinError
 from .grids import make_grid
 from .serialization import fmt, write_csv
-from .states import gaussian_density, gaussian_wigner, marginal_residuals
+from .states import gaussian_density, gaussian_wigner, joint_sums, marginal_residuals
 
 # (sigma_R, sigma_p, sigma_r, half_width) per hbar; widths scale with hbar so
 # every derivative series keeps convergence ratio hbar^2/(4 sigma_R^2 sigma_p^2)
@@ -155,8 +156,9 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
     its marginal residuals.  The spectral joint is built next, and the
     builder gap is taken a row of R at a time while both are held: the
     only moment with two joints alive.  The series joint is then dropped,
-    and the spectral one alone gives ``central_equivalence[spectral]``,
-    its marginal residuals and the Heisenberg rows.  A family whose work
+    and the spectral one alone gives ``central_equivalence[spectral]``;
+    one pass over it (:class:`phasekin.states.JointSums`) gives its
+    marginal residuals and the Heisenberg rows.  A family whose work
     raises keeps its rows and ends in one failed row carrying the first
     error; the others go on.
 
@@ -195,9 +197,10 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
             gap = _attempt(builder_gap, series, spectral)
             del series
             central_spectral = _attempt(transport_gap, reference, spectral)
-            residuals_spectral = _attempt(marginal_residuals, spectral, rho, W)
-            report = _attempt(heisenberg_check, spectral, hbar)
+            sums = _attempt(joint_sums, spectral)
             del spectral
+            residuals_spectral = _attempt(marginal_residuals, sums, rho, W)
+            report = _attempt(heisenberg_check, sums, hbar)
             with _failed_rows(checks, f"central_equivalence{tag}"):
                 for label, measured in (("series", central_series), ("spectral", central_spectral)):
                     checks.append(_tol_check(f"central_equivalence{tag}[{label}]", _value(measured), 1e-6))
@@ -252,27 +255,32 @@ def check_classical_reduction(config: ScenarioConfig) -> list:
     return checks
 
 
-def kappa22_closed_form_oracle(sigma_R: float, sigma_p: float, hbar: float, h: float = 0.01) -> float:
+# h^2 hbar of the oracle's stencil step h.  Relative to hbar^2 / 6, the
+# stencil's truncation error grows as (h^2 hbar)^4 and its rounding error
+# falls as (h^2 hbar)^-2; at 0.02 the two together stay below 4e-9 for
+# hbar from 1e-4 to 5 (sigma_R, sigma_p of the verify and bench presets).
+ORACLE_STEP_SCALE = 0.02
+
+
+def kappa22_closed_form_oracle(sigma_R: float, sigma_p: float, hbar: float) -> float:
     """Cross-cumulant by finite differences on the analytic transform.
 
-    Independent of the FFT stack: the characteristic functions of the
-    centered Gaussian inputs are evaluated in closed form and the moment
-    derivatives are taken with 4th-order central stencils.
+    Independent of the FFT stack: the log of the characteristic function
+    of the centered Gaussian inputs, ``-sigma_R^2 K^2 / 2 + ln sinc(hbar
+    K q / 2) - sigma_p^2 q^2 / 2``, is evaluated in closed form, and the
+    mixed derivative d^2/dK^2 d^2/dq^2 at the origin is taken with
+    4th-order central stencils.  The separable Gaussian terms have no
+    mixed derivative, so the stencil reads the kernel alone, at a step
+    ``h`` with ``h^2 hbar = ORACLE_STEP_SCALE``, where neither rounding
+    nor truncation reaches the answer.
     """
+    h = math.sqrt(ORACLE_STEP_SCALE / hbar) if hbar > 0 else 1.0
     stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
-
-    def f_tilde(K, q):
-        # np.sinc is sin(pi y)/(pi y), so feed it arg/pi
-        kernel = np.sinc(hbar * K * q / 2.0 / np.pi)
-        return np.exp(-(sigma_R**2) * K**2 / 2.0) * kernel * np.exp(-(sigma_p**2) * q**2 / 2.0)
-
-    grid = f_tilde(offsets[:, None], offsets[None, :])
-    d2K = stencil @ grid          # second K-derivative at each q offset
-    r2p2 = float(stencil @ d2K)   # then second q-derivative
-    r2 = -float(stencil @ grid[:, 2])
-    p2 = -float(stencil @ grid[2, :])
-    return r2p2 - r2 * p2
+    K, q = offsets[:, None], offsets[None, :]
+    # np.sinc is sin(pi y)/(pi y), so feed it arg/pi
+    log_f = -(sigma_R**2) * K**2 / 2.0 + np.log(np.sinc(hbar * K * q / 2.0 / np.pi)) - (sigma_p**2) * q**2 / 2.0
+    return float(stencil @ log_f @ stencil)
 
 
 def _digest(F, report, coefficients) -> bytes:
@@ -288,10 +296,10 @@ def check_configured_hbar(config: ScenarioConfig) -> list:
     """The kernel expansion, cross-cumulant, classical scaling and
     determinism rows, at the configured hbar (at 1 when it is 0).
 
-    rho and W are built once, and the spectral joint F once.  F gives
-    kappa22, the Heisenberg report and the phi fit, each on its own so
-    that a failing fit leaves ``cross_cumulant`` standing, then the digest
-    of all three.  F is dropped before the hbar/2 joint, the scan and the
+    rho and W are built once, and the spectral joint F once.  One pass
+    over F (:class:`phasekin.states.JointSums`) gives kappa22, the
+    Heisenberg report and the phi fit, each on its own so that a failing
+    fit leaves ``cross_cumulant`` standing; F and all three give the digest.  F is dropped before the hbar/2 joint, the scan and the
     one :func:`cumulant_pipeline` rebuild whose digest ``determinism``
     compares.  A family whose work raises keeps its rows and ends in one
     failed row, as in :func:`check_equivalence_presets`.
@@ -312,9 +320,10 @@ def check_configured_hbar(config: ScenarioConfig) -> list:
     with _failed_rows(checks, *families):
         rho, W = config.joint_inputs()
         F = _attempt(quantum_joint_spectral, rho, W, hbar)
-        kap = _attempt(kappa22, F)
-        report = _attempt(heisenberg_check, F, hbar)
-        coefficients = _attempt(fit, F, rho, W)
+        sums = _attempt(joint_sums, F, _phi_phase(rho.grid))
+        kap = _attempt(kappa22, sums)
+        report = _attempt(heisenberg_check, sums, hbar)
+        coefficients = _attempt(fit, sums, rho, W)
         digest = _attempt(_digest, F, report, coefficients)
         del F
         kap_half = _attempt(half_kappa22, rho, W, kap)

@@ -4,6 +4,7 @@ Each is the route a package function replaced, or the textbook form of
 what it evaluates, kept here so that tests compare against it.
 """
 
+import tracemalloc
 from itertools import count
 
 import numpy as np
@@ -25,6 +26,16 @@ from phasekin.grids import (
     series_coefficient,
     sum_series,
 )
+
+
+def peak_traced_bytes(fn, *args):
+    """The tracemalloc peak, in bytes, of one call ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def joint_transform(F):

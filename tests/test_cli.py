@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,9 @@ from phasekin.cli import main
 from phasekin.config import DEFAULT_CONFIG, RUN_TIME_BUDGET_SECONDS, SECONDS_PER_STEP_UNIT
 from phasekin.runner import OUTPUT_FILE
 from phasekin.grids import make_grid
-from phasekin.serialization import read_array, write_array
+from phasekin.serialization import RowBlocks, read_array, write_array
+
+from reference import peak_traced_bytes
 
 FAST_GRID = {"n2": 32, "n3": 32, "half_width": 8.0}
 FAST_EVOLUTION = {"dt": 1e-3, "steps": 20, "snapshot_every": 10, "method": "spectral_kernel"}
@@ -273,11 +274,13 @@ class TestDeterminismAndRoundTrip:
 
 
 class TestWriteArray:
-    @pytest.mark.parametrize("layout", ["fortran", "big_endian", "strided"])
+    @pytest.mark.parametrize("layout", ["c_order", "fortran", "big_endian", "strided"])
     def test_any_layout_writes_the_c_order_little_endian_bytes(self, tmp_path, layout):
+        # whole, or as a stream of blocks of 3 rows (the last one short)
         grid = make_grid(16, 4.0)
         values = np.random.default_rng(5).normal(size=(16, 16, 16))
         other = {
+            "c_order": values,
             "fortran": np.asfortranarray(values),
             "big_endian": values.astype(">f8"),
             "strided": np.swapaxes(np.swapaxes(values, 0, 2).copy(), 0, 2),
@@ -285,11 +288,20 @@ class TestWriteArray:
         names, grids = ("R", "p", "r"), (grid,) * 3
         write_array(str(tmp_path), "c_order", values, names, grids)
         write_array(str(tmp_path), "other", other, names, grids)
-        assert (tmp_path / "other.bin").read_bytes() == (tmp_path / "c_order.bin").read_bytes()
-        back, meta = read_array(str(tmp_path), "other")
+        blocks = RowBlocks(other.shape, (other[start : start + 3] for start in range(0, 16, 3)))
+        write_array(str(tmp_path), "blocks", blocks, names, grids)
         _, meta_c = read_array(str(tmp_path), "c_order")
-        assert meta == meta_c
-        assert np.array_equal(back, values)
+        for name in ("other", "blocks"):
+            assert (tmp_path / f"{name}.bin").read_bytes() == (tmp_path / "c_order.bin").read_bytes()
+            back, meta = read_array(str(tmp_path), name)
+            assert meta == meta_c
+            assert np.array_equal(back, values)
+
+    def test_short_stream_is_refused(self, tmp_path):
+        grid = make_grid(16, 4.0)
+        values = np.zeros((16, 16, 16))
+        with pytest.raises(ValueError, match="bytes written for an array of shape"):
+            write_array(str(tmp_path), "short", RowBlocks(values.shape, [values[:8]]), ("R", "p", "r"), (grid,) * 3)
 
 
 class TestExitCodes:
@@ -433,12 +445,33 @@ class TestRunPath:
         def failing(*args):
             raise ImaginaryResidueError("spectral joint kernel G(R, q) is not Hermitian")
 
-        monkeypatch.setattr(runner, "quantum_joint_spectral", failing)
+        monkeypatch.setattr(runner, "spectral_blocks", failing)
         out = tmp_path / "out"
         assert main(["joint", "--config", write_config(tmp_path, outputs=str(out))]) == 3
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved_config.json"]
         manifest = manifest_without_timestamp(out)
         assert manifest["status"] == "aborted" and manifest["outputs"] == ["resolved_config.json"]
+
+    def test_nonconverging_series_aborts_after_f_series_is_written(self, tmp_path, monkeypatch):
+        # the series' verdict needs the sup norm of the whole sum, so it comes
+        # after the last block is on disk; the abort still clears the file
+        on_disk = []
+        write = runner.write_array
+
+        def recording(directory, *args):
+            try:
+                return write(directory, *args)
+            finally:
+                on_disk.append(sorted(os.listdir(directory)))
+
+        monkeypatch.setattr(runner, "write_array", recording)
+        out = tmp_path / "out"
+        assert main(["joint", "--config", write_config(tmp_path, outputs=str(out), hbar=2.0)]) == 3
+        assert on_disk == [["f_series.bin"]]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved_config.json"]
+        manifest = manifest_without_timestamp(out)
+        assert manifest["status"] == "aborted" and manifest["outputs"] == ["resolved_config.json"]
+        assert manifest["error"].startswith("derivative series did not converge: last term is")
 
     def test_joint_outputs_in_order(self, tmp_path):
         out = tmp_path / "out"
@@ -460,17 +493,20 @@ class TestRunPath:
         ]
 
     def test_joint_holds_one_joint_at_a_time(self, tmp_path):
-        # each joint is written and checked, then dropped before the next build
+        # each joint is built, written and reduced a block of rows at a time;
+        # at n3 = 64 the (N + 1, n^2) series factors alone are near half a joint
         n = 64
         config = parse_config({"grid": {"n2": n, "n3": n, "half_width": 8.0}})
         runner.run_joint(config, str(tmp_path))
-        tracemalloc.start()
-        try:
-            runner.run_joint(config, str(tmp_path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.75 * 8 * n**3
+        assert peak_traced_bytes(runner.run_joint, config, str(tmp_path)) <= 0.75 * 8 * n**3
+
+    @pytest.mark.parametrize("command", ["run_joint", "run_cumulants"])
+    def test_streamed_command_holds_under_half_a_joint(self, tmp_path, command):
+        n = 128
+        config = parse_config({"grid": {"n2": n, "n3": n, "half_width": 8.0}})
+        run = getattr(runner, command)
+        run(config, str(tmp_path))
+        assert peak_traced_bytes(run, config, str(tmp_path)) < 0.5 * 8 * n**3
 
     def test_stale_manifest_temp_file_is_cleared(self, tmp_path):
         out = tmp_path / "out"
@@ -502,14 +538,12 @@ class TestMemoryBudget:
     )
     def test_oversized_grid_is_refused_before_allocating(self, grid, key):
         doc = dict(DEFAULT_CONFIG, grid=dict(DEFAULT_CONFIG["grid"], **grid))
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ConfigError, match=rf"^{key}: estimated peak memory .* exceeds the 4 GiB budget"):
                 parse_config(doc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+
+        assert peak_traced_bytes(refused) < 2**20
 
     def test_largest_grids_inside_the_budget_load(self):
         for grid in ({"n2": 256, "n3": 256}, {"n2": 4096, "n3": 64}):

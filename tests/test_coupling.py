@@ -1,7 +1,6 @@
 """Coupling kernel and the two joint builders checking each other."""
 
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,11 +20,17 @@ from phasekin import (
     quantum_joint_spectral,
 )
 from phasekin import coupling, grids
-from phasekin.coupling import sinc_values
+from phasekin.coupling import block_buffer, classical_blocks, series_blocks, sinc_values, spectral_blocks
 from phasekin.cumulants import PHI_RATIO_FLOOR, phi_field
 from phasekin.grids import fourier_forward
 
-from reference import dense_joint_series, full_complex_joint, joint_transform, one_shot_spectral_joint
+from reference import (
+    dense_joint_series,
+    full_complex_joint,
+    joint_transform,
+    one_shot_spectral_joint,
+    peak_traced_bytes,
+)
 
 
 def sinc(x):
@@ -147,12 +152,7 @@ class TestQuantumJointSeries:
 
         monkeypatch.setattr(grids, "_accept_terms", counting)
         rho = gaussian_density(grid128, 0.0, 1.0)
-        tracemalloc.start()
-        try:
-            quantum_joint_series(rho, wigner128, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_traced_bytes(quantum_joint_series, rho, wigner128, 1.0)
         n, factor_rows = grid128.n, used[0] + 1
         assert factor_rows > 21  # past the old 20-term cap
         assert peak <= 8 * n**3 + 8 * factor_rows * (n**2 + n) + 2**15
@@ -258,12 +258,7 @@ class TestSpectralRoute:
     def test_no_full_complex_cube(self, rho_default, wigner_default):
         n = rho_default.grid.n
         quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        tracemalloc.start()
-        try:
-            quantum_joint_spectral(rho_default, wigner_default, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_traced_bytes(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         # the real result and one block of the complex half spectrum; the
         # whole (n, n/2 + 1, n) half spectrum alone is 8 (n + 2) n^2 bytes
         assert peak <= 1.5 * 8 * n**3
@@ -329,3 +324,30 @@ class TestFactoredSeries:
             return
         got = quantum_joint_series(rho, W, hbar).values
         assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize(
+    "blocks, collected",
+    [
+        (lambda rho, W, out: series_blocks(rho, W, 1.0, out), lambda rho, W: quantum_joint_series(rho, W, 1.0)),
+        (lambda rho, W, out: spectral_blocks(rho, W, 1.0, out), lambda rho, W: quantum_joint_spectral(rho, W, 1.0)),
+        (classical_blocks, classical_joint),
+    ],
+    ids=["series", "spectral", "classical"],
+)
+def test_blocks_through_one_buffer_equal_the_collected_joint(rho_default, wigner_default, blocks, collected):
+    buffer = block_buffer(rho_default, wigner_default)
+    assert len(buffer) < rho_default.grid.n
+    streamed = np.concatenate([block.copy() for block in blocks(rho_default, wigner_default, buffer)])
+    assert np.array_equal(streamed, collected(rho_default, wigner_default).values)
+
+
+def test_series_verdict_comes_after_the_last_block(rho_default, wigner_default):
+    # hbar = 2 on the coherent preset: the terms grow, and whether the
+    # truncated sum is good enough depends on the sup norm of all of it
+    buffer = block_buffer(rho_default, wigner_default)
+    yielded = 0
+    with pytest.raises(NonConvergenceError, match="did not converge: last term is"):
+        for _ in series_blocks(rho_default, wigner_default, 2.0, buffer):
+            yielded += 1
+    assert yielded == rho_default.grid.n // len(buffer)

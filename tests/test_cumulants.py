@@ -1,7 +1,5 @@
 """The joint's characteristic function, the generating-function log-ratio, and cumulants."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,7 @@ from phasekin import (
     ImaginaryResidueError,
     InsufficientSupportError,
     JointDistribution,
+    JointSums,
     classical_joint,
     classical_limit_scan,
     gaussian_density,
@@ -27,13 +26,14 @@ from phasekin import (
     quantum_joint_spectral,
 )
 from phasekin import coupling, cumulants
-from phasekin.cumulants import PHI_FIT_MAX_ARG
+from phasekin.coupling import block_buffer, spectral_blocks
+from phasekin.cumulants import PHI_FIT_MAX_ARG, cumulant_pipeline, stream_cumulants
 from phasekin.grids import fourier_forward
 from phasekin.runner import run_cumulants
 from phasekin.verification import kappa22_closed_form_oracle
 
 from conftest import SIGMA_COHERENT, gauss
-from reference import departure_norms, joint_transform, phi_from_full_transform, sample_joint
+from reference import departure_norms, joint_transform, peak_traced_bytes, phi_from_full_transform, sample_joint
 
 
 class TestCharacteristicFunction:
@@ -168,6 +168,11 @@ class TestKappa22:
         oracle = kappa22_closed_form_oracle(1.0, 2**-0.5, hbar)
         assert abs(measured - oracle) / abs(oracle) < 1e-5
 
+    @pytest.mark.parametrize("hbar", [1e-3, 0.5, 1.0, 2.0])
+    def test_oracle_resolves_kappa22_at_every_hbar(self, hbar):
+        # the kernel's cross-cumulant is -hbar^2/6 whatever the Gaussian widths
+        assert abs(kappa22_closed_form_oracle(1.0, 2**-0.5, hbar) / (-(hbar**2) / 6.0) - 1.0) < 1e-6
+
     def test_oracle_stencil_accuracy(self):
         # pure-product transform has a zero cross combination; the stencil
         # reproduces it down to its own h^4 rounding floor
@@ -243,12 +248,7 @@ class TestClassicalLimitScan:
         n = rho_default.grid.n
         hbars = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
         classical_limit_scan(rho_default, wigner_default, hbars)
-        tracemalloc.start()
-        try:
-            classical_limit_scan(rho_default, wigner_default, hbars)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_traced_bytes(classical_limit_scan, rho_default, wigner_default, hbars)
         assert peak <= 0.5 * 8 * n**3
 
     def test_nan_block_gives_nan_slope(self, rho_default, wigner_default, monkeypatch):
@@ -355,12 +355,7 @@ class TestPhiFieldSlice:
         n = rho_default.grid.n
         F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
         phi_field(F, rho_default, wigner_default)
-        tracemalloc.start()
-        try:
-            phi_field(F, rho_default, wigner_default)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_traced_bytes(phi_field, F, rho_default, wigner_default)
         assert peak < 16 * n**3  # one complex n^3 array
 
     def test_non_decaying_joint_is_refused(self, rho_default, wigner_default, grid64):
@@ -399,3 +394,22 @@ class TestFitResolution:
         phi = phi_field(quantum_joint_spectral(rho_default, wigner_default, hbar), rho_default, wigner_default)
         with pytest.raises(DegenerateFitError, match="generating-function fit is unresolved"):
             phi_series_coefficients(phi, hbar)
+
+
+class TestStreamedPipeline:
+    @pytest.mark.parametrize("hbar", [0.0, 0.5, 1.0])
+    def test_stream_equals_the_pipeline_on_the_whole_joint(self, rho_default, wigner_default, hbar):
+        _, report, coefficients = cumulant_pipeline(rho_default, wigner_default, hbar)
+        assert stream_cumulants(rho_default, wigner_default, hbar) == (report, coefficients)
+
+    def test_streamed_phi_field_equals_the_whole_joint_s(self, rho_default, wigner_default):
+        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        sums = JointSums(F.grid_R, F.grid_p, F.grid_r, cumulants._phi_phase(F.grid_r))
+        buffer = block_buffer(rho_default, wigner_default)
+        for _ in sums.passing(spectral_blocks(rho_default, wigner_default, 1.0, buffer)):
+            pass
+        streamed, whole = phi_field(sums, rho_default, wigner_default), phi_field(F, rho_default, wigner_default)
+        assert np.array_equal(streamed.values, whole.values, equal_nan=True)
+        assert np.array_equal(streamed.mask, whole.mask)
+        with pytest.raises(ValueError, match="without the contraction asked for"):
+            phi_field(sums, rho_default, wigner_default, k_index=F.grid_r.n // 2 + 3)

@@ -1,6 +1,5 @@
 """Transport right-hand sides, the central collision identity, and propagation."""
 
-import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -40,7 +39,7 @@ from phasekin.grids import native_frequencies
 from phasekin.verification import EQUIV_PRESETS, check_dynamics_oracles
 
 from conftest import gauss
-from reference import complex_strang_reference, full_derivative_diagonal, potential_at
+from reference import complex_strang_reference, full_derivative_diagonal, peak_traced_bytes, potential_at
 
 
 class TestPotentials:
@@ -96,13 +95,7 @@ class TestShiftedDifference:
         grid = make_grid(256, 8.0)
         U = potential_from_density(gaussian_density(grid, 0.0, 1.0), 1.0)
         s = native_frequencies(grid) / 2.0
-        tracemalloc.start()
-        try:
-            U.shifted_difference(s)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak_traced_bytes(U.shifted_difference, s) < 16 * 2**20
 
 
 class TestLiouvilleRhs:

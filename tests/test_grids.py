@@ -1,7 +1,6 @@
 """Grid construction, transform contract, and spectral differentiation."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from phasekin.grids import (
 )
 
 from conftest import gauss
-from reference import half_spectrum_inverse
+from reference import half_spectrum_inverse, peak_traced_bytes
 
 
 class TestMakeGrid:
@@ -187,13 +186,7 @@ class TestDecayGuard:
         g = make_grid(128, 8.0)
         profile = gauss(g.points, 0.0, 1.0)
         values = np.multiply.outer(np.multiply.outer(profile, profile), profile)  # 16 MiB
-        tracemalloc.start()
-        try:
-            ensure_decaying(values)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert peak_traced_bytes(ensure_decaying, values) < 2**20
 
 
 class TestHalfSpectrum:

@@ -6,6 +6,7 @@ import pytest
 from phasekin import (
     DecayGuardError,
     JointDistribution,
+    JointSums,
     NormalizationError,
     VirtualDensity,
     WignerDistribution,
@@ -18,6 +19,8 @@ from phasekin import (
     moments,
     quantum_joint_spectral,
 )
+from phasekin.grids import ensure_decaying, face_sup
+from phasekin.states import JOINT_DECAY_TOL
 
 from conftest import SIGMA_COHERENT, gauss
 from reference import full_weighting_moments, sample_joint
@@ -88,6 +91,78 @@ class TestMarginals:
         tol = 1e-12 if hbar == 0.0 else 1e-8
         assert np.abs(marginal_over_R(F).values - wigner_default.values).max() < tol
         assert np.abs(marginal_over_pr(F).values - rho_default.values).max() < tol
+
+
+def streamed_sums(grids, values, rows, contract=None):
+    """The JointSums of ``values``, added ``rows`` rows of R at a time."""
+    sums = JointSums(*grids, contract)
+    for _ in sums.passing(values[start : start + rows] for start in range(0, len(values), rows)):
+        pass
+    return sums
+
+
+class TestJointSums:
+    @pytest.mark.parametrize("rows", [1, 3, 4, 64])
+    @pytest.mark.parametrize("kind", ["spectral", "random"])
+    def test_reductions_equal_the_whole_array_ones_bit_for_bit(self, rho_default, wigner_default, rows, kind):
+        # random values tell numpy's pairwise total apart from other summation orders
+        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        v = F.values
+        if kind == "random":
+            v = np.random.default_rng(0).random(v.shape)
+            v /= v.sum() * F.grid_R.step * F.grid_p.step * F.grid_r.step
+        contract = np.random.default_rng(0).normal(size=(F.grid_r.n, 2))
+        sums = streamed_sums((F.grid_R, F.grid_p, F.grid_r), v, rows, contract)
+        assert np.array_equal(sums.over_R, v.sum(axis=0))
+        assert np.array_equal(sums.over_pr, v.sum(axis=(1, 2)))
+        assert np.array_equal(sums.over_r, v.sum(axis=2))
+        assert np.array_equal(sums.contracted, v @ contract)
+        assert sums.total == v.sum()
+        assert (sums.vmax, sums.vmin, sums.boundary) == (v.max(), v.min(), face_sup(v))
+
+    def test_readers_equal_the_whole_array_forms(self, rho_default, wigner_default):
+        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        sums = streamed_sums((F.grid_R, F.grid_p, F.grid_r), F.values, 4)
+        over_R = F.values.sum(axis=0) * F.grid_R.step
+        over_pr = F.values.sum(axis=(1, 2)) * F.grid_p.step * F.grid_r.step
+        assert np.array_equal(marginal_over_R(sums).values, over_R)
+        assert np.array_equal(marginal_over_pr(sums).values, over_pr)
+        pairs = [(2, 2), (2, 0), (0, 2), (1, 3), (0, 0)]
+        assert moments(sums, pairs) == moments(F, pairs)  # the whole-array route for a joint
+        with pytest.raises(ValueError, match="more entries than axes"):
+            moments(sums, [(0, 0, 2)])
+
+    @pytest.mark.parametrize("what", ["moment input", "characteristic-function input"])
+    def test_decay_guard_raises_as_the_whole_array_guard(self, wigner_default, grid64, what):
+        wide = gauss(grid64.points, 0.0, 3.0)
+        wide /= wide.sum() * grid64.step
+        values = np.multiply.outer(wide, wigner_default.values)
+        with pytest.raises(DecayGuardError) as whole:
+            ensure_decaying(values, JOINT_DECAY_TOL, what)
+        with pytest.raises(DecayGuardError) as streamed:
+            streamed_sums((grid64,) * 3, values, 4).ensure_decaying(JOINT_DECAY_TOL, what)
+        assert str(streamed.value) == str(whole.value)
+
+    @pytest.mark.parametrize("spoil", ["scaled", "nan"])
+    def test_normalization_guard_raises_as_the_joint_does(self, rho_default, wigner_default, spoil):
+        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        values = 1.5 * F.values
+        if spoil == "nan":
+            values[40, 3, 5] = np.nan
+        with pytest.raises(NormalizationError) as whole:
+            JointDistribution(F.grid_R, F.grid_p, F.grid_r, values)
+        with pytest.raises(NormalizationError) as streamed:
+            streamed_sums((F.grid_R, F.grid_p, F.grid_r), values, 4)
+        assert str(streamed.value) == str(whole.value)
+
+    def test_rows_must_cover_the_grid_once(self, rho_default, wigner_default):
+        F = classical_joint(rho_default, wigner_default)
+        sums = JointSums(F.grid_R, F.grid_p, F.grid_r)
+        sums.add(F.values[:60])
+        with pytest.raises(ValueError, match="60 rows of R added, expected 64"):
+            sums.finish()
+        with pytest.raises(ValueError, match="does not fit"):
+            sums.add(F.values[:8])
 
 
 class TestMoments:

@@ -1,12 +1,13 @@
 """The verification pass: its builder calls, its failed rows and its n^3 memory."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from phasekin import NonConvergenceError, cumulants, load_config, parse_config, verification
+
+from reference import peak_traced_bytes
 
 
 @pytest.fixture
@@ -99,13 +100,7 @@ def test_check_holds_its_joints_one_at_a_time(check, joints):
     config = parse_config({"grid": {"n2": n, "n3": n, "half_width": 8.0}})
     run = getattr(verification, check)
     run(config)
-    tracemalloc.start()
-    try:
-        run(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= joints * 8 * n**3
+    assert peak_traced_bytes(run, config) <= joints * 8 * n**3
 
 
 def _one_ulp_in_the_joint(F, report):
@@ -160,11 +155,11 @@ def test_failing_fit_leaves_cross_cumulant_standing(no_dynamics):
         ("kernel_expansion", False, fit),
         ("cross_cumulant[negative]", True, "requires kappa22 < 0"),
         ("cross_cumulant[scaling]", True, "kappa22 at hbar vs hbar/2"),
-        ("cross_cumulant[oracle]", False, ""),
+        ("cross_cumulant[oracle]", True, ""),
         ("cross_cumulant[reference_gap]", True, "recorded, not asserted: measured vs nominal -hbar^2/2"),
         ("determinism", False, fit),
     ]
-    assert round(rows[3].measured, 3) == 0.323
+    assert rows[3].measured < 1e-6  # the oracle resolves kappa22 = -hbar^2/6 at hbar = 1e-3
     assert rows[5].name == "classical_scaling[slope]" and rows[5].passed
 
 
