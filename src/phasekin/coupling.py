@@ -26,14 +26,12 @@ O(n^2) guard).  The inverse's per-bin scale and conjugation act on G
 and ``W_hat``, so the product goes straight to a real inverse FFT.  It
 is formed and inverted a few rows of R at a time.
 
-Both builders are generators of blocks of INVERSE_BLOCK rows of R,
-written into a buffer the caller owns (:func:`series_blocks`,
-:func:`spectral_blocks`, and :func:`classical_blocks` for the product).
-Given a one-block buffer, as the ``joint`` and ``cumulants`` commands
-give them, no n^3 array is formed: each block is written and reduced
-before the next overwrites it.  :func:`quantum_joint_series`,
-:func:`quantum_joint_spectral` and :func:`classical_joint` collect the
-same blocks into one n^3 array.
+Each builder fills the joint a block of INVERSE_BLOCK rows of R at a
+time.  Called plainly, the blocks are the rows of one n^3 array, which
+it returns.  Given ``each_block``, as the ``joint`` and ``cumulants``
+commands give it, the builder writes every block into one reused buffer
+and hands it to ``each_block`` before the next block overwrites it, so
+no n^3 array is formed.
 """
 
 from __future__ import annotations
@@ -79,8 +77,8 @@ def _check_joint_inputs(rho: VirtualDensity, W: WignerDistribution) -> None:
     require_same_grid(rho.grid, W.grid_r, "joint builder (R vs r axis)")
 
 
-def block_buffer(rho: VirtualDensity, W: WignerDistribution) -> np.ndarray:
-    """A reused buffer of one block of rows of R, for the ``*_blocks`` generators."""
+def _block_buffer(rho: VirtualDensity, W: WignerDistribution) -> np.ndarray:
+    """A buffer of one block of INVERSE_BLOCK rows of R, reused block after block."""
     return np.empty((min(INVERSE_BLOCK, rho.grid.n), W.grid_p.n, W.grid_r.n))
 
 
@@ -96,25 +94,33 @@ def _row_blocks(n_R: int, out: np.ndarray):
         yield rows, out[rows] if len(out) == n_R else out[: rows.stop - start]
 
 
-def _collect(rho: VirtualDensity, W: WignerDistribution, blocks_into) -> JointDistribution:
-    """The joint whose blocks the generator ``blocks_into(out)`` yields, each
-    written straight into its rows of ``out``, one n^3 array."""
-    f = np.empty((rho.grid.n, W.grid_p.n, W.grid_r.n))
-    for _ in blocks_into(f):
-        pass
-    return JointDistribution(rho.grid, W.grid_p, W.grid_r, f)
+def _joint(rho: VirtualDensity, W: WignerDistribution, blocks_into, each_block) -> JointDistribution | None:
+    """Run the generator ``blocks_into(out)``, which writes the joint's
+    blocks of rows of R into ``out`` as :func:`_row_blocks` places them.
+
+    Without ``each_block``, ``out`` is one n^3 array, returned as the
+    joint.  With it, ``out`` is a block buffer and ``each_block(block)``
+    is called on every block in turn; it must be done with the block when
+    it returns.  Nothing n^3 is formed then, and None is returned.
+    """
+    n_R = rho.grid.n
+    out = np.empty((n_R, W.grid_p.n, W.grid_r.n)) if each_block is None else _block_buffer(rho, W)
+    for block in blocks_into(out):
+        if each_block is not None:
+            each_block(block)
+    return None if each_block is not None else JointDistribution(rho.grid, W.grid_p, W.grid_r, out)
 
 
-def classical_blocks(rho: VirtualDensity, W: WignerDistribution, out: np.ndarray):
-    """Blocks of rows of R of the factorized joint rho(R) W(p, r), written into ``out``."""
+def classical_joint(rho: VirtualDensity, W: WignerDistribution, each_block=None) -> JointDistribution | None:
+    """Factorized joint: the outer product rho(R) W(p, r); streamed to
+    ``each_block`` if given, as :func:`_joint` describes."""
     _check_joint_inputs(rho, W)
-    for rows, block in _row_blocks(rho.grid.n, out):
-        yield np.multiply(rho.values[rows, None, None], W.values, out=block)
 
+    def blocks_into(out):
+        for rows, block in _row_blocks(rho.grid.n, out):
+            yield np.multiply(rho.values[rows, None, None], W.values, out=block)
 
-def classical_joint(rho: VirtualDensity, W: WignerDistribution) -> JointDistribution:
-    """Factorized joint: the outer product rho(R) W(p, r)."""
-    return _collect(rho, W, lambda out: classical_blocks(rho, W, out))
+    return _joint(rho, W, blocks_into, each_block)
 
 
 def _even_derivatives(values: np.ndarray, grid: Grid1D):
@@ -166,7 +172,7 @@ def _series_factors(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> 
 
 def _product_blocks(factors_R: np.ndarray, factors_W: np.ndarray, verdict, out: np.ndarray):
     """Yield ``A[rows] @ B`` for each block of rows of R, written into
-    ``out``; then the series' verdict, which needs the sum's sup norm."""
+    ``out``; then give the series' verdict, which needs the sum's sup norm."""
     sup = 0.0
     for rows, block in _row_blocks(len(factors_R), out):
         np.matmul(factors_R[rows], factors_W, out=block.reshape(len(block), -1))
@@ -175,21 +181,16 @@ def _product_blocks(factors_R: np.ndarray, factors_W: np.ndarray, verdict, out: 
     verdict(float(sup))
 
 
-def series_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float, out: np.ndarray):
-    """Blocks of rows of R of the derivative-series joint, written into ``out``.
-
-    The series is truncated on this call; whether it converged depends on
-    the sup norm of the whole sum, so :class:`NonConvergenceError` comes
-    after the last block.
-    """
-    return _product_blocks(*_series_factors(rho, W, hbar), out)
-
-
-def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> JointDistribution:
+def quantum_joint_series(
+    rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block=None
+) -> JointDistribution | None:
     """Joint built from the even-derivative series; real term by term.
 
-    The blocks of :func:`series_blocks`, collected.  The n^3 result is
-    allocated once the factors are formed, so it is the only n^3 array.
+    The factors are formed first and the product a block of rows of R at
+    a time, into the n^3 result or, given ``each_block``, streamed as
+    :func:`_joint` describes.  Whether the truncated series converged
+    depends on the sup norm of the whole sum, so
+    :class:`NonConvergenceError` comes after the last block.
 
     On Gaussian presets the series converges inside the whole window
     hbar < 2 sigma_R sigma_p, that is hbar^2 / (4 sigma_R^2 sigma_p^2) < 1:
@@ -201,7 +202,7 @@ def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float
     spectra can still end the series a little past ratio 1.
     """
     factors = _series_factors(rho, W, hbar)
-    return _collect(rho, W, lambda out: _product_blocks(*factors, out))
+    return _joint(rho, W, lambda out: _product_blocks(*factors, out), each_block)
 
 
 def _kernel_half(rho: VirtualDensity, grid_p: Grid1D, hbar: float) -> np.ndarray:
@@ -231,21 +232,20 @@ def _inverse_over_q(G_half: np.ndarray, w_half: np.ndarray, grid: Grid1D, out: n
         yield block
 
 
-def spectral_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float, out: np.ndarray):
-    """Blocks of rows of R of the spectral joint, written into ``out``, by
-    the half-spectrum route of the module docstring;
-    :class:`ImaginaryResidueError` if ``G(R, q)`` is not Hermitian in q
-    (a complex kernel, say)."""
-    _check_joint_inputs(rho, W)
-    yield from _inverse_over_q(_kernel_half(rho, W.grid_p, hbar), half_spectrum_forward(W.values, W.grid_p), W.grid_p, out)
-
-
-def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> JointDistribution:
-    """Joint built in Fourier space via the sinc kernel on the (K, q) lattice.
+def quantum_joint_spectral(
+    rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block=None
+) -> JointDistribution | None:
+    """Joint built in Fourier space via the sinc kernel on the (K, q) lattice,
+    by the half-spectrum route of the module docstring.
 
     The kernel is evaluated everywhere, including its negative lobes; no
-    windowing is applied.  The blocks of :func:`spectral_blocks`,
-    collected: the complex product is formed a block of rows of R at a
-    time, straight into the real n^3 result.
+    windowing is applied.  The complex product is formed a block of rows
+    of R at a time, straight into the real n^3 result or, given
+    ``each_block``, streamed as :func:`_joint` describes.
+    :class:`ImaginaryResidueError` if ``G(R, q)`` is not Hermitian in q
+    (a complex kernel, say).
     """
-    return _collect(rho, W, lambda out: spectral_blocks(rho, W, hbar, out))
+    _check_joint_inputs(rho, W)
+    G_half = _kernel_half(rho, W.grid_p, hbar)
+    w_half = half_spectrum_forward(W.values, W.grid_p)
+    return _joint(rho, W, lambda out: _inverse_over_q(G_half, w_half, W.grid_p, out), each_block)

@@ -16,14 +16,12 @@ from functools import reduce
 import numpy as np
 
 from .coupling import (
+    _block_buffer,
     _check_joint_inputs,
     _inverse_over_q,
     _kernel_half,
-    block_buffer,
-    classical_blocks,
     classical_joint,
     quantum_joint_spectral,
-    spectral_blocks,
 )
 from .errors import (
     DegenerateFitError,
@@ -239,11 +237,11 @@ def cumulant_pipeline(rho: VirtualDensity, W: WignerDistribution, hbar: float) -
 def stream_cumulants(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
     """The heisenberg_check and the fitted (c2, c4) of :func:`cumulant_pipeline`,
     equal bit for bit, from the joint's blocks of rows of R: no n^3 array is formed."""
-    buffer = block_buffer(rho, W)
-    blocks = classical_blocks(rho, W, buffer) if hbar == 0.0 else spectral_blocks(rho, W, hbar, buffer)
     sums = JointSums(rho.grid, W.grid_p, W.grid_r, _phi_phase(W.grid_r))
-    for block in blocks:
-        sums.add(block)
+    if hbar == 0.0:
+        classical_joint(rho, W, sums.add)
+    else:
+        quantum_joint_spectral(rho, W, hbar, sums.add)
     return _report_and_fit(sums.finish(), rho, W, hbar)
 
 
@@ -264,7 +262,7 @@ def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> f
         raise ValueError("scan hbar values must span at least a factor of 8")
     _check_joint_inputs(rho, W)
     w_half = half_spectrum_forward(W.values, W.grid_p)
-    buffer = block_buffer(rho, W)
+    buffer = _block_buffer(rho, W)
     norms = []
     for h in hbars:
         blocks = _inverse_over_q(_kernel_half(rho, W.grid_p, h) - rho.values[:, None], w_half, W.grid_p, buffer)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import TOOL_NAME, ScenarioConfig
-from .coupling import block_buffer, series_blocks, spectral_blocks
+from .coupling import quantum_joint_series, quantum_joint_spectral
 from .cumulants import CLASSICAL_SCAN_FRACTIONS, classical_limit_scan, stream_cumulants
 from .dynamics import EvolutionParams, propagate
 from .errors import ConfigError, NonFiniteError, PhasekinError
@@ -68,17 +68,30 @@ def _prepare_output_dir(config: ScenarioConfig, override: str | None) -> str:
     return directory
 
 
+def _streamed_joint(build, rho, W, hbar: float, sums: JointSums) -> RowBlocks:
+    """The joint ``build`` forms, handed to its writer a block of rows of R
+    at a time; each block is reduced into ``sums`` on the way."""
+
+    def produce(write):
+        def each_block(block):
+            sums.add(block)
+            write(block)
+
+        build(rho, W, hbar, each_block)
+        sums.finish()
+
+    return RowBlocks((rho.grid.n, W.grid_p.n, W.grid_r.n), produce)
+
+
 def run_joint(config: ScenarioConfig, directory: str) -> tuple:
     """Build, write and reduce each joint a block of rows of R at a time, in
     one pass over its blocks: no n^3 array is ever held."""
     rho, W = config.joint_inputs()
     grids = (rho.grid,) * 3
-    shape = (rho.grid.n, W.grid_p.n, W.grid_r.n)
-    buffer = block_buffer(rho, W)
     outputs, rows = [], []
-    for label, blocks in (("series", series_blocks), ("spectral", spectral_blocks)):
+    for label, build in (("series", quantum_joint_series), ("spectral", quantum_joint_spectral)):
         sums = JointSums(rho.grid, W.grid_p, W.grid_r)
-        stream = RowBlocks(shape, sums.passing(blocks(rho, W, config.hbar, buffer)))
+        stream = _streamed_joint(build, rho, W, config.hbar, sums)
         outputs += write_array(directory, f"f_{label}", stream, ("R", "p", "r"), grids)
         over_R, over_pr = marginal_residuals(sums, rho, W)
         rows += [(label, "over_R", over_R), (label, "over_pr", over_pr)]

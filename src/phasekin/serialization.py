@@ -33,36 +33,49 @@ def fmt(value) -> str:
 @dataclass(frozen=True)
 class RowBlocks:
     """An array of ``shape`` handed over as consecutive blocks of rows of
-    its first axis, so that it need never be held whole."""
+    its first axis, so that it need never be held whole: ``produce(write)``
+    calls ``write(block)`` on each block in turn."""
 
     shape: tuple
-    blocks: object  # an iterable of arrays
+    produce: object  # a callable taking the block writer
 
     @property
     def size(self) -> int:
         return math.prod(self.shape)
 
 
+class ArrayWriter:
+    """The payload of one ``.bin`` file, written and hashed a block at a
+    time, in place when the block is C-order little-endian float64."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.digest = hashlib.sha256()
+        self.written = 0
+
+    def write(self, block: np.ndarray) -> None:
+        payload = memoryview(np.ascontiguousarray(block, dtype="<f8").reshape(-1)).cast("B")
+        self.fh.write(payload)
+        self.digest.update(payload)
+        self.written += payload.nbytes
+
+
 def write_array(directory: str, name: str, values, axis_names, grids) -> list:
     """Write name.bin plus a name.json sidecar; returns the paths written.
 
-    ``values`` is an array, written as one block, or a :class:`RowBlocks`.
-    Each block is written and hashed in turn, in place when it is C-order
-    little-endian float64, so the file and its checksum are those of the
-    whole array.
+    ``values`` is an array, written as one block, or a :class:`RowBlocks`,
+    written block by block; the file and its checksum are those of the
+    whole array either way.
     """
-    blocks = values.blocks if isinstance(values, RowBlocks) else (values,)
-    digest = hashlib.sha256()
-    written = 0
     bin_path = os.path.join(directory, name + ".bin")
     with open(bin_path, "wb") as fh:
-        for block in blocks:
-            payload = memoryview(np.ascontiguousarray(block, dtype="<f8").reshape(-1)).cast("B")
-            fh.write(payload)
-            digest.update(payload)
-            written += payload.nbytes
-    if written != 8 * values.size:
-        raise ValueError(f"{name}: {written} bytes written for an array of shape {tuple(values.shape)}")
+        writer = ArrayWriter(fh)
+        if isinstance(values, RowBlocks):
+            values.produce(writer.write)
+        else:
+            writer.write(values)
+    if writer.written != 8 * values.size:
+        raise ValueError(f"{name}: {writer.written} bytes written for an array of shape {tuple(values.shape)}")
     sidecar = {
         "dtype": "float64",
         "byte_order": "little",
@@ -73,7 +86,7 @@ def write_array(directory: str, name: str, values, axis_names, grids) -> list:
             str(axis): {"n": g.n, "half_width": g.half_width, "step": g.step}
             for axis, g in zip(axis_names, grids)
         },
-        "sha256": digest.hexdigest(),
+        "sha256": writer.digest.hexdigest(),
     }
     json_path = os.path.join(directory, name + ".json")
     _write_json(json_path, sidecar)

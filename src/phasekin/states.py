@@ -162,8 +162,7 @@ class JointSums:
     """The O(n^2) reductions of a joint F(R, p, r) that its readers need,
     taken in one pass over consecutive blocks of its rows of R.
 
-    Add the blocks in order (:meth:`add`, or :meth:`passing` on the way to
-    another consumer), then :meth:`finish`, which checks the normalization
+    Add the blocks in order (:meth:`add`), then :meth:`finish`, which checks the normalization
     as :class:`JointDistribution` does.  Each reduction equals its
     whole-array numpy form bit for bit:
 
@@ -216,13 +215,6 @@ class JointSums:
         if rows.stop == n_R:
             faces.append(block[-1])
         self.boundary = max(self.boundary, *map(_sup_norm, faces))
-
-    def passing(self, blocks):
-        """Yield each block of ``blocks`` once it is added; finish after the last."""
-        for block in blocks:
-            self.add(block)
-            yield block
-        self.finish()
 
     def finish(self) -> "JointSums":
         """Take the total and check that F integrates to 1; returns self."""

@@ -11,7 +11,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from phasekin.cumulants import PHI_RATIO_FLOOR
-from phasekin.coupling import _kernel_half, classical_joint, quantum_joint_spectral, sinc_values
+from phasekin.coupling import _kernel_half, _series_factors, classical_joint, quantum_joint_spectral, sinc_values
 from phasekin.grids import (
     _alternating,
     _reshape_for,
@@ -160,6 +160,16 @@ def dense_joint_series(rho, W, hbar):
             yield term, _sup_norm(term)
 
     return sum_series(terms(), _sup_norm(base), lambda accepted: sum(accepted, base), "dense series")
+
+
+def whole_product_series(rho, W, hbar):
+    """The series joint as one product of its factor matrices, as
+    quantum_joint_series formed it before it took the product a block of
+    rows of R at a time."""
+    factors_R, factors_W, verdict = _series_factors(rho, W, hbar)
+    product = factors_R @ factors_W
+    verdict(_sup_norm(product))
+    return product.reshape(rho.grid.n, W.grid_p.n, W.grid_r.n)
 
 
 def phi_from_full_transform(F, rho, W, k_index, threshold=1e-6):

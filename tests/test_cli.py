@@ -288,7 +288,7 @@ class TestWriteArray:
         names, grids = ("R", "p", "r"), (grid,) * 3
         write_array(str(tmp_path), "c_order", values, names, grids)
         write_array(str(tmp_path), "other", other, names, grids)
-        blocks = RowBlocks(other.shape, (other[start : start + 3] for start in range(0, 16, 3)))
+        blocks = RowBlocks(other.shape, lambda write: [write(other[start : start + 3]) for start in range(0, 16, 3)])
         write_array(str(tmp_path), "blocks", blocks, names, grids)
         _, meta_c = read_array(str(tmp_path), "c_order")
         for name in ("other", "blocks"):
@@ -301,7 +301,7 @@ class TestWriteArray:
         grid = make_grid(16, 4.0)
         values = np.zeros((16, 16, 16))
         with pytest.raises(ValueError, match="bytes written for an array of shape"):
-            write_array(str(tmp_path), "short", RowBlocks(values.shape, [values[:8]]), ("R", "p", "r"), (grid,) * 3)
+            write_array(str(tmp_path), "short", RowBlocks(values.shape, lambda write: write(values[:8])), ("R", "p", "r"), (grid,) * 3)
 
 
 class TestExitCodes:
@@ -445,7 +445,7 @@ class TestRunPath:
         def failing(*args):
             raise ImaginaryResidueError("spectral joint kernel G(R, q) is not Hermitian")
 
-        monkeypatch.setattr(runner, "spectral_blocks", failing)
+        monkeypatch.setattr(runner, "quantum_joint_spectral", failing)
         out = tmp_path / "out"
         assert main(["joint", "--config", write_config(tmp_path, outputs=str(out))]) == 3
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved_config.json"]

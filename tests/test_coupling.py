@@ -1,6 +1,7 @@
 """Coupling kernel and the two joint builders checking each other."""
 
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from phasekin import (
     quantum_joint_spectral,
 )
 from phasekin import coupling, grids
-from phasekin.coupling import block_buffer, classical_blocks, series_blocks, sinc_values, spectral_blocks
+from phasekin.coupling import INVERSE_BLOCK, sinc_values
 from phasekin.cumulants import PHI_RATIO_FLOOR, phi_field
 from phasekin.grids import fourier_forward
 
@@ -30,6 +31,7 @@ from reference import (
     joint_transform,
     one_shot_spectral_joint,
     peak_traced_bytes,
+    whole_product_series,
 )
 
 
@@ -327,27 +329,33 @@ class TestFactoredSeries:
 
 
 @pytest.mark.parametrize(
-    "blocks, collected",
-    [
-        (lambda rho, W, out: series_blocks(rho, W, 1.0, out), lambda rho, W: quantum_joint_series(rho, W, 1.0)),
-        (lambda rho, W, out: spectral_blocks(rho, W, 1.0, out), lambda rho, W: quantum_joint_spectral(rho, W, 1.0)),
-        (classical_blocks, classical_joint),
-    ],
+    "build",
+    [partial(quantum_joint_series, hbar=1.0), partial(quantum_joint_spectral, hbar=1.0), classical_joint],
     ids=["series", "spectral", "classical"],
 )
-def test_blocks_through_one_buffer_equal_the_collected_joint(rho_default, wigner_default, blocks, collected):
-    buffer = block_buffer(rho_default, wigner_default)
-    assert len(buffer) < rho_default.grid.n
-    streamed = np.concatenate([block.copy() for block in blocks(rho_default, wigner_default, buffer)])
-    assert np.array_equal(streamed, collected(rho_default, wigner_default).values)
+def test_streamed_blocks_equal_the_whole_joint(rho_default, wigner_default, build):
+    blocks = []
+    assert build(rho_default, wigner_default, each_block=lambda block: blocks.append(block.copy())) is None
+    assert len(blocks) == rho_default.grid.n // INVERSE_BLOCK
+    assert np.array_equal(np.concatenate(blocks), build(rho_default, wigner_default).values)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_streamed_series_equals_one_whole_product(n):
+    # the series is one product of its factor matrices; taken INVERSE_BLOCK
+    # rows of R at a time it must keep the bits of the one-call product
+    grid = make_grid(n, 8.0)
+    rho = gaussian_density(grid, 0.0, 1.0)
+    W = gaussian_wigner(grid, grid, 0.0, 0.0, 2**-0.5, 2**-0.5)
+    blocks = []
+    quantum_joint_series(rho, W, 1.0, lambda block: blocks.append(block.copy()))
+    assert np.array_equal(np.concatenate(blocks), whole_product_series(rho, W, 1.0))
 
 
 def test_series_verdict_comes_after_the_last_block(rho_default, wigner_default):
     # hbar = 2 on the coherent preset: the terms grow, and whether the
     # truncated sum is good enough depends on the sup norm of all of it
-    buffer = block_buffer(rho_default, wigner_default)
-    yielded = 0
+    handed = []
     with pytest.raises(NonConvergenceError, match="did not converge: last term is"):
-        for _ in series_blocks(rho_default, wigner_default, 2.0, buffer):
-            yielded += 1
-    assert yielded == rho_default.grid.n // len(buffer)
+        quantum_joint_series(rho_default, wigner_default, 2.0, handed.append)
+    assert len(handed) == rho_default.grid.n // INVERSE_BLOCK

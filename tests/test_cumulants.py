@@ -26,7 +26,6 @@ from phasekin import (
     quantum_joint_spectral,
 )
 from phasekin import coupling, cumulants
-from phasekin.coupling import block_buffer, spectral_blocks
 from phasekin.cumulants import PHI_FIT_MAX_ARG, cumulant_pipeline, stream_cumulants
 from phasekin.grids import fourier_forward
 from phasekin.runner import run_cumulants
@@ -405,9 +404,8 @@ class TestStreamedPipeline:
     def test_streamed_phi_field_equals_the_whole_joint_s(self, rho_default, wigner_default):
         F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
         sums = JointSums(F.grid_R, F.grid_p, F.grid_r, cumulants._phi_phase(F.grid_r))
-        buffer = block_buffer(rho_default, wigner_default)
-        for _ in sums.passing(spectral_blocks(rho_default, wigner_default, 1.0, buffer)):
-            pass
+        quantum_joint_spectral(rho_default, wigner_default, 1.0, sums.add)
+        sums.finish()
         streamed, whole = phi_field(sums, rho_default, wigner_default), phi_field(F, rho_default, wigner_default)
         assert np.array_equal(streamed.values, whole.values, equal_nan=True)
         assert np.array_equal(streamed.mask, whole.mask)

@@ -96,9 +96,9 @@ class TestMarginals:
 def streamed_sums(grids, values, rows, contract=None):
     """The JointSums of ``values``, added ``rows`` rows of R at a time."""
     sums = JointSums(*grids, contract)
-    for _ in sums.passing(values[start : start + rows] for start in range(0, len(values), rows)):
-        pass
-    return sums
+    for start in range(0, len(values), rows):
+        sums.add(values[start : start + rows])
+    return sums.finish()
 
 
 class TestJointSums:
