@@ -28,7 +28,6 @@ from .cumulants import (
 from .dynamics import (
     EvolutionParams,
     Potential,
-    Trajectory,
     analytic_free_evolution,
     collision_rhs,
     free_potential,

@@ -45,9 +45,11 @@ DEFAULT_SIGMA = 2**-0.5
 # (numpy 2.4, 64-bit): per n3^3 point 27 on `verify` at n3 = 64 and 19 at
 # 128, where it holds up to two joints; `joint` and `cumulants` stream
 # their joints and hold no n^3 array, 3 at n3 = 128, 1 at 256 and 11-12
-# at 64, where the O(n^2) work dominates; 104 per n2^2 point on
-# `simulate`, at n2 up to 2048.  Rounded up here, with headroom: the n3
-# figure is 56, not 32.
+# at 64, where the O(n^2) work dominates.  Per n2^2 point on `simulate`,
+# which writes each snapshot as it is taken and holds none: 96 at n2 = 2048,
+# 97 at 1024, 102 at 512 and 118 at 256, where fixed costs weigh, alike at
+# a snapshot every step and every 100th.  Rounded up here, with headroom:
+# 112 for n2, and 56 for n3, not 32.
 BYTES_PER_N3_POINT = 56
 BYTES_PER_N2_POINT = 112
 MEMORY_BUDGET_BYTES = 4 * 2**30

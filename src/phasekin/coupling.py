@@ -108,7 +108,7 @@ def _joint(rho: VirtualDensity, W: WignerDistribution, blocks_into, each_block) 
     for block in blocks_into(out):
         if each_block is not None:
             each_block(block)
-    return None if each_block is not None else JointDistribution(rho.grid, W.grid_p, W.grid_r, out)
+    return None if each_block is not None else JointDistribution(rho.grid, W.grid_p, W.grid_r, out, W.decay_tol)
 
 
 def classical_joint(rho: VirtualDensity, W: WignerDistribution, each_block=None) -> JointDistribution | None:

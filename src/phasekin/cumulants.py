@@ -237,7 +237,7 @@ def cumulant_pipeline(rho: VirtualDensity, W: WignerDistribution, hbar: float) -
 def stream_cumulants(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
     """The heisenberg_check and the fitted (c2, c4) of :func:`cumulant_pipeline`,
     equal bit for bit, from the joint's blocks of rows of R: no n^3 array is formed."""
-    sums = JointSums(rho.grid, W.grid_p, W.grid_r, _phi_phase(W.grid_r))
+    sums = JointSums(rho.grid, W.grid_p, W.grid_r, _phi_phase(W.grid_r), W.decay_tol)
     if hbar == 0.0:
         classical_joint(rho, W, sums.add)
     else:

@@ -35,6 +35,9 @@ and the leading half-stream of the next are applied as one full-stream
 phase, split back into two half-streams only where a snapshot is taken.
 That makes four complex FFT passes per step, each done in place, and two
 where the kick phase is exactly 1 (a free potential), whose kick is skipped.
+:func:`propagate` hands each snapshot to its consumer as it is taken and
+keeps none, so its memory does not grow with the number of snapshots; it
+returns only the conservation log.
 
 Nyquist treatment: the state stays complex over the full spectrum, so
 the unpaired Nyquist bin of each transform keeps the imaginary part its
@@ -47,7 +50,7 @@ about 9e-7 to 2.7e-6, past the 1e-6 verification tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
@@ -169,21 +172,6 @@ class EvolutionParams:
             raise ValueError("snapshot_every must be >= 1")
 
 
-@dataclass
-class Trajectory:
-    """Snapshots plus a conserved-quantity log along one propagation."""
-
-    snapshots: list = field(default_factory=list)  # (time, WignerDistribution)
-    conserved: list = field(default_factory=list)  # (time, total probability, mean energy)
-
-    @property
-    def times(self):
-        return [t for t, _ in self.snapshots]
-
-    def final(self) -> WignerDistribution:
-        return self.snapshots[-1][1]
-
-
 def _check_rhs_inputs(W: WignerDistribution, U: Potential) -> None:
     require_same_grid(U.grid, W.grid_r, "potential vs Wigner r axis")
 
@@ -253,8 +241,8 @@ def collision_rhs(F: JointDistribution, epsilon: float, mass: float) -> np.ndarr
     ``epsilon * dF/dR`` sliced exactly on the diagonal R = r.
     """
     G = epsilon * _diagonal_R_derivative(F)
-    # at the snapshot guard, not the 1e-10 of marginal_over_R: a joint built
-    # from an evolved snapshot carries that snapshot's tails in its marginal
+    # at the snapshot guard, not that of a prepared W: a joint built from
+    # an evolved snapshot carries that snapshot's tails in its marginal
     W = WignerDistribution(F.grid_p, F.grid_r, F.values.sum(axis=0) * F.grid_R.step, decay_tol=PROPAGATION_DECAY_TOL)
     dGdp = derivative_array(G, F.grid_p, 0, 1)
     return _streaming_term(W, mass) + dGdp
@@ -290,8 +278,10 @@ def _energy(W: WignerDistribution, u: np.ndarray, mass: float) -> float:
     return kinetic + potential
 
 
-def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams) -> Trajectory:
-    """Strang split-step evolution with snapshots and a conservation log."""
+def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams, *, each_snapshot) -> list:
+    """Strang split-step evolution.  Each snapshot, W0 first, goes to
+    ``each_snapshot(t, W)`` as soon as it is taken and is not kept; returns
+    the conservation log, one (t, total probability, mean energy) row per snapshot."""
     _check_rhs_inputs(W0, U)
     grid_p, grid_r = W0.grid_p, W0.grid_r
     half_stream = _shear(grid_p, grid_r, params.dt / 2.0, params.mass)
@@ -299,11 +289,13 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams) -> 
     kick = _kick_phase(U, grid_p, params)
     kicks = any((row != 1.0).any() for row in kick)  # row by row: no n^2 temporary
     u = U.samples()
+    conserved = []
 
-    traj = Trajectory()
-    traj.snapshots.append((0.0, W0))
-    traj.conserved.append((0.0, W0.normalization, _energy(W0, u, params.mass)))
+    def take(t: float, snap: WignerDistribution) -> None:
+        each_snapshot(t, snap)
+        conserved.append((t, snap.normalization, _energy(snap, u, params.mass)))
 
+    take(0.0, W0)
     # first-same-as-last: the half-streams that close one step and open
     # the next run as one full stream; a snapshot takes its own closing
     # half-stream, so the trajectory does not depend on the cadence
@@ -318,11 +310,11 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams) -> 
                 snap = WignerDistribution(grid_p, grid_r, closed, decay_tol=PROPAGATION_DECAY_TOL)
             except DecayGuardError as exc:
                 raise DecayGuardError(f"decay guard violated at t = {t}: {exc}") from exc
-            traj.snapshots.append((t, snap))
-            traj.conserved.append((t, snap.normalization, _energy(snap, u, params.mass)))
+            take(t, snap)
+            del closed, snap  # handed over: none is kept into the next step
         if step < params.steps:
             _apply_phase(values, full_stream, 1)
-    return traj
+    return conserved
 
 
 def analytic_free_evolution(W0: WignerDistribution, t: float, mass: float) -> WignerDistribution:

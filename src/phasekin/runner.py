@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import re
+from itertools import count
 
 import numpy as np
 
@@ -90,7 +91,7 @@ def run_joint(config: ScenarioConfig, directory: str) -> tuple:
     grids = (rho.grid,) * 3
     outputs, rows = [], []
     for label, build in (("series", quantum_joint_series), ("spectral", quantum_joint_spectral)):
-        sums = JointSums(rho.grid, W.grid_p, W.grid_r)
+        sums = JointSums(rho.grid, W.grid_p, W.grid_r, decay_tol=W.decay_tol)
         stream = _streamed_joint(build, rho, W, config.hbar, sums)
         outputs += write_array(directory, f"f_{label}", stream, ("R", "p", "r"), grids)
         over_R, over_pr = marginal_residuals(sums, rho, W)
@@ -106,29 +107,21 @@ def run_joint(config: ScenarioConfig, directory: str) -> tuple:
 
 
 def run_simulate(config: ScenarioConfig, directory: str) -> tuple:
+    """Propagate W, writing each snapshot as it is taken, then the conservation log."""
     grid = config.grid2()
     W0 = config.wigner(grid)
     potential = config.build_potential(grid)
     params = EvolutionParams(
-        mass=config.mass,
-        hbar=config.hbar,
-        dt=config.dt,
-        steps=config.steps,
-        snapshot_every=config.snapshot_every,
+        mass=config.mass, hbar=config.hbar, dt=config.dt, steps=config.steps, snapshot_every=config.snapshot_every
     )
-    trajectory = propagate(W0, potential, params)
-    outputs = []
-    for index, (t, snap) in enumerate(trajectory.snapshots):
-        outputs += write_array(
-            directory, f"w_{index:06d}", snap.values, ("p", "r"), (grid, grid)
-        )
-    outputs.append(
-        write_csv(
-            os.path.join(directory, "conserved.csv"),
-            ("time", "total_probability", "mean_energy"),
-            trajectory.conserved,
-        )
-    )
+    outputs, index = [], count()
+
+    def write_snapshot(t, snap):
+        outputs.extend(write_array(directory, f"w_{next(index):06d}", snap.values, ("p", "r"), (grid, grid)))
+
+    conserved = propagate(W0, potential, params, each_snapshot=write_snapshot)
+    header = ("time", "total_probability", "mean_energy")
+    outputs.append(write_csv(os.path.join(directory, "conserved.csv"), header, conserved))
     return outputs, "complete"
 
 

@@ -97,13 +97,15 @@ class JointDistribution:
     """Real joint density F(R, p, r) of virtual position and real phase space.
 
     R and r share one grid.  Values may be negative away from the
-    classical limit.
+    classical limit.  ``decay_tol`` is the guard of the W it was built
+    from, which its recovered W marginal keeps.
     """
 
     grid_R: Grid1D
     grid_p: Grid1D
     grid_r: Grid1D
     values: np.ndarray
+    decay_tol: float = DECAY_TOL
 
     def __post_init__(self) -> None:
         require_same_grid(self.grid_R, self.grid_r, "joint distribution R/r axes")
@@ -173,12 +175,15 @@ class JointSums:
       rows pairwise, row sums first, and so are the ``over_pr`` entries;
     * ``vmax``, ``vmin`` and ``boundary`` (the :func:`phasekin.grids.face_sup`)
       give the decay guard, :meth:`ensure_decaying`.
+
+    ``decay_tol`` is the guard of the W the joint was built from, as on
+    :class:`JointDistribution`.
     """
 
-    def __init__(self, grid_R: Grid1D, grid_p: Grid1D, grid_r: Grid1D, contract: np.ndarray | None = None):
+    def __init__(self, grid_R: Grid1D, grid_p: Grid1D, grid_r: Grid1D, contract=None, decay_tol: float = DECAY_TOL):
         require_same_grid(grid_R, grid_r, "joint distribution R/r axes")
         self.grid_R, self.grid_p, self.grid_r = grid_R, grid_p, grid_r
-        self.contract = contract
+        self.contract, self.decay_tol = contract, decay_tol
         self.over_R = None
         self.over_pr = np.empty(grid_R.n)
         self.over_r = np.empty((grid_R.n, grid_p.n))
@@ -241,15 +246,16 @@ def joint_sums(F: JointDistribution | JointSums, contract: np.ndarray | None = N
         if contract is not None and (F.contract is None or not np.array_equal(F.contract, contract)):
             raise ValueError("joint sums were taken without the contraction asked for")
         return F
-    sums = JointSums(F.grid_R, F.grid_p, F.grid_r, contract)
+    sums = JointSums(F.grid_R, F.grid_p, F.grid_r, contract, F.decay_tol)
     sums.add(F.values)
     return sums.finish()
 
 
 def marginal_over_R(F: JointDistribution | JointSums) -> WignerDistribution:
-    """Integrate out the virtual position; recovers W.  ``F`` is a joint or its sums."""
+    """Integrate out the virtual position; recovers W, under the guard of the
+    W that F was built from.  ``F`` is a joint or its sums."""
     sums = joint_sums(F)
-    return WignerDistribution(sums.grid_p, sums.grid_r, sums.over_R * sums.grid_R.step)
+    return WignerDistribution(sums.grid_p, sums.grid_r, sums.over_R * sums.grid_R.step, sums.decay_tol)
 
 
 def marginal_over_pr(F: JointDistribution | JointSums) -> VirtualDensity:
@@ -271,7 +277,7 @@ def _moment_grids(obj):
     if isinstance(obj, VirtualDensity):
         return (obj.grid,), obj.values, DECAY_TOL
     if isinstance(obj, WignerDistribution):
-        return (obj.grid_p, obj.grid_r), obj.values, DECAY_TOL
+        return (obj.grid_p, obj.grid_r), obj.values, obj.decay_tol
     if isinstance(obj, JointDistribution):
         return (obj.grid_R, obj.grid_p, obj.grid_r), obj.values, JOINT_DECAY_TOL
     raise TypeError(f"cannot compute moments of {type(obj).__name__}")

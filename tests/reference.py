@@ -12,6 +12,7 @@ from numpy.polynomial.polynomial import polyval
 
 from phasekin.cumulants import PHI_RATIO_FLOOR
 from phasekin.coupling import _kernel_half, _series_factors, classical_joint, quantum_joint_spectral, sinc_values
+from phasekin.dynamics import propagate
 from phasekin.grids import (
     _alternating,
     _reshape_for,
@@ -36,6 +37,14 @@ def peak_traced_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def collect(W0, U, params):
+    """``propagate`` with every snapshot it hands over kept, as it returned
+    them before it streamed them: ([(t, W), ...] in order, the conserved rows)."""
+    snapshots = []
+    conserved = propagate(W0, U, params, each_snapshot=lambda t, W: snapshots.append((t, W)))
+    return snapshots, conserved
 
 
 def joint_transform(F):

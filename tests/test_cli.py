@@ -216,6 +216,52 @@ class TestSimulateCommand:
         assert present == listed == {f"w_00000{i}.{ext}" for i in range(3) for ext in ("bin", "json")}
         assert (out / "unrelated.bin").read_text() == "kept"
 
+    def test_aborted_run_clears_the_snapshots_it_wrote(self, tmp_path, monkeypatch):
+        # each snapshot is written as it is taken; at 32^2 this width trips
+        # the snapshot guard at the fourth, t = 0.046875, and the abort
+        # clears the three already on disk
+        on_disk = []
+        write = runner.write_array
+
+        def recording(directory, *args):
+            try:
+                return write(directory, *args)
+            finally:
+                on_disk.append(sorted(os.listdir(directory)))
+
+        monkeypatch.setattr(runner, "write_array", recording)
+        out = tmp_path / "out"
+        doc = {
+            "outputs": str(out),
+            "grid": {"n2": 32, "n3": 32, "half_width": 8.0},
+            "potential": {"kind": "free"},
+            "wigner_preset": {"sigma_p": 0.75, "sigma_r": 0.5},
+            "evolution": {"dt": 0.015625, "steps": 3, "snapshot_every": 1},
+        }
+        (tmp_path / "narrow.json").write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(tmp_path / "narrow.json")]) == 3
+        snapshots = [f"w_00000{i}.{ext}" for i in range(3) for ext in ("bin", "json")]
+        assert on_disk == [snapshots[:2], snapshots[:4], snapshots]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved_config.json"]
+        manifest = manifest_without_timestamp(out)
+        assert manifest["status"] == "aborted" and manifest["outputs"] == ["resolved_config.json"]
+        assert manifest["error"].startswith("decay guard violated at t = 0.046875: ")
+
+    def test_memory_does_not_grow_with_the_snapshot_cadence(self, tmp_path, monkeypatch):
+        # no snapshot is kept once written: 201 snapshots cost less than one
+        # n2^2 array more than 2 do.  What does grow, the paths written and
+        # the conserved rows, is about 0.7 of one; relative paths keep the
+        # path strings short wherever the temporary directory is
+        monkeypatch.chdir(tmp_path)
+        n = 128
+        peaks = {}
+        for every in (1, 200):
+            config = parse_config({"grid": {"n2": n, "n3": 64}, "evolution": {"steps": 200, "snapshot_every": every}})
+            os.mkdir(str(every))
+            runner.run_simulate(config, str(every))
+            peaks[every] = peak_traced_bytes(runner.run_simulate, config, str(every))
+        assert peaks[1] - peaks[200] < 8 * n**2
+
 
 class TestCumulantsCommand:
     def test_hbar_zero_report(self, tmp_path):

@@ -1,5 +1,7 @@
 """The joint's characteristic function, the generating-function log-ratio, and cumulants."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -24,15 +26,24 @@ from phasekin import (
     phi_series_coefficients,
     propagate,
     quantum_joint_spectral,
+    quartic_potential,
 )
 from phasekin import coupling, cumulants
 from phasekin.cumulants import PHI_FIT_MAX_ARG, cumulant_pipeline, stream_cumulants
 from phasekin.grids import fourier_forward
 from phasekin.runner import run_cumulants
+from phasekin.states import marginal_residuals
 from phasekin.verification import kappa22_closed_form_oracle
 
 from conftest import SIGMA_COHERENT, gauss
-from reference import departure_norms, joint_transform, peak_traced_bytes, phi_from_full_transform, sample_joint
+from reference import (
+    collect,
+    departure_norms,
+    joint_transform,
+    peak_traced_bytes,
+    phi_from_full_transform,
+    sample_joint,
+)
 
 
 class TestCharacteristicFunction:
@@ -323,9 +334,9 @@ class TestPhiAlongTrajectory:
         W0 = gaussian_wigner(grid64, grid64, 0.0, 1.0, 2**-0.5, 2**-0.5)
         U = harmonic_potential(grid64, 1.0)
         params = EvolutionParams(mass=1.0, hbar=hbar, dt=1e-3, steps=600, snapshot_every=200)
-        traj = propagate(W0, U, params)
+        snapshots, _ = collect(W0, U, params)
         reference = None
-        for _, snap in traj.snapshots:
+        for _, snap in snapshots:
             F = quantum_joint_spectral(rho_default, snap, hbar)
             phi = phi_field(F, rho_default, snap)
             if reference is None:
@@ -333,6 +344,26 @@ class TestPhiAlongTrajectory:
                 continue
             common = reference.mask & phi.mask
             assert np.abs(reference.values[common] - phi.values[common]).max() < 1e-6
+
+
+class TestEvolvedJoint:
+    def test_marginal_keeps_the_guard_of_the_evolved_snapshot(self):
+        # the quartic oracle's final snapshot at the defaults (128^2, hbar 1,
+        # 1000 steps; min W is -9.0e-3 of the peak): its joint's W marginal
+        # reads 5.0e-8 at the boundary, inside the 1e-5 guard of the snapshot
+        # it was built from, over the 1e-10 of a prepared W
+        config = parse_config({})
+        grid = config.grid2()
+        params = EvolutionParams(mass=1.0, hbar=1.0, dt=config.dt, steps=1000, snapshot_every=100)
+        final = deque(maxlen=1)
+        U = quartic_potential(grid, 0.5, 0.1)
+        propagate(config.wigner(grid), U, params, each_snapshot=lambda t, W: final.append(W))
+        W, rho = final[0], config.rho(grid)
+        report, _ = stream_cumulants(rho, W, 1.0)
+        assert abs(report.kappa22 + 1.0 / 6.0) <= 1e-5 / 6.0
+        sums = JointSums(rho.grid, W.grid_p, W.grid_r, decay_tol=W.decay_tol)
+        quantum_joint_spectral(rho, W, 1.0, sums.add)
+        assert max(marginal_residuals(sums.finish(), rho, W)) <= 1e-12
 
 
 class TestPhiFieldSlice:

@@ -29,7 +29,6 @@ from phasekin import (
     moyal_rhs_spectral,
     parse_config,
     potential_from_density,
-    propagate,
     quantum_joint_series,
     quantum_joint_spectral,
     quartic_potential,
@@ -39,7 +38,7 @@ from phasekin.grids import native_frequencies
 from phasekin.verification import EQUIV_PRESETS, check_dynamics_oracles
 
 from conftest import gauss
-from reference import complex_strang_reference, full_derivative_diagonal, peak_traced_bytes, potential_at
+from reference import collect, complex_strang_reference, full_derivative_diagonal, peak_traced_bytes, potential_at
 
 
 class TestPotentials:
@@ -190,7 +189,7 @@ class TestMoyalRhs:
         W0 = gaussian_wigner(grid64, grid64, 0.0, 0.0, 2**-0.5, 2**-0.5)
         U = quartic_potential(grid64, 0.5, 0.1)
         params = EvolutionParams(mass=1.0, hbar=0.5, dt=1e-3, steps=1000, snapshot_every=1000)
-        W = propagate(W0, U, params).final()
+        W = collect(W0, U, params)[0][-1][1]
         b = moyal_rhs_spectral(W, U, 0.5, 1.0)
         a = moyal_rhs_series(W, U, 0.5, 1.0)
         assert np.abs(a - b).max() / np.abs(b).max() < 1e-12
@@ -264,7 +263,7 @@ class TestCollisionRhs:
         # its joint reaches 6.7e-8 of the peak at the boundary, over the 1e-10
         # guard of a prepared W
         params = EvolutionParams(mass=1.0, hbar=0.5, dt=1e-3, steps=500, snapshot_every=500)
-        W = propagate(wigner_default, quartic_potential(grid64, -0.5, 0.1), params).final()
+        W = collect(wigner_default, quartic_potential(grid64, -0.5, 0.1), params)[0][-1][1]
         F = quantum_joint_spectral(rho_default, W, 0.5)
         expected = moyal_rhs_spectral(W, potential_from_density(rho_default, 1.0), 0.5, 1.0)
         assert np.abs(collision_rhs(F, 1.0, 1.0) - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -287,9 +286,9 @@ class TestPropagate:
 
     def test_free_matches_analytic_shear(self, grid128, wigner128):
         params = EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=1000, snapshot_every=1000)
-        traj = propagate(wigner128, free_potential(grid128), params)
+        snapshots, _ = collect(wigner128, free_potential(grid128), params)
         ref = analytic_free_evolution(wigner128, 1.0, 1.0)
-        assert np.abs(traj.final().values - ref.values).max() < 1e-6
+        assert np.abs(snapshots[-1][1].values - ref.values).max() < 1e-6
 
     def test_harmonic_center_tracks_cosine(self, grid128):
         # quarter period here; the full period runs in the acceptance suite
@@ -297,23 +296,22 @@ class TestPropagate:
         W0 = gaussian_wigner(grid128, grid128, 0.0, r0, 2**-0.5, 2**-0.5)
         steps = int(round(np.pi / 2 / dt))
         params = EvolutionParams(mass=1.0, hbar=1.0, dt=dt, steps=steps, snapshot_every=steps)
-        traj = propagate(W0, harmonic_potential(grid128, omega), params)
-        t, snap = traj.snapshots[-1]
+        t, snap = collect(W0, harmonic_potential(grid128, omega), params)[0][-1]
         center = float((grid128.points[None, :] * snap.values).sum() * grid128.step**2)
         assert abs(center - r0 * np.cos(omega * t)) < 1e-4
 
     def test_probability_conserved(self, grid128, wigner128):
         U = quartic_potential(grid128, 0.5, 0.1)
         params = EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=1000, snapshot_every=100)
-        traj = propagate(wigner128, U, params)
-        drift = max(abs(prob - 1.0) for _, prob, _ in traj.conserved)
+        _, conserved = collect(wigner128, U, params)
+        drift = max(abs(prob - 1.0) for _, prob, _ in conserved)
         assert drift <= 1e-10
 
     def test_quartic_energy_drift(self, grid128, wigner128):
         U = quartic_potential(grid128, 0.5, 0.1)
         params = EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=1000, snapshot_every=100)
-        traj = propagate(wigner128, U, params)
-        energies = [e for _, _, e in traj.conserved]
+        _, conserved = collect(wigner128, U, params)
+        energies = [e for _, _, e in conserved]
         assert max(abs(e - energies[0]) for e in energies) <= 1e-6
 
     def test_quartic_energy_drift_at_smallest_verified_grid(self, grid64):
@@ -322,7 +320,7 @@ class TestPropagate:
         W0 = gaussian_wigner(grid64, grid64, 0.0, 0.0, 2**-0.5, 2**-0.5)
         U = quartic_potential(grid64, 0.5, 0.1)
         params = EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=1000, snapshot_every=100)
-        energies = [e for _, _, e in propagate(W0, U, params).conserved]
+        energies = [e for _, _, e in collect(W0, U, params)[1]]
         assert max(abs(e - energies[0]) for e in energies) <= 1e-6
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -348,7 +346,7 @@ class TestPropagate:
             "quartic": quartic_potential(grid, 0.5, 0.1),
         }[kind]
         params = EvolutionParams(mass=1.0, hbar=hbar, dt=dt, steps=steps, snapshot_every=every)
-        conserved = propagate(W0, U, params).conserved
+        _, conserved = collect(W0, U, params)
         assert len(conserved) == 2 + (steps - 1) // every
         assert all(abs(prob - 1.0) <= 1e-10 for _, prob, _ in conserved)
 
@@ -360,7 +358,7 @@ class TestPropagate:
         def run(dt):
             steps = int(round(horizon / dt))
             params = EvolutionParams(mass=1.0, hbar=1.0, dt=dt, steps=steps, snapshot_every=steps)
-            return propagate(W0, U, params).final().values
+            return collect(W0, U, params)[0][-1][1].values
 
         ref = run(0.02 / 8)
         err_coarse = np.abs(run(0.02) - ref).max()
@@ -387,7 +385,7 @@ class TestPropagate:
 
         def count(steps):
             calls.clear()
-            propagate(W0, U, EvolutionParams(mass=1.0, hbar=hbar, dt=1e-3, steps=steps, snapshot_every=steps))
+            collect(W0, U, EvolutionParams(mass=1.0, hbar=hbar, dt=1e-3, steps=steps, snapshot_every=steps))
             return len(calls)
 
         assert count(20) - count(10) == 10 * passes
@@ -395,11 +393,12 @@ class TestPropagate:
     def test_snapshot_times_strictly_increase(self, grid64):
         W0 = gaussian_wigner(grid64, grid64, 0.0, 0.0, 0.7, 0.7)
         params = EvolutionParams(mass=1.0, hbar=0.0, dt=0.01, steps=25, snapshot_every=10)
-        traj = propagate(W0, free_potential(grid64), params)
-        times = traj.times
+        snapshots, conserved = collect(W0, free_potential(grid64), params)
+        times = [t for t, _ in snapshots]
         assert times[0] == 0.0
         assert all(b > a for a, b in zip(times, times[1:]))
-        assert traj.snapshots[0][1] is W0
+        assert snapshots[0][1] is W0
+        assert [t for t, _, _ in conserved] == times
 
 
 class TestDynamicsOracles:
@@ -475,12 +474,12 @@ class TestStepperEquivalence:
         steps, dt = 200, 1e-3
         W0, U, ref = _reference_run(kind, hbar, steps)
         params = EvolutionParams(mass=1.0, hbar=hbar, dt=dt, steps=steps, snapshot_every=snapshot_every)
-        traj = propagate(W0, U, params)
+        snapshots, _ = collect(W0, U, params)
         taken = [0] + [
             step for step in range(1, steps + 1) if step % snapshot_every == 0 or step == steps
         ]
-        assert traj.times == [0.0] + [step * dt for step in taken[1:]]
-        gap = max(np.abs(snap.values - ref[step]).max() for step, (_, snap) in zip(taken, traj.snapshots))
+        assert [t for t, _ in snapshots] == [0.0] + [step * dt for step in taken[1:]]
+        gap = max(np.abs(snap.values - ref[step]).max() for step, (_, snap) in zip(taken, snapshots))
         # rounding only: projecting the Nyquist bins onto real values
         # after each substep shows up here at about 1e-9
         assert gap <= 1e-12
@@ -489,17 +488,16 @@ class TestStepperEquivalence:
     def test_single_step(self, kind):
         W0, U, ref = _reference_run(kind, 1.0, 1)
         params = EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=1)
-        traj = propagate(W0, U, params)
-        assert traj.times == [0.0, 1e-3]
-        assert np.abs(traj.final().values - ref[1]).max() <= 1e-12
+        snapshots, _ = collect(W0, U, params)
+        assert [t for t, _ in snapshots] == [0.0, 1e-3]
+        assert np.abs(snapshots[-1][1].values - ref[1]).max() <= 1e-12
 
     def test_trajectory_ignores_snapshot_cadence(self, grid64):
         W0 = gaussian_wigner(grid64, grid64, 0.3, -0.4, 0.7, 0.7)
         U = quartic_potential(grid64, 0.5, 0.1)
-        finals = [
-            propagate(
-                W0, U, EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=50, snapshot_every=every)
-            ).final().values
+        runs = [
+            collect(W0, U, EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=50, snapshot_every=every))
             for every in (1, 7, 50)
         ]
+        finals = [snapshots[-1][1].values for snapshots, _ in runs]
         assert np.array_equal(finals[0], finals[1]) and np.array_equal(finals[0], finals[2])
