@@ -57,7 +57,6 @@ from .grids import (
     make_grid,
 )
 from .states import (
-    JointDistribution,
     JointSums,
     VirtualDensity,
     WignerDistribution,

@@ -42,15 +42,17 @@ POTENTIAL_KINDS = ("free", "harmonic", "quartic", "from_density")
 DEFAULT_SIGMA = 2**-0.5
 
 # Peak resident bytes per grid point above the post-import level, measured
-# (numpy 2.4, 64-bit): per n3^3 point 27 on `verify` at n3 = 64 and 19 at
-# 128, where it holds up to two joints; `joint` and `cumulants` stream
-# their joints and hold no n^3 array, 3 at n3 = 128, 1 at 256 and 11-12
-# at 64, where the O(n^2) work dominates.  Per n2^2 point on `simulate`,
-# which writes each snapshot as it is taken and holds none: 96 at n2 = 2048,
-# 97 at 1024, 102 at 512 and 118 at 256, where fixed costs weigh, alike at
-# a snapshot every step and every 100th.  Rounded up here, with headroom:
-# 112 for n2, and 56 for n3, not 32.
-BYTES_PER_N3_POINT = 56
+# (numpy 2.4, 64-bit, one BLAS thread).  No command holds an n^3 array: each
+# streams its joints a block of rows of R at a time, so what grows with n3
+# is the series factors, (N + 1) n3^2, and O(n3^2) sums.  Per n3^3 point,
+# at n3 = 64, 128, 256 and 512: `verify` without its dynamics oracles 14,
+# 4.3, 1.8 and 0.85; `joint` 10, 3.1, 1.3 and 0.59; `cumulants` 13, 2.9,
+# 0.77 and 0.31; at 64 the O(n^2) work dominates.  Per n2^2 point on
+# `simulate`, which writes each snapshot as it is taken and holds none: 96
+# at n2 = 2048, 97 at 1024, 102 at 512 and 118 at 256, where fixed costs
+# weigh, alike at a snapshot every step and every 100th.  Rounded up here,
+# with headroom: 112 for n2, and 8 for n3, about twice the 4.3 of n3 = 128.
+BYTES_PER_N3_POINT = 8
 BYTES_PER_N2_POINT = 112
 MEMORY_BUDGET_BYTES = 4 * 2**30
 

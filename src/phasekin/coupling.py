@@ -26,12 +26,11 @@ O(n^2) guard).  The inverse's per-bin scale and conjugation act on G
 and ``W_hat``, so the product goes straight to a real inverse FFT.  It
 is formed and inverted a few rows of R at a time.
 
-Each builder fills the joint a block of INVERSE_BLOCK rows of R at a
-time.  Called plainly, the blocks are the rows of one n^3 array, which
-it returns.  Given ``each_block``, as the ``joint`` and ``cumulants``
-commands give it, the builder writes every block into one reused buffer
-and hands it to ``each_block`` before the next block overwrites it, so
-no n^3 array is formed.
+Each builder forms the joint a block of INVERSE_BLOCK rows of R at a
+time, writes every block into one reused buffer and hands it to its
+``each_block`` callable before the next block overwrites it, so no n^3
+array is formed.  Whoever needs the joint reduces it block by block
+(:class:`phasekin.states.JointSums`) or writes it.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .grids import (
     require_same_grid,
     series_coefficient,
 )
-from .states import JointDistribution, VirtualDensity, WignerDistribution
+from .states import VirtualDensity, WignerDistribution
 
 KERNEL_SWITCH = 1e-4
 # Rows of R per block of every streamed joint.  At n3 = 128 blocks of 2 to 8
@@ -82,45 +81,19 @@ def _block_buffer(rho: VirtualDensity, W: WignerDistribution) -> np.ndarray:
     return np.empty((min(INVERSE_BLOCK, rho.grid.n), W.grid_p.n, W.grid_r.n))
 
 
-def _row_blocks(n_R: int, out: np.ndarray):
-    """``(rows, block)`` for each INVERSE_BLOCK rows of R in turn.
-
-    ``block`` is the rows' own slice of ``out`` when ``out`` has a row for
-    every R, and otherwise the first rows of ``out``, a block buffer that
-    the next block overwrites.
-    """
+def _row_blocks(n_R: int, buffer: np.ndarray):
+    """``(rows, block)`` for each INVERSE_BLOCK rows of R in turn; ``block``
+    is the first rows of ``buffer``, which the next block overwrites."""
     for start in range(0, n_R, INVERSE_BLOCK):
         rows = slice(start, min(start + INVERSE_BLOCK, n_R))
-        yield rows, out[rows] if len(out) == n_R else out[: rows.stop - start]
+        yield rows, buffer[: rows.stop - start]
 
 
-def _joint(rho: VirtualDensity, W: WignerDistribution, blocks_into, each_block) -> JointDistribution | None:
-    """Run the generator ``blocks_into(out)``, which writes the joint's
-    blocks of rows of R into ``out`` as :func:`_row_blocks` places them.
-
-    Without ``each_block``, ``out`` is one n^3 array, returned as the
-    joint.  With it, ``out`` is a block buffer and ``each_block(block)``
-    is called on every block in turn; it must be done with the block when
-    it returns.  Nothing n^3 is formed then, and None is returned.
-    """
-    n_R = rho.grid.n
-    out = np.empty((n_R, W.grid_p.n, W.grid_r.n)) if each_block is None else _block_buffer(rho, W)
-    for block in blocks_into(out):
-        if each_block is not None:
-            each_block(block)
-    return None if each_block is not None else JointDistribution(rho.grid, W.grid_p, W.grid_r, out, W.decay_tol)
-
-
-def classical_joint(rho: VirtualDensity, W: WignerDistribution, each_block=None) -> JointDistribution | None:
-    """Factorized joint: the outer product rho(R) W(p, r); streamed to
-    ``each_block`` if given, as :func:`_joint` describes."""
+def classical_joint(rho: VirtualDensity, W: WignerDistribution, each_block) -> None:
+    """Factorized joint: the outer product rho(R) W(p, r), streamed to ``each_block``."""
     _check_joint_inputs(rho, W)
-
-    def blocks_into(out):
-        for rows, block in _row_blocks(rho.grid.n, out):
-            yield np.multiply(rho.values[rows, None, None], W.values, out=block)
-
-    return _joint(rho, W, blocks_into, each_block)
+    for rows, block in _row_blocks(rho.grid.n, _block_buffer(rho, W)):
+        each_block(np.multiply(rho.values[rows, None, None], W.values, out=block))
 
 
 def _even_derivatives(values: np.ndarray, grid: Grid1D):
@@ -170,26 +143,30 @@ def _series_factors(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> 
     return factors_R, factors_W.reshape(len(factors_W), -1), verdict
 
 
-def _product_blocks(factors_R: np.ndarray, factors_W: np.ndarray, verdict, out: np.ndarray):
+def _product_blocks(factors_R: np.ndarray, factors_W: np.ndarray, verdict, buffer: np.ndarray):
     """Yield ``A[rows] @ B`` for each block of rows of R, written into
-    ``out``; then give the series' verdict, which needs the sum's sup norm."""
+    ``buffer``; then give the series' verdict, which needs the sum's sup norm."""
     sup = 0.0
-    for rows, block in _row_blocks(len(factors_R), out):
+    for rows, block in _row_blocks(len(factors_R), buffer):
         np.matmul(factors_R[rows], factors_W, out=block.reshape(len(block), -1))
         sup = np.maximum(sup, _sup_norm(block))  # np.maximum keeps a NaN
         yield block
     verdict(float(sup))
 
 
-def quantum_joint_series(
-    rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block=None
-) -> JointDistribution | None:
+def _series_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float):
+    """The series joint's blocks as a generator, for a caller that takes
+    them in step with another stream.  The factors are formed at the call;
+    the verdict comes when the generator is exhausted, after the last block."""
+    return _product_blocks(*_series_factors(rho, W, hbar), _block_buffer(rho, W))
+
+
+def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> None:
     """Joint built from the even-derivative series; real term by term.
 
     The factors are formed first and the product a block of rows of R at
-    a time, into the n^3 result or, given ``each_block``, streamed as
-    :func:`_joint` describes.  Whether the truncated series converged
-    depends on the sup norm of the whole sum, so
+    a time, each block handed to ``each_block``.  Whether the truncated
+    series converged depends on the sup norm of the whole sum, so
     :class:`NonConvergenceError` comes after the last block.
 
     On Gaussian presets the series converges inside the whole window
@@ -201,8 +178,8 @@ def quantum_joint_series(
     on the coherent preset) or overflow; on coarse grids the floored
     spectra can still end the series a little past ratio 1.
     """
-    factors = _series_factors(rho, W, hbar)
-    return _joint(rho, W, lambda out: _product_blocks(*factors, out), each_block)
+    for block in _series_blocks(rho, W, hbar):
+        each_block(block)
 
 
 def _kernel_half(rho: VirtualDensity, grid_p: Grid1D, hbar: float) -> np.ndarray:
@@ -215,9 +192,9 @@ def _kernel_half(rho: VirtualDensity, grid_p: Grid1D, hbar: float) -> np.ndarray
     return checked_hermitian(G, 1, "spectral joint kernel G(R, q)")[:, n_q // 2 :]
 
 
-def _inverse_over_q(G_half: np.ndarray, w_half: np.ndarray, grid: Grid1D, out: np.ndarray):
+def _inverse_over_q(G_half: np.ndarray, w_half: np.ndarray, grid: Grid1D, buffer: np.ndarray):
     """Yield ``IFT_q[G(R, q) W_hat(q, r)]`` from the ``q >= 0`` halves of
-    both factors, INVERSE_BLOCK rows of R at a time, written into ``out``
+    both factors, INVERSE_BLOCK rows of R at a time, written into ``buffer``
     as :func:`_row_blocks` places them.
 
     Each block is ``irfft`` of the factors' conjugated product times
@@ -227,25 +204,23 @@ def _inverse_over_q(G_half: np.ndarray, w_half: np.ndarray, grid: Grid1D, out: n
     g = np.conj(G_half * (_alternating(grid.n // 2 + 1) / grid.step))[:, :, None]
     w = np.conj(w_half)
     product = np.empty((min(INVERSE_BLOCK, len(g)), *w.shape), dtype=complex)
-    for rows, block in _row_blocks(len(g), out):
+    for rows, block in _row_blocks(len(g), buffer):
         np.fft.irfft(np.multiply(g[rows], w, out=product[: len(block)]), grid.n, axis=1, out=block)
         yield block
 
 
-def quantum_joint_spectral(
-    rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block=None
-) -> JointDistribution | None:
+def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> None:
     """Joint built in Fourier space via the sinc kernel on the (K, q) lattice,
     by the half-spectrum route of the module docstring.
 
     The kernel is evaluated everywhere, including its negative lobes; no
     windowing is applied.  The complex product is formed a block of rows
-    of R at a time, straight into the real n^3 result or, given
-    ``each_block``, streamed as :func:`_joint` describes.
+    of R at a time, each real block handed to ``each_block``.
     :class:`ImaginaryResidueError` if ``G(R, q)`` is not Hermitian in q
     (a complex kernel, say).
     """
     _check_joint_inputs(rho, W)
     G_half = _kernel_half(rho, W.grid_p, hbar)
     w_half = half_spectrum_forward(W.values, W.grid_p)
-    return _joint(rho, W, lambda out: _inverse_over_q(G_half, w_half, W.grid_p, out), each_block)
+    for block in _inverse_over_q(G_half, w_half, W.grid_p, _block_buffer(rho, W)):
+        each_block(block)

@@ -31,11 +31,9 @@ from .errors import (
 from .grids import Grid1D, _sup_norm, fourier_forward, half_spectrum_forward, require_same_grid
 from .states import (
     JOINT_DECAY_TOL,
-    JointDistribution,
     JointSums,
     VirtualDensity,
     WignerDistribution,
-    joint_sums,
     marginal_over_R,
     marginal_over_pr,
     moments,
@@ -97,7 +95,7 @@ def _phi_phase(grid_r: Grid1D, k_index: int | None = None) -> np.ndarray:
 
 
 def phi_field(
-    F: JointDistribution | JointSums,
+    sums: JointSums,
     rho: VirtualDensity,
     W: WignerDistribution,
     k_index: int | None = None,
@@ -105,25 +103,26 @@ def phi_field(
     """Log-ratio of the joint's transform to the product of the marginals'
     on the ``k_index`` slice of the third frequency axis (default k = 0).
 
-    ``F`` is a joint, or its :class:`JointSums` contracted with that
-    slice's phase.  Masked where the product magnitude falls below
-    PHI_PRODUCT_FLOOR of its peak or the ratio approaches the kernel
-    zeros.  The imaginary part must be negligible on the mask and is
-    discarded.
+    The joint is given by its :class:`JointSums`, contracted with that
+    slice's phase (:func:`_phi_phase`).  Masked where the product
+    magnitude falls below PHI_PRODUCT_FLOOR of its peak or the ratio
+    approaches the kernel zeros.  The imaginary part must be negligible
+    on the mask and is discarded.
     """
-    require_same_grid(rho.grid, F.grid_R, "phi_field density grid")
-    require_same_grid(W.grid_p, F.grid_p, "phi_field W p-grid")
-    require_same_grid(W.grid_r, F.grid_r, "phi_field W r-grid")
+    require_same_grid(rho.grid, sums.grid_R, "phi_field density grid")
+    require_same_grid(W.grid_p, sums.grid_p, "phi_field W p-grid")
+    require_same_grid(W.grid_r, sums.grid_r, "phi_field W r-grid")
     if k_index is None:
-        k_index = F.grid_r.n // 2  # the k = 0 slice
+        k_index = sums.grid_r.n // 2  # the k = 0 slice
 
-    # the k-th slice of the 3-axis transform: contract r with
+    # the k-th slice of the 3-axis transform: r contracted with
     # exp(i k r) * step first (cos and sin as two real columns), then
-    # transform the (R, p) plane
-    sums = joint_sums(F, _phi_phase(F.grid_r, k_index))
+    # the (R, p) plane transformed
+    if sums.contract is None or not np.array_equal(sums.contract, _phi_phase(sums.grid_r, k_index)):
+        raise ValueError("joint sums were taken without the contraction asked for")
     sums.ensure_decaying(JOINT_DECAY_TOL, "characteristic-function input")
     contracted = sums.contracted
-    f_t = fourier_forward(contracted[..., 0] + 1j * contracted[..., 1], (F.grid_R, F.grid_p), (0, 1))
+    f_t = fourier_forward(contracted[..., 0] + 1j * contracted[..., 1], (sums.grid_R, sums.grid_p), (0, 1))
     rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
     w_t = fourier_forward(W.values, (W.grid_p, W.grid_r), (0, 1))
     # peak of the full product rho_t(K) w_t(q, k); exact for an outer product
@@ -143,7 +142,7 @@ def phi_field(
             f"generating function has imaginary part {im_max:.3e} on the mask (allowed {PHI_IMAG_TOL})"
         )
     values[mask] = logs.real
-    return PhiField(F.grid_R.frequencies, F.grid_p.frequencies, values, mask, k_index)
+    return PhiField(sums.grid_R.frequencies, sums.grid_p.frequencies, values, mask, k_index)
 
 
 def phi_series_coefficients(phi: PhiField, hbar: float) -> tuple:
@@ -185,21 +184,20 @@ def phi_series_coefficients(phi: PhiField, hbar: float) -> tuple:
     return float(coeffs[0]), float(coeffs[1])
 
 
-def kappa22(F: JointDistribution | JointSums) -> float:
-    """Second-second cross combination <R^2 p^2> - <R^2><p^2> of a joint or its sums."""
-    m = moments(F, [(2, 2), (2, 0), (0, 2)])
+def kappa22(sums: JointSums) -> float:
+    """Second-second cross combination <R^2 p^2> - <R^2><p^2> of a joint, from its sums."""
+    m = moments(sums, [(2, 2), (2, 0), (0, 2)])
     return m[(2, 2)] - m[(2, 0)] * m[(0, 2)]
 
 
-def heisenberg_check(F: JointDistribution | JointSums, hbar: float) -> CumulantReport:
-    """Spread-of-squares inequality check on a joint distribution or its sums.
+def heisenberg_check(sums: JointSums, hbar: float) -> CumulantReport:
+    """Spread-of-squares inequality check on a joint, from its sums.
 
     sigma_{R^2} comes from the virtual-position marginal, sigma_{p^2}
     from the momentum moments of the recovered phase-space marginal;
     the measured cross-cumulant is checked against its Cauchy-Schwarz
     bound -sigma_{R^2} sigma_{p^2}.
     """
-    sums = joint_sums(F)
     rho = marginal_over_pr(sums)
     W = marginal_over_R(sums)
     m_rho = moments(rho, [(2,), (4,)])
@@ -220,29 +218,31 @@ def heisenberg_check(F: JointDistribution | JointSums, hbar: float) -> CumulantR
     )
 
 
-def _report_and_fit(sums: JointSums, rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
-    return heisenberg_check(sums, hbar), phi_series_coefficients(phi_field(sums, rho, W), hbar)
-
-
-def cumulant_pipeline(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
-    """(F, its heisenberg_check, its fitted (c2, c4)); F is the spectral joint, or the product at hbar = 0.
-
-    Both results come from one pass over F (:class:`JointSums`).  For a
-    caller that needs F itself; :func:`stream_cumulants` never holds it.
-    """
-    F = classical_joint(rho, W) if hbar == 0.0 else quantum_joint_spectral(rho, W, hbar)
-    return (F, *_report_and_fit(joint_sums(F, _phi_phase(F.grid_r)), rho, W, hbar))
-
-
-def stream_cumulants(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
-    """The heisenberg_check and the fitted (c2, c4) of :func:`cumulant_pipeline`,
-    equal bit for bit, from the joint's blocks of rows of R: no n^3 array is formed."""
+def cumulant_sums(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block=None) -> JointSums:
+    """The finished :class:`JointSums` of the spectral joint, or of the
+    product at hbar = 0, contracted for :func:`phi_field`'s k = 0 slice and
+    taken a block of rows of R at a time.  Each block is also handed to
+    ``each_block``, if given, once it is reduced."""
     sums = JointSums(rho.grid, W.grid_p, W.grid_r, _phi_phase(W.grid_r), W.decay_tol)
+
+    def add(block):
+        sums.add(block)
+        if each_block is not None:
+            each_block(block)
+
     if hbar == 0.0:
-        classical_joint(rho, W, sums.add)
+        classical_joint(rho, W, add)
     else:
-        quantum_joint_spectral(rho, W, hbar, sums.add)
-    return _report_and_fit(sums.finish(), rho, W, hbar)
+        quantum_joint_spectral(rho, W, hbar, add)
+    return sums.finish()
+
+
+def stream_cumulants(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block=None) -> tuple:
+    """The heisenberg_check and the fitted (c2, c4) of the joint of
+    :func:`cumulant_sums`, from one pass over its blocks, each also handed
+    to ``each_block`` if given: no n^3 array is formed."""
+    sums = cumulant_sums(rho, W, hbar, each_block)
+    return heisenberg_check(sums, hbar), phi_series_coefficients(phi_field(sums, rho, W), hbar)
 
 
 def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> float:

@@ -68,7 +68,7 @@ from .grids import (
     series_coefficient,
     sum_series,
 )
-from .states import JointDistribution, VirtualDensity, WignerDistribution
+from .states import JointSums, VirtualDensity, WignerDistribution, marginal_over_R
 
 # Snapshot guard during propagation: anharmonic transport grows physical
 # interference tails that saturate near 1e-7 of the peak at default
@@ -227,25 +227,20 @@ def moyal_rhs_spectral(W: WignerDistribution, U: Potential, hbar: float, mass: f
     return _streaming_term(W, mass) + kicked
 
 
-def _diagonal_R_derivative(F: JointDistribution) -> np.ndarray:
-    """``dF/dR`` at R = r, shape (n_p, n_r): each r column of F contracted
-    with row r of the spectral d/dR matrix, O(n^3) work in O(n^2) memory."""
-    d_R = derivative_array(np.eye(F.grid_R.n), F.grid_R, 0, 1)
-    return np.einsum("rR,Rpr->pr", d_R, F.values)
-
-
-def collision_rhs(F: JointDistribution, epsilon: float, mass: float) -> np.ndarray:
+def collision_rhs(sums: JointSums, epsilon: float, mass: float) -> np.ndarray:
     """Transport right-hand side from the joint via the collision integral.
 
     The interaction term is the momentum derivative of
-    ``epsilon * dF/dR`` sliced exactly on the diagonal R = r.
+    ``epsilon * dF/dR`` sliced exactly on the diagonal R = r, which the
+    joint's sums take block by block (``JointSums(...,
+    diagonal_derivative=True)``); the streaming term acts on F's W
+    marginal, under the guard of the W that F was built from.
     """
-    G = epsilon * _diagonal_R_derivative(F)
-    # at the snapshot guard, not that of a prepared W: a joint built from
-    # an evolved snapshot carries that snapshot's tails in its marginal
-    W = WignerDistribution(F.grid_p, F.grid_r, F.values.sum(axis=0) * F.grid_R.step, decay_tol=PROPAGATION_DECAY_TOL)
-    dGdp = derivative_array(G, F.grid_p, 0, 1)
-    return _streaming_term(W, mass) + dGdp
+    if sums.dR_diagonal is None:
+        raise ValueError("joint sums were taken without the diagonal R-derivative")
+    G = epsilon * sums.dR_diagonal
+    dGdp = derivative_array(G, sums.grid_p, 0, 1)
+    return _streaming_term(marginal_over_R(sums), mass) + dGdp
 
 
 def _kick_phase(U: Potential, grid_p: Grid1D, params: EvolutionParams) -> np.ndarray:

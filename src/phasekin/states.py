@@ -1,11 +1,13 @@
 """Distribution types, Gaussian presets, marginals, and moments.
 
 The joint distribution couples the force-carrier position R to the real
-particle's phase-space point (p, r).  R and r live on one shared grid so
-the contraction at R = r is an exact diagonal slice.  Away from the
-classical limit the joint may carry genuine tails in R of magnitude up
-to ~1e-10 of its peak; 3-axis decay checks therefore use a looser guard
-than the 1e-10 used for 1- and 2-axis fields.
+particle's phase-space point (p, r).  It is never held whole: its
+readers take the O(n^2) sums of its blocks (:class:`JointSums`).  R and
+r live on one shared grid so the contraction at R = r is an exact
+diagonal slice.  Away from the classical limit the joint may carry
+genuine tails in R of magnitude up to ~1e-10 of its peak; 3-axis decay
+checks therefore use a looser guard than the 1e-10 used for 1- and
+2-axis fields.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .grids import (
     Grid1D,
     _reshape_for,
     _sup_norm,
+    derivative_array,
     ensure_decaying,
     require_decay,
     require_same_grid,
@@ -92,30 +95,6 @@ class VirtualDensity:
         ensure_decaying(v, DECAY_TOL, "virtual density")
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Real joint density F(R, p, r) of virtual position and real phase space.
-
-    R and r share one grid.  Values may be negative away from the
-    classical limit.  ``decay_tol`` is the guard of the W it was built
-    from, which its recovered W marginal keeps.
-    """
-
-    grid_R: Grid1D
-    grid_p: Grid1D
-    grid_r: Grid1D
-    values: np.ndarray
-    decay_tol: float = DECAY_TOL
-
-    def __post_init__(self) -> None:
-        require_same_grid(self.grid_R, self.grid_r, "joint distribution R/r axes")
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.grid_R.n, self.grid_p.n, self.grid_r.n):
-            raise ValueError(f"F shape {v.shape} does not match grids")
-        _unit_integral(v.sum(), (self.grid_R, self.grid_p, self.grid_r), JOINT_NORMALIZATION_TOL, "F")
-
-
 def preset_fits(half_width: float, center: float, sigma: float) -> bool:
     """Whether a Gaussian preset decays inside the box: |center| + 8 sigma <= half_width."""
     return not half_width < abs(center) + 8.0 * sigma
@@ -161,12 +140,14 @@ def gaussian_wigner(
 
 
 class JointSums:
-    """The O(n^2) reductions of a joint F(R, p, r) that its readers need,
-    taken in one pass over consecutive blocks of its rows of R.
+    """The O(n^2) reductions of a real joint density F(R, p, r) of virtual
+    position and real phase space that its readers need, taken in one pass
+    over consecutive blocks of its rows of R, as the joint builders hand
+    them over.  No reader needs F whole, and none is formed.
 
-    Add the blocks in order (:meth:`add`), then :meth:`finish`, which checks the normalization
-    as :class:`JointDistribution` does.  Each reduction equals its
-    whole-array numpy form bit for bit:
+    R and r share one grid.  Add the blocks in order (:meth:`add`), then
+    :meth:`finish`, which checks that F integrates to 1.  Each reduction
+    equals its whole-array numpy form bit for bit:
 
     * ``over_R`` is ``F.sum(axis=0)``: the rows are added in order, as numpy does;
     * ``over_pr`` is ``F.sum(axis=(1, 2))`` and ``over_r`` is ``F.sum(axis=2)``;
@@ -176,11 +157,25 @@ class JointSums:
     * ``vmax``, ``vmin`` and ``boundary`` (the :func:`phasekin.grids.face_sup`)
       give the decay guard, :meth:`ensure_decaying`.
 
-    ``decay_tol`` is the guard of the W the joint was built from, as on
-    :class:`JointDistribution`.
+    With ``diagonal_derivative``, ``dR_diagonal`` is also taken: dF/dR at
+    R = r, shape (n_p, n_r), the contraction ``einsum("rR,Rpr->pr", d_R,
+    F)`` with the spectral d/dR matrix.  Each row of R is weighted by its
+    column of d_R and added in order, as numpy's einsum sums them: the
+    two agree bit for bit on the verification presets.
+
+    ``decay_tol`` is the guard of the W the joint was built from, which
+    its recovered W marginal keeps.
     """
 
-    def __init__(self, grid_R: Grid1D, grid_p: Grid1D, grid_r: Grid1D, contract=None, decay_tol: float = DECAY_TOL):
+    def __init__(
+        self,
+        grid_R: Grid1D,
+        grid_p: Grid1D,
+        grid_r: Grid1D,
+        contract=None,
+        decay_tol: float = DECAY_TOL,
+        diagonal_derivative: bool = False,
+    ):
         require_same_grid(grid_R, grid_r, "joint distribution R/r axes")
         self.grid_R, self.grid_p, self.grid_r = grid_R, grid_p, grid_r
         self.contract, self.decay_tol = contract, decay_tol
@@ -188,6 +183,8 @@ class JointSums:
         self.over_pr = np.empty(grid_R.n)
         self.over_r = np.empty((grid_R.n, grid_p.n))
         self.contracted = None if contract is None else np.empty((grid_R.n, grid_p.n, contract.shape[1]))
+        self.d_R = derivative_array(np.eye(grid_R.n), grid_R, 0, 1) if diagonal_derivative else None
+        self.dR_diagonal = np.zeros((grid_p.n, grid_r.n)) if diagonal_derivative else None
         self.vmax = self.vmin = None
         self.boundary = 0.0
         self.rows = 0
@@ -204,6 +201,9 @@ class JointSums:
         self.over_r[rows] = block.sum(axis=2)
         if self.contract is not None:
             self.contracted[rows] = block @ self.contract
+        if self.d_R is not None:
+            for R, row in enumerate(block, rows.start):
+                self.dR_diagonal += self.d_R[:, R] * row
         if self.over_R is None:
             self.over_R, block_rest = block[0].copy(), block[1:]
         else:
@@ -238,37 +238,19 @@ class JointSums:
         require_decay(self.boundary, self.vmax, self.vmin, tol, what)
 
 
-def joint_sums(F: JointDistribution | JointSums, contract: np.ndarray | None = None) -> JointSums:
-    """The :class:`JointSums` of a joint, reduced as one block; a
-    :class:`JointSums` is returned as it is, and must then have been
-    contracted with ``contract`` if one is given."""
-    if isinstance(F, JointSums):
-        if contract is not None and (F.contract is None or not np.array_equal(F.contract, contract)):
-            raise ValueError("joint sums were taken without the contraction asked for")
-        return F
-    sums = JointSums(F.grid_R, F.grid_p, F.grid_r, contract, F.decay_tol)
-    sums.add(F.values)
-    return sums.finish()
-
-
-def marginal_over_R(F: JointDistribution | JointSums) -> WignerDistribution:
+def marginal_over_R(sums: JointSums) -> WignerDistribution:
     """Integrate out the virtual position; recovers W, under the guard of the
-    W that F was built from.  ``F`` is a joint or its sums."""
-    sums = joint_sums(F)
+    W that the joint was built from."""
     return WignerDistribution(sums.grid_p, sums.grid_r, sums.over_R * sums.grid_R.step, sums.decay_tol)
 
 
-def marginal_over_pr(F: JointDistribution | JointSums) -> VirtualDensity:
-    """Integrate out the real-particle phase space; recovers the density.
-    ``F`` is a joint or its sums."""
-    sums = joint_sums(F)
+def marginal_over_pr(sums: JointSums) -> VirtualDensity:
+    """Integrate out the real-particle phase space; recovers the density."""
     return VirtualDensity(sums.grid_R, sums.over_pr * sums.grid_p.step * sums.grid_r.step)
 
 
-def marginal_residuals(F: JointDistribution | JointSums, rho: VirtualDensity, W: WignerDistribution) -> tuple:
-    """Sup-norm gaps of F's two marginals from the W and rho it was built
-    from; ``F`` is a joint or its sums."""
-    sums = joint_sums(F)
+def marginal_residuals(sums: JointSums, rho: VirtualDensity, W: WignerDistribution) -> tuple:
+    """Sup-norm gaps of a joint's two marginals from the W and rho it was built from."""
     over_R = float(np.abs(marginal_over_R(sums).values - W.values).max())
     return over_R, float(np.abs(marginal_over_pr(sums).values - rho.values).max())
 
@@ -278,20 +260,17 @@ def _moment_grids(obj):
         return (obj.grid,), obj.values, DECAY_TOL
     if isinstance(obj, WignerDistribution):
         return (obj.grid_p, obj.grid_r), obj.values, obj.decay_tol
-    if isinstance(obj, JointDistribution):
-        return (obj.grid_R, obj.grid_p, obj.grid_r), obj.values, JOINT_DECAY_TOL
     raise TypeError(f"cannot compute moments of {type(obj).__name__}")
 
 
 def moments(obj, orders) -> dict:
     """Quadrature raw moments of a distribution, keyed by order tuple.
 
-    Order tuples index the object's leading axes; for a joint
-    distribution a pair (a, b) means <R^a p^b> with r integrated out.
-    Axes that no order tuple indexes are summed out once, before any
-    weighting, so a joint's pairs cost one n^3 pass and the rest is
-    O(n^2).  A :class:`JointSums` is the joint with r summed out already,
-    so its orders are pairs at most.  Total order is capped at 8.
+    Order tuples index the object's leading axes.  A joint is given by its
+    :class:`JointSums`, whose ``over_r`` has r summed out already: a pair
+    (a, b) means <R^a p^b>, and no order has more than two entries.  Axes
+    that no order tuple indexes are summed out once, before any weighting.
+    Total order is capped at 8.
     """
     if isinstance(obj, JointSums):
         obj.ensure_decaying(JOINT_DECAY_TOL, "moment input")

@@ -24,16 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig, check_run_time
-from .coupling import quantum_joint_series, quantum_joint_spectral
+from .coupling import _series_blocks, quantum_joint_series, quantum_joint_spectral
 from .cumulants import (
     CLASSICAL_SCAN_FRACTIONS,
-    _phi_phase,
     classical_limit_scan,
-    cumulant_pipeline,
+    cumulant_sums,
     heisenberg_check,
     kappa22,
     phi_field,
     phi_series_coefficients,
+    stream_cumulants,
 )
 from .dynamics import (
     EvolutionParams,
@@ -51,7 +51,7 @@ from .dynamics import (
 from .errors import PhasekinError
 from .grids import make_grid
 from .serialization import fmt, write_csv
-from .states import gaussian_density, gaussian_wigner, joint_sums, marginal_residuals
+from .states import JointSums, gaussian_density, gaussian_wigner, marginal_residuals
 
 # (sigma_R, sigma_p, sigma_r, half_width) per hbar; widths scale with hbar so
 # every derivative series keeps convergence ratio hbar^2/(4 sigma_R^2 sigma_p^2)
@@ -149,19 +149,59 @@ def _value(outcome):
     return outcome
 
 
+def _joint_pair(rho, W, hbar: float) -> tuple:
+    """(series sums, spectral sums, builder gap) of one preset's two joints,
+    each a :class:`PhasekinError` instead if its stream raised.
+
+    The spectral builder is the outer loop.  Each of its blocks is reduced
+    and paired with the series block of the same rows of R
+    (:func:`phasekin.coupling._series_blocks`), which is reduced in turn,
+    and the gap is taken pair by pair: neither joint is held whole.  A
+    stream that raises leaves the other to run to its end alone, and the
+    series verdict comes after its last block.  Both sums carry dF/dR at
+    R = r for :func:`phasekin.dynamics.collision_rhs`.
+    """
+    series_sums, spectral_sums = (
+        JointSums(rho.grid, W.grid_p, W.grid_r, decay_tol=W.decay_tol, diagonal_derivative=True) for _ in range(2)
+    )
+    series = _attempt(_series_blocks, rho, W, hbar)
+    gap = 0.0
+
+    def each_block(block):
+        nonlocal series, gap
+        spectral_sums.add(block)
+        paired = _attempt(next, series)
+        if isinstance(paired, PhasekinError):
+            series = paired
+        else:
+            series_sums.add(paired)
+            gap = max(gap, _sup_gap(paired, block))
+
+    def stream_spectral():
+        quantum_joint_spectral(rho, W, hbar, each_block)
+        return spectral_sums.finish()
+
+    def finish_series(blocks):
+        for block in blocks:  # those the spectral stream did not take, then the verdict
+            series_sums.add(block)
+        return series_sums.finish()
+
+    spectral = _attempt(stream_spectral)
+    series = _attempt(finish_series, series)
+    # the gap stands only if both streams ran to their end
+    return series, spectral, _attempt(lambda *_: gap, series, spectral)
+
+
 def check_equivalence_presets(config: ScenarioConfig) -> list:
     """The central, builder, marginal and Heisenberg rows of every preset.
 
-    Each preset's rho and W are built once, and each joint once.  The
-    series joint comes first and gives ``central_equivalence[series]`` and
-    its marginal residuals.  The spectral joint is built next, and the
-    builder gap is taken a row of R at a time while both are held: the
-    only moment with two joints alive.  The series joint is then dropped,
-    and the spectral one alone gives ``central_equivalence[spectral]``;
-    one pass over it (:class:`phasekin.states.JointSums`) gives its
-    marginal residuals and the Heisenberg rows.  A family whose work
-    raises keeps its rows and ends in one failed row carrying the first
-    error; the others go on.
+    Each preset's rho and W are built once, and its two joints streamed
+    once, in step (:func:`_joint_pair`), so no n^3 array is formed.  The
+    series joint's sums give ``central_equivalence[series]`` and its
+    marginal residuals; the spectral joint's give
+    ``central_equivalence[spectral]``, its marginal residuals and the
+    Heisenberg rows.  A family whose work raises keeps its rows and ends
+    in one failed row carrying the first error; the others go on.
 
     The central ``[series]`` and ``[spectral]`` rows differ by more than
     the two joints do.  At n3 = 64 and hbar = 0.5, 1 and 2 the joints
@@ -178,11 +218,8 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
     def moyal_reference(rho, W, hbar):
         return moyal_rhs_series(W, potential_from_density(rho, config.epsilon), hbar, config.mass)
 
-    def transport_gap(reference, joint):
-        return _rel_linf(collision_rhs(joint, config.epsilon, config.mass), reference)
-
-    def builder_gap(series, spectral):
-        return _sup_gap(series.values, spectral.values)
+    def transport_gap(reference, sums):
+        return _rel_linf(collision_rhs(sums, config.epsilon, config.mass), reference)
 
     for hbar, (sigma_R, sigma_p, sigma_r, half_width) in EQUIV_PRESETS.items():
         tag = f"[hbar={hbar}]"
@@ -191,17 +228,13 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
             rho = gaussian_density(grid, 0.0, sigma_R)
             W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
             reference = _attempt(moyal_reference, rho, W, hbar)
-            series = _attempt(quantum_joint_series, rho, W, hbar)
+            series, spectral, gap = _joint_pair(rho, W, hbar)
             central_series = _attempt(transport_gap, reference, series)
             residuals_series = _attempt(marginal_residuals, series, rho, W)
-            spectral = _attempt(quantum_joint_spectral, rho, W, hbar)
-            gap = _attempt(builder_gap, series, spectral)
-            del series
             central_spectral = _attempt(transport_gap, reference, spectral)
-            sums = _attempt(joint_sums, spectral)
-            del spectral
-            residuals_spectral = _attempt(marginal_residuals, sums, rho, W)
-            report = _attempt(heisenberg_check, sums, hbar)
+            residuals_spectral = _attempt(marginal_residuals, spectral, rho, W)
+            report = _attempt(heisenberg_check, spectral, hbar)
+            del series, spectral  # not held while the next preset streams
             with _failed_rows(checks, f"central_equivalence{tag}"):
                 for label, measured in (("series", central_series), ("spectral", central_spectral)):
                     checks.append(_tol_check(f"central_equivalence{tag}[{label}]", _value(measured), 1e-6))
@@ -240,8 +273,15 @@ def check_classical_reduction(config: ScenarioConfig) -> list:
         rho, W3 = config.joint_inputs()
         worst = 0.0
         for build in (quantum_joint_series, quantum_joint_spectral):
-            # against the classical product rho(R) W(p, r), one row of R at a time
-            worst = max(worst, _sup_gap(build(rho, W3, 0.0).values, (r * W3.values for r in rho.values)))
+            done = 0  # rows of R compared so far
+
+            def against_product(block):
+                # against the classical product rho(R) W(p, r), one row of R at a time
+                nonlocal worst, done
+                worst = max(worst, _sup_gap(block, (r * W3.values for r in rho.values[done : done + len(block)])))
+                done += len(block)
+
+            build(rho, W3, 0.0, against_product)
         checks.append(_tol_check("classical_reduction[hbar=0]", worst, 1e-12))
     with _failed_rows(checks, "classical_reduction[harmonic]"):
         grid2 = config.grid2()
@@ -284,11 +324,11 @@ def kappa22_closed_form_oracle(sigma_R: float, sigma_p: float, hbar: float) -> f
     return float(stencil @ log_f @ stencil)
 
 
-def _digest(F, report, coefficients) -> bytes:
-    """SHA-256 of one cumulant pipeline's result: the joint's little-endian
-    float64 bytes, read in place through a memoryview, then kappa22, the
-    two variances and the fitted (c2, c4)."""
-    digest = hashlib.sha256(memoryview(np.ascontiguousarray(F.values, dtype="<f8")))
+def _digest(blocks, report, coefficients) -> bytes:
+    """SHA-256 of one cumulant pass: ``blocks``, the hash of the joint's
+    float64 blocks in the order they streamed, then kappa22, the two
+    variances and the fitted (c2, c4)."""
+    digest = blocks.copy()
     digest.update(np.array([report.kappa22, report.sigma_R2, report.sigma_p2, *coefficients], dtype="<f8").tobytes())
     return digest.digest()
 
@@ -297,36 +337,41 @@ def check_configured_hbar(config: ScenarioConfig) -> list:
     """The kernel expansion, cross-cumulant, classical scaling and
     determinism rows, at the configured hbar (at 1 when it is 0).
 
-    rho and W are built once, and the spectral joint F once.  One pass
-    over F (:class:`phasekin.states.JointSums`) gives kappa22, the
-    Heisenberg report and the phi fit, each on its own so that a failing
-    fit leaves ``cross_cumulant`` standing; F and all three give the digest.  F is dropped before the hbar/2 joint, the scan and the
-    one :func:`cumulant_pipeline` rebuild whose digest ``determinism``
-    compares.  A family whose work raises keeps its rows and ends in one
-    failed row, as in :func:`check_equivalence_presets`.
+    rho and W are built once, and the spectral joint streamed once into
+    its sums (:func:`phasekin.cumulants.cumulant_sums`), hashing its
+    blocks on the way.  The sums give kappa22, the Heisenberg report and
+    the phi fit, each on its own so that a failing fit leaves
+    ``cross_cumulant`` standing; the hash and all three give the digest.
+    The hbar/2 joint, the scan and one :func:`stream_cumulants` rebuild,
+    whose digest ``determinism`` compares, stream too.  A family whose
+    work raises keeps its rows and ends in one failed row, as in
+    :func:`check_equivalence_presets`.
     """
     checks = []
     hbar = config.hbar if config.hbar > 0 else 1.0
 
-    def fit(F, rho, W):
-        return phi_series_coefficients(phi_field(F, rho, W), hbar)
+    def fit(sums, rho, W):
+        return phi_series_coefficients(phi_field(sums, rho, W), hbar)
 
     def half_kappa22(rho, W, kap):  # not built once kap has failed
-        return kappa22(quantum_joint_spectral(rho, W, hbar / 2.0))
+        sums = JointSums(rho.grid, W.grid_p, W.grid_r, decay_tol=W.decay_tol)
+        quantum_joint_spectral(rho, W, hbar / 2.0, sums.add)
+        return kappa22(sums.finish())
 
     def rebuild_matches(rho, W, digest):
-        return _digest(*cumulant_pipeline(rho, W, hbar)) == digest
+        blocks = hashlib.sha256()
+        report, coefficients = stream_cumulants(rho, W, hbar, blocks.update)
+        return _digest(blocks, report, coefficients) == digest
 
     families = ("kernel_expansion", "cross_cumulant", "classical_scaling", "determinism")
     with _failed_rows(checks, *families):
         rho, W = config.joint_inputs()
-        F = _attempt(quantum_joint_spectral, rho, W, hbar)
-        sums = _attempt(joint_sums, F, _phi_phase(rho.grid))
+        blocks = hashlib.sha256()
+        sums = _attempt(cumulant_sums, rho, W, hbar, blocks.update)
         kap = _attempt(kappa22, sums)
         report = _attempt(heisenberg_check, sums, hbar)
         coefficients = _attempt(fit, sums, rho, W)
-        digest = _attempt(_digest, F, report, coefficients)
-        del F
+        digest = _attempt(_digest, blocks, report, coefficients)
         kap_half = _attempt(half_kappa22, rho, W, kap)
         # at the scan fractions of hbar = 1, whatever hbar is configured
         slope = _attempt(classical_limit_scan, rho, W, CLASSICAL_SCAN_FRACTIONS)
@@ -425,7 +470,9 @@ def run_verification(config: ScenarioConfig) -> VerificationReport:
     :class:`ConfigError` naming it, raised before any check runs.
     """
     check_run_time(sum(_oracle_steps(config.dt)), config.n2, "evolution.dt")
-    # the configured pass last: the heap its joints leave would sit under the oracles' peak RSS
+    # the configured pass last: run before the oracles, the heap it leaves
+    # sits under their peak, which then reads 38.0 MiB VmHWM at the
+    # defaults against 37.0 in this order; no check holds an n^3 joint
     checks = [
         *check_equivalence_presets(config),
         *check_classical_reduction(config),

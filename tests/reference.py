@@ -5,15 +5,26 @@ what it evaluates, kept here so that tests compare against it.
 """
 
 import tracemalloc
+from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from phasekin.cumulants import PHI_RATIO_FLOOR
-from phasekin.coupling import _kernel_half, _series_factors, classical_joint, quantum_joint_spectral, sinc_values
+from phasekin.cumulants import PHI_RATIO_FLOOR, _phi_phase
+from phasekin.coupling import (
+    INVERSE_BLOCK,
+    _kernel_half,
+    _series_factors,
+    classical_joint,
+    quantum_joint_spectral,
+    sinc_values,
+)
 from phasekin.dynamics import propagate
+from phasekin.states import JointSums
 from phasekin.grids import (
+    DECAY_TOL,
+    Grid1D,
     _alternating,
     _reshape_for,
     _sup_norm,
@@ -45,6 +56,45 @@ def collect(W0, U, params):
     snapshots = []
     conserved = propagate(W0, U, params, each_snapshot=lambda t, W: snapshots.append((t, W)))
     return snapshots, conserved
+
+
+@dataclass(frozen=True)
+class WholeJoint:
+    """A joint F(R, p, r) held as one n^3 array, for the tests that read it whole."""
+
+    grid_R: Grid1D
+    grid_p: Grid1D
+    grid_r: Grid1D
+    values: np.ndarray
+    decay_tol: float = DECAY_TOL
+
+
+def whole_joint(build, rho, W, *args):
+    """The joint that ``build(rho, W, *args, each_block)`` streams, its
+    blocks collected into one :class:`WholeJoint`."""
+    blocks = []
+    build(rho, W, *args, lambda block: blocks.append(block.copy()))
+    return WholeJoint(rho.grid, W.grid_p, W.grid_r, np.concatenate(blocks), W.decay_tol)
+
+
+def sums_of(F, rows=INVERSE_BLOCK, contract=None, diagonal_derivative=False):
+    """The finished JointSums of a whole joint, added ``rows`` rows of R at
+    a time.  ``contract`` defaults to the phase of phi_field's k = 0 slice."""
+    contract = _phi_phase(F.grid_r) if contract is None else contract
+    sums = JointSums(F.grid_R, F.grid_p, F.grid_r, contract, F.decay_tol, diagonal_derivative)
+    for start in range(0, len(F.values), rows):
+        sums.add(F.values[start : start + rows])
+    return sums.finish()
+
+
+def streamed_sums(build, rho, W, *args, contract=None, diagonal_derivative=False):
+    """The finished JointSums of the joint that ``build(rho, W, *args,
+    each_block)`` streams, taken block by block as the builder hands them
+    over; ``contract`` as in :func:`sums_of`."""
+    contract = _phi_phase(W.grid_r) if contract is None else contract
+    sums = JointSums(rho.grid, W.grid_p, W.grid_r, contract, W.decay_tol, diagonal_derivative)
+    build(rho, W, *args, sums.add)
+    return sums.finish()
 
 
 def joint_transform(F):
@@ -128,8 +178,8 @@ def full_derivative_diagonal(F):
 def departure_norms(rho, W, hbars):
     """max |F_hbar - F_0| from full joints, the route classical_limit_scan
     took before it inverted the kernel difference G_hbar - rho directly."""
-    base = classical_joint(rho, W).values
-    return [float(np.abs(quantum_joint_spectral(rho, W, h).values - base).max()) for h in hbars]
+    base = whole_joint(classical_joint, rho, W).values
+    return [float(np.abs(whole_joint(quantum_joint_spectral, rho, W, h).values - base).max()) for h in hbars]
 
 
 def full_weighting_moments(F, orders):
@@ -142,6 +192,22 @@ def full_weighting_moments(F, orders):
         weighted = F.values
         for ax, o in enumerate(key):
             weighted = weighted * _reshape_for(grids[ax].points ** o, 3, ax)
+        out[key] = float(weighted.sum() * vol)
+    return out
+
+
+def plane_moments(F, pairs):
+    """Raw (a, b) moments <R^a p^b> of a whole joint from its r-summed
+    plane, weighted and summed as ``moments`` took them from a whole joint
+    before joints streamed."""
+    plane = F.values.sum(axis=2)
+    vol = F.grid_R.step * F.grid_p.step * F.grid_r.step
+    out = {}
+    for key in pairs:
+        weighted = plane
+        for ax, (grid, o) in enumerate(zip((F.grid_R, F.grid_p), key)):
+            if o:
+                weighted = weighted * _reshape_for(grid.points**o, 2, ax)
         out[key] = float(weighted.sum() * vol)
     return out
 

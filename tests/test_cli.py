@@ -578,7 +578,7 @@ class TestMemoryBudget:
         [
             ({"n2": 2**40, "n3": 2**40}, "grid.n3"),
             ({"n2": 2**40, "n3": 64}, "grid.n2"),
-            ({"n2": 512, "n3": 512}, "grid.n3"),
+            ({"n2": 1024, "n3": 1024}, "grid.n3"),
             ({"n2": 2**1100, "n3": 16}, "grid.n2"),  # an estimate beyond the float range
         ],
     )
@@ -592,7 +592,7 @@ class TestMemoryBudget:
         assert peak_traced_bytes(refused) < 2**20
 
     def test_largest_grids_inside_the_budget_load(self):
-        for grid in ({"n2": 256, "n3": 256}, {"n2": 4096, "n3": 64}):
+        for grid in ({"n2": 512, "n3": 512}, {"n2": 4096, "n3": 512}, {"n2": 4096, "n3": 64}):
             parse_config(dict(DEFAULT_CONFIG, grid=dict(DEFAULT_CONFIG["grid"], **grid)))
 
     def test_cli_exits_2_naming_the_grid(self, tmp_path, capsys):

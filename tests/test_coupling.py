@@ -31,8 +31,14 @@ from reference import (
     joint_transform,
     one_shot_spectral_joint,
     peak_traced_bytes,
+    streamed_sums,
+    whole_joint,
     whole_product_series,
 )
+
+
+def ignore(block):
+    """An ``each_block`` that keeps nothing."""
 
 
 def sinc(x):
@@ -86,7 +92,7 @@ class TestCouplingKernel:
         # lattice point where the kernel falls below its ratio floor unmasked
         assert abs(sinc(math.pi)) < 1e-15
         hbar = 1.0
-        phi = phi_field(quantum_joint_spectral(rho_default, wigner_default, hbar), rho_default, wigner_default)
+        phi = phi_field(streamed_sums(quantum_joint_spectral, rho_default, wigner_default, hbar), rho_default, wigner_default)
         x = hbar * np.multiply.outer(phi.K, phi.q) / 2.0
         near_zero = np.abs(sinc_values(x)) < PHI_RATIO_FLOOR
         assert near_zero.any() and not phi.mask[near_zero].any()
@@ -95,41 +101,41 @@ class TestCouplingKernel:
 
 class TestClassicalJoint:
     def test_normalized(self, rho_default, wigner_default, grid64):
-        F = classical_joint(rho_default, wigner_default)
+        F = whole_joint(classical_joint, rho_default, wigner_default)
         assert abs(F.values.sum() * grid64.step**3 - 1.0) < 1e-9
 
     def test_marginal_is_input(self, rho_default, wigner_default):
         from phasekin import marginal_over_R
 
-        F = classical_joint(rho_default, wigner_default)
-        assert np.abs(marginal_over_R(F).values - wigner_default.values).max() < 1e-14
+        sums = streamed_sums(classical_joint, rho_default, wigner_default)
+        assert np.abs(marginal_over_R(sums).values - wigner_default.values).max() < 1e-14
 
     def test_nonnegative_for_nonnegative_wigner(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
+        F = whole_joint(classical_joint, rho_default, wigner_default)
         assert F.values.min() >= -1e-12
 
     def test_grid_mismatch_rejected(self, rho_default):
         other = make_grid(32, 8.0)
         W = gaussian_wigner(other, other, 0.0, 0.0, 0.7, 0.7)
         with pytest.raises(GridMismatchError):
-            classical_joint(rho_default, W)
+            classical_joint(rho_default, W, ignore)
 
 
 class TestQuantumJointSeries:
     def test_hbar_zero_is_classical(self, rho_default, wigner_default):
-        a = quantum_joint_series(rho_default, wigner_default, 0.0)
-        b = classical_joint(rho_default, wigner_default)
+        a = whole_joint(quantum_joint_series, rho_default, wigner_default, 0.0)
+        b = whole_joint(classical_joint, rho_default, wigner_default)
         assert np.abs(a.values - b.values).max() < 1e-14
 
     def test_matches_spectral_builder(self, rho_default, wigner_default):
-        a = quantum_joint_series(rho_default, wigner_default, 1.0)
-        b = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        a = whole_joint(quantum_joint_series, rho_default, wigner_default, 1.0)
+        b = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         assert np.abs(a.values - b.values).max() < 1e-8
 
     def test_nonconvergence_detected(self, rho_default, wigner_default):
         # hbar above 2 sigma_R sigma_p: the series is genuinely asymptotic
         with pytest.raises(NonConvergenceError):
-            quantum_joint_series(rho_default, wigner_default, 2.0)
+            quantum_joint_series(rho_default, wigner_default, 2.0, ignore)
 
     def test_converges_across_the_documented_window(self, rho_default):
         # sigma_R = hbar = 1, so hbar^2 / (4 sigma_R^2 sigma_p^2) = 0.9, inside
@@ -137,13 +143,14 @@ class TestQuantumJointSeries:
         grid = rho_default.grid
         sigma_p = 0.5 / math.sqrt(0.9)
         W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_p)
-        a = quantum_joint_series(rho_default, W, 1.0)
-        b = quantum_joint_spectral(rho_default, W, 1.0)
+        a = whole_joint(quantum_joint_series, rho_default, W, 1.0)
+        b = whole_joint(quantum_joint_spectral, rho_default, W, 1.0)
         assert np.abs(a.values - b.values).max() < 1e-12
 
     def test_only_the_result_is_n_cubed(self, grid128, wigner128, monkeypatch):
-        # the terms stay factored: one n^3 result, the (n, N + 1) and
-        # (N + 1, n^2) factor matrices and O(n^2) scratch
+        # the terms stay factored and the product streams: one block of
+        # rows of R, the (n, N + 1) and (N + 1, n^2) factor matrices and
+        # O(n^2) scratch; no n^3 result
         used = []
         accept = grids._accept_terms
 
@@ -154,23 +161,23 @@ class TestQuantumJointSeries:
 
         monkeypatch.setattr(grids, "_accept_terms", counting)
         rho = gaussian_density(grid128, 0.0, 1.0)
-        peak = peak_traced_bytes(quantum_joint_series, rho, wigner128, 1.0)
+        peak = peak_traced_bytes(quantum_joint_series, rho, wigner128, 1.0, ignore)
         n, factor_rows = grid128.n, used[0] + 1
         assert factor_rows > 21  # past the old 20-term cap
-        assert peak <= 8 * n**3 + 8 * factor_rows * (n**2 + n) + 2**15
+        assert peak <= 8 * INVERSE_BLOCK * n**2 + 8 * factor_rows * (n**2 + n) + 48 * n**2
 
 
 class TestQuantumJointSpectral:
     def test_hbar_zero_is_classical(self, rho_default, wigner_default):
-        a = quantum_joint_spectral(rho_default, wigner_default, 0.0)
-        b = classical_joint(rho_default, wigner_default)
+        a = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 0.0)
+        b = whole_joint(classical_joint, rho_default, wigner_default)
         assert np.abs(a.values - b.values).max() < 1e-12
 
     def test_kernel_reconstruction(self, rho_default, wigner_default, grid64):
         # transform of the built joint over the product of the marginal
         # transforms recovers the kernel itself
         hbar = 1.0
-        F = quantum_joint_spectral(rho_default, wigner_default, hbar)
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, hbar)
         f_t = joint_transform(F)
         rho_t = fourier_forward(rho_default.values, (grid64,), (0,))
         w_t = fourier_forward(wigner_default.values, (grid64, grid64), (0, 1))
@@ -183,15 +190,15 @@ class TestQuantumJointSpectral:
         assert np.abs(ratio.real - expected[:, :, None])[mask].max() < 1e-8
 
     def test_hbar_parity(self, rho_default, wigner_default):
-        a = quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        b = quantum_joint_spectral(rho_default, wigner_default, -1.0)
+        a = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
+        b = whole_joint(quantum_joint_spectral, rho_default, wigner_default, -1.0)
         assert np.array_equal(a.values, b.values)
-        a = quantum_joint_series(rho_default, wigner_default, 0.5)
-        b = quantum_joint_series(rho_default, wigner_default, -0.5)
+        a = whole_joint(quantum_joint_series, rho_default, wigner_default, 0.5)
+        b = whole_joint(quantum_joint_series, rho_default, wigner_default, -0.5)
         assert np.array_equal(a.values, b.values)
 
     def test_kernel_symmetry_of_built_joint(self, rho_default, wigner_default, grid64):
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         f_t = joint_transform(F)
         rho_t = fourier_forward(rho_default.values, (grid64,), (0,))
         w_t = fourier_forward(wigner_default.values, (grid64, grid64), (0, 1))
@@ -220,16 +227,16 @@ def test_builder_equivalence_across_hbar(hbar):
     g = make_grid(64, half_width)
     rho = gaussian_density(g, 0.0, sigma_R)
     W = gaussian_wigner(g, g, 0.0, 0.0, sigma_p, sigma_p)
-    a = quantum_joint_series(rho, W, hbar)
-    b = quantum_joint_spectral(rho, W, hbar)
+    a = whole_joint(quantum_joint_series, rho, W, hbar)
+    b = whole_joint(quantum_joint_spectral, rho, W, hbar)
     assert np.abs(a.values - b.values).max() < 1e-8
 
 
 def test_classical_limit_decay_slope(rho_default, wigner_default):
-    base = classical_joint(rho_default, wigner_default).values
+    base = whole_joint(classical_joint, rho_default, wigner_default).values
     hbars = np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2])
     norms = [
-        np.abs(quantum_joint_spectral(rho_default, wigner_default, h).values - base).max()
+        np.abs(whole_joint(quantum_joint_spectral, rho_default, wigner_default, h).values - base).max()
         for h in hbars
     ]
     slope = np.polyfit(np.log(hbars), np.log(norms), 1)[0]
@@ -253,17 +260,17 @@ class TestSpectralRoute:
         grid_r, grid_p = make_grid(n_r, 8.0), make_grid(n_p, 8.0)
         rho = gaussian_density(grid_r, means[0], sigmas[0])
         W = gaussian_wigner(grid_p, grid_r, means[1], means[2], sigmas[1], sigmas[2])
-        F = quantum_joint_spectral(rho, W, hbar)
+        F = whole_joint(quantum_joint_spectral, rho, W, hbar)
         assert F.values.shape == (n_r, n_p, n_r)
         assert np.abs(F.values - full_complex_joint(rho, W, hbar)).max() < 1e-14
 
     def test_no_full_complex_cube(self, rho_default, wigner_default):
         n = rho_default.grid.n
-        quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        peak = peak_traced_bytes(quantum_joint_spectral, rho_default, wigner_default, 1.0)
-        # the real result and one block of the complex half spectrum; the
+        quantum_joint_spectral(rho_default, wigner_default, 1.0, ignore)
+        peak = peak_traced_bytes(quantum_joint_spectral, rho_default, wigner_default, 1.0, ignore)
+        # one real block and one block of the complex half spectrum; the
         # whole (n, n/2 + 1, n) half spectrum alone is 8 (n + 2) n^2 bytes
-        assert peak <= 1.5 * 8 * n**3
+        assert peak <= 0.5 * 8 * n**3
 
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("half_width", [8.0, 12.0])
@@ -273,13 +280,13 @@ class TestSpectralRoute:
         grid = make_grid(n, half_width)
         rho = gaussian_density(grid, 0.0, 1.0)
         W = gaussian_wigner(grid, grid, 0.0, 0.0, 2**-0.5, 2**-0.5)
-        blocked = quantum_joint_spectral(rho, W, 1.0).values
+        blocked = whole_joint(quantum_joint_spectral, rho, W, 1.0).values
         assert np.array_equal(blocked, one_shot_spectral_joint(rho, W, 1.0))
 
     def test_complex_kernel_is_refused(self, rho_default, wigner_default, monkeypatch):
         monkeypatch.setattr(coupling, "sinc_values", lambda x: (1 + 1e-3j) * sinc_values(x))
         with pytest.raises(ImaginaryResidueError, match="spectral joint kernel G"):
-            quantum_joint_spectral(rho_default, wigner_default, 1.0)
+            quantum_joint_spectral(rho_default, wigner_default, 1.0, ignore)
 
 
 class TestBuilderAgreement:
@@ -298,8 +305,8 @@ class TestBuilderAgreement:
         hbar = 2.0 * sigma_R * sigma_p * np.sqrt(ratio)
         rho = gaussian_density(grid, 0.0, sigma_R)
         W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
-        a = quantum_joint_series(rho, W, hbar).values
-        b = quantum_joint_spectral(rho, W, hbar).values
+        a = whole_joint(quantum_joint_series, rho, W, hbar).values
+        b = whole_joint(quantum_joint_spectral, rho, W, hbar).values
         assert np.abs(a - b).max() < 1e-8
 
 
@@ -322,22 +329,27 @@ class TestFactoredSeries:
             expected = dense_joint_series(rho, W, hbar)
         except NonConvergenceError:
             with pytest.raises(NonConvergenceError):
-                quantum_joint_series(rho, W, hbar)
+                quantum_joint_series(rho, W, hbar, ignore)
             return
-        got = quantum_joint_series(rho, W, hbar).values
+        got = whole_joint(quantum_joint_series, rho, W, hbar).values
         assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize(
-    "build",
-    [partial(quantum_joint_series, hbar=1.0), partial(quantum_joint_spectral, hbar=1.0), classical_joint],
+    "build, whole",
+    [
+        (partial(quantum_joint_series, hbar=1.0), partial(whole_product_series, hbar=1.0)),
+        (partial(quantum_joint_spectral, hbar=1.0), partial(one_shot_spectral_joint, hbar=1.0)),
+        (classical_joint, lambda rho, W: np.multiply.outer(rho.values, W.values)),
+    ],
     ids=["series", "spectral", "classical"],
 )
-def test_streamed_blocks_equal_the_whole_joint(rho_default, wigner_default, build):
+def test_streamed_blocks_equal_the_whole_joint(rho_default, wigner_default, build, whole):
+    # each builder's blocks, collected, against its one-call whole-array route
     blocks = []
     assert build(rho_default, wigner_default, each_block=lambda block: blocks.append(block.copy())) is None
     assert len(blocks) == rho_default.grid.n // INVERSE_BLOCK
-    assert np.array_equal(np.concatenate(blocks), build(rho_default, wigner_default).values)
+    assert np.array_equal(np.concatenate(blocks), whole(rho_default, wigner_default))
 
 
 @pytest.mark.parametrize("n", [64, 128])

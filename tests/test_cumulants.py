@@ -1,6 +1,7 @@
 """The joint's characteristic function, the generating-function log-ratio, and cumulants."""
 
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,25 +12,27 @@ from phasekin import (
     EvolutionParams,
     ImaginaryResidueError,
     InsufficientSupportError,
-    JointDistribution,
     JointSums,
     classical_joint,
     classical_limit_scan,
+    collision_rhs,
     gaussian_density,
     gaussian_wigner,
     harmonic_potential,
     heisenberg_check,
     kappa22,
     make_grid,
+    moyal_rhs_spectral,
     parse_config,
     phi_field,
     phi_series_coefficients,
+    potential_from_density,
     propagate,
     quantum_joint_spectral,
     quartic_potential,
 )
 from phasekin import coupling, cumulants
-from phasekin.cumulants import PHI_FIT_MAX_ARG, cumulant_pipeline, stream_cumulants
+from phasekin.cumulants import PHI_FIT_MAX_ARG, _phi_phase, stream_cumulants
 from phasekin.grids import fourier_forward
 from phasekin.runner import run_cumulants
 from phasekin.states import marginal_residuals
@@ -37,37 +40,42 @@ from phasekin.verification import kappa22_closed_form_oracle
 
 from conftest import SIGMA_COHERENT, gauss
 from reference import (
+    WholeJoint,
     collect,
     departure_norms,
+    full_derivative_diagonal,
     joint_transform,
     peak_traced_bytes,
     phi_from_full_transform,
     sample_joint,
+    streamed_sums,
+    sums_of,
+    whole_joint,
 )
 
 
 class TestCharacteristicFunction:
     def test_origin_is_total_probability(self, rho_default, wigner_default):
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         mid = rho_default.grid.n // 2
         assert abs(joint_transform(F)[mid, mid, mid] - 1.0) < 1e-7
 
     def test_classical_joint_factorizes(self, rho_default, wigner_default, grid64):
-        F = classical_joint(rho_default, wigner_default)
+        F = whole_joint(classical_joint, rho_default, wigner_default)
         out = joint_transform(F)
         rho_t = fourier_forward(rho_default.values, (grid64,), (0,))
         w_t = fourier_forward(wigner_default.values, (grid64, grid64), (0, 1))
         assert np.abs(out - rho_t[:, None, None] * w_t[None, :, :]).max() < 1e-9
 
     def test_gaussian_axis_profile(self, rho_default, wigner_default, grid64):
-        F = classical_joint(rho_default, wigner_default)
+        F = whole_joint(classical_joint, rho_default, wigner_default)
         K = grid64.frequencies
         mid = grid64.n // 2
         profile = np.abs(joint_transform(F)[:, mid, mid])
         assert np.abs(profile - np.exp(-(K**2) / 2.0)).max() < 1e-8
 
     def test_hermitian_symmetry(self, rho_default, wigner_default):
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         v = joint_transform(F)
         flipped = np.conj(v[::-1, ::-1, ::-1])
         # index 0 is the unpaired Nyquist plane; mirror of index i is n - i
@@ -76,14 +84,14 @@ class TestCharacteristicFunction:
 
 class TestPhiField:
     def test_classical_phi_vanishes(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
-        phi = phi_field(F, rho_default, wigner_default)
+        sums = streamed_sums(classical_joint, rho_default, wigner_default)
+        phi = phi_field(sums, rho_default, wigner_default)
         assert np.abs(phi.values[phi.mask]).max() < 1e-9
 
     def test_phi_equals_log_kernel_on_lattice(self, rho_default, wigner_default):
         hbar = 1.0
-        F = quantum_joint_spectral(rho_default, wigner_default, hbar)
-        phi = phi_field(F, rho_default, wigner_default)
+        sums = streamed_sums(quantum_joint_spectral, rho_default, wigner_default, hbar)
+        phi = phi_field(sums, rho_default, wigner_default)
         K = phi.K
         q = phi.q
         x = hbar * np.multiply.outer(K, q) / 2.0
@@ -94,30 +102,36 @@ class TestPhiField:
         assert np.abs(phi.values[sel] - expected).max() < 1e-7
 
     def test_k_slices_agree(self, rho_default, wigner_default, grid64):
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
         mid = grid64.n // 2
-        a = phi_field(F, rho_default, wigner_default, k_index=mid)
-        b = phi_field(F, rho_default, wigner_default, k_index=mid + 3)
+        a, b = (
+            phi_field(
+                streamed_sums(quantum_joint_spectral, rho_default, wigner_default, 1.0, contract=_phi_phase(grid64, k)),
+                rho_default,
+                wigner_default,
+                k_index=k,
+            )
+            for k in (mid, mid + 3)
+        )
         common = a.mask & b.mask
         assert np.abs(a.values[common] - b.values[common]).max() < 1e-7
 
     def test_phi_even_under_sign_flip(self, rho_default, wigner_default):
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        phi = phi_field(F, rho_default, wigner_default)
+        sums = streamed_sums(quantum_joint_spectral, rho_default, wigner_default, 1.0)
+        phi = phi_field(sums, rho_default, wigner_default)
         v = phi.values[1:, 1:]
         keep = phi.mask[1:, 1:] & phi.mask[1:, 1:][::-1, ::-1]
         assert np.abs(v - v[::-1, ::-1])[keep].max() < 1e-8
 
     def test_mismatched_inputs_raise_imaginary_residue(self, rho_default, wigner_default, grid64):
         # a momentum-shifted denominator puts a phase in the ratio
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        sums = streamed_sums(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         shifted = gaussian_wigner(grid64, grid64, 1.0, 0.0, 2**-0.5, 2**-0.5)
         with pytest.raises(ImaginaryResidueError):
-            phi_field(F, rho_default, shifted)
+            phi_field(sums, rho_default, shifted)
 
     def test_reconstruction_identity(self, rho_default, wigner_default, grid64):
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        phi = phi_field(F, rho_default, wigner_default)
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
+        phi = phi_field(sums_of(F), rho_default, wigner_default)
         mid = grid64.n // 2
         f_t = joint_transform(F)[:, :, mid]
         rho_t = fourier_forward(rho_default.values, (grid64,), (0,))
@@ -129,20 +143,20 @@ class TestPhiField:
 class TestPhiSeriesCoefficients:
     def test_leading_coefficients(self, rho_default, wigner_default):
         hbar = 1.0
-        F = quantum_joint_spectral(rho_default, wigner_default, hbar)
-        c2, c4 = phi_series_coefficients(phi_field(F, rho_default, wigner_default), hbar)
+        sums = streamed_sums(quantum_joint_spectral, rho_default, wigner_default, hbar)
+        c2, c4 = phi_series_coefficients(phi_field(sums, rho_default, wigner_default), hbar)
         assert abs(c2 + 1.0 / 24.0) * 24.0 < 2e-3
         assert abs(c4 + 1.0 / 2880.0) * 2880.0 < 5e-2
 
     def test_hbar_zero_trivial(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
-        c2, c4 = phi_series_coefficients(phi_field(F, rho_default, wigner_default), 0.0)
+        sums = streamed_sums(classical_joint, rho_default, wigner_default)
+        c2, c4 = phi_series_coefficients(phi_field(sums, rho_default, wigner_default), 0.0)
         assert abs(c2) < 1e-8 and abs(c4) < 1e-8
 
     def test_insufficient_support(self, rho_default, wigner_default):
         # a steep kernel scale leaves too few small-argument lattice points
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        phi = phi_field(F, rho_default, wigner_default)
+        sums = streamed_sums(quantum_joint_spectral, rho_default, wigner_default, 1.0)
+        phi = phi_field(sums, rho_default, wigner_default)
         with pytest.raises(InsufficientSupportError):
             phi_series_coefficients(phi, 8.0)
 
@@ -152,8 +166,8 @@ class TestPhiSeriesCoefficients:
         for sigma_R, sigma_p in ((1.0, 2**-0.5), (0.8, 0.9)):
             rho = gaussian_density(grid64, 0.0, sigma_R)
             W = gaussian_wigner(grid64, grid64, 0.0, 0.0, sigma_p, sigma_p)
-            F = quantum_joint_spectral(rho, W, hbar)
-            results.append(phi_series_coefficients(phi_field(F, rho, W), hbar))
+            sums = streamed_sums(quantum_joint_spectral, rho, W, hbar)
+            results.append(phi_series_coefficients(phi_field(sums, rho, W), hbar))
         (a2, a4), (b2, b4) = results
         assert abs(a2 - b2) * 24 < 2e-3
         assert abs(a4 - b4) * 2880 < 5e-2
@@ -161,20 +175,20 @@ class TestPhiSeriesCoefficients:
 
 class TestKappa22:
     def test_classical_joint_uncorrelated(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
-        assert abs(kappa22(F)) < 1e-6
+        sums = streamed_sums(classical_joint, rho_default, wigner_default)
+        assert abs(kappa22(sums)) < 1e-6
 
     def test_hbar_scaling(self, rho_default, wigner_default):
-        a = kappa22(quantum_joint_spectral(rho_default, wigner_default, 1.0))
-        b = kappa22(quantum_joint_spectral(rho_default, wigner_default, 0.5))
+        a = kappa22(streamed_sums(quantum_joint_spectral, rho_default, wigner_default, 1.0))
+        b = kappa22(streamed_sums(quantum_joint_spectral, rho_default, wigner_default, 0.5))
         assert abs(a / b / 4.0 - 1.0) < 1e-4
 
     def test_strictly_negative_for_quantum(self, rho_default, wigner_default):
-        assert kappa22(quantum_joint_spectral(rho_default, wigner_default, 1.0)) < 0
+        assert kappa22(streamed_sums(quantum_joint_spectral, rho_default, wigner_default, 1.0)) < 0
 
     def test_matches_closed_form_oracle(self, rho_default, wigner_default):
         hbar = 1.0
-        measured = kappa22(quantum_joint_spectral(rho_default, wigner_default, hbar))
+        measured = kappa22(streamed_sums(quantum_joint_spectral, rho_default, wigner_default, hbar))
         oracle = kappa22_closed_form_oracle(1.0, 2**-0.5, hbar)
         assert abs(measured - oracle) / abs(oracle) < 1e-5
 
@@ -191,7 +205,7 @@ class TestKappa22:
     def test_kappa_over_hbar_squared_constant(self, rho_default, wigner_default):
         hbars = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
         ratios = [
-            kappa22(quantum_joint_spectral(rho_default, wigner_default, h)) / h**2 for h in hbars
+            kappa22(streamed_sums(quantum_joint_spectral, rho_default, wigner_default, h)) / h**2 for h in hbars
         ]
         spread = (max(ratios) - min(ratios)) / abs(ratios[0])
         assert spread < 1e-3
@@ -199,25 +213,25 @@ class TestKappa22:
 
 class TestHeisenberg:
     def test_gaussian_sigma_R2(self, rho_default, wigner_default):
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        report = heisenberg_check(F, 1.0)
+        sums = streamed_sums(quantum_joint_spectral, rho_default, wigner_default, 1.0)
+        report = heisenberg_check(sums, 1.0)
         assert abs(report.sigma_R2 - np.sqrt(2.0)) < 1e-5
 
     @pytest.mark.parametrize("hbar", [0.5, 1.0])
     def test_cauchy_schwarz_bound(self, rho_default, wigner_default, hbar):
-        F = quantum_joint_spectral(rho_default, wigner_default, hbar)
-        report = heisenberg_check(F, hbar)
+        sums = streamed_sums(quantum_joint_spectral, rho_default, wigner_default, hbar)
+        report = heisenberg_check(sums, hbar)
         assert report.cauchy_schwarz_ok
         assert report.kappa22 >= -report.heisenberg_lhs
 
     def test_hbar_zero_trivial(self, rho_default, wigner_default):
-        report = heisenberg_check(classical_joint(rho_default, wigner_default), 0.0)
+        report = heisenberg_check(streamed_sums(classical_joint, rho_default, wigner_default), 0.0)
         assert report.heisenberg_rhs == 0.0
         assert report.heisenberg_lhs >= 0.0
 
     def test_reference_value_recorded(self, rho_default, wigner_default):
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        report = heisenberg_check(F, 1.0)
+        sums = streamed_sums(quantum_joint_spectral, rho_default, wigner_default, 1.0)
+        report = heisenberg_check(sums, 1.0)
         assert report.kappa22_reference == -0.5
         # measured value differs from the nominal constant in 1-D; both live in the report
         assert abs(report.kappa22 + 1.0 / 6.0) < 1e-4
@@ -311,8 +325,8 @@ class TestMonteCarloConsistency:
     def test_sampled_kappa_matches_quadrature(self, rho_default, wigner_default):
         # near-classical joint admits sampling; batch means give the error bar
         hbar = 1 / 8
-        F = quantum_joint_spectral(rho_default, wigner_default, hbar)
-        quad = kappa22(F)
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, hbar)
+        quad = kappa22(sums_of(F))
         samples = sample_joint(F, 10**6, seed=123)
         R, p = samples[:, 0], samples[:, 1]
         batches = 10
@@ -337,8 +351,8 @@ class TestPhiAlongTrajectory:
         snapshots, _ = collect(W0, U, params)
         reference = None
         for _, snap in snapshots:
-            F = quantum_joint_spectral(rho_default, snap, hbar)
-            phi = phi_field(F, rho_default, snap)
+            sums = streamed_sums(quantum_joint_spectral, rho_default, snap, hbar)
+            phi = phi_field(sums, rho_default, snap)
             if reference is None:
                 reference = phi
                 continue
@@ -346,24 +360,41 @@ class TestPhiAlongTrajectory:
             assert np.abs(reference.values[common] - phi.values[common]).max() < 1e-6
 
 
+@lru_cache(maxsize=None)
+def quartic_snapshot():
+    """The quartic oracle's final snapshot at the defaults (128^2, hbar 1,
+    1000 steps; min W is -9.0e-3 of the peak) and the default rho on its grid."""
+    config = parse_config({})
+    grid = config.grid2()
+    params = EvolutionParams(mass=1.0, hbar=1.0, dt=config.dt, steps=1000, snapshot_every=100)
+    final = deque(maxlen=1)
+    U = quartic_potential(grid, 0.5, 0.1)
+    propagate(config.wigner(grid), U, params, each_snapshot=lambda t, W: final.append(W))
+    return final[0], config.rho(grid)
+
+
 class TestEvolvedJoint:
     def test_marginal_keeps_the_guard_of_the_evolved_snapshot(self):
-        # the quartic oracle's final snapshot at the defaults (128^2, hbar 1,
-        # 1000 steps; min W is -9.0e-3 of the peak): its joint's W marginal
-        # reads 5.0e-8 at the boundary, inside the 1e-5 guard of the snapshot
-        # it was built from, over the 1e-10 of a prepared W
-        config = parse_config({})
-        grid = config.grid2()
-        params = EvolutionParams(mass=1.0, hbar=1.0, dt=config.dt, steps=1000, snapshot_every=100)
-        final = deque(maxlen=1)
-        U = quartic_potential(grid, 0.5, 0.1)
-        propagate(config.wigner(grid), U, params, each_snapshot=lambda t, W: final.append(W))
-        W, rho = final[0], config.rho(grid)
+        # its joint's W marginal reads 5.0e-8 at the boundary, inside the
+        # 1e-5 guard of the snapshot it was built from, over the 1e-10 of a
+        # prepared W
+        W, rho = quartic_snapshot()
         report, _ = stream_cumulants(rho, W, 1.0)
         assert abs(report.kappa22 + 1.0 / 6.0) <= 1e-5 / 6.0
         sums = JointSums(rho.grid, W.grid_p, W.grid_r, decay_tol=W.decay_tol)
         quantum_joint_spectral(rho, W, 1.0, sums.add)
         assert max(marginal_residuals(sums.finish(), rho, W)) <= 1e-12
+
+    def test_streamed_collision_term_matches_the_whole_contraction(self):
+        # dF/dR at R = r summed block by block against the full n^3
+        # R-derivative's diagonal; the collision term it gives against the
+        # resummed Moyal transport of the snapshot
+        W, rho = quartic_snapshot()
+        sums = streamed_sums(quantum_joint_spectral, rho, W, 1.0, diagonal_derivative=True)
+        expected = full_derivative_diagonal(whole_joint(quantum_joint_spectral, rho, W, 1.0))
+        assert np.abs(sums.dR_diagonal - expected).max() <= 1e-12 * np.abs(expected).max()
+        moyal = moyal_rhs_spectral(W, potential_from_density(rho, 1.0), 1.0, 1.0)
+        assert np.abs(collision_rhs(sums, 1.0, 1.0) - moyal).max() <= 1e-12 * np.abs(moyal).max()
 
 
 class TestPhiFieldSlice:
@@ -374,33 +405,33 @@ class TestPhiFieldSlice:
         shift = 0.0 if centred else 0.6
         rho = gaussian_density(grid64, -shift, 0.9)
         W = gaussian_wigner(grid64, grid64, shift / 2, shift, 0.75, 0.7)
-        F = quantum_joint_spectral(rho, W, 1.0)
+        F = whole_joint(quantum_joint_spectral, rho, W, 1.0)
         k_index = grid64.n // 2 + offset
-        phi = phi_field(F, rho, W, k_index=k_index)
+        phi = phi_field(sums_of(F, contract=_phi_phase(grid64, k_index)), rho, W, k_index=k_index)
         values, mask = phi_from_full_transform(F, rho, W, k_index)
         assert mask.sum() > 100 and np.array_equal(phi.mask, mask)
         assert np.abs(phi.values[mask] - values[mask]).max() < 1e-8
 
     def test_no_full_complex_cube(self, rho_default, wigner_default):
         n = rho_default.grid.n
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        phi_field(F, rho_default, wigner_default)
-        peak = peak_traced_bytes(phi_field, F, rho_default, wigner_default)
+        sums = streamed_sums(quantum_joint_spectral, rho_default, wigner_default, 1.0)
+        phi_field(sums, rho_default, wigner_default)
+        peak = peak_traced_bytes(phi_field, sums, rho_default, wigner_default)
         assert peak < 16 * n**3  # one complex n^3 array
 
     def test_non_decaying_joint_is_refused(self, rho_default, wigner_default, grid64):
         # a joint whose R profile is too wide for the box: it does not vanish at R = +-8
         wide = gauss(grid64.points, 0.0, 3.0)
         wide /= wide.sum() * grid64.step
-        F = JointDistribution(grid64, grid64, grid64, np.multiply.outer(wide, wigner_default.values))
+        F = WholeJoint(grid64, grid64, grid64, np.multiply.outer(wide, wigner_default.values))
         with pytest.raises(DecayGuardError, match="characteristic-function input is not decaying"):
-            phi_field(F, rho_default, wigner_default)
+            phi_field(sums_of(F), rho_default, wigner_default)
 
 
 class TestFitResolution:
     def test_coefficients_are_the_least_squares_fit(self, rho_default, wigner_default):
         hbar = 1.0
-        phi = phi_field(quantum_joint_spectral(rho_default, wigner_default, hbar), rho_default, wigner_default)
+        phi = phi_field(streamed_sums(quantum_joint_spectral, rho_default, wigner_default, hbar), rho_default, wigner_default)
         x = hbar * np.multiply.outer(phi.K, phi.q) / 2.0
         sel = phi.mask & (np.abs(x) < PHI_FIT_MAX_ARG) & (x != 0.0)
         z = 2.0 * x[sel]
@@ -414,14 +445,14 @@ class TestFitResolution:
 
     @pytest.mark.parametrize("hbar", [3e-3, 0.01, 0.1])
     def test_resolved_fit_is_accepted(self, rho_default, wigner_default, hbar):
-        phi = phi_field(quantum_joint_spectral(rho_default, wigner_default, hbar), rho_default, wigner_default)
+        phi = phi_field(streamed_sums(quantum_joint_spectral, rho_default, wigner_default, hbar), rho_default, wigner_default)
         c2, c4 = phi_series_coefficients(phi, hbar)
         assert abs(c2 + 1.0 / 24.0) * 24.0 < 2e-3
         assert abs(c4 + 1.0 / 2880.0) * 2880.0 < 5e-2
 
     @pytest.mark.parametrize("hbar", [1e-3, 1e-4, 1e-100])
     def test_unresolved_fit_is_refused(self, rho_default, wigner_default, hbar):
-        phi = phi_field(quantum_joint_spectral(rho_default, wigner_default, hbar), rho_default, wigner_default)
+        phi = phi_field(streamed_sums(quantum_joint_spectral, rho_default, wigner_default, hbar), rho_default, wigner_default)
         with pytest.raises(DegenerateFitError, match="generating-function fit is unresolved"):
             phi_series_coefficients(phi, hbar)
 
@@ -429,15 +460,20 @@ class TestFitResolution:
 class TestStreamedPipeline:
     @pytest.mark.parametrize("hbar", [0.0, 0.5, 1.0])
     def test_stream_equals_the_pipeline_on_the_whole_joint(self, rho_default, wigner_default, hbar):
-        _, report, coefficients = cumulant_pipeline(rho_default, wigner_default, hbar)
-        assert stream_cumulants(rho_default, wigner_default, hbar) == (report, coefficients)
+        # the report and the fit of the whole joint, reduced as one block
+        build = (classical_joint,) if hbar == 0.0 else (quantum_joint_spectral, hbar)
+        F = whole_joint(build[0], rho_default, wigner_default, *build[1:])
+        sums = sums_of(F, rows=len(F.values))
+        fit = phi_series_coefficients(phi_field(sums, rho_default, wigner_default), hbar)
+        assert stream_cumulants(rho_default, wigner_default, hbar) == (heisenberg_check(sums, hbar), fit)
 
     def test_streamed_phi_field_equals_the_whole_joint_s(self, rho_default, wigner_default):
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         sums = JointSums(F.grid_R, F.grid_p, F.grid_r, cumulants._phi_phase(F.grid_r))
         quantum_joint_spectral(rho_default, wigner_default, 1.0, sums.add)
         sums.finish()
-        streamed, whole = phi_field(sums, rho_default, wigner_default), phi_field(F, rho_default, wigner_default)
+        whole = phi_field(sums_of(F, rows=len(F.values)), rho_default, wigner_default)
+        streamed = phi_field(sums, rho_default, wigner_default)
         assert np.array_equal(streamed.values, whole.values, equal_nan=True)
         assert np.array_equal(streamed.mask, whole.mask)
         with pytest.raises(ValueError, match="without the contraction asked for"):

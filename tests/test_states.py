@@ -5,7 +5,6 @@ import pytest
 
 from phasekin import (
     DecayGuardError,
-    JointDistribution,
     JointSums,
     NormalizationError,
     VirtualDensity,
@@ -20,10 +19,10 @@ from phasekin import (
     quantum_joint_spectral,
 )
 from phasekin.grids import ensure_decaying, face_sup
-from phasekin.states import JOINT_DECAY_TOL
+from phasekin.states import JOINT_DECAY_TOL, JOINT_NORMALIZATION_TOL, _unit_integral
 
 from conftest import SIGMA_COHERENT, gauss
-from reference import full_weighting_moments, sample_joint
+from reference import full_weighting_moments, plane_moments, sample_joint, streamed_sums, sums_of, whole_joint
 
 
 def dense_quadrature_moment(mean, sigma, order, half_width=8.0, n=4096):
@@ -66,11 +65,11 @@ class TestGaussianWigner:
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_values_are_a_normalization_error(rho_default, wigner_default, bad):
-    F = classical_joint(rho_default, wigner_default)
+    F = whole_joint(classical_joint, rho_default, wigner_default)
     for build, values in (
         (lambda v: VirtualDensity(rho_default.grid, v), rho_default.values),
         (lambda v: WignerDistribution(wigner_default.grid_p, wigner_default.grid_r, v), wigner_default.values),
-        (lambda v: JointDistribution(F.grid_R, F.grid_p, F.grid_r, v), F.values),
+        (lambda v: sums_in_blocks((F.grid_R, F.grid_p, F.grid_r), v, 4), F.values),
     ):
         spoiled = values.copy()
         spoiled.flat[spoiled.size // 2] = bad
@@ -80,20 +79,20 @@ def test_non_finite_values_are_a_normalization_error(rho_default, wigner_default
 
 class TestMarginals:
     def test_classical_marginals_exact(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
-        assert np.abs(marginal_over_R(F).values - wigner_default.values).max() < 1e-12
-        assert np.abs(marginal_over_pr(F).values - rho_default.values).max() < 1e-12
+        sums = streamed_sums(classical_joint, rho_default, wigner_default)
+        assert np.abs(marginal_over_R(sums).values - wigner_default.values).max() < 1e-12
+        assert np.abs(marginal_over_pr(sums).values - rho_default.values).max() < 1e-12
 
     @pytest.mark.parametrize("hbar", [0.0, 1.0])
     def test_quantum_marginals(self, rho_default, wigner_default, hbar):
         # series corrections are exact derivatives, so they integrate away
-        F = quantum_joint_spectral(rho_default, wigner_default, hbar)
+        sums = streamed_sums(quantum_joint_spectral, rho_default, wigner_default, hbar)
         tol = 1e-12 if hbar == 0.0 else 1e-8
-        assert np.abs(marginal_over_R(F).values - wigner_default.values).max() < tol
-        assert np.abs(marginal_over_pr(F).values - rho_default.values).max() < tol
+        assert np.abs(marginal_over_R(sums).values - wigner_default.values).max() < tol
+        assert np.abs(marginal_over_pr(sums).values - rho_default.values).max() < tol
 
 
-def streamed_sums(grids, values, rows, contract=None):
+def sums_in_blocks(grids, values, rows, contract=None):
     """The JointSums of ``values``, added ``rows`` rows of R at a time."""
     sums = JointSums(*grids, contract)
     for start in range(0, len(values), rows):
@@ -106,13 +105,13 @@ class TestJointSums:
     @pytest.mark.parametrize("kind", ["spectral", "random"])
     def test_reductions_equal_the_whole_array_ones_bit_for_bit(self, rho_default, wigner_default, rows, kind):
         # random values tell numpy's pairwise total apart from other summation orders
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         v = F.values
         if kind == "random":
             v = np.random.default_rng(0).random(v.shape)
             v /= v.sum() * F.grid_R.step * F.grid_p.step * F.grid_r.step
         contract = np.random.default_rng(0).normal(size=(F.grid_r.n, 2))
-        sums = streamed_sums((F.grid_R, F.grid_p, F.grid_r), v, rows, contract)
+        sums = sums_in_blocks((F.grid_R, F.grid_p, F.grid_r), v, rows, contract)
         assert np.array_equal(sums.over_R, v.sum(axis=0))
         assert np.array_equal(sums.over_pr, v.sum(axis=(1, 2)))
         assert np.array_equal(sums.over_r, v.sum(axis=2))
@@ -121,14 +120,14 @@ class TestJointSums:
         assert (sums.vmax, sums.vmin, sums.boundary) == (v.max(), v.min(), face_sup(v))
 
     def test_readers_equal_the_whole_array_forms(self, rho_default, wigner_default):
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        sums = streamed_sums((F.grid_R, F.grid_p, F.grid_r), F.values, 4)
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
+        sums = sums_in_blocks((F.grid_R, F.grid_p, F.grid_r), F.values, 4)
         over_R = F.values.sum(axis=0) * F.grid_R.step
         over_pr = F.values.sum(axis=(1, 2)) * F.grid_p.step * F.grid_r.step
         assert np.array_equal(marginal_over_R(sums).values, over_R)
         assert np.array_equal(marginal_over_pr(sums).values, over_pr)
         pairs = [(2, 2), (2, 0), (0, 2), (1, 3), (0, 0)]
-        assert moments(sums, pairs) == moments(F, pairs)  # the whole-array route for a joint
+        assert moments(sums, pairs) == plane_moments(F, pairs)  # the whole-array route for a joint
         with pytest.raises(ValueError, match="more entries than axes"):
             moments(sums, [(0, 0, 2)])
 
@@ -140,23 +139,25 @@ class TestJointSums:
         with pytest.raises(DecayGuardError) as whole:
             ensure_decaying(values, JOINT_DECAY_TOL, what)
         with pytest.raises(DecayGuardError) as streamed:
-            streamed_sums((grid64,) * 3, values, 4).ensure_decaying(JOINT_DECAY_TOL, what)
+            sums_in_blocks((grid64,) * 3, values, 4).ensure_decaying(JOINT_DECAY_TOL, what)
         assert str(streamed.value) == str(whole.value)
 
     @pytest.mark.parametrize("spoil", ["scaled", "nan"])
     def test_normalization_guard_raises_as_the_joint_does(self, rho_default, wigner_default, spoil):
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         values = 1.5 * F.values
         if spoil == "nan":
             values[40, 3, 5] = np.nan
+        grids = (F.grid_R, F.grid_p, F.grid_r)
         with pytest.raises(NormalizationError) as whole:
-            JointDistribution(F.grid_R, F.grid_p, F.grid_r, values)
+            # the check a whole joint took of its values' sum
+            _unit_integral(values.sum(), grids, JOINT_NORMALIZATION_TOL, "F")
         with pytest.raises(NormalizationError) as streamed:
-            streamed_sums((F.grid_R, F.grid_p, F.grid_r), values, 4)
+            sums_in_blocks(grids, values, 4)
         assert str(streamed.value) == str(whole.value)
 
     def test_rows_must_cover_the_grid_once(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
+        F = whole_joint(classical_joint, rho_default, wigner_default)
         sums = JointSums(F.grid_R, F.grid_p, F.grid_r)
         sums.add(F.values[:60])
         with pytest.raises(ValueError, match="60 rows of R added, expected 64"):
@@ -203,59 +204,51 @@ class TestMoments:
         assert abs(m_mixed - m_each) < 1e-12
 
     def test_joint_pair_orders_marginalize_r(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
-        m = moments(F, [(2, 2), (2, 0), (0, 2)])
+        m = moments(streamed_sums(classical_joint, rho_default, wigner_default), [(2, 2), (2, 0), (0, 2)])
         # independence: <R^2 p^2> = <R^2><p^2> for the factorized joint
         assert abs(m[(2, 2)] - m[(2, 0)] * m[(0, 2)]) < 1e-10
 
     @pytest.mark.parametrize("orders", [[(2, 2), (2, 0), (0, 2)], [(4, 0), (2, 4), (0, 0)]])
     def test_joint_pairs_match_full_weighting(self, rho_default, wigner_default, orders):
         # r is summed out once before any weighting; the result moves by rounding only
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         expected = full_weighting_moments(F, orders)
-        for key, value in moments(F, orders).items():
-            assert abs(value - expected[key]) <= 1e-14 * abs(expected[key])
-
-    def test_joint_triples_still_weight_every_axis(self, rho_default, wigner_default):
-        F = quantum_joint_spectral(rho_default, wigner_default, 1.0)
-        orders = [(2, 2), (2, 0, 2), (2, 2, 2)]
-        expected = full_weighting_moments(F, orders)
-        for key, value in moments(F, orders).items():
+        for key, value in moments(sums_of(F), orders).items():
             assert abs(value - expected[key]) <= 1e-14 * abs(expected[key])
 
 
 class TestSampleJoint:
     def test_classical_sampling_mean(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
+        F = whole_joint(classical_joint, rho_default, wigner_default)
         samples = sample_joint(F, 10**6, seed=42)
         se_R = 1.0 / np.sqrt(10**6)
         assert abs(samples[:, 0].mean() - 0.0) < 4 * se_R
 
     def test_sampling_matches_known_variances(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
+        F = whole_joint(classical_joint, rho_default, wigner_default)
         samples = sample_joint(F, 200_000, seed=3)
         assert abs(samples[:, 0].var() - 1.0) < 0.02
         assert abs(samples[:, 1].var() - 0.5) < 0.01
 
     def test_zero_count_rejected(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
+        F = whole_joint(classical_joint, rho_default, wigner_default)
         with pytest.raises(ValueError):
             sample_joint(F, 0, seed=1)
 
     def test_signed_density_rejected(self, rho_default, wigner_default):
-        F = quantum_joint_spectral(rho_default, wigner_default, 2.0)
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 2.0)
         assert F.values.min() < 0  # direct scan: genuinely quantum
         with pytest.raises(ValueError, match="negative lobes"):
             sample_joint(F, 100, seed=1)
 
     def test_seed_reproducibility(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
+        F = whole_joint(classical_joint, rho_default, wigner_default)
         a = sample_joint(F, 1000, seed=7)
         b = sample_joint(F, 1000, seed=7)
         assert np.array_equal(a, b)
 
     def test_two_seeds_within_binomial_error(self, rho_default, wigner_default):
-        F = classical_joint(rho_default, wigner_default)
+        F = whole_joint(classical_joint, rho_default, wigner_default)
         n = 10**5
         a = sample_joint(F, n, seed=11)
         b = sample_joint(F, n, seed=12)

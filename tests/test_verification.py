@@ -16,17 +16,35 @@ def no_dynamics(monkeypatch):
 
 
 def _stub_builder(monkeypatch, name, raise_at=None):
-    """Wrap ``verification.<name>``; count its calls, raising at ``raise_at``."""
+    """Wrap ``verification.<name>``; count its calls, raising at ``raise_at``
+    before the first block."""
     build = getattr(verification, name)
+    calls = []
+
+    def stub(rho, W, hbar, each_block):
+        calls.append(hbar)
+        if hbar == raise_at:
+            raise NonConvergenceError(f"stubbed at hbar = {hbar}")
+        return build(rho, W, hbar, each_block)
+
+    monkeypatch.setattr(verification, name, stub)
+    return calls
+
+
+def _stub_series_blocks(monkeypatch, raise_at=None):
+    """Wrap the series stream that the equivalence check takes in step with
+    the spectral joint; count its calls, raising at ``raise_at`` after the
+    last block, where the series verdict comes."""
+    series_blocks = verification._series_blocks
     calls = []
 
     def stub(rho, W, hbar):
         calls.append(hbar)
+        yield from series_blocks(rho, W, hbar)
         if hbar == raise_at:
             raise NonConvergenceError(f"stubbed at hbar = {hbar}")
-        return build(rho, W, hbar)
 
-    monkeypatch.setattr(verification, name, stub)
+    monkeypatch.setattr(verification, "_series_blocks", stub)
     return calls
 
 
@@ -36,15 +54,16 @@ def _failed(report):
 
 def test_each_preset_joint_is_built_at_most_twice(monkeypatch, no_dynamics):
     series = _stub_builder(monkeypatch, "quantum_joint_series")
+    series_blocks = _stub_series_blocks(monkeypatch)
     spectral = _stub_builder(monkeypatch, "quantum_joint_spectral")
     assert verification.run_verification(load_config()).overall_pass
     # three presets and classical_reduction; cross_cumulant adds two spectral builds
-    assert len(series) <= 4
+    assert len(series) + len(series_blocks) <= 4
     assert len(spectral) <= 6
 
 
 def test_series_raising_fails_only_the_families_that_use_it(monkeypatch, no_dynamics):
-    _stub_builder(monkeypatch, "quantum_joint_series", raise_at=1.0)
+    _stub_series_blocks(monkeypatch, raise_at=1.0)
     report = verification.run_verification(load_config())
     failed = _failed(report)
     assert set(failed) == {
@@ -66,6 +85,8 @@ def test_series_raising_fails_only_the_families_that_use_it(monkeypatch, no_dyna
 
 def test_spectral_raising_keeps_the_rows_before_it(monkeypatch, no_dynamics):
     _stub_builder(monkeypatch, "quantum_joint_spectral", raise_at=1.0)
+    # the configured pass streams its joint through cumulants' own import
+    monkeypatch.setattr(cumulants, "quantum_joint_spectral", verification.quantum_joint_spectral)
     report = verification.run_verification(load_config())
     assert set(_failed(report)) == {
         "central_equivalence[hbar=1.0]",
@@ -87,12 +108,12 @@ def test_spectral_raising_keeps_the_rows_before_it(monkeypatch, no_dynamics):
 @pytest.mark.parametrize(
     "check, joints",
     [
-        # both joints are held only while the builder gap is taken, row by row
-        ("check_equivalence_presets", 2.5),
-        # each hbar = 0 joint against the product, without a product joint
-        ("check_classical_reduction", 1.5),
-        # the configured joint is hashed in place and dropped before the rebuild
-        ("check_configured_hbar", 1.5),
+        # both joints stream in step; the series factors and two blocks are held
+        ("check_equivalence_presets", 1.0),
+        # each hbar = 0 joint against the product, a block at a time
+        ("check_classical_reduction", 0.5),
+        # the configured joint is hashed and reduced as it streams, and so is the rebuild
+        ("check_configured_hbar", 0.6),
     ],
 )
 def test_check_holds_its_joints_one_at_a_time(check, joints):
@@ -103,30 +124,48 @@ def test_check_holds_its_joints_one_at_a_time(check, joints):
     assert peak_traced_bytes(run, config) <= joints * 8 * n**3
 
 
-def _one_ulp_in_the_joint(F, report):
-    peak = tuple(n // 2 for n in F.values.shape)
-    F.values[peak] = np.nextafter(F.values[peak], np.inf)
-    return F, report
+@pytest.mark.parametrize("check", ["check_equivalence_presets", "check_classical_reduction", "check_configured_hbar"])
+def test_joint_building_check_holds_under_half_a_joint(check):
+    # at n3 = 128 no check holds an n^3 joint: the series factors, O(n^2)
+    # sums and a few blocks of rows of R are all that grows with n3
+    n = 128
+    config = parse_config({"grid": {"n2": n, "n3": n, "half_width": 8.0}})
+    run = getattr(verification, check)
+    run(config)
+    assert peak_traced_bytes(run, config) < 0.5 * 8 * n**3
 
 
-def _one_ulp_in_kappa22(F, report):
-    return F, dataclasses.replace(report, kappa22=np.nextafter(report.kappa22, np.inf))
+def _one_ulp_in_a_block(stream, rho, W, hbar, each_block):
+    """Hand ``each_block`` the rebuild's third block with one value moved by one ulp."""
+    index = iter(range(rho.grid.n))
+
+    def moved(block):
+        if next(index) == 2:
+            block = block.copy()
+            peak = tuple(n // 2 for n in block.shape)
+            block[peak] = np.nextafter(block[peak], np.inf)
+        each_block(block)
+
+    return stream(rho, W, hbar, moved)
 
 
-@pytest.mark.parametrize("perturb", [_one_ulp_in_the_joint, _one_ulp_in_kappa22], ids=["joint", "kappa22"])
+def _one_ulp_in_kappa22(stream, rho, W, hbar, each_block):
+    report, coefficients = stream(rho, W, hbar, each_block)
+    return dataclasses.replace(report, kappa22=np.nextafter(report.kappa22, np.inf)), coefficients
+
+
+@pytest.mark.parametrize("perturb", [_one_ulp_in_a_block, _one_ulp_in_kappa22], ids=["joint", "kappa22"])
 def test_determinism_catches_one_ulp_in_the_rebuild(monkeypatch, perturb):
-    pipeline = verification.cumulant_pipeline
+    stream = verification.stream_cumulants
     runs = []
 
-    def stub(rho, W, hbar):
+    def stub(rho, W, hbar, each_block):
         runs.append(hbar)
-        F, report, coefficients = pipeline(rho, W, hbar)
-        F, report = perturb(F, report)
-        return F, report, coefficients
+        return perturb(stream, rho, W, hbar, each_block)
 
-    monkeypatch.setattr(verification, "cumulant_pipeline", stub)
+    monkeypatch.setattr(verification, "stream_cumulants", stub)
     [row] = [c for c in verification.check_configured_hbar(load_config()) if c.name.startswith("determinism")]
-    assert len(runs) == 1  # the rebuild; the first digest is taken from the shared joint
+    assert len(runs) == 1  # the rebuild; the first digest is taken from the shared pass
     assert (row.name, row.measured, row.passed) == ("determinism[rebuild]", 1.0, False)
     assert row.note == "byte-compare of repeated pipeline"
 
