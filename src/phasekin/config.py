@@ -309,7 +309,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Scena
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"config file {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise ConfigError(f"config file {path!r}: invalid JSON ({exc})") from exc
     if isinstance(doc, dict):  # any other root is refused by parse_config
         doc.update({key: value for key, value in (overrides or {}).items() if value is not None})

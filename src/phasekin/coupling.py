@@ -192,35 +192,22 @@ def _kernel_half(rho: VirtualDensity, grid_p: Grid1D, hbar: float) -> np.ndarray
     return checked_hermitian(G, 1, "spectral joint kernel G(R, q)")[:, n_q // 2 :]
 
 
-def _inverse_over_q(G_half: np.ndarray, w_half: np.ndarray, grid: Grid1D, buffer: np.ndarray):
-    """Yield ``IFT_q[G(R, q) W_hat(q, r)]`` from the ``q >= 0`` halves of
-    both factors, INVERSE_BLOCK rows of R at a time, written into ``buffer``
-    as :func:`_row_blocks` places them.
-
-    Each block is ``irfft`` of the factors' conjugated product times
-    ``alt / step``, formed in one reused (B, n/2 + 1, n) complex buffer.
-    Outside these buffers the work is O(n^2).
-    """
-    g = np.conj(G_half * (_alternating(grid.n // 2 + 1) / grid.step))[:, :, None]
-    w = np.conj(w_half)
-    product = np.empty((min(INVERSE_BLOCK, len(g)), *w.shape), dtype=complex)
-    for rows, block in _row_blocks(len(g), buffer):
-        np.fft.irfft(np.multiply(g[rows], w, out=product[: len(block)]), grid.n, axis=1, out=block)
-        yield block
-
-
 def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> None:
     """Joint built in Fourier space via the sinc kernel on the (K, q) lattice,
     by the half-spectrum route of the module docstring.
 
     The kernel is evaluated everywhere, including its negative lobes; no
-    windowing is applied.  The complex product is formed a block of rows
-    of R at a time, each real block handed to ``each_block``.
+    windowing is applied.  Each block of rows of R is ``irfft`` over q of
+    the factors' conjugated product times ``alt / step``, formed in one
+    reused (B, n/2 + 1, n) complex buffer, and handed to ``each_block``;
+    outside the buffers the work is O(n^2).
     :class:`ImaginaryResidueError` if ``G(R, q)`` is not Hermitian in q
     (a complex kernel, say).
     """
     _check_joint_inputs(rho, W)
-    G_half = _kernel_half(rho, W.grid_p, hbar)
-    w_half = half_spectrum_forward(W.values, W.grid_p)
-    for block in _inverse_over_q(G_half, w_half, W.grid_p, _block_buffer(rho, W)):
-        each_block(block)
+    grid = W.grid_p
+    g = np.conj(_kernel_half(rho, grid, hbar) * (_alternating(grid.n // 2 + 1) / grid.step))[:, :, None]
+    w = np.conj(half_spectrum_forward(W.values, grid))
+    product = np.empty((min(INVERSE_BLOCK, len(g)), *w.shape), dtype=complex)
+    for rows, block in _row_blocks(len(g), _block_buffer(rho, W)):
+        each_block(np.fft.irfft(np.multiply(g[rows], w, out=product[: len(block)]), grid.n, axis=1, out=block))

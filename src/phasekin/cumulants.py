@@ -6,29 +6,25 @@ of the marginals'.  For the sinc-coupled joint it equals
 ``ln sinc(hbar K q / 2)`` wherever the ratio is well conditioned, is
 independent of the third frequency axis, and carries the second-second
 cross-cumulant in its leading expansion coefficient.
+
+The classical-limit scan measures the joint's departure from the product
+rho W in the quadrature L2 norm, from O(n^2) sums of the spectral joint's
+two factors; it forms no n^3 array, so one n^3 inverse serves a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .coupling import (
-    _block_buffer,
-    _check_joint_inputs,
-    _inverse_over_q,
-    _kernel_half,
-    classical_joint,
-    quantum_joint_spectral,
-)
+from .coupling import _check_joint_inputs, _kernel_half, classical_joint, quantum_joint_spectral
 from .errors import (
     DegenerateFitError,
     ImaginaryResidueError,
     InsufficientSupportError,
 )
-from .grids import Grid1D, _sup_norm, fourier_forward, half_spectrum_forward, require_same_grid
+from .grids import Grid1D, fourier_forward, half_spectrum_forward, require_same_grid
 from .states import (
     JOINT_DECAY_TOL,
     JointSums,
@@ -245,12 +241,32 @@ def stream_cumulants(rho: VirtualDensity, W: WignerDistribution, hbar: float, ea
     return heisenberg_check(sums, hbar), phi_series_coefficients(phi_field(sums, rho, W), hbar)
 
 
-def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> float:
-    """Log-log slope of the joint's departure from factorization versus hbar.
+def _half_power(half: np.ndarray) -> np.ndarray:
+    """``sum |half(q, .)|^2`` over axis 1, for the ``q >= 0`` bins on axis 0;
+    of the zero and Nyquist bins only the real parts, all ``irfft`` reads."""
+    power = np.sum(half.real**2 + half.imag**2, axis=1)
+    power[[0, -1]] = np.sum(half[[0, -1]].real ** 2, axis=1)
+    return power
 
-    rho W is the spectral joint with kernel G(R, q) = rho(R), so the departure
-    is one n^3 inverse of the O(n^2) kernel G_hbar - rho times W_hat, taken
-    a block of rows of R at a time into one reused buffer."""
+
+def _departure_norms(rho: VirtualDensity, W: WignerDistribution, hbars: list) -> list:
+    """The L2 norm ``(sum D^2 dR dp dr)^(1/2)`` of D = F_hbar - rho W at each hbar.
+
+    rho W is the spectral joint with kernel G(R, q) = rho(R), so D is the
+    inverse over q of (G_hbar - rho)(R, q) W_hat(q, r), and by Parseval
+    ``sum D^2 = sum_q m_q (sum_R |G_hbar - rho|^2) (sum_r |W_hat|^2) / (n dp^2)``,
+    m_q = 1 at the zero and Nyquist bins and 2 elsewhere: O(n^2) sums of
+    the two factors, O(n^2 log n) a hbar, no n^3 array."""
+    w_power = _half_power(half_spectrum_forward(W.values, W.grid_p))
+    w_power[1:-1] *= 2.0
+    volume = rho.grid.step * W.grid_r.step / (W.grid_p.n * W.grid_p.step)
+    kernels = (_kernel_half(rho, W.grid_p, h) - rho.values[:, None] for h in hbars)
+    return [float(np.sqrt(volume * (_half_power(G.T) @ w_power))) for G in kernels]
+
+
+def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> float:
+    """Log-log slope versus hbar of the L2 norm of the joint's departure
+    from factorization (:func:`_departure_norms`)."""
     hbars = [float(h) for h in hbars]
     if len(hbars) < 4:
         raise ValueError(f"scan needs at least 4 hbar values, got {len(hbars)}")
@@ -261,15 +277,9 @@ def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> f
     if max(hbars) < 8.0 * min(hbars):
         raise ValueError("scan hbar values must span at least a factor of 8")
     _check_joint_inputs(rho, W)
-    w_half = half_spectrum_forward(W.values, W.grid_p)
-    buffer = _block_buffer(rho, W)
-    norms = []
-    for h in hbars:
-        blocks = _inverse_over_q(_kernel_half(rho, W.grid_p, h) - rho.values[:, None], w_half, W.grid_p, buffer)
-        # np.maximum, unlike max, keeps a NaN block's NaN
-        diff = float(reduce(np.maximum, map(_sup_norm, blocks)))
-        if diff < 1e-14:
+    norms = _departure_norms(rho, W, hbars)
+    for h, diff in zip(hbars, norms):
+        if diff < 1e-14:  # a NaN norm passes, for a NaN slope
             raise DegenerateFitError(f"departure norm underflowed at hbar = {h}")
-        norms.append(diff)
     slope, _ = np.polyfit(np.log(hbars), np.log(norms), 1)
     return float(slope)

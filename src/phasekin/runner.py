@@ -56,6 +56,8 @@ def _clear_outputs(directory: str) -> None:
 
 
 def _prepare_output_dir(config: ScenarioConfig, override: str | None) -> str:
+    if override == "":
+        raise ConfigError("--output-dir: expected a non-empty path, got ''")
     directory = override or config.outputs
     try:
         os.makedirs(directory, exist_ok=True)

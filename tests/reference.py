@@ -176,10 +176,14 @@ def full_derivative_diagonal(F):
 
 
 def departure_norms(rho, W, hbars):
-    """max |F_hbar - F_0| from full joints, the route classical_limit_scan
-    took before it inverted the kernel difference G_hbar - rho directly."""
+    """The quadrature L2 norms (sum (F_hbar - F_0)^2 dR dp dr)^(1/2) from
+    full joints, which classical_limit_scan takes from O(n^2) spectral sums."""
     base = whole_joint(classical_joint, rho, W).values
-    return [float(np.abs(whole_joint(quantum_joint_spectral, rho, W, h).values - base).max()) for h in hbars]
+    volume = rho.grid.step * W.grid_p.step * W.grid_r.step
+    return [
+        float(np.sqrt(np.sum((whole_joint(quantum_joint_spectral, rho, W, h).values - base) ** 2) * volume))
+        for h in hbars
+    ]
 
 
 def full_weighting_moments(F, orders):

@@ -379,6 +379,20 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["joint", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000], ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_json_is_2_and_names_file(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["joint", "--config", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"config file {str(bad)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_output_dir_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, outputs=str(tmp_path / "out"))
+        assert main(["joint", "--config", cfg, "--output-dir", ""]) == 2
+        assert "--output-dir" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_preset_outside_the_box_is_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, outputs=str(tmp_path / "out"), rho_preset={"mean": 1.0, "sigma": 1.0})
         assert main(["joint", "--config", cfg]) == 2
