@@ -48,12 +48,13 @@ DEFAULT_SIGMA = 2**-0.5
 # at n3 = 64, 128, 256 and 512: `verify` without its dynamics oracles 14,
 # 4.3, 1.8 and 0.85; `joint` 10, 3.1, 1.3 and 0.59; `cumulants` 13, 2.9,
 # 0.77 and 0.31; at 64 the O(n^2) work dominates.  Per n2^2 point on
-# `simulate`, which writes each snapshot as it is taken and holds none: 96
-# at n2 = 2048, 97 at 1024, 102 at 512 and 118 at 256, where fixed costs
-# weigh, alike at a snapshot every step and every 100th.  Rounded up here,
-# with headroom: 112 for n2, and 8 for n3, about twice the 4.3 of n3 = 128.
+# `simulate`, whose stepper holds three n2^2 complex arrays and writes each
+# snapshot as it is taken: 64 at n2 = 2048, 65 at 1024, 69 at 512 and 82-84
+# at 256, where fixed costs weigh, alike at a snapshot every step and every
+# 100th.  Rounded up here, with headroom: 80 for n2, about a tenth above the
+# 69 of n2 = 512, and 8 for n3, about twice the 4.3 of n3 = 128.
 BYTES_PER_N3_POINT = 8
-BYTES_PER_N2_POINT = 112
+BYTES_PER_N2_POINT = 80
 MEMORY_BUDGET_BYTES = 4 * 2**30
 
 # Propagation seconds per unit of steps * n2^2 * log2(n2).  Measured at

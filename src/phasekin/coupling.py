@@ -55,9 +55,10 @@ from .grids import (
 from .states import VirtualDensity, WignerDistribution
 
 KERNEL_SWITCH = 1e-4
-# Rows of R per block of every streamed joint.  At n3 = 128 blocks of 2 to 8
-# rows time the spectral inverse over q within noise of each other, 4 the
-# fastest; 16 and more are slower.
+# Rows of R per block of every streamed joint, and of p per block of the
+# stepper's half-streams.  At n3 = 128 blocks of 2 to 8 rows time the
+# spectral inverse over q within noise of each other, 4 the fastest; 16 and
+# more are slower.
 INVERSE_BLOCK = 4
 
 
@@ -81,11 +82,12 @@ def _block_buffer(rho: VirtualDensity, W: WignerDistribution) -> np.ndarray:
     return np.empty((min(INVERSE_BLOCK, rho.grid.n), W.grid_p.n, W.grid_r.n))
 
 
-def _row_blocks(n_R: int, buffer: np.ndarray):
-    """``(rows, block)`` for each INVERSE_BLOCK rows of R in turn; ``block``
-    is the first rows of ``buffer``, which the next block overwrites."""
-    for start in range(0, n_R, INVERSE_BLOCK):
-        rows = slice(start, min(start + INVERSE_BLOCK, n_R))
+def _row_blocks(n_rows: int, buffer: np.ndarray):
+    """``(rows, block)`` for each INVERSE_BLOCK rows in turn (of R here, of p
+    in the stepper); ``block`` is the first rows of ``buffer``, which the
+    next block overwrites."""
+    for start in range(0, n_rows, INVERSE_BLOCK):
+        rows = slice(start, min(start + INVERSE_BLOCK, n_rows))
         yield rows, buffer[: rows.stop - start]
 
 

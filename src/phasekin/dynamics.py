@@ -32,20 +32,24 @@ spectral domain, so total probability is conserved to rounding.
 
 The stepper is first-same-as-last: the trailing half-stream of one step
 and the leading half-stream of the next are applied as one full-stream
-phase, split back into two half-streams only where a snapshot is taken.
-That makes four complex FFT passes per step, each done in place, and two
-where the kick phase is exactly 1 (a free potential), whose kick is skipped.
-:func:`propagate` hands each snapshot to its consumer as it is taken and
-keeps none, so its memory does not grow with the number of snapshots; it
-returns only the conservation log.
+phase.  That makes four complex FFT passes per step, each done in place,
+and two where the kick phase is exactly 1 (a free potential), whose kick
+is skipped.  :func:`propagate` holds three n^2 complex arrays: the state,
+the kick phase and the full-stream phase.  A snapshot closes its own
+half-stream from the forward transform over r that the next full stream
+takes anyway, a block of rows of p at a time, so the trajectory does not
+depend on the cadence.  Each snapshot goes to its consumer as it is
+taken and is not kept, so memory does not grow with their number;
+:func:`propagate` returns only the conservation log.
 
 Nyquist treatment: the state stays complex over the full spectrum, so
 the unpaired Nyquist bin of each transform keeps the imaginary part its
-phase gives it until a snapshot takes the real part.  Projecting W back
-onto real values after every substep (``rfft``/``irfft``, or zeroing
-the bin) would halve the FFT work, but it damps that bin instead of
-rotating it, and at 64^2 the quartic energy drift then rises from
-about 9e-7 to 2.7e-6, past the 1e-6 verification tolerance.
+phase gives it until a snapshot takes the real part of each closed
+block.  Projecting W back onto real values after every substep
+(``rfft``/``irfft``, or zeroing the bin) would halve the FFT work, but
+it damps that bin instead of rotating it, and at 64^2 the quartic energy
+drift then rises from about 9e-7 to 2.7e-6, past the 1e-6 verification
+tolerance.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from itertools import count
 
 import numpy as np
 
+from .coupling import INVERSE_BLOCK, _row_blocks
 from .errors import DecayGuardError
 from .grids import (
     Grid1D,
@@ -244,25 +249,38 @@ def collision_rhs(sums: JointSums, epsilon: float, mass: float) -> np.ndarray:
 
 
 def _kick_phase(U: Potential, grid_p: Grid1D, params: EvolutionParams) -> np.ndarray:
+    """exp(i dt gen) for the kick's generator gen, formed a block of shifts (rows) at a time."""
     lam = native_frequencies(grid_p)
-    if params.hbar > 0.0:
-        gen = U.shifted_difference(params.hbar * lam / 2.0) / params.hbar
-    else:
-        gen = np.multiply.outer(lam, U.derivative_samples(1))
-    return np.exp(1j * params.dt * gen)
+    dU = U.derivative_samples(1)
+    kick = np.empty((grid_p.n, U.grid.n), dtype=complex)
+    for start in range(0, grid_p.n, INVERSE_BLOCK):
+        rows = slice(start, start + INVERSE_BLOCK)
+        if params.hbar > 0.0:
+            gen = U.shifted_difference(params.hbar * lam[rows] / 2.0) / params.hbar
+        else:
+            gen = np.multiply.outer(lam[rows], dU)
+        np.exp(1j * params.dt * gen, out=kick[rows])
+    return kick
 
 
-def _shear(grid_p: Grid1D, grid_r: Grid1D, t: float, mass: float) -> np.ndarray:
-    """Free-streaming phase exp(-i p k t / m) over the full k spectrum."""
-    return np.exp(-1j * np.multiply.outer(grid_p.points, native_frequencies(grid_r)) * (t / mass))
+def _streaming_phase(p: np.ndarray, k: np.ndarray, t: float, mass: float, out: np.ndarray) -> np.ndarray:
+    """Free-streaming phase exp(-i p k t / m) over the full k spectrum, formed in ``out``."""
+    np.multiply.outer(p, k, out=out)
+    np.multiply(-1j, out, out=out)
+    np.multiply(out, t / mass, out=out)
+    return np.exp(out, out=out)
 
 
-def _apply_phase(values: np.ndarray, phase: np.ndarray, axis: int) -> np.ndarray:
-    """Multiply complex ``values`` by ``phase`` in the spectral domain of one axis, in place."""
-    np.fft.fft(values, axis=axis, out=values)
-    values *= phase
-    np.fft.ifft(values, axis=axis, out=values)
-    return values
+def _streamed(spectrum: np.ndarray, grid_p: Grid1D, grid_r: Grid1D, t: float, mass: float):
+    """``(rows, block)`` for each block of rows of p: those rows of the
+    r-spectrum ``spectrum`` streamed for ``t`` and inverted over r, formed in
+    one buffer that the next block overwrites."""
+    k = native_frequencies(grid_r)
+    buffer = np.empty((min(INVERSE_BLOCK, grid_p.n), grid_r.n), dtype=complex)
+    for rows, block in _row_blocks(grid_p.n, buffer):
+        _streaming_phase(grid_p.points[rows], k, t, mass, block)
+        np.multiply(spectrum[rows], block, out=block)
+        yield rows, np.fft.ifft(block, axis=1, out=block)
 
 
 def _energy(W: WignerDistribution, u: np.ndarray, mass: float) -> float:
@@ -279,10 +297,10 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams, *, 
     the conservation log, one (t, total probability, mean energy) row per snapshot."""
     _check_rhs_inputs(W0, U)
     grid_p, grid_r = W0.grid_p, W0.grid_r
-    half_stream = _shear(grid_p, grid_r, params.dt / 2.0, params.mass)
-    full_stream = _shear(grid_p, grid_r, params.dt, params.mass)
     kick = _kick_phase(U, grid_p, params)
     kicks = any((row != 1.0).any() for row in kick)  # row by row: no n^2 temporary
+    full_stream = np.empty_like(kick)
+    _streaming_phase(grid_p.points, native_frequencies(grid_r), params.dt, params.mass, full_stream)
     u = U.samples()
     conserved = []
 
@@ -291,16 +309,22 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams, *, 
         conserved.append((t, snap.normalization, _energy(snap, u, params.mass)))
 
     take(0.0, W0)
-    # first-same-as-last: the half-streams that close one step and open
-    # the next run as one full stream; a snapshot takes its own closing
-    # half-stream, so the trajectory does not depend on the cadence
-    values = _apply_phase(W0.values.astype(complex), half_stream, 1)
+    values = W0.values.astype(complex)
+    del W0  # the caller's to keep: from here on only the state is held
+    np.fft.fft(values, axis=1, out=values)
+    for rows, block in _streamed(values, grid_p, grid_r, params.dt / 2.0, params.mass):
+        values[rows] = block
     for step in range(1, params.steps + 1):
         if kicks:
-            _apply_phase(values, kick, 0)
+            np.fft.fft(values, axis=0, out=values)
+            values *= kick
+            np.fft.ifft(values, axis=0, out=values)
+        np.fft.fft(values, axis=1, out=values)  # the full stream's, which a snapshot closes from
         if step % params.snapshot_every == 0 or step == params.steps:
             t = step * params.dt
-            closed = _apply_phase(values.copy(), half_stream, 1).real.copy()
+            closed = np.empty((grid_p.n, grid_r.n))
+            for rows, block in _streamed(values, grid_p, grid_r, params.dt / 2.0, params.mass):
+                closed[rows] = block.real
             try:
                 snap = WignerDistribution(grid_p, grid_r, closed, decay_tol=PROPAGATION_DECAY_TOL)
             except DecayGuardError as exc:
@@ -308,12 +332,16 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams, *, 
             take(t, snap)
             del closed, snap  # handed over: none is kept into the next step
         if step < params.steps:
-            _apply_phase(values, full_stream, 1)
+            values *= full_stream
+            np.fft.ifft(values, axis=1, out=values)
     return conserved
 
 
 def analytic_free_evolution(W0: WignerDistribution, t: float, mass: float) -> WignerDistribution:
-    """Exact free streaming by characteristics via the stepper's shear."""
-    shear = _shear(W0.grid_p, W0.grid_r, t, mass)
-    sheared = _apply_phase(W0.values.astype(complex), shear, 1).real
+    """Exact free streaming by characteristics via the stepper's streaming phase."""
+    spectrum = W0.values.astype(complex)
+    np.fft.fft(spectrum, axis=1, out=spectrum)
+    sheared = np.empty(W0.values.shape)
+    for rows, block in _streamed(spectrum, W0.grid_p, W0.grid_r, t, mass):
+        sheared[rows] = block.real
     return WignerDistribution(W0.grid_p, W0.grid_r, sheared)

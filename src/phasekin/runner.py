@@ -111,7 +111,6 @@ def run_joint(config: ScenarioConfig, directory: str) -> tuple:
 def run_simulate(config: ScenarioConfig, directory: str) -> tuple:
     """Propagate W, writing each snapshot as it is taken, then the conservation log."""
     grid = config.grid2()
-    W0 = config.wigner(grid)
     potential = config.build_potential(grid)
     params = EvolutionParams(
         mass=config.mass, hbar=config.hbar, dt=config.dt, steps=config.steps, snapshot_every=config.snapshot_every
@@ -121,7 +120,8 @@ def run_simulate(config: ScenarioConfig, directory: str) -> tuple:
     def write_snapshot(t, snap):
         outputs.extend(write_array(directory, f"w_{next(index):06d}", snap.values, ("p", "r"), (grid, grid)))
 
-    conserved = propagate(W0, potential, params, each_snapshot=write_snapshot)
+    # W0 goes straight in: propagate drops it once the state is formed
+    conserved = propagate(config.wigner(grid), potential, params, each_snapshot=write_snapshot)
     header = ("time", "total_probability", "mean_energy")
     outputs.append(write_csv(os.path.join(directory, "conserved.csv"), header, conserved))
     return outputs, "complete"

@@ -20,8 +20,8 @@ from phasekin.coupling import (
     quantum_joint_spectral,
     sinc_values,
 )
-from phasekin.dynamics import propagate
-from phasekin.states import JointSums
+from phasekin.dynamics import PROPAGATION_DECAY_TOL, _energy, propagate
+from phasekin.states import JointSums, WignerDistribution
 from phasekin.grids import (
     DECAY_TOL,
     Grid1D,
@@ -296,3 +296,51 @@ def complex_strang_reference(W0, U, params):
         values = np.fft.ifft(np.fft.fft(values, axis=1) * half_stream, axis=1)
         out.append(values.real)
     return out
+
+
+def _whole_shear(W0, t, mass):
+    """exp(-i p k t / m) over the whole (p, k) plane, as one array."""
+    return np.exp(-1j * np.multiply.outer(W0.grid_p.points, native_frequencies(W0.grid_r)) * (t / mass))
+
+
+def _whole_apply(values, phase, axis):
+    np.fft.fft(values, axis=axis, out=values)
+    values *= phase
+    np.fft.ifft(values, axis=axis, out=values)
+    return values
+
+
+def whole_array_free_evolution(W0, t, mass):
+    """analytic_free_evolution as it was before it streamed a block of rows
+    of p at a time: the whole shear phase, applied to the whole array."""
+    return _whole_apply(W0.values.astype(complex), _whole_shear(W0, t, mass), 1).real
+
+
+def whole_array_propagate(W0, U, params):
+    """propagate as it ran before it formed its half-streams a block of rows
+    of p at a time: the half-stream phase held whole beside the kick and the
+    full stream, and each snapshot closed from a copy of the state.  Returns
+    what :func:`collect` does: ([(t, W), ...], the conserved rows)."""
+    lam = native_frequencies(W0.grid_p)
+    if params.hbar > 0.0:
+        gen = U.shifted_difference(params.hbar * lam / 2.0) / params.hbar
+    else:
+        gen = np.multiply.outer(lam, U.derivative_samples(1))
+    kick = np.exp(1j * params.dt * gen)
+    kicks = (kick != 1.0).any()
+    half_stream = _whole_shear(W0, params.dt / 2.0, params.mass)
+    full_stream = _whole_shear(W0, params.dt, params.mass)
+    u = U.samples()
+    snapshots, conserved = [(0.0, W0)], [(0.0, W0.normalization, _energy(W0, u, params.mass))]
+    values = _whole_apply(W0.values.astype(complex), half_stream, 1)
+    for step in range(1, params.steps + 1):
+        if kicks:
+            _whole_apply(values, kick, 0)
+        if step % params.snapshot_every == 0 or step == params.steps:
+            closed = _whole_apply(values.copy(), half_stream, 1).real.copy()
+            W = WignerDistribution(W0.grid_p, W0.grid_r, closed, decay_tol=PROPAGATION_DECAY_TOL)
+            snapshots.append((step * params.dt, W))
+            conserved.append((step * params.dt, W.normalization, _energy(W, u, params.mass)))
+        if step < params.steps:
+            _whole_apply(values, full_stream, 1)
+    return snapshots, conserved

@@ -1,5 +1,6 @@
 """Transport right-hand sides, the central collision identity, and propagation."""
 
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +33,7 @@ from phasekin import (
     quantum_joint_spectral,
     quartic_potential,
 )
-from phasekin.dynamics import _moyal_terms
+from phasekin.dynamics import _moyal_terms, propagate
 from phasekin.grids import native_frequencies
 from phasekin.verification import EQUIV_PRESETS, check_dynamics_oracles
 
@@ -46,6 +47,8 @@ from reference import (
     potential_at,
     streamed_sums,
     sums_of,
+    whole_array_free_evolution,
+    whole_array_propagate,
     whole_joint,
 )
 
@@ -423,6 +426,32 @@ class TestPropagate:
 
         assert count(20) - count(10) == 10 * passes
 
+    def test_traced_peak_holds_three_complex_arrays(self):
+        # the state, the kick and the full stream (48 bytes a point), the real
+        # snapshot and a real temporary of its energy; holding the half-stream
+        # whole and closing snapshots from a copy of the state read 88
+        grid = make_grid(256, 8.0)
+        W0 = gaussian_wigner(grid, grid, 0.3, -0.4, 0.7, 0.7)
+        U = potential_from_density(gaussian_density(grid, 0.0, 1.0), 1.0)
+        params = EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=10, snapshot_every=5)
+
+        def run():
+            propagate(W0, U, params, each_snapshot=lambda t, W: None)
+
+        assert peak_traced_bytes(run) < 72 * grid.n**2
+
+    def test_initial_state_is_not_held(self, grid64):
+        held = []
+
+        def each_snapshot(t, W):
+            held.append(weakref.ref(W) if t == 0.0 else held[0]() is not None)
+
+        params = EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=3, snapshot_every=1)
+        U = harmonic_potential(grid64, 1.0)
+        # built in the call, W0 has no holder but propagate
+        propagate(gaussian_wigner(grid64, grid64, 0.0, 0.0, 0.7, 0.7), U, params, each_snapshot=each_snapshot)
+        assert held[1:] == [False, False, False]
+
     def test_snapshot_times_strictly_increase(self, grid64):
         W0 = gaussian_wigner(grid64, grid64, 0.0, 0.0, 0.7, 0.7)
         params = EvolutionParams(mass=1.0, hbar=0.0, dt=0.01, steps=25, snapshot_every=10)
@@ -458,6 +487,13 @@ class TestAnalyticFreeEvolution:
         one = analytic_free_evolution(analytic_free_evolution(wigner128, 0.3, 1.0), 0.5, 1.0)
         both = analytic_free_evolution(wigner128, 0.8, 1.0)
         assert np.abs(one.values - both.values).max() < 1e-8
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("t, mass", [(0.0, 1.0), (0.7, 1.3)])
+    def test_keeps_the_bits_of_the_whole_array_shear(self, n, t, mass):
+        grid = make_grid(n, 8.0)
+        W0 = gaussian_wigner(grid, grid, 0.3, -0.4, 0.7, 0.7)
+        assert np.array_equal(analytic_free_evolution(W0, t, mass).values, whole_array_free_evolution(W0, t, mass))
 
     def test_ehrenfest_center_motion(self, grid128):
         W0 = gaussian_wigner(grid128, grid128, 0.5, -0.5, 2**-0.5, 2**-0.5)
@@ -524,6 +560,22 @@ class TestStepperEquivalence:
         snapshots, _ = collect(W0, U, params)
         assert [t for t, _ in snapshots] == [0.0, 1e-3]
         assert np.abs(snapshots[-1][1].values - ref[1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("every", [1, 7, 20])
+    @pytest.mark.parametrize("hbar", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["free", "quartic", "from_density"])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_keeps_the_bits_of_the_whole_array_stepper(self, n, kind, hbar, every):
+        # TestStepperEquivalence's 1e-12 gap would not see a change of operand
+        # order in a complex product; the stepper's blocks must not change a bit
+        grid = make_grid(n, 8.0)
+        W0 = gaussian_wigner(grid, grid, 0.3, -0.4, 0.7, 0.7)
+        params = EvolutionParams(mass=1.3, hbar=hbar, dt=1e-3, steps=20, snapshot_every=every)
+        snapshots, conserved = collect(W0, _potential(kind, grid), params)
+        ref_snapshots, ref_conserved = whole_array_propagate(W0, _potential(kind, grid), params)
+        assert [t for t, _ in snapshots] == [t for t, _ in ref_snapshots]
+        assert all(np.array_equal(W.values, ref.values) for (_, W), (_, ref) in zip(snapshots, ref_snapshots))
+        assert conserved == ref_conserved
 
     def test_trajectory_ignores_snapshot_cadence(self, grid64):
         W0 = gaussian_wigner(grid64, grid64, 0.3, -0.4, 0.7, 0.7)
