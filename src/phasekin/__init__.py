@@ -51,11 +51,7 @@ from .errors import (
     NormalizationError,
     PhasekinError,
 )
-from .grids import (
-    Grid1D,
-    boundary_ratio,
-    make_grid,
-)
+from .grids import Grid1D, make_grid
 from .states import (
     JointSums,
     VirtualDensity,

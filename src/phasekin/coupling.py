@@ -7,12 +7,12 @@ Two independent constructions of the same object:
 * a spectral product in which the transformed joint factorizes as
   ``rho_hat(K) * sinc(hbar K q / 2) * W_hat(q, k)``.
 
-Each is the other's test oracle.  The series is evaluated with spectral
-derivatives of floored factor spectra and truncated by the shared rule
-in :func:`phasekin.grids.sum_series`.  Its terms are outer products, so
-it is kept factored, (n, N + 1) density factors times (N + 1, n^2) W
-factors, and formed by one matrix product; a term costs O(n^2), and the
-series runs to convergence across hbar < 2 sigma_R sigma_p.
+Each is the other's test oracle.  The series pairs the even derivatives
+of :func:`phasekin.grids.spectral_derivatives` and is truncated by the
+shared rule, :func:`phasekin.grids.accept_series`.  Its terms are outer
+products, so it is kept factored, (n, N + 1) density factors times
+(N + 1, n^2) W factors, and formed by one matrix product; a term costs
+O(n^2), and the series runs to convergence across hbar < 2 sigma_R sigma_p.
 
 The spectral product never forms a three-axis transform.  Over r and k
 the forward and inverse transforms cancel, and the K inverse acts on
@@ -40,17 +40,15 @@ import numpy as np
 from .grids import (
     Grid1D,
     _alternating,
-    _reshape_for,
     _sup_norm,
     accept_series,
     checked_hermitian,
-    derivative_multiplier,
-    floored_fft,
     fourier_forward,
     fourier_inverse,
     half_spectrum_forward,
     require_same_grid,
     series_coefficient,
+    spectral_derivatives,
 )
 from .states import VirtualDensity, WignerDistribution
 
@@ -98,16 +96,6 @@ def classical_joint(rho: VirtualDensity, W: WignerDistribution, each_block) -> N
         each_block(np.multiply(rho.values[rows, None, None], W.values, out=block))
 
 
-def _even_derivatives(values: np.ndarray, grid: Grid1D):
-    """``d^2n values / dx^2n`` along axis 0 for n = 1, 2, ..., from the
-    floored spectrum (:func:`phasekin.grids.floored_fft`)."""
-    spectrum = floored_fft(values, axis=0)
-    mult = _reshape_for(derivative_multiplier(grid, 2), values.ndim, 0)
-    while True:
-        spectrum *= mult
-        yield np.fft.ifft(spectrum, axis=0).real
-
-
 def _joint_terms(rho: VirtualDensity, W: WignerDistribution, hbar: float):
     """The n-th term of the joint series by its density factor, for n = 1, 2, ...
 
@@ -117,7 +105,7 @@ def _joint_terms(rho: VirtualDensity, W: WignerDistribution, hbar: float):
     """
     if hbar == 0.0:
         return  # the classical product is exact
-    pairs = zip(_even_derivatives(rho.values, rho.grid), _even_derivatives(W.values, W.grid_p))
+    pairs = zip(spectral_derivatives(rho.values, rho.grid, 0), spectral_derivatives(W.values, W.grid_p, 0))
     for n, (d_rho, d_w) in enumerate(pairs, 1):
         coeff = series_coefficient(hbar, n)
         yield coeff * d_rho, abs(coeff) * (_sup_norm(d_rho) * _sup_norm(d_w))
@@ -140,27 +128,29 @@ def _series_factors(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> 
     factors_R = np.column_stack([rho.values, *accepted])
     factors_W = np.empty((len(accepted) + 1, *W.values.shape))
     factors_W[0] = W.values
-    for row, d_w in zip(factors_W[1:], _even_derivatives(W.values, W.grid_p)):
+    for row, d_w in zip(factors_W[1:], spectral_derivatives(W.values, W.grid_p, 0)):
         row[...] = d_w
     return factors_R, factors_W.reshape(len(factors_W), -1), verdict
 
 
-def _product_blocks(factors_R: np.ndarray, factors_W: np.ndarray, verdict, buffer: np.ndarray):
-    """Yield ``A[rows] @ B`` for each block of rows of R, written into
-    ``buffer``; then give the series' verdict, which needs the sum's sup norm."""
-    sup = 0.0
-    for rows, block in _row_blocks(len(factors_R), buffer):
-        np.matmul(factors_R[rows], factors_W, out=block.reshape(len(block), -1))
-        sup = np.maximum(sup, _sup_norm(block))  # np.maximum keeps a NaN
-        yield block
-    verdict(float(sup))
-
-
 def _series_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float):
     """The series joint's blocks as a generator, for a caller that takes
-    them in step with another stream.  The factors are formed at the call;
-    the verdict comes when the generator is exhausted, after the last block."""
-    return _product_blocks(*_series_factors(rho, W, hbar), _block_buffer(rho, W))
+    them in step with another stream: ``A[rows] @ B`` for each block of
+    rows of R, written into one reused buffer.  The factors are formed at
+    the call; the verdict, which needs the sum's sup norm, comes when the
+    generator is exhausted, after the last block."""
+    factors_R, factors_W, verdict = _series_factors(rho, W, hbar)
+    buffer = _block_buffer(rho, W)
+
+    def blocks():
+        sup = 0.0
+        for rows, block in _row_blocks(len(factors_R), buffer):
+            np.matmul(factors_R[rows], factors_W, out=block.reshape(len(block), -1))
+            sup = np.maximum(sup, _sup_norm(block))  # np.maximum keeps a NaN
+            yield block
+        verdict(float(sup))
+
+    return blocks()
 
 
 def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> None:

@@ -24,7 +24,7 @@ from .errors import (
     ImaginaryResidueError,
     InsufficientSupportError,
 )
-from .grids import Grid1D, fourier_forward, half_spectrum_forward, require_same_grid
+from .grids import fourier_forward, half_spectrum_forward, require_same_grid
 from .states import (
     JOINT_DECAY_TOL,
     JointSums,
@@ -60,7 +60,6 @@ class PhiField:
     q: np.ndarray
     values: np.ndarray  # real; NaN where masked out
     mask: np.ndarray
-    k_index: int
 
 
 @dataclass(frozen=True)
@@ -83,47 +82,28 @@ class CumulantReport:
     cauchy_schwarz_ok: bool = True
 
 
-def _phi_phase(grid_r: Grid1D, k_index: int | None = None) -> np.ndarray:
-    """``exp(i k r) * step`` at the ``k_index`` frequency (default k = 0) as
-    a cos and a sin column: the contraction over r of :func:`phi_field`."""
-    k = grid_r.frequencies[grid_r.n // 2 if k_index is None else k_index]
-    return np.stack([np.cos(k * grid_r.points), np.sin(k * grid_r.points)], axis=1) * grid_r.step
-
-
-def phi_field(
-    sums: JointSums,
-    rho: VirtualDensity,
-    W: WignerDistribution,
-    k_index: int | None = None,
-) -> PhiField:
+def phi_field(sums: JointSums, rho: VirtualDensity, W: WignerDistribution) -> PhiField:
     """Log-ratio of the joint's transform to the product of the marginals'
-    on the ``k_index`` slice of the third frequency axis (default k = 0).
+    on the k = 0 slice of the third frequency axis; for the sinc-coupled
+    joint it does not depend on k.
 
-    The joint is given by its :class:`JointSums`, contracted with that
-    slice's phase (:func:`_phi_phase`).  Masked where the product
-    magnitude falls below PHI_PRODUCT_FLOOR of its peak or the ratio
-    approaches the kernel zeros.  The imaginary part must be negligible
-    on the mask and is discarded.
+    The joint is given by its :class:`JointSums`: that slice of its 3-axis
+    transform is the (R, p) transform of the r-summed plane ``over_r``
+    times the r step, the plane :func:`kappa22` reads.  Masked where the
+    product magnitude falls below PHI_PRODUCT_FLOOR of its peak or the
+    ratio approaches the kernel zeros.  The imaginary part must be
+    negligible on the mask and is discarded.
     """
     require_same_grid(rho.grid, sums.grid_R, "phi_field density grid")
     require_same_grid(W.grid_p, sums.grid_p, "phi_field W p-grid")
     require_same_grid(W.grid_r, sums.grid_r, "phi_field W r-grid")
-    if k_index is None:
-        k_index = sums.grid_r.n // 2  # the k = 0 slice
-
-    # the k-th slice of the 3-axis transform: r contracted with
-    # exp(i k r) * step first (cos and sin as two real columns), then
-    # the (R, p) plane transformed
-    if sums.contract is None or not np.array_equal(sums.contract, _phi_phase(sums.grid_r, k_index)):
-        raise ValueError("joint sums were taken without the contraction asked for")
     sums.ensure_decaying(JOINT_DECAY_TOL, "characteristic-function input")
-    contracted = sums.contracted
-    f_t = fourier_forward(contracted[..., 0] + 1j * contracted[..., 1], (sums.grid_R, sums.grid_p), (0, 1))
+    f_t = fourier_forward(sums.over_r * sums.grid_r.step, (sums.grid_R, sums.grid_p), (0, 1))
     rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
     w_t = fourier_forward(W.values, (W.grid_p, W.grid_r), (0, 1))
     # peak of the full product rho_t(K) w_t(q, k); exact for an outer product
     denom_full_max = float(np.abs(rho_t).max()) * float(np.abs(w_t).max())
-    denom = rho_t[:, None] * w_t[None, :, k_index]
+    denom = rho_t[:, None] * w_t[None, :, sums.grid_r.n // 2]  # k = 0
 
     mask = np.abs(denom) >= PHI_PRODUCT_FLOOR * denom_full_max
     ratio = np.zeros_like(denom)
@@ -138,7 +118,7 @@ def phi_field(
             f"generating function has imaginary part {im_max:.3e} on the mask (allowed {PHI_IMAG_TOL})"
         )
     values[mask] = logs.real
-    return PhiField(sums.grid_R.frequencies, sums.grid_p.frequencies, values, mask, k_index)
+    return PhiField(sums.grid_R.frequencies, sums.grid_p.frequencies, values, mask)
 
 
 def phi_series_coefficients(phi: PhiField, hbar: float) -> tuple:
@@ -216,10 +196,10 @@ def heisenberg_check(sums: JointSums, hbar: float) -> CumulantReport:
 
 def cumulant_sums(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block=None) -> JointSums:
     """The finished :class:`JointSums` of the spectral joint, or of the
-    product at hbar = 0, contracted for :func:`phi_field`'s k = 0 slice and
-    taken a block of rows of R at a time.  Each block is also handed to
-    ``each_block``, if given, once it is reduced."""
-    sums = JointSums(rho.grid, W.grid_p, W.grid_r, _phi_phase(W.grid_r), W.decay_tol)
+    product at hbar = 0, taken a block of rows of R at a time: all that
+    :func:`heisenberg_check` and :func:`phi_field` read.  Each block is
+    also handed to ``each_block``, if given, once it is reduced."""
+    sums = JointSums(rho.grid, W.grid_p, W.grid_r, W.decay_tol)
 
     def add(block):
         sums.add(block)

@@ -11,8 +11,9 @@ potential (where the odd-derivative series terminates and is exact):
   conjugate of p.
 
 The odd-derivative series (:func:`moyal_rhs_series`, the transport
-oracle) is summed, like the joint builder's series, by
-:func:`phasekin.grids.sum_series`.
+oracle) takes its derivatives from, and is truncated by, the joint
+builder's series engine: :func:`phasekin.grids.spectral_derivatives`
+and :func:`phasekin.grids.accept_series`.
 
 A :class:`Potential` is either a polynomial, sum_k c_k r^k, or
 epsilon * rho.  The free, harmonic and quartic presets are polynomials,
@@ -55,7 +56,6 @@ tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from .errors import DecayGuardError
 from .grids import (
     Grid1D,
     _sup_norm,
+    accept_series,
     checked_real,
     derivative_array,
     derivative_multiplier,
@@ -71,7 +72,7 @@ from .grids import (
     native_frequencies,
     require_same_grid,
     series_coefficient,
-    sum_series,
+    spectral_derivatives,
 )
 from .states import JointSums, VirtualDensity, WignerDistribution, marginal_over_R
 
@@ -197,11 +198,7 @@ def _moyal_terms(W: WignerDistribution, U: Potential, hbar: float):
     """The n-th odd-derivative transport term, for n = 1, 2, ..."""
     if hbar == 0.0:
         return  # classical transport is exact
-    w_hat = floored_fft(W.values, axis=0) * derivative_multiplier(W.grid_p, 1)[:, None]  # first odd derivative
-    mult = derivative_multiplier(W.grid_p, 2)[:, None]
-    for n in count(1):
-        w_hat *= mult
-        dW = np.fft.ifft(w_hat, axis=0).real
+    for n, dW in enumerate(spectral_derivatives(W.values, W.grid_p, 1), 1):
         yield series_coefficient(hbar, n) * U.derivative_samples(2 * n + 1)[None, :] * dW
 
 
@@ -211,12 +208,15 @@ def moyal_rhs_series(W, U: Potential, hbar: float, mass: float) -> np.ndarray:
     For polynomial potentials the series terminates exactly; for a
     density-backed potential derivatives are spectral, and the floor
     filter and truncation rule are the joint-distribution series' own
-    (:func:`phasekin.grids.sum_series`).
+    (:func:`phasekin.grids.accept_series`).
     """
     _check_rhs_inputs(W, U)
     base = liouville_rhs(W, U, mass)
     terms = ((term, _sup_norm(term)) for term in _moyal_terms(W, U, hbar))
-    return sum_series(terms, _sup_norm(base), lambda accepted: sum(accepted, base), "odd-derivative series")
+    accepted, verdict = accept_series(terms, _sup_norm(base), "odd-derivative series")
+    total = sum(accepted, base)
+    verdict(_sup_norm(total))
+    return total
 
 
 def moyal_rhs_spectral(W: WignerDistribution, U: Potential, hbar: float, mass: float) -> np.ndarray:

@@ -19,13 +19,15 @@ Derivatives are evaluated in the FFT-native spectral domain, where
 real (the unmatched Nyquist mode is dropped for odd orders).
 
 The derivative series of the joint builder and of the Moyal transport
-share one truncation rule, :func:`sum_series`, and one spectral floor,
-:func:`floored_fft`.
+share one source of derivatives, :func:`spectral_derivatives`, taken
+from one spectral floor, :func:`floored_fft`, and one truncation rule,
+:func:`accept_series`.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +39,7 @@ from .errors import DecayGuardError, GridMismatchError, ImaginaryResidueError, N
 # are trivially periodic and carry no aliasing risk.
 DECAY_TOL = 1e-10
 
-# Term cap of sum_series, for the joint and the Moyal series alike.  A joint
+# Term cap of accept_series, for the joint and the Moyal series alike.  A joint
 # term costs O(n^2), so the cap is set by the window, not by cost: inside
 # hbar < 2 sigma_R sigma_p the joint series converges in at most 54 terms on
 # the verification grids (README), and (2n + 1)! stays in float range up to
@@ -117,11 +119,6 @@ def make_grid(n: int, half_width: float) -> Grid1D:
     return Grid1D(n, half_width)
 
 
-def boundary_ratio(values: np.ndarray) -> float:
-    """Largest boundary-face magnitude of a real array over its global max magnitude."""
-    return _over_peak(face_sup(values), _sup_norm(values))
-
-
 def face_sup(values: np.ndarray) -> float:
     """Largest magnitude on the boundary faces of a real array."""
     worst = 0.0
@@ -131,10 +128,6 @@ def face_sup(values: np.ndarray) -> float:
             sl[ax] = idx
             worst = max(worst, _sup_norm(values[tuple(sl)]))
     return worst
-
-
-def _over_peak(boundary: float, peak: float) -> float:
-    return boundary / peak if peak != 0.0 else 0.0
 
 
 def ensure_decaying(values: np.ndarray, tol: float = DECAY_TOL, what: str = "field") -> None:
@@ -150,7 +143,7 @@ def require_decay(boundary: float, vmax, vmin, tol: float, what: str) -> None:
     """The verdict of :func:`ensure_decaying` from an array's :func:`face_sup`,
     max and min, which a caller may have taken a block at a time."""
     peak = float(np.maximum(vmax, -vmin))
-    ratio = _over_peak(boundary, peak)
+    ratio = boundary / peak if peak != 0.0 else 0.0
     if ratio > tol and float(vmax - vmin) > 1e-14 * peak:
         raise DecayGuardError(
             f"{what} is not decaying: boundary magnitude is {ratio:.3e} of the "
@@ -231,6 +224,20 @@ def floored_fft(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return hat
 
 
+def spectral_derivatives(values: np.ndarray, grid: Grid1D, first: int):
+    """``d^m values / dx^m`` along axis 0 for m = first + 2, first + 4, ...,
+    from the floored spectrum (:func:`floored_fft`): the derivatives that
+    the even joint series (``first`` 0) and the odd Moyal series
+    (``first`` 1) pair with their coefficients."""
+    spectrum = floored_fft(values, axis=0)
+    if first:
+        spectrum *= _reshape_for(derivative_multiplier(grid, first), values.ndim, 0)
+    mult = _reshape_for(derivative_multiplier(grid, 2), values.ndim, 0)
+    while True:
+        spectrum *= mult
+        yield np.fft.ifft(spectrum, axis=0).real
+
+
 def series_coefficient(hbar: float, n: int) -> float:
     """(-1)^n (hbar/2)^(2n) / (2n+1)!, the n-th coefficient of the even
     joint and odd Moyal series.
@@ -248,34 +255,37 @@ def _sup_norm(values: np.ndarray) -> float:
     return float(np.maximum(values.max(), -values.min()))
 
 
-def sum_series(terms, scale: float, assemble, what: str):
+def accept_series(terms, scale: float, what: str) -> tuple:
     """The one truncation rule of the derivative series.
 
     ``terms`` is a generator of ``(term, norm)`` for n = 1, 2, ...,
     ``norm`` the sup norm of the n-th term, and ``scale`` is the sup norm
     of the zeroth term, the base.  Terms are accepted until one falls
-    below 1e-12 of ``scale``, at most SERIES_CAP of them.  A term larger than
-    the one before stops the series unaccepted, keeping the smaller
+    below 1e-12 of ``scale``, at most SERIES_CAP of them.  A term larger
+    than the one before stops the series unaccepted, keeping the smaller
     partial sum; terms that run out end it exactly.  The generator is
-    then closed, and ``assemble(accepted)`` returns the base plus the
-    accepted terms, handed over in a list it may empty.
-    :class:`NonConvergenceError` is raised if a term is not finite, or
-    if the series stopped short of 1e-12 and its last accepted term
-    still exceeds 1e-8 of the assembled sum.
+    then closed.  Returns the accepted terms and the verdict, a function
+    of the sup norm of the sum (the base plus the accepted terms, which
+    the caller forms, at once or a block at a time): it raises
+    :class:`NonConvergenceError` if the series stopped short of 1e-12
+    and its last accepted term still exceeds 1e-8 of that sum.  A term
+    that is not finite raises :class:`NonConvergenceError` at once.
     """
-    accepted, verdict = accept_series(terms, scale, what)
-    total = assemble(accepted)
-    verdict(_sup_norm(total))
-    return total
-
-
-def accept_series(terms, scale: float, what: str) -> tuple:
-    """:func:`sum_series` without the assembly: the accepted terms, and the
-    verdict, a function of the assembled sum's sup norm that raises
-    :class:`NonConvergenceError` where :func:`sum_series` would.  A caller
-    that forms the sum a block at a time gives it the sup norm at the end."""
-    accepted, last_norm, converged = _accept_terms(terms, scale, what)
-    terms.close()
+    accepted, last_norm = [], 0.0
+    with closing(terms):
+        for n, (term, norm) in zip(range(1, SERIES_CAP + 1), terms):
+            if not math.isfinite(norm):
+                raise NonConvergenceError(f"{what} did not converge: term {n} is not finite")
+            if n >= 2 and norm > last_norm:
+                converged = False
+                break
+            accepted.append(term)
+            last_norm = norm
+            if norm <= SERIES_CONVERGED_REL * scale:
+                converged = True
+                break
+        else:
+            converged = len(accepted) < SERIES_CAP
 
     def verdict(total_norm: float) -> None:
         if not converged and last_norm > SERIES_FAIL_REL * total_norm:
@@ -285,21 +295,6 @@ def accept_series(terms, scale: float, what: str) -> tuple:
             )
 
     return accepted, verdict
-
-
-def _accept_terms(terms, scale: float, what: str) -> tuple:
-    """(accepted terms, last accepted norm, converged) under :func:`sum_series`' rule."""
-    accepted, last_norm = [], 0.0
-    for n, (term, norm) in zip(range(1, SERIES_CAP + 1), terms):
-        if not math.isfinite(norm):
-            raise NonConvergenceError(f"{what} did not converge: term {n} is not finite")
-        if n >= 2 and norm > last_norm:
-            return accepted, last_norm, False
-        accepted.append(term)
-        last_norm = norm
-        if norm <= SERIES_CONVERGED_REL * scale:
-            return accepted, last_norm, True
-    return accepted, last_norm, len(accepted) < SERIES_CAP
 
 
 def require_same_grid(a: Grid1D, b: Grid1D, what: str) -> None:

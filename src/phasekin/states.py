@@ -150,8 +150,9 @@ class JointSums:
     equals its whole-array numpy form bit for bit:
 
     * ``over_R`` is ``F.sum(axis=0)``: the rows are added in order, as numpy does;
-    * ``over_pr`` is ``F.sum(axis=(1, 2))`` and ``over_r`` is ``F.sum(axis=2)``;
-    * ``contracted`` is ``F @ contract``, when a ``contract`` matrix over r is given;
+    * ``over_pr`` is ``F.sum(axis=(1, 2))`` and ``over_r`` is ``F.sum(axis=2)``,
+      the r-summed plane that serves both the (R, p) moments and the k = 0
+      slice of the characteristic function;
     * ``total`` is ``F.sum()``: numpy sums an array of power-of-two
       rows pairwise, row sums first, and so are the ``over_pr`` entries;
     * ``vmax``, ``vmin`` and ``boundary`` (the :func:`phasekin.grids.face_sup`)
@@ -172,17 +173,15 @@ class JointSums:
         grid_R: Grid1D,
         grid_p: Grid1D,
         grid_r: Grid1D,
-        contract=None,
         decay_tol: float = DECAY_TOL,
         diagonal_derivative: bool = False,
     ):
         require_same_grid(grid_R, grid_r, "joint distribution R/r axes")
         self.grid_R, self.grid_p, self.grid_r = grid_R, grid_p, grid_r
-        self.contract, self.decay_tol = contract, decay_tol
+        self.decay_tol = decay_tol
         self.over_R = None
         self.over_pr = np.empty(grid_R.n)
         self.over_r = np.empty((grid_R.n, grid_p.n))
-        self.contracted = None if contract is None else np.empty((grid_R.n, grid_p.n, contract.shape[1]))
         self.d_R = derivative_array(np.eye(grid_R.n), grid_R, 0, 1) if diagonal_derivative else None
         self.dR_diagonal = np.zeros((grid_p.n, grid_r.n)) if diagonal_derivative else None
         self.vmax = self.vmin = None
@@ -199,8 +198,6 @@ class JointSums:
         self.rows = rows.stop
         self.over_pr[rows] = block.sum(axis=(1, 2))
         self.over_r[rows] = block.sum(axis=2)
-        if self.contract is not None:
-            self.contracted[rows] = block @ self.contract
         if self.d_R is not None:
             for R, row in enumerate(block, rows.start):
                 self.dR_diagonal += self.d_R[:, R] * row

@@ -6,7 +6,7 @@ series converges across ``hbar < 2 sigma_R sigma_p``, that is
 the verification grids).  The equivalence checks carry per-hbar preset
 widths with that ratio near 1/3, where the odd-derivative Moyal series,
 the transport oracle, converges well inside the 64-term cap of
-:func:`phasekin.grids.sum_series`, and a wider box for hbar = 2, because
+:func:`phasekin.grids.accept_series`, and a wider box for hbar = 2, because
 a Gaussian needs ``half_width >= 8 sigma`` to satisfy the decay guard;
 the identities under test are covariant under that joint rescaling of
 hbar and the widths, so nothing is lost.
@@ -354,9 +354,7 @@ def check_configured_hbar(config: ScenarioConfig) -> list:
         return phi_series_coefficients(phi_field(sums, rho, W), hbar)
 
     def half_kappa22(rho, W, kap):  # not built once kap has failed
-        sums = JointSums(rho.grid, W.grid_p, W.grid_r, decay_tol=W.decay_tol)
-        quantum_joint_spectral(rho, W, hbar / 2.0, sums.add)
-        return kappa22(sums.finish())
+        return kappa22(cumulant_sums(rho, W, hbar / 2.0))
 
     def rebuild_matches(rho, W, digest):
         blocks = hashlib.sha256()

@@ -11,7 +11,7 @@ from itertools import count
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from phasekin.cumulants import PHI_RATIO_FLOOR, _phi_phase
+from phasekin.cumulants import PHI_RATIO_FLOOR
 from phasekin.coupling import (
     INVERSE_BLOCK,
     _kernel_half,
@@ -28,6 +28,7 @@ from phasekin.grids import (
     _alternating,
     _reshape_for,
     _sup_norm,
+    accept_series,
     checked_real,
     derivative_array,
     floored_fft,
@@ -36,7 +37,6 @@ from phasekin.grids import (
     half_spectrum_forward,
     native_frequencies,
     series_coefficient,
-    sum_series,
 )
 
 
@@ -77,22 +77,18 @@ def whole_joint(build, rho, W, *args):
     return WholeJoint(rho.grid, W.grid_p, W.grid_r, np.concatenate(blocks), W.decay_tol)
 
 
-def sums_of(F, rows=INVERSE_BLOCK, contract=None, diagonal_derivative=False):
-    """The finished JointSums of a whole joint, added ``rows`` rows of R at
-    a time.  ``contract`` defaults to the phase of phi_field's k = 0 slice."""
-    contract = _phi_phase(F.grid_r) if contract is None else contract
-    sums = JointSums(F.grid_R, F.grid_p, F.grid_r, contract, F.decay_tol, diagonal_derivative)
+def sums_of(F, rows=INVERSE_BLOCK, diagonal_derivative=False):
+    """The finished JointSums of a whole joint, added ``rows`` rows of R at a time."""
+    sums = JointSums(F.grid_R, F.grid_p, F.grid_r, F.decay_tol, diagonal_derivative)
     for start in range(0, len(F.values), rows):
         sums.add(F.values[start : start + rows])
     return sums.finish()
 
 
-def streamed_sums(build, rho, W, *args, contract=None, diagonal_derivative=False):
+def streamed_sums(build, rho, W, *args, diagonal_derivative=False):
     """The finished JointSums of the joint that ``build(rho, W, *args,
-    each_block)`` streams, taken block by block as the builder hands them
-    over; ``contract`` as in :func:`sums_of`."""
-    contract = _phi_phase(W.grid_r) if contract is None else contract
-    sums = JointSums(rho.grid, W.grid_p, W.grid_r, contract, W.decay_tol, diagonal_derivative)
+    each_block)`` streams, taken block by block as the builder hands them over."""
+    sums = JointSums(rho.grid, W.grid_p, W.grid_r, W.decay_tol, diagonal_derivative)
     build(rho, W, *args, sums.add)
     return sums.finish()
 
@@ -238,7 +234,10 @@ def dense_joint_series(rho, W, hbar):
             term = series_coefficient(hbar, n) * np.multiply.outer(d_rho, d_w)
             yield term, _sup_norm(term)
 
-    return sum_series(terms(), _sup_norm(base), lambda accepted: sum(accepted, base), "dense series")
+    accepted, verdict = accept_series(terms(), _sup_norm(base), "dense series")
+    total = sum(accepted, base)
+    verdict(_sup_norm(total))
+    return total
 
 
 def whole_product_series(rho, W, hbar):

@@ -1,9 +1,11 @@
 """Property tests of the configuration schema: every document is refused
 with a ConfigError or resolves to a config that round-trips."""
 
+import importlib.util
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ JUNK = st.one_of(
     st.lists(st.integers(), max_size=2),
 )
 
+REPO = Path(__file__).resolve().parents[1]
 ROOTS = {"config"} | {row[0].split(".")[0] for row in SCHEMA}
 
 
@@ -75,6 +78,27 @@ def test_every_schema_path_is_in_the_help():
 
 
 def test_readme_defaults_block_is_the_default_config():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (REPO / "README.md").read_text()
     block = readme.split("```json\n", 1)[1].split("```", 1)[0]
     assert json.loads(block) == DEFAULT_CONFIG
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, loaded from its file so that no bench module
+    name lands on the import path."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _bench_workloads()
+
+
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_every_benchmark_config_is_accepted(workload, seed, small):
+    # a key the schema drops but the benchmark still sends would fail
+    # every operation of that workload with exit 2
+    parse_config(WORKLOADS.make_config(workload, seed, small))

@@ -20,7 +20,7 @@ from phasekin import (
     quantum_joint_series,
     quantum_joint_spectral,
 )
-from phasekin import coupling, grids
+from phasekin import coupling
 from phasekin.coupling import INVERSE_BLOCK, sinc_values
 from phasekin.cumulants import PHI_RATIO_FLOOR, phi_field
 from phasekin.grids import fourier_forward
@@ -152,14 +152,14 @@ class TestQuantumJointSeries:
         # rows of R, the (n, N + 1) and (N + 1, n^2) factor matrices and
         # O(n^2) scratch; no n^3 result
         used = []
-        accept = grids._accept_terms
+        accept = coupling.accept_series
 
         def counting(*args):
-            accepted, last_norm, converged = accept(*args)
+            accepted, verdict = accept(*args)
             used.append(len(accepted))
-            return accepted, last_norm, converged
+            return accepted, verdict
 
-        monkeypatch.setattr(grids, "_accept_terms", counting)
+        monkeypatch.setattr(coupling, "accept_series", counting)
         rho = gaussian_density(grid128, 0.0, 1.0)
         peak = peak_traced_bytes(quantum_joint_series, rho, wigner128, 1.0, ignore)
         n, factor_rows = grid128.n, used[0] + 1

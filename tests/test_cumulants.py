@@ -34,7 +34,7 @@ from phasekin import (
     quartic_potential,
 )
 from phasekin import coupling, cumulants
-from phasekin.cumulants import PHI_FIT_MAX_ARG, _phi_phase, stream_cumulants
+from phasekin.cumulants import PHI_FIT_MAX_ARG, stream_cumulants
 from phasekin.grids import fourier_forward
 from phasekin.runner import run_cumulants
 from phasekin.states import marginal_residuals
@@ -104,18 +104,14 @@ class TestPhiField:
         assert np.abs(phi.values[sel] - expected).max() < 1e-7
 
     def test_k_slices_agree(self, rho_default, wigner_default, grid64):
-        mid = grid64.n // 2
-        a, b = (
-            phi_field(
-                streamed_sums(quantum_joint_spectral, rho_default, wigner_default, 1.0, contract=_phi_phase(grid64, k)),
-                rho_default,
-                wigner_default,
-                k_index=k,
-            )
-            for k in (mid, mid + 3)
-        )
-        common = a.mask & b.mask
-        assert np.abs(a.values[common] - b.values[common]).max() < 1e-7
+        # the generating function does not depend on the third frequency:
+        # phi_field's k = 0 slice against the full transform's third bin above it
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
+        a = phi_field(sums_of(F), rho_default, wigner_default)
+        values, mask = phi_from_full_transform(F, rho_default, wigner_default, grid64.n // 2 + 3)
+        common = a.mask & mask
+        assert common.sum() > 100
+        assert np.abs(a.values[common] - values[common]).max() < 1e-7
 
     def test_phi_even_under_sign_flip(self, rho_default, wigner_default):
         sums = streamed_sums(quantum_joint_spectral, rho_default, wigner_default, 1.0)
@@ -420,16 +416,23 @@ class TestPhiFieldSlice:
     @pytest.mark.parametrize("offset", [0, 3, -7])
     @pytest.mark.parametrize("centred", [True, False])
     def test_matches_full_transform(self, grid64, offset, centred):
-        # off centre, the joint is not even in r, so k and -k differ
+        # phi_field reads the k = 0 slice; at offset 0 it is the full
+        # transform's own, elsewhere the generating function must not
+        # depend on k.  Off centre the joint is not even in r, so the
+        # slices at k and -k differ
         shift = 0.0 if centred else 0.6
         rho = gaussian_density(grid64, -shift, 0.9)
         W = gaussian_wigner(grid64, grid64, shift / 2, shift, 0.75, 0.7)
         F = whole_joint(quantum_joint_spectral, rho, W, 1.0)
-        k_index = grid64.n // 2 + offset
-        phi = phi_field(sums_of(F, contract=_phi_phase(grid64, k_index)), rho, W, k_index=k_index)
-        values, mask = phi_from_full_transform(F, rho, W, k_index)
-        assert mask.sum() > 100 and np.array_equal(phi.mask, mask)
-        assert np.abs(phi.values[mask] - values[mask]).max() < 1e-8
+        phi = phi_field(sums_of(F), rho, W)
+        values, mask = phi_from_full_transform(F, rho, W, grid64.n // 2 + offset)
+        if offset == 0:
+            assert mask.sum() > 100 and np.array_equal(phi.mask, mask)
+            assert np.abs(phi.values[mask] - values[mask]).max() < 1e-8
+        else:
+            common = phi.mask & mask
+            assert common.sum() > 100
+            assert np.abs(phi.values[common] - values[common]).max() < 1e-7
 
     def test_no_full_complex_cube(self, rho_default, wigner_default):
         n = rho_default.grid.n
@@ -488,12 +491,10 @@ class TestStreamedPipeline:
 
     def test_streamed_phi_field_equals_the_whole_joint_s(self, rho_default, wigner_default):
         F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
-        sums = JointSums(F.grid_R, F.grid_p, F.grid_r, cumulants._phi_phase(F.grid_r))
+        sums = JointSums(F.grid_R, F.grid_p, F.grid_r)
         quantum_joint_spectral(rho_default, wigner_default, 1.0, sums.add)
         sums.finish()
         whole = phi_field(sums_of(F, rows=len(F.values)), rho_default, wigner_default)
         streamed = phi_field(sums, rho_default, wigner_default)
         assert np.array_equal(streamed.values, whole.values, equal_nan=True)
         assert np.array_equal(streamed.mask, whole.mask)
-        with pytest.raises(ValueError, match="without the contraction asked for"):
-            phi_field(sums, rho_default, wigner_default, k_index=F.grid_r.n // 2 + 3)

@@ -1,5 +1,6 @@
 """Grid construction, transform contract, and spectral differentiation."""
 
+import inspect
 import itertools
 
 import numpy as np
@@ -11,15 +12,15 @@ from numpy.testing import assert_allclose
 
 from phasekin import DecayGuardError, ImaginaryResidueError, NonConvergenceError, make_grid
 from phasekin.grids import (
+    SERIES_CAP,
     _sup_norm,
-    boundary_ratio,
+    accept_series,
     checked_hermitian,
     derivative_array,
     ensure_decaying,
     fourier_forward,
     fourier_inverse,
     half_spectrum_forward,
-    sum_series,
 )
 
 from conftest import gauss
@@ -168,7 +169,9 @@ class TestDecayGuard:
         v = np.zeros((8, 8))
         v[4, 4] = 1.0
         v[0, 3] = 1e-3
-        assert boundary_ratio(v) == 1e-3
+        ensure_decaying(v, 1e-3)
+        with pytest.raises(DecayGuardError, match="boundary magnitude is 1.000e-03 of the global maximum"):
+            ensure_decaying(v, 9.99e-4)
 
     def test_gaussian_passes(self):
         g = make_grid(128, 8.0)
@@ -273,4 +276,50 @@ class TestSupNorm:
         term[2] = bad
         assert not np.isfinite(_sup_norm(term))
         with pytest.raises(NonConvergenceError, match="term 1 is not finite"):
-            sum_series(((t, _sup_norm(t)) for t in [term]), 1.0, sum, "series")
+            accept_series(((t, _sup_norm(t)) for t in [term]), 1.0, "series")
+
+
+def numbered_terms(norms):
+    """``(n, norm)`` for each of ``norms``, the term standing in for its index n."""
+    yield from enumerate(norms, 1)
+
+
+class TestAcceptSeries:
+    def accept(self, norms):
+        """(accepted terms, verdict) for a series of the given term norms at
+        scale 1, after checking that the generator was closed."""
+        terms = numbered_terms(norms)
+        accepted, verdict = accept_series(terms, 1.0, "series")
+        assert inspect.getgeneratorstate(terms) == inspect.GEN_CLOSED
+        return accepted, verdict
+
+    def test_converged_series_stops_at_the_small_term(self):
+        accepted, verdict = self.accept(itertools.chain([0.5, 1e-3, 1e-12], itertools.repeat(1e-13)))
+        assert accepted == [1, 2, 3]
+        verdict(1e-300)  # converged: no sum makes it fail
+
+    def test_growing_term_is_not_accepted(self):
+        accepted, verdict = self.accept([0.5, 0.1, 0.2, 1e-13])
+        assert accepted == [1, 2]  # the smaller partial sum
+        with pytest.raises(NonConvergenceError, match="last term is 1.000e-01 of the sum after cap/growth stop"):
+            verdict(1.0)
+        verdict(1e8)  # the last accepted term is 1e-9 of this sum
+
+    def test_cap_stops_the_series(self):
+        accepted, verdict = self.accept(0.9**n for n in itertools.count())
+        assert accepted == list(range(1, SERIES_CAP + 1))
+        with pytest.raises(NonConvergenceError, match="after cap/growth stop"):
+            verdict(1.0)
+        verdict(1e9)
+
+    def test_terms_that_run_out_are_exact(self):
+        accepted, verdict = self.accept([0.5, 0.1])
+        assert accepted == [1, 2]
+        verdict(1.0)  # a terminating series needs no small last term
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_is_refused(self, bad):
+        terms = numbered_terms([0.5, bad, 0.1])
+        with pytest.raises(NonConvergenceError, match="series did not converge: term 2 is not finite"):
+            accept_series(terms, 1.0, "series")
+        assert inspect.getgeneratorstate(terms) == inspect.GEN_CLOSED

@@ -92,9 +92,9 @@ class TestMarginals:
         assert np.abs(marginal_over_pr(sums).values - rho_default.values).max() < tol
 
 
-def sums_in_blocks(grids, values, rows, contract=None):
+def sums_in_blocks(grids, values, rows):
     """The JointSums of ``values``, added ``rows`` rows of R at a time."""
-    sums = JointSums(*grids, contract)
+    sums = JointSums(*grids)
     for start in range(0, len(values), rows):
         sums.add(values[start : start + rows])
     return sums.finish()
@@ -110,12 +110,10 @@ class TestJointSums:
         if kind == "random":
             v = np.random.default_rng(0).random(v.shape)
             v /= v.sum() * F.grid_R.step * F.grid_p.step * F.grid_r.step
-        contract = np.random.default_rng(0).normal(size=(F.grid_r.n, 2))
-        sums = sums_in_blocks((F.grid_R, F.grid_p, F.grid_r), v, rows, contract)
+        sums = sums_in_blocks((F.grid_R, F.grid_p, F.grid_r), v, rows)
         assert np.array_equal(sums.over_R, v.sum(axis=0))
         assert np.array_equal(sums.over_pr, v.sum(axis=(1, 2)))
         assert np.array_equal(sums.over_r, v.sum(axis=2))
-        assert np.array_equal(sums.contracted, v @ contract)
         assert sums.total == v.sum()
         assert (sums.vmax, sums.vmin, sums.boundary) == (v.max(), v.min(), face_sup(v))
 

@@ -240,6 +240,8 @@ def test_raising_step_fails_only_the_families_that_use_it(monkeypatch, no_dynami
 
 def test_half_hbar_joint_raising_keeps_the_row_before_it(monkeypatch, no_dynamics):
     _stub_builder(monkeypatch, "quantum_joint_spectral", raise_at=0.375)
+    # the hbar/2 joint streams through cumulants' own import
+    monkeypatch.setattr(cumulants, "quantum_joint_spectral", verification.quantum_joint_spectral)
     rows = _configured_rows(verification.run_verification(parse_config({"hbar": 0.75})))
     assert [c.name for c in rows if not c.passed] == ["cross_cumulant"]
     cross = [c.name for c in rows if c.name.startswith("cross_cumulant")]
