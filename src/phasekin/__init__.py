@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .config import DEFAULT_CONFIG, ScenarioConfig, load_config, parse_config
 from .coupling import (
     classical_joint,
+    joint_planes,
     quantum_joint_series,
     quantum_joint_spectral,
     sinc_values,
@@ -53,6 +54,7 @@ from .errors import (
 )
 from .grids import Grid1D, make_grid
 from .states import (
+    JointPlanes,
     JointSums,
     VirtualDensity,
     WignerDistribution,

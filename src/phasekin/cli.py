@@ -3,7 +3,8 @@
 Every command runs through :func:`phasekin.runner.run_scenario`, which
 writes the outputs and the manifest.  Exit codes: 0 success, 1
 verification failure (manifest status ``failed``), 2 configuration
-error, 3 any other guard violation (manifest status ``aborted``).
+error, 3 any other guard violation or a failed write (manifest status
+``aborted``; none if the manifest's own write failed).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PhasekinError as exc:
+    except (PhasekinError, OSError) as exc:  # OSError: an output write that failed
         print(f"runtime guard violation: {exc}", file=sys.stderr)
         return EXIT_GUARD
     return EXIT_VERIFY_FAIL if status == "failed" else EXIT_OK

@@ -29,11 +29,14 @@ is formed and inverted a few rows of R at a time.
 Each builder forms the joint a block of INVERSE_BLOCK rows of R at a
 time, writes every block into one reused buffer and hands it to its
 ``each_block`` callable before the next block overwrites it, so no n^3
-array is formed.  Whoever needs the joint reduces it block by block
-(:class:`phasekin.states.JointSums`) or writes it.
+array is formed.  Whoever needs the joint writes it or reduces it block
+by block (:class:`phasekin.states.JointSums`); its readers take what they
+need from the spectral joint's two factors (:func:`joint_planes`).
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .grids import (
     _sup_norm,
     accept_series,
     checked_hermitian,
+    derivative_array,
     fourier_forward,
     fourier_inverse,
     half_spectrum_forward,
@@ -50,7 +54,7 @@ from .grids import (
     series_coefficient,
     spectral_derivatives,
 )
-from .states import VirtualDensity, WignerDistribution
+from .states import JointPlanes, VirtualDensity, WignerDistribution
 
 KERNEL_SWITCH = 1e-4
 # Rows of R per block of every streamed joint, and of p per block of the
@@ -133,14 +137,17 @@ def _series_factors(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> 
     return factors_R, factors_W.reshape(len(factors_W), -1), verdict
 
 
-def _series_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float):
-    """The series joint's blocks as a generator, for a caller that takes
-    them in step with another stream: ``A[rows] @ B`` for each block of
-    rows of R, written into one reused buffer.  The factors are formed at
-    the call; the verdict, which needs the sum's sup norm, comes when the
-    generator is exhausted, after the last block."""
+def _series_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
+    """The series joint's blocks ``A[rows] @ B``, as a generator written into
+    one reused buffer, and a function giving its dF/dR at R = r,
+    ``sum_j (d_R A)[r, j] B[j, p, r]``.  The factors are formed at the call;
+    the verdict, which needs the sum's sup norm, comes after the last block."""
     factors_R, factors_W, verdict = _series_factors(rho, W, hbar)
     buffer = _block_buffer(rho, W)
+
+    def diagonal():
+        planes = factors_W.reshape(len(factors_W), W.grid_p.n, W.grid_r.n)
+        return sum(column * plane for column, plane in zip(derivative_array(factors_R, rho.grid, 0, 1).T, planes))
 
     def blocks():
         sup = 0.0
@@ -150,7 +157,7 @@ def _series_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float):
             yield block
         verdict(float(sup))
 
-    return blocks()
+    return blocks(), diagonal
 
 
 def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> None:
@@ -170,7 +177,7 @@ def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float
     on the coherent preset) or overflow; on coarse grids the floored
     spectra can still end the series a little past ratio 1.
     """
-    for block in _series_blocks(rho, W, hbar):
+    for block in _series_blocks(rho, W, hbar)[0]:
         each_block(block)
 
 
@@ -184,22 +191,67 @@ def _kernel_half(rho: VirtualDensity, grid_p: Grid1D, hbar: float) -> np.ndarray
     return checked_hermitian(G, 1, "spectral joint kernel G(R, q)")[:, n_q // 2 :]
 
 
+def _spectral_factors(G: np.ndarray, W: WignerDistribution) -> tuple:
+    """``(g, w)``: the spectral joint's two factors, F = irfft_q[g(R, q) w(q, r)],
+    from the kernel's ``q >= 0`` half ``G``; ``g`` is ``conj(G * alt / step)``,
+    n by n/2 + 1, and ``w`` is ``conj(W_hat)``, n/2 + 1 by n."""
+    grid = W.grid_p
+    g = np.conj(G * (_alternating(grid.n // 2 + 1) / grid.step))
+    return g, np.conj(half_spectrum_forward(W.values, grid))
+
+
 def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> None:
     """Joint built in Fourier space via the sinc kernel on the (K, q) lattice,
     by the half-spectrum route of the module docstring.
 
     The kernel is evaluated everywhere, including its negative lobes; no
     windowing is applied.  Each block of rows of R is ``irfft`` over q of
-    the factors' conjugated product times ``alt / step``, formed in one
-    reused (B, n/2 + 1, n) complex buffer, and handed to ``each_block``;
-    outside the buffers the work is O(n^2).
+    the factors' product (:func:`_spectral_factors`), formed in one reused
+    (B, n/2 + 1, n) complex buffer, and handed to ``each_block``; outside
+    the buffers the work is O(n^2).
     :class:`ImaginaryResidueError` if ``G(R, q)`` is not Hermitian in q
     (a complex kernel, say).
     """
     _check_joint_inputs(rho, W)
-    grid = W.grid_p
-    g = np.conj(_kernel_half(rho, grid, hbar) * (_alternating(grid.n // 2 + 1) / grid.step))[:, :, None]
-    w = np.conj(half_spectrum_forward(W.values, grid))
+    g, w = _spectral_factors(_kernel_half(rho, W.grid_p, hbar), W)
     product = np.empty((min(INVERSE_BLOCK, len(g)), *w.shape), dtype=complex)
     for rows, block in _row_blocks(len(g), _block_buffer(rho, W)):
-        each_block(np.fft.irfft(np.multiply(g[rows], w, out=product[: len(block)]), grid.n, axis=1, out=block))
+        product_rows = np.multiply(g[rows, :, None], w, out=product[: len(block)])
+        each_block(np.fft.irfft(product_rows, W.grid_p.n, axis=1, out=block))
+
+
+def joint_planes(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> JointPlanes:
+    """The spectral joint's :class:`JointPlanes`, from its two factors alone.
+
+    Each reduction is linear in F = irfft_q[g w], so it is one inverse over q
+    of reduced factors: ``over_r`` of ``g * sum_r w``, ``over_R`` of
+    ``(sum_R g) * w``, dF/dR at R = r of ``(d_R g)^T * w``.  The guard takes
+    two rows, two columns and two p faces (no BLAS or einsum: their buffers
+    and code pages raise the peak); the extremes are the row of largest
+    ``over_pr``'s.  At hbar = 0 the kernel is rho itself (sinc 0 = 1): the
+    product rho W."""
+    _check_joint_inputs(rho, W)
+    n = W.grid_p.n
+    G = rho.values[:, None] if hbar == 0.0 else _kernel_half(rho, W.grid_p, hbar)
+    g, w = _spectral_factors(G, W)
+    weights = np.full(n // 2 + 1, 2.0 / n)  # irfft's: the zero and Nyquist bins count once
+    weights[[0, -1]] = 1.0 / n
+
+    def row(R):
+        return np.fft.irfft(g[R][:, None] * w, n, axis=0)
+
+    def p_face_sup(p):
+        # irfft's output p is its weighted sum over q, taken one row of R at a time
+        folded = g * (weights * np.exp(2j * np.pi / n * p * np.arange(n // 2 + 1)))
+        return max(_sup_norm((folded_row[:, None] * w).real.sum(axis=0)) for folded_row in folded)
+
+    # every plane before the guard's temporaries, which are then freed last
+    over_r = np.fft.irfft(g * w.sum(axis=1), n, axis=1)
+    over_pr = over_r.sum(axis=1)
+    over_R = np.fft.irfft(g.sum(axis=0)[:, None] * w, n, axis=0)
+    diagonal = np.fft.irfft(derivative_array(g, rho.grid, 0, 1).T * w, n, axis=0)
+    faces = chain(map(row, (0, -1)), (np.fft.irfft(g * w[:, r], n, axis=1) for r in (0, -1)))
+    boundary = max(*map(_sup_norm, faces), p_face_sup(0), p_face_sup(n - 1))  # one face held at a time
+    peak = row(max(range(len(over_pr)), key=over_pr.__getitem__))  # np.argmax would map code pages no command else maps
+    planes = (over_R, over_pr, over_r, diagonal, boundary, float(peak.max()), float(peak.min()))
+    return JointPlanes(rho.grid, W.grid_p, W.grid_r, *planes, W.decay_tol)

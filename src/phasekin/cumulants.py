@@ -7,18 +7,21 @@ of the marginals'.  For the sinc-coupled joint it equals
 independent of the third frequency axis, and carries the second-second
 cross-cumulant in its leading expansion coefficient.
 
-The classical-limit scan measures the joint's departure from the product
-rho W in the quadrature L2 norm, from O(n^2) sums of the spectral joint's
-two factors; it forms no n^3 array, so one n^3 inverse serves a run.
+Every reader takes the joint's O(n^2) reductions from the spectral
+builder's two factors (:func:`phasekin.coupling.joint_planes`), and the
+classical-limit scan measures the joint's departure from the product
+rho W in the quadrature L2 norm from O(n^2) sums of the same factors; no
+n^3 array is formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _check_joint_inputs, _kernel_half, classical_joint, quantum_joint_spectral
+from .coupling import _check_joint_inputs, _kernel_half, joint_planes
 from .errors import (
     DegenerateFitError,
     ImaginaryResidueError,
@@ -27,7 +30,7 @@ from .errors import (
 from .grids import fourier_forward, half_spectrum_forward, require_same_grid
 from .states import (
     JOINT_DECAY_TOL,
-    JointSums,
+    JointPlanes,
     VirtualDensity,
     WignerDistribution,
     marginal_over_R,
@@ -82,28 +85,28 @@ class CumulantReport:
     cauchy_schwarz_ok: bool = True
 
 
-def phi_field(sums: JointSums, rho: VirtualDensity, W: WignerDistribution) -> PhiField:
+def phi_field(planes: JointPlanes, rho: VirtualDensity, W: WignerDistribution) -> PhiField:
     """Log-ratio of the joint's transform to the product of the marginals'
     on the k = 0 slice of the third frequency axis; for the sinc-coupled
     joint it does not depend on k.
 
-    The joint is given by its :class:`JointSums`: that slice of its 3-axis
+    The joint is given by its :class:`JointPlanes`: that slice of its 3-axis
     transform is the (R, p) transform of the r-summed plane ``over_r``
     times the r step, the plane :func:`kappa22` reads.  Masked where the
     product magnitude falls below PHI_PRODUCT_FLOOR of its peak or the
     ratio approaches the kernel zeros.  The imaginary part must be
     negligible on the mask and is discarded.
     """
-    require_same_grid(rho.grid, sums.grid_R, "phi_field density grid")
-    require_same_grid(W.grid_p, sums.grid_p, "phi_field W p-grid")
-    require_same_grid(W.grid_r, sums.grid_r, "phi_field W r-grid")
-    sums.ensure_decaying(JOINT_DECAY_TOL, "characteristic-function input")
-    f_t = fourier_forward(sums.over_r * sums.grid_r.step, (sums.grid_R, sums.grid_p), (0, 1))
+    require_same_grid(rho.grid, planes.grid_R, "phi_field density grid")
+    require_same_grid(W.grid_p, planes.grid_p, "phi_field W p-grid")
+    require_same_grid(W.grid_r, planes.grid_r, "phi_field W r-grid")
+    planes.ensure_decaying(JOINT_DECAY_TOL, "characteristic-function input")
+    f_t = fourier_forward(planes.over_r * planes.grid_r.step, (planes.grid_R, planes.grid_p), (0, 1))
     rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
     w_t = fourier_forward(W.values, (W.grid_p, W.grid_r), (0, 1))
     # peak of the full product rho_t(K) w_t(q, k); exact for an outer product
     denom_full_max = float(np.abs(rho_t).max()) * float(np.abs(w_t).max())
-    denom = rho_t[:, None] * w_t[None, :, sums.grid_r.n // 2]  # k = 0
+    denom = rho_t[:, None] * w_t[None, :, planes.grid_r.n // 2]  # k = 0
 
     mask = np.abs(denom) >= PHI_PRODUCT_FLOOR * denom_full_max
     ratio = np.zeros_like(denom)
@@ -118,7 +121,7 @@ def phi_field(sums: JointSums, rho: VirtualDensity, W: WignerDistribution) -> Ph
             f"generating function has imaginary part {im_max:.3e} on the mask (allowed {PHI_IMAG_TOL})"
         )
     values[mask] = logs.real
-    return PhiField(sums.grid_R.frequencies, sums.grid_p.frequencies, values, mask)
+    return PhiField(planes.grid_R.frequencies, planes.grid_p.frequencies, values, mask)
 
 
 def phi_series_coefficients(phi: PhiField, hbar: float) -> tuple:
@@ -160,27 +163,27 @@ def phi_series_coefficients(phi: PhiField, hbar: float) -> tuple:
     return float(coeffs[0]), float(coeffs[1])
 
 
-def kappa22(sums: JointSums) -> float:
-    """Second-second cross combination <R^2 p^2> - <R^2><p^2> of a joint, from its sums."""
-    m = moments(sums, [(2, 2), (2, 0), (0, 2)])
+def kappa22(planes: JointPlanes) -> float:
+    """Second-second cross combination <R^2 p^2> - <R^2><p^2> of a joint, from its planes."""
+    m = moments(planes, [(2, 2), (2, 0), (0, 2)])
     return m[(2, 2)] - m[(2, 0)] * m[(0, 2)]
 
 
-def heisenberg_check(sums: JointSums, hbar: float) -> CumulantReport:
-    """Spread-of-squares inequality check on a joint, from its sums.
+def heisenberg_check(planes: JointPlanes, hbar: float) -> CumulantReport:
+    """Spread-of-squares inequality check on a joint, from its planes.
 
     sigma_{R^2} comes from the virtual-position marginal, sigma_{p^2}
     from the momentum moments of the recovered phase-space marginal;
     the measured cross-cumulant is checked against its Cauchy-Schwarz
     bound -sigma_{R^2} sigma_{p^2}.
     """
-    rho = marginal_over_pr(sums)
-    W = marginal_over_R(sums)
+    rho = marginal_over_pr(planes)
+    W = marginal_over_R(planes)
     m_rho = moments(rho, [(2,), (4,)])
     m_w = moments(W, [(2, 0), (4, 0)])
     sigma_R2 = float(np.sqrt(max(m_rho[(4,)] - m_rho[(2,)] ** 2, 0.0)))
     sigma_p2 = float(np.sqrt(max(m_w[(4, 0)] - m_w[(2, 0)] ** 2, 0.0)))
-    kap = kappa22(sums)
+    kap = kappa22(planes)
     lhs = sigma_R2 * sigma_p2
     return CumulantReport(
         hbar=hbar,
@@ -194,31 +197,12 @@ def heisenberg_check(sums: JointSums, hbar: float) -> CumulantReport:
     )
 
 
-def cumulant_sums(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block=None) -> JointSums:
-    """The finished :class:`JointSums` of the spectral joint, or of the
-    product at hbar = 0, taken a block of rows of R at a time: all that
-    :func:`heisenberg_check` and :func:`phi_field` read.  Each block is
-    also handed to ``each_block``, if given, once it is reduced."""
-    sums = JointSums(rho.grid, W.grid_p, W.grid_r, W.decay_tol)
-
-    def add(block):
-        sums.add(block)
-        if each_block is not None:
-            each_block(block)
-
-    if hbar == 0.0:
-        classical_joint(rho, W, add)
-    else:
-        quantum_joint_spectral(rho, W, hbar, add)
-    return sums.finish()
-
-
-def stream_cumulants(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block=None) -> tuple:
-    """The heisenberg_check and the fitted (c2, c4) of the joint of
-    :func:`cumulant_sums`, from one pass over its blocks, each also handed
-    to ``each_block`` if given: no n^3 array is formed."""
-    sums = cumulant_sums(rho, W, hbar, each_block)
-    return heisenberg_check(sums, hbar), phi_series_coefficients(phi_field(sums, rho, W), hbar)
+def cumulant_pass(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
+    """``(planes, report, (c2, c4))`` of the spectral joint at ``hbar``: its
+    :class:`JointPlanes`, taken from its factors with no n^3 array formed,
+    their :func:`heisenberg_check` and the fitted generating function."""
+    planes = joint_planes(rho, W, hbar)
+    return planes, heisenberg_check(planes, hbar), phi_series_coefficients(phi_field(planes, rho, W), hbar)
 
 
 def _half_power(half: np.ndarray) -> np.ndarray:
@@ -263,3 +247,31 @@ def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> f
             raise DegenerateFitError(f"departure norm underflowed at hbar = {h}")
     slope, _ = np.polyfit(np.log(hbars), np.log(norms), 1)
     return float(slope)
+
+
+# h^2 hbar of the oracle's stencil step h.  Relative to hbar^2 / 6, the
+# stencil's truncation error grows as (h^2 hbar)^4 and its rounding error
+# falls as (h^2 hbar)^-2; at 0.02 the two together stay below 4e-9 for
+# hbar from 1e-4 to 5 (sigma_R, sigma_p of the verify and bench presets).
+ORACLE_STEP_SCALE = 0.02
+
+
+def kappa22_closed_form_oracle(sigma_R: float, sigma_p: float, hbar: float) -> float:
+    """Cross-cumulant by finite differences on the analytic transform.
+
+    Independent of the FFT stack: the log of the characteristic function
+    of the centered Gaussian inputs, ``-sigma_R^2 K^2 / 2 + ln sinc(hbar
+    K q / 2) - sigma_p^2 q^2 / 2``, is evaluated in closed form, and the
+    mixed derivative d^2/dK^2 d^2/dq^2 at the origin is taken with
+    4th-order central stencils.  The separable Gaussian terms have no
+    mixed derivative, so the stencil reads the kernel alone, at a step
+    ``h`` with ``h^2 hbar = ORACLE_STEP_SCALE``, where neither rounding
+    nor truncation reaches the answer.
+    """
+    h = math.sqrt(ORACLE_STEP_SCALE / hbar) if hbar > 0 else 1.0
+    stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
+    K, q = offsets[:, None], offsets[None, :]
+    # np.sinc is sin(pi y)/(pi y), so feed it arg/pi
+    log_f = -(sigma_R**2) * K**2 / 2.0 + np.log(np.sinc(hbar * K * q / 2.0 / np.pi)) - (sigma_p**2) * q**2 / 2.0
+    return float(stencil @ log_f @ stencil)

@@ -74,7 +74,7 @@ from .grids import (
     series_coefficient,
     spectral_derivatives,
 )
-from .states import JointSums, VirtualDensity, WignerDistribution, marginal_over_R
+from .states import VirtualDensity, WignerDistribution
 
 # Snapshot guard during propagation: anharmonic transport grows physical
 # interference tails that saturate near 1e-7 of the peak at default
@@ -232,20 +232,13 @@ def moyal_rhs_spectral(W: WignerDistribution, U: Potential, hbar: float, mass: f
     return _streaming_term(W, mass) + kicked
 
 
-def collision_rhs(sums: JointSums, epsilon: float, mass: float) -> np.ndarray:
-    """Transport right-hand side from the joint via the collision integral.
-
-    The interaction term is the momentum derivative of
-    ``epsilon * dF/dR`` sliced exactly on the diagonal R = r, which the
-    joint's sums take block by block (``JointSums(...,
-    diagonal_derivative=True)``); the streaming term acts on F's W
-    marginal, under the guard of the W that F was built from.
-    """
-    if sums.dR_diagonal is None:
-        raise ValueError("joint sums were taken without the diagonal R-derivative")
-    G = epsilon * sums.dR_diagonal
-    dGdp = derivative_array(G, sums.grid_p, 0, 1)
-    return _streaming_term(marginal_over_R(sums), mass) + dGdp
+def collision_rhs(W: WignerDistribution, dR_diagonal: np.ndarray, epsilon: float, mass: float) -> np.ndarray:
+    """Transport right-hand side from the joint via the collision integral:
+    the momentum derivative of ``epsilon * dF/dR`` on the diagonal R = r,
+    ``dR_diagonal`` (a :class:`JointPlanes` holds the spectral joint's), plus
+    the streaming term of F's W marginal ``W`` (:func:`marginal_over_R`)."""
+    dGdp = derivative_array(epsilon * dR_diagonal, W.grid_p, 0, 1)
+    return _streaming_term(W, mass) + dGdp
 
 
 def _kick_phase(U: Potential, grid_p: Grid1D, params: EvolutionParams) -> np.ndarray:

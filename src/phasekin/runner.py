@@ -12,7 +12,8 @@ first removes what its body wrote, so it leaves only those two files.
 A command body (``run_simulate``, ``run_joint``, ``run_cumulants``,
 ``run_verify``) computes its results, writes its own files and returns
 ``(outputs, status)``: status ``complete``, or ``failed`` when a
-verification check fails.
+verification check fails.  A failed write (a full disk, say) aborts as a
+guard does; one of the manifest itself leaves no file of the run.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__
 from .config import TOOL_NAME, ScenarioConfig
 from .coupling import quantum_joint_series, quantum_joint_spectral
-from .cumulants import CLASSICAL_SCAN_FRACTIONS, classical_limit_scan, stream_cumulants
+from .cumulants import CLASSICAL_SCAN_FRACTIONS, classical_limit_scan, cumulant_pass
 from .dynamics import EvolutionParams, propagate
 from .errors import ConfigError, NonFiniteError, PhasekinError
 from .serialization import (
@@ -133,7 +134,7 @@ def run_cumulants(config: ScenarioConfig, directory: str) -> tuple:
     # would otherwise surface as an unresolved fit
     scan = [config.hbar * f for f in CLASSICAL_SCAN_FRACTIONS]
     slope = classical_limit_scan(rho, W, scan) if config.hbar > 0.0 else float("nan")
-    report, (c2, c4) = stream_cumulants(rho, W, config.hbar)
+    _, report, (c2, c4) = cumulant_pass(rho, W, config.hbar)
     rows = [
         ("hbar", config.hbar),
         ("kappa22", report.kappa22),
@@ -168,8 +169,8 @@ def _raise_non_finite(condition: str, flag: int) -> None:
 def run_scenario(config: ScenarioConfig, command: str, output_dir: str | None = None) -> str:
     """Run one command into its output directory; returns the manifest status.
 
-    A :class:`PhasekinError` from the command body is re-raised after the
-    ``aborted`` manifest is written.
+    A :class:`PhasekinError` or ``OSError`` from the command body is
+    re-raised after the ``aborted`` manifest is written.
     """
     # looked up per call, so a tracer that rebinds these module names sees every command
     body = {
@@ -185,13 +186,19 @@ def run_scenario(config: ScenarioConfig, command: str, output_dir: str | None = 
     try:
         with np.errstate(over="call", invalid="call", divide="call", call=_raise_non_finite):
             outputs, status = body(config, directory)
-    except PhasekinError as exc:
+    except (PhasekinError, OSError) as exc:  # a guard, or a write that failed
+        if isinstance(exc, OSError) and exc.filename is None:  # a failed write names no file
+            exc = OSError(exc.errno, exc.strerror, directory)
         outputs, status, error = [], "aborted", exc
         _clear_outputs(directory)  # what the body wrote before it failed
     resolved = config.to_dict()
-    paths = [*outputs, write_resolved_config(directory, resolved)]
     message = None if error is None else str(error)
-    write_manifest(directory, command, resolved, status, paths, TOOL_NAME, __version__, error=message)
+    try:
+        paths = [*outputs, write_resolved_config(directory, resolved)]
+        write_manifest(directory, command, resolved, status, paths, TOOL_NAME, __version__, error=message)
+    except OSError:
+        _clear_outputs(directory)  # a run without its manifest leaves nothing
+        raise
     if error is not None:
         raise error
     return status

@@ -2,9 +2,10 @@
 
 The joint distribution couples the force-carrier position R to the real
 particle's phase-space point (p, r).  It is never held whole: its
-readers take the O(n^2) sums of its blocks (:class:`JointSums`).  R and
-r live on one shared grid so the contraction at R = r is an exact
-diagonal slice.  Away from the classical limit the joint may carry
+readers take its O(n^2) reductions from the factors it is built from
+(:class:`JointPlanes`), and what streams it sums its blocks
+(:class:`JointSums`).  R and r live on one shared grid so the
+contraction at R = r is an exact diagonal slice.  Away from the classical limit the joint may carry
 genuine tails in R of magnitude up to ~1e-10 of its peak; 3-axis decay
 checks therefore use a looser guard than the 1e-10 used for 1- and
 2-axis fields.
@@ -21,8 +22,6 @@ from .grids import (
     DECAY_TOL,
     Grid1D,
     _reshape_for,
-    _sup_norm,
-    derivative_array,
     ensure_decaying,
     require_decay,
     require_same_grid,
@@ -140,83 +139,41 @@ def gaussian_wigner(
 
 
 class JointSums:
-    """The O(n^2) reductions of a real joint density F(R, p, r) of virtual
-    position and real phase space that its readers need, taken in one pass
-    over consecutive blocks of its rows of R, as the joint builders hand
-    them over.  No reader needs F whole, and none is formed.
-
-    R and r share one grid.  Add the blocks in order (:meth:`add`), then
-    :meth:`finish`, which checks that F integrates to 1.  Each reduction
-    equals its whole-array numpy form bit for bit:
-
-    * ``over_R`` is ``F.sum(axis=0)``: the rows are added in order, as numpy does;
-    * ``over_pr`` is ``F.sum(axis=(1, 2))`` and ``over_r`` is ``F.sum(axis=2)``,
-      the r-summed plane that serves both the (R, p) moments and the k = 0
-      slice of the characteristic function;
-    * ``total`` is ``F.sum()``: numpy sums an array of power-of-two
-      rows pairwise, row sums first, and so are the ``over_pr`` entries;
-    * ``vmax``, ``vmin`` and ``boundary`` (the :func:`phasekin.grids.face_sup`)
-      give the decay guard, :meth:`ensure_decaying`.
-
-    With ``diagonal_derivative``, ``dR_diagonal`` is also taken: dF/dR at
-    R = r, shape (n_p, n_r), the contraction ``einsum("rR,Rpr->pr", d_R,
-    F)`` with the spectral d/dR matrix.  Each row of R is weighted by its
-    column of d_R and added in order, as numpy's einsum sums them: the
-    two agree bit for bit on the verification presets.
-
-    ``decay_tol`` is the guard of the W the joint was built from, which
-    its recovered W marginal keeps.
+    """The two marginal sums of a real joint density F(R, p, r) of virtual
+    position and real phase space, and its normalization, taken over
+    consecutive blocks of its rows of R as a builder hands them over: what
+    ``joint`` and ``verify``'s builder checks read from the joints they
+    stream.  Add the blocks in order (:meth:`add`), then :meth:`finish`,
+    which checks that F integrates to 1.  Each sum equals its whole-array
+    numpy form bit for bit: ``over_R`` is ``F.sum(axis=0)``, its rows
+    added in order, ``over_pr`` is ``F.sum(axis=(1, 2))`` and ``total`` is
+    ``F.sum()``, pairwise over the ``over_pr`` entries as numpy sums an
+    array of power-of-two rows.  ``decay_tol`` is the guard of the W the
+    joint was built from, which its recovered W marginal keeps.
     """
 
-    def __init__(
-        self,
-        grid_R: Grid1D,
-        grid_p: Grid1D,
-        grid_r: Grid1D,
-        decay_tol: float = DECAY_TOL,
-        diagonal_derivative: bool = False,
-    ):
+    def __init__(self, grid_R: Grid1D, grid_p: Grid1D, grid_r: Grid1D, decay_tol: float = DECAY_TOL):
         require_same_grid(grid_R, grid_r, "joint distribution R/r axes")
         self.grid_R, self.grid_p, self.grid_r = grid_R, grid_p, grid_r
         self.decay_tol = decay_tol
         self.over_R = None
         self.over_pr = np.empty(grid_R.n)
-        self.over_r = np.empty((grid_R.n, grid_p.n))
-        self.d_R = derivative_array(np.eye(grid_R.n), grid_R, 0, 1) if diagonal_derivative else None
-        self.dR_diagonal = np.zeros((grid_p.n, grid_r.n)) if diagonal_derivative else None
-        self.vmax = self.vmin = None
-        self.boundary = 0.0
         self.rows = 0
         self.total = None
 
     def add(self, block: np.ndarray) -> None:
         """Reduce the next ``len(block)`` rows of R."""
-        n_R = self.grid_R.n
         rows = slice(self.rows, self.rows + len(block))
-        if block.shape[1:] != (self.grid_p.n, self.grid_r.n) or rows.stop > n_R:
+        if block.shape[1:] != (self.grid_p.n, self.grid_r.n) or rows.stop > self.grid_R.n:
             raise ValueError(f"block of shape {block.shape} at row {rows.start} does not fit the joint's grids")
         self.rows = rows.stop
         self.over_pr[rows] = block.sum(axis=(1, 2))
-        self.over_r[rows] = block.sum(axis=2)
-        if self.d_R is not None:
-            for R, row in enumerate(block, rows.start):
-                self.dR_diagonal += self.d_R[:, R] * row
         if self.over_R is None:
             self.over_R, block_rest = block[0].copy(), block[1:]
         else:
             block_rest = block
         for row in block_rest:
             self.over_R += row
-        vmax, vmin = block.max(), block.min()
-        # np.maximum and np.minimum keep a NaN, as the whole-array max and min do
-        self.vmax = vmax if self.vmax is None else np.maximum(self.vmax, vmax)
-        self.vmin = vmin if self.vmin is None else np.minimum(self.vmin, vmin)
-        faces = [block[:, 0], block[:, -1], block[:, :, 0], block[:, :, -1]]
-        if rows.start == 0:
-            faces.append(block[0])
-        if rows.stop == n_R:
-            faces.append(block[-1])
-        self.boundary = max(self.boundary, *map(_sup_norm, faces))
 
     def finish(self) -> "JointSums":
         """Take the total and check that F integrates to 1; returns self."""
@@ -230,23 +187,53 @@ class JointSums:
         _unit_integral(self.total, grids, JOINT_NORMALIZATION_TOL, "F")
         return self
 
+
+@dataclass(frozen=True)
+class JointPlanes:
+    """The O(n^2) reductions of a real joint density F(R, p, r) that its
+    readers take (:func:`phasekin.coupling.joint_planes`).  ``over_R`` (p, r),
+    ``over_pr`` (R) and ``over_r`` (R, p) sum F over R, over (p, r) and over
+    r; ``dR_diagonal`` (p, r) is dF/dR at R = r.  ``boundary`` is F's
+    :func:`phasekin.grids.face_sup`; ``vmax`` and ``vmin``, from one row of F,
+    bound its extremes from within, so the decay guard (:meth:`ensure_decaying`)
+    errs closed.  F must integrate to 1; ``decay_tol`` is as :class:`JointSums`'.
+    """
+
+    grid_R: Grid1D
+    grid_p: Grid1D
+    grid_r: Grid1D
+    over_R: np.ndarray
+    over_pr: np.ndarray
+    over_r: np.ndarray
+    dR_diagonal: np.ndarray
+    boundary: float
+    vmax: float
+    vmin: float
+    decay_tol: float = DECAY_TOL
+
+    def __post_init__(self) -> None:
+        grids = (self.grid_R, self.grid_p, self.grid_r)
+        _unit_integral(self.over_pr.sum(), grids, JOINT_NORMALIZATION_TOL, "F")
+
     def ensure_decaying(self, tol: float, what: str) -> None:
-        """:func:`phasekin.grids.ensure_decaying` on F, from its sums."""
+        """:func:`phasekin.grids.ensure_decaying` on F, from its planes."""
         require_decay(self.boundary, self.vmax, self.vmin, tol, what)
 
 
-def marginal_over_R(sums: JointSums) -> WignerDistribution:
-    """Integrate out the virtual position; recovers W, under the guard of the
-    W that the joint was built from."""
+def marginal_over_R(sums) -> WignerDistribution:
+    """Integrate out the virtual position of a joint, given by its
+    :class:`JointSums` or :class:`JointPlanes`; recovers W, under the guard
+    of the W that the joint was built from."""
     return WignerDistribution(sums.grid_p, sums.grid_r, sums.over_R * sums.grid_R.step, sums.decay_tol)
 
 
-def marginal_over_pr(sums: JointSums) -> VirtualDensity:
-    """Integrate out the real-particle phase space; recovers the density."""
+def marginal_over_pr(sums) -> VirtualDensity:
+    """Integrate out the real-particle phase space of a joint, given as to
+    :func:`marginal_over_R`; recovers the density."""
     return VirtualDensity(sums.grid_R, sums.over_pr * sums.grid_p.step * sums.grid_r.step)
 
 
-def marginal_residuals(sums: JointSums, rho: VirtualDensity, W: WignerDistribution) -> tuple:
+def marginal_residuals(sums, rho: VirtualDensity, W: WignerDistribution) -> tuple:
     """Sup-norm gaps of a joint's two marginals from the W and rho it was built from."""
     over_R = float(np.abs(marginal_over_R(sums).values - W.values).max())
     return over_R, float(np.abs(marginal_over_pr(sums).values - rho.values).max())
@@ -264,12 +251,11 @@ def moments(obj, orders) -> dict:
     """Quadrature raw moments of a distribution, keyed by order tuple.
 
     Order tuples index the object's leading axes.  A joint is given by its
-    :class:`JointSums`, whose ``over_r`` has r summed out already: a pair
-    (a, b) means <R^a p^b>, and no order has more than two entries.  Axes
-    that no order tuple indexes are summed out once, before any weighting.
-    Total order is capped at 8.
+    :class:`JointPlanes`, whose ``over_r`` has r summed out already: a pair
+    (a, b) means <R^a p^b>, and no order has more than two entries.  Total
+    order is capped at 8.
     """
-    if isinstance(obj, JointSums):
+    if isinstance(obj, JointPlanes):
         obj.ensure_decaying(JOINT_DECAY_TOL, "moment input")
         grids, values = (obj.grid_R, obj.grid_p, obj.grid_r), obj.over_r
     else:
@@ -277,9 +263,6 @@ def moments(obj, orders) -> dict:
         ensure_decaying(values, tol, "moment input")
     vol = float(np.prod([g.step for g in grids]))
     keys = [tuple(order) for order in orders]
-    kept = max(map(len, keys), default=values.ndim)
-    if kept < values.ndim:
-        values = values.sum(axis=tuple(range(kept, values.ndim)))
     out = {}
     for key in keys:
         if len(key) > values.ndim:

@@ -24,16 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig, check_run_time
-from .coupling import _series_blocks, quantum_joint_series, quantum_joint_spectral
+from .coupling import _series_blocks, joint_planes, quantum_joint_series, quantum_joint_spectral
 from .cumulants import (
     CLASSICAL_SCAN_FRACTIONS,
+    kappa22_closed_form_oracle,
     classical_limit_scan,
-    cumulant_sums,
+    cumulant_pass,
     heisenberg_check,
     kappa22,
     phi_field,
     phi_series_coefficients,
-    stream_cumulants,
 )
 from .dynamics import (
     EvolutionParams,
@@ -51,7 +51,7 @@ from .dynamics import (
 from .errors import PhasekinError
 from .grids import make_grid
 from .serialization import fmt, write_csv
-from .states import JointSums, gaussian_density, gaussian_wigner, marginal_residuals
+from .states import JointSums, gaussian_density, gaussian_wigner, marginal_over_pr, marginal_over_R, marginal_residuals
 
 # (sigma_R, sigma_p, sigma_r, half_width) per hbar; widths scale with hbar so
 # every derivative series keeps convergence ratio hbar^2/(4 sigma_R^2 sigma_p^2)
@@ -150,21 +150,20 @@ def _value(outcome):
 
 
 def _joint_pair(rho, W, hbar: float) -> tuple:
-    """(series sums, spectral sums, builder gap) of one preset's two joints,
-    each a :class:`PhasekinError` instead if its stream raised.
+    """(series sums, series dF/dR at R = r, spectral sums, builder gap) of
+    one preset's two joints, each a :class:`PhasekinError` instead if its
+    stream raised.
 
     The spectral builder is the outer loop.  Each of its blocks is reduced
     and paired with the series block of the same rows of R
     (:func:`phasekin.coupling._series_blocks`), which is reduced in turn,
     and the gap is taken pair by pair: neither joint is held whole.  A
-    stream that raises leaves the other to run to its end alone, and the
-    series verdict comes after its last block.  Both sums carry dF/dR at
-    R = r for :func:`phasekin.dynamics.collision_rhs`.
+    stream that raises leaves the other to run to its end alone.  The
+    series verdict comes after its last block, its diagonal after that.
     """
-    series_sums, spectral_sums = (
-        JointSums(rho.grid, W.grid_p, W.grid_r, decay_tol=W.decay_tol, diagonal_derivative=True) for _ in range(2)
-    )
-    series = _attempt(_series_blocks, rho, W, hbar)
+    series_sums, spectral_sums = (JointSums(rho.grid, W.grid_p, W.grid_r, W.decay_tol) for _ in range(2))
+    stream = _attempt(_series_blocks, rho, W, hbar)
+    series, diagonal = (stream, stream) if isinstance(stream, PhasekinError) else stream
     gap = 0.0
 
     def each_block(block):
@@ -188,8 +187,9 @@ def _joint_pair(rho, W, hbar: float) -> tuple:
 
     spectral = _attempt(stream_spectral)
     series = _attempt(finish_series, series)
+    diagonal = _attempt(lambda _, take: take(), series, diagonal)
     # the gap stands only if both streams ran to their end
-    return series, spectral, _attempt(lambda *_: gap, series, spectral)
+    return series, diagonal, spectral, _attempt(lambda *_: gap, series, spectral)
 
 
 def check_equivalence_presets(config: ScenarioConfig) -> list:
@@ -197,11 +197,12 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
 
     Each preset's rho and W are built once, and its two joints streamed
     once, in step (:func:`_joint_pair`), so no n^3 array is formed.  The
-    series joint's sums give ``central_equivalence[series]`` and its
-    marginal residuals; the spectral joint's give
-    ``central_equivalence[spectral]``, its marginal residuals and the
-    Heisenberg rows.  A family whose work raises keeps its rows and ends
-    in one failed row carrying the first error; the others go on.
+    series joint's sums and diagonal give ``central_equivalence[series]``.
+    The spectral joint's planes, from its factors, give
+    ``central_equivalence[spectral]`` and the Heisenberg rows, and
+    ``builder_equivalence[...][factors]`` ties their marginals to the
+    streamed joint's.  A family whose work raises keeps its rows and
+    ends in one failed row carrying the first error; the others go on.
 
     The central ``[series]`` and ``[spectral]`` rows differ by more than
     the two joints do.  At n3 = 64 and hbar = 0.5, 1 and 2 the joints
@@ -218,8 +219,11 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
     def moyal_reference(rho, W, hbar):
         return moyal_rhs_series(W, potential_from_density(rho, config.epsilon), hbar, config.mass)
 
-    def transport_gap(reference, sums):
-        return _rel_linf(collision_rhs(sums, config.epsilon, config.mass), reference)
+    def transport_gap(reference, sums, diagonal):
+        return _rel_linf(collision_rhs(marginal_over_R(sums), diagonal, config.epsilon, config.mass), reference)
+
+    def factors_gap(planes, sums):
+        return max(marginal_residuals(planes, marginal_over_pr(sums), marginal_over_R(sums)))
 
     for hbar, (sigma_R, sigma_p, sigma_r, half_width) in EQUIV_PRESETS.items():
         tag = f"[hbar={hbar}]"
@@ -228,17 +232,21 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
             rho = gaussian_density(grid, 0.0, sigma_R)
             W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
             reference = _attempt(moyal_reference, rho, W, hbar)
-            series, spectral, gap = _joint_pair(rho, W, hbar)
-            central_series = _attempt(transport_gap, reference, series)
+            planes = _attempt(joint_planes, rho, W, hbar)
+            series, diagonal, spectral, gap = _joint_pair(rho, W, hbar)
+            central_series = _attempt(transport_gap, reference, series, diagonal)
             residuals_series = _attempt(marginal_residuals, series, rho, W)
-            central_spectral = _attempt(transport_gap, reference, spectral)
+            central_spectral = _attempt(lambda ref, p: transport_gap(ref, p, p.dR_diagonal), reference, planes)
             residuals_spectral = _attempt(marginal_residuals, spectral, rho, W)
-            report = _attempt(heisenberg_check, spectral, hbar)
-            del series, spectral  # not held while the next preset streams
+            tie = _attempt(factors_gap, planes, spectral)
+            report = _attempt(heisenberg_check, planes, hbar)
+            del series, diagonal, spectral, planes  # not held while the next preset streams
             with _failed_rows(checks, f"central_equivalence{tag}"):
                 for label, measured in (("series", central_series), ("spectral", central_spectral)):
                     checks.append(_tol_check(f"central_equivalence{tag}[{label}]", _value(measured), 1e-6))
             with _failed_rows(checks, f"builder_equivalence{tag}"):
+                # read 4.2e-17 to 1.7e-16 at n3 = 64, at most 8.9e-16 up to 512
+                checks.append(_tol_check(f"builder_equivalence{tag}[factors]", _value(tie), 1e-13))
                 checks.append(_tol_check(f"builder_equivalence{tag}", _value(gap), 1e-8))
             with _failed_rows(checks, f"marginal_recovery{tag}"):
                 worst = max(0.0, *_value(residuals_series), *_value(residuals_spectral))
@@ -290,46 +298,20 @@ def check_classical_reduction(config: ScenarioConfig) -> list:
         reference = liouville_rhs(W2, U, config.mass)
         worst = 0.0
         for hbar in EQUIV_PRESETS:
-            worst = max(worst, float(np.abs(moyal_rhs_series(W2, U, hbar, config.mass) - reference).max()))
-            worst = max(worst, float(np.abs(moyal_rhs_spectral(W2, U, hbar, config.mass) - reference).max()))
+            for rhs in (moyal_rhs_series, moyal_rhs_spectral):
+                worst = max(worst, float(np.abs(rhs(W2, U, hbar, config.mass) - reference).max()))
         checks.append(_tol_check("classical_reduction[harmonic]", worst, 1e-9))
     return checks
 
 
-# h^2 hbar of the oracle's stencil step h.  Relative to hbar^2 / 6, the
-# stencil's truncation error grows as (h^2 hbar)^4 and its rounding error
-# falls as (h^2 hbar)^-2; at 0.02 the two together stay below 4e-9 for
-# hbar from 1e-4 to 5 (sigma_R, sigma_p of the verify and bench presets).
-ORACLE_STEP_SCALE = 0.02
-
-
-def kappa22_closed_form_oracle(sigma_R: float, sigma_p: float, hbar: float) -> float:
-    """Cross-cumulant by finite differences on the analytic transform.
-
-    Independent of the FFT stack: the log of the characteristic function
-    of the centered Gaussian inputs, ``-sigma_R^2 K^2 / 2 + ln sinc(hbar
-    K q / 2) - sigma_p^2 q^2 / 2``, is evaluated in closed form, and the
-    mixed derivative d^2/dK^2 d^2/dq^2 at the origin is taken with
-    4th-order central stencils.  The separable Gaussian terms have no
-    mixed derivative, so the stencil reads the kernel alone, at a step
-    ``h`` with ``h^2 hbar = ORACLE_STEP_SCALE``, where neither rounding
-    nor truncation reaches the answer.
-    """
-    h = math.sqrt(ORACLE_STEP_SCALE / hbar) if hbar > 0 else 1.0
-    stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
-    K, q = offsets[:, None], offsets[None, :]
-    # np.sinc is sin(pi y)/(pi y), so feed it arg/pi
-    log_f = -(sigma_R**2) * K**2 / 2.0 + np.log(np.sinc(hbar * K * q / 2.0 / np.pi)) - (sigma_p**2) * q**2 / 2.0
-    return float(stencil @ log_f @ stencil)
-
-
-def _digest(blocks, report, coefficients) -> bytes:
-    """SHA-256 of one cumulant pass: ``blocks``, the hash of the joint's
-    float64 blocks in the order they streamed, then kappa22, the two
-    variances and the fitted (c2, c4)."""
-    digest = blocks.copy()
-    digest.update(np.array([report.kappa22, report.sigma_R2, report.sigma_p2, *coefficients], dtype="<f8").tobytes())
+def _digest(planes, report, coefficients) -> bytes:
+    """SHA-256 of one cumulant pass: the joint's planes, their guard values,
+    kappa22, the two variances and the fitted (c2, c4), as float64."""
+    digest = hashlib.sha256()
+    for plane in (planes.over_R, planes.over_pr, planes.over_r, planes.dR_diagonal):
+        digest.update(np.ascontiguousarray(plane, dtype="<f8"))  # no copy of a plane
+    values = (planes.boundary, planes.vmax, planes.vmin, report.kappa22, report.sigma_R2, report.sigma_p2)
+    digest.update(np.array([*values, *coefficients], dtype="<f8").tobytes())
     return digest.digest()
 
 
@@ -337,39 +319,35 @@ def check_configured_hbar(config: ScenarioConfig) -> list:
     """The kernel expansion, cross-cumulant, classical scaling and
     determinism rows, at the configured hbar (at 1 when it is 0).
 
-    rho and W are built once, and the spectral joint streamed once into
-    its sums (:func:`phasekin.cumulants.cumulant_sums`), hashing its
-    blocks on the way.  The sums give kappa22, the Heisenberg report and
-    the phi fit, each on its own so that a failing fit leaves
-    ``cross_cumulant`` standing; the hash and all three give the digest.
-    The hbar/2 joint, the scan and one :func:`stream_cumulants` rebuild,
-    whose digest ``determinism`` compares, stream too.  A family whose
-    work raises keeps its rows and ends in one failed row, as in
+    rho and W are built once; no joint is.  The spectral joint's planes
+    (:func:`phasekin.coupling.joint_planes`) give kappa22, the Heisenberg
+    report and the phi fit, each on its own so that a failing fit leaves
+    ``cross_cumulant`` standing, and with all three the digest that a
+    :func:`cumulant_pass` rebuild must match.  A family whose work raises
+    keeps its rows and ends in one failed row, as in
     :func:`check_equivalence_presets`.
     """
     checks = []
     hbar = config.hbar if config.hbar > 0 else 1.0
 
-    def fit(sums, rho, W):
-        return phi_series_coefficients(phi_field(sums, rho, W), hbar)
+    def fit(planes, rho, W):
+        return phi_series_coefficients(phi_field(planes, rho, W), hbar)
 
-    def half_kappa22(rho, W, kap):  # not built once kap has failed
-        return kappa22(cumulant_sums(rho, W, hbar / 2.0))
+    def half_kappa22(rho, W, kap):  # not taken once kap has failed
+        return kappa22(joint_planes(rho, W, hbar / 2.0))
 
     def rebuild_matches(rho, W, digest):
-        blocks = hashlib.sha256()
-        report, coefficients = stream_cumulants(rho, W, hbar, blocks.update)
-        return _digest(blocks, report, coefficients) == digest
+        return _digest(*cumulant_pass(rho, W, hbar)) == digest
 
     families = ("kernel_expansion", "cross_cumulant", "classical_scaling", "determinism")
     with _failed_rows(checks, *families):
         rho, W = config.joint_inputs()
-        blocks = hashlib.sha256()
-        sums = _attempt(cumulant_sums, rho, W, hbar, blocks.update)
-        kap = _attempt(kappa22, sums)
-        report = _attempt(heisenberg_check, sums, hbar)
-        coefficients = _attempt(fit, sums, rho, W)
-        digest = _attempt(_digest, blocks, report, coefficients)
+        planes = _attempt(joint_planes, rho, W, hbar)
+        kap = _attempt(kappa22, planes)
+        report = _attempt(heisenberg_check, planes, hbar)
+        coefficients = _attempt(fit, planes, rho, W)
+        digest = _attempt(_digest, planes, report, coefficients)
+        del planes  # not held while the hbar/2 planes, the scan and the rebuild are taken
         kap_half = _attempt(half_kappa22, rho, W, kap)
         # at the scan fractions of hbar = 1, whatever hbar is configured
         slope = _attempt(classical_limit_scan, rho, W, CLASSICAL_SCAN_FRACTIONS)

@@ -13,7 +13,6 @@ from numpy.polynomial.polynomial import polyval
 
 from phasekin.cumulants import PHI_RATIO_FLOOR
 from phasekin.coupling import (
-    INVERSE_BLOCK,
     _kernel_half,
     _series_factors,
     classical_joint,
@@ -21,7 +20,7 @@ from phasekin.coupling import (
     sinc_values,
 )
 from phasekin.dynamics import PROPAGATION_DECAY_TOL, _energy, propagate
-from phasekin.states import JointSums, WignerDistribution
+from phasekin.states import JointPlanes, JointSums, WignerDistribution
 from phasekin.grids import (
     DECAY_TOL,
     Grid1D,
@@ -31,6 +30,7 @@ from phasekin.grids import (
     accept_series,
     checked_real,
     derivative_array,
+    face_sup,
     floored_fft,
     fourier_forward,
     fourier_inverse,
@@ -77,18 +77,23 @@ def whole_joint(build, rho, W, *args):
     return WholeJoint(rho.grid, W.grid_p, W.grid_r, np.concatenate(blocks), W.decay_tol)
 
 
-def sums_of(F, rows=INVERSE_BLOCK, diagonal_derivative=False):
-    """The finished JointSums of a whole joint, added ``rows`` rows of R at a time."""
-    sums = JointSums(F.grid_R, F.grid_p, F.grid_r, F.decay_tol, diagonal_derivative)
-    for start in range(0, len(F.values), rows):
-        sums.add(F.values[start : start + rows])
-    return sums.finish()
+def planes_of(F):
+    """The JointPlanes of a whole joint, each reduction taken from the whole
+    array: the route :func:`phasekin.coupling.joint_planes` replaced.  The
+    diagonal is the whole joint contracted with the spectral d/dR matrix,
+    which holds no complex n^3 array (:func:`full_derivative_diagonal` does)."""
+    v = F.values
+    diagonal = np.einsum("rR,Rpr->pr", derivative_array(np.eye(F.grid_R.n), F.grid_R, 0, 1), v)
+    return JointPlanes(
+        F.grid_R, F.grid_p, F.grid_r, v.sum(axis=0), v.sum(axis=(1, 2)), v.sum(axis=2), diagonal,
+        face_sup(v), v.max(), v.min(), F.decay_tol,
+    )
 
 
-def streamed_sums(build, rho, W, *args, diagonal_derivative=False):
+def streamed_sums(build, rho, W, *args):
     """The finished JointSums of the joint that ``build(rho, W, *args,
     each_block)`` streams, taken block by block as the builder hands them over."""
-    sums = JointSums(rho.grid, W.grid_p, W.grid_r, W.decay_tol, diagonal_derivative)
+    sums = JointSums(rho.grid, W.grid_p, W.grid_r, W.decay_tol)
     build(rho, W, *args, sums.add)
     return sums.finish()
 
@@ -166,8 +171,8 @@ def one_shot_spectral_joint(rho, W, hbar):
 
 def full_derivative_diagonal(F):
     """dF/dR on the diagonal R = r, read off the full n^3 complex
-    R-derivative of F, as collision_rhs took it before it contracted each
-    r column with one row of the differentiation matrix."""
+    R-derivative of F, as collision_rhs took it before the diagonal was
+    taken from the joint's factors."""
     return np.einsum("iki->ki", derivative_array(F.values, F.grid_R, 0, 1))
 
 

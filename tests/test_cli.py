@@ -1,5 +1,6 @@
 """Command surface, config validation, serialization, and determinism."""
 
+import errno
 import json
 import os
 import re
@@ -10,7 +11,16 @@ import numpy as np
 import pytest
 
 import phasekin
-from phasekin import ConfigError, ImaginaryResidueError, runner, verification, __version__, load_config, parse_config
+from phasekin import (
+    ConfigError,
+    ImaginaryResidueError,
+    __version__,
+    load_config,
+    parse_config,
+    runner,
+    serialization,
+    verification,
+)
 from phasekin.cli import main
 from phasekin.config import DEFAULT_CONFIG, RUN_TIME_BUDGET_SECONDS, SECONDS_PER_STEP_UNIT
 from phasekin.runner import OUTPUT_FILE
@@ -532,6 +542,33 @@ class TestRunPath:
         manifest = manifest_without_timestamp(out)
         assert manifest["status"] == "aborted" and manifest["outputs"] == ["resolved_config.json"]
         assert manifest["error"].startswith("derivative series did not converge: last term is")
+
+    def test_failed_array_write_ends_clean(self, tmp_path, monkeypatch, capsys):
+        # a full disk mid-array: exit 3, no partial .bin, an aborted manifest
+        # naming the directory written into
+        def full(self, block):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(serialization.ArrayWriter, "write", full)
+        out = tmp_path / "out"
+        assert main(["joint", "--config", write_config(tmp_path, outputs=str(out))]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved_config.json"]
+        manifest = manifest_without_timestamp(out)
+        assert manifest["status"] == "aborted" and manifest["outputs"] == ["resolved_config.json"]
+        assert "No space left on device" in manifest["error"]
+        assert str(out) in manifest["error"]
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_failed_manifest_write_ends_clean(self, tmp_path, monkeypatch, capsys):
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(runner, "write_manifest", full)
+        out = tmp_path / "out"
+        assert main(["joint", "--config", write_config(tmp_path, outputs=str(out))]) == 3
+        assert list(out.iterdir()) == []  # nothing of a run it could not record
+        [line] = capsys.readouterr().err.splitlines()
+        assert "No space left on device" in line
 
     def test_joint_outputs_in_order(self, tmp_path):
         out = tmp_path / "out"

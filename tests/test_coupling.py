@@ -6,24 +6,31 @@ from functools import partial
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phasekin import (
     GridMismatchError,
     ImaginaryResidueError,
     NonConvergenceError,
+    VirtualDensity,
+    WignerDistribution,
     classical_joint,
+    collision_rhs,
     gaussian_density,
     gaussian_wigner,
     make_grid,
+    marginal_over_R,
+    moyal_rhs_spectral,
+    potential_from_density,
     quantum_joint_series,
     quantum_joint_spectral,
 )
 from phasekin import coupling
-from phasekin.coupling import INVERSE_BLOCK, sinc_values
+from phasekin.coupling import INVERSE_BLOCK, joint_planes, sinc_values
 from phasekin.cumulants import PHI_RATIO_FLOOR, phi_field
-from phasekin.grids import fourier_forward
+from phasekin.grids import face_sup, fourier_forward
+from phasekin.states import preset_fits
 
 from reference import (
     dense_joint_series,
@@ -31,6 +38,7 @@ from reference import (
     joint_transform,
     one_shot_spectral_joint,
     peak_traced_bytes,
+    planes_of,
     streamed_sums,
     whole_joint,
     whole_product_series,
@@ -92,7 +100,7 @@ class TestCouplingKernel:
         # lattice point where the kernel falls below its ratio floor unmasked
         assert abs(sinc(math.pi)) < 1e-15
         hbar = 1.0
-        phi = phi_field(streamed_sums(quantum_joint_spectral, rho_default, wigner_default, hbar), rho_default, wigner_default)
+        phi = phi_field(joint_planes(rho_default, wigner_default, hbar), rho_default, wigner_default)
         x = hbar * np.multiply.outer(phi.K, phi.q) / 2.0
         near_zero = np.abs(sinc_values(x)) < PHI_RATIO_FLOOR
         assert near_zero.any() and not phi.mask[near_zero].any()
@@ -371,3 +379,79 @@ def test_series_verdict_comes_after_the_last_block(rho_default, wigner_default):
     with pytest.raises(NonConvergenceError, match="did not converge: last term is"):
         quantum_joint_series(rho_default, wigner_default, 2.0, handed.append)
     assert len(handed) == rho_default.grid.n // INVERSE_BLOCK
+
+
+# Drawn inputs: box half-width 8, every Gaussian component no narrower than
+# 0.5 and inside the box by preset_fits, so rho and W pass their guards
+PLANES_SETTINGS = settings(max_examples=24, deadline=None, derandomize=True, database=None)
+COMPONENT_SIGMAS = st.floats(0.5, 0.9)
+
+
+@st.composite
+def mixture_inputs(draw):
+    """(rho, W, hbar): rho a mixture of 1-3 Gaussians, W of 1-2 product
+    Gaussians, on a grid of 64 or 128 points, hbar in [0.25, 2]."""
+    grid = make_grid(draw(st.sampled_from([64, 128])), 8.0)
+
+    def component():
+        sigma = draw(COMPONENT_SIGMAS)
+        reach = grid.half_width - 8.0 * sigma
+        center = draw(st.floats(-reach, reach))
+        assume(preset_fits(grid.half_width, center, sigma))
+        return center, sigma
+
+    def mixture(count, part):
+        weights = [draw(st.floats(0.2, 1.0)) for _ in range(count)]
+        return sum(w * part().values for w in weights) / sum(weights)
+
+    def product():
+        (p0, sigma_p), (r0, sigma_r) = component(), component()
+        return gaussian_wigner(grid, grid, p0, r0, sigma_p, sigma_r)
+
+    rho = VirtualDensity(grid, mixture(draw(st.integers(1, 3)), lambda: gaussian_density(grid, *component())))
+    W = WignerDistribution(grid, grid, mixture(draw(st.integers(1, 2)), product))
+    return rho, W, draw(st.floats(0.25, 2.0))
+
+
+class TestPlanesOfDrawnInputs:
+    @PLANES_SETTINGS
+    @given(inputs=mixture_inputs())
+    def test_factor_planes_equal_the_streamed_joint_s(self, inputs):
+        rho, W, hbar = inputs
+        F = whole_joint(quantum_joint_spectral, rho, W, hbar)
+        whole, planes = planes_of(F), joint_planes(rho, W, hbar)
+        for name in ("over_r", "over_R", "over_pr"):
+            expected = getattr(whole, name)
+            assert np.abs(getattr(planes, name) - expected).max() <= 1e-12 * np.abs(expected).max(), name
+        # the diagonal against the scale its rounding acts on, K_max sup|F|:
+        # where rho and W barely overlap at R = r it is 1e-5 of that scale,
+        # and both routes' rounding, 7e-16 of it, is 1e-11 of the diagonal
+        peak = max(whole.vmax, -whole.vmin)
+        gap = np.abs(planes.dR_diagonal - whole.dR_diagonal).max()
+        assert gap <= 1e-12 * np.pi / rho.grid.step * peak
+        assert abs(planes.boundary - whole.boundary) <= 1e-12 * peak
+        assert max(planes.vmax, -planes.vmin) <= peak * (1.0 + 1e-12)  # a bound from within
+
+    @PLANES_SETTINGS
+    @given(inputs=mixture_inputs())
+    def test_collision_term_equals_moyal_transport(self, inputs):
+        rho, W, hbar = inputs
+        planes = joint_planes(rho, W, hbar)
+        rhs = collision_rhs(marginal_over_R(planes), planes.dR_diagonal, 1.0, 1.0)
+        moyal = moyal_rhs_spectral(W, potential_from_density(rho, 1.0), hbar, 1.0)
+        assert np.abs(rhs - moyal).max() <= 1e-12 * np.abs(moyal).max()
+
+
+@pytest.mark.parametrize("hbar", [0.0, 0.25, 1.0])
+def test_factor_guard_reads_the_whole_joint_s_boundary_and_peak(rho_default, wigner_default, hbar):
+    # at the defaults the row of largest over_pr holds the whole joint's
+    # extreme, so the bound from within is the peak itself; at hbar = 0 the
+    # whole joint is the product rho W that the sinc kernel reduces to
+    if hbar == 0.0:
+        F = whole_joint(classical_joint, rho_default, wigner_default)
+    else:
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, hbar)
+    planes = joint_planes(rho_default, wigner_default, hbar)
+    peak = max(F.values.max(), -F.values.min())
+    assert abs(planes.boundary - face_sup(F.values)) <= 1e-12 * peak
+    assert abs(max(planes.vmax, -planes.vmin) - peak) <= 1e-12 * peak

@@ -14,10 +14,10 @@ from numpy.testing import assert_allclose
 from phasekin import (
     DecayGuardError,
     EvolutionParams,
+    JointSums,
     NonConvergenceError,
     WignerDistribution,
     analytic_free_evolution,
-    classical_joint,
     collision_rhs,
     free_potential,
     gaussian_density,
@@ -25,6 +25,7 @@ from phasekin import (
     harmonic_potential,
     liouville_rhs,
     make_grid,
+    marginal_over_R,
     moyal_rhs_series,
     moyal_rhs_spectral,
     parse_config,
@@ -33,6 +34,7 @@ from phasekin import (
     quantum_joint_spectral,
     quartic_potential,
 )
+from phasekin.coupling import _series_blocks, joint_planes
 from phasekin.dynamics import _moyal_terms, propagate
 from phasekin.grids import native_frequencies
 from phasekin.verification import EQUIV_PRESETS, check_dynamics_oracles
@@ -45,17 +47,29 @@ from reference import (
     full_derivative_diagonal,
     peak_traced_bytes,
     potential_at,
-    streamed_sums,
-    sums_of,
+    planes_of,
     whole_array_free_evolution,
     whole_array_propagate,
     whole_joint,
 )
 
 
-def collided(build, rho, W, *args):
-    """The sums, with dF/dR at R = r, of the joint ``build`` streams: what collision_rhs reads."""
-    return streamed_sums(build, rho, W, *args, diagonal_derivative=True)
+def collided(planes, epsilon, mass):
+    """collision_rhs of a joint given by its planes: its W marginal and its dF/dR at R = r."""
+    return collision_rhs(marginal_over_R(planes), planes.dR_diagonal, epsilon, mass)
+
+
+def built_collision(builder, rho, W, hbar, epsilon, mass):
+    """collision_rhs of the joint ``builder`` builds, as ``verify`` takes it:
+    the series joint's streamed W marginal and its diagonal from the
+    factors, or the spectral joint's planes."""
+    if builder is quantum_joint_spectral:
+        return collided(joint_planes(rho, W, hbar), epsilon, mass)
+    blocks, diagonal = _series_blocks(rho, W, hbar)
+    sums = JointSums(rho.grid, W.grid_p, W.grid_r, W.decay_tol)
+    for block in blocks:
+        sums.add(block)
+    return collision_rhs(marginal_over_R(sums.finish()), diagonal(), epsilon, mass)
 
 
 class TestPotentials:
@@ -233,8 +247,7 @@ class TestMoyalRhs:
 
 class TestCollisionRhs:
     def test_classical_reduces_to_liouville(self, rho_default, wigner_default):
-        F = collided(classical_joint, rho_default, wigner_default)
-        a = collision_rhs(F, 1.0, 1.0)
+        a = collided(joint_planes(rho_default, wigner_default, 0.0), 1.0, 1.0)
         U = potential_from_density(rho_default, 1.0)
         b = liouville_rhs(wigner_default, U, 1.0)
         assert np.abs(a - b).max() < 1e-8
@@ -246,53 +259,37 @@ class TestCollisionRhs:
         # widths keep the odd series inside its convergence window
         hbar, eps = 1.0, 1.0
         W = gaussian_wigner(grid64, grid64, 0.0, 0.0, 0.85, 0.85)
-        F = collided(builder, rho_default, W, hbar)
-        a = collision_rhs(F, eps, 1.0)
+        a = built_collision(builder, rho_default, W, hbar, eps, 1.0)
         U = potential_from_density(rho_default, eps)
         b = moyal_rhs_series(W, U, hbar, 1.0)
         assert np.abs(a - b).max() / np.abs(b).max() < 1e-6
 
     def test_zero_epsilon_is_pure_streaming(self, rho_default, wigner_default):
-        F = collided(classical_joint, rho_default, wigner_default)
-        rhs = collision_rhs(F, 0.0, 1.0)
+        rhs = collided(joint_planes(rho_default, wigner_default, 0.0), 0.0, 1.0)
         U0 = free_potential(wigner_default.grid_r)
         streaming = liouville_rhs(wigner_default, U0, 1.0)
         assert np.abs(rhs - streaming).max() < 1e-13
 
     def test_conservation(self, rho_default, wigner_default, grid64):
-        F = collided(quantum_joint_spectral, rho_default, wigner_default, 1.0)
-        rhs = collision_rhs(F, 1.0, 1.0)
+        rhs = collided(joint_planes(rho_default, wigner_default, 1.0), 1.0, 1.0)
         assert abs(rhs.sum() * grid64.step**2) < 1e-10
 
     @pytest.mark.parametrize("hbar", sorted(EQUIV_PRESETS))
     def test_diagonal_matches_full_derivative(self, hbar):
-        # the diagonal summed block by block against the full n^3 R-derivative's
+        # each builder's diagonal from its factors against the full n^3 R-derivative's
         sigma_R, sigma_p, sigma_r, half_width = EQUIV_PRESETS[hbar]
         grid = make_grid(64, half_width)
         rho = gaussian_density(grid, 0.0, sigma_R)
         W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
-        for builder in (quantum_joint_series, quantum_joint_spectral):
+        blocks, series_diagonal = _series_blocks(rho, W, hbar)
+        for _ in blocks:  # to the verdict
+            pass
+        for builder, diagonal in (
+            (quantum_joint_series, series_diagonal()),
+            (quantum_joint_spectral, joint_planes(rho, W, hbar).dR_diagonal),
+        ):
             expected = full_derivative_diagonal(whole_joint(builder, rho, W, hbar))
-            diagonal = collided(builder, rho, W, hbar).dR_diagonal
             assert np.abs(diagonal - expected).max() <= 1e-12 * np.abs(expected).max()
-
-    @pytest.mark.parametrize("hbar", sorted(EQUIV_PRESETS))
-    @pytest.mark.parametrize("builder", [quantum_joint_series, quantum_joint_spectral])
-    def test_streamed_diagonal_keeps_the_bits_of_the_whole_einsum(self, hbar, builder):
-        # rows of R added in order, as numpy's einsum over the whole joint
-        # adds them: the verification report keeps its bytes
-        sigma_R, sigma_p, sigma_r, half_width = EQUIV_PRESETS[hbar]
-        grid = make_grid(64, half_width)
-        rho = gaussian_density(grid, 0.0, sigma_R)
-        W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
-        sums = collided(builder, rho, W, hbar)
-        whole = np.einsum("rR,Rpr->pr", sums.d_R, whole_joint(builder, rho, W, hbar).values)
-        assert np.array_equal(sums.dR_diagonal, whole)
-
-    def test_sums_without_the_derivative_are_refused(self, rho_default, wigner_default):
-        with pytest.raises(ValueError, match="without the diagonal R-derivative"):
-            collision_rhs(streamed_sums(classical_joint, rho_default, wigner_default), 1.0, 1.0)
-
 
     def test_takes_an_evolved_double_well_snapshot(self, grid64, rho_default, wigner_default):
         # propagate accepts this snapshot at its 1e-5 guard; the marginal of
@@ -300,17 +297,17 @@ class TestCollisionRhs:
         # guard of a prepared W
         params = EvolutionParams(mass=1.0, hbar=0.5, dt=1e-3, steps=500, snapshot_every=500)
         W = collect(wigner_default, quartic_potential(grid64, -0.5, 0.1), params)[0][-1][1]
-        F = collided(quantum_joint_spectral, rho_default, W, 0.5)
+        rhs = collided(joint_planes(rho_default, W, 0.5), 1.0, 1.0)
         expected = moyal_rhs_spectral(W, potential_from_density(rho_default, 1.0), 0.5, 1.0)
-        assert np.abs(collision_rhs(F, 1.0, 1.0) - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(rhs - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_marginal_that_does_not_decay_is_refused(self, grid64, rho_default):
         # sigma_r = 3 in a box of half-width 8: the r-tails reach 2.8e-2 of the peak
         w = np.multiply.outer(gauss(grid64.points, 0.0, 0.7), gauss(grid64.points, 0.0, 3.0))
         values = np.multiply.outer(rho_default.values, w / (w.sum() * grid64.step**2))
-        F = sums_of(WholeJoint(grid64, grid64, grid64, values), diagonal_derivative=True)
+        planes = planes_of(WholeJoint(grid64, grid64, grid64, values))
         with pytest.raises(DecayGuardError, match="Wigner distribution is not decaying"):
-            collision_rhs(F, 1.0, 1.0)
+            collided(planes, 1.0, 1.0)
 
 
 class TestPropagate:

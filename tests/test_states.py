@@ -18,11 +18,12 @@ from phasekin import (
     moments,
     quantum_joint_spectral,
 )
-from phasekin.grids import ensure_decaying, face_sup
+from phasekin.coupling import joint_planes
+from phasekin.grids import ensure_decaying
 from phasekin.states import JOINT_DECAY_TOL, JOINT_NORMALIZATION_TOL, _unit_integral
 
 from conftest import SIGMA_COHERENT, gauss
-from reference import full_weighting_moments, plane_moments, sample_joint, streamed_sums, sums_of, whole_joint
+from reference import full_weighting_moments, plane_moments, planes_of, sample_joint, streamed_sums, whole_joint
 
 
 def dense_quadrature_moment(mean, sigma, order, half_width=8.0, n=4096):
@@ -113,9 +114,7 @@ class TestJointSums:
         sums = sums_in_blocks((F.grid_R, F.grid_p, F.grid_r), v, rows)
         assert np.array_equal(sums.over_R, v.sum(axis=0))
         assert np.array_equal(sums.over_pr, v.sum(axis=(1, 2)))
-        assert np.array_equal(sums.over_r, v.sum(axis=2))
         assert sums.total == v.sum()
-        assert (sums.vmax, sums.vmin, sums.boundary) == (v.max(), v.min(), face_sup(v))
 
     def test_readers_equal_the_whole_array_forms(self, rho_default, wigner_default):
         F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
@@ -125,20 +124,21 @@ class TestJointSums:
         assert np.array_equal(marginal_over_R(sums).values, over_R)
         assert np.array_equal(marginal_over_pr(sums).values, over_pr)
         pairs = [(2, 2), (2, 0), (0, 2), (1, 3), (0, 0)]
-        assert moments(sums, pairs) == plane_moments(F, pairs)  # the whole-array route for a joint
+        planes = planes_of(F)
+        assert moments(planes, pairs) == plane_moments(F, pairs)  # the whole-array route for a joint
         with pytest.raises(ValueError, match="more entries than axes"):
-            moments(sums, [(0, 0, 2)])
+            moments(planes, [(0, 0, 2)])
 
     @pytest.mark.parametrize("what", ["moment input", "characteristic-function input"])
-    def test_decay_guard_raises_as_the_whole_array_guard(self, wigner_default, grid64, what):
-        wide = gauss(grid64.points, 0.0, 3.0)
-        wide /= wide.sum() * grid64.step
-        values = np.multiply.outer(wide, wigner_default.values)
+    def test_decay_guard_raises_as_the_whole_array_guard(self, rho_default, wigner_default, what):
+        # at hbar = 2 the default joint's tails reach 2.8e-6 of its peak, over
+        # the 1e-7 guard; its planes' guard reads the whole joint's
+        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 2.0)
         with pytest.raises(DecayGuardError) as whole:
-            ensure_decaying(values, JOINT_DECAY_TOL, what)
-        with pytest.raises(DecayGuardError) as streamed:
-            sums_in_blocks((grid64,) * 3, values, 4).ensure_decaying(JOINT_DECAY_TOL, what)
-        assert str(streamed.value) == str(whole.value)
+            ensure_decaying(F.values, JOINT_DECAY_TOL, what)
+        with pytest.raises(DecayGuardError) as factors:
+            joint_planes(rho_default, wigner_default, 2.0).ensure_decaying(JOINT_DECAY_TOL, what)
+        assert str(factors.value) == str(whole.value)
 
     @pytest.mark.parametrize("spoil", ["scaled", "nan"])
     def test_normalization_guard_raises_as_the_joint_does(self, rho_default, wigner_default, spoil):
@@ -202,7 +202,7 @@ class TestMoments:
         assert abs(m_mixed - m_each) < 1e-12
 
     def test_joint_pair_orders_marginalize_r(self, rho_default, wigner_default):
-        m = moments(streamed_sums(classical_joint, rho_default, wigner_default), [(2, 2), (2, 0), (0, 2)])
+        m = moments(joint_planes(rho_default, wigner_default, 0.0), [(2, 2), (2, 0), (0, 2)])
         # independence: <R^2 p^2> = <R^2><p^2> for the factorized joint
         assert abs(m[(2, 2)] - m[(2, 0)] * m[(0, 2)]) < 1e-10
 
@@ -211,7 +211,7 @@ class TestMoments:
         # r is summed out once before any weighting; the result moves by rounding only
         F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         expected = full_weighting_moments(F, orders)
-        for key, value in moments(sums_of(F), orders).items():
+        for key, value in moments(planes_of(F), orders).items():
             assert abs(value - expected[key]) <= 1e-14 * abs(expected[key])
 
 

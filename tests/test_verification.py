@@ -40,11 +40,33 @@ def _stub_series_blocks(monkeypatch, raise_at=None):
 
     def stub(rho, W, hbar):
         calls.append(hbar)
-        yield from series_blocks(rho, W, hbar)
-        if hbar == raise_at:
-            raise NonConvergenceError(f"stubbed at hbar = {hbar}")
+        blocks, diagonal = series_blocks(rho, W, hbar)
+
+        def checked():
+            yield from blocks
+            if hbar == raise_at:
+                raise NonConvergenceError(f"stubbed at hbar = {hbar}")
+
+        return checked(), diagonal
 
     monkeypatch.setattr(verification, "_series_blocks", stub)
+    return calls
+
+
+def _stub_planes(monkeypatch, raise_at=None):
+    """Wrap ``joint_planes`` where ``verify`` and ``cumulant_pass`` call it;
+    count its calls, raising at ``raise_at``."""
+    planes = verification.joint_planes
+    calls = []
+
+    def stub(rho, W, hbar):
+        calls.append(hbar)
+        if hbar == raise_at:
+            raise NonConvergenceError(f"stubbed at hbar = {hbar}")
+        return planes(rho, W, hbar)
+
+    for owner in (verification, cumulants):
+        monkeypatch.setattr(owner, "joint_planes", stub)
     return calls
 
 
@@ -57,9 +79,9 @@ def test_each_preset_joint_is_built_at_most_twice(monkeypatch, no_dynamics):
     series_blocks = _stub_series_blocks(monkeypatch)
     spectral = _stub_builder(monkeypatch, "quantum_joint_spectral")
     assert verification.run_verification(load_config()).overall_pass
-    # three presets and classical_reduction; cross_cumulant adds two spectral builds
+    # three presets and classical_reduction; the configured pass builds none
     assert len(series) + len(series_blocks) <= 4
-    assert len(spectral) <= 6
+    assert len(spectral) <= 4
 
 
 def test_series_raising_fails_only_the_families_that_use_it(monkeypatch, no_dynamics):
@@ -74,6 +96,9 @@ def test_series_raising_fails_only_the_families_that_use_it(monkeypatch, no_dyna
     assert set(failed.values()) == {"NonConvergenceError: stubbed at hbar = 1.0"}
     names = [c.name for c in report.checks]
     assert "heisenberg[cauchy_schwarz][hbar=1.0]" in names and "heisenberg[product][hbar=1.0]" in names
+    # the tie row reads the spectral joint alone: kept, before the failed gap row
+    tie = names.index("builder_equivalence[hbar=1.0][factors]")
+    assert report.checks[tie].passed and names[tie + 1] == "builder_equivalence[hbar=1.0]"
     assert names[:5] == [
         "central_equivalence[hbar=0.5][series]",
         "central_equivalence[hbar=0.5][spectral]",
@@ -83,17 +108,28 @@ def test_series_raising_fails_only_the_families_that_use_it(monkeypatch, no_dyna
     ]
 
 
-def test_spectral_raising_keeps_the_rows_before_it(monkeypatch, no_dynamics):
+def test_spectral_builder_raising_fails_only_the_streamed_rows(monkeypatch, no_dynamics):
     _stub_builder(monkeypatch, "quantum_joint_spectral", raise_at=1.0)
-    # the configured pass streams its joint through cumulants' own import
-    monkeypatch.setattr(cumulants, "quantum_joint_spectral", verification.quantum_joint_spectral)
+    report = verification.run_verification(load_config())
+    # the spectral joint's planes come from its factors, so its central and
+    # Heisenberg rows and the configured pass stand; the tie row compares
+    # them with the streamed joint, so it fails with the gap
+    failed = _failed(report)
+    assert set(failed) == {"builder_equivalence[hbar=1.0]", "marginal_recovery[hbar=1.0]"}
+    assert set(failed.values()) == {"NonConvergenceError: stubbed at hbar = 1.0"}
+    names = [c.name for c in report.checks]
+    assert "builder_equivalence[hbar=1.0][factors]" not in names
+    assert "central_equivalence[hbar=1.0][spectral]" in names and "cross_cumulant[oracle]" in names
+
+
+def test_spectral_raising_keeps_the_rows_before_it(monkeypatch, no_dynamics):
+    _stub_planes(monkeypatch, raise_at=1.0)
     report = verification.run_verification(load_config())
     assert set(_failed(report)) == {
         "central_equivalence[hbar=1.0]",
         "builder_equivalence[hbar=1.0]",
-        "marginal_recovery[hbar=1.0]",
         "heisenberg[hbar=1.0]",
-        # the configured hbar is 1: its one joint feeds these three families
+        # the configured hbar is 1: its planes feed these three families
         "kernel_expansion",
         "cross_cumulant",
         "determinism",
@@ -102,6 +138,7 @@ def test_spectral_raising_keeps_the_rows_before_it(monkeypatch, no_dynamics):
     kept = names.index("central_equivalence[hbar=1.0][series]")
     assert report.checks[kept].passed
     assert names[kept + 1] == "central_equivalence[hbar=1.0]"
+    assert "marginal_recovery[hbar=1.0]" in names
     assert not any(name.startswith("cross_cumulant[") for name in names)
 
 
@@ -112,7 +149,7 @@ def test_spectral_raising_keeps_the_rows_before_it(monkeypatch, no_dynamics):
         ("check_equivalence_presets", 1.0),
         # each hbar = 0 joint against the product, a block at a time
         ("check_classical_reduction", 0.5),
-        # the configured joint is hashed and reduced as it streams, and so is the rebuild
+        # the configured pass takes O(n^2) planes from the factors; no joint streams
         ("check_configured_hbar", 0.6),
     ],
 )
@@ -135,48 +172,43 @@ def test_joint_building_check_holds_under_half_a_joint(check):
     assert peak_traced_bytes(run, config) < 0.5 * 8 * n**3
 
 
-def _one_ulp_in_a_block(stream, rho, W, hbar, each_block):
-    """Hand ``each_block`` the rebuild's third block with one value moved by one ulp."""
-    index = iter(range(rho.grid.n))
-
-    def moved(block):
-        if next(index) == 2:
-            block = block.copy()
-            peak = tuple(n // 2 for n in block.shape)
-            block[peak] = np.nextafter(block[peak], np.inf)
-        each_block(block)
-
-    return stream(rho, W, hbar, moved)
+def _one_ulp_in_a_plane(planes, report, coefficients):
+    """The rebuild with one value of its r-summed plane moved by one ulp."""
+    over_r = planes.over_r.copy()
+    peak = tuple(n // 2 for n in over_r.shape)
+    over_r[peak] = np.nextafter(over_r[peak], np.inf)
+    return dataclasses.replace(planes, over_r=over_r), report, coefficients
 
 
-def _one_ulp_in_kappa22(stream, rho, W, hbar, each_block):
-    report, coefficients = stream(rho, W, hbar, each_block)
-    return dataclasses.replace(report, kappa22=np.nextafter(report.kappa22, np.inf)), coefficients
+def _one_ulp_in_kappa22(planes, report, coefficients):
+    return planes, dataclasses.replace(report, kappa22=np.nextafter(report.kappa22, np.inf)), coefficients
 
 
-@pytest.mark.parametrize("perturb", [_one_ulp_in_a_block, _one_ulp_in_kappa22], ids=["joint", "kappa22"])
+@pytest.mark.parametrize("perturb", [_one_ulp_in_a_plane, _one_ulp_in_kappa22], ids=["joint", "kappa22"])
 def test_determinism_catches_one_ulp_in_the_rebuild(monkeypatch, perturb):
-    stream = verification.stream_cumulants
+    rebuild = verification.cumulant_pass
     runs = []
 
-    def stub(rho, W, hbar, each_block):
+    def stub(rho, W, hbar):
         runs.append(hbar)
-        return perturb(stream, rho, W, hbar, each_block)
+        return perturb(*rebuild(rho, W, hbar))
 
-    monkeypatch.setattr(verification, "stream_cumulants", stub)
+    monkeypatch.setattr(verification, "cumulant_pass", stub)
     [row] = [c for c in verification.check_configured_hbar(load_config()) if c.name.startswith("determinism")]
-    assert len(runs) == 1  # the rebuild; the first digest is taken from the shared pass
+    assert len(runs) == 1  # the rebuild; the first digest is taken from the rows' planes
     assert (row.name, row.measured, row.passed) == ("determinism[rebuild]", 1.0, False)
     assert row.note == "byte-compare of repeated pipeline"
 
 
 def test_configured_joint_is_built_twice(monkeypatch, no_dynamics):
-    # once for the rows and once for the determinism rebuild, plus the
-    # hbar/2 joint; 0.75 is none of the preset hbars
-    calls = _stub_builder(monkeypatch, "quantum_joint_spectral")
-    monkeypatch.setattr(cumulants, "quantum_joint_spectral", verification.quantum_joint_spectral)
+    # from its factors, once for the rows and once for the determinism
+    # rebuild, plus the hbar/2 planes; 0.75 is none of the preset hbars,
+    # and no builder runs at either
+    calls = _stub_planes(monkeypatch)
+    builds = _stub_builder(monkeypatch, "quantum_joint_spectral")
     verification.run_verification(parse_config({"hbar": 0.75}))
     assert (calls.count(0.75), calls.count(0.375)) == (2, 1)
+    assert 0.75 not in builds and 0.375 not in builds
 
 
 def _configured_rows(report):
@@ -188,7 +220,7 @@ def test_failing_fit_leaves_cross_cumulant_standing(no_dynamics):
     rows = _configured_rows(verification.run_verification(parse_config({"hbar": 1e-3})))
     fit = (
         "DegenerateFitError: generating-function fit is unresolved at hbar = 0.001: "
-        "the standard error of c4 is 0.262 of |c4| (allowed 0.01)"
+        "the standard error of c4 is 0.126 of |c4| (allowed 0.01)"
     )
     assert [(c.name, c.passed, c.note) for c in rows if c.name != "classical_scaling[slope]"] == [
         ("kernel_expansion", False, fit),
@@ -239,9 +271,7 @@ def test_raising_step_fails_only_the_families_that_use_it(monkeypatch, no_dynami
 
 
 def test_half_hbar_joint_raising_keeps_the_row_before_it(monkeypatch, no_dynamics):
-    _stub_builder(monkeypatch, "quantum_joint_spectral", raise_at=0.375)
-    # the hbar/2 joint streams through cumulants' own import
-    monkeypatch.setattr(cumulants, "quantum_joint_spectral", verification.quantum_joint_spectral)
+    _stub_planes(monkeypatch, raise_at=0.375)
     rows = _configured_rows(verification.run_verification(parse_config({"hbar": 0.75})))
     assert [c.name for c in rows if not c.passed] == ["cross_cumulant"]
     cross = [c.name for c in rows if c.name.startswith("cross_cumulant")]
