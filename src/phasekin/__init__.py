@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .config import DEFAULT_CONFIG, ScenarioConfig, load_config, parse_config
 from .coupling import (
-    classical_joint,
     joint_planes,
     quantum_joint_series,
     quantum_joint_spectral,

@@ -50,11 +50,10 @@ from .grids import (
     fourier_forward,
     fourier_inverse,
     half_spectrum_forward,
-    require_same_grid,
     series_coefficient,
     spectral_derivatives,
 )
-from .states import JointPlanes, VirtualDensity, WignerDistribution
+from .states import JointPlanes, VirtualDensity, WignerDistribution, _check_joint_inputs
 
 KERNEL_SWITCH = 1e-4
 # Rows of R per block of every streamed joint, and of p per block of the
@@ -75,10 +74,6 @@ def sinc_values(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_joint_inputs(rho: VirtualDensity, W: WignerDistribution) -> None:
-    require_same_grid(rho.grid, W.grid_r, "joint builder (R vs r axis)")
-
-
 def _block_buffer(rho: VirtualDensity, W: WignerDistribution) -> np.ndarray:
     """A buffer of one block of INVERSE_BLOCK rows of R, reused block after block."""
     return np.empty((min(INVERSE_BLOCK, rho.grid.n), W.grid_p.n, W.grid_r.n))
@@ -91,13 +86,6 @@ def _row_blocks(n_rows: int, buffer: np.ndarray):
     for start in range(0, n_rows, INVERSE_BLOCK):
         rows = slice(start, min(start + INVERSE_BLOCK, n_rows))
         yield rows, buffer[: rows.stop - start]
-
-
-def classical_joint(rho: VirtualDensity, W: WignerDistribution, each_block) -> None:
-    """Factorized joint: the outer product rho(R) W(p, r), streamed to ``each_block``."""
-    _check_joint_inputs(rho, W)
-    for rows, block in _row_blocks(rho.grid.n, _block_buffer(rho, W)):
-        each_block(np.multiply(rho.values[rows, None, None], W.values, out=block))
 
 
 def _joint_terms(rho: VirtualDensity, W: WignerDistribution, hbar: float):
@@ -166,7 +154,9 @@ def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float
     The factors are formed first and the product a block of rows of R at
     a time, each block handed to ``each_block``.  Whether the truncated
     series converged depends on the sup norm of the whole sum, so
-    :class:`NonConvergenceError` comes after the last block.
+    :class:`NonConvergenceError` comes after the last block.  At hbar = 0
+    the series has no terms, so each block is a product with one inner
+    term: the classical joint rho(R) W(p, r), exactly.
 
     On Gaussian presets the series converges inside the whole window
     hbar < 2 sigma_R sigma_p, that is hbar^2 / (4 sigma_R^2 sigma_p^2) < 1:

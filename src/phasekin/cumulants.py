@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _check_joint_inputs, _kernel_half, joint_planes
+from .coupling import _kernel_half, joint_planes
 from .errors import (
     DegenerateFitError,
     ImaginaryResidueError,
@@ -33,6 +33,7 @@ from .states import (
     JointPlanes,
     VirtualDensity,
     WignerDistribution,
+    _check_joint_inputs,
     marginal_over_R,
     marginal_over_pr,
     moments,

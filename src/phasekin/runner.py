@@ -94,7 +94,7 @@ def run_joint(config: ScenarioConfig, directory: str) -> tuple:
     grids = (rho.grid,) * 3
     outputs, rows = [], []
     for label, build in (("series", quantum_joint_series), ("spectral", quantum_joint_spectral)):
-        sums = JointSums(rho.grid, W.grid_p, W.grid_r, decay_tol=W.decay_tol)
+        sums = JointSums(rho, W)
         stream = _streamed_joint(build, rho, W, config.hbar, sums)
         outputs += write_array(directory, f"f_{label}", stream, ("R", "p", "r"), grids)
         over_R, over_pr = marginal_residuals(sums, rho, W)

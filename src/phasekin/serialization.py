@@ -3,12 +3,13 @@
 Arrays go to raw little-endian float64 in row-major order with a JSON
 sidecar holding shape, axis order, grid definitions, and a content
 checksum.  Tabular outputs are CSV with a header row and 17 significant
-decimal digits, which round-trips float64 exactly.  All rendering is
-locale-independent.
+decimal digits, which round-trips float64 exactly; a field holding a
+comma is quoted.  All rendering is locale-independent.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -106,11 +107,10 @@ def read_array(directory: str, name: str):
 
 
 def write_csv(path: str, header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt(v) for v in row] for row in rows)
     return path
 
 

@@ -5,10 +5,10 @@ particle's phase-space point (p, r).  It is never held whole: its
 readers take its O(n^2) reductions from the factors it is built from
 (:class:`JointPlanes`), and what streams it sums its blocks
 (:class:`JointSums`).  R and r live on one shared grid so the
-contraction at R = r is an exact diagonal slice.  Away from the classical limit the joint may carry
-genuine tails in R of magnitude up to ~1e-10 of its peak; 3-axis decay
-checks therefore use a looser guard than the 1e-10 used for 1- and
-2-axis fields.
+contraction at R = r is an exact diagonal slice (:func:`_check_joint_inputs`).
+Away from the classical limit the joint may carry genuine tails in R of
+magnitude up to ~1e-10 of its peak; 3-axis decay checks therefore use a
+looser guard than the 1e-10 used for 1- and 2-axis fields.
 """
 
 from __future__ import annotations
@@ -94,6 +94,11 @@ class VirtualDensity:
         ensure_decaying(v, DECAY_TOL, "virtual density")
 
 
+def _check_joint_inputs(rho: VirtualDensity, W: WignerDistribution) -> None:
+    """The joint's R axis, rho's grid, must be W's r grid."""
+    require_same_grid(rho.grid, W.grid_r, "joint (R vs r axis)")
+
+
 def preset_fits(half_width: float, center: float, sigma: float) -> bool:
     """Whether a Gaussian preset decays inside the box: |center| + 8 sigma <= half_width."""
     return not half_width < abs(center) + 8.0 * sigma
@@ -140,26 +145,24 @@ def gaussian_wigner(
 
 class JointSums:
     """The two marginal sums of a real joint density F(R, p, r) of virtual
-    position and real phase space, and its normalization, taken over
+    position and real phase space, built from ``rho`` and ``W``, taken over
     consecutive blocks of its rows of R as a builder hands them over: what
     ``joint`` and ``verify``'s builder checks read from the joints they
     stream.  Add the blocks in order (:meth:`add`), then :meth:`finish`,
-    which checks that F integrates to 1.  Each sum equals its whole-array
-    numpy form bit for bit: ``over_R`` is ``F.sum(axis=0)``, its rows
-    added in order, ``over_pr`` is ``F.sum(axis=(1, 2))`` and ``total`` is
-    ``F.sum()``, pairwise over the ``over_pr`` entries as numpy sums an
-    array of power-of-two rows.  ``decay_tol`` is the guard of the W the
-    joint was built from, which its recovered W marginal keeps.
+    which checks that F integrates to 1, from the sum of ``over_pr`` as
+    :class:`JointPlanes` does.  Each sum equals its whole-array numpy form
+    bit for bit: ``over_R`` is ``F.sum(axis=0)``, its rows added in order,
+    and ``over_pr`` is ``F.sum(axis=(1, 2))``.  ``decay_tol`` is W's guard,
+    which the recovered W marginal keeps.
     """
 
-    def __init__(self, grid_R: Grid1D, grid_p: Grid1D, grid_r: Grid1D, decay_tol: float = DECAY_TOL):
-        require_same_grid(grid_R, grid_r, "joint distribution R/r axes")
-        self.grid_R, self.grid_p, self.grid_r = grid_R, grid_p, grid_r
-        self.decay_tol = decay_tol
+    def __init__(self, rho: VirtualDensity, W: WignerDistribution):
+        _check_joint_inputs(rho, W)
+        self.grid_R, self.grid_p, self.grid_r = rho.grid, W.grid_p, W.grid_r
+        self.decay_tol = W.decay_tol
         self.over_R = None
-        self.over_pr = np.empty(grid_R.n)
+        self.over_pr = np.empty(rho.grid.n)
         self.rows = 0
-        self.total = None
 
     def add(self, block: np.ndarray) -> None:
         """Reduce the next ``len(block)`` rows of R."""
@@ -176,15 +179,11 @@ class JointSums:
             self.over_R += row
 
     def finish(self) -> "JointSums":
-        """Take the total and check that F integrates to 1; returns self."""
+        """Check that every row was added and that F integrates to 1; returns self."""
         if self.rows != self.grid_R.n:
             raise ValueError(f"{self.rows} rows of R added, expected {self.grid_R.n}")
-        total = self.over_pr
-        while len(total) > 1:
-            total = total[0::2] + total[1::2]
-        self.total = total[0]
         grids = (self.grid_R, self.grid_p, self.grid_r)
-        _unit_integral(self.total, grids, JOINT_NORMALIZATION_TOL, "F")
+        _unit_integral(self.over_pr.sum(), grids, JOINT_NORMALIZATION_TOL, "F")
         return self
 
 
@@ -239,28 +238,24 @@ def marginal_residuals(sums, rho: VirtualDensity, W: WignerDistribution) -> tupl
     return over_R, float(np.abs(marginal_over_pr(sums).values - rho.values).max())
 
 
-def _moment_grids(obj):
-    if isinstance(obj, VirtualDensity):
-        return (obj.grid,), obj.values, DECAY_TOL
-    if isinstance(obj, WignerDistribution):
-        return (obj.grid_p, obj.grid_r), obj.values, obj.decay_tol
-    raise TypeError(f"cannot compute moments of {type(obj).__name__}")
-
-
 def moments(obj, orders) -> dict:
     """Quadrature raw moments of a distribution, keyed by order tuple.
 
     Order tuples index the object's leading axes.  A joint is given by its
     :class:`JointPlanes`, whose ``over_r`` has r summed out already: a pair
     (a, b) means <R^a p^b>, and no order has more than two entries.  Total
-    order is capped at 8.
+    order is capped at 8.  A density or W passed its decay guard when it
+    was formed; a joint's planes are guarded here.
     """
     if isinstance(obj, JointPlanes):
         obj.ensure_decaying(JOINT_DECAY_TOL, "moment input")
         grids, values = (obj.grid_R, obj.grid_p, obj.grid_r), obj.over_r
+    elif isinstance(obj, VirtualDensity):
+        grids, values = (obj.grid,), obj.values
+    elif isinstance(obj, WignerDistribution):
+        grids, values = (obj.grid_p, obj.grid_r), obj.values
     else:
-        grids, values, tol = _moment_grids(obj)
-        ensure_decaying(values, tol, "moment input")
+        raise TypeError(f"cannot compute moments of {type(obj).__name__}")
     vol = float(np.prod([g.step for g in grids]))
     keys = [tuple(order) for order in orders]
     out = {}

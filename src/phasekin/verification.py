@@ -161,7 +161,7 @@ def _joint_pair(rho, W, hbar: float) -> tuple:
     stream that raises leaves the other to run to its end alone.  The
     series verdict comes after its last block, its diagonal after that.
     """
-    series_sums, spectral_sums = (JointSums(rho.grid, W.grid_p, W.grid_r, W.decay_tol) for _ in range(2))
+    series_sums, spectral_sums = (JointSums(rho, W) for _ in range(2))
     stream = _attempt(_series_blocks, rho, W, hbar)
     series, diagonal = (stream, stream) if isinstance(stream, PhasekinError) else stream
     gap = 0.0
@@ -234,25 +234,21 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
             reference = _attempt(moyal_reference, rho, W, hbar)
             planes = _attempt(joint_planes, rho, W, hbar)
             series, diagonal, spectral, gap = _joint_pair(rho, W, hbar)
-            central_series = _attempt(transport_gap, reference, series, diagonal)
-            residuals_series = _attempt(marginal_residuals, series, rho, W)
-            central_spectral = _attempt(lambda ref, p: transport_gap(ref, p, p.dR_diagonal), reference, planes)
-            residuals_spectral = _attempt(marginal_residuals, spectral, rho, W)
-            tie = _attempt(factors_gap, planes, spectral)
-            report = _attempt(heisenberg_check, planes, hbar)
-            del series, diagonal, spectral, planes  # not held while the next preset streams
             with _failed_rows(checks, f"central_equivalence{tag}"):
-                for label, measured in (("series", central_series), ("spectral", central_spectral)):
-                    checks.append(_tol_check(f"central_equivalence{tag}[{label}]", _value(measured), 1e-6))
+                measured = transport_gap(_value(reference), _value(series), _value(diagonal))
+                checks.append(_tol_check(f"central_equivalence{tag}[series]", measured, 1e-6))
+                measured = transport_gap(reference, _value(planes), planes.dR_diagonal)
+                checks.append(_tol_check(f"central_equivalence{tag}[spectral]", measured, 1e-6))
             with _failed_rows(checks, f"builder_equivalence{tag}"):
+                tie = factors_gap(_value(planes), _value(spectral))
                 # read 4.2e-17 to 1.7e-16 at n3 = 64, at most 8.9e-16 up to 512
-                checks.append(_tol_check(f"builder_equivalence{tag}[factors]", _value(tie), 1e-13))
+                checks.append(_tol_check(f"builder_equivalence{tag}[factors]", tie, 1e-13))
                 checks.append(_tol_check(f"builder_equivalence{tag}", _value(gap), 1e-8))
             with _failed_rows(checks, f"marginal_recovery{tag}"):
-                worst = max(0.0, *_value(residuals_series), *_value(residuals_spectral))
-                checks.append(_tol_check(f"marginal_recovery{tag}", worst, 1e-7))
+                residuals = (*marginal_residuals(_value(series), rho, W), *marginal_residuals(_value(spectral), rho, W))
+                checks.append(_tol_check(f"marginal_recovery{tag}", max(0.0, *residuals), 1e-7))
             with _failed_rows(checks, f"heisenberg{tag}"):
-                report = _value(report)
+                report = heisenberg_check(_value(planes), hbar)
                 margin = report.kappa22 + report.heisenberg_lhs
                 checks.append(
                     Check(
@@ -272,6 +268,7 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
                         f"lhs={fmt(report.heisenberg_lhs)} rhs={fmt(report.heisenberg_rhs)}",
                     )
                 )
+            del series, diagonal, spectral, planes  # not held while the next preset streams
     return checks
 
 

@@ -15,7 +15,6 @@ from phasekin.cumulants import PHI_RATIO_FLOOR
 from phasekin.coupling import (
     _kernel_half,
     _series_factors,
-    classical_joint,
     quantum_joint_spectral,
     sinc_values,
 )
@@ -77,6 +76,11 @@ def whole_joint(build, rho, W, *args):
     return WholeJoint(rho.grid, W.grid_p, W.grid_r, np.concatenate(blocks), W.decay_tol)
 
 
+def product_joint(rho, W):
+    """The classical joint rho(R) W(p, r), formed whole by numpy's outer product."""
+    return WholeJoint(rho.grid, W.grid_p, W.grid_r, np.multiply.outer(rho.values, W.values), W.decay_tol)
+
+
 def planes_of(F):
     """The JointPlanes of a whole joint, each reduction taken from the whole
     array: the route :func:`phasekin.coupling.joint_planes` replaced.  The
@@ -93,7 +97,7 @@ def planes_of(F):
 def streamed_sums(build, rho, W, *args):
     """The finished JointSums of the joint that ``build(rho, W, *args,
     each_block)`` streams, taken block by block as the builder hands them over."""
-    sums = JointSums(rho.grid, W.grid_p, W.grid_r, W.decay_tol)
+    sums = JointSums(rho, W)
     build(rho, W, *args, sums.add)
     return sums.finish()
 
@@ -179,7 +183,7 @@ def full_derivative_diagonal(F):
 def departure_norms(rho, W, hbars):
     """The quadrature L2 norms (sum (F_hbar - F_0)^2 dR dp dr)^(1/2) from
     full joints, which classical_limit_scan takes from O(n^2) spectral sums."""
-    base = whole_joint(classical_joint, rho, W).values
+    base = product_joint(rho, W).values
     volume = rho.grid.step * W.grid_p.step * W.grid_r.step
     return [
         float(np.sqrt(np.sum((whole_joint(quantum_joint_spectral, rho, W, h).values - base) ** 2) * volume))

@@ -1,5 +1,6 @@
 """Command surface, config validation, serialization, and determinism."""
 
+import csv
 import errno
 import json
 import os
@@ -500,6 +501,29 @@ class TestRunPath:
         names = {p.name for p in out.iterdir()}
         assert names == set(manifest_without_timestamp(out)["outputs"]) | {"manifest.json"}
         assert all(OUTPUT_FILE.fullmatch(name) for name in names)
+
+    @pytest.mark.parametrize("command", ["simulate", "joint", "cumulants", "verify"])
+    def test_every_csv_row_has_the_header_s_fields(self, tmp_path, command):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, outputs=str(out), grid={"n2": 64, "n3": 64, "half_width": 8.0})
+        assert main([command, "--config", cfg]) in (0, 1)  # verify may fail at this grid
+        tables = {}
+        for path in out.glob("*.csv"):
+            with open(path, encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows), path.name
+            tables[path.name] = {row[0]: row for row in rows}
+        assert tables
+        if command == "verify":
+            note = tables["verification_report.csv"]["cross_cumulant[reference_gap]"][4]
+            assert note == "recorded, not asserted: measured vs nominal -hbar^2/2"
+
+    def test_csv_fields_holding_a_comma_or_a_quote_round_trip(self, tmp_path):
+        rows = [("a", 0.5, "x, y"), ("b", 2, 'say "so"'), ("c", True, "")]
+        path = serialization.write_csv(str(tmp_path / "t.csv"), ("name", "value", "note"), rows)
+        with open(path, encoding="utf-8", newline="") as fh:
+            read = list(csv.reader(fh))
+        assert read == [["name", "value", "note"], ["a", "0.5", "x, y"], ["b", "2", 'say "so"'], ["c", "true", ""]]
 
     def test_aborted_run_leaves_none_of_the_previous_runs_files(self, tmp_path):
         out = tmp_path / "out"

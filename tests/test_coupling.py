@@ -10,15 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phasekin import (
+    DecayGuardError,
     GridMismatchError,
     ImaginaryResidueError,
+    JointSums,
     NonConvergenceError,
     VirtualDensity,
     WignerDistribution,
-    classical_joint,
     collision_rhs,
     gaussian_density,
     gaussian_wigner,
+    kappa22,
     make_grid,
     marginal_over_R,
     moyal_rhs_spectral,
@@ -30,7 +32,7 @@ from phasekin import coupling
 from phasekin.coupling import INVERSE_BLOCK, joint_planes, sinc_values
 from phasekin.cumulants import PHI_RATIO_FLOOR, phi_field
 from phasekin.grids import face_sup, fourier_forward
-from phasekin.states import preset_fits
+from phasekin.states import marginal_residuals, preset_fits
 
 from reference import (
     dense_joint_series,
@@ -39,6 +41,7 @@ from reference import (
     one_shot_spectral_joint,
     peak_traced_bytes,
     planes_of,
+    product_joint,
     streamed_sums,
     whole_joint,
     whole_product_series,
@@ -108,32 +111,45 @@ class TestCouplingKernel:
 
 
 class TestClassicalJoint:
+    """The classical joint rho W, as the series builder streams it at hbar = 0."""
+
     def test_normalized(self, rho_default, wigner_default, grid64):
-        F = whole_joint(classical_joint, rho_default, wigner_default)
+        F = whole_joint(quantum_joint_series, rho_default, wigner_default, 0.0)
         assert abs(F.values.sum() * grid64.step**3 - 1.0) < 1e-9
 
     def test_marginal_is_input(self, rho_default, wigner_default):
-        from phasekin import marginal_over_R
-
-        sums = streamed_sums(classical_joint, rho_default, wigner_default)
+        sums = streamed_sums(quantum_joint_series, rho_default, wigner_default, 0.0)
         assert np.abs(marginal_over_R(sums).values - wigner_default.values).max() < 1e-14
 
     def test_nonnegative_for_nonnegative_wigner(self, rho_default, wigner_default):
-        F = whole_joint(classical_joint, rho_default, wigner_default)
+        F = whole_joint(quantum_joint_series, rho_default, wigner_default, 0.0)
         assert F.values.min() >= -1e-12
 
-    def test_grid_mismatch_rejected(self, rho_default):
-        other = make_grid(32, 8.0)
-        W = gaussian_wigner(other, other, 0.0, 0.0, 0.7, 0.7)
-        with pytest.raises(GridMismatchError):
-            classical_joint(rho_default, W, ignore)
+
+@pytest.mark.parametrize(
+    "take",
+    [
+        lambda rho, W: quantum_joint_series(rho, W, 1.0, ignore),
+        lambda rho, W: quantum_joint_spectral(rho, W, 1.0, ignore),
+        lambda rho, W: joint_planes(rho, W, 1.0),
+        JointSums,
+    ],
+    ids=["series", "spectral", "planes", "sums"],
+)
+def test_grid_mismatch_rejected(rho_default, take):
+    # R and r share one grid: each builder and each reduction refuses a W
+    # whose r grid is not rho's
+    other = make_grid(32, 8.0)
+    W = gaussian_wigner(other, other, 0.0, 0.0, 0.7, 0.7)
+    with pytest.raises(GridMismatchError, match="R vs r axis"):
+        take(rho_default, W)
 
 
 class TestQuantumJointSeries:
     def test_hbar_zero_is_classical(self, rho_default, wigner_default):
+        # no terms at hbar = 0: each block is a product with one inner term, exact
         a = whole_joint(quantum_joint_series, rho_default, wigner_default, 0.0)
-        b = whole_joint(classical_joint, rho_default, wigner_default)
-        assert np.abs(a.values - b.values).max() < 1e-14
+        assert np.array_equal(a.values, np.multiply.outer(rho_default.values, wigner_default.values))
 
     def test_matches_spectral_builder(self, rho_default, wigner_default):
         a = whole_joint(quantum_joint_series, rho_default, wigner_default, 1.0)
@@ -178,7 +194,7 @@ class TestQuantumJointSeries:
 class TestQuantumJointSpectral:
     def test_hbar_zero_is_classical(self, rho_default, wigner_default):
         a = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 0.0)
-        b = whole_joint(classical_joint, rho_default, wigner_default)
+        b = product_joint(rho_default, wigner_default)
         assert np.abs(a.values - b.values).max() < 1e-12
 
     def test_kernel_reconstruction(self, rho_default, wigner_default, grid64):
@@ -241,7 +257,7 @@ def test_builder_equivalence_across_hbar(hbar):
 
 
 def test_classical_limit_decay_slope(rho_default, wigner_default):
-    base = whole_joint(classical_joint, rho_default, wigner_default).values
+    base = product_joint(rho_default, wigner_default).values
     hbars = np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2])
     norms = [
         np.abs(whole_joint(quantum_joint_spectral, rho_default, wigner_default, h).values - base).max()
@@ -348,7 +364,7 @@ class TestFactoredSeries:
     [
         (partial(quantum_joint_series, hbar=1.0), partial(whole_product_series, hbar=1.0)),
         (partial(quantum_joint_spectral, hbar=1.0), partial(one_shot_spectral_joint, hbar=1.0)),
-        (classical_joint, lambda rho, W: np.multiply.outer(rho.values, W.values)),
+        (partial(quantum_joint_series, hbar=0.0), lambda rho, W: np.multiply.outer(rho.values, W.values)),
     ],
     ids=["series", "spectral", "classical"],
 )
@@ -441,6 +457,25 @@ class TestPlanesOfDrawnInputs:
         moyal = moyal_rhs_spectral(W, potential_from_density(rho, 1.0), hbar, 1.0)
         assert np.abs(rhs - moyal).max() <= 1e-12 * np.abs(moyal).max()
 
+    @PLANES_SETTINGS
+    @given(inputs=mixture_inputs())
+    def test_kappa22_is_minus_hbar_squared_over_six(self, inputs):
+        # the sinc kernel alone carries the (2, 2) cross term, whatever the
+        # inputs' means; a joint whose tails reach the box is refused instead
+        rho, W, hbar = inputs
+        try:
+            kap = kappa22(joint_planes(rho, W, hbar))
+        except DecayGuardError as exc:
+            assert str(exc).startswith("moment input")
+            return
+        assert abs(kap + hbar**2 / 6.0) <= 1e-8 * hbar**2 / 6.0
+
+    @PLANES_SETTINGS
+    @given(inputs=mixture_inputs())
+    def test_marginals_recover_the_inputs(self, inputs):
+        rho, W, hbar = inputs
+        assert max(marginal_residuals(joint_planes(rho, W, hbar), rho, W)) <= 1e-12
+
 
 @pytest.mark.parametrize("hbar", [0.0, 0.25, 1.0])
 def test_factor_guard_reads_the_whole_joint_s_boundary_and_peak(rho_default, wigner_default, hbar):
@@ -448,7 +483,7 @@ def test_factor_guard_reads_the_whole_joint_s_boundary_and_peak(rho_default, wig
     # extreme, so the bound from within is the peak itself; at hbar = 0 the
     # whole joint is the product rho W that the sinc kernel reduces to
     if hbar == 0.0:
-        F = whole_joint(classical_joint, rho_default, wigner_default)
+        F = product_joint(rho_default, wigner_default)
     else:
         F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, hbar)
     planes = joint_planes(rho_default, wigner_default, hbar)

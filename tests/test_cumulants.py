@@ -15,7 +15,6 @@ from phasekin import (
     ImaginaryResidueError,
     InsufficientSupportError,
     JointSums,
-    classical_joint,
     classical_limit_scan,
     collision_rhs,
     gaussian_density,
@@ -30,6 +29,7 @@ from phasekin import (
     phi_series_coefficients,
     potential_from_density,
     propagate,
+    quantum_joint_series,
     quantum_joint_spectral,
     quartic_potential,
 )
@@ -50,8 +50,9 @@ from reference import (
     joint_transform,
     peak_traced_bytes,
     phi_from_full_transform,
-    sample_joint,
     planes_of,
+    product_joint,
+    sample_joint,
     whole_joint,
 )
 
@@ -63,14 +64,14 @@ class TestCharacteristicFunction:
         assert abs(joint_transform(F)[mid, mid, mid] - 1.0) < 1e-7
 
     def test_classical_joint_factorizes(self, rho_default, wigner_default, grid64):
-        F = whole_joint(classical_joint, rho_default, wigner_default)
+        F = whole_joint(quantum_joint_series, rho_default, wigner_default, 0.0)
         out = joint_transform(F)
         rho_t = fourier_forward(rho_default.values, (grid64,), (0,))
         w_t = fourier_forward(wigner_default.values, (grid64, grid64), (0, 1))
         assert np.abs(out - rho_t[:, None, None] * w_t[None, :, :]).max() < 1e-9
 
     def test_gaussian_axis_profile(self, rho_default, wigner_default, grid64):
-        F = whole_joint(classical_joint, rho_default, wigner_default)
+        F = product_joint(rho_default, wigner_default)
         K = grid64.frequencies
         mid = grid64.n // 2
         profile = np.abs(joint_transform(F)[:, mid, mid])
@@ -336,7 +337,7 @@ class TestCumulantsCost:
         monkeypatch.setattr(np.fft, "fft", counting(fft, "complex"))
         monkeypatch.setattr(np.fft, "ifft", counting(ifft, "complex"))
         for owner in (coupling, cumulants):
-            for name in ("classical_joint", "quantum_joint_series", "quantum_joint_spectral"):
+            for name in ("quantum_joint_series", "quantum_joint_spectral"):
                 if hasattr(owner, name):
                     monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
         n = 64
@@ -413,7 +414,7 @@ class TestEvolvedJoint:
         W, rho = quartic_snapshot()
         _, report, _ = cumulant_pass(rho, W, 1.0)
         assert abs(report.kappa22 + 1.0 / 6.0) <= 1e-5 / 6.0
-        sums = JointSums(rho.grid, W.grid_p, W.grid_r, decay_tol=W.decay_tol)
+        sums = JointSums(rho, W)
         quantum_joint_spectral(rho, W, 1.0, sums.add)
         assert max(marginal_residuals(sums.finish(), rho, W)) <= 1e-12
 
@@ -509,8 +510,11 @@ class TestFactorPipeline:
         # factors' match to rounding (at hbar = 0 the whole joint is the
         # product rho W).  sigma_p2 = sqrt(<p^4> - <p^2>^2) cancels: it
         # measured 3.7e-13 apart, and c4 1.6e-9 (relative, at hbar = 0.5)
-        build = (classical_joint,) if hbar == 0.0 else (quantum_joint_spectral, hbar)
-        planes = planes_of(whole_joint(build[0], rho_default, wigner_default, *build[1:]))
+        if hbar == 0.0:
+            F = product_joint(rho_default, wigner_default)
+        else:
+            F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, hbar)
+        planes = planes_of(F)
         fit = phi_series_coefficients(phi_field(planes, rho_default, wigner_default), hbar)
         whole = heisenberg_check(planes, hbar)
         _, report, coefficients = cumulant_pass(rho_default, wigner_default, hbar)

@@ -66,7 +66,7 @@ def built_collision(builder, rho, W, hbar, epsilon, mass):
     if builder is quantum_joint_spectral:
         return collided(joint_planes(rho, W, hbar), epsilon, mass)
     blocks, diagonal = _series_blocks(rho, W, hbar)
-    sums = JointSums(rho.grid, W.grid_p, W.grid_r, W.decay_tol)
+    sums = JointSums(rho, W)
     for block in blocks:
         sums.add(block)
     return collision_rhs(marginal_over_R(sums.finish()), diagonal(), epsilon, mass)

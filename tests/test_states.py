@@ -9,13 +9,13 @@ from phasekin import (
     NormalizationError,
     VirtualDensity,
     WignerDistribution,
-    classical_joint,
     gaussian_density,
     gaussian_wigner,
     make_grid,
     marginal_over_R,
     marginal_over_pr,
     moments,
+    quantum_joint_series,
     quantum_joint_spectral,
 )
 from phasekin.coupling import joint_planes
@@ -23,7 +23,15 @@ from phasekin.grids import ensure_decaying
 from phasekin.states import JOINT_DECAY_TOL, JOINT_NORMALIZATION_TOL, _unit_integral
 
 from conftest import SIGMA_COHERENT, gauss
-from reference import full_weighting_moments, plane_moments, planes_of, sample_joint, streamed_sums, whole_joint
+from reference import (
+    full_weighting_moments,
+    plane_moments,
+    planes_of,
+    product_joint,
+    sample_joint,
+    streamed_sums,
+    whole_joint,
+)
 
 
 def dense_quadrature_moment(mean, sigma, order, half_width=8.0, n=4096):
@@ -66,11 +74,11 @@ class TestGaussianWigner:
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_values_are_a_normalization_error(rho_default, wigner_default, bad):
-    F = whole_joint(classical_joint, rho_default, wigner_default)
+    F = product_joint(rho_default, wigner_default)
     for build, values in (
         (lambda v: VirtualDensity(rho_default.grid, v), rho_default.values),
         (lambda v: WignerDistribution(wigner_default.grid_p, wigner_default.grid_r, v), wigner_default.values),
-        (lambda v: sums_in_blocks((F.grid_R, F.grid_p, F.grid_r), v, 4), F.values),
+        (lambda v: sums_in_blocks(rho_default, wigner_default, v, 4), F.values),
     ):
         spoiled = values.copy()
         spoiled.flat[spoiled.size // 2] = bad
@@ -80,7 +88,7 @@ def test_non_finite_values_are_a_normalization_error(rho_default, wigner_default
 
 class TestMarginals:
     def test_classical_marginals_exact(self, rho_default, wigner_default):
-        sums = streamed_sums(classical_joint, rho_default, wigner_default)
+        sums = streamed_sums(quantum_joint_series, rho_default, wigner_default, 0.0)
         assert np.abs(marginal_over_R(sums).values - wigner_default.values).max() < 1e-12
         assert np.abs(marginal_over_pr(sums).values - rho_default.values).max() < 1e-12
 
@@ -93,9 +101,10 @@ class TestMarginals:
         assert np.abs(marginal_over_pr(sums).values - rho_default.values).max() < tol
 
 
-def sums_in_blocks(grids, values, rows):
-    """The JointSums of ``values``, added ``rows`` rows of R at a time."""
-    sums = JointSums(*grids)
+def sums_in_blocks(rho, W, values, rows):
+    """The JointSums of ``values``, a joint on the grids of ``rho`` and ``W``,
+    added ``rows`` rows of R at a time."""
+    sums = JointSums(rho, W)
     for start in range(0, len(values), rows):
         sums.add(values[start : start + rows])
     return sums.finish()
@@ -105,20 +114,19 @@ class TestJointSums:
     @pytest.mark.parametrize("rows", [1, 3, 4, 64])
     @pytest.mark.parametrize("kind", ["spectral", "random"])
     def test_reductions_equal_the_whole_array_ones_bit_for_bit(self, rho_default, wigner_default, rows, kind):
-        # random values tell numpy's pairwise total apart from other summation orders
+        # random values tell numpy's summation order apart from others
         F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         v = F.values
         if kind == "random":
             v = np.random.default_rng(0).random(v.shape)
             v /= v.sum() * F.grid_R.step * F.grid_p.step * F.grid_r.step
-        sums = sums_in_blocks((F.grid_R, F.grid_p, F.grid_r), v, rows)
+        sums = sums_in_blocks(rho_default, wigner_default, v, rows)
         assert np.array_equal(sums.over_R, v.sum(axis=0))
         assert np.array_equal(sums.over_pr, v.sum(axis=(1, 2)))
-        assert sums.total == v.sum()
 
     def test_readers_equal_the_whole_array_forms(self, rho_default, wigner_default):
         F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
-        sums = sums_in_blocks((F.grid_R, F.grid_p, F.grid_r), F.values, 4)
+        sums = sums_in_blocks(rho_default, wigner_default, F.values, 4)
         over_R = F.values.sum(axis=0) * F.grid_R.step
         over_pr = F.values.sum(axis=(1, 2)) * F.grid_p.step * F.grid_r.step
         assert np.array_equal(marginal_over_R(sums).values, over_R)
@@ -148,15 +156,15 @@ class TestJointSums:
             values[40, 3, 5] = np.nan
         grids = (F.grid_R, F.grid_p, F.grid_r)
         with pytest.raises(NormalizationError) as whole:
-            # the check a whole joint took of its values' sum
-            _unit_integral(values.sum(), grids, JOINT_NORMALIZATION_TOL, "F")
+            # the check a joint's planes take of the sum of their over_pr
+            _unit_integral(values.sum(axis=(1, 2)).sum(), grids, JOINT_NORMALIZATION_TOL, "F")
         with pytest.raises(NormalizationError) as streamed:
-            sums_in_blocks(grids, values, 4)
+            sums_in_blocks(rho_default, wigner_default, values, 4)
         assert str(streamed.value) == str(whole.value)
 
     def test_rows_must_cover_the_grid_once(self, rho_default, wigner_default):
-        F = whole_joint(classical_joint, rho_default, wigner_default)
-        sums = JointSums(F.grid_R, F.grid_p, F.grid_r)
+        F = product_joint(rho_default, wigner_default)
+        sums = JointSums(rho_default, wigner_default)
         sums.add(F.values[:60])
         with pytest.raises(ValueError, match="60 rows of R added, expected 64"):
             sums.finish()
@@ -217,19 +225,19 @@ class TestMoments:
 
 class TestSampleJoint:
     def test_classical_sampling_mean(self, rho_default, wigner_default):
-        F = whole_joint(classical_joint, rho_default, wigner_default)
+        F = product_joint(rho_default, wigner_default)
         samples = sample_joint(F, 10**6, seed=42)
         se_R = 1.0 / np.sqrt(10**6)
         assert abs(samples[:, 0].mean() - 0.0) < 4 * se_R
 
     def test_sampling_matches_known_variances(self, rho_default, wigner_default):
-        F = whole_joint(classical_joint, rho_default, wigner_default)
+        F = product_joint(rho_default, wigner_default)
         samples = sample_joint(F, 200_000, seed=3)
         assert abs(samples[:, 0].var() - 1.0) < 0.02
         assert abs(samples[:, 1].var() - 0.5) < 0.01
 
     def test_zero_count_rejected(self, rho_default, wigner_default):
-        F = whole_joint(classical_joint, rho_default, wigner_default)
+        F = product_joint(rho_default, wigner_default)
         with pytest.raises(ValueError):
             sample_joint(F, 0, seed=1)
 
@@ -240,13 +248,13 @@ class TestSampleJoint:
             sample_joint(F, 100, seed=1)
 
     def test_seed_reproducibility(self, rho_default, wigner_default):
-        F = whole_joint(classical_joint, rho_default, wigner_default)
+        F = product_joint(rho_default, wigner_default)
         a = sample_joint(F, 1000, seed=7)
         b = sample_joint(F, 1000, seed=7)
         assert np.array_equal(a, b)
 
     def test_two_seeds_within_binomial_error(self, rho_default, wigner_default):
-        F = whole_joint(classical_joint, rho_default, wigner_default)
+        F = product_joint(rho_default, wigner_default)
         n = 10**5
         a = sample_joint(F, n, seed=11)
         b = sample_joint(F, n, seed=12)
