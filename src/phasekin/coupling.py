@@ -171,13 +171,17 @@ def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float
         each_block(block)
 
 
+def sinc_kernel(K: np.ndarray, q: np.ndarray, hbar: float) -> np.ndarray:
+    """The coupling kernel sinc(hbar K q / 2) on the (K, q) lattice."""
+    return sinc_values(hbar * np.outer(K, q) / 2.0)
+
+
 def _kernel_half(rho: VirtualDensity, grid_p: Grid1D, hbar: float) -> np.ndarray:
     """``G(R, q)`` at its n/2 + 1 bins ``q >= 0``, checked Hermitian in q."""
     n_q = grid_p.n
-    K = rho.grid.frequencies
     q = np.pi / grid_p.half_width * np.arange(-(n_q // 2), n_q // 2 + 1)  # symmetric, both Nyquist bins
     rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
-    G = fourier_inverse(rho_t[:, None] * sinc_values(hbar * np.outer(K, q) / 2.0), (rho.grid,), (0,))
+    G = fourier_inverse(rho_t[:, None] * sinc_kernel(rho.grid.frequencies, q, hbar), (rho.grid,), (0,))
     return checked_hermitian(G, 1, "spectral joint kernel G(R, q)")[:, n_q // 2 :]
 
 
@@ -210,30 +214,41 @@ def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: flo
         each_block(np.fft.irfft(product_rows, W.grid_p.n, axis=1, out=block))
 
 
+def _p_face_sup(g: np.ndarray, w: np.ndarray, p: int) -> float:
+    """The sup norm of the joint's face at row ``p`` of p, from its factors.
+
+    irfft's output ``p`` is its weighted sum over q, so the face is
+    ``Re[(g e^(2 pi i p q / n) weights) @ w]``: one real matrix product of
+    the folded factor's two parts, (n, n/2 + 1) by (n/2 + 1, n)."""
+    n = 2 * (w.shape[0] - 1)
+    weights = np.full(n // 2 + 1, 2.0 / n)  # irfft's: the zero and Nyquist bins count once
+    weights[[0, -1]] = 1.0 / n
+    folded = g * (weights * np.exp(2j * np.pi / n * p * np.arange(n // 2 + 1)))
+    return _sup_norm(folded.real @ w.real - folded.imag @ w.imag)
+
+
 def joint_planes(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> JointPlanes:
     """The spectral joint's :class:`JointPlanes`, from its two factors alone.
 
     Each reduction is linear in F = irfft_q[g w], so it is one inverse over q
     of reduced factors: ``over_r`` of ``g * sum_r w``, ``over_R`` of
     ``(sum_R g) * w``, dF/dR at R = r of ``(d_R g)^T * w``.  The guard takes
-    two rows, two columns and two p faces (no BLAS or einsum: their buffers
-    and code pages raise the peak); the extremes are the row of largest
-    ``over_pr``'s.  At hbar = 0 the kernel is rho itself (sinc 0 = 1): the
-    product rho W."""
+    two rows, two columns and two p faces, each p face one real matrix
+    product (:func:`_p_face_sup`); the extremes are the row of largest
+    ``over_pr``'s.  The products map BLAS, as the series builder's product
+    does, which `verify` runs before its configured pass.  Peak RSS at
+    n3 = 128 (VmHWM, fresh processes, against the row-by-row complex
+    products these replaced): `cumulants` alone 37.54-37.76 MiB against
+    37.46-37.74 in 4 pairs, `joint` then `cumulants` in one process
+    37.96-37.98 MiB on both sides of 12 pairs.
+    At hbar = 0 the kernel is rho itself (sinc 0 = 1): the product rho W."""
     _check_joint_inputs(rho, W)
     n = W.grid_p.n
     G = rho.values[:, None] if hbar == 0.0 else _kernel_half(rho, W.grid_p, hbar)
     g, w = _spectral_factors(G, W)
-    weights = np.full(n // 2 + 1, 2.0 / n)  # irfft's: the zero and Nyquist bins count once
-    weights[[0, -1]] = 1.0 / n
 
     def row(R):
         return np.fft.irfft(g[R][:, None] * w, n, axis=0)
-
-    def p_face_sup(p):
-        # irfft's output p is its weighted sum over q, taken one row of R at a time
-        folded = g * (weights * np.exp(2j * np.pi / n * p * np.arange(n // 2 + 1)))
-        return max(_sup_norm((folded_row[:, None] * w).real.sum(axis=0)) for folded_row in folded)
 
     # every plane before the guard's temporaries, which are then freed last
     over_r = np.fft.irfft(g * w.sum(axis=1), n, axis=1)
@@ -241,7 +256,7 @@ def joint_planes(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> Joi
     over_R = np.fft.irfft(g.sum(axis=0)[:, None] * w, n, axis=0)
     diagonal = np.fft.irfft(derivative_array(g, rho.grid, 0, 1).T * w, n, axis=0)
     faces = chain(map(row, (0, -1)), (np.fft.irfft(g * w[:, r], n, axis=1) for r in (0, -1)))
-    boundary = max(*map(_sup_norm, faces), p_face_sup(0), p_face_sup(n - 1))  # one face held at a time
+    boundary = max(*map(_sup_norm, faces), _p_face_sup(g, w, 0), _p_face_sup(g, w, n - 1))  # one face held at a time
     peak = row(max(range(len(over_pr)), key=over_pr.__getitem__))  # np.argmax would map code pages no command else maps
     planes = (over_R, over_pr, over_r, diagonal, boundary, float(peak.max()), float(peak.min()))
     return JointPlanes(rho.grid, W.grid_p, W.grid_r, *planes, W.decay_tol)

@@ -10,8 +10,8 @@ cross-cumulant in its leading expansion coefficient.
 Every reader takes the joint's O(n^2) reductions from the spectral
 builder's two factors (:func:`phasekin.coupling.joint_planes`), and the
 classical-limit scan measures the joint's departure from the product
-rho W in the quadrature L2 norm from O(n^2) sums of the same factors; no
-n^3 array is formed.
+rho W in the quadrature L2 norm from the power spectra of rho and W and
+the kernel alone; no n^3 array is formed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _kernel_half, joint_planes
+from .coupling import joint_planes, sinc_kernel
 from .errors import (
     DegenerateFitError,
     ImaginaryResidueError,
@@ -207,9 +207,11 @@ def cumulant_pass(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tu
 
 
 def _half_power(half: np.ndarray) -> np.ndarray:
-    """``sum |half(q, .)|^2`` over axis 1, for the ``q >= 0`` bins on axis 0;
-    of the zero and Nyquist bins only the real parts, all ``irfft`` reads."""
-    power = np.sum(half.real**2 + half.imag**2, axis=1)
+    """``sum |half(q, .)|^2`` over axis 1, for the ``q >= 0`` bins on axis 0,
+    each counted as often as it stands for a bin of the full spectrum: twice,
+    but once for the zero and Nyquist bins, of which only the real parts
+    count, all ``irfft`` reads."""
+    power = 2.0 * np.sum(half.real**2 + half.imag**2, axis=1)
     power[[0, -1]] = np.sum(half[[0, -1]].real ** 2, axis=1)
     return power
 
@@ -218,15 +220,19 @@ def _departure_norms(rho: VirtualDensity, W: WignerDistribution, hbars: list) ->
     """The L2 norm ``(sum D^2 dR dp dr)^(1/2)`` of D = F_hbar - rho W at each hbar.
 
     rho W is the spectral joint with kernel G(R, q) = rho(R), so D is the
-    inverse over q of (G_hbar - rho)(R, q) W_hat(q, r), and by Parseval
-    ``sum D^2 = sum_q m_q (sum_R |G_hbar - rho|^2) (sum_r |W_hat|^2) / (n dp^2)``,
-    m_q = 1 at the zero and Nyquist bins and 2 elsewhere: O(n^2) sums of
-    the two factors, O(n^2 log n) a hbar, no n^3 array."""
+    inverse over q of (G_hbar - rho)(R, q) W_hat(q, r), and by Parseval over
+    q and then over K,
+    ``sum D^2 = sum_q m_q P_W(q) sum_K |rho_hat(K)|^2 (sinc(hbar K q / 2) - 1)^2
+    / (n_R dR^2 n_p dp^2)``, P_W(q) = sum_r |W_hat(q, r)|^2 and m_q = 1 at the
+    zero and Nyquist bins of q and 2 elsewhere (K likewise): a hbar costs one
+    (n/2 + 1)^2 kernel and one matrix-vector product, and no kernel G is
+    formed or inverted."""
+    half_K = np.pi / rho.grid.half_width * np.arange(rho.grid.n // 2 + 1)
+    half_q = np.pi / W.grid_p.half_width * np.arange(W.grid_p.n // 2 + 1)
+    rho_power = _half_power(half_spectrum_forward(rho.values[:, None], rho.grid))
     w_power = _half_power(half_spectrum_forward(W.values, W.grid_p))
-    w_power[1:-1] *= 2.0
-    volume = rho.grid.step * W.grid_r.step / (W.grid_p.n * W.grid_p.step)
-    kernels = (_kernel_half(rho, W.grid_p, h) - rho.values[:, None] for h in hbars)
-    return [float(np.sqrt(volume * (_half_power(G.T) @ w_power))) for G in kernels]
+    volume = W.grid_r.step / (rho.grid.n * rho.grid.step * W.grid_p.n * W.grid_p.step)
+    return [float(np.sqrt(volume * (rho_power @ (sinc_kernel(half_K, half_q, h) - 1.0) ** 2 @ w_power))) for h in hbars]
 
 
 def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> float:

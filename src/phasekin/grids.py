@@ -20,7 +20,8 @@ real (the unmatched Nyquist mode is dropped for odd orders).
 
 The derivative series of the joint builder and of the Moyal transport
 share one source of derivatives, :func:`spectral_derivatives`, taken
-from one spectral floor, :func:`floored_fft`, and one truncation rule,
+from one floored real half spectrum (``rfft``/``irfft``, the floor
+:data:`SPECTRAL_FLOOR_REL` of its peak) and one truncation rule,
 :func:`accept_series`.
 """
 
@@ -217,25 +218,36 @@ def derivative_array(values: np.ndarray, grid: Grid1D, axis: int, order: int) ->
     return out.real if np.isrealobj(values) else out
 
 
-def floored_fft(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """FFT along one axis with every bin below 1e-13 of the peak zeroed."""
-    hat = np.fft.fft(values, axis=axis)
+def _floored(hat: np.ndarray) -> np.ndarray:
+    """``hat`` with every bin below SPECTRAL_FLOOR_REL of its peak zeroed, in place."""
     hat[np.abs(hat) < SPECTRAL_FLOOR_REL * np.abs(hat).max()] = 0.0
     return hat
 
 
+def floored_fft(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """FFT along one axis with every bin below 1e-13 of the peak zeroed."""
+    return _floored(np.fft.fft(values, axis=axis))
+
+
 def spectral_derivatives(values: np.ndarray, grid: Grid1D, first: int):
-    """``d^m values / dx^m`` along axis 0 for m = first + 2, first + 4, ...,
-    from the floored spectrum (:func:`floored_fft`): the derivatives that
-    the even joint series (``first`` 0) and the odd Moyal series
-    (``first`` 1) pair with their coefficients."""
-    spectrum = floored_fft(values, axis=0)
+    """``d^m values / dx^m`` along axis 0 of a real array for m = first + 2,
+    first + 4, ...: the derivatives that the even joint series (``first``
+    0) and the odd Moyal series (``first`` 1) pair with their coefficients.
+
+    They come from the real half spectrum, ``rfft`` over axis 0 with every
+    bin below 1e-13 of its peak zeroed (for real input the half spectrum's
+    peak is the full one's), and go back by ``irfft``: half the FFT work of
+    the full spectrum, the same derivatives to rounding.  The multipliers
+    are :func:`derivative_multiplier`'s first n/2 + 1 bins, whose last is
+    the Nyquist bin (zero for odd orders)."""
+    half = grid.n // 2 + 1
+    spectrum = _floored(np.fft.rfft(values, axis=0))
     if first:
-        spectrum *= _reshape_for(derivative_multiplier(grid, first), values.ndim, 0)
-    mult = _reshape_for(derivative_multiplier(grid, 2), values.ndim, 0)
+        spectrum *= _reshape_for(derivative_multiplier(grid, first)[:half], values.ndim, 0)
+    mult = _reshape_for(derivative_multiplier(grid, 2)[:half], values.ndim, 0)
     while True:
         spectrum *= mult
-        yield np.fft.ifft(spectrum, axis=0).real
+        yield np.fft.irfft(spectrum, grid.n, axis=0)
 
 
 def series_coefficient(hbar: float, n: int) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import re
+import shutil
 from itertools import count
 
 import numpy as np
@@ -56,13 +57,35 @@ def _clear_outputs(directory: str) -> None:
             os.remove(os.path.join(directory, name))
 
 
-def _prepare_output_dir(config: ScenarioConfig, override: str | None) -> str:
+def _array_bytes(config: ScenarioConfig, command: str) -> tuple:
+    """``(key, bytes)``: the bytes of the arrays ``command`` writes and the
+    config key that sets them.  `joint` writes two n3^3 joints; `simulate`
+    a snapshot at step 0, at every ``snapshot_every``-th step and at the
+    last step.  The other commands write a few small files: 0 bytes."""
+    if command == "joint":
+        return "grid.n3", 16 * config.n3**3
+    if command == "simulate":
+        snapshots = 1 + config.steps // config.snapshot_every + (config.steps % config.snapshot_every != 0)
+        return "evolution.snapshot_every", 8 * config.n2**2 * snapshots
+    return None, 0
+
+
+def _prepare_output_dir(config: ScenarioConfig, command: str, override: str | None) -> str:
+    """Make and clear the output directory, and refuse a run whose arrays
+    would not fit on its disk, before anything is written."""
     if override == "":
         raise ConfigError("--output-dir: expected a non-empty path, got ''")
     directory = override or config.outputs
+    key, needed = _array_bytes(config, command)
     try:
         os.makedirs(directory, exist_ok=True)
         _clear_outputs(directory)
+        free = shutil.disk_usage(directory).free
+        if needed > free:
+            raise ConfigError(
+                f"{key}: {command} writes {needed / 2**20:.4g} MiB of arrays, more than the "
+                f"{free / 2**20:.4g} MiB free in {directory!r}"
+            )
         probe = os.path.join(directory, ".write_probe")
         with open(probe, "w", encoding="utf-8") as fh:
             fh.write("")
@@ -181,7 +204,7 @@ def run_scenario(config: ScenarioConfig, command: str, output_dir: str | None = 
     }.get(command)
     if body is None:
         raise ValueError(f"unknown command {command!r}")
-    directory = _prepare_output_dir(config, output_dir)
+    directory = _prepare_output_dir(config, command, output_dir)
     error = None
     try:
         with np.errstate(over="call", invalid="call", divide="call", call=_raise_non_finite):

@@ -29,6 +29,7 @@ from phasekin.grids import (
     accept_series,
     checked_real,
     derivative_array,
+    derivative_multiplier,
     face_sup,
     floored_fft,
     fourier_forward,
@@ -191,6 +192,25 @@ def departure_norms(rho, W, hbars):
     ]
 
 
+def kernel_departure_norms(rho, W, hbars):
+    """The quadrature L2 norms of classical_limit_scan, as it took them before
+    it applied Parseval over K as well: per hbar, the kernel G_hbar(R, q) at
+    q >= 0 formed, inverted over K and Hermitian-checked, and its departure
+    from rho summed over R, then paired by Parseval over q with W_hat's power."""
+
+    def power(half):
+        # sum over axis 1 of |half|^2; of the zero and Nyquist rows only the real parts
+        out = np.sum(half.real**2 + half.imag**2, axis=1)
+        out[[0, -1]] = np.sum(half[[0, -1]].real ** 2, axis=1)
+        return out
+
+    w_power = power(half_spectrum_forward(W.values, W.grid_p))
+    w_power[1:-1] *= 2.0
+    volume = rho.grid.step * W.grid_r.step / (W.grid_p.n * W.grid_p.step)
+    kernels = (_kernel_half(rho, W.grid_p, h) - rho.values[:, None] for h in hbars)
+    return [float(np.sqrt(volume * (power(G.T) @ w_power))) for G in kernels]
+
+
 def full_weighting_moments(F, orders):
     """Raw moments of a joint, each weighting all n^3 values before one sum,
     as ``moments`` did before it summed out the unindexed axes first."""
@@ -247,6 +267,31 @@ def dense_joint_series(rho, W, hbar):
     total = sum(accepted, base)
     verdict(_sup_norm(total))
     return total
+
+
+def full_spectrum_derivatives(values, grid, first):
+    """spectral_derivatives as it ran before it took the real half spectrum:
+    the full floored FFT over axis 0, multiplied in place, and the real part
+    of each full inverse."""
+    spectrum = floored_fft(values, axis=0)
+    if first:
+        spectrum *= _reshape_for(derivative_multiplier(grid, first), values.ndim, 0)
+    mult = _reshape_for(derivative_multiplier(grid, 2), values.ndim, 0)
+    while True:
+        spectrum *= mult
+        yield np.fft.ifft(spectrum, axis=0).real
+
+
+def row_by_row_p_face_sup(g, w, p):
+    """The sup norm of the spectral joint's face at row ``p`` of p from its
+    factors, as joint_planes took it before one real matrix product: irfft's
+    weighted sum over q, formed as an (n/2 + 1, n) complex product one row
+    of R at a time."""
+    n = 2 * (w.shape[0] - 1)
+    weights = np.full(n // 2 + 1, 2.0 / n)
+    weights[[0, -1]] = 1.0 / n
+    folded = g * (weights * np.exp(2j * np.pi / n * p * np.arange(n // 2 + 1)))
+    return max(_sup_norm((folded_row[:, None] * w).real.sum(axis=0)) for folded_row in folded)
 
 
 def whole_product_series(rho, W, hbar):

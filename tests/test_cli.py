@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -700,6 +701,31 @@ class TestRunTimeBudget:
         assert main(["simulate", "--config", cfg]) == 2
         assert "config error: evolution.steps: estimated propagation time" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestDiskBudget:
+    @pytest.mark.parametrize(
+        "command, evolution, arrays, key",
+        [
+            ("joint", FAST_EVOLUTION, 2, "grid.n3"),  # two n3^3 joints
+            ("simulate", FAST_EVOLUTION, 3, "evolution.snapshot_every"),  # steps 0, 10, 20
+            ("simulate", dict(FAST_EVOLUTION, snapshot_every=7), 4, "evolution.snapshot_every"),  # 0, 7, 14, 20
+        ],
+    )
+    def test_a_run_that_does_not_fit_is_refused_before_writing(
+        self, tmp_path, monkeypatch, capsys, command, evolution, arrays, key
+    ):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, outputs=str(out), evolution=evolution)
+        side = FAST_GRID["n3"] if command == "joint" else FAST_GRID["n2"]
+        needed = 8 * side ** (3 if command == "joint" else 2) * arrays
+        monkeypatch.setattr(runner.shutil, "disk_usage", lambda path: types.SimpleNamespace(free=needed - 1))
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: {command} writes")
+        assert os.listdir(out) == []
+        monkeypatch.setattr(runner.shutil, "disk_usage", lambda path: types.SimpleNamespace(free=needed))
+        assert main([command, "--config", cfg]) == 0
+        assert sum(os.path.getsize(out / name) for name in os.listdir(out) if name.endswith(".bin")) == needed
 
 
 class TestOracleRunTimeBudget:

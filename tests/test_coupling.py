@@ -42,6 +42,7 @@ from reference import (
     peak_traced_bytes,
     planes_of,
     product_joint,
+    row_by_row_p_face_sup,
     streamed_sums,
     whole_joint,
     whole_product_series,
@@ -447,6 +448,31 @@ class TestPlanesOfDrawnInputs:
         assert gap <= 1e-12 * np.pi / rho.grid.step * peak
         assert abs(planes.boundary - whole.boundary) <= 1e-12 * peak
         assert max(planes.vmax, -planes.vmin) <= peak * (1.0 + 1e-12)  # a bound from within
+
+    @PLANES_SETTINGS
+    @given(inputs=mixture_inputs())
+    def test_p_faces_equal_the_streamed_joint_s(self, inputs):
+        # each p face by one real matrix product of the factors, and by the
+        # row-by-row complex products it replaced, against the whole joint's
+        rho, W, hbar = inputs
+        F = whole_joint(quantum_joint_spectral, rho, W, hbar).values
+        peak = max(F.max(), -F.min())
+        g, w = coupling._spectral_factors(coupling._kernel_half(rho, W.grid_p, hbar), W)
+        for p in (0, W.grid_p.n - 1):
+            face = np.abs(F[:, p, :]).max()
+            assert abs(coupling._p_face_sup(g, w, p) - face) <= 1e-12 * peak
+            assert abs(row_by_row_p_face_sup(g, w, p) - face) <= 1e-12 * peak
+
+    @PLANES_SETTINGS
+    @given(inputs=mixture_inputs())
+    def test_series_builder_agrees_with_the_spectral_or_refuses(self, inputs):
+        rho, W, hbar = inputs
+        try:
+            series = whole_joint(quantum_joint_series, rho, W, hbar).values
+        except NonConvergenceError:
+            return
+        spectral = whole_joint(quantum_joint_spectral, rho, W, hbar).values
+        assert np.abs(series - spectral).max() <= 1e-8 * np.abs(spectral).max()
 
     @PLANES_SETTINGS
     @given(inputs=mixture_inputs())

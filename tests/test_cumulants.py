@@ -48,6 +48,7 @@ from reference import (
     departure_norms,
     full_derivative_diagonal,
     joint_transform,
+    kernel_departure_norms,
     peak_traced_bytes,
     phi_from_full_transform,
     planes_of,
@@ -238,8 +239,9 @@ class TestHeisenberg:
 
 SIGMAS = st.floats(0.5, 1.0)
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-# Peak of the scan in complex (n, n) arrays: measured 4.67 at n = 64
-PEAK_COMPLEX_SQUARES = 5
+# Peak of the scan in complex (n, n) arrays: measured 1.32 at n = 64 (1.28
+# at 128); 4.67 when each hbar formed and inverted its kernel G(R, q)
+PEAK_COMPLEX_SQUARES = 2
 
 
 class TestClassicalLimitScan:
@@ -272,8 +274,8 @@ class TestClassicalLimitScan:
 
 
     def test_buffers_stay_below_one_joint(self, rho_default, wigner_default):
-        # O(n^2): the kernel G(R, q) and its temporaries, one hbar at a
-        # time; no block of the departure joint is formed
+        # O(n^2): the power spectra and the (n/2 + 1)^2 kernel, one hbar
+        # at a time; no block of the departure joint is formed
         n = rho_default.grid.n
         hbars = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
         classical_limit_scan(rho_default, wigner_default, hbars)
@@ -281,16 +283,17 @@ class TestClassicalLimitScan:
         assert peak <= PEAK_COMPLEX_SQUARES * 16 * n * n
 
     def test_nan_block_gives_nan_slope(self, rho_default, wigner_default, monkeypatch):
-        # a NaN in one kernel entry must reach the norm and the slope
-        kernel_half = cumulants._kernel_half
+        # a NaN in one entry of the sinc kernel the scan reads must reach the
+        # norm and the slope
+        kernel = cumulants.sinc_kernel
 
-        def poisoned(rho, grid_p, hbar):
-            G = kernel_half(rho, grid_p, hbar)
+        def poisoned(K, q, hbar):
+            values = kernel(K, q, hbar)
             if hbar == 1 / 4:
-                G[3, 5] = np.nan
-            return G
+                values[3, 5] = np.nan
+            return values
 
-        monkeypatch.setattr(cumulants, "_kernel_half", poisoned)
+        monkeypatch.setattr(cumulants, "sinc_kernel", poisoned)
         assert np.isnan(classical_limit_scan(rho_default, wigner_default, [1 / 16, 1 / 8, 1 / 4, 1 / 2]))
 
     @PROPERTY_SETTINGS
@@ -303,6 +306,7 @@ class TestClassicalLimitScan:
         hbars = [2.0 * sigma_R * sigma_p * np.sqrt(ratio)]
         got, expected = cumulants._departure_norms(rho, W, hbars)[0], departure_norms(rho, W, hbars)[0]
         assert abs(got / expected - 1.0) < 1e-10
+        assert abs(got / kernel_departure_norms(rho, W, hbars)[0] - 1.0) < 1e-10
 
 
 # Traced peak of run_cumulants in complex (n, n) arrays: measured 6.68 at
