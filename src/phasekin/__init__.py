@@ -54,7 +54,6 @@ from .errors import (
 from .grids import Grid1D, make_grid
 from .states import (
     JointPlanes,
-    JointSums,
     VirtualDensity,
     WignerDistribution,
     gaussian_density,

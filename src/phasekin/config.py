@@ -42,11 +42,12 @@ POTENTIAL_KINDS = ("free", "harmonic", "quartic", "from_density")
 DEFAULT_SIGMA = 2**-0.5
 
 # Peak resident bytes per grid point above the post-import level, measured
-# (numpy 2.4, 64-bit, one BLAS thread).  No command holds an n^3 array.
-# `joint` and `verify` stream their joints a block of rows of R at a time,
-# so what grows with n3 is the series factors, (N + 1) n3^2, and O(n3^2)
-# sums: per n3^3 point, at n3 = 64, 128, 256 and 512, `verify` without its
-# dynamics oracles 17, 4.0, 1.6 and 0.72, `joint` 10, 2.9, 1.2 and 0.59.
+# (numpy 2.4, 64-bit, one BLAS thread, n2 = n3).  No command holds an n^3
+# array.  `joint` and `verify` stream their joints a block of rows of R at
+# a time, so what grows with n3 is the series factors, (N + 1) n3^2, and
+# O(n3^2) planes: per n3^3 point at n3 = 64, 128, 256 and 512, `verify`
+# without its dynamics oracles 16, 5.0 (4.1 in another heap layout), 1.7 and
+# 0.78, `joint` 10, 3.0, 1.2 and 0.57.
 # `cumulants` streams no joint: it takes O(n3^2) planes from the spectral
 # joint's factors, and peaks 4.6, 9.9 and 29.5 MiB above the import at
 # n3 = 128, 256 and 512 (0.23 bytes per n3^3 point at 512, about seven
@@ -55,7 +56,7 @@ DEFAULT_SIGMA = 2**-0.5
 # snapshot as it is taken: 64 at n2 = 2048, 65 at 1024, 69 at 512 and 82-84
 # at 256, where fixed costs weigh, alike at a snapshot every step and every
 # 100th.  Rounded up here, with headroom: 80 for n2, about a tenth above the
-# 69 of n2 = 512, and 8 for n3, about twice the 4.0 of n3 = 128.
+# 69 of n2 = 512, and 8 for n3, 1.6 times the 5.0 of n3 = 128.
 BYTES_PER_N3_POINT = 8
 BYTES_PER_N2_POINT = 80
 MEMORY_BUDGET_BYTES = 4 * 2**30

@@ -29,9 +29,9 @@ is formed and inverted a few rows of R at a time.
 Each builder forms the joint a block of INVERSE_BLOCK rows of R at a
 time, writes every block into one reused buffer and hands it to its
 ``each_block`` callable before the next block overwrites it, so no n^3
-array is formed.  Whoever needs the joint writes it or reduces it block
-by block (:class:`phasekin.states.JointSums`); its readers take what they
-need from the spectral joint's two factors (:func:`joint_planes`).
+array is formed.  It then returns the joint's O(n^2) reductions, each a
+product of its reduced factors (:class:`phasekin.states.JointPlanes`);
+:func:`joint_planes` takes the spectral joint's with no block formed.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ from itertools import chain
 import numpy as np
 
 from .grids import (
+    INVERSE_BLOCK,
     Grid1D,
     _alternating,
+    _row_blocks,
     _sup_norm,
     accept_series,
     checked_hermitian,
@@ -56,11 +58,6 @@ from .grids import (
 from .states import JointPlanes, VirtualDensity, WignerDistribution, _check_joint_inputs
 
 KERNEL_SWITCH = 1e-4
-# Rows of R per block of every streamed joint, and of p per block of the
-# stepper's half-streams.  At n3 = 128 blocks of 2 to 8 rows time the
-# spectral inverse over q within noise of each other, 4 the fastest; 16 and
-# more are slower.
-INVERSE_BLOCK = 4
 
 
 def sinc_values(x: np.ndarray) -> np.ndarray:
@@ -72,20 +69,6 @@ def sinc_values(x: np.ndarray) -> np.ndarray:
     xs = x[~big]
     out[~big] = 1.0 - xs**2 / 6.0 + xs**4 / 120.0
     return out
-
-
-def _block_buffer(rho: VirtualDensity, W: WignerDistribution) -> np.ndarray:
-    """A buffer of one block of INVERSE_BLOCK rows of R, reused block after block."""
-    return np.empty((min(INVERSE_BLOCK, rho.grid.n), W.grid_p.n, W.grid_r.n))
-
-
-def _row_blocks(n_rows: int, buffer: np.ndarray):
-    """``(rows, block)`` for each INVERSE_BLOCK rows in turn (of R here, of p
-    in the stepper); ``block`` is the first rows of ``buffer``, which the
-    next block overwrites."""
-    for start in range(0, n_rows, INVERSE_BLOCK):
-        rows = slice(start, min(start + INVERSE_BLOCK, n_rows))
-        yield rows, buffer[: rows.stop - start]
 
 
 def _joint_terms(rho: VirtualDensity, W: WignerDistribution, hbar: float):
@@ -125,17 +108,34 @@ def _series_factors(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> 
     return factors_R, factors_W.reshape(len(factors_W), -1), verdict
 
 
+def _guard(over_pr: np.ndarray, faces, row) -> tuple:
+    """``(boundary, vmax, vmin)`` of a joint from its sum over (p, r), its p and r
+    faces and ``row(R)``, which gives its R faces and its row of largest ``over_pr``."""
+    boundary = max(map(_sup_norm, chain(map(row, (0, -1)), faces)))  # one face held at a time
+    peak = row(max(range(len(over_pr)), key=over_pr.__getitem__))  # np.argmax would map code pages no command else maps
+    return boundary, float(peak.max()), float(peak.min())
+
+
 def _series_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
     """The series joint's blocks ``A[rows] @ B``, as a generator written into
-    one reused buffer, and a function giving its dF/dR at R = r,
-    ``sum_j (d_R A)[r, j] B[j, p, r]``.  The factors are formed at the call;
-    the verdict, which needs the sum's sup norm, comes after the last block."""
+    one reused buffer, and a function giving its :class:`JointPlanes` from its
+    factors A (n, N + 1) and B (N + 1, n^2), each a product of reduced
+    factors: ``A @ sum_r B``, ``(sum_R A) @ B``, dF/dR at R = r
+    ``sum_j (d_R A)[r, j] B[j, p, r]`` and the faces ``A @ B[:, p, :]`` and
+    ``A @ B[:, :, r]``.  The factors are formed at the call; the verdict,
+    which needs the sum's sup norm, comes after the last block."""
     factors_R, factors_W, verdict = _series_factors(rho, W, hbar)
-    buffer = _block_buffer(rho, W)
+    buffer = np.empty((INVERSE_BLOCK, W.grid_p.n, W.grid_r.n))
 
-    def diagonal():
-        planes = factors_W.reshape(len(factors_W), W.grid_p.n, W.grid_r.n)
-        return sum(column * plane for column, plane in zip(derivative_array(factors_R, rho.grid, 0, 1).T, planes))
+    def planes():
+        by_p_r = factors_W.reshape(len(factors_W), W.grid_p.n, W.grid_r.n)
+        over_r = factors_R @ by_p_r.sum(axis=2)
+        over_R = (factors_R.sum(axis=0) @ factors_W).reshape(by_p_r.shape[1:])
+        diagonal = sum(column * plane for column, plane in zip(derivative_array(factors_R, rho.grid, 0, 1).T, by_p_r))
+        faces = (factors_R @ face for i in (0, -1) for face in (by_p_r[:, i], by_p_r[..., i]))
+        over_pr = over_r.sum(axis=1)
+        guard = _guard(over_pr, faces, lambda R: factors_R[R] @ factors_W)
+        return JointPlanes(rho.grid, W.grid_p, W.grid_r, over_R, over_pr, over_r, diagonal, *guard, W.decay_tol)
 
     def blocks():
         sup = 0.0
@@ -145,30 +145,30 @@ def _series_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> t
             yield block
         verdict(float(sup))
 
-    return blocks(), diagonal
+    return blocks(), planes
 
 
-def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> None:
+def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> JointPlanes:
     """Joint built from the even-derivative series; real term by term.
 
     The factors are formed first and the product a block of rows of R at
     a time, each block handed to ``each_block``.  Whether the truncated
     series converged depends on the sup norm of the whole sum, so
-    :class:`NonConvergenceError` comes after the last block.  At hbar = 0
-    the series has no terms, so each block is a product with one inner
-    term: the classical joint rho(R) W(p, r), exactly.
+    :class:`NonConvergenceError` comes after the last block, and then the
+    joint's planes are returned.  At hbar = 0 the series has no terms, so
+    each block is a product with one inner term: the classical joint
+    rho(R) W(p, r), exactly.
 
     On Gaussian presets the series converges inside the whole window
-    hbar < 2 sigma_R sigma_p, that is hbar^2 / (4 sigma_R^2 sigma_p^2) < 1:
-    measured at sigma_R = hbar = 1, n3 = 32 to 256 and half_width 8 or 12,
-    ratios up to 0.99 take at most 54 terms (SERIES_CAP is 64) and
-    agree with :func:`quantum_joint_spectral` within 4.4e-14.  Outside it
-    :class:`NonConvergenceError` is raised where the terms grow (hbar = 2
-    on the coherent preset) or overflow; on coarse grids the floored
-    spectra can still end the series a little past ratio 1.
+    hbar < 2 sigma_R sigma_p (the README gives the measured term counts);
+    outside it :class:`NonConvergenceError` is raised where the terms grow
+    (hbar = 2 on the coherent preset) or overflow.
     """
-    for block in _series_blocks(rho, W, hbar)[0]:
+    blocks, planes = _series_blocks(rho, W, hbar)
+    for block in blocks:
         each_block(block)
+    del block  # the buffer, freed before the planes are taken
+    return planes()
 
 
 def sinc_kernel(K: np.ndarray, q: np.ndarray, hbar: float) -> np.ndarray:
@@ -194,7 +194,7 @@ def _spectral_factors(G: np.ndarray, W: WignerDistribution) -> tuple:
     return g, np.conj(half_spectrum_forward(W.values, grid))
 
 
-def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> None:
+def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> JointPlanes:
     """Joint built in Fourier space via the sinc kernel on the (K, q) lattice,
     by the half-spectrum route of the module docstring.
 
@@ -202,61 +202,56 @@ def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: flo
     windowing is applied.  Each block of rows of R is ``irfft`` over q of
     the factors' product (:func:`_spectral_factors`), formed in one reused
     (B, n/2 + 1, n) complex buffer, and handed to ``each_block``; outside
-    the buffers the work is O(n^2).
+    the buffers the work is O(n^2).  Returns the joint's planes.
     :class:`ImaginaryResidueError` if ``G(R, q)`` is not Hermitian in q
     (a complex kernel, say).
     """
     _check_joint_inputs(rho, W)
     g, w = _spectral_factors(_kernel_half(rho, W.grid_p, hbar), W)
-    product = np.empty((min(INVERSE_BLOCK, len(g)), *w.shape), dtype=complex)
-    for rows, block in _row_blocks(len(g), _block_buffer(rho, W)):
+    product = np.empty((INVERSE_BLOCK, *w.shape), dtype=complex)
+    for rows, block in _row_blocks(len(g), np.empty((INVERSE_BLOCK, W.grid_p.n, W.grid_r.n))):
         product_rows = np.multiply(g[rows, :, None], w, out=product[: len(block)])
         each_block(np.fft.irfft(product_rows, W.grid_p.n, axis=1, out=block))
+    del product, product_rows, block  # the buffers, freed before the planes are taken
+    return _spectral_planes(rho, W, g, w)
 
 
-def _p_face_sup(g: np.ndarray, w: np.ndarray, p: int) -> float:
-    """The sup norm of the joint's face at row ``p`` of p, from its factors.
-
-    irfft's output ``p`` is its weighted sum over q, so the face is
+def _p_face(g: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
+    """The joint's face at row ``p`` of p, from its factors: irfft's output
+    ``p`` is its weighted sum over q, so the face is
     ``Re[(g e^(2 pi i p q / n) weights) @ w]``: one real matrix product of
     the folded factor's two parts, (n, n/2 + 1) by (n/2 + 1, n)."""
     n = 2 * (w.shape[0] - 1)
     weights = np.full(n // 2 + 1, 2.0 / n)  # irfft's: the zero and Nyquist bins count once
     weights[[0, -1]] = 1.0 / n
     folded = g * (weights * np.exp(2j * np.pi / n * p * np.arange(n // 2 + 1)))
-    return _sup_norm(folded.real @ w.real - folded.imag @ w.imag)
+    return folded.real @ w.real - folded.imag @ w.imag
 
 
-def joint_planes(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> JointPlanes:
-    """The spectral joint's :class:`JointPlanes`, from its two factors alone.
-
-    Each reduction is linear in F = irfft_q[g w], so it is one inverse over q
-    of reduced factors: ``over_r`` of ``g * sum_r w``, ``over_R`` of
-    ``(sum_R g) * w``, dF/dR at R = r of ``(d_R g)^T * w``.  The guard takes
-    two rows, two columns and two p faces, each p face one real matrix
-    product (:func:`_p_face_sup`); the extremes are the row of largest
-    ``over_pr``'s.  The products map BLAS, as the series builder's product
-    does, which `verify` runs before its configured pass.  Peak RSS at
-    n3 = 128 (VmHWM, fresh processes, against the row-by-row complex
-    products these replaced): `cumulants` alone 37.54-37.76 MiB against
-    37.46-37.74 in 4 pairs, `joint` then `cumulants` in one process
-    37.96-37.98 MiB on both sides of 12 pairs.
-    At hbar = 0 the kernel is rho itself (sinc 0 = 1): the product rho W."""
-    _check_joint_inputs(rho, W)
+def _spectral_planes(rho: VirtualDensity, W: WignerDistribution, g: np.ndarray, w: np.ndarray) -> JointPlanes:
+    """The :class:`JointPlanes` of the spectral joint F = irfft_q[g w]: each
+    reduction is linear in F, so it is one inverse over q of reduced factors,
+    ``over_r`` of ``g * sum_r w``, ``over_R`` of ``(sum_R g) * w``, dF/dR at
+    R = r of ``(d_R g)^T * w``.  The guard takes two rows, two columns and
+    two p faces, each p face one real matrix product (:func:`_p_face`)."""
     n = W.grid_p.n
-    G = rho.values[:, None] if hbar == 0.0 else _kernel_half(rho, W.grid_p, hbar)
-    g, w = _spectral_factors(G, W)
 
     def row(R):
         return np.fft.irfft(g[R][:, None] * w, n, axis=0)
 
     # every plane before the guard's temporaries, which are then freed last
     over_r = np.fft.irfft(g * w.sum(axis=1), n, axis=1)
-    over_pr = over_r.sum(axis=1)
     over_R = np.fft.irfft(g.sum(axis=0)[:, None] * w, n, axis=0)
     diagonal = np.fft.irfft(derivative_array(g, rho.grid, 0, 1).T * w, n, axis=0)
-    faces = chain(map(row, (0, -1)), (np.fft.irfft(g * w[:, r], n, axis=1) for r in (0, -1)))
-    boundary = max(*map(_sup_norm, faces), _p_face_sup(g, w, 0), _p_face_sup(g, w, n - 1))  # one face held at a time
-    peak = row(max(range(len(over_pr)), key=over_pr.__getitem__))  # np.argmax would map code pages no command else maps
-    planes = (over_R, over_pr, over_r, diagonal, boundary, float(peak.max()), float(peak.min()))
-    return JointPlanes(rho.grid, W.grid_p, W.grid_r, *planes, W.decay_tol)
+    faces = chain((np.fft.irfft(g * w[:, r], n, axis=1) for r in (0, -1)), (_p_face(g, w, p) for p in (0, n - 1)))
+    over_pr = over_r.sum(axis=1)
+    guard = _guard(over_pr, faces, row)
+    return JointPlanes(rho.grid, W.grid_p, W.grid_r, over_R, over_pr, over_r, diagonal, *guard, W.decay_tol)
+
+
+def joint_planes(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> JointPlanes:
+    """The spectral joint's :class:`JointPlanes`, with no block of it formed.
+    At hbar = 0 the kernel is rho itself (sinc 0 = 1): the product rho W."""
+    _check_joint_inputs(rho, W)
+    G = rho.values[:, None] if hbar == 0.0 else _kernel_half(rho, W.grid_p, hbar)
+    return _spectral_planes(rho, W, *_spectral_factors(G, W))

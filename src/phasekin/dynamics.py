@@ -59,10 +59,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import INVERSE_BLOCK, _row_blocks
 from .errors import DecayGuardError
 from .grids import (
+    INVERSE_BLOCK,
     Grid1D,
+    _row_blocks,
     _sup_norm,
     accept_series,
     checked_real,
@@ -269,7 +270,7 @@ def _streamed(spectrum: np.ndarray, grid_p: Grid1D, grid_r: Grid1D, t: float, ma
     r-spectrum ``spectrum`` streamed for ``t`` and inverted over r, formed in
     one buffer that the next block overwrites."""
     k = native_frequencies(grid_r)
-    buffer = np.empty((min(INVERSE_BLOCK, grid_p.n), grid_r.n), dtype=complex)
+    buffer = np.empty((INVERSE_BLOCK, grid_r.n), dtype=complex)
     for rows, block in _row_blocks(grid_p.n, buffer):
         _streaming_phase(grid_p.points[rows], k, t, mass, block)
         np.multiply(spectrum[rows], block, out=block)

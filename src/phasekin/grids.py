@@ -52,6 +52,11 @@ SERIES_FAIL_REL = 1e-8
 # high-order structure once a series amplifies it
 SPECTRAL_FLOOR_REL = 1e-13
 IMAG_RESIDUE_TOL = 1e-9
+# Rows of R per block of every streamed joint, and of p per block of the
+# stepper's half-streams; a grid has at least 16 points.  At n3 = 128 blocks
+# of 2 to 8 rows time the spectral inverse over q within noise of each
+# other, 4 the fastest; 16 and more are slower.
+INVERSE_BLOCK = 4
 
 
 def checked_real(values: np.ndarray, what: str) -> np.ndarray:
@@ -260,6 +265,14 @@ def series_coefficient(hbar: float, n: int) -> float:
         return (-1.0) ** n * (hbar / 2.0) ** (2 * n) / math.factorial(2 * n + 1)
     except OverflowError:
         raise NonConvergenceError(f"series coefficient (hbar/2)^{2 * n} overflows at hbar = {hbar!r}") from None
+
+
+def _row_blocks(n_rows: int, buffer: np.ndarray):
+    """``(rows, buffer)`` for each INVERSE_BLOCK rows in turn (of R in the
+    joint builders, of p in the stepper), ``buffer`` holding INVERSE_BLOCK
+    rows that each block overwrites; every grid's size is a multiple of it."""
+    for start in range(0, n_rows, INVERSE_BLOCK):
+        yield slice(start, start + INVERSE_BLOCK), buffer
 
 
 def _sup_norm(values: np.ndarray) -> float:

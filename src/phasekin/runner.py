@@ -12,8 +12,9 @@ first removes what its body wrote, so it leaves only those two files.
 A command body (``run_simulate``, ``run_joint``, ``run_cumulants``,
 ``run_verify``) computes its results, writes its own files and returns
 ``(outputs, status)``: status ``complete``, or ``failed`` when a
-verification check fails.  A failed write (a full disk, say) aborts as a
-guard does; one of the manifest itself leaves no file of the run.
+verification check fails; ``run_joint`` takes its residuals from the
+planes its builders return.  A failed write (a full disk, say) aborts as
+a guard does; one of the manifest itself leaves no file of the run.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .serialization import (
     write_manifest,
     write_resolved_config,
 )
-from .states import JointSums, marginal_residuals
+from .states import marginal_residuals
 from .verification import run_verification
 
 # Every file name a command writes, the manifest's temporary file included;
@@ -95,32 +96,18 @@ def _prepare_output_dir(config: ScenarioConfig, command: str, override: str | No
     return directory
 
 
-def _streamed_joint(build, rho, W, hbar: float, sums: JointSums) -> RowBlocks:
-    """The joint ``build`` forms, handed to its writer a block of rows of R
-    at a time; each block is reduced into ``sums`` on the way."""
-
-    def produce(write):
-        def each_block(block):
-            sums.add(block)
-            write(block)
-
-        build(rho, W, hbar, each_block)
-        sums.finish()
-
-    return RowBlocks((rho.grid.n, W.grid_p.n, W.grid_r.n), produce)
-
-
 def run_joint(config: ScenarioConfig, directory: str) -> tuple:
-    """Build, write and reduce each joint a block of rows of R at a time, in
-    one pass over its blocks: no n^3 array is ever held."""
+    """Build and write each joint a block of rows of R at a time: no n^3
+    array is ever held.  The marginal residuals come from the planes that
+    the builder returns after its last block."""
     rho, W = config.joint_inputs()
-    grids = (rho.grid,) * 3
+    grids, shape = (rho.grid,) * 3, (rho.grid.n, W.grid_p.n, W.grid_r.n)
     outputs, rows = [], []
     for label, build in (("series", quantum_joint_series), ("spectral", quantum_joint_spectral)):
-        sums = JointSums(rho, W)
-        stream = _streamed_joint(build, rho, W, config.hbar, sums)
+        planes = []  # the builder's return value, once the stream has been written
+        stream = RowBlocks(shape, lambda write: planes.append(build(rho, W, config.hbar, write)))
         outputs += write_array(directory, f"f_{label}", stream, ("R", "p", "r"), grids)
-        over_R, over_pr = marginal_residuals(sums, rho, W)
+        over_R, over_pr = marginal_residuals(planes[0], rho, W)
         rows += [(label, "over_R", over_R), (label, "over_pr", over_pr)]
     outputs.append(
         write_csv(

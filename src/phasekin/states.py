@@ -2,9 +2,8 @@
 
 The joint distribution couples the force-carrier position R to the real
 particle's phase-space point (p, r).  It is never held whole: its
-readers take its O(n^2) reductions from the factors it is built from
-(:class:`JointPlanes`), and what streams it sums its blocks
-(:class:`JointSums`).  R and r live on one shared grid so the
+readers take its O(n^2) reductions, which both builders take from their
+factors (:class:`JointPlanes`).  R and r live on one shared grid so the
 contraction at R = r is an exact diagonal slice (:func:`_check_joint_inputs`).
 Away from the classical limit the joint may carry genuine tails in R of
 magnitude up to ~1e-10 of its peak; 3-axis decay checks therefore use a
@@ -143,59 +142,16 @@ def gaussian_wigner(
     return WignerDistribution(grid_p, grid_r, v)
 
 
-class JointSums:
-    """The two marginal sums of a real joint density F(R, p, r) of virtual
-    position and real phase space, built from ``rho`` and ``W``, taken over
-    consecutive blocks of its rows of R as a builder hands them over: what
-    ``joint`` and ``verify``'s builder checks read from the joints they
-    stream.  Add the blocks in order (:meth:`add`), then :meth:`finish`,
-    which checks that F integrates to 1, from the sum of ``over_pr`` as
-    :class:`JointPlanes` does.  Each sum equals its whole-array numpy form
-    bit for bit: ``over_R`` is ``F.sum(axis=0)``, its rows added in order,
-    and ``over_pr`` is ``F.sum(axis=(1, 2))``.  ``decay_tol`` is W's guard,
-    which the recovered W marginal keeps.
-    """
-
-    def __init__(self, rho: VirtualDensity, W: WignerDistribution):
-        _check_joint_inputs(rho, W)
-        self.grid_R, self.grid_p, self.grid_r = rho.grid, W.grid_p, W.grid_r
-        self.decay_tol = W.decay_tol
-        self.over_R = None
-        self.over_pr = np.empty(rho.grid.n)
-        self.rows = 0
-
-    def add(self, block: np.ndarray) -> None:
-        """Reduce the next ``len(block)`` rows of R."""
-        rows = slice(self.rows, self.rows + len(block))
-        if block.shape[1:] != (self.grid_p.n, self.grid_r.n) or rows.stop > self.grid_R.n:
-            raise ValueError(f"block of shape {block.shape} at row {rows.start} does not fit the joint's grids")
-        self.rows = rows.stop
-        self.over_pr[rows] = block.sum(axis=(1, 2))
-        if self.over_R is None:
-            self.over_R, block_rest = block[0].copy(), block[1:]
-        else:
-            block_rest = block
-        for row in block_rest:
-            self.over_R += row
-
-    def finish(self) -> "JointSums":
-        """Check that every row was added and that F integrates to 1; returns self."""
-        if self.rows != self.grid_R.n:
-            raise ValueError(f"{self.rows} rows of R added, expected {self.grid_R.n}")
-        grids = (self.grid_R, self.grid_p, self.grid_r)
-        _unit_integral(self.over_pr.sum(), grids, JOINT_NORMALIZATION_TOL, "F")
-        return self
-
-
 @dataclass(frozen=True)
 class JointPlanes:
-    """The O(n^2) reductions of a real joint density F(R, p, r) that its
-    readers take (:func:`phasekin.coupling.joint_planes`).  ``over_R`` (p, r),
-    ``over_pr`` (R) and ``over_r`` (R, p) sum F over R, over (p, r) and over
-    r; ``dR_diagonal`` (p, r) is dF/dR at R = r.  ``boundary`` is F's
-    :func:`phasekin.grids.face_sup`; ``vmax`` and ``vmin``, from one row of F,
-    bound its extremes from within, so the decay guard (:meth:`ensure_decaying`)
-    errs closed.  F must integrate to 1; ``decay_tol`` is as :class:`JointSums`'.
+    """The O(n^2) reductions of a real joint density F(R, p, r) that each
+    builder returns and its readers take (:func:`phasekin.coupling.joint_planes`).
+    ``over_R`` (p, r), ``over_pr`` (R) and ``over_r`` (R, p) sum F over R,
+    over (p, r) and over r; ``dR_diagonal`` (p, r) is dF/dR at R = r.
+    ``boundary`` is F's :func:`phasekin.grids.face_sup`; ``vmax`` and
+    ``vmin``, from one row of F, bound its extremes from within, so the decay
+    guard (:meth:`ensure_decaying`) errs closed.  F must integrate to 1;
+    ``decay_tol`` is W's guard, which the recovered W marginal keeps.
     """
 
     grid_R: Grid1D
@@ -219,23 +175,21 @@ class JointPlanes:
         require_decay(self.boundary, self.vmax, self.vmin, tol, what)
 
 
-def marginal_over_R(sums) -> WignerDistribution:
-    """Integrate out the virtual position of a joint, given by its
-    :class:`JointSums` or :class:`JointPlanes`; recovers W, under the guard
-    of the W that the joint was built from."""
-    return WignerDistribution(sums.grid_p, sums.grid_r, sums.over_R * sums.grid_R.step, sums.decay_tol)
+def marginal_over_R(planes: JointPlanes) -> WignerDistribution:
+    """Integrate out the virtual position of a joint, given by its planes;
+    recovers W, under the guard of the W that the joint was built from."""
+    return WignerDistribution(planes.grid_p, planes.grid_r, planes.over_R * planes.grid_R.step, planes.decay_tol)
 
 
-def marginal_over_pr(sums) -> VirtualDensity:
-    """Integrate out the real-particle phase space of a joint, given as to
-    :func:`marginal_over_R`; recovers the density."""
-    return VirtualDensity(sums.grid_R, sums.over_pr * sums.grid_p.step * sums.grid_r.step)
+def marginal_over_pr(planes: JointPlanes) -> VirtualDensity:
+    """Integrate out the real-particle phase space of a joint's planes; recovers the density."""
+    return VirtualDensity(planes.grid_R, planes.over_pr * planes.grid_p.step * planes.grid_r.step)
 
 
-def marginal_residuals(sums, rho: VirtualDensity, W: WignerDistribution) -> tuple:
+def marginal_residuals(planes: JointPlanes, rho: VirtualDensity, W: WignerDistribution) -> tuple:
     """Sup-norm gaps of a joint's two marginals from the W and rho it was built from."""
-    over_R = float(np.abs(marginal_over_R(sums).values - W.values).max())
-    return over_R, float(np.abs(marginal_over_pr(sums).values - rho.values).max())
+    over_R = float(np.abs(marginal_over_R(planes).values - W.values).max())
+    return over_R, float(np.abs(marginal_over_pr(planes).values - rho.values).max())
 
 
 def moments(obj, orders) -> dict:

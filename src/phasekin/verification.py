@@ -9,7 +9,8 @@ the transport oracle, converges well inside the 64-term cap of
 :func:`phasekin.grids.accept_series`, and a wider box for hbar = 2, because
 a Gaussian needs ``half_width >= 8 sigma`` to satisfy the decay guard;
 the identities under test are covariant under that joint rescaling of
-hbar and the widths, so nothing is lost.
+hbar and the widths, so nothing is lost.  The checks read a joint's
+planes; the builder gap and the classical reduction read its blocks.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .dynamics import (
 from .errors import PhasekinError
 from .grids import make_grid
 from .serialization import fmt, write_csv
-from .states import JointSums, gaussian_density, gaussian_wigner, marginal_over_pr, marginal_over_R, marginal_residuals
+from .states import gaussian_density, gaussian_wigner, marginal_over_pr, marginal_over_R, marginal_residuals
 
 # (sigma_R, sigma_p, sigma_r, half_width) per hbar; widths scale with hbar so
 # every derivative series keeps convergence ratio hbar^2/(4 sigma_R^2 sigma_p^2)
@@ -121,10 +122,6 @@ def _failed_rows(checks: list, *names: str):
         checks.extend(Check(name, float("nan"), 0.0, False, f"{type(exc).__name__}: {exc}") for name in names)
 
 
-def _rel_linf(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(a - b).max() / np.abs(b).max())
-
-
 def _sup_gap(a, b) -> float:
     """max |a - b| over paired rows, so no temporary is larger than one row."""
     return max(float(np.abs(x - y).max()) for x, y in zip(a, b))
@@ -149,47 +146,43 @@ def _value(outcome):
     return outcome
 
 
-def _joint_pair(rho, W, hbar: float) -> tuple:
-    """(series sums, series dF/dR at R = r, spectral sums, builder gap) of
-    one preset's two joints, each a :class:`PhasekinError` instead if its
-    stream raised.
-
-    The spectral builder is the outer loop.  Each of its blocks is reduced
-    and paired with the series block of the same rows of R
-    (:func:`phasekin.coupling._series_blocks`), which is reduced in turn,
-    and the gap is taken pair by pair: neither joint is held whole.  A
-    stream that raises leaves the other to run to its end alone.  The
-    series verdict comes after its last block, its diagonal after that.
+def _joint_pair(rho, W, hbar: float, planes) -> tuple:
+    """(series planes, factors tie, builder gap) of one preset's two joints,
+    each a :class:`PhasekinError` instead if what it reads raised.  Each
+    spectral block is paired with the series block of its rows of R
+    (:func:`phasekin.coupling._series_blocks`) for the gap, and summed over
+    (p, r) and over R for the tie, the sup-norm gap of those marginals to
+    ``planes``': neither joint is held whole.  A stream that raises leaves
+    the other to run to its end; the series planes come after its verdict.
     """
-    series_sums, spectral_sums = (JointSums(rho, W) for _ in range(2))
     stream = _attempt(_series_blocks, rho, W, hbar)
-    series, diagonal = (stream, stream) if isinstance(stream, PhasekinError) else stream
-    gap = 0.0
+    series, series_planes = (stream, stream) if isinstance(stream, PhasekinError) else stream
+    over_R, over_pr, gap = np.zeros(W.values.shape), [], 0.0
 
     def each_block(block):
         nonlocal series, gap
-        spectral_sums.add(block)
+        over_pr.extend(block.sum(axis=(1, 2)))
+        for row in block:
+            np.add(over_R, row, out=over_R)
         paired = _attempt(next, series)
         if isinstance(paired, PhasekinError):
             series = paired
         else:
-            series_sums.add(paired)
             gap = max(gap, _sup_gap(paired, block))
 
-    def stream_spectral():
-        quantum_joint_spectral(rho, W, hbar, each_block)
-        return spectral_sums.finish()
+    def finish_series(blocks, take_planes):
+        deque(blocks, maxlen=0)  # the blocks the spectral stream did not take, then the verdict
+        return take_planes()
 
-    def finish_series(blocks):
-        for block in blocks:  # those the spectral stream did not take, then the verdict
-            series_sums.add(block)
-        return series_sums.finish()
+    def tie(planes, _):
+        factors = marginal_over_R(planes).values, marginal_over_pr(planes).values
+        streamed = over_R * rho.grid.step, np.array(over_pr) * W.grid_p.step * W.grid_r.step
+        return max(float(np.abs(a - b).max()) for a, b in zip(factors, streamed))
 
-    spectral = _attempt(stream_spectral)
-    series = _attempt(finish_series, series)
-    diagonal = _attempt(lambda _, take: take(), series, diagonal)
+    spectral = _attempt(quantum_joint_spectral, rho, W, hbar, each_block)
+    series_planes = _attempt(finish_series, series, series_planes)
     # the gap stands only if both streams ran to their end
-    return series, diagonal, spectral, _attempt(lambda *_: gap, series, spectral)
+    return series_planes, _attempt(tie, planes, spectral), _attempt(lambda *_: gap, series_planes, spectral)
 
 
 def check_equivalence_presets(config: ScenarioConfig) -> list:
@@ -197,12 +190,14 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
 
     Each preset's rho and W are built once, and its two joints streamed
     once, in step (:func:`_joint_pair`), so no n^3 array is formed.  The
-    series joint's sums and diagonal give ``central_equivalence[series]``.
-    The spectral joint's planes, from its factors, give
+    series joint's planes, which its builder takes from its factors, give
+    ``central_equivalence[series]``.  The spectral joint's planes
+    (:func:`phasekin.coupling.joint_planes`) give
     ``central_equivalence[spectral]`` and the Heisenberg rows, and
     ``builder_equivalence[...][factors]`` ties their marginals to the
-    streamed joint's.  A family whose work raises keeps its rows and
-    ends in one failed row carrying the first error; the others go on.
+    streamed joint's.  ``marginal_recovery`` reads both joints' planes.  A
+    family whose work raises keeps its rows and ends in one failed row
+    carrying the first error; the others go on.
 
     The central ``[series]`` and ``[spectral]`` rows differ by more than
     the two joints do.  At n3 = 64 and hbar = 0.5, 1 and 2 the joints
@@ -219,11 +214,9 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
     def moyal_reference(rho, W, hbar):
         return moyal_rhs_series(W, potential_from_density(rho, config.epsilon), hbar, config.mass)
 
-    def transport_gap(reference, sums, diagonal):
-        return _rel_linf(collision_rhs(marginal_over_R(sums), diagonal, config.epsilon, config.mass), reference)
-
-    def factors_gap(planes, sums):
-        return max(marginal_residuals(planes, marginal_over_pr(sums), marginal_over_R(sums)))
+    def transport_gap(reference, planes):
+        rhs = collision_rhs(marginal_over_R(planes), planes.dR_diagonal, config.epsilon, config.mass)
+        return float(np.abs(rhs - reference).max() / np.abs(reference).max())
 
     for hbar, (sigma_R, sigma_p, sigma_r, half_width) in EQUIV_PRESETS.items():
         tag = f"[hbar={hbar}]"
@@ -233,19 +226,18 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
             W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
             reference = _attempt(moyal_reference, rho, W, hbar)
             planes = _attempt(joint_planes, rho, W, hbar)
-            series, diagonal, spectral, gap = _joint_pair(rho, W, hbar)
+            series, tie, gap = _joint_pair(rho, W, hbar, planes)
             with _failed_rows(checks, f"central_equivalence{tag}"):
-                measured = transport_gap(_value(reference), _value(series), _value(diagonal))
+                measured = transport_gap(_value(reference), _value(series))
                 checks.append(_tol_check(f"central_equivalence{tag}[series]", measured, 1e-6))
-                measured = transport_gap(reference, _value(planes), planes.dR_diagonal)
+                measured = transport_gap(reference, _value(planes))
                 checks.append(_tol_check(f"central_equivalence{tag}[spectral]", measured, 1e-6))
             with _failed_rows(checks, f"builder_equivalence{tag}"):
-                tie = factors_gap(_value(planes), _value(spectral))
                 # read 4.2e-17 to 1.7e-16 at n3 = 64, at most 8.9e-16 up to 512
-                checks.append(_tol_check(f"builder_equivalence{tag}[factors]", tie, 1e-13))
+                checks.append(_tol_check(f"builder_equivalence{tag}[factors]", _value(tie), 1e-13))
                 checks.append(_tol_check(f"builder_equivalence{tag}", _value(gap), 1e-8))
             with _failed_rows(checks, f"marginal_recovery{tag}"):
-                residuals = (*marginal_residuals(_value(series), rho, W), *marginal_residuals(_value(spectral), rho, W))
+                residuals = (*marginal_residuals(_value(series), rho, W), *marginal_residuals(_value(planes), rho, W))
                 checks.append(_tol_check(f"marginal_recovery{tag}", max(0.0, *residuals), 1e-7))
             with _failed_rows(checks, f"heisenberg{tag}"):
                 report = heisenberg_check(_value(planes), hbar)
@@ -268,7 +260,7 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
                         f"lhs={fmt(report.heisenberg_lhs)} rhs={fmt(report.heisenberg_rhs)}",
                     )
                 )
-            del series, diagonal, spectral, planes  # not held while the next preset streams
+            del series, planes  # not held while the next preset streams
     return checks
 
 
@@ -278,13 +270,11 @@ def check_classical_reduction(config: ScenarioConfig) -> list:
         rho, W3 = config.joint_inputs()
         worst = 0.0
         for build in (quantum_joint_series, quantum_joint_spectral):
-            done = 0  # rows of R compared so far
+            product = (r * W3.values for r in rho.values)  # rho(R) W(p, r), one row of R at a time
 
             def against_product(block):
-                # against the classical product rho(R) W(p, r), one row of R at a time
-                nonlocal worst, done
-                worst = max(worst, _sup_gap(block, (r * W3.values for r in rho.values[done : done + len(block)])))
-                done += len(block)
+                nonlocal worst  # zip takes block's rows first, so it draws as many rows of the product
+                worst = max(worst, _sup_gap(block, product))
 
             build(rho, W3, 0.0, against_product)
         checks.append(_tol_check("classical_reduction[hbar=0]", worst, 1e-12))

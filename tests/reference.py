@@ -19,7 +19,7 @@ from phasekin.coupling import (
     sinc_values,
 )
 from phasekin.dynamics import PROPAGATION_DECAY_TOL, _energy, propagate
-from phasekin.states import JointPlanes, JointSums, WignerDistribution
+from phasekin.states import JointPlanes, WignerDistribution
 from phasekin.grids import (
     DECAY_TOL,
     Grid1D,
@@ -93,14 +93,6 @@ def planes_of(F):
         F.grid_R, F.grid_p, F.grid_r, v.sum(axis=0), v.sum(axis=(1, 2)), v.sum(axis=2), diagonal,
         face_sup(v), v.max(), v.min(), F.decay_tol,
     )
-
-
-def streamed_sums(build, rho, W, *args):
-    """The finished JointSums of the joint that ``build(rho, W, *args,
-    each_block)`` streams, taken block by block as the builder hands them over."""
-    sums = JointSums(rho, W)
-    build(rho, W, *args, sums.add)
-    return sums.finish()
 
 
 def joint_transform(F):

@@ -164,6 +164,23 @@ class TestJointCommand:
         worst = max(float(line.split(",")[2]) for line in residuals[1:])
         assert worst < 1e-7
 
+    def test_residuals_are_those_of_the_written_arrays(self, tmp_path):
+        # the CSV's residuals come from the planes the builders return; each
+        # must be that of the array on disk, its marginal summed whole here
+        out = tmp_path / "out"
+        assert main(["joint", "--output-dir", str(out)]) == 0
+        rho, W = load_config().joint_inputs()
+        with open(out / "marginal_residuals.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row in rows:
+            F, _ = read_array(str(out), f"f_{row['builder']}")
+            if row["marginal"] == "over_R":
+                residual = np.abs(F.sum(axis=0) * rho.grid.step - W.values).max()
+            else:
+                residual = np.abs(F.sum(axis=(1, 2)) * (W.grid_p.step * W.grid_r.step) - rho.values).max()
+            assert abs(float(row["linf_residual"]) - residual) <= 1e-15, row
+
     def test_hbar_override(self, tmp_path):
         cfg = write_config(tmp_path, outputs=str(tmp_path / "out"))
         assert main(["joint", "--config", cfg, "--hbar", "0.0"]) == 0

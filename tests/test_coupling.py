@@ -13,7 +13,7 @@ from phasekin import (
     DecayGuardError,
     GridMismatchError,
     ImaginaryResidueError,
-    JointSums,
+    JointPlanes,
     NonConvergenceError,
     VirtualDensity,
     WignerDistribution,
@@ -29,10 +29,11 @@ from phasekin import (
     quantum_joint_spectral,
 )
 from phasekin import coupling
-from phasekin.coupling import INVERSE_BLOCK, joint_planes, sinc_values
+from phasekin.coupling import joint_planes, sinc_values
 from phasekin.cumulants import PHI_RATIO_FLOOR, phi_field
-from phasekin.grids import face_sup, fourier_forward
+from phasekin.grids import INVERSE_BLOCK, face_sup, fourier_forward
 from phasekin.states import marginal_residuals, preset_fits
+from phasekin.verification import EQUIV_PRESETS
 
 from reference import (
     dense_joint_series,
@@ -43,7 +44,6 @@ from reference import (
     planes_of,
     product_joint,
     row_by_row_p_face_sup,
-    streamed_sums,
     whole_joint,
     whole_product_series,
 )
@@ -119,8 +119,8 @@ class TestClassicalJoint:
         assert abs(F.values.sum() * grid64.step**3 - 1.0) < 1e-9
 
     def test_marginal_is_input(self, rho_default, wigner_default):
-        sums = streamed_sums(quantum_joint_series, rho_default, wigner_default, 0.0)
-        assert np.abs(marginal_over_R(sums).values - wigner_default.values).max() < 1e-14
+        planes = planes_of(whole_joint(quantum_joint_series, rho_default, wigner_default, 0.0))
+        assert np.abs(marginal_over_R(planes).values - wigner_default.values).max() < 1e-14
 
     def test_nonnegative_for_nonnegative_wigner(self, rho_default, wigner_default):
         F = whole_joint(quantum_joint_series, rho_default, wigner_default, 0.0)
@@ -133,9 +133,8 @@ class TestClassicalJoint:
         lambda rho, W: quantum_joint_series(rho, W, 1.0, ignore),
         lambda rho, W: quantum_joint_spectral(rho, W, 1.0, ignore),
         lambda rho, W: joint_planes(rho, W, 1.0),
-        JointSums,
     ],
-    ids=["series", "spectral", "planes", "sums"],
+    ids=["series", "spectral", "planes"],
 )
 def test_grid_mismatch_rejected(rho_default, take):
     # R and r share one grid: each builder and each reduction refuses a W
@@ -372,7 +371,8 @@ class TestFactoredSeries:
 def test_streamed_blocks_equal_the_whole_joint(rho_default, wigner_default, build, whole):
     # each builder's blocks, collected, against its one-call whole-array route
     blocks = []
-    assert build(rho_default, wigner_default, each_block=lambda block: blocks.append(block.copy())) is None
+    planes = build(rho_default, wigner_default, each_block=lambda block: blocks.append(block.copy()))
+    assert isinstance(planes, JointPlanes)
     assert len(blocks) == rho_default.grid.n // INVERSE_BLOCK
     assert np.array_equal(np.concatenate(blocks), whole(rho_default, wigner_default))
 
@@ -430,24 +430,50 @@ def mixture_inputs(draw):
     return rho, W, draw(st.floats(0.25, 2.0))
 
 
+def assert_planes_equal(planes, whole, rho):
+    """``planes``, from a builder's factors, against ``whole``, the planes of
+    the joint it streams taken from the whole array: each sum within 1e-12
+    of its sup norm."""
+    for name in ("over_r", "over_R", "over_pr"):
+        expected = getattr(whole, name)
+        assert np.abs(getattr(planes, name) - expected).max() <= 1e-12 * np.abs(expected).max(), name
+    # the diagonal against the scale its rounding acts on, K_max sup|F|:
+    # where rho and W barely overlap at R = r it is 1e-5 of that scale,
+    # and both routes' rounding, 7e-16 of it, is 1e-11 of the diagonal
+    peak = max(whole.vmax, -whole.vmin)
+    gap = np.abs(planes.dR_diagonal - whole.dR_diagonal).max()
+    assert gap <= 1e-12 * np.pi / rho.grid.step * peak
+    assert abs(planes.boundary - whole.boundary) <= 1e-12 * peak
+    assert max(planes.vmax, -planes.vmin) <= peak * (1.0 + 1e-12)  # a bound from within
+
+
+@pytest.mark.parametrize("hbar", sorted(EQUIV_PRESETS))
+@pytest.mark.parametrize("build", [quantum_joint_series, quantum_joint_spectral], ids=["series", "spectral"])
+def test_builders_return_their_joint_s_planes(build, hbar):
+    sigma_R, sigma_p, sigma_r, half_width = EQUIV_PRESETS[hbar]
+    grid = make_grid(64, half_width)
+    rho = gaussian_density(grid, 0.0, sigma_R)
+    W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
+    assert_planes_equal(build(rho, W, hbar, ignore), planes_of(whole_joint(build, rho, W, hbar)), rho)
+
+
 class TestPlanesOfDrawnInputs:
     @PLANES_SETTINGS
     @given(inputs=mixture_inputs())
     def test_factor_planes_equal_the_streamed_joint_s(self, inputs):
         rho, W, hbar = inputs
-        F = whole_joint(quantum_joint_spectral, rho, W, hbar)
-        whole, planes = planes_of(F), joint_planes(rho, W, hbar)
-        for name in ("over_r", "over_R", "over_pr"):
-            expected = getattr(whole, name)
-            assert np.abs(getattr(planes, name) - expected).max() <= 1e-12 * np.abs(expected).max(), name
-        # the diagonal against the scale its rounding acts on, K_max sup|F|:
-        # where rho and W barely overlap at R = r it is 1e-5 of that scale,
-        # and both routes' rounding, 7e-16 of it, is 1e-11 of the diagonal
-        peak = max(whole.vmax, -whole.vmin)
-        gap = np.abs(planes.dR_diagonal - whole.dR_diagonal).max()
-        assert gap <= 1e-12 * np.pi / rho.grid.step * peak
-        assert abs(planes.boundary - whole.boundary) <= 1e-12 * peak
-        assert max(planes.vmax, -planes.vmin) <= peak * (1.0 + 1e-12)  # a bound from within
+        whole = planes_of(whole_joint(quantum_joint_spectral, rho, W, hbar))
+        assert_planes_equal(joint_planes(rho, W, hbar), whole, rho)
+
+    @PLANES_SETTINGS
+    @given(inputs=mixture_inputs())
+    def test_series_planes_equal_the_streamed_joint_s_or_refuse(self, inputs):
+        rho, W, hbar = inputs
+        try:
+            planes = quantum_joint_series(rho, W, hbar, ignore)
+        except NonConvergenceError:
+            return
+        assert_planes_equal(planes, planes_of(whole_joint(quantum_joint_series, rho, W, hbar)), rho)
 
     @PLANES_SETTINGS
     @given(inputs=mixture_inputs())
@@ -460,7 +486,7 @@ class TestPlanesOfDrawnInputs:
         g, w = coupling._spectral_factors(coupling._kernel_half(rho, W.grid_p, hbar), W)
         for p in (0, W.grid_p.n - 1):
             face = np.abs(F[:, p, :]).max()
-            assert abs(coupling._p_face_sup(g, w, p) - face) <= 1e-12 * peak
+            assert abs(np.abs(coupling._p_face(g, w, p)).max() - face) <= 1e-12 * peak
             assert abs(row_by_row_p_face_sup(g, w, p) - face) <= 1e-12 * peak
 
     @PLANES_SETTINGS

@@ -14,7 +14,6 @@ from phasekin import (
     EvolutionParams,
     ImaginaryResidueError,
     InsufficientSupportError,
-    JointSums,
     classical_limit_scan,
     collision_rhs,
     gaussian_density,
@@ -418,9 +417,8 @@ class TestEvolvedJoint:
         W, rho = quartic_snapshot()
         _, report, _ = cumulant_pass(rho, W, 1.0)
         assert abs(report.kappa22 + 1.0 / 6.0) <= 1e-5 / 6.0
-        sums = JointSums(rho, W)
-        quantum_joint_spectral(rho, W, 1.0, sums.add)
-        assert max(marginal_residuals(sums.finish(), rho, W)) <= 1e-12
+        planes = quantum_joint_spectral(rho, W, 1.0, lambda block: None)
+        assert max(marginal_residuals(planes, rho, W)) <= 1e-12
 
     def test_factor_collision_term_matches_the_whole_contraction(self):
         # dF/dR at R = r from the factors against the full n^3 R-derivative's

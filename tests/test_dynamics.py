@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from phasekin import (
     DecayGuardError,
     EvolutionParams,
-    JointSums,
     NonConvergenceError,
     WignerDistribution,
     analytic_free_evolution,
@@ -34,7 +33,7 @@ from phasekin import (
     quantum_joint_spectral,
     quartic_potential,
 )
-from phasekin.coupling import _series_blocks, joint_planes
+from phasekin.coupling import joint_planes
 from phasekin.dynamics import _moyal_terms, propagate
 from phasekin.grids import native_frequencies
 from phasekin.verification import EQUIV_PRESETS, check_dynamics_oracles
@@ -60,16 +59,8 @@ def collided(planes, epsilon, mass):
 
 
 def built_collision(builder, rho, W, hbar, epsilon, mass):
-    """collision_rhs of the joint ``builder`` builds, as ``verify`` takes it:
-    the series joint's streamed W marginal and its diagonal from the
-    factors, or the spectral joint's planes."""
-    if builder is quantum_joint_spectral:
-        return collided(joint_planes(rho, W, hbar), epsilon, mass)
-    blocks, diagonal = _series_blocks(rho, W, hbar)
-    sums = JointSums(rho, W)
-    for block in blocks:
-        sums.add(block)
-    return collision_rhs(marginal_over_R(sums.finish()), diagonal(), epsilon, mass)
+    """collision_rhs of the joint ``builder`` builds, from the planes it returns."""
+    return collided(builder(rho, W, hbar, lambda block: None), epsilon, mass)
 
 
 class TestPotentials:
@@ -281,13 +272,8 @@ class TestCollisionRhs:
         grid = make_grid(64, half_width)
         rho = gaussian_density(grid, 0.0, sigma_R)
         W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
-        blocks, series_diagonal = _series_blocks(rho, W, hbar)
-        for _ in blocks:  # to the verdict
-            pass
-        for builder, diagonal in (
-            (quantum_joint_series, series_diagonal()),
-            (quantum_joint_spectral, joint_planes(rho, W, hbar).dR_diagonal),
-        ):
+        for builder in (quantum_joint_series, quantum_joint_spectral):
+            diagonal = builder(rho, W, hbar, lambda block: None).dR_diagonal
             expected = full_derivative_diagonal(whole_joint(builder, rho, W, hbar))
             assert np.abs(diagonal - expected).max() <= 1e-12 * np.abs(expected).max()
 

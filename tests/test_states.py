@@ -1,11 +1,12 @@
 """Presets, marginals, moment quadrature, and the sampling oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from phasekin import (
     DecayGuardError,
-    JointSums,
     NormalizationError,
     VirtualDensity,
     WignerDistribution,
@@ -29,7 +30,6 @@ from reference import (
     planes_of,
     product_joint,
     sample_joint,
-    streamed_sums,
     whole_joint,
 )
 
@@ -74,11 +74,11 @@ class TestGaussianWigner:
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_values_are_a_normalization_error(rho_default, wigner_default, bad):
-    F = product_joint(rho_default, wigner_default)
+    planes = planes_of(product_joint(rho_default, wigner_default))
     for build, values in (
         (lambda v: VirtualDensity(rho_default.grid, v), rho_default.values),
         (lambda v: WignerDistribution(wigner_default.grid_p, wigner_default.grid_r, v), wigner_default.values),
-        (lambda v: sums_in_blocks(rho_default, wigner_default, v, 4), F.values),
+        (lambda v: dataclasses.replace(planes, over_pr=v), planes.over_pr),
     ):
         spoiled = values.copy()
         spoiled.flat[spoiled.size // 2] = bad
@@ -88,51 +88,28 @@ def test_non_finite_values_are_a_normalization_error(rho_default, wigner_default
 
 class TestMarginals:
     def test_classical_marginals_exact(self, rho_default, wigner_default):
-        sums = streamed_sums(quantum_joint_series, rho_default, wigner_default, 0.0)
-        assert np.abs(marginal_over_R(sums).values - wigner_default.values).max() < 1e-12
-        assert np.abs(marginal_over_pr(sums).values - rho_default.values).max() < 1e-12
+        planes = planes_of(whole_joint(quantum_joint_series, rho_default, wigner_default, 0.0))
+        assert np.abs(marginal_over_R(planes).values - wigner_default.values).max() < 1e-12
+        assert np.abs(marginal_over_pr(planes).values - rho_default.values).max() < 1e-12
 
     @pytest.mark.parametrize("hbar", [0.0, 1.0])
     def test_quantum_marginals(self, rho_default, wigner_default, hbar):
         # series corrections are exact derivatives, so they integrate away
-        sums = streamed_sums(quantum_joint_spectral, rho_default, wigner_default, hbar)
+        planes = planes_of(whole_joint(quantum_joint_spectral, rho_default, wigner_default, hbar))
         tol = 1e-12 if hbar == 0.0 else 1e-8
-        assert np.abs(marginal_over_R(sums).values - wigner_default.values).max() < tol
-        assert np.abs(marginal_over_pr(sums).values - rho_default.values).max() < tol
+        assert np.abs(marginal_over_R(planes).values - wigner_default.values).max() < tol
+        assert np.abs(marginal_over_pr(planes).values - rho_default.values).max() < tol
 
 
-def sums_in_blocks(rho, W, values, rows):
-    """The JointSums of ``values``, a joint on the grids of ``rho`` and ``W``,
-    added ``rows`` rows of R at a time."""
-    sums = JointSums(rho, W)
-    for start in range(0, len(values), rows):
-        sums.add(values[start : start + rows])
-    return sums.finish()
-
-
-class TestJointSums:
-    @pytest.mark.parametrize("rows", [1, 3, 4, 64])
-    @pytest.mark.parametrize("kind", ["spectral", "random"])
-    def test_reductions_equal_the_whole_array_ones_bit_for_bit(self, rho_default, wigner_default, rows, kind):
-        # random values tell numpy's summation order apart from others
-        F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
-        v = F.values
-        if kind == "random":
-            v = np.random.default_rng(0).random(v.shape)
-            v /= v.sum() * F.grid_R.step * F.grid_p.step * F.grid_r.step
-        sums = sums_in_blocks(rho_default, wigner_default, v, rows)
-        assert np.array_equal(sums.over_R, v.sum(axis=0))
-        assert np.array_equal(sums.over_pr, v.sum(axis=(1, 2)))
-
+class TestJointPlanes:
     def test_readers_equal_the_whole_array_forms(self, rho_default, wigner_default):
         F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
-        sums = sums_in_blocks(rho_default, wigner_default, F.values, 4)
+        planes = planes_of(F)
         over_R = F.values.sum(axis=0) * F.grid_R.step
         over_pr = F.values.sum(axis=(1, 2)) * F.grid_p.step * F.grid_r.step
-        assert np.array_equal(marginal_over_R(sums).values, over_R)
-        assert np.array_equal(marginal_over_pr(sums).values, over_pr)
+        assert np.array_equal(marginal_over_R(planes).values, over_R)
+        assert np.array_equal(marginal_over_pr(planes).values, over_pr)
         pairs = [(2, 2), (2, 0), (0, 2), (1, 3), (0, 0)]
-        planes = planes_of(F)
         assert moments(planes, pairs) == plane_moments(F, pairs)  # the whole-array route for a joint
         with pytest.raises(ValueError, match="more entries than axes"):
             moments(planes, [(0, 0, 2)])
@@ -158,18 +135,9 @@ class TestJointSums:
         with pytest.raises(NormalizationError) as whole:
             # the check a joint's planes take of the sum of their over_pr
             _unit_integral(values.sum(axis=(1, 2)).sum(), grids, JOINT_NORMALIZATION_TOL, "F")
-        with pytest.raises(NormalizationError) as streamed:
-            sums_in_blocks(rho_default, wigner_default, values, 4)
-        assert str(streamed.value) == str(whole.value)
-
-    def test_rows_must_cover_the_grid_once(self, rho_default, wigner_default):
-        F = product_joint(rho_default, wigner_default)
-        sums = JointSums(rho_default, wigner_default)
-        sums.add(F.values[:60])
-        with pytest.raises(ValueError, match="60 rows of R added, expected 64"):
-            sums.finish()
-        with pytest.raises(ValueError, match="does not fit"):
-            sums.add(F.values[:8])
+        with pytest.raises(NormalizationError) as planes:
+            planes_of(dataclasses.replace(F, values=values))
+        assert str(planes.value) == str(whole.value)
 
 
 class TestMoments:

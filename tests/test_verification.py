@@ -40,14 +40,14 @@ def _stub_series_blocks(monkeypatch, raise_at=None):
 
     def stub(rho, W, hbar):
         calls.append(hbar)
-        blocks, diagonal = series_blocks(rho, W, hbar)
+        blocks, planes = series_blocks(rho, W, hbar)
 
         def checked():
             yield from blocks
             if hbar == raise_at:
                 raise NonConvergenceError(f"stubbed at hbar = {hbar}")
 
-        return checked(), diagonal
+        return checked(), planes
 
     monkeypatch.setattr(verification, "_series_blocks", stub)
     return calls
@@ -111,15 +111,16 @@ def test_series_raising_fails_only_the_families_that_use_it(monkeypatch, no_dyna
 def test_spectral_builder_raising_fails_only_the_streamed_rows(monkeypatch, no_dynamics):
     _stub_builder(monkeypatch, "quantum_joint_spectral", raise_at=1.0)
     report = verification.run_verification(load_config())
-    # the spectral joint's planes come from its factors, so its central and
-    # Heisenberg rows and the configured pass stand; the tie row compares
-    # them with the streamed joint, so it fails with the gap
+    # the spectral joint's planes come from its factors, so its central,
+    # marginal and Heisenberg rows and the configured pass stand; the tie
+    # row compares them with the streamed joint, so it fails with the gap
     failed = _failed(report)
-    assert set(failed) == {"builder_equivalence[hbar=1.0]", "marginal_recovery[hbar=1.0]"}
+    assert set(failed) == {"builder_equivalence[hbar=1.0]"}
     assert set(failed.values()) == {"NonConvergenceError: stubbed at hbar = 1.0"}
     names = [c.name for c in report.checks]
     assert "builder_equivalence[hbar=1.0][factors]" not in names
     assert "central_equivalence[hbar=1.0][spectral]" in names and "cross_cumulant[oracle]" in names
+    assert report.checks[names.index("marginal_recovery[hbar=1.0]")].passed
 
 
 def test_spectral_raising_keeps_the_rows_before_it(monkeypatch, no_dynamics):
@@ -128,6 +129,7 @@ def test_spectral_raising_keeps_the_rows_before_it(monkeypatch, no_dynamics):
     assert set(_failed(report)) == {
         "central_equivalence[hbar=1.0]",
         "builder_equivalence[hbar=1.0]",
+        "marginal_recovery[hbar=1.0]",
         "heisenberg[hbar=1.0]",
         # the configured hbar is 1: its planes feed these three families
         "kernel_expansion",
@@ -138,7 +140,6 @@ def test_spectral_raising_keeps_the_rows_before_it(monkeypatch, no_dynamics):
     kept = names.index("central_equivalence[hbar=1.0][series]")
     assert report.checks[kept].passed
     assert names[kept + 1] == "central_equivalence[hbar=1.0]"
-    assert "marginal_recovery[hbar=1.0]" in names
     assert not any(name.startswith("cross_cumulant[") for name in names)
 
 
