@@ -12,7 +12,9 @@ from numpy.testing import assert_allclose
 
 from phasekin import DecayGuardError, ImaginaryResidueError, NonConvergenceError, make_grid
 from phasekin.grids import (
+    INVERSE_BLOCK,
     SERIES_CAP,
+    _row_blocks,
     _sup_norm,
     accept_series,
     checked_hermitian,
@@ -287,6 +289,18 @@ class TestTransformProperties:
         axis = min(axis, values.ndim - 1)
         back = half_spectrum_inverse(half_spectrum_forward(values, grids[axis], axis), grids[axis], axis)
         assert np.abs(back - values).max() <= 1e-14 * np.abs(values).max()
+
+
+@pytest.mark.parametrize("n_rows", [INVERSE_BLOCK, 64, 128])
+def test_row_blocks_cover_the_rows_once_in_order(n_rows):
+    # the joint builders and the stepper each take a grid's rows in these
+    # blocks, every block written into the one buffer they hand in
+    buffer = np.empty((INVERSE_BLOCK, 3))
+    blocks = list(_row_blocks(n_rows, buffer))
+    assert all(block is buffer for _, block in blocks)
+    covered = np.concatenate([np.arange(n_rows)[rows] for rows, _ in blocks])
+    assert np.array_equal(covered, np.arange(n_rows))
+    assert {rows.stop - rows.start for rows, _ in blocks} == {INVERSE_BLOCK}
 
 
 class TestSupNorm:

@@ -160,6 +160,12 @@ class TestMoments:
         with pytest.raises(ValueError):
             moments(rho_default, [(9,)])
 
+    def test_a_joint_is_read_from_its_planes_only(self, rho_default, wigner_default):
+        F = product_joint(rho_default, wigner_default)
+        with pytest.raises(TypeError, match="cannot compute moments of WholeJoint"):
+            moments(F, [(2, 0)])
+        assert moments(planes_of(F), [(0, 0)])[(0, 0)] == pytest.approx(1.0, abs=1e-7)
+
     def test_shifted_gaussian_binomial_identity(self, grid64):
         mu, sigma = 1.0, 0.8
         rho = gaussian_density(grid64, mu, sigma)
