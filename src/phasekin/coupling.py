@@ -17,14 +17,15 @@ O(n^2), and the series runs to convergence across hbar < 2 sigma_R sigma_p.
 The spectral product never forms a three-axis transform.  Over r and k
 the forward and inverse transforms cancel, and the K inverse acts on
 ``rho_hat(K) * sinc`` alone, giving the matrix
-``G(R, q) = IFT_K[rho_hat(K) sinc(hbar K q / 2)]``, n rows by n + 1
-frequencies -n/2 ... n/2.  What is left is ``F(R, p, r) = IFT_q[G(R, q)
-W_hat(q, r)]`` with ``W_hat`` the transform over p only.  The joint is
-real, so only the ``q >= 0`` half of that product is formed and
-inverted, which needs ``G(R, -q) = conj G(R, q)``, checked on G (an
-O(n^2) guard).  The inverse's per-bin scale and conjugation act on G
-and ``W_hat``, so the product goes straight to a real inverse FFT.  It
-is formed and inverted a few rows of R at a time.
+``G(R, q) = IFT_K[rho_hat(K) sinc(hbar K q / 2)]``.  rho is real and the
+kernel even in K and in q, so G is real and even in q: it is formed from
+rho's real half spectrum over K, at the n/2 + 1 bins ``q >= 0`` only,
+n rows by n/2 + 1, with no symmetry left to check.  What is left is
+``F(R, p, r) = IFT_q[G(R, q) W_hat(q, r)]`` with ``W_hat`` the transform
+over p only.  The joint is real, so only the ``q >= 0`` half of that
+product is formed and inverted.  The inverse's per-bin scale acts on G
+and its conjugation on ``W_hat``, so the product goes straight to a real
+inverse FFT.  It is formed and inverted a few rows of R at a time.
 
 Each builder forms the joint a block of INVERSE_BLOCK rows of R at a
 time, writes every block into one reused buffer and hands it to its
@@ -47,11 +48,10 @@ from .grids import (
     _row_blocks,
     _sup_norm,
     accept_series,
-    checked_hermitian,
     derivative_array,
-    fourier_forward,
-    fourier_inverse,
+    half_frequencies,
     half_spectrum_forward,
+    half_spectrum_inverse,
     series_coefficient,
     spectral_derivatives,
 )
@@ -177,21 +177,17 @@ def sinc_kernel(K: np.ndarray, q: np.ndarray, hbar: float) -> np.ndarray:
 
 
 def _kernel_half(rho: VirtualDensity, grid_p: Grid1D, hbar: float) -> np.ndarray:
-    """``G(R, q)`` at its n/2 + 1 bins ``q >= 0``, checked Hermitian in q."""
-    n_q = grid_p.n
-    q = np.pi / grid_p.half_width * np.arange(-(n_q // 2), n_q // 2 + 1)  # symmetric, both Nyquist bins
-    rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
-    G = fourier_inverse(rho_t[:, None] * sinc_kernel(rho.grid.frequencies, q, hbar), (rho.grid,), (0,))
-    return checked_hermitian(G, 1, "spectral joint kernel G(R, q)")[:, n_q // 2 :]
+    """``G(R, q)`` at its n/2 + 1 bins ``q >= 0``: real, from rho's half spectrum."""
+    kernel = sinc_kernel(half_frequencies(rho.grid), half_frequencies(grid_p), hbar)
+    return half_spectrum_inverse(half_spectrum_forward(rho.values, rho.grid)[:, None] * kernel, rho.grid)
 
 
 def _spectral_factors(G: np.ndarray, W: WignerDistribution) -> tuple:
     """``(g, w)``: the spectral joint's two factors, F = irfft_q[g(R, q) w(q, r)],
-    from the kernel's ``q >= 0`` half ``G``; ``g`` is ``conj(G * alt / step)``,
-    n by n/2 + 1, and ``w`` is ``conj(W_hat)``, n/2 + 1 by n."""
+    from the kernel's ``q >= 0`` half ``G``; ``g`` is ``G * alt / step``,
+    real, n by n/2 + 1, and ``w`` is ``conj(W_hat)``, n/2 + 1 by n."""
     grid = W.grid_p
-    g = np.conj(G * (_alternating(grid.n // 2 + 1) / grid.step))
-    return g, np.conj(half_spectrum_forward(W.values, grid))
+    return G * (_alternating(grid.n // 2 + 1) / grid.step), np.conj(half_spectrum_forward(W.values, grid))
 
 
 def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> JointPlanes:
@@ -203,8 +199,6 @@ def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: flo
     the factors' product (:func:`_spectral_factors`), formed in one reused
     (B, n/2 + 1, n) complex buffer, and handed to ``each_block``; outside
     the buffers the work is O(n^2).  Returns the joint's planes.
-    :class:`ImaginaryResidueError` if ``G(R, q)`` is not Hermitian in q
-    (a complex kernel, say).
     """
     _check_joint_inputs(rho, W)
     g, w = _spectral_factors(_kernel_half(rho, W.grid_p, hbar), W)

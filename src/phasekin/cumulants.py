@@ -27,7 +27,7 @@ from .errors import (
     ImaginaryResidueError,
     InsufficientSupportError,
 )
-from .grids import fourier_forward, half_spectrum_forward, require_same_grid
+from .grids import fourier_forward, half_frequencies, half_spectrum_forward, require_same_grid
 from .states import (
     JOINT_DECAY_TOL,
     JointPlanes,
@@ -49,9 +49,9 @@ PHI_RATIO_FLOOR = 1e-2
 PHI_FIT_MAX_ARG = 0.5
 PHI_FIT_MIN_POINTS = 50
 # Largest accepted standard error of the fitted c4, relative to |c4|.  At
-# the default presets (n3 = 64) it is 2e-5 or less for hbar in [0.01, 1],
-# 0.2% at 3e-3, 0.65% at 2e-3 and 2.6% at 1.5e-3; below that the z^4
-# column sinks under the log ratio's rounding noise.
+# the default presets (n3 = 64) it is 1e-5 or less for hbar in [0.01, 1],
+# 0.22% at 3e-3, 0.75% at 2e-3, 3.0% at 1.5e-3 and 32% at 1e-3: there the
+# z^4 column sinks under the log ratio's rounding noise.
 PHI_FIT_MAX_REL_SE = 1e-2
 CLASSICAL_SCAN_FRACTIONS = (1 / 16, 1 / 8, 1 / 4, 1 / 2)
 
@@ -227,8 +227,7 @@ def _departure_norms(rho: VirtualDensity, W: WignerDistribution, hbars: list) ->
     zero and Nyquist bins of q and 2 elsewhere (K likewise): a hbar costs one
     (n/2 + 1)^2 kernel and one matrix-vector product, and no kernel G is
     formed or inverted."""
-    half_K = np.pi / rho.grid.half_width * np.arange(rho.grid.n // 2 + 1)
-    half_q = np.pi / W.grid_p.half_width * np.arange(W.grid_p.n // 2 + 1)
+    half_K, half_q = half_frequencies(rho.grid), half_frequencies(W.grid_p)
     rho_power = _half_power(half_spectrum_forward(rho.values[:, None], rho.grid))
     w_power = _half_power(half_spectrum_forward(W.values, W.grid_p))
     volume = W.grid_r.step / (rho.grid.n * rho.grid.step * W.grid_p.n * W.grid_p.step)

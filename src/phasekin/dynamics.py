@@ -7,8 +7,13 @@ potential (where the odd-derivative series terminates and is exact):
 * quantum transport adds odd-derivative corrections in powers of
   (hbar/2)^2; in the momentum-spectral domain the whole potential term
   resums to multiplication by
-  (i/hbar) [U(r + hbar lam/2) - U(r - hbar lam/2)], lam the FFT-native
-  conjugate of p.
+  (i/hbar) [U(r + hbar lam/2) - U(r - hbar lam/2)], lam the conjugate
+  of p.
+
+Outside the stepper every field is real and takes the real half
+spectrum (``rfft``/``irfft``, :func:`phasekin.grids.half_frequencies`):
+the shifted difference is odd in lam, so :func:`moyal_rhs_spectral`
+evaluates it at the n/2 + 1 shifts lam >= 0 only.
 
 The odd-derivative series (:func:`moyal_rhs_series`, the transport
 oracle) takes its derivatives from, and is truncated by, the joint
@@ -22,8 +27,8 @@ enters only the harmonic one, when it is built.  The shifted difference
 U(r + s) - U(r - s) has one evaluator,
 :meth:`Potential.shifted_difference`.  A density-backed potential uses
 its trigonometric interpolant, for which the difference is
-epsilon * n * ifft_k[2i sin(w_k s) U_k]: O(n^2 log n) time and O(n^2)
-memory for n shifts on n points.
+epsilon * irfft_k[2i sin(w_k s) rho_k], rho_k the real half spectrum of
+rho: O(n^2 log n) time and O(n^2) memory for n shifts on n points.
 
 The time stepper is Strang-split: an exact streaming shear for dt/2, an
 exact potential phase kick for dt, and streaming again for dt/2.  The
@@ -63,13 +68,13 @@ from .errors import DecayGuardError
 from .grids import (
     INVERSE_BLOCK,
     Grid1D,
+    _floored,
     _row_blocks,
     _sup_norm,
     accept_series,
-    checked_real,
     derivative_array,
     derivative_multiplier,
-    floored_fft,
+    half_frequencies,
     native_frequencies,
     require_same_grid,
     series_coefficient,
@@ -115,7 +120,7 @@ class Potential:
         if self.rho is None:
             c = self.coefficients
             return _polynomial(c, r[None, :] + s[:, None]) - _polynomial(c, r[None, :] - s[:, None])
-        w = np.pi / self.grid.half_width * np.arange(self.grid.n // 2 + 1)  # rfft's frequencies
+        w = half_frequencies(self.grid)
         # the Nyquist term's difference is imaginary, so irfft drops it,
         # exactly as the real part of the full interpolant does
         hat = np.fft.rfft(self.rho.values)
@@ -128,8 +133,9 @@ class Potential:
             for _ in range(order):
                 c = tuple(k * ck for k, ck in enumerate(c))[1:]
             return _polynomial(c, self.grid.points)
-        hat = floored_fft(self.rho.values)
-        return self.epsilon * np.fft.ifft(hat * derivative_multiplier(self.grid, order)).real
+        hat = _floored(np.fft.rfft(self.rho.values))
+        hat *= derivative_multiplier(self.grid, order)
+        return self.epsilon * np.fft.irfft(hat, self.grid.n)
 
 
 def _polynomial(coefficients: tuple, x: np.ndarray) -> np.ndarray:
@@ -221,15 +227,18 @@ def moyal_rhs_series(W, U: Potential, hbar: float, mass: float) -> np.ndarray:
 
 
 def moyal_rhs_spectral(W: WignerDistribution, U: Potential, hbar: float, mass: float) -> np.ndarray:
-    """Quantum transport via the resummed shifted-potential multiplier."""
+    """Quantum transport via the resummed shifted-potential multiplier.
+
+    The shifted difference is odd in lam, so the multiplier is Hermitian:
+    on W's real half spectrum over p it takes the n/2 + 1 shifts lam >= 0,
+    and ``irfft`` returns a real term."""
     _check_rhs_inputs(W, U)
     if not hbar > 0:
         raise ValueError("moyal_rhs_spectral needs hbar > 0; use liouville_rhs at hbar = 0")
-    lam = native_frequencies(W.grid_p)
-    du = U.shifted_difference(hbar * lam / 2.0)
-    du[W.grid_p.n // 2] = 0.0  # the unpaired Nyquist bin, as derivative_multiplier drops it for odd orders
-    w_hat = np.fft.fft(W.values, axis=0)
-    kicked = checked_real(np.fft.ifft((1j / hbar) * du * w_hat, axis=0), "spectral transport term")
+    du = U.shifted_difference(hbar * half_frequencies(W.grid_p) / 2.0)
+    du[-1] = 0.0  # the unpaired Nyquist bin, as derivative_multiplier drops it for odd orders
+    w_hat = np.fft.rfft(W.values, axis=0)
+    kicked = np.fft.irfft((1j / hbar) * du * w_hat, W.grid_p.n, axis=0)
     return _streaming_term(W, mass) + kicked
 
 

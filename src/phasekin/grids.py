@@ -8,21 +8,23 @@ integral normalization::
     F(w) = sum_j f(x_j) exp(+i w x_j) * step
 
 so the value at zero frequency equals the quadrature integral of ``f``.
-The inverse carries the ``1/(2 pi)`` per axis.  Frequencies are stored
-zero-centered with spacing ``pi / half_width``; the mapping to the FFT's
-native ordering is internal.  A real array's transform along one axis is
-Hermitian, ``F(-w) = conj F(w)``, so :func:`half_spectrum_forward` keeps
-only its ``n/2 + 1`` bins at ``w >= 0``, in the same convention.
+The inverse carries the ``1/(2 pi)`` per axis.  :func:`fourier_forward`
+stores frequencies zero-centered with spacing ``pi / half_width``; the
+mapping to the FFT's native ordering is internal.  A real array's
+transform along one axis is Hermitian, ``F(-w) = conj F(w)``, so every
+real field takes the real half spectrum: :func:`half_spectrum_forward`
+keeps only its ``n/2 + 1`` bins at ``w >= 0`` (:func:`half_frequencies`),
+in the same convention, and :func:`half_spectrum_inverse` inverts them
+to a real array.
 
-Derivatives are evaluated in the FFT-native spectral domain, where
-``d/dx`` is multiplication by ``(i w)``; on real input the result is
-real (the unmatched Nyquist mode is dropped for odd orders).
+Derivatives are evaluated in the half spectrum (``rfft``/``irfft``),
+where ``d/dx`` is multiplication by ``(i w)``; the result is real, and
+for odd orders the unpaired Nyquist mode is dropped.
 
 The derivative series of the joint builder and of the Moyal transport
 share one source of derivatives, :func:`spectral_derivatives`, taken
-from one floored real half spectrum (``rfft``/``irfft``, the floor
-:data:`SPECTRAL_FLOOR_REL` of its peak) and one truncation rule,
-:func:`accept_series`.
+from one floored real half spectrum (the floor :data:`SPECTRAL_FLOOR_REL`
+of its peak) and one truncation rule, :func:`accept_series`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecayGuardError, GridMismatchError, ImaginaryResidueError, NonConvergenceError
+from .errors import DecayGuardError, GridMismatchError, NonConvergenceError
 
 # Boundary magnitude above this fraction of the global max fails the decay
 # guard for 1- and 2-axis fields.  Exactly constant fields are exempt: they
@@ -51,46 +53,11 @@ SERIES_FAIL_REL = 1e-8
 # below this fraction of the peak, box-truncation noise would pass for
 # high-order structure once a series amplifies it
 SPECTRAL_FLOOR_REL = 1e-13
-IMAG_RESIDUE_TOL = 1e-9
 # Rows of R per block of every streamed joint, and of p per block of the
 # stepper's half-streams; a grid has at least 16 points.  At n3 = 128 blocks
 # of 2 to 8 rows time the spectral inverse over q within noise of each
 # other, 4 the fastest; 16 and more are slower.
 INVERSE_BLOCK = 4
-
-
-def checked_real(values: np.ndarray, what: str) -> np.ndarray:
-    """Real part of a nominally real result.
-
-    Raises :class:`ImaginaryResidueError` when the imaginary sup norm
-    exceeds IMAG_RESIDUE_TOL of the real one.
-    """
-    re_max = float(np.abs(values.real).max())
-    im_max = float(np.abs(values.imag).max())
-    if im_max > IMAG_RESIDUE_TOL * max(re_max, 1e-300):
-        raise ImaginaryResidueError(
-            f"{what} has imaginary residue {im_max:.3e} vs real max {re_max:.3e}; "
-            "aliasing or a broken kernel"
-        )
-    return values.real
-
-
-def checked_hermitian(values: np.ndarray, axis: int, what: str) -> np.ndarray:
-    """``values`` sampled at frequencies symmetric about zero along ``axis``,
-    checked for ``values(-w) = conj values(w)``.
-
-    That symmetry is what a real inverse transform along ``axis`` assumes.
-    Raises :class:`ImaginaryResidueError` when the largest departure
-    exceeds IMAG_RESIDUE_TOL of the sup norm.
-    """
-    residue = float(np.abs(values - np.conj(np.flip(values, axis))).max())
-    scale = float(np.abs(values).max())
-    if residue > IMAG_RESIDUE_TOL * max(scale, 1e-300):
-        raise ImaginaryResidueError(
-            f"{what} is not Hermitian: residue {residue:.3e} vs max {scale:.3e}; "
-            "aliasing or a broken kernel"
-        )
-    return values
 
 
 @dataclass(frozen=True)
@@ -181,57 +148,57 @@ def fourier_forward(values: np.ndarray, grids, axes) -> np.ndarray:
     return out
 
 
-def fourier_inverse(values: np.ndarray, grids, axes) -> np.ndarray:
-    """Inverse of :func:`fourier_forward` along ``axes``."""
-    out = values.astype(complex, copy=True)
-    for ax in axes:
-        g = grids[ax]
-        out *= _reshape_for(_alternating(g.n), out.ndim, ax)
-        out = np.fft.fft(np.fft.ifftshift(out, axes=ax), axis=ax)
-        out /= g.n * g.step
-    return out
-
-
 def half_spectrum_forward(values: np.ndarray, grid: Grid1D, axis: int = 0) -> np.ndarray:
     """:func:`fourier_forward` of a real array along one axis, at ``w >= 0`` only.
 
-    The output has ``n/2 + 1`` bins along ``axis``: zero frequency first,
-    the Nyquist frequency ``n/2 * pi / half_width`` last.
+    The output has ``n/2 + 1`` bins along ``axis``, at
+    :func:`half_frequencies`: zero frequency first, the Nyquist frequency
+    ``n/2 * pi / half_width`` last.
     """
     out = np.fft.ihfft(values, axis=axis, norm="forward")
     out *= _reshape_for(grid.step * _alternating(grid.n // 2 + 1), out.ndim, axis)
     return out
 
 
+def half_spectrum_inverse(values: np.ndarray, grid: Grid1D, axis: int = 0) -> np.ndarray:
+    """The real array whose :func:`half_spectrum_forward` along ``axis`` is
+    ``values``: bins at w < 0 are the conjugates of those at w > 0, and the
+    imaginary parts of the zero and Nyquist bins are dropped."""
+    scale = _reshape_for(_alternating(grid.n // 2 + 1) / grid.step, values.ndim, axis)
+    return np.fft.irfft(np.conj(values) * scale, grid.n, axis=axis)
+
+
+def half_frequencies(grid: Grid1D) -> np.ndarray:
+    """The ``n/2 + 1`` angular frequencies ``w >= 0`` of the real half spectrum."""
+    return 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.step)
+
+
 def native_frequencies(grid: Grid1D) -> np.ndarray:
-    """Angular frequencies in the FFT's native ordering."""
+    """Angular frequencies in the FFT's native ordering, for complex states."""
     return 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.step)
 
 
 def derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
-    """``(i w)^order`` at the native frequencies, the spectral d^order/dx^order."""
-    mult = (1j * native_frequencies(grid)) ** order
+    """``(i w)^order`` at the half-spectrum frequencies, the spectral
+    d^order/dx^order of a real array."""
+    mult = (1j * half_frequencies(grid)) ** order
     if order % 2 == 1:
-        mult[grid.n // 2] = 0.0  # unmatched Nyquist mode has no real odd derivative
+        mult[-1] = 0.0  # unmatched Nyquist mode has no real odd derivative
     return mult
 
 
 def derivative_array(values: np.ndarray, grid: Grid1D, axis: int, order: int) -> np.ndarray:
-    """Spectral derivative of given order along one axis of a plain array."""
-    spec = np.fft.fft(values, axis=axis) * _reshape_for(derivative_multiplier(grid, order), values.ndim, axis)
-    out = np.fft.ifft(spec, axis=axis)
-    return out.real if np.isrealobj(values) else out
+    """Spectral derivative of given order along one axis of a real array."""
+    spec = np.fft.rfft(values, axis=axis)
+    spec *= _reshape_for(derivative_multiplier(grid, order), values.ndim, axis)
+    return np.fft.irfft(spec, grid.n, axis=axis)
 
 
 def _floored(hat: np.ndarray) -> np.ndarray:
-    """``hat`` with every bin below SPECTRAL_FLOOR_REL of its peak zeroed, in place."""
+    """``hat`` with every bin below SPECTRAL_FLOOR_REL of its peak zeroed, in
+    place; for a real array's half spectrum that peak is the full one's."""
     hat[np.abs(hat) < SPECTRAL_FLOOR_REL * np.abs(hat).max()] = 0.0
     return hat
-
-
-def floored_fft(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """FFT along one axis with every bin below 1e-13 of the peak zeroed."""
-    return _floored(np.fft.fft(values, axis=axis))
 
 
 def spectral_derivatives(values: np.ndarray, grid: Grid1D, first: int):
@@ -240,16 +207,12 @@ def spectral_derivatives(values: np.ndarray, grid: Grid1D, first: int):
     0) and the odd Moyal series (``first`` 1) pair with their coefficients.
 
     They come from the real half spectrum, ``rfft`` over axis 0 with every
-    bin below 1e-13 of its peak zeroed (for real input the half spectrum's
-    peak is the full one's), and go back by ``irfft``: half the FFT work of
-    the full spectrum, the same derivatives to rounding.  The multipliers
-    are :func:`derivative_multiplier`'s first n/2 + 1 bins, whose last is
-    the Nyquist bin (zero for odd orders)."""
-    half = grid.n // 2 + 1
+    bin below 1e-13 of its peak zeroed (:func:`_floored`), multiplied by
+    :func:`derivative_multiplier` in place, and go back by ``irfft``."""
     spectrum = _floored(np.fft.rfft(values, axis=0))
     if first:
-        spectrum *= _reshape_for(derivative_multiplier(grid, first)[:half], values.ndim, 0)
-    mult = _reshape_for(derivative_multiplier(grid, 2)[:half], values.ndim, 0)
+        spectrum *= _reshape_for(derivative_multiplier(grid, first), values.ndim, 0)
+    mult = _reshape_for(derivative_multiplier(grid, 2), values.ndim, 0)
     while True:
         spectrum *= mult
         yield np.fft.irfft(spectrum, grid.n, axis=0)

@@ -146,14 +146,15 @@ def _value(outcome):
     return outcome
 
 
-def _joint_pair(rho, W, hbar: float, planes) -> tuple:
-    """(series planes, factors tie, builder gap) of one preset's two joints,
-    each a :class:`PhasekinError` instead if what it reads raised.  Each
-    spectral block is paired with the series block of its rows of R
-    (:func:`phasekin.coupling._series_blocks`) for the gap, and summed over
-    (p, r) and over R for the tie, the sup-norm gap of those marginals to
-    ``planes``': neither joint is held whole.  A stream that raises leaves
-    the other to run to its end; the series planes come after its verdict.
+def _joint_pair(rho, W, hbar: float) -> tuple:
+    """(series planes, spectral planes, factors tie, builder gap) of one
+    preset's two joints, each a :class:`PhasekinError` instead if what it
+    reads raised.  Each spectral block is paired with the series block of
+    its rows of R (:func:`phasekin.coupling._series_blocks`) for the gap,
+    and summed over (p, r) and over R for the tie, the sup-norm gap of
+    those marginals to the spectral builder's planes: neither joint is held
+    whole.  A stream that raises leaves the other to run to its end; the
+    series planes come after its verdict.
     """
     stream = _attempt(_series_blocks, rho, W, hbar)
     series, series_planes = (stream, stream) if isinstance(stream, PhasekinError) else stream
@@ -174,7 +175,7 @@ def _joint_pair(rho, W, hbar: float, planes) -> tuple:
         deque(blocks, maxlen=0)  # the blocks the spectral stream did not take, then the verdict
         return take_planes()
 
-    def tie(planes, _):
+    def tie(planes):
         factors = marginal_over_R(planes).values, marginal_over_pr(planes).values
         streamed = over_R * rho.grid.step, np.array(over_pr) * W.grid_p.step * W.grid_r.step
         return max(float(np.abs(a - b).max()) for a, b in zip(factors, streamed))
@@ -182,22 +183,21 @@ def _joint_pair(rho, W, hbar: float, planes) -> tuple:
     spectral = _attempt(quantum_joint_spectral, rho, W, hbar, each_block)
     series_planes = _attempt(finish_series, series, series_planes)
     # the gap stands only if both streams ran to their end
-    return series_planes, _attempt(tie, planes, spectral), _attempt(lambda *_: gap, series_planes, spectral)
+    return series_planes, spectral, _attempt(tie, spectral), _attempt(lambda *_: gap, series_planes, spectral)
 
 
 def check_equivalence_presets(config: ScenarioConfig) -> list:
     """The central, builder, marginal and Heisenberg rows of every preset.
 
     Each preset's rho and W are built once, and its two joints streamed
-    once, in step (:func:`_joint_pair`), so no n^3 array is formed.  The
-    series joint's planes, which its builder takes from its factors, give
-    ``central_equivalence[series]``.  The spectral joint's planes
-    (:func:`phasekin.coupling.joint_planes`) give
+    once, in step (:func:`_joint_pair`), so no n^3 array is formed.  Each
+    builder returns its joint's planes, taken from its factors: the series
+    joint's give ``central_equivalence[series]``, the spectral joint's
     ``central_equivalence[spectral]`` and the Heisenberg rows, and
-    ``builder_equivalence[...][factors]`` ties their marginals to the
-    streamed joint's.  ``marginal_recovery`` reads both joints' planes.  A
-    family whose work raises keeps its rows and ends in one failed row
-    carrying the first error; the others go on.
+    ``builder_equivalence[...][factors]`` ties the spectral planes'
+    marginals to the streamed joint's.  ``marginal_recovery`` reads both
+    joints' planes.  A family whose work raises keeps its rows and ends in
+    one failed row carrying the first error; the others go on.
 
     The central ``[series]`` and ``[spectral]`` rows differ by more than
     the two joints do.  At n3 = 64 and hbar = 0.5, 1 and 2 the joints
@@ -205,8 +205,9 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
     by 6.2e-13, 4.9e-13 and 9.4e-14: the R and p derivatives amplify each
     bin of the gap by up to K_max = pi n3 / (2 L) each, and K_max^2 is
     about 158 at L = 8.  Weighted by K q, 97-99% of the gap lies at |K|
-    or |q| above K_max / 2, yet only 6-9% in bins that ``floored_fft``
-    zeroes: it is the builders' rounding, not the series' floor.
+    or |q| above K_max / 2, yet only 6-9% in bins below the series' floor,
+    ``SPECTRAL_FLOOR_REL`` of the peak: it is the builders' rounding, not
+    the floor.
     """
     checks = []
     families = ("central_equivalence", "builder_equivalence", "marginal_recovery", "heisenberg")
@@ -225,8 +226,7 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
             rho = gaussian_density(grid, 0.0, sigma_R)
             W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
             reference = _attempt(moyal_reference, rho, W, hbar)
-            planes = _attempt(joint_planes, rho, W, hbar)
-            series, tie, gap = _joint_pair(rho, W, hbar, planes)
+            series, planes, tie, gap = _joint_pair(rho, W, hbar)
             with _failed_rows(checks, f"central_equivalence{tag}"):
                 measured = transport_gap(_value(reference), _value(series))
                 checks.append(_tol_check(f"central_equivalence{tag}[series]", measured, 1e-6))

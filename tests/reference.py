@@ -16,28 +16,86 @@ from phasekin.coupling import (
     _kernel_half,
     _series_factors,
     quantum_joint_spectral,
+    sinc_kernel,
     sinc_values,
 )
 from phasekin.dynamics import PROPAGATION_DECAY_TOL, _energy, propagate
+from phasekin.errors import ImaginaryResidueError
 from phasekin.states import JointPlanes, WignerDistribution
 from phasekin.grids import (
     DECAY_TOL,
     Grid1D,
     _alternating,
+    _floored,
     _reshape_for,
     _sup_norm,
     accept_series,
-    checked_real,
     derivative_array,
-    derivative_multiplier,
     face_sup,
-    floored_fft,
     fourier_forward,
-    fourier_inverse,
     half_spectrum_forward,
+    half_spectrum_inverse,
     native_frequencies,
     series_coefficient,
 )
+
+# largest imaginary sup norm, relative to the real one, that checked_real passes
+IMAG_RESIDUE_TOL = 1e-9
+
+
+def checked_real(values, what):
+    """Real part of a nominally real result, as the package took it before
+    every real field went through the real half spectrum.  Raises
+    ImaginaryResidueError when the imaginary sup norm exceeds
+    IMAG_RESIDUE_TOL of the real one."""
+    re_max = float(np.abs(values.real).max())
+    im_max = float(np.abs(values.imag).max())
+    if im_max > IMAG_RESIDUE_TOL * max(re_max, 1e-300):
+        raise ImaginaryResidueError(f"{what} has imaginary residue {im_max:.3e} vs real max {re_max:.3e}")
+    return values.real
+
+
+def fourier_inverse(values, grids, axes):
+    """Inverse of ``fourier_forward`` along ``axes``, over the whole
+    zero-centered spectrum; complex."""
+    out = values.astype(complex, copy=True)
+    for ax in axes:
+        g = grids[ax]
+        out *= _reshape_for(_alternating(g.n), out.ndim, ax)
+        out = np.fft.fft(np.fft.ifftshift(out, axes=ax), axis=ax)
+        out /= g.n * g.step
+    return out
+
+
+def floored_fft(values, axis=0):
+    """The full FFT along one axis with every bin below the package's
+    spectral floor of the peak zeroed."""
+    return _floored(np.fft.fft(values, axis=axis))
+
+
+def full_derivative_multiplier(grid, order):
+    """``(i w)^order`` at the FFT's native frequencies, the whole spectrum,
+    the unmatched Nyquist bin zeroed for odd orders."""
+    mult = (1j * native_frequencies(grid)) ** order
+    if order % 2 == 1:
+        mult[grid.n // 2] = 0.0
+    return mult
+
+
+def full_spectrum_derivative_array(values, grid, axis, order):
+    """derivative_array as it ran before it took the real half spectrum: the
+    full FFT times the full multiplier, and the real part of the inverse."""
+    spec = np.fft.fft(values, axis=axis) * _reshape_for(full_derivative_multiplier(grid, order), values.ndim, axis)
+    return np.fft.ifft(spec, axis=axis).real
+
+
+def full_spectrum_kernel_half(rho, grid_p, hbar):
+    """The kernel G(R, q) at q >= 0 as _kernel_half formed it before G was
+    real: rho's zero-centered transform times the kernel, inverted over the
+    whole K spectrum, complex with an imaginary part at rounding."""
+    q = np.pi / grid_p.half_width * np.arange(grid_p.n // 2 + 1)
+    rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
+    return fourier_inverse(rho_t[:, None] * sinc_kernel(rho.grid.frequencies, q, hbar), (rho.grid,), (0,))
 
 
 def peak_traced_bytes(fn, *args):
@@ -146,15 +204,6 @@ def full_complex_joint(rho, W, hbar):
     return checked_real(fourier_inverse(f_t, grids, (0, 1, 2)), "spectral joint")
 
 
-def half_spectrum_inverse(values, grid, axis=0):
-    """The real array whose ``half_spectrum_forward`` is ``values``, as the
-    spectral joint inverted its product before it folded the scale into G:
-    bins at w < 0 are the conjugates of those at w > 0, and the imaginary
-    parts of the zero and Nyquist bins are dropped."""
-    scale = _reshape_for(_alternating(grid.n // 2 + 1) / grid.step, values.ndim, axis)
-    return np.fft.irfft(np.conj(values) * scale, grid.n, axis=axis)
-
-
 def one_shot_spectral_joint(rho, W, hbar):
     """The spectral joint with its inverse over q taken in one call, as
     quantum_joint_spectral did before it inverted a block of rows of R at
@@ -162,7 +211,7 @@ def one_shot_spectral_joint(rho, W, hbar):
     G_half = _kernel_half(rho, W.grid_p, hbar)
     w_half = half_spectrum_forward(W.values, W.grid_p)
     scale = _alternating(W.grid_p.n // 2 + 1) / W.grid_p.step
-    product = np.conj(G_half * scale)[:, :, None] * np.conj(w_half)[None, :, :]
+    product = (G_half * scale)[:, :, None] * np.conj(w_half)[None, :, :]
     return np.fft.irfft(product, W.grid_p.n, axis=1)
 
 
@@ -187,8 +236,8 @@ def departure_norms(rho, W, hbars):
 def kernel_departure_norms(rho, W, hbars):
     """The quadrature L2 norms of classical_limit_scan, as it took them before
     it applied Parseval over K as well: per hbar, the kernel G_hbar(R, q) at
-    q >= 0 formed, inverted over K and Hermitian-checked, and its departure
-    from rho summed over R, then paired by Parseval over q with W_hat's power."""
+    q >= 0 formed and inverted over K, and its departure from rho summed
+    over R, then paired by Parseval over q with W_hat's power."""
 
     def power(half):
         # sum over axis 1 of |half|^2; of the zero and Nyquist rows only the real parts
@@ -245,8 +294,8 @@ def dense_joint_series(rho, W, hbar):
             return
         rho_hat = floored_fft(rho.values)
         w_hat = floored_fft(W.values, axis=0)
-        mult_R = (1j * native_frequencies(rho.grid)) ** 2
-        mult_p = ((1j * native_frequencies(W.grid_p)) ** 2)[:, None]
+        mult_R = full_derivative_multiplier(rho.grid, 2)
+        mult_p = full_derivative_multiplier(W.grid_p, 2)[:, None]
         for n in count(1):
             rho_hat *= mult_R
             w_hat *= mult_p
@@ -267,8 +316,8 @@ def full_spectrum_derivatives(values, grid, first):
     of each full inverse."""
     spectrum = floored_fft(values, axis=0)
     if first:
-        spectrum *= _reshape_for(derivative_multiplier(grid, first), values.ndim, 0)
-    mult = _reshape_for(derivative_multiplier(grid, 2), values.ndim, 0)
+        spectrum *= _reshape_for(full_derivative_multiplier(grid, first), values.ndim, 0)
+    mult = _reshape_for(full_derivative_multiplier(grid, 2), values.ndim, 0)
     while True:
         spectrum *= mult
         yield np.fft.ifft(spectrum, axis=0).real

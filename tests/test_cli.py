@@ -555,7 +555,7 @@ class TestRunPath:
     def test_joint_aborted_after_its_first_write_leaves_no_arrays(self, tmp_path, monkeypatch):
         # run_joint writes f_series before it builds the spectral joint
         def failing(*args):
-            raise ImaginaryResidueError("spectral joint kernel G(R, q) is not Hermitian")
+            raise ImaginaryResidueError("stubbed failure of the spectral joint")
 
         monkeypatch.setattr(runner, "quantum_joint_spectral", failing)
         out = tmp_path / "out"

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from phasekin import (
     DecayGuardError,
     GridMismatchError,
-    ImaginaryResidueError,
     JointPlanes,
     NonConvergenceError,
     VirtualDensity,
@@ -38,6 +37,7 @@ from phasekin.verification import EQUIV_PRESETS
 from reference import (
     dense_joint_series,
     full_complex_joint,
+    full_spectrum_kernel_half,
     joint_transform,
     one_shot_spectral_joint,
     peak_traced_bytes,
@@ -307,10 +307,18 @@ class TestSpectralRoute:
         blocked = whole_joint(quantum_joint_spectral, rho, W, 1.0).values
         assert np.array_equal(blocked, one_shot_spectral_joint(rho, W, 1.0))
 
-    def test_complex_kernel_is_refused(self, rho_default, wigner_default, monkeypatch):
-        monkeypatch.setattr(coupling, "sinc_values", lambda x: (1 + 1e-3j) * sinc_values(x))
-        with pytest.raises(ImaginaryResidueError, match="spectral joint kernel G"):
-            quantum_joint_spectral(rho_default, wigner_default, 1.0, ignore)
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    @pytest.mark.parametrize("half_width", [8.0, 12.0])
+    def test_kernel_is_real_and_matches_the_full_spectrum_route(self, n, half_width):
+        # rho is real and sinc even in K, so G is real by construction; the
+        # full complex route's imaginary part is rounding (at most 1.6e-16)
+        grid = make_grid(n, half_width)
+        rho = gaussian_density(grid, 0.0, 1.0)
+        for hbar in (0.5, 1.0, 2.0):
+            G = coupling._kernel_half(rho, grid, hbar)
+            full = full_spectrum_kernel_half(rho, grid, hbar)
+            assert G.dtype == np.float64 and G.shape == (n, n // 2 + 1)
+            assert np.abs(G - full).max() <= 1e-15 * np.abs(full).max()
 
 
 class TestBuilderAgreement:

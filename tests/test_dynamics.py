@@ -204,10 +204,10 @@ class TestMoyalRhs:
 
     def test_spectral_is_real_on_an_evolved_quartic_snapshot(self, grid64):
         # the snapshot carries momentum content at the unpaired Nyquist
-        # bin, where an odd multiplier has no real value: applied there it
-        # leaves an imaginary residue of 2.1e-6 of the real part, refused
-        # as ImaginaryResidueError.  The quartic series is exact (its fifth
-        # derivative vanishes), so it is the oracle.
+        # bin, where an odd multiplier has no real value: applied there over
+        # the full spectrum it left an imaginary residue of 2.1e-6 of the
+        # real part.  The quartic series is exact (its fifth derivative
+        # vanishes), so it is the oracle.
         W0 = gaussian_wigner(grid64, grid64, 0.0, 0.0, 2**-0.5, 2**-0.5)
         U = quartic_potential(grid64, 0.5, 0.1)
         params = EvolutionParams(mass=1.0, hbar=0.5, dt=1e-3, steps=1000, snapshot_every=1000)

@@ -10,24 +10,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from phasekin import DecayGuardError, ImaginaryResidueError, NonConvergenceError, make_grid
+from phasekin import DecayGuardError, NonConvergenceError, VirtualDensity, make_grid, potential_from_density
 from phasekin.grids import (
     INVERSE_BLOCK,
     SERIES_CAP,
     _row_blocks,
     _sup_norm,
     accept_series,
-    checked_hermitian,
     derivative_array,
     ensure_decaying,
     fourier_forward,
-    fourier_inverse,
+    half_frequencies,
     half_spectrum_forward,
+    native_frequencies,
     spectral_derivatives,
 )
 
 from conftest import gauss
-from reference import full_spectrum_derivatives, half_spectrum_inverse, peak_traced_bytes
+from reference import (
+    fourier_inverse,
+    full_spectrum_derivative_array,
+    full_spectrum_derivatives,
+    half_spectrum_inverse,
+    peak_traced_bytes,
+)
 
 
 class TestMakeGrid:
@@ -179,16 +185,28 @@ HALF_SPECTRUM_DERIVATIVE_TOL = 1e-15
 @pytest.mark.parametrize("first", [0, 1])
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_half_spectrum_derivatives_match_the_full_spectrum_s(n, first):
+    # the series' floored derivatives, derivative_array and a density-backed
+    # potential's derivative_samples, each against its full-spectrum route
     g = make_grid(n, 8.0)
     alt = (-1.0) ** np.arange(n)  # a nonzero Nyquist bin
     one = gauss(g.points, 0.3, 0.6) + 0.05 * alt
-    mixture = 0.5 * gauss(g.points, -1.0, 0.8) + gauss(g.points, 1.2, 0.5) + 0.01 * alt
-    f = np.stack([one, mixture], axis=1)
+    mixture = 0.5 * gauss(g.points, -1.0, 0.8) + gauss(g.points, 1.2, 0.5)
+    f = np.stack([one, mixture + 0.01 * alt], axis=1)
     assert np.abs(np.fft.rfft(f, axis=0)[-1]).min() > 0.0
-    pairs = zip(spectral_derivatives(f, g, first), full_spectrum_derivatives(f, g, first))
-    for order, (half, full) in zip(range(first + 2, first + 22, 2), pairs):
+    U = potential_from_density(VirtualDensity(g, mixture / (mixture.sum() * g.step)), 1.0)
+    routes = zip(
+        range(first + 2, first + 22, 2),
+        spectral_derivatives(f, g, first),
+        full_spectrum_derivatives(f, g, first),
+        full_spectrum_derivatives(U.rho.values, g, first),
+    )
+    for order, half, full, full_density in routes:
         scale = (np.pi / g.step) ** order * np.abs(f).max()
         assert np.abs(half - full).max() <= HALF_SPECTRUM_DERIVATIVE_TOL * scale, order
+        gap = derivative_array(f, g, 0, order) - full_spectrum_derivative_array(f, g, 0, order)
+        assert np.abs(gap).max() <= HALF_SPECTRUM_DERIVATIVE_TOL * scale, order
+        scale = (np.pi / g.step) ** order * np.abs(U.rho.values).max()
+        assert np.abs(U.derivative_samples(order) - full_density).max() <= HALF_SPECTRUM_DERIVATIVE_TOL * scale, order
 
 
 class TestDecayGuard:
@@ -237,13 +255,12 @@ class TestHalfSpectrum:
         back = half_spectrum_inverse(half_spectrum_forward(values, g, axis), g, axis)
         assert_allclose(back, values, rtol=0, atol=1e-15)
 
-    def test_hermitian_check_passes_a_real_transform_and_refuses_a_rotated_one(self):
-        g = make_grid(32, 8.0)
-        full = fourier_forward(gauss(g.points, 0.7, 1.0), (g,), (0,))
-        symmetric = np.append(full, full[0])  # frequencies -n/2 .. n/2
-        assert checked_hermitian(symmetric, 0, "spectrum") is symmetric
-        with pytest.raises(ImaginaryResidueError, match="spectrum is not Hermitian"):
-            checked_hermitian(symmetric * np.exp(1e-6j), 0, "spectrum")
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_frequencies_are_the_native_ones_at_w_ge_0(self, n):
+        g = make_grid(n, 8.0)
+        w = half_frequencies(g)
+        assert np.array_equal(w[:-1], native_frequencies(g)[: n // 2])
+        assert np.array_equal(w, np.pi / g.half_width * np.arange(n // 2 + 1))
 
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
