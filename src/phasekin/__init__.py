@@ -23,12 +23,11 @@ from .cumulants import (
     heisenberg_check,
     kappa22,
     phi_field,
-    phi_series_coefficients,
+    phi_gap,
 )
 from .dynamics import (
     EvolutionParams,
     Potential,
-    analytic_free_evolution,
     collision_rhs,
     free_potential,
     harmonic_potential,
@@ -45,7 +44,6 @@ from .errors import (
     DegenerateFitError,
     GridMismatchError,
     ImaginaryResidueError,
-    InsufficientSupportError,
     NonConvergenceError,
     NonFiniteError,
     NormalizationError,

@@ -5,7 +5,9 @@ joint's characteristic function (its 3-axis transform) and the product
 of the marginals'.  For the sinc-coupled joint it equals
 ``ln sinc(hbar K q / 2)`` wherever the ratio is well conditioned, is
 independent of the third frequency axis, and carries the second-second
-cross-cumulant in its leading expansion coefficient.
+cross-cumulant in its leading expansion coefficient.  It is taken on the
+real half lattice, every K and q >= 0, and :func:`phi_gap` checks it
+against ln sinc at every point of its mask.
 
 Every reader takes the joint's O(n^2) reductions from the spectral
 builder's two factors (:func:`phasekin.coupling.joint_planes`), and the
@@ -22,12 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import joint_planes, sinc_kernel
-from .errors import (
-    DegenerateFitError,
-    ImaginaryResidueError,
-    InsufficientSupportError,
-)
-from .grids import fourier_forward, half_frequencies, half_spectrum_forward, require_same_grid
+from .errors import DegenerateFitError, ImaginaryResidueError
+from .grids import half_frequencies, half_spectrum_forward, native_frequencies, require_same_grid
 from .states import (
     JOINT_DECAY_TOL,
     JointPlanes,
@@ -46,19 +44,13 @@ PHI_PRODUCT_FLOOR = 1e-6
 # Ratio floor masking out neighborhoods of the kernel zeros, where the log
 # is ill-conditioned (and complex beyond them).
 PHI_RATIO_FLOOR = 1e-2
-PHI_FIT_MAX_ARG = 0.5
-PHI_FIT_MIN_POINTS = 50
-# Largest accepted standard error of the fitted c4, relative to |c4|.  At
-# the default presets (n3 = 64) it is 1e-5 or less for hbar in [0.01, 1],
-# 0.22% at 3e-3, 0.75% at 2e-3, 3.0% at 1.5e-3 and 32% at 1e-3: there the
-# z^4 column sinks under the log ratio's rounding noise.
-PHI_FIT_MAX_REL_SE = 1e-2
 CLASSICAL_SCAN_FRACTIONS = (1 / 16, 1 / 8, 1 / 4, 1 / 2)
 
 
 @dataclass(frozen=True)
 class PhiField:
-    """Masked samples of the coupling generating function on the (K, q) lattice."""
+    """Masked samples of the coupling generating function on the real half
+    (K, q) lattice: every K, in the FFT's native order, and q >= 0."""
 
     K: np.ndarray
     q: np.ndarray
@@ -92,22 +84,28 @@ def phi_field(planes: JointPlanes, rho: VirtualDensity, W: WignerDistribution) -
     joint it does not depend on k.
 
     The joint is given by its :class:`JointPlanes`: that slice of its 3-axis
-    transform is the (R, p) transform of the r-summed plane ``over_r``
-    times the r step, the plane :func:`kappa22` reads.  Masked where the
-    product magnitude falls below PHI_PRODUCT_FLOOR of its peak or the
-    ratio approaches the kernel zeros.  The imaginary part must be
-    negligible on the mask and is discarded.
+    transform is the (R, p) transform of the r-summed plane ``over_r``, the
+    plane :func:`kappa22` reads.  The plane and the marginals are real, so
+    their transforms are Hermitian and the half lattice q >= 0 holds every
+    value: ``rfft2`` takes the plane's over all of R and half of p, rho's
+    half spectrum is mirrored to every K, and W's k = 0 slice is the half
+    spectrum of its sum over r.  All three are numpy's transforms, whose
+    phase and step factors cancel in the ratio and in the mask's threshold;
+    they conjugate the ratio, which changes only the imaginary part that is
+    discarded.  Masked where the product magnitude falls below
+    PHI_PRODUCT_FLOOR of its peak or the ratio approaches the kernel zeros.
+    The imaginary part must be negligible on the mask.
     """
     require_same_grid(rho.grid, planes.grid_R, "phi_field density grid")
     require_same_grid(W.grid_p, planes.grid_p, "phi_field W p-grid")
     require_same_grid(W.grid_r, planes.grid_r, "phi_field W r-grid")
     planes.ensure_decaying(JOINT_DECAY_TOL, "characteristic-function input")
-    f_t = fourier_forward(planes.over_r * planes.grid_r.step, (planes.grid_R, planes.grid_p), (0, 1))
-    rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
-    w_t = fourier_forward(W.values, (W.grid_p, W.grid_r), (0, 1))
+    f_t = np.fft.rfft2(planes.over_r)
+    rho_half = np.fft.rfft(rho.values)
+    rho_t = np.concatenate([rho_half, np.conj(rho_half[-2:0:-1])])  # every K, native order
     # peak of the full product rho_t(K) w_t(q, k); exact for an outer product
-    denom_full_max = float(np.abs(rho_t).max()) * float(np.abs(w_t).max())
-    denom = rho_t[:, None] * w_t[None, :, planes.grid_r.n // 2]  # k = 0
+    denom_full_max = float(np.abs(rho_half).max()) * float(np.abs(np.fft.rfft2(W.values)).max())
+    denom = rho_t[:, None] * np.fft.rfft(W.values.sum(axis=1))[None, :]  # k = 0
 
     mask = np.abs(denom) >= PHI_PRODUCT_FLOOR * denom_full_max
     ratio = np.zeros_like(denom)
@@ -122,46 +120,17 @@ def phi_field(planes: JointPlanes, rho: VirtualDensity, W: WignerDistribution) -
             f"generating function has imaginary part {im_max:.3e} on the mask (allowed {PHI_IMAG_TOL})"
         )
     values[mask] = logs.real
-    return PhiField(planes.grid_R.frequencies, planes.grid_p.frequencies, values, mask)
+    return PhiField(native_frequencies(planes.grid_R), half_frequencies(planes.grid_p), values, mask)
 
 
-def phi_series_coefficients(phi: PhiField, hbar: float) -> tuple:
-    """Least-squares expansion coefficients of the generating function.
-
-    Fits against (hbar K q)^2 and (hbar K q)^4 (plus a sixth-order
-    nuisance term) over masked samples with |hbar K q / 2| < 0.5 and
-    returns the two leading dimensionless coefficients.  Raises
-    :class:`DegenerateFitError` when the fit's own standard error of c4
-    exceeds PHI_FIT_MAX_REL_SE of |c4|.
-    """
-    if hbar == 0.0:
-        # the kernel argument vanishes identically; the expansion is trivial
-        return 0.0, 0.0
-    x = hbar * np.multiply.outer(phi.K, phi.q) / 2.0
-    sel = phi.mask & (np.abs(x) < PHI_FIT_MAX_ARG) & (x != 0.0)
-    count = int(sel.sum())
-    if count < PHI_FIT_MIN_POINTS:
-        raise InsufficientSupportError(
-            f"only {count} informative lattice points with |hbar K q / 2| < "
-            f"{PHI_FIT_MAX_ARG}; need {PHI_FIT_MIN_POINTS}"
-        )
-    z = 2.0 * x[sel]  # hbar K q
-    design = np.stack([z**2, z**4, z**6], axis=1)
-    coeffs, *_ = np.linalg.lstsq(design, phi.values[sel], rcond=None)
-    residual = phi.values[sel] - design @ coeffs
-    # se(c4)^2 is the residual variance times the c4 diagonal entry of
-    # (D^T D)^-1 = V S^-2 V^T, taken from the SVD so that D's conditioning
-    # is not squared; a zero singular value makes it inf or NaN, refused below
-    _, sv, vt = np.linalg.svd(design, full_matrices=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_gram_c4 = float(np.sum((vt[:, 1] / sv) ** 2))
-    se_c4 = float(np.sqrt(residual @ residual / (count - design.shape[1]) * inv_gram_c4))
-    if not se_c4 <= PHI_FIT_MAX_REL_SE * abs(coeffs[1]):
-        raise DegenerateFitError(
-            f"generating-function fit is unresolved at hbar = {hbar}: the standard error of c4 is "
-            f"{se_c4 / abs(coeffs[1]):.3g} of |c4| (allowed {PHI_FIT_MAX_REL_SE})"
-        )
-    return float(coeffs[0]), float(coeffs[1])
+def phi_gap(phi: PhiField, hbar: float) -> float:
+    """max |phi - ln sinc(hbar K q / 2)| over the mask, 0 on an empty one:
+    the sinc-coupled joint's reads rounding.  Infinite where the kernel is
+    not positive at a masked point, where ln sinc has no value."""
+    kernel = sinc_kernel(phi.K, phi.q, hbar)[phi.mask]
+    if not (kernel > 0.0).all():
+        return math.inf
+    return float(np.abs(phi.values[phi.mask] - np.log(kernel)).max(initial=0.0))
 
 
 def kappa22(planes: JointPlanes) -> float:
@@ -199,11 +168,12 @@ def heisenberg_check(planes: JointPlanes, hbar: float) -> CumulantReport:
 
 
 def cumulant_pass(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
-    """``(planes, report, (c2, c4))`` of the spectral joint at ``hbar``: its
+    """``(planes, report, gap)`` of the spectral joint at ``hbar``: its
     :class:`JointPlanes`, taken from its factors with no n^3 array formed,
-    their :func:`heisenberg_check` and the fitted generating function."""
+    their :func:`heisenberg_check` and their generating function's
+    :func:`phi_gap`."""
     planes = joint_planes(rho, W, hbar)
-    return planes, heisenberg_check(planes, hbar), phi_series_coefficients(phi_field(planes, rho, W), hbar)
+    return planes, heisenberg_check(planes, hbar), phi_gap(phi_field(planes, rho, W), hbar)
 
 
 def _half_power(half: np.ndarray) -> np.ndarray:

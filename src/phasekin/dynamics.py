@@ -231,12 +231,12 @@ def moyal_rhs_spectral(W: WignerDistribution, U: Potential, hbar: float, mass: f
 
     The shifted difference is odd in lam, so the multiplier is Hermitian:
     on W's real half spectrum over p it takes the n/2 + 1 shifts lam >= 0,
-    and ``irfft`` returns a real term."""
+    and ``irfft`` returns a real term.  Its product at the real Nyquist bin
+    is imaginary, so ``irfft`` drops it, as it does an odd derivative's."""
     _check_rhs_inputs(W, U)
     if not hbar > 0:
         raise ValueError("moyal_rhs_spectral needs hbar > 0; use liouville_rhs at hbar = 0")
     du = U.shifted_difference(hbar * half_frequencies(W.grid_p) / 2.0)
-    du[-1] = 0.0  # the unpaired Nyquist bin, as derivative_multiplier drops it for odd orders
     w_hat = np.fft.rfft(W.values, axis=0)
     kicked = np.fft.irfft((1j / hbar) * du * w_hat, W.grid_p.n, axis=0)
     return _streaming_term(W, mass) + kicked
@@ -339,12 +339,3 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams, *, 
             np.fft.ifft(values, axis=1, out=values)
     return conserved
 
-
-def analytic_free_evolution(W0: WignerDistribution, t: float, mass: float) -> WignerDistribution:
-    """Exact free streaming by characteristics via the stepper's streaming phase."""
-    spectrum = W0.values.astype(complex)
-    np.fft.fft(spectrum, axis=1, out=spectrum)
-    sheared = np.empty(W0.values.shape)
-    for rows, block in _streamed(spectrum, W0.grid_p, W0.grid_r, t, mass):
-        sheared[rows] = block.real
-    return WignerDistribution(W0.grid_p, W0.grid_r, sheared)

@@ -30,10 +30,6 @@ class ImaginaryResidueError(PhasekinError):
     """A nominally real result carries a non-negligible imaginary part."""
 
 
-class InsufficientSupportError(PhasekinError):
-    """Too few lattice points support a requested fit."""
-
-
 class DegenerateFitError(PhasekinError):
     """A regression input is degenerate (e.g. a norm underflowed)."""
 

@@ -8,18 +8,21 @@ integral normalization::
     F(w) = sum_j f(x_j) exp(+i w x_j) * step
 
 so the value at zero frequency equals the quadrature integral of ``f``.
-The inverse carries the ``1/(2 pi)`` per axis.  :func:`fourier_forward`
-stores frequencies zero-centered with spacing ``pi / half_width``; the
-mapping to the FFT's native ordering is internal.  A real array's
-transform along one axis is Hermitian, ``F(-w) = conj F(w)``, so every
-real field takes the real half spectrum: :func:`half_spectrum_forward`
-keeps only its ``n/2 + 1`` bins at ``w >= 0`` (:func:`half_frequencies`),
-in the same convention, and :func:`half_spectrum_inverse` inverts them
-to a real array.
+The inverse carries the ``1/(2 pi)`` per axis, and frequencies are spaced
+``pi / half_width``.  A real array's transform along one axis is
+Hermitian, ``F(-w) = conj F(w)``, so every real field takes the real half
+spectrum: :func:`half_spectrum_forward` keeps only its ``n/2 + 1`` bins at
+``w >= 0`` (:func:`half_frequencies`), and :func:`half_spectrum_inverse`
+inverts them to a real array; a real plane's 2-axis transform likewise
+needs every frequency on one axis but only ``w >= 0`` on the other
+(``rfft2``).  Only the time stepper's complex state takes the whole
+spectrum on every axis, in the FFT's native order
+(:func:`native_frequencies`).
 
 Derivatives are evaluated in the half spectrum (``rfft``/``irfft``),
-where ``d/dx`` is multiplication by ``(i w)``; the result is real, and
-for odd orders the unpaired Nyquist mode is dropped.
+where ``d/dx`` is multiplication by ``(i w)``; the result is real.  A real
+array's Nyquist bin is real, so for odd orders its product is imaginary,
+and ``irfft``, which reads only the real part of that bin, drops it.
 
 The derivative series of the joint builder and of the Moyal transport
 share one source of derivatives, :func:`spectral_derivatives`, taken
@@ -62,8 +65,9 @@ INVERSE_BLOCK = 4
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid of ``n`` samples on ``[-half_width, half_width)``, with
-    its zero-centered angular ``frequencies``, spaced ``pi / half_width``."""
+    """Uniform grid of ``n`` samples ``points`` on ``[-half_width, half_width)``,
+    ``step`` apart; its angular frequencies are spaced ``pi / half_width``
+    (:func:`half_frequencies`, :func:`native_frequencies`)."""
 
     n: int
     half_width: float
@@ -78,13 +82,10 @@ class Grid1D:
         step = 2.0 * self.half_width / self.n
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "points", -self.half_width + step * np.arange(self.n))
-        object.__setattr__(self, "frequencies", np.pi / self.half_width * np.arange(-self.n // 2, self.n // 2))
         self.points.setflags(write=False)
-        self.frequencies.setflags(write=False)
 
     step: float = field(init=False, repr=False, compare=False)
     points: np.ndarray = field(init=False, repr=False, compare=False)
-    frequencies: np.ndarray = field(init=False, repr=False, compare=False)
 
 
 def make_grid(n: int, half_width: float) -> Grid1D:
@@ -134,22 +135,9 @@ def _reshape_for(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
     return vec.reshape(shape)
 
 
-def fourier_forward(values: np.ndarray, grids, axes) -> np.ndarray:
-    """Forward transform (``exp(+i w x)``, integral-normalized) along ``axes``.
-
-    Output is complex with the transformed axes in zero-centered
-    frequency order.
-    """
-    out = values.astype(complex, copy=True)
-    for ax in axes:
-        g = grids[ax]
-        out = np.fft.fftshift(np.fft.ifft(out, axis=ax), axes=ax) * g.n
-        out *= _reshape_for(g.step * _alternating(g.n), out.ndim, ax)
-    return out
-
-
 def half_spectrum_forward(values: np.ndarray, grid: Grid1D, axis: int = 0) -> np.ndarray:
-    """:func:`fourier_forward` of a real array along one axis, at ``w >= 0`` only.
+    """The forward transform (``exp(+i w x)``, integral-normalized) of a real
+    array along one axis, at ``w >= 0`` only.
 
     The output has ``n/2 + 1`` bins along ``axis``, at
     :func:`half_frequencies`: zero frequency first, the Nyquist frequency
@@ -174,17 +162,15 @@ def half_frequencies(grid: Grid1D) -> np.ndarray:
 
 
 def native_frequencies(grid: Grid1D) -> np.ndarray:
-    """Angular frequencies in the FFT's native ordering, for complex states."""
+    """Angular frequencies in the FFT's native ordering: of the stepper's
+    complex state, and of the generating function's full K axis."""
     return 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.step)
 
 
 def derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
     """``(i w)^order`` at the half-spectrum frequencies, the spectral
     d^order/dx^order of a real array."""
-    mult = (1j * half_frequencies(grid)) ** order
-    if order % 2 == 1:
-        mult[-1] = 0.0  # unmatched Nyquist mode has no real odd derivative
-    return mult
+    return (1j * half_frequencies(grid)) ** order
 
 
 def derivative_array(values: np.ndarray, grid: Grid1D, axis: int, order: int) -> np.ndarray:

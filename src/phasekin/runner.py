@@ -140,17 +140,15 @@ def run_simulate(config: ScenarioConfig, directory: str) -> tuple:
 
 def run_cumulants(config: ScenarioConfig, directory: str) -> tuple:
     rho, W = config.joint_inputs()
-    # the scan first: it refuses scan values that underflow to 0, which
-    # would otherwise surface as an unresolved fit
+    # the scan first: it refuses scan values that underflow to 0
     scan = [config.hbar * f for f in CLASSICAL_SCAN_FRACTIONS]
     slope = classical_limit_scan(rho, W, scan) if config.hbar > 0.0 else float("nan")
-    _, report, (c2, c4) = cumulant_pass(rho, W, config.hbar)
+    _, report, gap = cumulant_pass(rho, W, config.hbar)
     rows = [
         ("hbar", config.hbar),
         ("kappa22", report.kappa22),
         ("kappa22_reference", report.kappa22_reference),
-        ("phi_c2", c2),
-        ("phi_c4", c4),
+        ("phi_gap", gap),
         ("sigma_R2", report.sigma_R2),
         ("sigma_p2", report.sigma_p2),
         ("heisenberg_lhs", report.heisenberg_lhs),

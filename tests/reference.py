@@ -19,7 +19,7 @@ from phasekin.coupling import (
     sinc_kernel,
     sinc_values,
 )
-from phasekin.dynamics import PROPAGATION_DECAY_TOL, _energy, propagate
+from phasekin.dynamics import PROPAGATION_DECAY_TOL, _energy, _streamed, propagate
 from phasekin.errors import ImaginaryResidueError
 from phasekin.states import JointPlanes, WignerDistribution
 from phasekin.grids import (
@@ -32,7 +32,6 @@ from phasekin.grids import (
     accept_series,
     derivative_array,
     face_sup,
-    fourier_forward,
     half_spectrum_forward,
     half_spectrum_inverse,
     native_frequencies,
@@ -53,6 +52,34 @@ def checked_real(values, what):
     if im_max > IMAG_RESIDUE_TOL * max(re_max, 1e-300):
         raise ImaginaryResidueError(f"{what} has imaginary residue {im_max:.3e} vs real max {re_max:.3e}")
     return values.real
+
+
+def frequencies(grid):
+    """The grid's angular frequencies in zero-centered order, spaced
+    ``pi / half_width``, as ``Grid1D.frequencies`` held them."""
+    return np.pi / grid.half_width * np.arange(-grid.n // 2, grid.n // 2)
+
+
+def fourier_forward(values, grids, axes):
+    """Forward transform (``exp(+i w x)``, integral-normalized) along ``axes``,
+    over the whole spectrum, complex, with the transformed axes in
+    zero-centered frequency order: the route phi_field took before it took
+    the real half lattice."""
+    out = values.astype(complex, copy=True)
+    for ax in axes:
+        g = grids[ax]
+        out = np.fft.fftshift(np.fft.ifft(out, axis=ax), axes=ax) * g.n
+        out *= _reshape_for(g.step * _alternating(g.n), out.ndim, ax)
+    return out
+
+
+def half_lattice(values):
+    """A (K, q) array in zero-centered order on both axes, taken to
+    phi_field's real half lattice: every K in the FFT's native order, and
+    q >= 0.  The last q bin, +Nyquist, is the zero-centered first, -Nyquist;
+    the transform takes one value at both."""
+    n = values.shape[1]
+    return np.fft.ifftshift(values, axes=(0, 1))[:, : n // 2 + 1]
 
 
 def fourier_inverse(values, grids, axes):
@@ -95,7 +122,7 @@ def full_spectrum_kernel_half(rho, grid_p, hbar):
     whole K spectrum, complex with an imaginary part at rounding."""
     q = np.pi / grid_p.half_width * np.arange(grid_p.n // 2 + 1)
     rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
-    return fourier_inverse(rho_t[:, None] * sinc_kernel(rho.grid.frequencies, q, hbar), (rho.grid,), (0,))
+    return fourier_inverse(rho_t[:, None] * sinc_kernel(frequencies(rho.grid), q, hbar), (rho.grid,), (0,))
 
 
 def peak_traced_bytes(fn, *args):
@@ -197,8 +224,8 @@ def full_complex_joint(rho, W, hbar):
     grids = (rho.grid, W.grid_p, W.grid_r)
     rho_t = fourier_forward(rho.values, (rho.grid,), (0,))
     w_t = fourier_forward(W.values, (W.grid_p, W.grid_r), (0, 1))
-    K = rho.grid.frequencies
-    q = W.grid_p.frequencies
+    K = frequencies(rho.grid)
+    q = frequencies(W.grid_p)
     kernel = sinc_values(hbar * np.outer(K, q) / 2.0)
     f_t = rho_t[:, None, None] * kernel[:, :, None] * w_t[None, :, :]
     return checked_real(fourier_inverse(f_t, grids, (0, 1, 2)), "spectral joint")
@@ -402,6 +429,18 @@ def _whole_apply(values, phase, axis):
     values *= phase
     np.fft.ifft(values, axis=axis, out=values)
     return values
+
+
+def analytic_free_evolution(W0, t, mass):
+    """Free streaming for ``t`` by the stepper's own streaming phase, a block
+    of rows of p at a time: the reference dynamics[free_shear] read before
+    it took the closed form."""
+    spectrum = W0.values.astype(complex)
+    np.fft.fft(spectrum, axis=1, out=spectrum)
+    sheared = np.empty(W0.values.shape)
+    for rows, block in _streamed(spectrum, W0.grid_p, W0.grid_r, t, mass):
+        sheared[rows] = block.real
+    return WignerDistribution(W0.grid_p, W0.grid_r, sheared)
 
 
 def whole_array_free_evolution(W0, t, mass):

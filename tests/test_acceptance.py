@@ -42,8 +42,7 @@ def test_rows_are_listed_family_by_family(report):
         *(f"marginal_recovery[hbar={h}]" for h in hbars),
         "classical_reduction[hbar=0]",
         "classical_reduction[harmonic]",
-        "kernel_expansion[c2]",
-        "kernel_expansion[c4]",
+        "kernel_expansion[pointwise]",
         "cross_cumulant[negative]",
         "cross_cumulant[scaling]",
         "cross_cumulant[oracle]",
@@ -84,10 +83,8 @@ def test_criterion_04_classical_reduction(report):
 
 
 def test_criterion_05_kernel_expansion(report):
-    checks = _criterion(report, 5, "generating-function expansion", ["kernel_expansion["])
-    tols = {c.name: c.tolerance for c in checks}
-    assert tols["kernel_expansion[c2]"] == 2e-3
-    assert tols["kernel_expansion[c4]"] == 5e-2
+    [check] = _criterion(report, 5, "generating function is ln sinc pointwise", ["kernel_expansion["])
+    assert (check.name, check.tolerance, check.note) == ("kernel_expansion[pointwise]", 1e-8, "")
 
 
 def test_criterion_06_cross_cumulant(report):
@@ -122,13 +119,12 @@ def test_criterion_09_dynamics_oracles(report):
 
 
 def test_kernel_expansion_measures_the_cumulants_report(report, tmp_path):
-    # verify fits the same generating function the cumulants command writes
+    # verify checks the same generating function the cumulants command writes
     assert main(["cumulants", "--output-dir", str(tmp_path)]) == 0
     lines = (tmp_path / "cumulant_report.csv").read_text().splitlines()[1:]
     written = {name: float(value) for name, value in (line.split(",") for line in lines if line.startswith("phi_"))}
     measured = {c.name: c.measured for c in report.checks}
-    assert measured["kernel_expansion[c2]"] == abs(written["phi_c2"] + 1.0 / 24.0) * 24.0
-    assert measured["kernel_expansion[c4]"] == abs(written["phi_c4"] + 1.0 / 2880.0) * 2880.0
+    assert written == {"phi_gap": measured["kernel_expansion[pointwise]"]}
 
 
 def _tree_bytes(directory):

@@ -29,13 +29,15 @@ from phasekin import (
 )
 from phasekin import coupling
 from phasekin.coupling import joint_planes, sinc_values
-from phasekin.cumulants import PHI_RATIO_FLOOR, phi_field
-from phasekin.grids import INVERSE_BLOCK, face_sup, fourier_forward
+from phasekin.cumulants import PHI_RATIO_FLOOR, phi_field, phi_gap
+from phasekin.grids import INVERSE_BLOCK, face_sup
 from phasekin.states import marginal_residuals, preset_fits
-from phasekin.verification import EQUIV_PRESETS
+from phasekin.verification import EQUIV_PRESETS, KERNEL_GAP_TOL
 
 from reference import (
     dense_joint_series,
+    fourier_forward,
+    frequencies,
     full_complex_joint,
     full_spectrum_kernel_half,
     joint_transform,
@@ -207,7 +209,7 @@ class TestQuantumJointSpectral:
         w_t = fourier_forward(wigner_default.values, (grid64, grid64), (0, 1))
         denom = rho_t[:, None, None] * w_t[None, :, :]
         mask = np.abs(denom) > 1e-6 * np.abs(denom).max()
-        K = grid64.frequencies
+        K = frequencies(grid64)
         x = hbar * np.multiply.outer(K, K) / 2.0
         expected = np.where(np.abs(x) < 1e-4, 1 - x**2 / 6, np.sin(np.where(x == 0, 1, x)) / np.where(x == 0, 1, x))
         ratio = np.where(mask, f_t / np.where(mask, denom, 1.0), 0.0)
@@ -529,6 +531,20 @@ class TestPlanesOfDrawnInputs:
             assert str(exc).startswith("moment input")
             return
         assert abs(kap + hbar**2 / 6.0) <= 1e-8 * hbar**2 / 6.0
+
+    @PLANES_SETTINGS
+    @given(inputs=mixture_inputs())
+    def test_generating_function_is_ln_sinc_on_its_mask(self, inputs):
+        # the joint's transform over its marginals' is the kernel itself,
+        # whatever the inputs; a joint whose tails reach the box is refused
+        rho, W, hbar = inputs
+        planes = joint_planes(rho, W, hbar)
+        try:
+            phi = phi_field(planes, rho, W)
+        except DecayGuardError as exc:
+            assert str(exc).startswith("characteristic-function input")
+            return
+        assert phi_gap(phi, hbar) <= KERNEL_GAP_TOL
 
     @PLANES_SETTINGS
     @given(inputs=mixture_inputs())

@@ -1,5 +1,6 @@
 """The joint's characteristic function, the generating-function log-ratio, and cumulants."""
 
+import dataclasses
 from collections import deque
 from functools import lru_cache
 
@@ -13,7 +14,6 @@ from phasekin import (
     DegenerateFitError,
     EvolutionParams,
     ImaginaryResidueError,
-    InsufficientSupportError,
     classical_limit_scan,
     collision_rhs,
     gaussian_density,
@@ -25,27 +25,30 @@ from phasekin import (
     moyal_rhs_spectral,
     parse_config,
     phi_field,
-    phi_series_coefficients,
+    phi_gap,
     potential_from_density,
     propagate,
     quantum_joint_series,
     quantum_joint_spectral,
     quartic_potential,
 )
-from phasekin import coupling, cumulants
+from phasekin import coupling, cumulants, verification
 from phasekin.coupling import joint_planes
-from phasekin.cumulants import PHI_FIT_MAX_ARG, cumulant_pass
-from phasekin.grids import face_sup, fourier_forward
+from phasekin.cumulants import cumulant_pass
+from phasekin.grids import face_sup
 from phasekin.runner import run_cumulants
 from phasekin.states import marginal_over_R, marginal_residuals
-from phasekin.verification import kappa22_closed_form_oracle
+from phasekin.verification import KERNEL_CONTENT_FLOOR, KERNEL_GAP_TOL, kappa22_closed_form_oracle
 
 from conftest import SIGMA_COHERENT, gauss
 from reference import (
     WholeJoint,
     collect,
     departure_norms,
+    fourier_forward,
+    frequencies,
     full_derivative_diagonal,
+    half_lattice,
     joint_transform,
     kernel_departure_norms,
     peak_traced_bytes,
@@ -72,7 +75,7 @@ class TestCharacteristicFunction:
 
     def test_gaussian_axis_profile(self, rho_default, wigner_default, grid64):
         F = product_joint(rho_default, wigner_default)
-        K = grid64.frequencies
+        K = frequencies(grid64)
         mid = grid64.n // 2
         profile = np.abs(joint_transform(F)[:, mid, mid])
         assert np.abs(profile - np.exp(-(K**2) / 2.0)).max() < 1e-8
@@ -95,14 +98,12 @@ class TestPhiField:
         hbar = 1.0
         planes = joint_planes(rho_default, wigner_default, hbar)
         phi = phi_field(planes, rho_default, wigner_default)
-        K = phi.K
-        q = phi.q
-        x = hbar * np.multiply.outer(K, q) / 2.0
-        lobe = np.abs(x) < np.pi  # where sinc is positive
-        sel = phi.mask & lobe
-        assert sel.sum() > 400
-        expected = np.log(np.sinc(x[sel] / np.pi))  # np.sinc(y) is sin(pi y) / (pi y)
-        assert np.abs(phi.values[sel] - expected).max() < 1e-7
+        x = hbar * np.multiply.outer(phi.K, phi.q) / 2.0
+        assert phi.values.shape == (64, 33) and phi.mask.sum() > 250
+        expected = np.log(np.sinc(x[phi.mask] / np.pi))  # np.sinc(y) is sin(pi y) / (pi y)
+        gap = np.abs(phi.values[phi.mask] - expected).max()
+        assert gap < KERNEL_GAP_TOL
+        assert abs(phi_gap(phi, hbar) - gap) < 1e-15
 
     def test_k_slices_agree(self, rho_default, wigner_default, grid64):
         # the generating function does not depend on the third frequency:
@@ -110,16 +111,22 @@ class TestPhiField:
         F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         a = phi_field(planes_of(F), rho_default, wigner_default)
         values, mask = phi_from_full_transform(F, rho_default, wigner_default, grid64.n // 2 + 3)
-        common = a.mask & mask
+        common = a.mask & half_lattice(mask)
         assert common.sum() > 100
-        assert np.abs(a.values[common] - values[common]).max() < 1e-7
+        assert np.abs(a.values[common] - half_lattice(values)[common]).max() < 1e-7
 
-    def test_phi_even_under_sign_flip(self, rho_default, wigner_default):
+    def test_phi_even_under_sign_flip_of_K(self, rho_default, wigner_default):
+        # the half lattice holds q >= 0 only, so only K flips: row j of the
+        # FFT order holds -K at row (n - j) mod n, Nyquist (n/2) onto itself
         planes = joint_planes(rho_default, wigner_default, 1.0)
         phi = phi_field(planes, rho_default, wigner_default)
-        v = phi.values[1:, 1:]
-        keep = phi.mask[1:, 1:] & phi.mask[1:, 1:][::-1, ::-1]
-        assert np.abs(v - v[::-1, ::-1])[keep].max() < 1e-8
+        n = phi.K.size
+        flip = (-np.arange(n)) % n
+        rows = np.arange(n) != n // 2
+        assert np.array_equal(phi.K[flip][rows], -phi.K[rows])
+        keep = phi.mask & phi.mask[flip]
+        assert keep.sum() > 250
+        assert np.abs(phi.values - phi.values[flip])[keep].max() < 1e-8
 
     def test_mismatched_inputs_raise_imaginary_residue(self, rho_default, wigner_default, grid64):
         # a momentum-shifted denominator puts a phase in the ratio
@@ -132,44 +139,78 @@ class TestPhiField:
         F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)
         phi = phi_field(planes_of(F), rho_default, wigner_default)
         mid = grid64.n // 2
-        f_t = joint_transform(F)[:, :, mid]
+        f_t = half_lattice(joint_transform(F)[:, :, mid])
         rho_t = fourier_forward(rho_default.values, (grid64,), (0,))
         w_t = fourier_forward(wigner_default.values, (grid64, grid64), (0, 1))[:, mid]
-        recon = np.exp(phi.values[phi.mask]) * (rho_t[:, None] * w_t[None, :])[phi.mask]
+        recon = np.exp(phi.values[phi.mask]) * half_lattice(rho_t[:, None] * w_t[None, :])[phi.mask]
         assert np.abs(recon - f_t[phi.mask]).max() < 1e-7
 
 
-class TestPhiSeriesCoefficients:
-    def test_leading_coefficients(self, rho_default, wigner_default):
+def content(phi, hbar):
+    """What the kernel row resolves: the gap of phi = 0 (no coupling) on phi's mask."""
+    return phi_gap(dataclasses.replace(phi, values=np.zeros_like(phi.values)), hbar)
+
+
+def _joint_at(factor):
+    """phi's inputs with the joint built at hbar = ``factor``, that many times
+    the default hbar = 1 at which the row checks it."""
+    return lambda planes, rho, W: (joint_planes(rho, W, factor), rho, W)
+
+
+def _planted_in_over_r(planes, rho, W):
+    """phi's inputs with one interior point of ``over_r`` raised by 1e-5 of its peak."""
+    over_r = planes.over_r.copy()
+    over_r[over_r.shape[0] // 2, over_r.shape[1] // 2] += 1e-5 * np.abs(over_r).max()
+    return dataclasses.replace(planes, over_r=over_r), rho, W
+
+
+def _spoiled_marginal(planes, rho, W):
+    """phi's inputs with a density 1% narrower than the joint's own."""
+    return planes, gaussian_density(rho.grid, 0.0, 0.99), W
+
+
+class TestPhiGap:
+    def test_gap_at_the_defaults_is_within_tolerance(self, rho_default, wigner_default):
         hbar = 1.0
-        planes = joint_planes(rho_default, wigner_default, hbar)
-        c2, c4 = phi_series_coefficients(phi_field(planes, rho_default, wigner_default), hbar)
-        assert abs(c2 + 1.0 / 24.0) * 24.0 < 2e-3
-        assert abs(c4 + 1.0 / 2880.0) * 2880.0 < 5e-2
+        phi = phi_field(joint_planes(rho_default, wigner_default, hbar), rho_default, wigner_default)
+        assert phi_gap(phi, hbar) <= KERNEL_GAP_TOL
+        assert content(phi, hbar) > 3.9  # |ln sinc| near the mask's edge, where sinc is 2e-2
 
     def test_hbar_zero_trivial(self, rho_default, wigner_default):
         planes = joint_planes(rho_default, wigner_default, 0.0)
-        c2, c4 = phi_series_coefficients(phi_field(planes, rho_default, wigner_default), 0.0)
-        assert abs(c2) < 1e-8 and abs(c4) < 1e-8
-
-    def test_insufficient_support(self, rho_default, wigner_default):
-        # a steep kernel scale leaves too few small-argument lattice points
-        planes = joint_planes(rho_default, wigner_default, 1.0)
         phi = phi_field(planes, rho_default, wigner_default)
-        with pytest.raises(InsufficientSupportError):
-            phi_series_coefficients(phi, 8.0)
+        assert phi_gap(phi, 0.0) < 1e-9 and content(phi, 0.0) == 0.0
 
-    def test_coefficients_independent_of_preset_widths(self, grid64):
+    def test_kernel_not_positive_on_the_mask_is_an_infinite_gap(self, rho_default, wigner_default):
+        # a steep kernel scale puts masked points past the kernel's first zero
+        phi = phi_field(joint_planes(rho_default, wigner_default, 1.0), rho_default, wigner_default)
+        assert phi_gap(phi, 8.0) == np.inf
+
+    def test_empty_mask_reads_zero(self, rho_default, wigner_default):
+        phi = phi_field(joint_planes(rho_default, wigner_default, 1.0), rho_default, wigner_default)
+        empty = dataclasses.replace(phi, mask=np.zeros_like(phi.mask))
+        assert phi_gap(empty, 1.0) == 0.0
+
+    def test_gap_independent_of_preset_widths(self, grid64):
         hbar = 1.0
-        results = []
         for sigma_R, sigma_p in ((1.0, 2**-0.5), (0.8, 0.9)):
             rho = gaussian_density(grid64, 0.0, sigma_R)
             W = gaussian_wigner(grid64, grid64, 0.0, 0.0, sigma_p, sigma_p)
-            planes = joint_planes(rho, W, hbar)
-            results.append(phi_series_coefficients(phi_field(planes, rho, W), hbar))
-        (a2, a4), (b2, b4) = results
-        assert abs(a2 - b2) * 24 < 2e-3
-        assert abs(a4 - b4) * 2880 < 5e-2
+            assert phi_gap(phi_field(joint_planes(rho, W, hbar), rho, W), hbar) <= KERNEL_GAP_TOL
+
+    @pytest.mark.parametrize(
+        "perturb",
+        [_joint_at(1.0 + 1e-3), _joint_at(1.0 + 1e-2), _planted_in_over_r, _spoiled_marginal],
+        ids=["hbar(1+1e-3)", "hbar(1+1e-2)", "planted_over_r", "spoiled_marginal"],
+    )
+    def test_row_fails_every_perturbation_that_failed_the_fit(self, monkeypatch, perturb):
+        # each of these failed the polynomial fit's c2 row or its standard
+        # error once; the pointwise row, at the default hbar = 1, fails them
+        # by orders of magnitude, judged on the gap and not refused
+        monkeypatch.setattr(verification, "phi_field", lambda *inputs: phi_field(*perturb(*inputs)))
+        [row] = [c for c in verification.check_configured_hbar(parse_config({})) if c.name.startswith("kernel")]
+        assert (row.name, row.passed, row.note) == ("kernel_expansion[pointwise]", False, "")
+        assert row.measured > 1e5 * KERNEL_GAP_TOL
 
 
 class TestKappa22:
@@ -308,9 +349,9 @@ class TestClassicalLimitScan:
         assert abs(got / kernel_departure_norms(rho, W, hbars)[0] - 1.0) < 1e-10
 
 
-# Traced peak of run_cumulants in complex (n, n) arrays: measured 6.68 at
-# n3 = 128 (7.15 at 64, 6.60 at 256), where one joint would be 64 of them
-PEAK_CUMULANTS_COMPLEX_SQUARES = 7
+# Traced peak of run_cumulants in complex (n, n) arrays: measured 5.05 at
+# n3 = 128 (5.14 at 64, 4.52 at 256), where one joint would be 64 of them
+PEAK_CUMULANTS_COMPLEX_SQUARES = 6
 
 
 class TestCumulantsCost:
@@ -451,7 +492,7 @@ class TestPhiFieldSlice:
         W = gaussian_wigner(grid64, grid64, shift / 2, shift, 0.75, 0.7)
         F = whole_joint(quantum_joint_spectral, rho, W, 1.0)
         phi = phi_field(planes_of(F), rho, W)
-        values, mask = phi_from_full_transform(F, rho, W, grid64.n // 2 + offset)
+        values, mask = (half_lattice(a) for a in phi_from_full_transform(F, rho, W, grid64.n // 2 + offset))
         if offset == 0:
             assert mask.sum() > 100 and np.array_equal(phi.mask, mask)
             assert np.abs(phi.values[mask] - values[mask]).max() < 1e-8
@@ -476,55 +517,42 @@ class TestPhiFieldSlice:
             phi_field(planes_of(F), rho_default, wigner_default)
 
 
-class TestFitResolution:
-    def test_coefficients_are_the_least_squares_fit(self, rho_default, wigner_default):
-        hbar = 1.0
+class TestContentFloor:
+    @pytest.mark.parametrize("hbar", [1e-3, 3e-3, 0.01, 0.1])
+    def test_gap_is_resolved_above_the_floor(self, rho_default, wigner_default, hbar):
+        # the fit refused 1e-3, where its c4 column sank under rounding
         phi = phi_field(joint_planes(rho_default, wigner_default, hbar), rho_default, wigner_default)
-        x = hbar * np.multiply.outer(phi.K, phi.q) / 2.0
-        sel = phi.mask & (np.abs(x) < PHI_FIT_MAX_ARG) & (x != 0.0)
-        z = 2.0 * x[sel]
-        coeffs = np.linalg.lstsq(np.stack([z**2, z**4, z**6], axis=1), phi.values[sel], rcond=None)[0]
-        c2, c4 = phi_series_coefficients(phi, hbar)
-        assert (c2, c4) == (coeffs[0], coeffs[1])
-        # `phasekin cumulants` at the defaults (this preset) wrote these
-        # before the fit check and the one-slice phi_field
-        assert abs(c2 - -0.0416666780961127) < 1e-12
-        assert abs(c4 - -0.00034713921943442782) < 1e-12
+        assert phi_gap(phi, hbar) <= KERNEL_GAP_TOL
+        assert content(phi, hbar) >= KERNEL_CONTENT_FLOOR
 
-    @pytest.mark.parametrize("hbar", [3e-3, 0.01, 0.1])
-    def test_resolved_fit_is_accepted(self, rho_default, wigner_default, hbar):
+    @pytest.mark.parametrize("hbar", [1e-4, 1e-100])
+    def test_content_falls_below_the_floor(self, rho_default, wigner_default, hbar):
+        # the gap still reads rounding; the row refuses on the content alone
         phi = phi_field(joint_planes(rho_default, wigner_default, hbar), rho_default, wigner_default)
-        c2, c4 = phi_series_coefficients(phi, hbar)
-        assert abs(c2 + 1.0 / 24.0) * 24.0 < 2e-3
-        assert abs(c4 + 1.0 / 2880.0) * 2880.0 < 5e-2
-
-    @pytest.mark.parametrize("hbar", [1e-3, 1e-4, 1e-100])
-    def test_unresolved_fit_is_refused(self, rho_default, wigner_default, hbar):
-        phi = phi_field(joint_planes(rho_default, wigner_default, hbar), rho_default, wigner_default)
-        with pytest.raises(DegenerateFitError, match="generating-function fit is unresolved"):
-            phi_series_coefficients(phi, hbar)
+        assert phi_gap(phi, hbar) <= KERNEL_GAP_TOL
+        assert content(phi, hbar) < KERNEL_CONTENT_FLOOR
 
 
 class TestFactorPipeline:
     @pytest.mark.parametrize("hbar", [0.0, 0.5, 1.0])
     def test_factor_pass_matches_the_pipeline_on_the_whole_joint(self, rho_default, wigner_default, hbar):
-        # the report and the fit of the whole joint's planes, which the
-        # factors' match to rounding (at hbar = 0 the whole joint is the
-        # product rho W).  sigma_p2 = sqrt(<p^4> - <p^2>^2) cancels: it
-        # measured 3.7e-13 apart, and c4 1.6e-9 (relative, at hbar = 0.5)
+        # the report and the generating function's gap of the whole joint's
+        # planes, which the factors' match to rounding (at hbar = 0 the whole
+        # joint is the product rho W).  sigma_p2 = sqrt(<p^4> - <p^2>^2)
+        # cancels: it measured 3.7e-13 apart
         if hbar == 0.0:
             F = product_joint(rho_default, wigner_default)
         else:
             F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, hbar)
         planes = planes_of(F)
-        fit = phi_series_coefficients(phi_field(planes, rho_default, wigner_default), hbar)
+        whole_gap = phi_gap(phi_field(planes, rho_default, wigner_default), hbar)
         whole = heisenberg_check(planes, hbar)
-        _, report, coefficients = cumulant_pass(rho_default, wigner_default, hbar)
+        _, report, gap = cumulant_pass(rho_default, wigner_default, hbar)
         assert abs(report.kappa22 - whole.kappa22) <= 1e-15
         for field in ("sigma_R2", "sigma_p2", "heisenberg_lhs"):
             assert abs(getattr(report, field) / getattr(whole, field) - 1.0) <= 1e-12
         assert report.cauchy_schwarz_ok == whole.cauchy_schwarz_ok
-        assert np.allclose(coefficients, fit, rtol=1e-8, atol=0.0)
+        assert abs(gap - whole_gap) <= 1e-9 and max(gap, whole_gap) <= KERNEL_GAP_TOL
 
     def test_factor_phi_field_matches_the_whole_joint_s(self, rho_default, wigner_default):
         F = whole_joint(quantum_joint_spectral, rho_default, wigner_default, 1.0)

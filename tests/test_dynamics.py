@@ -16,7 +16,6 @@ from phasekin import (
     EvolutionParams,
     NonConvergenceError,
     WignerDistribution,
-    analytic_free_evolution,
     collision_rhs,
     free_potential,
     gaussian_density,
@@ -36,11 +35,13 @@ from phasekin import (
 from phasekin.coupling import joint_planes
 from phasekin.dynamics import _moyal_terms, propagate
 from phasekin.grids import native_frequencies
+from phasekin import verification
 from phasekin.verification import EQUIV_PRESETS, check_dynamics_oracles
 
 from conftest import gauss
 from reference import (
     WholeJoint,
+    analytic_free_evolution,
     collect,
     complex_strang_reference,
     full_derivative_diagonal,
@@ -477,6 +478,14 @@ class TestAnalyticFreeEvolution:
         grid = make_grid(n, 8.0)
         W0 = gaussian_wigner(grid, grid, 0.3, -0.4, 0.7, 0.7)
         assert np.array_equal(analytic_free_evolution(W0, t, mass).values, whole_array_free_evolution(W0, t, mass))
+
+    @pytest.mark.parametrize("mass, p0, r0", [(1.0, 0.0, 0.0), (1.7, 0.0, 0.0), (1.3, 0.5, -0.4)])
+    def test_matches_the_closed_form_that_free_shear_reads(self, mass, p0, r0):
+        # W0(p, r - p t / m) on the verify grid, normalized as W0 is
+        config = parse_config({"mass": mass, "wigner_preset": {"p0": p0, "r0": r0}})
+        grid = config.grid2()
+        streamed = analytic_free_evolution(config.wigner(grid), 1.0, mass).values
+        assert np.abs(streamed - verification._free_gaussian(config, grid, 1.0)).max() < 1e-13
 
     def test_ehrenfest_center_motion(self, grid128):
         W0 = gaussian_wigner(grid128, grid128, 0.5, -0.5, 2**-0.5, 2**-0.5)

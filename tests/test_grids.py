@@ -1,7 +1,9 @@
 """Grid construction, transform contract, and spectral differentiation."""
 
+import ast
 import inspect
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import phasekin
 from phasekin import DecayGuardError, NonConvergenceError, VirtualDensity, make_grid, potential_from_density
 from phasekin.grids import (
     INVERSE_BLOCK,
@@ -19,7 +22,6 @@ from phasekin.grids import (
     accept_series,
     derivative_array,
     ensure_decaying,
-    fourier_forward,
     half_frequencies,
     half_spectrum_forward,
     native_frequencies,
@@ -28,7 +30,9 @@ from phasekin.grids import (
 
 from conftest import gauss
 from reference import (
+    fourier_forward,
     fourier_inverse,
+    frequencies,
     full_spectrum_derivative_array,
     full_spectrum_derivatives,
     half_spectrum_inverse,
@@ -60,8 +64,9 @@ class TestMakeGrid:
         g = make_grid(64, 8.0)
         step = np.pi / g.half_width
         assert step == np.pi / 8.0
-        assert_allclose(g.frequencies, step * np.arange(-32, 32), rtol=0, atol=0)
-        assert g.frequencies[g.n // 2] == 0.0
+        assert_allclose(frequencies(g), step * np.arange(-32, 32), rtol=0, atol=0)
+        assert frequencies(g)[g.n // 2] == 0.0
+        assert np.array_equal(half_frequencies(g), step * np.arange(33))
 
 
 class TestForwardTransform:
@@ -91,7 +96,7 @@ class TestForwardTransform:
         g = make_grid(128, 8.0)
         v = gauss(g.points, 0.0, 1.0)
         out = fourier_forward(v, (g,), (0,))
-        w = g.frequencies
+        w = frequencies(g)
         assert_allclose(out, np.exp(-(w**2) / 2.0), atol=1e-8)
 
     def test_shifted_gaussian_phase(self):
@@ -99,7 +104,7 @@ class TestForwardTransform:
         mu = 1.5
         v = gauss(g.points, mu, 1.0)
         out = fourier_forward(v, (g,), (0,))
-        w = g.frequencies
+        w = frequencies(g)
         expected = np.exp(1j * w * mu - w**2 / 2.0)  # +i convention fixes the phase sign
         assert_allclose(out, expected, atol=1e-8)
 
@@ -144,6 +149,16 @@ class TestSpectralDerivative:
         g = make_grid(64, 8.0)
         v = np.random.default_rng(5).standard_normal((g.n, 8))
         assert np.abs(derivative_array(v, g, 0, 0) - v).max() < 1e-14 * np.abs(v).max()
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_odd_orders_drop_the_nyquist_mode_and_even_orders_keep_it(self, order):
+        # the real Nyquist bin times the imaginary (i w)^order is imaginary,
+        # and irfft reads only the real part of that bin
+        g = make_grid(32, 8.0)
+        nyquist = 1.0 - 2.0 * (np.arange(g.n) % 2)  # the unpaired mode alone
+        w = half_frequencies(g)[-1]
+        expected = 0.0 * nyquist if order % 2 else (-(w**2)) * nyquist
+        assert np.abs(derivative_array(nyquist, g, 0, order) - expected).max() <= 1e-12 * w**order
 
     def test_fourth_derivative_against_symbolic_oracle(self):
         x = sympy.symbols("x")
@@ -261,6 +276,30 @@ class TestHalfSpectrum:
         w = half_frequencies(g)
         assert np.array_equal(w[:-1], native_frequencies(g)[: n // 2])
         assert np.array_equal(w, np.pi / g.half_width * np.arange(n // 2 + 1))
+
+
+# numpy's transforms and shifts over the whole complex spectrum
+FULL_SPECTRUM = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "fftshift", "ifftshift"}
+
+
+def full_spectrum_calls(path):
+    """``file:line name`` of each use of a FULL_SPECTRUM function of np.fft in a source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in FULL_SPECTRUM:
+            if ast.unparse(node.value) in ("np.fft", "numpy.fft"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.fft"):
+            found.append(f"{path.name}:{node.lineno} from {node.module}")
+    return found
+
+
+def test_only_the_stepper_takes_the_full_complex_spectrum():
+    # every real field takes the real half spectrum; only the stepper's
+    # complex state, in dynamics.py, takes the whole one
+    sources = sorted(pathlib.Path(phasekin.__file__).parent.glob("*.py"))
+    assert full_spectrum_calls(next(p for p in sources if p.name == "dynamics.py"))  # the scan sees calls
+    assert [call for p in sources if p.name != "dynamics.py" for call in full_spectrum_calls(p)] == []
 
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
