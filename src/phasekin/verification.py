@@ -65,11 +65,12 @@ EQUIV_PRESETS = {
 
 # kernel_expansion[pointwise]: max |phi - ln sinc| over phi's mask read
 # 6.8e-12 to 1.0e-9 for n3 = 32 to 256, hbar from 1e-5 to 2, and the
-# default widths, the hbar = 2 preset's and (0.9, 0.96, 0.7).  The row
-# refuses, and never passes, where the gap of phi = 0 (no coupling at all)
-# on the same mask, max |ln sinc| there, is below KERNEL_CONTENT_FLOOR: it
-# could not tell the kernel from none.  At the defaults that is 1.6e-5 at
-# hbar = 1e-3 and 1.6e-7 at 1e-4.
+# default widths, the hbar = 2 preset's and (0.9, 0.96, 0.7), and 5.2e-12
+# to 2.4e-10 at n3 = 512 on the same widths and hbars; larger n3 is
+# unmeasured.  The row refuses, and never passes, where the gap of phi = 0
+# (no coupling at all) on the same mask, max |ln sinc| there, is below
+# KERNEL_CONTENT_FLOOR: it could not tell the kernel from none.  At the
+# defaults that is 1.6e-5 at hbar = 1e-3 and 1.6e-7 at 1e-4.
 KERNEL_GAP_TOL = 1e-8
 KERNEL_CONTENT_FLOOR = 1e3 * KERNEL_GAP_TOL
 

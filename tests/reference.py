@@ -56,15 +56,16 @@ def checked_real(values, what):
 
 def frequencies(grid):
     """The grid's angular frequencies in zero-centered order, spaced
-    ``pi / half_width``, as ``Grid1D.frequencies`` held them."""
+    ``pi / half_width``: the frequency axis of :func:`fourier_forward`."""
     return np.pi / grid.half_width * np.arange(-grid.n // 2, grid.n // 2)
 
 
 def fourier_forward(values, grids, axes):
     """Forward transform (``exp(+i w x)``, integral-normalized) along ``axes``,
     over the whole spectrum, complex, with the transformed axes in
-    zero-centered frequency order: the route phi_field took before it took
-    the real half lattice."""
+    zero-centered frequency order.  An independent full-lattice route that
+    tests take to the half lattice (:func:`half_lattice`) to check
+    phi_field and the spectral builder against."""
     out = values.astype(complex, copy=True)
     for ax in axes:
         g = grids[ax]
@@ -433,8 +434,8 @@ def _whole_apply(values, phase, axis):
 
 def analytic_free_evolution(W0, t, mass):
     """Free streaming for ``t`` by the stepper's own streaming phase, a block
-    of rows of p at a time: the reference dynamics[free_shear] read before
-    it took the closed form."""
+    of rows of p at a time: the periodic shear the stepper applies, which
+    tests compare the stepper and the closed form W0(p, r - p t / m) with."""
     spectrum = W0.values.astype(complex)
     np.fft.fft(spectrum, axis=1, out=spectrum)
     sheared = np.empty(W0.values.shape)

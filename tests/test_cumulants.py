@@ -203,10 +203,11 @@ class TestPhiGap:
         [_joint_at(1.0 + 1e-3), _joint_at(1.0 + 1e-2), _planted_in_over_r, _spoiled_marginal],
         ids=["hbar(1+1e-3)", "hbar(1+1e-2)", "planted_over_r", "spoiled_marginal"],
     )
-    def test_row_fails_every_perturbation_that_failed_the_fit(self, monkeypatch, perturb):
-        # each of these failed the polynomial fit's c2 row or its standard
-        # error once; the pointwise row, at the default hbar = 1, fails them
-        # by orders of magnitude, judged on the gap and not refused
+    def test_row_fails_perturbed_kernels_and_inputs(self, monkeypatch, perturb):
+        # a joint built at a nearby hbar, a point planted in its plane and a
+        # marginal that is not the joint's: the pointwise row, at the default
+        # hbar = 1, fails each by orders of magnitude, judged on the gap and
+        # not refused
         monkeypatch.setattr(verification, "phi_field", lambda *inputs: phi_field(*perturb(*inputs)))
         [row] = [c for c in verification.check_configured_hbar(parse_config({})) if c.name.startswith("kernel")]
         assert (row.name, row.passed, row.note) == ("kernel_expansion[pointwise]", False, "")
@@ -520,7 +521,8 @@ class TestPhiFieldSlice:
 class TestContentFloor:
     @pytest.mark.parametrize("hbar", [1e-3, 3e-3, 0.01, 0.1])
     def test_gap_is_resolved_above_the_floor(self, rho_default, wigner_default, hbar):
-        # the fit refused 1e-3, where its c4 column sank under rounding
+        # down to 1e-3 at the defaults the gap reads rounding and the content
+        # clears the floor
         phi = phi_field(joint_planes(rho_default, wigner_default, hbar), rho_default, wigner_default)
         assert phi_gap(phi, hbar) <= KERNEL_GAP_TOL
         assert content(phi, hbar) >= KERNEL_CONTENT_FLOOR

@@ -461,6 +461,26 @@ class TestDynamicsOracles:
         ]
         assert all(c.passed for c in checks), [(c.name, c.measured, c.note) for c in checks]
 
+    @pytest.mark.parametrize("mass, passed", [(0.5, True), (0.48, False)])
+    def test_free_shear_fails_on_a_tail_wrapped_through_the_face(self, monkeypatch, mass, passed):
+        # at t = 1 the sheared tails reach the r faces at 4.1e-6 (mass 0.5)
+        # and 8.9e-6 (0.48) of the peak, under the stepper's 1e-5 guard.  The
+        # periodic stepper wraps them through the faces and the closed form
+        # on the line does not: the row reads that wrap (8.7e-7 and 2.0e-6)
+        # and fails above its 1e-6; the stepper is the periodic image of the
+        # closed form to rounding.
+        monkeypatch.setattr(verification, "_oracle_steps", lambda dt: (1000.0, 1.0, 1.0))
+        config = parse_config({"mass": mass})
+        row = check_dynamics_oracles(config)[0]
+        assert (row.name, row.passed, row.note) == ("dynamics[free_shear]", passed, "")
+        grid = config.grid2()
+        params = EvolutionParams(mass=mass, hbar=config.hbar, dt=config.dt, steps=1000, snapshot_every=1000)
+        snapshots, _ = collect(config.wigner(grid), free_potential(grid), params)
+        p, L = grid.points[:, None], config.half_width
+        r = np.mod(grid.points - p / mass + L, 2.0 * L) - L  # r - p t / m taken back into the box
+        v = np.exp(-(p**2) / (2.0 * config.sigma_p**2) - r**2 / (2.0 * config.sigma_r**2))
+        assert np.abs(snapshots[-1][1].values - v / (v.sum() * grid.step**2)).max() < 1e-13
+
 
 class TestAnalyticFreeEvolution:
     def test_zero_time_is_identity(self, wigner128):

@@ -242,6 +242,8 @@ def test_refused_kernel_row_leaves_cross_cumulant_standing(no_dynamics, hbar, co
         ("determinism[rebuild]", True, "byte-compare of repeated pipeline"),
     ]
     assert rows[0].measured <= verification.KERNEL_GAP_TOL
+    if hbar == 1e-3:
+        assert rows[3].measured < 1e-6  # the oracle resolves kappa22 = -hbar^2/6 at hbar = 1e-3
     assert rows[5].name == "classical_scaling[slope]" and rows[5].passed
 
 
