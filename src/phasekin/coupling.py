@@ -23,9 +23,10 @@ rho's real half spectrum over K, at the n/2 + 1 bins ``q >= 0`` only,
 n rows by n/2 + 1, with no symmetry left to check.  What is left is
 ``F(R, p, r) = IFT_q[G(R, q) W_hat(q, r)]`` with ``W_hat`` the transform
 over p only.  The joint is real, so only the ``q >= 0`` half of that
-product is formed and inverted.  The inverse's per-bin scale acts on G
-and its conjugation on ``W_hat``, so the product goes straight to a real
-inverse FFT.  It is formed and inverted a few rows of R at a time.
+product is formed and inverted.  Both factors are numpy's own
+transforms, G an ``irfft`` over K and ``W_hat`` an ``rfft`` over p, so
+their product goes straight to the real inverse FFT over q with no
+per-bin scale.  It is formed and inverted a few rows of R at a time.
 
 Each builder forms the joint a block of INVERSE_BLOCK rows of R at a
 time, writes every block into one reused buffer and hands it to its
@@ -44,14 +45,11 @@ import numpy as np
 from .grids import (
     INVERSE_BLOCK,
     Grid1D,
-    _alternating,
     _row_blocks,
     _sup_norm,
     accept_series,
     derivative_array,
     half_frequencies,
-    half_spectrum_forward,
-    half_spectrum_inverse,
     series_coefficient,
     spectral_derivatives,
 )
@@ -139,10 +137,10 @@ def _series_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> t
 
     def blocks():
         sup = 0.0
-        for rows, block in _row_blocks(len(factors_R), buffer):
-            np.matmul(factors_R[rows], factors_W, out=block.reshape(len(block), -1))
-            sup = np.maximum(sup, _sup_norm(block))  # np.maximum keeps a NaN
-            yield block
+        for rows in _row_blocks(len(factors_R)):
+            np.matmul(factors_R[rows], factors_W, out=buffer.reshape(INVERSE_BLOCK, -1))
+            sup = np.maximum(sup, _sup_norm(buffer))  # np.maximum keeps a NaN
+            yield buffer
         verdict(float(sup))
 
     return blocks(), planes
@@ -179,15 +177,7 @@ def sinc_kernel(K: np.ndarray, q: np.ndarray, hbar: float) -> np.ndarray:
 def _kernel_half(rho: VirtualDensity, grid_p: Grid1D, hbar: float) -> np.ndarray:
     """``G(R, q)`` at its n/2 + 1 bins ``q >= 0``: real, from rho's half spectrum."""
     kernel = sinc_kernel(half_frequencies(rho.grid), half_frequencies(grid_p), hbar)
-    return half_spectrum_inverse(half_spectrum_forward(rho.values, rho.grid)[:, None] * kernel, rho.grid)
-
-
-def _spectral_factors(G: np.ndarray, W: WignerDistribution) -> tuple:
-    """``(g, w)``: the spectral joint's two factors, F = irfft_q[g(R, q) w(q, r)],
-    from the kernel's ``q >= 0`` half ``G``; ``g`` is ``G * alt / step``,
-    real, n by n/2 + 1, and ``w`` is ``conj(W_hat)``, n/2 + 1 by n."""
-    grid = W.grid_p
-    return G * (_alternating(grid.n // 2 + 1) / grid.step), np.conj(half_spectrum_forward(W.values, grid))
+    return np.fft.irfft(np.fft.rfft(rho.values)[:, None] * kernel, rho.grid.n, axis=0)
 
 
 def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> JointPlanes:
@@ -195,18 +185,20 @@ def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: flo
     by the half-spectrum route of the module docstring.
 
     The kernel is evaluated everywhere, including its negative lobes; no
-    windowing is applied.  Each block of rows of R is ``irfft`` over q of
-    the factors' product (:func:`_spectral_factors`), formed in one reused
-    (B, n/2 + 1, n) complex buffer, and handed to ``each_block``; outside
-    the buffers the work is O(n^2).  Returns the joint's planes.
+    windowing is applied.  The factors are the kernel G, n by n/2 + 1, and
+    W's ``rfft`` over p, n/2 + 1 by n.  Each block of rows of R is ``irfft``
+    over q of their product, formed in one reused (B, n/2 + 1, n) complex
+    buffer, and handed to ``each_block``; outside the buffers the work is
+    O(n^2).  Returns the joint's planes.
     """
     _check_joint_inputs(rho, W)
-    g, w = _spectral_factors(_kernel_half(rho, W.grid_p, hbar), W)
+    g, w = _kernel_half(rho, W.grid_p, hbar), np.fft.rfft(W.values, axis=0)
     product = np.empty((INVERSE_BLOCK, *w.shape), dtype=complex)
-    for rows, block in _row_blocks(len(g), np.empty((INVERSE_BLOCK, W.grid_p.n, W.grid_r.n))):
-        product_rows = np.multiply(g[rows, :, None], w, out=product[: len(block)])
-        each_block(np.fft.irfft(product_rows, W.grid_p.n, axis=1, out=block))
-    del product, product_rows, block  # the buffers, freed before the planes are taken
+    block = np.empty((INVERSE_BLOCK, W.grid_p.n, W.grid_r.n))
+    for rows in _row_blocks(len(g)):
+        np.multiply(g[rows, :, None], w, out=product)
+        each_block(np.fft.irfft(product, W.grid_p.n, axis=1, out=block))
+    del product, block  # the buffers, freed before the planes are taken
     return _spectral_planes(rho, W, g, w)
 
 
@@ -223,7 +215,9 @@ def _p_face(g: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
 
 
 def _spectral_planes(rho: VirtualDensity, W: WignerDistribution, g: np.ndarray, w: np.ndarray) -> JointPlanes:
-    """The :class:`JointPlanes` of the spectral joint F = irfft_q[g w]: each
+    """The :class:`JointPlanes` of the spectral joint F = irfft_q[g w], from
+    its factors g, the kernel G (n by n/2 + 1, or an n by 1 column that
+    broadcasts over q), and w, W's ``rfft`` over p: each
     reduction is linear in F, so it is one inverse over q of reduced factors,
     ``over_r`` of ``g * sum_r w``, ``over_R`` of ``(sum_R g) * w``, dF/dR at
     R = r of ``(d_R g)^T * w``.  The guard takes two rows, two columns and
@@ -248,4 +242,4 @@ def joint_planes(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> Joi
     At hbar = 0 the kernel is rho itself (sinc 0 = 1): the product rho W."""
     _check_joint_inputs(rho, W)
     G = rho.values[:, None] if hbar == 0.0 else _kernel_half(rho, W.grid_p, hbar)
-    return _spectral_planes(rho, W, *_spectral_factors(G, W))
+    return _spectral_planes(rho, W, G, np.fft.rfft(W.values, axis=0))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coupling import joint_planes, sinc_kernel
 from .errors import DegenerateFitError, ImaginaryResidueError
-from .grids import half_frequencies, half_spectrum_forward, native_frequencies, require_same_grid
+from .grids import half_frequencies, native_frequencies, require_same_grid
 from .states import (
     JOINT_DECAY_TOL,
     JointPlanes,
@@ -89,11 +89,13 @@ def phi_field(planes: JointPlanes, rho: VirtualDensity, W: WignerDistribution) -
     their transforms are Hermitian and the half lattice q >= 0 holds every
     value: ``rfft2`` takes the plane's over all of R and half of p, rho's
     half spectrum is mirrored to every K, and W's k = 0 slice is the half
-    spectrum of its sum over r.  All three are numpy's transforms, whose
-    phase and step factors cancel in the ratio and in the mask's threshold;
-    they conjugate the ratio, which changes only the imaginary part that is
-    discarded.  Masked where the product magnitude falls below
-    PHI_PRODUCT_FLOOR of its peak or the ratio approaches the kernel zeros.
+    spectrum of its sum over r.  All three are numpy's transforms, as every
+    transform of the package is (:mod:`phasekin.grids`).  Against the
+    characteristic-function convention their phase and step factors cancel
+    in the ratio and in the mask's threshold, and they conjugate the ratio,
+    which changes only the imaginary part that is discarded.  Masked where
+    the product magnitude falls below PHI_PRODUCT_FLOOR of its peak or the
+    ratio approaches the kernel zeros.
     The imaginary part must be negligible on the mask.
     """
     require_same_grid(rho.grid, planes.grid_R, "phi_field density grid")
@@ -191,16 +193,16 @@ def _departure_norms(rho: VirtualDensity, W: WignerDistribution, hbars: list) ->
 
     rho W is the spectral joint with kernel G(R, q) = rho(R), so D is the
     inverse over q of (G_hbar - rho)(R, q) W_hat(q, r), and by Parseval over
-    q and then over K,
+    q and then over K, with numpy's ``rfft`` for the hats,
     ``sum D^2 = sum_q m_q P_W(q) sum_K |rho_hat(K)|^2 (sinc(hbar K q / 2) - 1)^2
-    / (n_R dR^2 n_p dp^2)``, P_W(q) = sum_r |W_hat(q, r)|^2 and m_q = 1 at the
+    / (n_R n_p)``, P_W(q) = sum_r |W_hat(q, r)|^2 and m_q = 1 at the
     zero and Nyquist bins of q and 2 elsewhere (K likewise): a hbar costs one
     (n/2 + 1)^2 kernel and one matrix-vector product, and no kernel G is
     formed or inverted."""
     half_K, half_q = half_frequencies(rho.grid), half_frequencies(W.grid_p)
-    rho_power = _half_power(half_spectrum_forward(rho.values[:, None], rho.grid))
-    w_power = _half_power(half_spectrum_forward(W.values, W.grid_p))
-    volume = W.grid_r.step / (rho.grid.n * rho.grid.step * W.grid_p.n * W.grid_p.step)
+    rho_power = _half_power(np.fft.rfft(rho.values)[:, None])
+    w_power = _half_power(np.fft.rfft(W.values, axis=0))
+    volume = rho.grid.step * W.grid_p.step * W.grid_r.step / (rho.grid.n * W.grid_p.n)
     return [float(np.sqrt(volume * (rho_power @ (sinc_kernel(half_K, half_q, h) - 1.0) ** 2 @ w_power))) for h in hbars]
 
 

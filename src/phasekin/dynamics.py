@@ -256,8 +256,7 @@ def _kick_phase(U: Potential, grid_p: Grid1D, params: EvolutionParams) -> np.nda
     lam = native_frequencies(grid_p)
     dU = U.derivative_samples(1)
     kick = np.empty((grid_p.n, U.grid.n), dtype=complex)
-    for start in range(0, grid_p.n, INVERSE_BLOCK):
-        rows = slice(start, start + INVERSE_BLOCK)
+    for rows in _row_blocks(grid_p.n):
         if params.hbar > 0.0:
             gen = U.shifted_difference(params.hbar * lam[rows] / 2.0) / params.hbar
         else:
@@ -280,10 +279,10 @@ def _streamed(spectrum: np.ndarray, grid_p: Grid1D, grid_r: Grid1D, t: float, ma
     one buffer that the next block overwrites."""
     k = native_frequencies(grid_r)
     buffer = np.empty((INVERSE_BLOCK, grid_r.n), dtype=complex)
-    for rows, block in _row_blocks(grid_p.n, buffer):
-        _streaming_phase(grid_p.points[rows], k, t, mass, block)
-        np.multiply(spectrum[rows], block, out=block)
-        yield rows, np.fft.ifft(block, axis=1, out=block)
+    for rows in _row_blocks(grid_p.n):
+        _streaming_phase(grid_p.points[rows], k, t, mass, buffer)
+        np.multiply(spectrum[rows], buffer, out=buffer)
+        yield rows, np.fft.ifft(buffer, axis=1, out=buffer)
 
 
 def _energy(W: WignerDistribution, u: np.ndarray, mass: float) -> float:

@@ -2,22 +2,18 @@
 
 Transform convention
 --------------------
-The forward transform uses the characteristic-function sign and an
-integral normalization::
-
-    F(w) = sum_j f(x_j) exp(+i w x_j) * step
-
-so the value at zero frequency equals the quadrature integral of ``f``.
-The inverse carries the ``1/(2 pi)`` per axis, and frequencies are spaced
-``pi / half_width``.  A real array's transform along one axis is
-Hermitian, ``F(-w) = conj F(w)``, so every real field takes the real half
-spectrum: :func:`half_spectrum_forward` keeps only its ``n/2 + 1`` bins at
-``w >= 0`` (:func:`half_frequencies`), and :func:`half_spectrum_inverse`
-inverts them to a real array; a real plane's 2-axis transform likewise
-needs every frequency on one axis but only ``w >= 0`` on the other
-(``rfft2``).  Only the time stepper's complex state takes the whole
-spectrum on every axis, in the FFT's native order
-(:func:`native_frequencies`).
+Every transform is numpy's own, with its sign and normalization: no
+phase or step factor is applied, and every use pairs ``rfft`` with
+``irfft`` or takes a ratio of transforms, so such factors would cancel
+anyway.  Angular frequencies are spaced ``pi / half_width``.  A real
+array's transform along one axis is Hermitian, so every real field takes
+the real half spectrum (``rfft``/``irfft``): its ``n/2 + 1`` bins at
+``w >= 0`` (:func:`half_frequencies`); a real plane's 2-axis transform
+likewise needs every frequency on one axis but only ``w >= 0`` on the
+other (``rfft2``).  Only the time stepper's complex state takes the
+whole spectrum on every axis, in the FFT's native order
+(:func:`native_frequencies`).  The characteristic-function convention,
+``sum_j f(x_j) exp(+i w x_j) * step``, lives only in the tests' oracle.
 
 Derivatives are evaluated in the half spectrum (``rfft``/``irfft``),
 where ``d/dx`` is multiplication by ``(i w)``; the result is real.  A real
@@ -125,35 +121,10 @@ def require_decay(boundary: float, vmax, vmin, tol: float, what: str) -> None:
         )
 
 
-def _alternating(n: int) -> np.ndarray:
-    return 1.0 - 2.0 * (np.arange(n) % 2)
-
-
 def _reshape_for(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
     shape = [1] * ndim
     shape[axis] = vec.size
     return vec.reshape(shape)
-
-
-def half_spectrum_forward(values: np.ndarray, grid: Grid1D, axis: int = 0) -> np.ndarray:
-    """The forward transform (``exp(+i w x)``, integral-normalized) of a real
-    array along one axis, at ``w >= 0`` only.
-
-    The output has ``n/2 + 1`` bins along ``axis``, at
-    :func:`half_frequencies`: zero frequency first, the Nyquist frequency
-    ``n/2 * pi / half_width`` last.
-    """
-    out = np.fft.ihfft(values, axis=axis, norm="forward")
-    out *= _reshape_for(grid.step * _alternating(grid.n // 2 + 1), out.ndim, axis)
-    return out
-
-
-def half_spectrum_inverse(values: np.ndarray, grid: Grid1D, axis: int = 0) -> np.ndarray:
-    """The real array whose :func:`half_spectrum_forward` along ``axis`` is
-    ``values``: bins at w < 0 are the conjugates of those at w > 0, and the
-    imaginary parts of the zero and Nyquist bins are dropped."""
-    scale = _reshape_for(_alternating(grid.n // 2 + 1) / grid.step, values.ndim, axis)
-    return np.fft.irfft(np.conj(values) * scale, grid.n, axis=axis)
 
 
 def half_frequencies(grid: Grid1D) -> np.ndarray:
@@ -216,12 +187,12 @@ def series_coefficient(hbar: float, n: int) -> float:
         raise NonConvergenceError(f"series coefficient (hbar/2)^{2 * n} overflows at hbar = {hbar!r}") from None
 
 
-def _row_blocks(n_rows: int, buffer: np.ndarray):
-    """``(rows, buffer)`` for each INVERSE_BLOCK rows in turn (of R in the
-    joint builders, of p in the stepper), ``buffer`` holding INVERSE_BLOCK
-    rows that each block overwrites; every grid's size is a multiple of it."""
+def _row_blocks(n_rows: int):
+    """The slice of each INVERSE_BLOCK rows in turn (of R in the joint
+    builders, of p in the stepper and its kick phase); every grid's size is
+    a multiple of it."""
     for start in range(0, n_rows, INVERSE_BLOCK):
-        yield slice(start, start + INVERSE_BLOCK), buffer
+        yield slice(start, start + INVERSE_BLOCK)
 
 
 def _sup_norm(values: np.ndarray) -> float:

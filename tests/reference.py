@@ -25,15 +25,12 @@ from phasekin.states import JointPlanes, WignerDistribution
 from phasekin.grids import (
     DECAY_TOL,
     Grid1D,
-    _alternating,
     _floored,
     _reshape_for,
     _sup_norm,
     accept_series,
     derivative_array,
     face_sup,
-    half_spectrum_forward,
-    half_spectrum_inverse,
     native_frequencies,
     series_coefficient,
 )
@@ -60,6 +57,13 @@ def frequencies(grid):
     return np.pi / grid.half_width * np.arange(-grid.n // 2, grid.n // 2)
 
 
+def alternating(n):
+    """``(-1)^j`` for j < n: the phase exp(+i w_k x_0) of :func:`fourier_forward`
+    at the grid's first point x_0 = -half_width, each frequency in
+    zero-centered order, and the phase its inverse undoes."""
+    return 1.0 - 2.0 * (np.arange(n) % 2)
+
+
 def fourier_forward(values, grids, axes):
     """Forward transform (``exp(+i w x)``, integral-normalized) along ``axes``,
     over the whole spectrum, complex, with the transformed axes in
@@ -70,7 +74,7 @@ def fourier_forward(values, grids, axes):
     for ax in axes:
         g = grids[ax]
         out = np.fft.fftshift(np.fft.ifft(out, axis=ax), axes=ax) * g.n
-        out *= _reshape_for(g.step * _alternating(g.n), out.ndim, ax)
+        out *= _reshape_for(g.step * alternating(g.n), out.ndim, ax)
     return out
 
 
@@ -89,7 +93,7 @@ def fourier_inverse(values, grids, axes):
     out = values.astype(complex, copy=True)
     for ax in axes:
         g = grids[ax]
-        out *= _reshape_for(_alternating(g.n), out.ndim, ax)
+        out *= _reshape_for(alternating(g.n), out.ndim, ax)
         out = np.fft.fft(np.fft.ifftshift(out, axes=ax), axis=ax)
         out /= g.n * g.step
     return out
@@ -235,11 +239,9 @@ def full_complex_joint(rho, W, hbar):
 def one_shot_spectral_joint(rho, W, hbar):
     """The spectral joint with its inverse over q taken in one call, as
     quantum_joint_spectral did before it inverted a block of rows of R at
-    a time: the whole (n, n/2 + 1, n) complex product, then one irfft."""
-    G_half = _kernel_half(rho, W.grid_p, hbar)
-    w_half = half_spectrum_forward(W.values, W.grid_p)
-    scale = _alternating(W.grid_p.n // 2 + 1) / W.grid_p.step
-    product = (G_half * scale)[:, :, None] * np.conj(w_half)[None, :, :]
+    a time: the whole (n, n/2 + 1, n) complex product of the kernel G and
+    W's rfft over p, then one irfft."""
+    product = _kernel_half(rho, W.grid_p, hbar)[:, :, None] * np.fft.rfft(W.values, axis=0)[None, :, :]
     return np.fft.irfft(product, W.grid_p.n, axis=1)
 
 
@@ -273,9 +275,9 @@ def kernel_departure_norms(rho, W, hbars):
         out[[0, -1]] = np.sum(half[[0, -1]].real ** 2, axis=1)
         return out
 
-    w_power = power(half_spectrum_forward(W.values, W.grid_p))
+    w_power = power(np.fft.rfft(W.values, axis=0))
     w_power[1:-1] *= 2.0
-    volume = rho.grid.step * W.grid_r.step / (W.grid_p.n * W.grid_p.step)
+    volume = rho.grid.step * W.grid_p.step * W.grid_r.step / W.grid_p.n
     kernels = (_kernel_half(rho, W.grid_p, h) - rho.values[:, None] for h in hbars)
     return [float(np.sqrt(volume * (power(G.T) @ w_power))) for G in kernels]
 

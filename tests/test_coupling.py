@@ -467,6 +467,16 @@ def test_builders_return_their_joint_s_planes(build, hbar):
     assert_planes_equal(build(rho, W, hbar, ignore), planes_of(whole_joint(build, rho, W, hbar)), rho)
 
 
+@pytest.mark.parametrize("half_width", [8.0, 12.0])
+def test_classical_factor_planes_equal_the_product_s(half_width):
+    # at hbar = 0 joint_planes takes rho as an (n, 1) kernel column that
+    # broadcasts over q; at half_width 12 the step is not a power of two
+    grid = make_grid(64, half_width)
+    rho = gaussian_density(grid, 0.0, 1.0)
+    W = gaussian_wigner(grid, grid, 0.0, 0.0, 2**-0.5, 2**-0.5)
+    assert_planes_equal(joint_planes(rho, W, 0.0), planes_of(product_joint(rho, W)), rho)
+
+
 class TestPlanesOfDrawnInputs:
     @PLANES_SETTINGS
     @given(inputs=mixture_inputs())
@@ -493,7 +503,7 @@ class TestPlanesOfDrawnInputs:
         rho, W, hbar = inputs
         F = whole_joint(quantum_joint_spectral, rho, W, hbar).values
         peak = max(F.max(), -F.min())
-        g, w = coupling._spectral_factors(coupling._kernel_half(rho, W.grid_p, hbar), W)
+        g, w = coupling._kernel_half(rho, W.grid_p, hbar), np.fft.rfft(W.values, axis=0)
         for p in (0, W.grid_p.n - 1):
             face = np.abs(F[:, p, :]).max()
             assert abs(np.abs(coupling._p_face(g, w, p)).max() - face) <= 1e-12 * peak

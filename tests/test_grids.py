@@ -23,7 +23,6 @@ from phasekin.grids import (
     derivative_array,
     ensure_decaying,
     half_frequencies,
-    half_spectrum_forward,
     native_frequencies,
     spectral_derivatives,
 )
@@ -35,7 +34,6 @@ from reference import (
     frequencies,
     full_spectrum_derivative_array,
     full_spectrum_derivatives,
-    half_spectrum_inverse,
     peak_traced_bytes,
 )
 
@@ -253,23 +251,6 @@ class TestDecayGuard:
 
 
 class TestHalfSpectrum:
-    @pytest.mark.parametrize("n, half_width", [(16, 8.0), (64, 5.0)])
-    def test_forward_is_the_nonnegative_half_of_fourier_forward(self, n, half_width):
-        g = make_grid(n, half_width)
-        values = np.add.outer(np.sin(g.points), gauss(g.points, 0.4, 0.9))
-        full = fourier_forward(values, (g, g), (0,))
-        half = half_spectrum_forward(values, g, axis=0)
-        assert half.shape == (n // 2 + 1, n)
-        assert_allclose(half[:-1], full[n // 2 :], rtol=0, atol=1e-13)
-        assert_allclose(half[-1], full[0], rtol=0, atol=1e-13)  # Nyquist is stored at index 0
-
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_round_trip(self, axis):
-        g = make_grid(32, 6.0)
-        values = np.multiply.outer(gauss(g.points, -0.5, 0.8), gauss(g.points, 1.0, 0.6) + g.points / 20)
-        back = half_spectrum_inverse(half_spectrum_forward(values, g, axis), g, axis)
-        assert_allclose(back, values, rtol=0, atol=1e-15)
-
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_frequencies_are_the_native_ones_at_w_ge_0(self, n):
         g = make_grid(n, 8.0)
@@ -300,6 +281,31 @@ def test_only_the_stepper_takes_the_full_complex_spectrum():
     sources = sorted(pathlib.Path(phasekin.__file__).parent.glob("*.py"))
     assert full_spectrum_calls(next(p for p in sources if p.name == "dynamics.py"))  # the scan sees calls
     assert [call for p in sources if p.name != "dynamics.py" for call in full_spectrum_calls(p)] == []
+
+
+def convention_calls(source, name):
+    """``name:line call`` of each np.fft call in ``source`` that would set a
+    transform convention beside numpy's own: ``hfft``/``ihfft``, or any
+    np.fft function passed ``norm=``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if ast.unparse(node.func.value) in ("np.fft", "numpy.fft"):
+                if node.func.attr in ("hfft", "ihfft") or any(kw.arg == "norm" for kw in node.keywords):
+                    found.append(f"{name}:{node.lineno} {ast.unparse(node.func)}")
+    return found
+
+
+def test_every_transform_takes_numpy_s_own_convention():
+    # no module scales or conjugates its transforms by np.fft's options: a
+    # caller pairs rfft with irfft, and the characteristic-function
+    # convention lives only in the tests' oracle
+    assert convention_calls('np.fft.ihfft(v, axis=0, norm="forward")\nnp.fft.rfft(v, norm="ortho")', "s") == [
+        "s:1 np.fft.ihfft",
+        "s:2 np.fft.rfft",
+    ]
+    sources = sorted(pathlib.Path(phasekin.__file__).parent.glob("*.py"))
+    assert [call for p in sources for call in convention_calls(p.read_text(), p.name)] == []
 
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -338,25 +344,15 @@ class TestTransformProperties:
         bound = 1e-14 * np.abs(values).sum() * np.prod([g.step for g in grids])
         assert abs(spectrum[tuple(g.n // 2 for g in grids)] - integral) <= bound
 
-    @PROPERTY_SETTINGS
-    @given(field=decaying_fields(), axis=st.integers(0, 1))
-    def test_half_spectrum_round_trip(self, field, axis):
-        grids, values = field
-        axis = min(axis, values.ndim - 1)
-        back = half_spectrum_inverse(half_spectrum_forward(values, grids[axis], axis), grids[axis], axis)
-        assert np.abs(back - values).max() <= 1e-14 * np.abs(values).max()
-
 
 @pytest.mark.parametrize("n_rows", [INVERSE_BLOCK, 64, 128])
 def test_row_blocks_cover_the_rows_once_in_order(n_rows):
-    # the joint builders and the stepper each take a grid's rows in these
-    # blocks, every block written into the one buffer they hand in
-    buffer = np.empty((INVERSE_BLOCK, 3))
-    blocks = list(_row_blocks(n_rows, buffer))
-    assert all(block is buffer for _, block in blocks)
-    covered = np.concatenate([np.arange(n_rows)[rows] for rows, _ in blocks])
+    # the joint builders, the stepper and its kick phase each take a grid's
+    # rows in these blocks, every block written into one buffer of their own
+    blocks = list(_row_blocks(n_rows))
+    covered = np.concatenate([np.arange(n_rows)[rows] for rows in blocks])
     assert np.array_equal(covered, np.arange(n_rows))
-    assert {rows.stop - rows.start for rows, _ in blocks} == {INVERSE_BLOCK}
+    assert {rows.stop - rows.start for rows in blocks} == {INVERSE_BLOCK}
 
 
 class TestSupNorm:
