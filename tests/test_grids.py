@@ -17,6 +17,7 @@ from phasekin import DecayGuardError, NonConvergenceError, VirtualDensity, make_
 from phasekin.grids import (
     INVERSE_BLOCK,
     SERIES_CAP,
+    _reshape_for,
     _row_blocks,
     _sup_norm,
     accept_series,
@@ -29,6 +30,7 @@ from phasekin.grids import (
 
 from conftest import gauss
 from reference import (
+    alternating,
     fourier_forward,
     fourier_inverse,
     frequencies,
@@ -250,7 +252,26 @@ class TestDecayGuard:
         assert peak_traced_bytes(ensure_decaying, values) < 2**20
 
 
+def oracle_half(values, grid, axis):
+    """The oracle's forward transform at w >= 0 read off numpy's rfft along
+    ``axis``: ``step * (-1)^k * conj(rfft)``, the factors by which the
+    package's rfft spectra differ from the physical ones and which cancel
+    in every product the spectral builders form."""
+    phase = _reshape_for(grid.step * alternating(grid.n // 2 + 1), values.ndim, axis)
+    return phase * np.conj(np.fft.rfft(values, axis=axis))
+
+
 class TestHalfSpectrum:
+    @pytest.mark.parametrize("n, half_width", [(16, 8.0), (64, 5.0)])
+    def test_rfft_is_the_nonnegative_half_of_fourier_forward(self, n, half_width):
+        g = make_grid(n, half_width)
+        values = np.add.outer(np.sin(g.points), gauss(g.points, 0.4, 0.9))
+        full = fourier_forward(values, (g, g), (0,))
+        half = oracle_half(values, g, 0)
+        assert half.shape == (n // 2 + 1, n)
+        assert_allclose(half[:-1], full[n // 2 :], rtol=0, atol=1e-13)
+        assert_allclose(half[-1], full[0], rtol=0, atol=1e-13)  # Nyquist is stored at index 0
+
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_frequencies_are_the_native_ones_at_w_ge_0(self, n):
         g = make_grid(n, 8.0)
@@ -343,6 +364,18 @@ class TestTransformProperties:
         integral = values.sum() * np.prod([g.step for g in grids])
         bound = 1e-14 * np.abs(values).sum() * np.prod([g.step for g in grids])
         assert abs(spectrum[tuple(g.n // 2 for g in grids)] - integral) <= bound
+
+    @PROPERTY_SETTINGS
+    @given(field=decaying_fields(), axis=st.integers(0, 1))
+    def test_rfft_is_fourier_forward_at_w_ge_0(self, field, axis):
+        grids, values = field
+        axis = min(axis, values.ndim - 1)
+        n = grids[axis].n
+        full = np.moveaxis(fourier_forward(values, grids, (axis,)), axis, 0)
+        half = np.moveaxis(oracle_half(values, grids[axis], axis), axis, 0)
+        bound = 1e-14 * np.abs(values).sum() * grids[axis].step
+        assert np.abs(half[:-1] - full[n // 2 :]).max() <= bound
+        assert np.abs(half[-1] - full[0]).max() <= bound
 
 
 @pytest.mark.parametrize("n_rows", [INVERSE_BLOCK, 64, 128])
