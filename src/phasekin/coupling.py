@@ -28,16 +28,18 @@ transforms, G an ``irfft`` over K and ``W_hat`` an ``rfft`` over p, so
 their product goes straight to the real inverse FFT over q with no
 per-bin scale.  It is formed and inverted a few rows of R at a time.
 
-Each builder forms the joint a block of INVERSE_BLOCK rows of R at a
-time, writes every block into one reused buffer and hands it to its
-``each_block`` callable before the next block overwrites it, so no n^3
-array is formed.  It then returns the joint's O(n^2) reductions, each a
-product of its reduced factors (:class:`phasekin.states.JointPlanes`);
-:func:`joint_planes` takes the spectral joint's with no block formed.
+Each builder forms its factors when called and returns ``(blocks,
+planes)``.  ``blocks`` is a generator of the joint's blocks of
+INVERSE_BLOCK rows of R, each written into one reused buffer that the
+next block overwrites, so no n^3 array is formed.  ``planes()`` returns
+the joint's O(n^2) reductions, each a product of its reduced factors
+(:class:`phasekin.states.JointPlanes`); :func:`joint_planes` takes the
+spectral joint's with no block formed.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain
 
 import numpy as np
@@ -114,18 +116,42 @@ def _guard(over_pr: np.ndarray, faces, row) -> tuple:
     return boundary, float(peak.max()), float(peak.min())
 
 
-def _series_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
-    """The series joint's blocks ``A[rows] @ B``, as a generator written into
-    one reused buffer, and a function giving its :class:`JointPlanes` from its
-    factors A (n, N + 1) and B (N + 1, n^2), each a product of reduced
-    factors: ``A @ sum_r B``, ``(sum_R A) @ B``, dF/dR at R = r
-    ``sum_j (d_R A)[r, j] B[j, p, r]`` and the faces ``A @ B[:, p, :]`` and
-    ``A @ B[:, :, r]``.  The factors are formed at the call; the verdict,
-    which needs the sum's sup norm, comes after the last block."""
+def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
+    """Joint built from the even-derivative series; real term by term.
+
+    Returns ``(blocks, planes)``.  The factors A (n, N + 1) and B
+    (N + 1, n^2) are formed at the call, and ``blocks`` yields the products
+    ``A[rows] @ B`` a block of rows of R at a time.  Whether the truncated
+    series converged depends on the sup norm of the whole sum, so
+    :class:`NonConvergenceError` comes after the last block.  ``planes()``
+    first runs out the blocks not yet taken, so that verdict is never
+    skipped, and then gives the joint's :class:`JointPlanes` from its
+    factors, each a product of reduced factors: ``A @ sum_r B``,
+    ``(sum_R A) @ B``, dF/dR at R = r ``sum_j (d_R A)[r, j] B[j, p, r]``
+    and the faces ``A @ B[:, p, :]`` and ``A @ B[:, :, r]``.  At hbar = 0
+    the series has no terms, so each block is a product with one inner
+    term: the classical joint rho(R) W(p, r), exactly.
+
+    On Gaussian presets the series converges inside the whole window
+    hbar < 2 sigma_R sigma_p (the README gives the measured term counts);
+    outside it :class:`NonConvergenceError` is raised where the terms grow
+    (hbar = 2 on the coherent preset) or overflow.
+    """
     factors_R, factors_W, verdict = _series_factors(rho, W, hbar)
-    buffer = np.empty((INVERSE_BLOCK, W.grid_p.n, W.grid_r.n))
+
+    def blocks():
+        buffer = np.empty((INVERSE_BLOCK, W.grid_p.n, W.grid_r.n))
+        sup = 0.0
+        for rows in _row_blocks(len(factors_R)):
+            np.matmul(factors_R[rows], factors_W, out=buffer.reshape(INVERSE_BLOCK, -1))
+            sup = np.maximum(sup, _sup_norm(buffer))  # np.maximum keeps a NaN
+            yield buffer
+        verdict(float(sup))
+
+    stream = blocks()
 
     def planes():
+        deque(stream, maxlen=0)  # the blocks not yet taken, then the verdict
         by_p_r = factors_W.reshape(len(factors_W), W.grid_p.n, W.grid_r.n)
         over_r = factors_R @ by_p_r.sum(axis=2)
         over_R = (factors_R.sum(axis=0) @ factors_W).reshape(by_p_r.shape[1:])
@@ -135,38 +161,7 @@ def _series_blocks(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> t
         guard = _guard(over_pr, faces, lambda R: factors_R[R] @ factors_W)
         return JointPlanes(rho.grid, W.grid_p, W.grid_r, over_R, over_pr, over_r, diagonal, *guard, W.decay_tol)
 
-    def blocks():
-        sup = 0.0
-        for rows in _row_blocks(len(factors_R)):
-            np.matmul(factors_R[rows], factors_W, out=buffer.reshape(INVERSE_BLOCK, -1))
-            sup = np.maximum(sup, _sup_norm(buffer))  # np.maximum keeps a NaN
-            yield buffer
-        verdict(float(sup))
-
-    return blocks(), planes
-
-
-def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> JointPlanes:
-    """Joint built from the even-derivative series; real term by term.
-
-    The factors are formed first and the product a block of rows of R at
-    a time, each block handed to ``each_block``.  Whether the truncated
-    series converged depends on the sup norm of the whole sum, so
-    :class:`NonConvergenceError` comes after the last block, and then the
-    joint's planes are returned.  At hbar = 0 the series has no terms, so
-    each block is a product with one inner term: the classical joint
-    rho(R) W(p, r), exactly.
-
-    On Gaussian presets the series converges inside the whole window
-    hbar < 2 sigma_R sigma_p (the README gives the measured term counts);
-    outside it :class:`NonConvergenceError` is raised where the terms grow
-    (hbar = 2 on the coherent preset) or overflow.
-    """
-    blocks, planes = _series_blocks(rho, W, hbar)
-    for block in blocks:
-        each_block(block)
-    del block  # the buffer, freed before the planes are taken
-    return planes()
+    return stream, planes
 
 
 def sinc_kernel(K: np.ndarray, q: np.ndarray, hbar: float) -> np.ndarray:
@@ -180,26 +175,29 @@ def _kernel_half(rho: VirtualDensity, grid_p: Grid1D, hbar: float) -> np.ndarray
     return np.fft.irfft(np.fft.rfft(rho.values)[:, None] * kernel, rho.grid.n, axis=0)
 
 
-def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float, each_block) -> JointPlanes:
+def quantum_joint_spectral(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> tuple:
     """Joint built in Fourier space via the sinc kernel on the (K, q) lattice,
     by the half-spectrum route of the module docstring.
 
     The kernel is evaluated everywhere, including its negative lobes; no
-    windowing is applied.  The factors are the kernel G, n by n/2 + 1, and
-    W's ``rfft`` over p, n/2 + 1 by n.  Each block of rows of R is ``irfft``
-    over q of their product, formed in one reused (B, n/2 + 1, n) complex
-    buffer, and handed to ``each_block``; outside the buffers the work is
-    O(n^2).  Returns the joint's planes.
+    windowing is applied.  The factors, formed at the call, are the kernel
+    G, n by n/2 + 1, and W's ``rfft`` over p, n/2 + 1 by n.  Returns
+    ``(blocks, planes)``: each block of rows of R is ``irfft`` over q of
+    their product, formed in one reused (B, n/2 + 1, n) complex buffer;
+    outside the buffers the work is O(n^2).  ``planes()`` gives the joint's
+    planes from the factors alone, taken blocks or not.
     """
     _check_joint_inputs(rho, W)
     g, w = _kernel_half(rho, W.grid_p, hbar), np.fft.rfft(W.values, axis=0)
-    product = np.empty((INVERSE_BLOCK, *w.shape), dtype=complex)
-    block = np.empty((INVERSE_BLOCK, W.grid_p.n, W.grid_r.n))
-    for rows in _row_blocks(len(g)):
-        np.multiply(g[rows, :, None], w, out=product)
-        each_block(np.fft.irfft(product, W.grid_p.n, axis=1, out=block))
-    del product, block  # the buffers, freed before the planes are taken
-    return _spectral_planes(rho, W, g, w)
+
+    def blocks():
+        product = np.empty((INVERSE_BLOCK, *w.shape), dtype=complex)
+        block = np.empty((INVERSE_BLOCK, W.grid_p.n, W.grid_r.n))
+        for rows in _row_blocks(len(g)):
+            np.multiply(g[rows, :, None], w, out=product)
+            yield np.fft.irfft(product, W.grid_p.n, axis=1, out=block)
+
+    return blocks(), lambda: _spectral_planes(rho, W, g, w)
 
 
 def _p_face(g: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:

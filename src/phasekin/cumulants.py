@@ -19,6 +19,7 @@ the kernel alone; no n^3 array is formed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +69,14 @@ class CumulantReport:
     rather than forced to agree.
     """
 
-    hbar: float = float("nan")
-    kappa22: float = float("nan")
-    kappa22_reference: float = float("nan")
-    sigma_R2: float = float("nan")
-    sigma_p2: float = float("nan")
-    heisenberg_lhs: float = float("nan")
-    heisenberg_rhs: float = float("nan")
-    cauchy_schwarz_ok: bool = True
+    hbar: float
+    kappa22: float
+    kappa22_reference: float
+    sigma_R2: float
+    sigma_p2: float
+    heisenberg_lhs: float
+    heisenberg_rhs: float
+    cauchy_schwarz_ok: bool
 
 
 def phi_field(planes: JointPlanes, rho: VirtualDensity, W: WignerDistribution) -> PhiField:
@@ -214,8 +215,8 @@ def classical_limit_scan(rho: VirtualDensity, W: WignerDistribution, hbars) -> f
         raise ValueError(f"scan needs at least 4 hbar values, got {len(hbars)}")
     if any(h < 0 for h in hbars):
         raise ValueError("scan hbar values must not be negative")
-    if min(hbars) == 0.0:
-        raise DegenerateFitError("scan hbar value is 0 (underflowed?); the log-log fit needs positive values")
+    if min(hbars) < sys.float_info.min:  # a subnormal value has lost the digits the span check reads
+        raise DegenerateFitError("scan hbar value is 0 or subnormal (underflow?); the log-log fit needs normal values")
     if max(hbars) < 8.0 * min(hbars):
         raise ValueError("scan hbar values must span at least a factor of 8")
     _check_joint_inputs(rho, W)

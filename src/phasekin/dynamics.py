@@ -25,7 +25,9 @@ epsilon * rho.  The free, harmonic and quartic presets are polynomials,
 evaluated and differentiated exactly from their coefficients; the mass
 enters only the harmonic one, when it is built.  The shifted difference
 U(r + s) - U(r - s) has one evaluator,
-:meth:`Potential.shifted_difference`.  A density-backed potential uses
+:meth:`Potential.shifted_difference`.  A polynomial's is its exact odd
+expansion 2 sum_{j odd} s^j U^(j)(r) / j!, so the kick's generator keeps
+its relative accuracy as hbar -> 0.  A density-backed potential uses
 its trigonometric interpolant, for which the difference is
 epsilon * irfft_k[2i sin(w_k s) rho_k], rho_k the real half spectrum of
 rho: O(n^2 log n) time and O(n^2) memory for n shifts on n points.
@@ -60,6 +62,7 @@ tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,15 +114,18 @@ class Potential:
     def shifted_difference(self, s) -> np.ndarray:
         """U(r + s) - U(r - s) for every shift s (rows) and grid point r (columns).
 
-        The density form evaluates its interpolant's difference as one
-        real inverse transform per shift: (len(s), n) memory, no phase
-        matrix over shifts and points.
+        A polynomial's is its exact odd expansion
+        2 sum_{j odd} s^j U^(j)(r) / j!, which keeps its relative accuracy
+        as s -> 0, where U(r + s) - U(r - s) would cancel.  The
+        density form evaluates its interpolant's difference as one real
+        inverse transform per shift: (len(s), n) memory, no phase matrix
+        over shifts and points.
         """
         s = np.asarray(s, dtype=float)
-        r = self.grid.points
         if self.rho is None:
-            c = self.coefficients
-            return _polynomial(c, r[None, :] + s[:, None]) - _polynomial(c, r[None, :] - s[:, None])
+            odd = range(1, len(self.coefficients), 2)
+            terms = (np.multiply.outer(s**j / math.factorial(j), self.derivative_samples(j)) for j in odd)
+            return 2.0 * sum(terms, np.zeros((len(s), self.grid.n)))
         w = half_frequencies(self.grid)
         # the Nyquist term's difference is imaginary, so irfft drops it,
         # exactly as the real part of the full interpolant does

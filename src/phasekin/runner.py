@@ -13,7 +13,7 @@ A command body (``run_simulate``, ``run_joint``, ``run_cumulants``,
 ``run_verify``) computes its results, writes its own files and returns
 ``(outputs, status)``: status ``complete``, or ``failed`` when a
 verification check fails; ``run_joint`` takes its residuals from the
-planes its builders return.  A failed write (a full disk, say) aborts as
+planes its builders give.  A failed write (a full disk, say) aborts as
 a guard does; one of the manifest itself leaves no file of the run.
 """
 
@@ -99,15 +99,14 @@ def _prepare_output_dir(config: ScenarioConfig, command: str, override: str | No
 def run_joint(config: ScenarioConfig, directory: str) -> tuple:
     """Build and write each joint a block of rows of R at a time: no n^3
     array is ever held.  The marginal residuals come from the planes that
-    the builder returns after its last block."""
+    the builder gives once its blocks are written."""
     rho, W = config.joint_inputs()
     grids, shape = (rho.grid,) * 3, (rho.grid.n, W.grid_p.n, W.grid_r.n)
     outputs, rows = [], []
     for label, build in (("series", quantum_joint_series), ("spectral", quantum_joint_spectral)):
-        planes = []  # the builder's return value, once the stream has been written
-        stream = RowBlocks(shape, lambda write: planes.append(build(rho, W, config.hbar, write)))
-        outputs += write_array(directory, f"f_{label}", stream, ("R", "p", "r"), grids)
-        over_R, over_pr = marginal_residuals(planes[0], rho, W)
+        blocks, planes = build(rho, W, config.hbar)
+        outputs += write_array(directory, f"f_{label}", RowBlocks(shape, blocks), ("R", "p", "r"), grids)
+        over_R, over_pr = marginal_residuals(planes(), rho, W)
         rows += [(label, "over_R", over_R), (label, "over_pr", over_pr)]
     outputs.append(
         write_csv(

@@ -34,11 +34,11 @@ def fmt(value) -> str:
 @dataclass(frozen=True)
 class RowBlocks:
     """An array of ``shape`` handed over as consecutive blocks of rows of
-    its first axis, so that it need never be held whole: ``produce(write)``
-    calls ``write(block)`` on each block in turn."""
+    its first axis, so that it need never be held whole: ``blocks`` yields
+    them in turn, each written before the next is taken."""
 
     shape: tuple
-    produce: object  # a callable taking the block writer
+    blocks: object  # an iterable of arrays
 
     @property
     def size(self) -> int:
@@ -71,10 +71,8 @@ def write_array(directory: str, name: str, values, axis_names, grids) -> list:
     bin_path = os.path.join(directory, name + ".bin")
     with open(bin_path, "wb") as fh:
         writer = ArrayWriter(fh)
-        if isinstance(values, RowBlocks):
-            values.produce(writer.write)
-        else:
-            writer.write(values)
+        for block in values.blocks if isinstance(values, RowBlocks) else (values,):
+            writer.write(block)
     if writer.written != 8 * values.size:
         raise ValueError(f"{name}: {writer.written} bytes written for an array of shape {tuple(values.shape)}")
     sidecar = {

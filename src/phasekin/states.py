@@ -145,7 +145,7 @@ def gaussian_wigner(
 @dataclass(frozen=True)
 class JointPlanes:
     """The O(n^2) reductions of a real joint density F(R, p, r) that each
-    builder returns and its readers take (:func:`phasekin.coupling.joint_planes`).
+    builder gives and its readers take (:func:`phasekin.coupling.joint_planes`).
     ``over_R`` (p, r), ``over_pr`` (R) and ``over_r`` (R, p) sum F over R,
     over (p, r) and over r; ``dR_diagonal`` (p, r) is dF/dR at R = r.
     ``boundary`` is F's :func:`phasekin.grids.face_sup`; ``vmax`` and

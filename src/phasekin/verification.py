@@ -18,14 +18,14 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
 import numpy as np
 
 from .config import ScenarioConfig, check_run_time
-from .coupling import _series_blocks, joint_planes, quantum_joint_series, quantum_joint_spectral
+from .coupling import joint_planes, quantum_joint_series, quantum_joint_spectral
 from .cumulants import (
     CLASSICAL_SCAN_FRACTIONS,
     kappa22_closed_form_oracle,
@@ -159,41 +159,39 @@ def _value(outcome):
 def _joint_pair(rho, W, hbar: float) -> tuple:
     """(series planes, spectral planes, factors tie, builder gap) of one
     preset's two joints, each a :class:`PhasekinError` instead if what it
-    reads raised.  Each spectral block is paired with the series block of
-    its rows of R (:func:`phasekin.coupling._series_blocks`) for the gap,
-    and summed over (p, r) and over R for the tie, the sup-norm gap of
-    those marginals to the spectral builder's planes: neither joint is held
-    whole.  A stream that raises leaves the other to run to its end; the
-    series planes come after its verdict.
+    reads raised.  The two block streams are zipped, so each spectral block
+    meets the series block of its rows of R for the gap, and is summed over
+    (p, r) and over R for the tie, the sup-norm gap of those marginals to
+    the spectral planes: neither joint is held whole.  The spectral stream
+    goes first, so its end stops the zip before the series' verdict is
+    pulled; the series planes run out the series blocks and take that
+    verdict, whether the spectral stream ended or raised.
     """
-    stream = _attempt(_series_blocks, rho, W, hbar)
-    series, series_planes = (stream, stream) if isinstance(stream, PhasekinError) else stream
-    over_R, over_pr, gap = np.zeros(W.values.shape), [], 0.0
+    series = _attempt(quantum_joint_series, rho, W, hbar)
+    spectral = _attempt(quantum_joint_spectral, rho, W, hbar)
+    series_blocks = None if isinstance(series, PhasekinError) else series[0]
+    over_R, over_pr = np.zeros(W.values.shape), []
 
-    def each_block(block):
-        nonlocal series, gap
-        over_pr.extend(block.sum(axis=(1, 2)))
-        for row in block:
-            np.add(over_R, row, out=over_R)
-        paired = _attempt(next, series)
-        if isinstance(paired, PhasekinError):
-            series = paired
-        else:
-            gap = max(gap, _sup_gap(paired, block))
+    def stream(spectral):
+        gap = 0.0
+        for block, paired in zip(spectral[0], series_blocks or repeat(None)):
+            over_pr.extend(block.sum(axis=(1, 2)))
+            for row in block:
+                np.add(over_R, row, out=over_R)
+            if paired is not None:
+                gap = max(gap, _sup_gap(paired, block))
+        return gap
 
-    def finish_series(blocks, take_planes):
-        deque(blocks, maxlen=0)  # the blocks the spectral stream did not take, then the verdict
-        return take_planes()
-
-    def tie(planes):
+    def tie(planes, _):
         factors = marginal_over_R(planes).values, marginal_over_pr(planes).values
         streamed = over_R * rho.grid.step, np.array(over_pr) * W.grid_p.step * W.grid_r.step
         return max(float(np.abs(a - b).max()) for a, b in zip(factors, streamed))
 
-    spectral = _attempt(quantum_joint_spectral, rho, W, hbar, each_block)
-    series_planes = _attempt(finish_series, series, series_planes)
+    gap = _attempt(stream, spectral)
+    series_planes, spectral_planes = (_attempt(lambda joint: joint[1](), joint) for joint in (series, spectral))
     # the gap stands only if both streams ran to their end
-    return series_planes, spectral, _attempt(tie, spectral), _attempt(lambda *_: gap, series_planes, spectral)
+    gap_row = _attempt(lambda _, gap: gap, series_planes, gap)
+    return series_planes, spectral_planes, _attempt(tie, spectral_planes, gap), gap_row
 
 
 def check_equivalence_presets(config: ScenarioConfig) -> list:
@@ -201,7 +199,7 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
 
     Each preset's rho and W are built once, and its two joints streamed
     once, in step (:func:`_joint_pair`), so no n^3 array is formed.  Each
-    builder returns its joint's planes, taken from its factors: the series
+    builder gives its joint's planes, taken from its factors: the series
     joint's give ``central_equivalence[series]``, the spectral joint's
     ``central_equivalence[spectral]`` and the Heisenberg rows, and
     ``builder_equivalence[...][factors]`` ties the spectral planes'
@@ -280,13 +278,10 @@ def check_classical_reduction(config: ScenarioConfig) -> list:
         rho, W3 = config.joint_inputs()
         worst = 0.0
         for build in (quantum_joint_series, quantum_joint_spectral):
+            blocks, _ = build(rho, W3, 0.0)
             product = (r * W3.values for r in rho.values)  # rho(R) W(p, r), one row of R at a time
-
-            def against_product(block):
-                nonlocal worst  # zip takes block's rows first, so it draws as many rows of the product
-                worst = max(worst, _sup_gap(block, product))
-
-            build(rho, W3, 0.0, against_product)
+            # zip takes the joint's rows first, so it draws as many rows of the product
+            worst = max(worst, _sup_gap(chain.from_iterable(blocks), product))
         checks.append(_tol_check("classical_reduction[hbar=0]", worst, 1e-12))
     with _failed_rows(checks, "classical_reduction[harmonic]"):
         grid2 = config.grid2()
@@ -402,10 +397,10 @@ def check_dynamics_oracles(config: ScenarioConfig) -> list:
     with _failed_rows(checks, "dynamics[free_shear]"):
         W0 = config.wigner(grid)
         params = EvolutionParams(mass=mass, hbar=config.hbar, dt=dt, steps=free_steps, snapshot_every=free_steps)
-        last = deque(maxlen=1)  # the final snapshot only
-        propagate(W0, free_potential(grid), params, each_snapshot=lambda t, snap: last.append(snap))
+        snaps = []  # W0, held here anyway, and the final snapshot
+        propagate(W0, free_potential(grid), params, each_snapshot=lambda t, snap: snaps.append(snap))
         reference = _free_gaussian(config, grid, free_steps * dt)
-        checks.append(_tol_check("dynamics[free_shear]", float(np.abs(last[0].values - reference).max()), 1e-6))
+        checks.append(_tol_check("dynamics[free_shear]", float(np.abs(snaps[-1].values - reference).max()), 1e-6))
     with _failed_rows(checks, "dynamics[harmonic_center]"):
         r0, omega = 1.0, 1.0
         W0 = gaussian_wigner(grid, grid, 0.0, r0, config.sigma_p, config.sigma_r)

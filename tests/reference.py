@@ -5,6 +5,7 @@ what it evaluates, kept here so that tests compare against it.
 """
 
 import tracemalloc
+from collections import deque
 from dataclasses import dataclass
 from itertools import count
 
@@ -160,11 +161,21 @@ class WholeJoint:
 
 
 def whole_joint(build, rho, W, *args):
-    """The joint that ``build(rho, W, *args, each_block)`` streams, its
-    blocks collected into one :class:`WholeJoint`."""
-    blocks = []
-    build(rho, W, *args, lambda block: blocks.append(block.copy()))
-    return WholeJoint(rho.grid, W.grid_p, W.grid_r, np.concatenate(blocks), W.decay_tol)
+    """The joint whose blocks ``build(rho, W, *args)`` streams, collected into
+    one :class:`WholeJoint`.  Its planes are taken after the last block, so
+    a series that does not converge raises."""
+    blocks, planes = build(rho, W, *args)
+    values = np.concatenate([block.copy() for block in blocks])
+    planes()
+    return WholeJoint(rho.grid, W.grid_p, W.grid_r, values, W.decay_tol)
+
+
+def streamed_planes(build, rho, W, *args):
+    """The planes of the joint ``build(rho, W, *args)`` streams, taken once
+    every block has been formed and dropped."""
+    blocks, planes = build(rho, W, *args)
+    deque(blocks, maxlen=0)
+    return planes()
 
 
 def product_joint(rho, W):

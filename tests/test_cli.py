@@ -363,7 +363,7 @@ class TestWriteArray:
         names, grids = ("R", "p", "r"), (grid,) * 3
         write_array(str(tmp_path), "c_order", values, names, grids)
         write_array(str(tmp_path), "other", other, names, grids)
-        blocks = RowBlocks(other.shape, lambda write: [write(other[start : start + 3]) for start in range(0, 16, 3)])
+        blocks = RowBlocks(other.shape, (other[start : start + 3] for start in range(0, 16, 3)))
         write_array(str(tmp_path), "blocks", blocks, names, grids)
         _, meta_c = read_array(str(tmp_path), "c_order")
         for name in ("other", "blocks"):
@@ -376,7 +376,7 @@ class TestWriteArray:
         grid = make_grid(16, 4.0)
         values = np.zeros((16, 16, 16))
         with pytest.raises(ValueError, match="bytes written for an array of shape"):
-            write_array(str(tmp_path), "short", RowBlocks(values.shape, lambda write: write(values[:8])), ("R", "p", "r"), (grid,) * 3)
+            write_array(str(tmp_path), "short", RowBlocks(values.shape, [values[:8]]), ("R", "p", "r"), (grid,) * 3)
 
 
 class TestExitCodes:
@@ -471,11 +471,12 @@ class TestExitCodes:
         "argv, code, error",
         [
             (["joint", "--hbar", "1e300"], 3, "series coefficient (hbar/2)^2 overflows"),
-            (["simulate", "--hbar", "1e100"], 3, "numpy floating-point error: overflow"),
+            (["simulate", "--hbar", "1e150"], 3, "numpy floating-point error: overflow"),
             (["cumulants", "--hbar", "5e-324"], 3, "scan hbar value is 0"),
-            (["verify", "--hbar", "1e100"], 1, "NonFiniteError: numpy floating-point error: overflow"),
+            (["cumulants", "--hbar", "1.2e-322"], 3, "scan hbar value is 0 or subnormal"),
+            (["verify", "--hbar", "1e150"], 1, "NonFiniteError: numpy floating-point error: overflow"),
         ],
-        ids=["joint", "simulate", "cumulants", "verify"],
+        ids=["joint", "simulate", "cumulants", "cumulants_subnormal", "verify"],
     )
     def test_non_finite_results_exit_without_traceback(self, tmp_path, argv, code, error):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@
 
 import math
 from functools import partial
+from itertools import islice
 
 import mpmath
 import numpy as np
@@ -46,13 +47,10 @@ from reference import (
     planes_of,
     product_joint,
     row_by_row_p_face_sup,
+    streamed_planes,
     whole_joint,
     whole_product_series,
 )
-
-
-def ignore(block):
-    """An ``each_block`` that keeps nothing."""
 
 
 def sinc(x):
@@ -132,8 +130,8 @@ class TestClassicalJoint:
 @pytest.mark.parametrize(
     "take",
     [
-        lambda rho, W: quantum_joint_series(rho, W, 1.0, ignore),
-        lambda rho, W: quantum_joint_spectral(rho, W, 1.0, ignore),
+        lambda rho, W: quantum_joint_series(rho, W, 1.0),
+        lambda rho, W: quantum_joint_spectral(rho, W, 1.0),
         lambda rho, W: joint_planes(rho, W, 1.0),
     ],
     ids=["series", "spectral", "planes"],
@@ -161,7 +159,7 @@ class TestQuantumJointSeries:
     def test_nonconvergence_detected(self, rho_default, wigner_default):
         # hbar above 2 sigma_R sigma_p: the series is genuinely asymptotic
         with pytest.raises(NonConvergenceError):
-            quantum_joint_series(rho_default, wigner_default, 2.0, ignore)
+            streamed_planes(quantum_joint_series, rho_default, wigner_default, 2.0)
 
     def test_converges_across_the_documented_window(self, rho_default):
         # sigma_R = hbar = 1, so hbar^2 / (4 sigma_R^2 sigma_p^2) = 0.9, inside
@@ -187,7 +185,7 @@ class TestQuantumJointSeries:
 
         monkeypatch.setattr(coupling, "accept_series", counting)
         rho = gaussian_density(grid128, 0.0, 1.0)
-        peak = peak_traced_bytes(quantum_joint_series, rho, wigner128, 1.0, ignore)
+        peak = peak_traced_bytes(streamed_planes, quantum_joint_series, rho, wigner128, 1.0)
         n, factor_rows = grid128.n, used[0] + 1
         assert factor_rows > 21  # past the old 20-term cap
         assert peak <= 8 * INVERSE_BLOCK * n**2 + 8 * factor_rows * (n**2 + n) + 48 * n**2
@@ -292,8 +290,8 @@ class TestSpectralRoute:
 
     def test_no_full_complex_cube(self, rho_default, wigner_default):
         n = rho_default.grid.n
-        quantum_joint_spectral(rho_default, wigner_default, 1.0, ignore)
-        peak = peak_traced_bytes(quantum_joint_spectral, rho_default, wigner_default, 1.0, ignore)
+        streamed_planes(quantum_joint_spectral, rho_default, wigner_default, 1.0)
+        peak = peak_traced_bytes(streamed_planes, quantum_joint_spectral, rho_default, wigner_default, 1.0)
         # one real block and one block of the complex half spectrum; the
         # whole (n, n/2 + 1, n) half spectrum alone is 8 (n + 2) n^2 bytes
         assert peak <= 0.5 * 8 * n**3
@@ -363,7 +361,7 @@ class TestFactoredSeries:
             expected = dense_joint_series(rho, W, hbar)
         except NonConvergenceError:
             with pytest.raises(NonConvergenceError):
-                quantum_joint_series(rho, W, hbar, ignore)
+                streamed_planes(quantum_joint_series, rho, W, hbar)
             return
         got = whole_joint(quantum_joint_series, rho, W, hbar).values
         assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
@@ -380,9 +378,9 @@ class TestFactoredSeries:
 )
 def test_streamed_blocks_equal_the_whole_joint(rho_default, wigner_default, build, whole):
     # each builder's blocks, collected, against its one-call whole-array route
-    blocks = []
-    planes = build(rho_default, wigner_default, each_block=lambda block: blocks.append(block.copy()))
-    assert isinstance(planes, JointPlanes)
+    stream, planes = build(rho_default, wigner_default)
+    blocks = [block.copy() for block in stream]
+    assert isinstance(planes(), JointPlanes)
     assert len(blocks) == rho_default.grid.n // INVERSE_BLOCK
     assert np.array_equal(np.concatenate(blocks), whole(rho_default, wigner_default))
 
@@ -394,18 +392,29 @@ def test_streamed_series_equals_one_whole_product(n):
     grid = make_grid(n, 8.0)
     rho = gaussian_density(grid, 0.0, 1.0)
     W = gaussian_wigner(grid, grid, 0.0, 0.0, 2**-0.5, 2**-0.5)
-    blocks = []
-    quantum_joint_series(rho, W, 1.0, lambda block: blocks.append(block.copy()))
-    assert np.array_equal(np.concatenate(blocks), whole_product_series(rho, W, 1.0))
+    assert np.array_equal(whole_joint(quantum_joint_series, rho, W, 1.0).values, whole_product_series(rho, W, 1.0))
 
 
 def test_series_verdict_comes_after_the_last_block(rho_default, wigner_default):
     # hbar = 2 on the coherent preset: the terms grow, and whether the
     # truncated sum is good enough depends on the sup norm of all of it
+    blocks, _ = quantum_joint_series(rho_default, wigner_default, 2.0)
     handed = []
     with pytest.raises(NonConvergenceError, match="did not converge: last term is"):
-        quantum_joint_series(rho_default, wigner_default, 2.0, handed.append)
+        for block in blocks:
+            handed.append(block)
     assert len(handed) == rho_default.grid.n // INVERSE_BLOCK
+
+
+@pytest.mark.parametrize("taken", ["none", "all"])
+def test_series_planes_take_the_verdict(rho_default, wigner_default, taken):
+    # planes() runs out the blocks not yet taken, so the verdict comes
+    # whether the consumer took no block or every block but not the end
+    blocks, planes = quantum_joint_series(rho_default, wigner_default, 2.0)
+    count = rho_default.grid.n // INVERSE_BLOCK if taken == "all" else 0
+    assert len(list(islice(blocks, count))) == count
+    with pytest.raises(NonConvergenceError, match="did not converge: last term is"):
+        planes()
 
 
 # Drawn inputs: box half-width 8, every Gaussian component no narrower than
@@ -464,7 +473,7 @@ def test_builders_return_their_joint_s_planes(build, hbar):
     grid = make_grid(64, half_width)
     rho = gaussian_density(grid, 0.0, sigma_R)
     W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
-    assert_planes_equal(build(rho, W, hbar, ignore), planes_of(whole_joint(build, rho, W, hbar)), rho)
+    assert_planes_equal(streamed_planes(build, rho, W, hbar), planes_of(whole_joint(build, rho, W, hbar)), rho)
 
 
 @pytest.mark.parametrize("half_width", [8.0, 12.0])
@@ -490,7 +499,7 @@ class TestPlanesOfDrawnInputs:
     def test_series_planes_equal_the_streamed_joint_s_or_refuse(self, inputs):
         rho, W, hbar = inputs
         try:
-            planes = quantum_joint_series(rho, W, hbar, ignore)
+            planes = streamed_planes(quantum_joint_series, rho, W, hbar)
         except NonConvergenceError:
             return
         assert_planes_equal(planes, planes_of(whole_joint(quantum_joint_series, rho, W, hbar)), rho)

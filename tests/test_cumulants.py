@@ -56,6 +56,7 @@ from reference import (
     planes_of,
     product_joint,
     sample_joint,
+    streamed_planes,
     whole_joint,
 )
 
@@ -459,7 +460,7 @@ class TestEvolvedJoint:
         W, rho = quartic_snapshot()
         _, report, _ = cumulant_pass(rho, W, 1.0)
         assert abs(report.kappa22 + 1.0 / 6.0) <= 1e-5 / 6.0
-        planes = quantum_joint_spectral(rho, W, 1.0, lambda block: None)
+        planes = streamed_planes(quantum_joint_spectral, rho, W, 1.0)
         assert max(marginal_residuals(planes, rho, W)) <= 1e-12
 
     def test_factor_collision_term_matches_the_whole_contraction(self):

@@ -50,6 +50,7 @@ from reference import (
     planes_of,
     whole_array_free_evolution,
     whole_array_propagate,
+    streamed_planes,
     whole_joint,
 )
 
@@ -61,7 +62,7 @@ def collided(planes, epsilon, mass):
 
 def built_collision(builder, rho, W, hbar, epsilon, mass):
     """collision_rhs of the joint ``builder`` builds, from the planes it returns."""
-    return collided(builder(rho, W, hbar, lambda block: None), epsilon, mass)
+    return collided(streamed_planes(builder, rho, W, hbar), epsilon, mass)
 
 
 class TestPotentials:
@@ -112,6 +113,17 @@ class TestShiftedDifference:
         # the oracle sums in another order, so allow rounding at the scale of U
         scale = max(np.abs(plus).max(), np.abs(minus).max(), 1.0)
         assert np.abs(U.shifted_difference(s) - (plus - minus)).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("kind", ["harmonic", "quartic"])
+    def test_kick_generator_keeps_its_classical_limit(self, grid128, kind):
+        # the kick's generator [U(r + hbar lam / 2) - U(r - hbar lam / 2)] / hbar
+        # tends to lam dU/dr; taken as that difference it kept only 8e-5 of
+        # the quartic's at hbar = 1e-12
+        U = _potential(kind, grid128)
+        lam, hbar = native_frequencies(grid128), 1e-12
+        generator = U.shifted_difference(hbar * lam / 2.0) / hbar
+        classical = np.multiply.outer(lam, U.derivative_samples(1))
+        assert np.abs(generator - classical).max() <= 1e-12 * np.abs(classical).max()
 
     def test_density_memory_is_quadratic(self):
         grid = make_grid(256, 8.0)
@@ -274,7 +286,7 @@ class TestCollisionRhs:
         rho = gaussian_density(grid, 0.0, sigma_R)
         W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
         for builder in (quantum_joint_series, quantum_joint_spectral):
-            diagonal = builder(rho, W, hbar, lambda block: None).dR_diagonal
+            diagonal = streamed_planes(builder, rho, W, hbar).dR_diagonal
             expected = full_derivative_diagonal(whole_joint(builder, rho, W, hbar))
             assert np.abs(diagonal - expected).max() <= 1e-12 * np.abs(expected).max()
 

@@ -1,6 +1,7 @@
 """The verification pass: its builder calls, its failed rows and its n^3 memory."""
 
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,41 +16,29 @@ def no_dynamics(monkeypatch):
     monkeypatch.setattr(verification, "check_dynamics_oracles", lambda config: [])
 
 
-def _stub_builder(monkeypatch, name, raise_at=None):
+def _stub_builder(monkeypatch, name, raise_at=None, at_end=False):
     """Wrap ``verification.<name>``; count its calls, raising at ``raise_at``
-    before the first block."""
+    before the first block, or with ``at_end`` after the last block, where
+    the series verdict comes.  The stub's planes run out its blocks first,
+    as the series' own do."""
     build = getattr(verification, name)
-    calls = []
-
-    def stub(rho, W, hbar, each_block):
-        calls.append(hbar)
-        if hbar == raise_at:
-            raise NonConvergenceError(f"stubbed at hbar = {hbar}")
-        return build(rho, W, hbar, each_block)
-
-    monkeypatch.setattr(verification, name, stub)
-    return calls
-
-
-def _stub_series_blocks(monkeypatch, raise_at=None):
-    """Wrap the series stream that the equivalence check takes in step with
-    the spectral joint; count its calls, raising at ``raise_at`` after the
-    last block, where the series verdict comes."""
-    series_blocks = verification._series_blocks
     calls = []
 
     def stub(rho, W, hbar):
         calls.append(hbar)
-        blocks, planes = series_blocks(rho, W, hbar)
+        if hbar == raise_at and not at_end:
+            raise NonConvergenceError(f"stubbed at hbar = {hbar}")
+        blocks, planes = build(rho, W, hbar)
 
         def checked():
             yield from blocks
             if hbar == raise_at:
                 raise NonConvergenceError(f"stubbed at hbar = {hbar}")
 
-        return checked(), planes
+        stream = checked()
+        return stream, lambda: (deque(stream, maxlen=0), planes())[1]
 
-    monkeypatch.setattr(verification, "_series_blocks", stub)
+    monkeypatch.setattr(verification, name, stub)
     return calls
 
 
@@ -76,16 +65,15 @@ def _failed(report):
 
 def test_each_preset_joint_is_built_at_most_twice(monkeypatch, no_dynamics):
     series = _stub_builder(monkeypatch, "quantum_joint_series")
-    series_blocks = _stub_series_blocks(monkeypatch)
     spectral = _stub_builder(monkeypatch, "quantum_joint_spectral")
     assert verification.run_verification(load_config()).overall_pass
     # three presets and classical_reduction; the configured pass builds none
-    assert len(series) + len(series_blocks) <= 4
+    assert len(series) <= 4
     assert len(spectral) <= 4
 
 
 def test_series_raising_fails_only_the_families_that_use_it(monkeypatch, no_dynamics):
-    _stub_series_blocks(monkeypatch, raise_at=1.0)
+    _stub_builder(monkeypatch, "quantum_joint_series", raise_at=1.0, at_end=True)
     report = verification.run_verification(load_config())
     failed = _failed(report)
     assert set(failed) == {
