@@ -52,11 +52,15 @@ DEFAULT_SIGMA = 2**-0.5
 # joint's factors, and peaks 4.6, 9.9 and 29.5 MiB above the import at
 # n3 = 128, 256 and 512 (0.23 bytes per n3^3 point at 512, about seven
 # complex n3^2 arrays).  Per n2^2 point on
-# `simulate`, whose stepper holds three n2^2 complex arrays and writes each
-# snapshot as it is taken: 64 at n2 = 2048, 65 at 1024, 69 at 512 and 82-84
-# at 256, where fixed costs weigh, alike at a snapshot every step and every
-# 100th.  Rounded up here, with headroom: 80 for n2, about a tenth above the
-# 69 of n2 = 512, and 8 for n3, 1.6 times the 5.0 of n3 = 128.
+# `simulate`, whose stepper holds four n2^2 complex arrays while it steps
+# (the state, its transposing buffer, the kick and the full stream), three
+# while it closes a snapshot, and writes each snapshot as it is taken: 64 at
+# n2 = 2048, 73 at 1024, 76 at 512 and 89-90 at 256, where fixed costs
+# weigh, alike at a snapshot every step and every 100th.  What exceeds the
+# 64 of four arrays is heap the allocator keeps after the buffer is released
+# at a snapshot, while an n2^2 array fits under glibc's largest mmap
+# threshold, 32 MiB (n2 <= 1024).  Rounded up here: 80 for n2, above the 76
+# of n2 = 512, and 8 for n3, 1.6 times the 5.0 of n3 = 128.
 BYTES_PER_N3_POINT = 8
 BYTES_PER_N2_POINT = 80
 MEMORY_BUDGET_BYTES = 4 * 2**30

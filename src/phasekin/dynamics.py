@@ -40,10 +40,16 @@ spectral domain, so total probability is conserved to rounding.
 
 The stepper is first-same-as-last: the trailing half-stream of one step
 and the leading half-stream of the next are applied as one full-stream
-phase.  That makes four complex FFT passes per step, each done in place,
-and two where the kick phase is exactly 1 (a free potential), whose kick
-is skipped.  :func:`propagate` holds three n^2 complex arrays: the state,
-the kick phase and the full-stream phase.  A snapshot closes its own
+phase.  That makes four complex FFT passes per step, and two where the
+kick phase is exactly 1 (a free potential), whose kick is skipped.  The
+two passes over r run in place along the rows of the state.  The two over
+p run out of place through a transposing buffer held in the (r, lam)
+layout, the kick phase's own: each reads down the columns and writes
+contiguous rows, which costs less than writing down the columns.
+:func:`propagate` holds four n^2 complex arrays while it steps: the
+state, the buffer, the kick phase and the full-stream phase; it releases
+the buffer while it closes a snapshot, and holds neither the buffer nor
+the kick phase for a free potential.  A snapshot closes its own
 half-stream from the forward transform over r that the next full stream
 takes anyway, a block of rows of p at a time, so the trajectory does not
 depend on the cadence.  Each snapshot goes to its consumer as it is
@@ -258,16 +264,18 @@ def collision_rhs(W: WignerDistribution, dR_diagonal: np.ndarray, epsilon: float
 
 
 def _kick_phase(U: Potential, grid_p: Grid1D, params: EvolutionParams) -> np.ndarray:
-    """exp(i dt gen) for the kick's generator gen, formed a block of shifts (rows) at a time."""
+    """exp(i dt gen) for the kick's generator gen, in the (r, lam) layout of
+    the stepper's transposing buffer: a block of shifts at a time, written
+    down its columns, with no n^2 temporary and no transposing copy."""
     lam = native_frequencies(grid_p)
     dU = U.derivative_samples(1)
-    kick = np.empty((grid_p.n, U.grid.n), dtype=complex)
+    kick = np.empty((U.grid.n, grid_p.n), dtype=complex)
     for rows in _row_blocks(grid_p.n):
         if params.hbar > 0.0:
             gen = U.shifted_difference(params.hbar * lam[rows] / 2.0) / params.hbar
         else:
             gen = np.multiply.outer(lam[rows], dU)
-        np.exp(1j * params.dt * gen, out=kick[rows])
+        np.exp(1j * params.dt * gen, out=kick[:, rows].T)
     return kick
 
 
@@ -302,12 +310,18 @@ def _energy(W: WignerDistribution, u: np.ndarray, mass: float) -> float:
 def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams, *, each_snapshot) -> list:
     """Strang split-step evolution.  Each snapshot, W0 first, goes to
     ``each_snapshot(t, W)`` as soon as it is taken and is not kept; returns
-    the conservation log, one (t, total probability, mean energy) row per snapshot."""
+    the conservation log, one (t, total probability, mean energy) row per snapshot.
+
+    The state is held in the (p, r) layout.  The kick's two passes over p
+    go out of place through one transposing buffer, ``other``, held in the
+    (r, lam) layout of the kick phase; the second writes the full stream's
+    forward transform over r back into the state."""
     _check_rhs_inputs(W0, U)
     grid_p, grid_r = W0.grid_p, W0.grid_r
     kick = _kick_phase(U, grid_p, params)
-    kicks = any((row != 1.0).any() for row in kick)  # row by row: no n^2 temporary
-    full_stream = np.empty_like(kick)
+    if all((row == 1.0).all() for row in kick):  # row by row: no n^2 temporary
+        kick = None  # exactly 1, a free potential's: a step only streams
+    full_stream = np.empty((grid_p.n, grid_r.n), dtype=complex)
     _streaming_phase(grid_p.points, native_frequencies(grid_r), params.dt, params.mass, full_stream)
     u = U.samples()
     conserved = []
@@ -322,13 +336,20 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams, *, 
     np.fft.fft(values, axis=1, out=values)
     for rows, block in _streamed(values, grid_p, grid_r, params.dt / 2.0, params.mass):
         values[rows] = block
+    other = None
     for step in range(1, params.steps + 1):
-        if kicks:
-            np.fft.fft(values, axis=0, out=values)
-            values *= kick
-            np.fft.ifft(values, axis=0, out=values)
-        np.fft.fft(values, axis=1, out=values)  # the full stream's, which a snapshot closes from
+        if kick is None:
+            np.fft.fft(values, axis=1, out=values)
+        else:
+            if other is None:
+                other = np.empty_like(kick)
+            np.fft.fft(values.T, axis=1, out=other)
+            other *= kick
+            np.fft.ifft(other, axis=1, out=other)
+            np.fft.fft(other.T, axis=1, out=values)
+        # values holds the full stream's forward transform over r, which a snapshot closes from
         if step % params.snapshot_every == 0 or step == params.steps:
+            other = None  # released while the snapshot is closed
             t = step * params.dt
             closed = np.empty((grid_p.n, grid_r.n))
             for rows, block in _streamed(values, grid_p, grid_r, params.dt / 2.0, params.mass):
@@ -343,4 +364,3 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams, *, 
             values *= full_stream
             np.fft.ifft(values, axis=1, out=values)
     return conserved
-

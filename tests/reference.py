@@ -20,7 +20,7 @@ from phasekin.coupling import (
     sinc_kernel,
     sinc_values,
 )
-from phasekin.dynamics import PROPAGATION_DECAY_TOL, _energy, _streamed, propagate
+from phasekin.dynamics import PROPAGATION_DECAY_TOL, _energy, _streamed, _streaming_phase, propagate
 from phasekin.errors import ImaginaryResidueError
 from phasekin.states import JointPlanes, WignerDistribution
 from phasekin.grids import (
@@ -28,6 +28,7 @@ from phasekin.grids import (
     Grid1D,
     _floored,
     _reshape_for,
+    _row_blocks,
     _sup_norm,
     accept_series,
     derivative_array,
@@ -490,4 +491,46 @@ def whole_array_propagate(W0, U, params):
             conserved.append((step * params.dt, W.normalization, _energy(W, u, params.mass)))
         if step < params.steps:
             _whole_apply(values, full_stream, 1)
+    return snapshots, conserved
+
+
+def inplace_propagate(W0, U, params):
+    """propagate as it ran before its p-axis passes went through a
+    transposing buffer: the kick phase held in the (lam, r) layout and both
+    p-axis passes done in place down the columns of the state.  Returns what
+    :func:`collect` does: ([(t, W), ...], the conserved rows)."""
+    grid_p, grid_r = W0.grid_p, W0.grid_r
+    lam = native_frequencies(grid_p)
+    kick = np.empty((grid_p.n, grid_r.n), dtype=complex)
+    for rows in _row_blocks(grid_p.n):
+        if params.hbar > 0.0:
+            gen = U.shifted_difference(params.hbar * lam[rows] / 2.0) / params.hbar
+        else:
+            gen = np.multiply.outer(lam[rows], U.derivative_samples(1))
+        np.exp(1j * params.dt * gen, out=kick[rows])
+    kicks = (kick != 1.0).any()
+    full_stream = np.empty_like(kick)
+    _streaming_phase(grid_p.points, native_frequencies(grid_r), params.dt, params.mass, full_stream)
+    u = U.samples()
+    snapshots, conserved = [(0.0, W0)], [(0.0, W0.normalization, _energy(W0, u, params.mass))]
+    values = W0.values.astype(complex)
+    np.fft.fft(values, axis=1, out=values)
+    for rows, block in _streamed(values, grid_p, grid_r, params.dt / 2.0, params.mass):
+        values[rows] = block
+    for step in range(1, params.steps + 1):
+        if kicks:
+            np.fft.fft(values, axis=0, out=values)
+            values *= kick
+            np.fft.ifft(values, axis=0, out=values)
+        np.fft.fft(values, axis=1, out=values)
+        if step % params.snapshot_every == 0 or step == params.steps:
+            closed = np.empty((grid_p.n, grid_r.n))
+            for rows, block in _streamed(values, grid_p, grid_r, params.dt / 2.0, params.mass):
+                closed[rows] = block.real
+            W = WignerDistribution(grid_p, grid_r, closed, decay_tol=PROPAGATION_DECAY_TOL)
+            snapshots.append((step * params.dt, W))
+            conserved.append((step * params.dt, W.normalization, _energy(W, u, params.mass)))
+        if step < params.steps:
+            values *= full_stream
+            np.fft.ifft(values, axis=1, out=values)
     return snapshots, conserved

@@ -45,6 +45,7 @@ from reference import (
     collect,
     complex_strang_reference,
     full_derivative_diagonal,
+    inplace_propagate,
     peak_traced_bytes,
     potential_at,
     planes_of,
@@ -423,9 +424,11 @@ class TestPropagate:
         assert count(20) - count(10) == 10 * passes
 
     def test_traced_peak_holds_three_complex_arrays(self):
-        # the state, the kick and the full stream (48 bytes a point), the real
-        # snapshot and a real temporary of its energy; holding the half-stream
-        # whole and closing snapshots from a copy of the state read 88
+        # the state, the kick and the full stream (48 bytes a point), and 16
+        # more: in a step the transposing buffer, and while a snapshot is
+        # closed, with the buffer released, the real snapshot and a real
+        # temporary of its energy; holding the half-stream whole and closing
+        # snapshots from a copy of the state read 88
         grid = make_grid(256, 8.0)
         W0 = gaussian_wigner(grid, grid, 0.3, -0.4, 0.7, 0.7)
         U = potential_from_density(gaussian_density(grid, 0.0, 1.0), 1.0)
@@ -435,6 +438,19 @@ class TestPropagate:
             propagate(W0, U, params, each_snapshot=lambda t, W: None)
 
         assert peak_traced_bytes(run) < 72 * grid.n**2
+
+    def test_traced_peak_of_a_free_potential_holds_two_complex_arrays(self):
+        # a kick phase of exactly 1 is not held, nor is the transposing buffer:
+        # the state and the full stream (32 bytes a point), the real snapshot
+        # and a real temporary of its energy; holding the kick read 65
+        grid = make_grid(256, 8.0)
+        W0 = gaussian_wigner(grid, grid, 0.3, -0.4, 0.7, 0.7)
+        params = EvolutionParams(mass=1.0, hbar=1.0, dt=1e-3, steps=10, snapshot_every=5)
+
+        def run():
+            propagate(W0, free_potential(grid), params, each_snapshot=lambda t, W: None)
+
+        assert peak_traced_bytes(run) < 56 * grid.n**2
 
     def test_initial_state_is_not_held(self, grid64):
         held = []
@@ -597,6 +613,22 @@ class TestStepperEquivalence:
         params = EvolutionParams(mass=1.3, hbar=hbar, dt=1e-3, steps=20, snapshot_every=every)
         snapshots, conserved = collect(W0, _potential(kind, grid), params)
         ref_snapshots, ref_conserved = whole_array_propagate(W0, _potential(kind, grid), params)
+        assert [t for t, _ in snapshots] == [t for t, _ in ref_snapshots]
+        assert all(np.array_equal(W.values, ref.values) for (_, W), (_, ref) in zip(snapshots, ref_snapshots))
+        assert conserved == ref_conserved
+
+    @pytest.mark.parametrize("every", [1, 5])
+    @pytest.mark.parametrize("hbar", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["free", "harmonic", "quartic", "from_density"])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_keeps_the_bits_of_the_inplace_stepper(self, n, kind, hbar, every):
+        # each 1-D transform through the transposing buffer sees the input
+        # that the in-place pass down the columns gave it
+        grid = make_grid(n, 8.0)
+        W0 = gaussian_wigner(grid, grid, 0.3, -0.4, 0.7, 0.7)
+        params = EvolutionParams(mass=1.3, hbar=hbar, dt=1e-3, steps=10, snapshot_every=every)
+        snapshots, conserved = collect(W0, _potential(kind, grid), params)
+        ref_snapshots, ref_conserved = inplace_propagate(W0, _potential(kind, grid), params)
         assert [t for t, _ in snapshots] == [t for t, _ in ref_snapshots]
         assert all(np.array_equal(W.values, ref.values) for (_, W), (_, ref) in zip(snapshots, ref_snapshots))
         assert conserved == ref_conserved
