@@ -28,18 +28,18 @@ transforms, G an ``irfft`` over K and ``W_hat`` an ``rfft`` over p, so
 their product goes straight to the real inverse FFT over q with no
 per-bin scale.  It is formed and inverted a few rows of R at a time.
 
-Each builder forms its factors when called and returns ``(blocks,
-planes)``.  ``blocks`` is a generator of the joint's blocks of
-INVERSE_BLOCK rows of R, each written into one reused buffer that the
-next block overwrites, so no n^3 array is formed.  ``planes()`` returns
-the joint's O(n^2) reductions, each a product of its reduced factors
-(:class:`phasekin.states.JointPlanes`); :func:`joint_planes` takes the
-spectral joint's with no block formed.
+Each builder forms its factors, and the series its convergence verdict,
+when called, so it either raises before its first block or streams every
+block.  It returns ``(blocks, planes)``: ``blocks`` is a generator of
+the joint's blocks of INVERSE_BLOCK rows of R, each written into one
+reused buffer that the next block overwrites, so no n^3 array is formed,
+and ``planes()`` returns the joint's O(n^2) reductions, each a product
+of its reduced factors (:class:`phasekin.states.JointPlanes`);
+:func:`joint_planes` takes the spectral joint's with no block formed.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain
 
 import numpy as np
@@ -108,11 +108,15 @@ def _series_factors(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> 
     return factors_R, factors_W.reshape(len(factors_W), -1), verdict
 
 
+def _peak_row(over_pr: np.ndarray) -> int:
+    """The row of R whose sum over (p, r), ``over_pr``, is largest."""
+    return max(range(len(over_pr)), key=over_pr.__getitem__)  # np.argmax would map code pages no command else maps
+
+
 def _guard(over_pr: np.ndarray, faces, row) -> tuple:
-    """``(boundary, vmax, vmin)`` of a joint from its sum over (p, r), its p and r
-    faces and ``row(R)``, which gives its R faces and its row of largest ``over_pr``."""
+    """``(boundary, vmax, vmin)`` from a joint's sum over (p, r), its p and r faces and its rows ``row(R)``."""
     boundary = max(map(_sup_norm, chain(map(row, (0, -1)), faces)))  # one face held at a time
-    peak = row(max(range(len(over_pr)), key=over_pr.__getitem__))  # np.argmax would map code pages no command else maps
+    peak = row(_peak_row(over_pr))
     return boundary, float(peak.max()), float(peak.min())
 
 
@@ -121,16 +125,16 @@ def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float
 
     Returns ``(blocks, planes)``.  The factors A (n, N + 1) and B
     (N + 1, n^2) are formed at the call, and ``blocks`` yields the products
-    ``A[rows] @ B`` a block of rows of R at a time.  Whether the truncated
-    series converged depends on the sup norm of the whole sum, so
-    :class:`NonConvergenceError` comes after the last block.  ``planes()``
-    first runs out the blocks not yet taken, so that verdict is never
-    skipped, and then gives the joint's :class:`JointPlanes` from its
-    factors, each a product of reduced factors: ``A @ sum_r B``,
-    ``(sum_R A) @ B``, dF/dR at R = r ``sum_j (d_R A)[r, j] B[j, p, r]``
-    and the faces ``A @ B[:, p, :]`` and ``A @ B[:, :, r]``.  At hbar = 0
-    the series has no terms, so each block is a product with one inner
-    term: the classical joint rho(R) W(p, r), exactly.
+    ``A[rows] @ B`` a block of rows of R at a time.  The call takes the
+    series' verdict on the sup norm of its peak row, the row of R of largest
+    sum over (p, r): a lower bound on the whole joint's, so it may refuse a
+    series that the whole joint's would pass, never the reverse.
+    ``planes()`` gives the joint's :class:`JointPlanes` from its factors,
+    each a product of reduced factors: ``A @ sum_r B``, ``(sum_R A) @ B``,
+    dF/dR at R = r ``sum_j (d_R A)[r, j] B[j, p, r]`` and the faces
+    ``A @ B[:, p, :]`` and ``A @ B[:, :, r]``.  At hbar = 0 the series has
+    no terms, so each block is a product with one inner term: the
+    classical joint rho(R) W(p, r), exactly.
 
     On Gaussian presets the series converges inside the whole window
     hbar < 2 sigma_R sigma_p (the README gives the measured term counts);
@@ -138,20 +142,15 @@ def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float
     (hbar = 2 on the coherent preset) or overflow.
     """
     factors_R, factors_W, verdict = _series_factors(rho, W, hbar)
+    verdict(_sup_norm(factors_R[_peak_row(factors_R @ factors_W.sum(axis=1))] @ factors_W))
 
     def blocks():
         buffer = np.empty((INVERSE_BLOCK, W.grid_p.n, W.grid_r.n))
-        sup = 0.0
         for rows in _row_blocks(len(factors_R)):
             np.matmul(factors_R[rows], factors_W, out=buffer.reshape(INVERSE_BLOCK, -1))
-            sup = np.maximum(sup, _sup_norm(buffer))  # np.maximum keeps a NaN
             yield buffer
-        verdict(float(sup))
-
-    stream = blocks()
 
     def planes():
-        deque(stream, maxlen=0)  # the blocks not yet taken, then the verdict
         by_p_r = factors_W.reshape(len(factors_W), W.grid_p.n, W.grid_r.n)
         over_r = factors_R @ by_p_r.sum(axis=2)
         over_R = (factors_R.sum(axis=0) @ factors_W).reshape(by_p_r.shape[1:])
@@ -161,7 +160,7 @@ def quantum_joint_series(rho: VirtualDensity, W: WignerDistribution, hbar: float
         guard = _guard(over_pr, faces, lambda R: factors_R[R] @ factors_W)
         return JointPlanes(rho.grid, W.grid_p, W.grid_r, over_R, over_pr, over_r, diagonal, *guard, W.decay_tol)
 
-    return stream, planes
+    return blocks(), planes
 
 
 def sinc_kernel(K: np.ndarray, q: np.ndarray, hbar: float) -> np.ndarray:

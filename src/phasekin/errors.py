@@ -36,7 +36,7 @@ class DegenerateFitError(PhasekinError):
 
 class NonFiniteError(PhasekinError):
     """A numpy operation overflowed, divided by zero or produced an
-    invalid value (NaN) while a command ran."""
+    invalid value (NaN), or Python arithmetic overflowed, while a command ran."""
 
 
 class ConfigError(PhasekinError):

@@ -208,13 +208,13 @@ def accept_series(terms, scale: float, what: str) -> tuple:
     of the zeroth term, the base.  Terms are accepted until one falls
     below 1e-12 of ``scale``, at most SERIES_CAP of them.  A term larger
     than the one before stops the series unaccepted, keeping the smaller
-    partial sum; terms that run out end it exactly.  The generator is
-    then closed.  Returns the accepted terms and the verdict, a function
-    of the sup norm of the sum (the base plus the accepted terms, which
-    the caller forms, at once or a block at a time): it raises
-    :class:`NonConvergenceError` if the series stopped short of 1e-12
-    and its last accepted term still exceeds 1e-8 of that sum.  A term
-    that is not finite raises :class:`NonConvergenceError` at once.
+    partial sum; terms that run out end it exactly.  The generator is then
+    closed.  Returns the accepted terms and the verdict, a function of the
+    sup norm of the sum (the base plus the accepted terms, which the
+    caller forms), or a lower bound of it: it raises
+    :class:`NonConvergenceError` if the series stopped short of 1e-12 and
+    its last accepted term still exceeds 1e-8 of that norm.  A term that
+    is not finite raises :class:`NonConvergenceError` at once.
     """
     accepted, last_norm = [], 0.0
     with closing(terms):

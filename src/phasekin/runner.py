@@ -4,17 +4,17 @@
 prepares the output directory and removes every file whose name a
 command writes (:data:`OUTPUT_FILE`), so a directory holds one run's
 files; other files stay.  It then runs the command body with numpy's
-overflow, divide-by-zero and invalid-value conditions raising
-:class:`NonFiniteError`, turns a :class:`PhasekinError` into an
-``aborted`` manifest before the error propagates, and writes
+overflow, divide-by-zero and invalid-value conditions and Python's
+overflow raising :class:`NonFiniteError`, turns a :class:`PhasekinError`
+into an ``aborted`` manifest before the error propagates, and writes
 ``resolved_config.json`` and ``manifest.json`` last.  An aborted run
-first removes what its body wrote, so it leaves only those two files.
-A command body (``run_simulate``, ``run_joint``, ``run_cumulants``,
+first removes what its body wrote, so it leaves only those two files.  A
+command body (``run_simulate``, ``run_joint``, ``run_cumulants``,
 ``run_verify``) computes its results, writes its own files and returns
 ``(outputs, status)``: status ``complete``, or ``failed`` when a
 verification check fails; ``run_joint`` takes its residuals from the
-planes its builders give.  A failed write (a full disk, say) aborts as
-a guard does; one of the manifest itself leaves no file of the run.
+planes its builders give.  A failed write (a full disk, say) aborts as a
+guard does; one of the manifest itself leaves no file of the run.
 """
 
 from __future__ import annotations
@@ -193,8 +193,10 @@ def run_scenario(config: ScenarioConfig, command: str, output_dir: str | None = 
     try:
         with np.errstate(over="call", invalid="call", divide="call", call=_raise_non_finite):
             outputs, status = body(config, directory)
-    except (PhasekinError, OSError) as exc:  # a guard, or a write that failed
-        if isinstance(exc, OSError) and exc.filename is None:  # a failed write names no file
+    except (PhasekinError, OSError, OverflowError) as exc:  # a guard, a write that failed, or float overflow
+        if isinstance(exc, OverflowError):  # Python's own arithmetic, which errstate does not see
+            exc = NonFiniteError(f"arithmetic overflow: {exc}")
+        elif isinstance(exc, OSError) and exc.filename is None:  # a failed write names no file
             exc = OSError(exc.errno, exc.strerror, directory)
         outputs, status, error = [], "aborted", exc
         _clear_outputs(directory)  # what the body wrote before it failed

@@ -162,10 +162,8 @@ def _joint_pair(rho, W, hbar: float) -> tuple:
     reads raised.  The two block streams are zipped, so each spectral block
     meets the series block of its rows of R for the gap, and is summed over
     (p, r) and over R for the tie, the sup-norm gap of those marginals to
-    the spectral planes: neither joint is held whole.  The spectral stream
-    goes first, so its end stops the zip before the series' verdict is
-    pulled; the series planes run out the series blocks and take that
-    verdict, whether the spectral stream ended or raised.
+    the spectral planes: neither joint is held whole.  A builder that
+    refuses its inputs does so at its call, before its first block.
     """
     series = _attempt(quantum_joint_series, rho, W, hbar)
     spectral = _attempt(quantum_joint_spectral, rho, W, hbar)
@@ -189,7 +187,7 @@ def _joint_pair(rho, W, hbar: float) -> tuple:
 
     gap = _attempt(stream, spectral)
     series_planes, spectral_planes = (_attempt(lambda joint: joint[1](), joint) for joint in (series, spectral))
-    # the gap stands only if both streams ran to their end
+    # the gap stands only if both builders gave their joints and the spectral stream ran out
     gap_row = _attempt(lambda _, gap: gap, series_planes, gap)
     return series_planes, spectral_planes, _attempt(tie, spectral_planes, gap), gap_row
 

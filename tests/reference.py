@@ -163,11 +163,9 @@ class WholeJoint:
 
 def whole_joint(build, rho, W, *args):
     """The joint whose blocks ``build(rho, W, *args)`` streams, collected into
-    one :class:`WholeJoint`.  Its planes are taken after the last block, so
-    a series that does not converge raises."""
-    blocks, planes = build(rho, W, *args)
+    one :class:`WholeJoint`; a series that does not converge raises at the call."""
+    blocks, _ = build(rho, W, *args)
     values = np.concatenate([block.copy() for block in blocks])
-    planes()
     return WholeJoint(rho.grid, W.grid_p, W.grid_r, values, W.decay_tol)
 
 
@@ -385,6 +383,15 @@ def whole_product_series(rho, W, hbar):
     product = factors_R @ factors_W
     verdict(_sup_norm(product))
     return product.reshape(rho.grid.n, W.grid_p.n, W.grid_r.n)
+
+
+def whole_series_verdict(rho, W, hbar):
+    """Raise :class:`NonConvergenceError` where accept_series' verdict on the
+    sup norm of the whole series joint does, as quantum_joint_series took it
+    after its last block before it took it on its peak row at the call; the
+    product is taken a block of rows of R at a time, so no n^3 array is held."""
+    factors_R, factors_W, verdict = _series_factors(rho, W, hbar)
+    verdict(max(_sup_norm(factors_R[rows] @ factors_W) for rows in _row_blocks(len(factors_R))))
 
 
 def phi_from_full_transform(F, rho, W, k_index, threshold=1e-6):

@@ -466,21 +466,23 @@ class TestExitCodes:
         assert main(["joint", "--config", str(bad), "--hbar", "1"]) == 2
         assert "config root: expected an object, got list" in capsys.readouterr().err
 
-    # each reaches the overflow or underflow named in the error at this grid
+    # each reaches the overflow or underflow named in the error at this grid;
+    # omega**2 overflows in Python's own float arithmetic, not numpy's
     @pytest.mark.parametrize(
-        "argv, code, error",
+        "argv, overrides, code, error",
         [
-            (["joint", "--hbar", "1e300"], 3, "series coefficient (hbar/2)^2 overflows"),
-            (["simulate", "--hbar", "1e150"], 3, "numpy floating-point error: overflow"),
-            (["cumulants", "--hbar", "5e-324"], 3, "scan hbar value is 0"),
-            (["cumulants", "--hbar", "1.2e-322"], 3, "scan hbar value is 0 or subnormal"),
-            (["verify", "--hbar", "1e150"], 1, "NonFiniteError: numpy floating-point error: overflow"),
+            (["joint", "--hbar", "1e300"], {}, 3, "series coefficient (hbar/2)^2 overflows"),
+            (["simulate", "--hbar", "1e150"], {}, 3, "numpy floating-point error: overflow"),
+            (["simulate"], {"potential": {"kind": "harmonic", "omega": 2e154}}, 3, "arithmetic overflow"),
+            (["cumulants", "--hbar", "5e-324"], {}, 3, "scan hbar value is 0"),
+            (["cumulants", "--hbar", "1.2e-322"], {}, 3, "scan hbar value is 0 or subnormal"),
+            (["verify", "--hbar", "1e150"], {}, 1, "NonFiniteError: numpy floating-point error: overflow"),
         ],
-        ids=["joint", "simulate", "cumulants", "cumulants_subnormal", "verify"],
+        ids=["joint", "simulate", "simulate_omega", "cumulants", "cumulants_subnormal", "verify"],
     )
-    def test_non_finite_results_exit_without_traceback(self, tmp_path, argv, code, error):
+    def test_non_finite_results_exit_without_traceback(self, tmp_path, argv, overrides, code, error):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, outputs=str(out))
+        cfg = write_config(tmp_path, outputs=str(out), **overrides)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(phasekin.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "phasekin.cli", *argv, "--config", cfg],
@@ -565,22 +567,13 @@ class TestRunPath:
         manifest = manifest_without_timestamp(out)
         assert manifest["status"] == "aborted" and manifest["outputs"] == ["resolved_config.json"]
 
-    def test_nonconverging_series_aborts_after_f_series_is_written(self, tmp_path, monkeypatch):
-        # the series' verdict needs the sup norm of the whole sum, so it comes
-        # after the last block is on disk; the abort still clears the file
-        on_disk = []
-        write = runner.write_array
-
-        def recording(directory, *args):
-            try:
-                return write(directory, *args)
-            finally:
-                on_disk.append(sorted(os.listdir(directory)))
-
-        monkeypatch.setattr(runner, "write_array", recording)
+    def test_nonconverging_series_aborts_before_f_series_is_written(self, tmp_path, monkeypatch):
+        # the series builder takes its verdict at the call, so no array is opened
+        written = []
+        monkeypatch.setattr(runner, "write_array", lambda *args: written.append(args))
         out = tmp_path / "out"
         assert main(["joint", "--config", write_config(tmp_path, outputs=str(out), hbar=2.0)]) == 3
-        assert on_disk == [["f_series.bin"]]
+        assert written == []
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved_config.json"]
         manifest = manifest_without_timestamp(out)
         assert manifest["status"] == "aborted" and manifest["outputs"] == ["resolved_config.json"]

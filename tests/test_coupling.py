@@ -2,7 +2,6 @@
 
 import math
 from functools import partial
-from itertools import islice
 
 import mpmath
 import numpy as np
@@ -50,6 +49,7 @@ from reference import (
     streamed_planes,
     whole_joint,
     whole_product_series,
+    whole_series_verdict,
 )
 
 
@@ -395,26 +395,19 @@ def test_streamed_series_equals_one_whole_product(n):
     assert np.array_equal(whole_joint(quantum_joint_series, rho, W, 1.0).values, whole_product_series(rho, W, 1.0))
 
 
-def test_series_verdict_comes_after_the_last_block(rho_default, wigner_default):
-    # hbar = 2 on the coherent preset: the terms grow, and whether the
-    # truncated sum is good enough depends on the sup norm of all of it
-    blocks, _ = quantum_joint_series(rho_default, wigner_default, 2.0)
-    handed = []
+def test_nonconverging_series_raises_at_the_call(rho_default, wigner_default):
+    # hbar = 2 on the coherent preset: the terms grow, and the verdict on the
+    # peak row's sup norm refuses before any block is formed
     with pytest.raises(NonConvergenceError, match="did not converge: last term is"):
-        for block in blocks:
-            handed.append(block)
-    assert len(handed) == rho_default.grid.n // INVERSE_BLOCK
+        quantum_joint_series(rho_default, wigner_default, 2.0)
 
 
-@pytest.mark.parametrize("taken", ["none", "all"])
-def test_series_planes_take_the_verdict(rho_default, wigner_default, taken):
-    # planes() runs out the blocks not yet taken, so the verdict comes
-    # whether the consumer took no block or every block but not the end
-    blocks, planes = quantum_joint_series(rho_default, wigner_default, 2.0)
-    count = rho_default.grid.n // INVERSE_BLOCK if taken == "all" else 0
-    assert len(list(islice(blocks, count))) == count
-    with pytest.raises(NonConvergenceError, match="did not converge: last term is"):
-        planes()
+def refuses(check, *args) -> bool:
+    try:
+        check(*args)
+    except NonConvergenceError:
+        return True
+    return False
 
 
 # Drawn inputs: box half-width 8, every Gaussian component no narrower than
@@ -476,6 +469,15 @@ def test_builders_return_their_joint_s_planes(build, hbar):
     assert_planes_equal(streamed_planes(build, rho, W, hbar), planes_of(whole_joint(build, rho, W, hbar)), rho)
 
 
+@pytest.mark.parametrize("hbar", sorted(EQUIV_PRESETS))
+def test_preset_series_refuses_exactly_where_the_whole_joint_s_verdict_does(hbar):
+    sigma_R, sigma_p, sigma_r, half_width = EQUIV_PRESETS[hbar]
+    grid = make_grid(64, half_width)
+    rho = gaussian_density(grid, 0.0, sigma_R)
+    W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
+    assert refuses(quantum_joint_series, rho, W, hbar) == refuses(whole_series_verdict, rho, W, hbar)
+
+
 @pytest.mark.parametrize("half_width", [8.0, 12.0])
 def test_classical_factor_planes_equal_the_product_s(half_width):
     # at hbar = 0 joint_planes takes rho as an (n, 1) kernel column that
@@ -503,6 +505,12 @@ class TestPlanesOfDrawnInputs:
         except NonConvergenceError:
             return
         assert_planes_equal(planes, planes_of(whole_joint(quantum_joint_series, rho, W, hbar)), rho)
+
+    @PLANES_SETTINGS
+    @given(inputs=mixture_inputs())
+    def test_series_refuses_exactly_where_the_whole_joint_s_verdict_does(self, inputs):
+        rho, W, hbar = inputs
+        assert refuses(quantum_joint_series, rho, W, hbar) == refuses(whole_series_verdict, rho, W, hbar)
 
     @PLANES_SETTINGS
     @given(inputs=mixture_inputs())

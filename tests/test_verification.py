@@ -1,7 +1,6 @@
 """The verification pass: its builder calls, its failed rows and its n^3 memory."""
 
 import dataclasses
-from collections import deque
 
 import numpy as np
 import pytest
@@ -16,27 +15,17 @@ def no_dynamics(monkeypatch):
     monkeypatch.setattr(verification, "check_dynamics_oracles", lambda config: [])
 
 
-def _stub_builder(monkeypatch, name, raise_at=None, at_end=False):
+def _stub_builder(monkeypatch, name, raise_at=None):
     """Wrap ``verification.<name>``; count its calls, raising at ``raise_at``
-    before the first block, or with ``at_end`` after the last block, where
-    the series verdict comes.  The stub's planes run out its blocks first,
-    as the series' own do."""
+    at the call, before the first block, where a builder refuses."""
     build = getattr(verification, name)
     calls = []
 
     def stub(rho, W, hbar):
         calls.append(hbar)
-        if hbar == raise_at and not at_end:
+        if hbar == raise_at:
             raise NonConvergenceError(f"stubbed at hbar = {hbar}")
-        blocks, planes = build(rho, W, hbar)
-
-        def checked():
-            yield from blocks
-            if hbar == raise_at:
-                raise NonConvergenceError(f"stubbed at hbar = {hbar}")
-
-        stream = checked()
-        return stream, lambda: (deque(stream, maxlen=0), planes())[1]
+        return build(rho, W, hbar)
 
     monkeypatch.setattr(verification, name, stub)
     return calls
@@ -73,7 +62,7 @@ def test_each_preset_joint_is_built_at_most_twice(monkeypatch, no_dynamics):
 
 
 def test_series_raising_fails_only_the_families_that_use_it(monkeypatch, no_dynamics):
-    _stub_builder(monkeypatch, "quantum_joint_series", raise_at=1.0, at_end=True)
+    _stub_builder(monkeypatch, "quantum_joint_series", raise_at=1.0)
     report = verification.run_verification(load_config())
     failed = _failed(report)
     assert set(failed) == {
