@@ -1,16 +1,17 @@
 """Bit-exact output formats.
 
 Arrays go to raw little-endian float64 in row-major order with a JSON
-sidecar holding shape, axis order, grid definitions, and a content
-checksum.  Tabular outputs are CSV with a header row and 17 significant
-decimal digits, which round-trips float64 exactly; a field holding a
-comma is quoted.  All rendering is locale-independent.
+sidecar holding shape, axis order, grid definitions, and a SHA-256
+checksum; ``hashlib`` (3.4 MiB of OpenSSL) is loaded at the first one,
+so a command that writes no array never maps it.  Tabular outputs are
+CSV with a header row and 17 significant decimal digits, which
+round-trips float64 exactly; a field holding a comma is quoted.  All
+rendering is locale-independent.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -45,13 +46,18 @@ class RowBlocks:
         return math.prod(self.shape)
 
 
+def _sha256(payload=b""):
+    import hashlib  # at the first checksum, not at module load
+    return hashlib.sha256(payload)
+
+
 class ArrayWriter:
     """The payload of one ``.bin`` file, written and hashed a block at a
     time, in place when the block is C-order little-endian float64."""
 
     def __init__(self, fh):
         self.fh = fh
-        self.digest = hashlib.sha256()
+        self.digest = _sha256()
         self.written = 0
 
     def write(self, block: np.ndarray) -> None:
@@ -66,7 +72,7 @@ def write_array(directory: str, name: str, values, axis_names, grids) -> list:
 
     ``values`` is an array, written as one block, or a :class:`RowBlocks`,
     written block by block; the file and its checksum are those of the
-    whole array either way.
+    whole array either way.  The first array written loads ``hashlib``.
     """
     bin_path = os.path.join(directory, name + ".bin")
     with open(bin_path, "wb") as fh:
@@ -93,12 +99,12 @@ def write_array(directory: str, name: str, values, axis_names, grids) -> list:
 
 
 def read_array(directory: str, name: str):
-    """Load an array written by :func:`write_array`; verifies the checksum."""
+    """Load an array written by :func:`write_array`; verifies the checksum (loads ``hashlib``)."""
     with open(os.path.join(directory, name + ".json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     with open(os.path.join(directory, name + ".bin"), "rb") as fh:
         payload = fh.read()
-    if hashlib.sha256(payload).hexdigest() != meta["sha256"]:
+    if _sha256(payload).hexdigest() != meta["sha256"]:
         raise ValueError(f"checksum mismatch for {name}.bin")
     values = np.frombuffer(payload, dtype="<f8").reshape(meta["shape"])
     return values, meta

@@ -15,7 +15,6 @@ planes; the builder gap and the classical reduction read its blocks.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from contextlib import contextmanager
@@ -294,15 +293,12 @@ def check_classical_reduction(config: ScenarioConfig) -> list:
     return checks
 
 
-def _digest(planes, report, gap) -> bytes:
-    """SHA-256 of one cumulant pass: the joint's planes, their guard values,
-    kappa22, the two variances and the generating function's gap, as float64."""
-    digest = hashlib.sha256()
-    for plane in (planes.over_R, planes.over_pr, planes.over_r, planes.dR_diagonal):
-        digest.update(np.ascontiguousarray(plane, dtype="<f8"))  # no copy of a plane
-    values = (planes.boundary, planes.vmax, planes.vmin, report.kappa22, report.sigma_R2, report.sigma_p2)
-    digest.update(np.array([*values, gap], dtype="<f8").tobytes())
-    return digest.digest()
+def _pass_bytes(planes, report, gap) -> bytes:
+    """One cumulant pass as C-order float64 bytes: the joint's planes, their
+    guard values, kappa22, the two variances and the generating function's gap."""
+    values = (planes.boundary, planes.vmax, planes.vmin, report.kappa22, report.sigma_R2, report.sigma_p2, gap)
+    arrays = (planes.over_R, planes.over_pr, planes.over_r, planes.dR_diagonal, values)
+    return b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
 
 
 def check_configured_hbar(config: ScenarioConfig) -> list:
@@ -313,18 +309,16 @@ def check_configured_hbar(config: ScenarioConfig) -> list:
     (:func:`phasekin.coupling.joint_planes`) give kappa22, the Heisenberg
     report and the generating function's :func:`phi_gap`, each on its own
     so that a failing kernel row leaves ``cross_cumulant`` standing, and
-    with all three the digest that a :func:`cumulant_pass` rebuild must
-    match.  A family whose work raises keeps its rows and ends in one
-    failed row, as in :func:`check_equivalence_presets`.
+    with all three the bytes that a :func:`cumulant_pass` rebuild must
+    match, 3 n3^2 + n3 float64 held (96 KiB at n3 = 64, 6 MiB at 512).
+    A family whose work raises keeps its rows and ends in one failed row,
+    as in :func:`check_equivalence_presets`.
     """
     checks = []
     hbar = config.hbar if config.hbar > 0 else 1.0
 
     def half_kappa22(rho, W, kap):  # not taken once kap has failed
         return kappa22(joint_planes(rho, W, hbar / 2.0))
-
-    def rebuild_matches(rho, W, digest):
-        return _digest(*cumulant_pass(rho, W, hbar)) == digest
 
     families = ("kernel_expansion", "cross_cumulant", "classical_scaling", "determinism")
     with _failed_rows(checks, *families):
@@ -334,12 +328,12 @@ def check_configured_hbar(config: ScenarioConfig) -> list:
         report = _attempt(heisenberg_check, planes, hbar)
         phi = _attempt(phi_field, planes, rho, W)
         gap = _attempt(phi_gap, phi, hbar)
-        digest = _attempt(_digest, planes, report, gap)
+        held = _attempt(_pass_bytes, planes, report, gap)
         del planes  # not held while the hbar/2 planes, the scan and the rebuild are taken
         kap_half = _attempt(half_kappa22, rho, W, kap)
         # at the scan fractions of hbar = 1, whatever hbar is configured
         slope = _attempt(classical_limit_scan, rho, W, CLASSICAL_SCAN_FRACTIONS)
-        same = _attempt(rebuild_matches, rho, W, digest)
+        same = _attempt(lambda first: _pass_bytes(*cumulant_pass(rho, W, hbar)) == first, held)
         with _failed_rows(checks, "kernel_expansion"):
             _value(report)
             gap, phi = _value(gap), _value(phi)

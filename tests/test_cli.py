@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import hashlib
 import json
 import os
 import re
@@ -346,6 +347,25 @@ class TestDeterminismAndRoundTrip:
         main(["joint", "--config", cfg])
         values, meta = read_array(str(tmp_path / "out"), "f_series")
         assert list(values.shape) == meta["shape"]
+
+    @pytest.mark.parametrize("command, loaded", [("cumulants", False), ("verify", False), ("simulate", True), ("joint", True)])
+    def test_only_a_command_that_writes_an_array_loads_openssl(self, tmp_path, command, loaded):
+        # hashlib, and with it OpenSSL's libcrypto, is imported at the first
+        # checksum; a fresh interpreter, since this one may have loaded it
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, outputs=str(out), grid={"n2": 64, "n3": 64, "half_width": 8.0})
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(phasekin.__file__)))
+        script = "import sys; from phasekin.cli import main; code = main(sys.argv[1:]); print('_hashlib' in sys.modules); sys.exit(code)"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, "--config", cfg], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loaded)
+        arrays = sorted(path.stem for path in out.glob("*.bin"))
+        assert bool(arrays) == loaded
+        for name in arrays:
+            sidecar = json.loads((out / f"{name}.json").read_text())
+            assert sidecar["sha256"] == hashlib.sha256((out / f"{name}.bin").read_bytes()).hexdigest()
 
 
 class TestWriteArray:

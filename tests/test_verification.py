@@ -165,6 +165,14 @@ def _one_ulp_in_the_gap(planes, report, gap):
     return planes, report, np.nextafter(gap, np.inf)
 
 
+def _fortran_planes(planes, report, gap):
+    """The rebuild with each plane a Fortran-ordered copy of the same values."""
+    names = ("over_R", "over_pr", "over_r", "dR_diagonal")
+    fortran = {name: np.asfortranarray(getattr(planes, name)) for name in names}
+    assert not fortran["over_r"].flags.c_contiguous
+    return dataclasses.replace(planes, **fortran), report, gap
+
+
 @pytest.mark.parametrize(
     "perturb", [_one_ulp_in_a_plane, _one_ulp_in_kappa22, _one_ulp_in_the_gap], ids=["joint", "kappa22", "gap"]
 )
@@ -178,9 +186,17 @@ def test_determinism_catches_one_ulp_in_the_rebuild(monkeypatch, perturb):
 
     monkeypatch.setattr(verification, "cumulant_pass", stub)
     [row] = [c for c in verification.check_configured_hbar(load_config()) if c.name.startswith("determinism")]
-    assert len(runs) == 1  # the rebuild; the first digest is taken from the rows' planes
+    assert len(runs) == 1  # the rebuild; the first pass's bytes are taken from the rows' planes
     assert (row.name, row.measured, row.passed) == ("determinism[rebuild]", 1.0, False)
     assert row.note == "byte-compare of repeated pipeline"
+
+
+def test_determinism_compares_c_order_bytes_whatever_the_layout(monkeypatch):
+    # the bytes compared are each plane's values as C-order float64, not its memory
+    rebuild = verification.cumulant_pass
+    monkeypatch.setattr(verification, "cumulant_pass", lambda rho, W, hbar: _fortran_planes(*rebuild(rho, W, hbar)))
+    [row] = [c for c in verification.check_configured_hbar(load_config()) if c.name.startswith("determinism")]
+    assert (row.name, row.measured, row.passed) == ("determinism[rebuild]", 0.0, True)
 
 
 def test_configured_joint_is_built_twice(monkeypatch, no_dynamics):
