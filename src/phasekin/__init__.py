@@ -32,7 +32,6 @@ from .dynamics import (
     free_potential,
     harmonic_potential,
     liouville_rhs,
-    moyal_rhs_series,
     moyal_rhs_spectral,
     potential_from_density,
     propagate,

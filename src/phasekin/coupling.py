@@ -8,8 +8,8 @@ Two independent constructions of the same object:
   ``rho_hat(K) * sinc(hbar K q / 2) * W_hat(q, k)``.
 
 Each is the other's test oracle.  The series pairs the even derivatives
-of :func:`phasekin.grids.spectral_derivatives` and is truncated by the
-shared rule, :func:`phasekin.grids.accept_series`.  Its terms are outer
+of :func:`phasekin.grids.spectral_derivatives` and is truncated by
+:func:`phasekin.grids.accept_series`.  Its terms are outer
 products, so it is kept factored, (n, N + 1) density factors times
 (N + 1, n^2) W factors, and formed by one matrix product; a term costs
 O(n^2), and the series runs to convergence across hbar < 2 sigma_R sigma_p.
@@ -80,7 +80,7 @@ def _joint_terms(rho: VirtualDensity, W: WignerDistribution, hbar: float):
     """
     if hbar == 0.0:
         return  # the classical product is exact
-    pairs = zip(spectral_derivatives(rho.values, rho.grid, 0), spectral_derivatives(W.values, W.grid_p, 0))
+    pairs = zip(spectral_derivatives(rho.values, rho.grid), spectral_derivatives(W.values, W.grid_p))
     for n, (d_rho, d_w) in enumerate(pairs, 1):
         coeff = series_coefficient(hbar, n)
         yield coeff * d_rho, abs(coeff) * (_sup_norm(d_rho) * _sup_norm(d_w))
@@ -103,7 +103,7 @@ def _series_factors(rho: VirtualDensity, W: WignerDistribution, hbar: float) -> 
     factors_R = np.column_stack([rho.values, *accepted])
     factors_W = np.empty((len(accepted) + 1, *W.values.shape))
     factors_W[0] = W.values
-    for row, d_w in zip(factors_W[1:], spectral_derivatives(W.values, W.grid_p, 0)):
+    for row, d_w in zip(factors_W[1:], spectral_derivatives(W.values, W.grid_p)):
         row[...] = d_w
     return factors_R, factors_W.reshape(len(factors_W), -1), verdict
 

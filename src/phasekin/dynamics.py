@@ -1,7 +1,8 @@
 """Phase-space evolution: transport right-hand sides and the propagator.
 
 Sign conventions, fixed once and machine-checked against the quartic
-potential (where the odd-derivative series terminates and is exact):
+potential (where the odd-derivative expansion ends at its first
+correction and is exact):
 
 * classical transport:  dW/dt = -p dW/dr / m + dU/dr dW/dp
 * quantum transport adds odd-derivative corrections in powers of
@@ -14,11 +15,6 @@ Outside the stepper every field is real and takes the real half
 spectrum (``rfft``/``irfft``, :func:`phasekin.grids.half_frequencies`):
 the shifted difference is odd in lam, so :func:`moyal_rhs_spectral`
 evaluates it at the n/2 + 1 shifts lam >= 0 only.
-
-The odd-derivative series (:func:`moyal_rhs_series`, the transport
-oracle) takes its derivatives from, and is truncated by, the joint
-builder's series engine: :func:`phasekin.grids.spectral_derivatives`
-and :func:`phasekin.grids.accept_series`.
 
 A :class:`Potential` is either a polynomial, sum_k c_k r^k, or
 epsilon * rho.  The free, harmonic and quartic presets are polynomials,
@@ -47,7 +43,8 @@ p run out of place through a transposing buffer held in the (r, lam)
 layout, the kick phase's own: each reads down the columns and writes
 contiguous rows, which costs less than writing down the columns.
 :func:`propagate` holds four n^2 complex arrays while it steps: the
-state, the buffer, the kick phase and the full-stream phase; it releases
+state, the buffer, the kick phase and the full-stream phase, each
+starting on a 64-byte boundary (:func:`_aligned_complex`); it releases
 the buffer while it closes a snapshot, and holds neither the buffer nor
 the kick phase for a free potential.  A snapshot closes its own
 half-stream from the forward transform over r that the next full stream
@@ -79,15 +76,11 @@ from .grids import (
     Grid1D,
     _floored,
     _row_blocks,
-    _sup_norm,
-    accept_series,
     derivative_array,
     derivative_multiplier,
     half_frequencies,
     native_frequencies,
     require_same_grid,
-    series_coefficient,
-    spectral_derivatives,
 )
 from .states import VirtualDensity, WignerDistribution
 
@@ -213,38 +206,17 @@ def liouville_rhs(W: WignerDistribution, U: Potential, mass: float) -> np.ndarra
     return _streaming_term(W, mass) + U.derivative_samples(1)[None, :] * dWdp
 
 
-def _moyal_terms(W: WignerDistribution, U: Potential, hbar: float):
-    """The n-th odd-derivative transport term, for n = 1, 2, ..."""
-    if hbar == 0.0:
-        return  # classical transport is exact
-    for n, dW in enumerate(spectral_derivatives(W.values, W.grid_p, 1), 1):
-        yield series_coefficient(hbar, n) * U.derivative_samples(2 * n + 1)[None, :] * dW
-
-
-def moyal_rhs_series(W, U: Potential, hbar: float, mass: float) -> np.ndarray:
-    """Quantum transport as the truncated odd-derivative series.
-
-    For polynomial potentials the series terminates exactly; for a
-    density-backed potential derivatives are spectral, and the floor
-    filter and truncation rule are the joint-distribution series' own
-    (:func:`phasekin.grids.accept_series`).
-    """
-    _check_rhs_inputs(W, U)
-    base = liouville_rhs(W, U, mass)
-    terms = ((term, _sup_norm(term)) for term in _moyal_terms(W, U, hbar))
-    accepted, verdict = accept_series(terms, _sup_norm(base), "odd-derivative series")
-    total = sum(accepted, base)
-    verdict(_sup_norm(total))
-    return total
-
-
 def moyal_rhs_spectral(W: WignerDistribution, U: Potential, hbar: float, mass: float) -> np.ndarray:
-    """Quantum transport via the resummed shifted-potential multiplier.
+    """The package's one quantum transport, via the resummed
+    shifted-potential multiplier.
 
-    The shifted difference is odd in lam, so the multiplier is Hermitian:
-    on W's real half spectrum over p it takes the n/2 + 1 shifts lam >= 0,
-    and ``irfft`` returns a real term.  Its product at the real Nyquist bin
-    is imaginary, so ``irfft`` drops it, as it does an odd derivative's."""
+    Its generator [U(r + hbar lam/2) - U(r - hbar lam/2)] / hbar is lam
+    times the classical force dU/dr averaged over a uniform carrier
+    displacement hbar lam xi, xi in [-1/2, 1/2].  The shifted difference
+    is odd in lam, so the multiplier is Hermitian: on W's real half
+    spectrum over p it takes the n/2 + 1 shifts lam >= 0, and ``irfft``
+    returns a real term.  Its product at the real Nyquist bin is
+    imaginary, so ``irfft`` drops it, as it does an odd derivative's."""
     _check_rhs_inputs(W, U)
     if not hbar > 0:
         raise ValueError("moyal_rhs_spectral needs hbar > 0; use liouville_rhs at hbar = 0")
@@ -263,13 +235,22 @@ def collision_rhs(W: WignerDistribution, dR_diagonal: np.ndarray, epsilon: float
     return _streaming_term(W, mass) + dGdp
 
 
+def _aligned_complex(shape: tuple) -> np.ndarray:
+    """An uninitialized complex array whose data starts on a 64-byte
+    boundary: 64 bytes over-allocated, and sliced from the first aligned one."""
+    size = math.prod(shape) * np.dtype(complex).itemsize
+    raw = np.empty(size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + size].view(complex).reshape(shape)
+
+
 def _kick_phase(U: Potential, grid_p: Grid1D, params: EvolutionParams) -> np.ndarray:
     """exp(i dt gen) for the kick's generator gen, in the (r, lam) layout of
     the stepper's transposing buffer: a block of shifts at a time, written
     down its columns, with no n^2 temporary and no transposing copy."""
     lam = native_frequencies(grid_p)
     dU = U.derivative_samples(1)
-    kick = np.empty((U.grid.n, grid_p.n), dtype=complex)
+    kick = _aligned_complex((U.grid.n, grid_p.n))
     for rows in _row_blocks(grid_p.n):
         if params.hbar > 0.0:
             gen = U.shifted_difference(params.hbar * lam[rows] / 2.0) / params.hbar
@@ -321,7 +302,7 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams, *, 
     kick = _kick_phase(U, grid_p, params)
     if all((row == 1.0).all() for row in kick):  # row by row: no n^2 temporary
         kick = None  # exactly 1, a free potential's: a step only streams
-    full_stream = np.empty((grid_p.n, grid_r.n), dtype=complex)
+    full_stream = _aligned_complex((grid_p.n, grid_r.n))
     _streaming_phase(grid_p.points, native_frequencies(grid_r), params.dt, params.mass, full_stream)
     u = U.samples()
     conserved = []
@@ -331,7 +312,8 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams, *, 
         conserved.append((t, snap.normalization, _energy(snap, u, params.mass)))
 
     take(0.0, W0)
-    values = W0.values.astype(complex)
+    values = _aligned_complex(W0.values.shape)
+    values[...] = W0.values
     del W0  # the caller's to keep: from here on only the state is held
     np.fft.fft(values, axis=1, out=values)
     for rows, block in _streamed(values, grid_p, grid_r, params.dt / 2.0, params.mass):
@@ -342,7 +324,7 @@ def propagate(W0: WignerDistribution, U: Potential, params: EvolutionParams, *, 
             np.fft.fft(values, axis=1, out=values)
         else:
             if other is None:
-                other = np.empty_like(kick)
+                other = _aligned_complex(kick.shape)
             np.fft.fft(values.T, axis=1, out=other)
             other *= kick
             np.fft.ifft(other, axis=1, out=other)

@@ -20,10 +20,10 @@ where ``d/dx`` is multiplication by ``(i w)``; the result is real.  A real
 array's Nyquist bin is real, so for odd orders its product is imaginary,
 and ``irfft``, which reads only the real part of that bin, drops it.
 
-The derivative series of the joint builder and of the Moyal transport
-share one source of derivatives, :func:`spectral_derivatives`, taken
-from one floored real half spectrum (the floor :data:`SPECTRAL_FLOOR_REL`
-of its peak) and one truncation rule, :func:`accept_series`.
+The joint builder's derivative series takes its derivatives from
+:func:`spectral_derivatives`, out of one floored real half spectrum (the
+floor :data:`SPECTRAL_FLOOR_REL` of its peak), and is truncated by one
+rule, :func:`accept_series`.
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ from .errors import DecayGuardError, GridMismatchError, NonConvergenceError
 # are trivially periodic and carry no aliasing risk.
 DECAY_TOL = 1e-10
 
-# Term cap of accept_series, for the joint and the Moyal series alike.  A joint
-# term costs O(n^2), so the cap is set by the window, not by cost: inside
-# hbar < 2 sigma_R sigma_p the joint series converges in at most 54 terms on
-# the verification grids (README), and (2n + 1)! stays in float range up to
-# n = 84.
+# Term cap of accept_series.  A joint term costs O(n^2), so the cap is set by
+# the window, not by cost: inside hbar < 2 sigma_R sigma_p the joint series
+# converges in at most 54 terms on the verification grids (README), and
+# (2n + 1)! stays in float range up to n = 84.
 SERIES_CAP = 64
 SERIES_CONVERGED_REL = 1e-12
 SERIES_FAIL_REL = 1e-8
@@ -158,17 +157,14 @@ def _floored(hat: np.ndarray) -> np.ndarray:
     return hat
 
 
-def spectral_derivatives(values: np.ndarray, grid: Grid1D, first: int):
-    """``d^m values / dx^m`` along axis 0 of a real array for m = first + 2,
-    first + 4, ...: the derivatives that the even joint series (``first``
-    0) and the odd Moyal series (``first`` 1) pair with their coefficients.
+def spectral_derivatives(values: np.ndarray, grid: Grid1D):
+    """``d^m values / dx^m`` along axis 0 of a real array for m = 2, 4, ...:
+    the derivatives that the even joint series pairs with its coefficients.
 
     They come from the real half spectrum, ``rfft`` over axis 0 with every
     bin below 1e-13 of its peak zeroed (:func:`_floored`), multiplied by
     :func:`derivative_multiplier` in place, and go back by ``irfft``."""
     spectrum = _floored(np.fft.rfft(values, axis=0))
-    if first:
-        spectrum *= _reshape_for(derivative_multiplier(grid, first), values.ndim, 0)
     mult = _reshape_for(derivative_multiplier(grid, 2), values.ndim, 0)
     while True:
         spectrum *= mult
@@ -176,8 +172,8 @@ def spectral_derivatives(values: np.ndarray, grid: Grid1D, first: int):
 
 
 def series_coefficient(hbar: float, n: int) -> float:
-    """(-1)^n (hbar/2)^(2n) / (2n+1)!, the n-th coefficient of the even
-    joint and odd Moyal series.
+    """(-1)^n (hbar/2)^(2n) / (2n+1)!, the n-th coefficient of the joint
+    series.
 
     Raises :class:`NonConvergenceError` where (hbar/2)^(2n) overflows.
     """

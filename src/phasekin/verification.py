@@ -4,12 +4,13 @@ Every check pins its tolerance here.  The joint builder's derivative
 series converges across ``hbar < 2 sigma_R sigma_p``, that is
 ``hbar^2 / (4 sigma_R^2 sigma_p^2) < 1`` (at most 54 terms up to 0.99 on
 the verification grids).  The equivalence checks carry per-hbar preset
-widths with that ratio near 1/3, where the odd-derivative Moyal series,
-the transport oracle, converges well inside the 64-term cap of
-:func:`phasekin.grids.accept_series`, and a wider box for hbar = 2, because
-a Gaussian needs ``half_width >= 8 sigma`` to satisfy the decay guard;
-the identities under test are covariant under that joint rescaling of
-hbar and the widths, so nothing is lost.  The checks read a joint's
+widths with that ratio near 1/3, where the joint series converges well
+inside the 64-term cap of :func:`phasekin.grids.accept_series`, and a
+wider box for hbar = 2, because a Gaussian needs ``half_width >= 8 sigma``
+to satisfy the decay guard; the identities under test are covariant
+under that joint rescaling of hbar and the widths, so nothing is lost.
+Collision transport is checked against the resummed Moyal transport,
+:func:`phasekin.dynamics.moyal_rhs_spectral`.  The checks read a joint's
 planes; the builder gap and the classical reduction read its blocks.
 """
 
@@ -41,7 +42,6 @@ from .dynamics import (
     free_potential,
     harmonic_potential,
     liouville_rhs,
-    moyal_rhs_series,
     moyal_rhs_spectral,
     potential_from_density,
     propagate,
@@ -53,9 +53,9 @@ from .serialization import fmt, write_csv
 from .states import gaussian_density, gaussian_wigner, marginal_over_pr, marginal_over_R, marginal_residuals
 
 # (sigma_R, sigma_p, sigma_r, half_width) per hbar; widths scale with hbar so
-# every derivative series keeps convergence ratio hbar^2/(4 sigma_R^2 sigma_p^2)
-# near 1/3 inside the box.  At n3 = 64 the odd series then converges in 15,
-# 24 and 22 terms, the joint series in 13, 21 and 20.
+# the joint series keeps convergence ratio hbar^2/(4 sigma_R^2 sigma_p^2)
+# near 1/3 inside the box.  At n3 = 64 the joint series then converges in 13,
+# 21 and 20 terms.
 EQUIV_PRESETS = {
     0.5: (1.0, 0.6, 0.6, 8.0),
     1.0: (1.0, 0.85, 0.85, 8.0),
@@ -205,20 +205,18 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
     one failed row carrying the first error; the others go on.
 
     The central ``[series]`` and ``[spectral]`` rows differ by more than
-    the two joints do.  At n3 = 64 and hbar = 0.5, 1 and 2 the joints
-    differ by 1.6e-14, 1.0e-14 and 5.2e-15, but their ``collision_rhs``
-    by 6.2e-13, 4.9e-13 and 9.4e-14: the R and p derivatives amplify each
-    bin of the gap by up to K_max = pi n3 / (2 L) each, and K_max^2 is
-    about 158 at L = 8.  Weighted by K q, 97-99% of the gap lies at |K|
-    or |q| above K_max / 2, yet only 6-9% in bins below the series' floor,
-    ``SPECTRAL_FLOOR_REL`` of the peak: it is the builders' rounding, not
-    the floor.
+    the two joints do: at n3 = 64 and hbar = 0.5, 1 and 2 they read
+    3.1e-12, 5.1e-12 and 2.2e-12 against 1.2e-14, 1.8e-14 and 2.0e-14.
+    The joints differ by 1.6e-14, 1.0e-14 and 5.2e-15, but their
+    ``collision_rhs`` by 6.2e-13, 4.9e-13 and 9.4e-14: the R and p
+    derivatives amplify each bin of the gap by up to K_max = pi n3 / (2 L)
+    each, and K_max^2 is about 158 at L = 8.  Weighted by K q, 97-99% of
+    the gap lies at |K| or |q| above K_max / 2, yet only 6-9% in bins
+    below the series' floor, ``SPECTRAL_FLOOR_REL`` of the peak: it is the
+    builders' rounding, not the floor.
     """
     checks = []
     families = ("central_equivalence", "builder_equivalence", "marginal_recovery", "heisenberg")
-
-    def moyal_reference(rho, W, hbar):
-        return moyal_rhs_series(W, potential_from_density(rho, config.epsilon), hbar, config.mass)
 
     def transport_gap(reference, planes):
         rhs = collision_rhs(marginal_over_R(planes), planes.dR_diagonal, config.epsilon, config.mass)
@@ -230,7 +228,8 @@ def check_equivalence_presets(config: ScenarioConfig) -> list:
             grid = make_grid(config.n3, half_width)
             rho = gaussian_density(grid, 0.0, sigma_R)
             W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
-            reference = _attempt(moyal_reference, rho, W, hbar)
+            U = potential_from_density(rho, config.epsilon)
+            reference = _attempt(moyal_rhs_spectral, W, U, hbar, config.mass)
             series, planes, tie, gap = _joint_pair(rho, W, hbar)
             with _failed_rows(checks, f"central_equivalence{tag}"):
                 measured = transport_gap(_value(reference), _value(series))
@@ -287,8 +286,7 @@ def check_classical_reduction(config: ScenarioConfig) -> list:
         reference = liouville_rhs(W2, U, config.mass)
         worst = 0.0
         for hbar in EQUIV_PRESETS:
-            for rhs in (moyal_rhs_series, moyal_rhs_spectral):
-                worst = max(worst, float(np.abs(rhs(W2, U, hbar, config.mass) - reference).max()))
+            worst = max(worst, float(np.abs(moyal_rhs_spectral(W2, U, hbar, config.mass) - reference).max()))
         checks.append(_tol_check("classical_reduction[harmonic]", worst, 1e-9))
     return checks
 

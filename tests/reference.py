@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
 
 from phasekin.cumulants import PHI_RATIO_FLOOR
 from phasekin.coupling import (
@@ -20,7 +20,15 @@ from phasekin.coupling import (
     sinc_kernel,
     sinc_values,
 )
-from phasekin.dynamics import PROPAGATION_DECAY_TOL, _energy, _streamed, _streaming_phase, propagate
+from phasekin.dynamics import (
+    PROPAGATION_DECAY_TOL,
+    _energy,
+    _streamed,
+    _streaming_phase,
+    free_potential,
+    liouville_rhs,
+    propagate,
+)
 from phasekin.errors import ImaginaryResidueError
 from phasekin.states import JointPlanes, WignerDistribution
 from phasekin.grids import (
@@ -211,6 +219,35 @@ def potential_at(U, x):
     # sum_k hat_k exp(i w_k (x - x_0)) at every x
     phase = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float) - g.points[0], native_frequencies(g)))
     return U.epsilon * (phase @ hat).real
+
+
+def exact_quartic_moyal(W, U, hbar, mass):
+    """Moyal transport of W in a polynomial U of degree at most 4, whose
+    fifth derivative vanishes: classical transport plus the one quantum
+    correction, -(hbar^2 / 24) U'''(r) d^3 W / dp^3, U''' taken by numpy."""
+    third = polyval(U.grid.points, polyder(U.coefficients, 3))
+    correction = (hbar**2 / 24.0) * third * derivative_array(W.values, W.grid_p, 0, 3)
+    return liouville_rhs(W, U, mass) - correction
+
+
+def gaussian_moyal_rhs(W, mean, sigma, epsilon, hbar, mass):
+    """Moyal transport of W in U = epsilon * rho, rho the Gaussian that
+    gaussian_density samples on W's r grid, in closed form: the streaming
+    term plus (i / hbar) [U(r + hbar lam / 2) - U(r - hbar lam / 2)] over
+    W's half spectrum in p.  rho is periodized over the box with its three
+    nearest images on each side and normalized by its grid sum, as
+    gaussian_density normalizes; no transform of rho is taken."""
+    grid = W.grid_r
+    period = 2.0 * grid.half_width
+
+    def rho(x):
+        return sum(np.exp(-((x - mean - j * period) ** 2) / (2.0 * sigma**2)) for j in range(-3, 4))
+
+    s = hbar * np.pi * np.fft.rfftfreq(W.grid_p.n, W.grid_p.step)  # hbar lam / 2 at lam >= 0
+    du = epsilon * (rho(grid.points + s[:, None]) - rho(grid.points - s[:, None]))
+    du /= rho(grid.points).sum() * grid.step
+    kicked = np.fft.irfft((1j / hbar) * du * np.fft.rfft(W.values, axis=0), W.grid_p.n, axis=0)
+    return liouville_rhs(W, free_potential(grid), mass) + kicked
 
 
 def sample_joint(F, count, seed):

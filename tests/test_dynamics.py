@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from phasekin import (
     DecayGuardError,
     EvolutionParams,
-    NonConvergenceError,
     WignerDistribution,
     collision_rhs,
     free_potential,
@@ -24,7 +23,6 @@ from phasekin import (
     liouville_rhs,
     make_grid,
     marginal_over_R,
-    moyal_rhs_series,
     moyal_rhs_spectral,
     parse_config,
     potential_from_density,
@@ -33,7 +31,7 @@ from phasekin import (
     quartic_potential,
 )
 from phasekin.coupling import joint_planes
-from phasekin.dynamics import _moyal_terms, propagate
+from phasekin.dynamics import _aligned_complex, propagate
 from phasekin.grids import native_frequencies
 from phasekin import verification
 from phasekin.verification import EQUIV_PRESETS, check_dynamics_oracles
@@ -44,7 +42,9 @@ from reference import (
     analytic_free_evolution,
     collect,
     complex_strang_reference,
+    exact_quartic_moyal,
     full_derivative_diagonal,
+    gaussian_moyal_rhs,
     inplace_propagate,
     peak_traced_bytes,
     potential_at,
@@ -126,6 +126,22 @@ class TestShiftedDifference:
         classical = np.multiply.outer(lam, U.derivative_samples(1))
         assert np.abs(generator - classical).max() <= 1e-12 * np.abs(classical).max()
 
+    @pytest.mark.parametrize("kind", ["harmonic", "quartic"])
+    def test_is_the_carrier_averaged_force(self, grid128, kind):
+        # [U(r + hbar lam / 2) - U(r - hbar lam / 2)] / hbar is lam times the
+        # force dU/dr averaged over a carrier displacement hbar lam xi, xi
+        # uniform on [-1/2, 1/2]; 2-point Gauss-Legendre is exact for the
+        # cubic dU/dr of a quartic
+        U = _potential(kind, grid128)
+        force = polyder(U.coefficients)
+        nodes, weights = np.polynomial.legendre.leggauss(2)  # on [-1, 1]: xi = node / 2
+        lam, r = native_frequencies(grid128), grid128.points
+        for hbar in (0.5, 1.0, 2.0):
+            generator = U.shifted_difference(hbar * lam / 2.0) / hbar
+            mean = sum(w / 2.0 * polyval(np.add.outer(hbar * lam * x / 2.0, r), force) for x, w in zip(nodes, weights))
+            averaged = lam[:, None] * mean
+            assert np.abs(generator - averaged).max() <= 1e-14 * np.abs(averaged).max()
+
     def test_density_memory_is_quadratic(self):
         grid = make_grid(256, 8.0)
         U = potential_from_density(gaussian_density(grid, 0.0, 1.0), 1.0)
@@ -178,56 +194,40 @@ class TestMoyalRhs:
     def test_harmonic_equals_liouville(self, grid128, wigner128, hbar):
         U = harmonic_potential(grid128, 1.0)
         ref = liouville_rhs(wigner128, U, 1.0)
-        assert np.abs(moyal_rhs_series(wigner128, U, hbar, 1.0) - ref).max() < 1e-10
         assert np.abs(moyal_rhs_spectral(wigner128, U, hbar, 1.0) - ref).max() < 1e-9
 
-    def test_hbar_zero_is_liouville_exactly(self, grid128, wigner128):
-        U = quartic_potential(grid128, 0.5, 0.1)
-        a = moyal_rhs_series(wigner128, U, 0.0, 1.0)
-        b = liouville_rhs(wigner128, U, 1.0)
-        assert np.array_equal(a, b)
-
     def test_quartic_series_matches_spectral(self, grid128, wigner128):
+        # the quartic's odd-derivative series ends at its first correction
         U = quartic_potential(grid128, 0.5, 0.1)
-        a = moyal_rhs_series(wigner128, U, 1.0, 1.0)
+        a = exact_quartic_moyal(wigner128, U, 1.0, 1.0)
         b = moyal_rhs_spectral(wigner128, U, 1.0, 1.0)
         assert np.abs(a - b).max() < 1e-8
 
-    def test_quartic_series_terminates_at_n1(self, grid128, wigner128):
-        # the quartic's fifth derivative vanishes, so every term after the
-        # first is exactly zero and the summed series is exact
-        terms = _moyal_terms(wigner128, quartic_potential(grid128, 0.5, 0.1), 1.0)
-        assert np.any(next(terms))
-        assert not any(np.any(next(terms)) for _ in range(3))
-
-    def test_overflowing_series_coefficient_is_refused(self, grid128, wigner128):
-        # the first term carries (hbar / 2)^2, beyond the float range here
-        with pytest.raises(NonConvergenceError, match=r"\(hbar/2\)\^2 overflows"):
-            moyal_rhs_series(wigner128, quartic_potential(grid128, 0.5, 0.1), 1e200, 1.0)
-
-    def test_series_matches_spectral_at_equivalence_preset(self):
-        # the verify suite's hbar = 1 inputs at its default n3: the series
-        # converges inside the one term cap instead of stopping at it
-        sigma_R, sigma_p, sigma_r, half_width = EQUIV_PRESETS[1.0]
-        grid = make_grid(64, half_width)
+    @pytest.mark.parametrize("hbar", sorted(EQUIV_PRESETS))
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_spectral_matches_the_closed_form_at_every_equivalence_preset(self, n, hbar):
+        # the verify suite's reference on its own inputs, against shifts of
+        # the Gaussian density in closed form; read at most 5.6e-16
+        sigma_R, sigma_p, sigma_r, half_width = EQUIV_PRESETS[hbar]
+        grid = make_grid(n, half_width)
         W = gaussian_wigner(grid, grid, 0.0, 0.0, sigma_p, sigma_r)
         U = potential_from_density(gaussian_density(grid, 0.0, sigma_R), 1.0)
-        a = moyal_rhs_series(W, U, 1.0, 1.0)
-        b = moyal_rhs_spectral(W, U, 1.0, 1.0)
-        assert np.abs(a - b).max() / np.abs(b).max() < 1e-12
+        a = gaussian_moyal_rhs(W, 0.0, sigma_R, 1.0, hbar, 1.0)
+        b = moyal_rhs_spectral(W, U, hbar, 1.0)
+        assert np.abs(a - b).max() / np.abs(b).max() < 1e-14
 
     def test_spectral_is_real_on_an_evolved_quartic_snapshot(self, grid64):
         # the snapshot carries momentum content at the unpaired Nyquist
         # bin, where an odd multiplier has no real value: applied there over
         # the full spectrum it left an imaginary residue of 2.1e-6 of the
-        # real part.  The quartic series is exact (its fifth derivative
-        # vanishes), so it is the oracle.
+        # real part.  The quartic's series ends at its first correction
+        # (its fifth derivative vanishes), so that is the oracle.
         W0 = gaussian_wigner(grid64, grid64, 0.0, 0.0, 2**-0.5, 2**-0.5)
         U = quartic_potential(grid64, 0.5, 0.1)
         params = EvolutionParams(mass=1.0, hbar=0.5, dt=1e-3, steps=1000, snapshot_every=1000)
         W = collect(W0, U, params)[0][-1][1]
         b = moyal_rhs_spectral(W, U, 0.5, 1.0)
-        a = moyal_rhs_series(W, U, 0.5, 1.0)
+        a = exact_quartic_moyal(W, U, 0.5, 1.0)
         assert np.abs(a - b).max() / np.abs(b).max() < 1e-12
 
     def test_spectral_requires_positive_hbar(self, grid128, wigner128):
@@ -246,7 +246,7 @@ class TestMoyalRhs:
 
     def test_conservation(self, grid128, wigner128):
         U = quartic_potential(grid128, 0.5, 0.1)
-        rhs = moyal_rhs_series(wigner128, U, 1.0, 1.0)
+        rhs = moyal_rhs_spectral(wigner128, U, 1.0, 1.0)
         assert abs(rhs.sum() * grid128.step**2) < 1e-10
 
 
@@ -259,14 +259,13 @@ class TestCollisionRhs:
 
     @pytest.mark.parametrize("builder", [quantum_joint_series, quantum_joint_spectral])
     def test_central_identity(self, grid64, rho_default, builder):
-        # the collision integral on the built joint reproduces the
-        # odd-derivative transport series with the density as potential;
-        # widths keep the odd series inside its convergence window
+        # the collision integral on the built joint reproduces Moyal
+        # transport with the Gaussian density as potential, in closed form;
+        # widths keep the joint series inside its convergence window
         hbar, eps = 1.0, 1.0
         W = gaussian_wigner(grid64, grid64, 0.0, 0.0, 0.85, 0.85)
         a = built_collision(builder, rho_default, W, hbar, eps, 1.0)
-        U = potential_from_density(rho_default, eps)
-        b = moyal_rhs_series(W, U, hbar, 1.0)
+        b = gaussian_moyal_rhs(W, 0.0, 1.0, eps, hbar, 1.0)
         assert np.abs(a - b).max() / np.abs(b).max() < 1e-6
 
     def test_zero_epsilon_is_pure_streaming(self, rho_default, wigner_default):
@@ -451,6 +450,17 @@ class TestPropagate:
             propagate(W0, free_potential(grid), params, each_snapshot=lambda t, W: None)
 
         assert peak_traced_bytes(run) < 56 * grid.n**2
+
+    @pytest.mark.parametrize("shape", [(16, 16), (64, 128), (3, 5)], ids=str)
+    def test_stepper_arrays_start_on_a_64_byte_boundary(self, shape):
+        # numpy's allocator guarantees 16 bytes; eight in a row meet other offsets
+        arrays = [_aligned_complex(shape) for _ in range(8)]
+        for value, a in enumerate(arrays):
+            a[...] = value
+        for value, a in enumerate(arrays):
+            assert a.ctypes.data % 64 == 0
+            assert (a.shape, a.dtype, a.flags.c_contiguous, a.flags.writeable) == (shape, complex, True, True)
+            assert (a == value).all()
 
     def test_initial_state_is_not_held(self, grid64):
         held = []
