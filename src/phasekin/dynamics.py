@@ -1,38 +1,37 @@
 """Phase-space evolution: transport right-hand sides and the propagator.
 
 Sign conventions, fixed once and machine-checked against the quartic
-potential (where the odd-derivative expansion ends at its first
-correction and is exact):
+potential:
 
 * classical transport:  dW/dt = -p dW/dr / m + dU/dr dW/dp
-* quantum transport adds odd-derivative corrections in powers of
-  (hbar/2)^2; in the momentum-spectral domain the whole potential term
-  resums to multiplication by
-  (i/hbar) [U(r + hbar lam/2) - U(r - hbar lam/2)], lam the conjugate
-  of p.
+* quantum transport: in the momentum-spectral domain the potential term
+  multiplies by i gen, gen = [U(r + hbar lam/2) - U(r - hbar lam/2)] / hbar,
+  lam the conjugate of p.  gen is lam times the force dU/dr averaged over
+  a carrier displacement hbar lam xi, xi uniform on [-1/2, 1/2], and at
+  hbar = 0 it is lam dU/dr, the classical term.
 
 Outside the stepper every field is real and takes the real half
 spectrum (``rfft``/``irfft``, :func:`phasekin.grids.half_frequencies`):
-the shifted difference is odd in lam, so :func:`moyal_rhs_spectral`
-evaluates it at the n/2 + 1 shifts lam >= 0 only.
+gen is odd in lam, so :func:`moyal_rhs_spectral` evaluates it at the
+n/2 + 1 frequencies lam >= 0 only.
 
 A :class:`Potential` is either a polynomial, sum_k c_k r^k, or
 epsilon * rho.  The free, harmonic and quartic presets are polynomials,
 evaluated and differentiated exactly from their coefficients; the mass
-enters only the harmonic one, when it is built.  The shifted difference
-U(r + s) - U(r - s) has one evaluator,
-:meth:`Potential.shifted_difference`.  A polynomial's is its exact odd
-expansion 2 sum_{j odd} s^j U^(j)(r) / j!, so the kick's generator keeps
-its relative accuracy as hbar -> 0.  A density-backed potential uses
-its trigonometric interpolant, for which the difference is
-epsilon * irfft_k[2i sin(w_k s) rho_k], rho_k the real half spectrum of
-rho: O(n^2 log n) time and O(n^2) memory for n shifts on n points.
+enters only the harmonic one, when it is built.  The force has one
+evaluator, :meth:`Potential.averaged_force`, read by the kick, by
+:func:`moyal_rhs_spectral` and, at width 0, by :func:`liouville_rhs`.
+A polynomial's averaged force is exact at every width and never divides
+by hbar.  A density-backed potential uses its trigonometric interpolant,
+whose averaged force multiplies each frequency of rho by sinc, the
+coupling kernel's: O(n^2 log n) time and O(n^2) memory for n widths on
+n points.
 
 The time stepper is Strang-split: an exact streaming shear for dt/2, an
 exact potential phase kick for dt, and streaming again for dt/2.  The
-kick's generator is the shifted difference over hbar, or its classical
-limit lam dU/dr at hbar = 0.  Both substeps are unimodular in the
-spectral domain, so total probability is conserved to rounding.
+kick's generator is gen at every hbar, hbar = 0 included.  Both
+substeps are unimodular in the spectral domain, so total probability is
+conserved to rounding.
 
 The stepper is first-same-as-last: the trailing half-stream of one step
 and the leading half-stream of the next are applied as one full-stream
@@ -70,14 +69,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coupling import sinc_values
 from .errors import DecayGuardError
 from .grids import (
     INVERSE_BLOCK,
     Grid1D,
-    _floored,
     _row_blocks,
     derivative_array,
-    derivative_multiplier,
     half_frequencies,
     native_frequencies,
     require_same_grid,
@@ -110,37 +108,33 @@ class Potential:
             return self.epsilon * self.rho.values
         return _polynomial(self.coefficients, self.grid.points)
 
-    def shifted_difference(self, s) -> np.ndarray:
-        """U(r + s) - U(r - s) for every shift s (rows) and grid point r (columns).
+    def averaged_force(self, widths) -> np.ndarray:
+        """E[U'(r + a xi)] over xi uniform on [-1/2, 1/2]: the force dU/dr
+        averaged over a carrier displacement of width a, for every width a
+        (rows) at every grid point r (columns); U' itself at a = 0.
 
-        A polynomial's is its exact odd expansion
-        2 sum_{j odd} s^j U^(j)(r) / j!, which keeps its relative accuracy
-        as s -> 0, where U(r + s) - U(r - s) would cancel.  The
-        density form evaluates its interpolant's difference as one real
-        inverse transform per shift: (len(s), n) memory, no phase matrix
-        over shifts and points.
+        A polynomial's averages U''s Taylor series term by term with the
+        moments E[xi^j] = 2^-j / (j + 1) of even j, which gives
+        sum_{j even} (a/2)^j U^(j+1)(r) / (j + 1)!: exact, with no
+        cancellation and no division by a.  The density form averages its
+        interpolant's derivative, one real inverse transform per width:
+        epsilon * irfft[i w sinc(w a / 2) rho_k], the sinc of the coupling
+        kernel (:func:`phasekin.coupling.sinc_values`), in (len(a), n) memory.
         """
-        s = np.asarray(s, dtype=float)
+        a = np.asarray(widths, dtype=float)
         if self.rho is None:
-            odd = range(1, len(self.coefficients), 2)
-            terms = (np.multiply.outer(s**j / math.factorial(j), self.derivative_samples(j)) for j in odd)
-            return 2.0 * sum(terms, np.zeros((len(s), self.grid.n)))
+            c, terms = self.coefficients, []
+            for j in range(len(c) - 1):
+                c = tuple(k * ck for k, ck in enumerate(c))[1:]  # U^(j+1)
+                if j % 2 == 0:
+                    moment = (a / 2.0) ** j / math.factorial(j + 1)
+                    terms.append(np.multiply.outer(moment, _polynomial(c, self.grid.points)))
+            return sum(terms[1:], terms[0]) if terms else np.zeros((len(a), self.grid.n))
         w = half_frequencies(self.grid)
-        # the Nyquist term's difference is imaginary, so irfft drops it,
-        # exactly as the real part of the full interpolant does
-        hat = np.fft.rfft(self.rho.values)
-        return self.epsilon * np.fft.irfft(2j * np.sin(np.multiply.outer(s, w)) * hat, self.grid.n)
-
-    def derivative_samples(self, order: int) -> np.ndarray:
-        """d^order U / dr^order on the grid; exact for a polynomial."""
-        if self.rho is None:
-            c = self.coefficients
-            for _ in range(order):
-                c = tuple(k * ck for k, ck in enumerate(c))[1:]
-            return _polynomial(c, self.grid.points)
-        hat = _floored(np.fft.rfft(self.rho.values))
-        hat *= derivative_multiplier(self.grid, order)
-        return self.epsilon * np.fft.irfft(hat, self.grid.n)
+        # the Nyquist term's derivative is imaginary, so irfft drops it,
+        # exactly as the real part of the full interpolant's does
+        kernel = 1j * w * sinc_values(np.multiply.outer(a, w) / 2.0)
+        return self.epsilon * np.fft.irfft(kernel * np.fft.rfft(self.rho.values), self.grid.n)
 
 
 def _polynomial(coefficients: tuple, x: np.ndarray) -> np.ndarray:
@@ -203,26 +197,25 @@ def liouville_rhs(W: WignerDistribution, U: Potential, mass: float) -> np.ndarra
     """Classical transport right-hand side, spectrally differentiated."""
     _check_rhs_inputs(W, U)
     dWdp = derivative_array(W.values, W.grid_p, 0, 1)
-    return _streaming_term(W, mass) + U.derivative_samples(1)[None, :] * dWdp
+    return _streaming_term(W, mass) + U.averaged_force((0.0,)) * dWdp
 
 
 def moyal_rhs_spectral(W: WignerDistribution, U: Potential, hbar: float, mass: float) -> np.ndarray:
-    """The package's one quantum transport, via the resummed
-    shifted-potential multiplier.
+    """The package's one quantum transport, at any hbar >= 0.
 
-    Its generator [U(r + hbar lam/2) - U(r - hbar lam/2)] / hbar is lam
-    times the classical force dU/dr averaged over a uniform carrier
-    displacement hbar lam xi, xi in [-1/2, 1/2].  The shifted difference
-    is odd in lam, so the multiplier is Hermitian: on W's real half
-    spectrum over p it takes the n/2 + 1 shifts lam >= 0, and ``irfft``
-    returns a real term.  Its product at the real Nyquist bin is
-    imaginary, so ``irfft`` drops it, as it does an odd derivative's."""
+    In the spectral domain over p its potential term multiplies by
+    i gen, with gen = [U(r + hbar lam/2) - U(r - hbar lam/2)] / hbar
+    = lam U.averaged_force(hbar lam): lam times the classical force
+    averaged over a uniform carrier displacement hbar lam xi, and
+    lam dU/dr at hbar = 0, where this is :func:`liouville_rhs`.  gen is odd
+    in lam, so the multiplier is Hermitian: on W's real half spectrum over
+    p it takes the n/2 + 1 frequencies lam >= 0, and ``irfft`` returns a
+    real term.  Its product at the real Nyquist bin is imaginary, so
+    ``irfft`` drops it, as it does an odd derivative's."""
     _check_rhs_inputs(W, U)
-    if not hbar > 0:
-        raise ValueError("moyal_rhs_spectral needs hbar > 0; use liouville_rhs at hbar = 0")
-    du = U.shifted_difference(hbar * half_frequencies(W.grid_p) / 2.0)
-    w_hat = np.fft.rfft(W.values, axis=0)
-    kicked = np.fft.irfft((1j / hbar) * du * w_hat, W.grid_p.n, axis=0)
+    lam = half_frequencies(W.grid_p)
+    gen = lam[:, None] * U.averaged_force(hbar * lam)
+    kicked = np.fft.irfft(1j * gen * np.fft.rfft(W.values, axis=0), W.grid_p.n, axis=0)
     return _streaming_term(W, mass) + kicked
 
 
@@ -245,17 +238,14 @@ def _aligned_complex(shape: tuple) -> np.ndarray:
 
 
 def _kick_phase(U: Potential, grid_p: Grid1D, params: EvolutionParams) -> np.ndarray:
-    """exp(i dt gen) for the kick's generator gen, in the (r, lam) layout of
-    the stepper's transposing buffer: a block of shifts at a time, written
-    down its columns, with no n^2 temporary and no transposing copy."""
+    """exp(i dt gen) for the kick's generator gen = lam U.averaged_force(hbar lam)
+    at every hbar, in the (r, lam) layout of the stepper's transposing buffer:
+    a block of frequencies at a time, written down its columns, with no n^2
+    temporary and no transposing copy."""
     lam = native_frequencies(grid_p)
-    dU = U.derivative_samples(1)
     kick = _aligned_complex((U.grid.n, grid_p.n))
     for rows in _row_blocks(grid_p.n):
-        if params.hbar > 0.0:
-            gen = U.shifted_difference(params.hbar * lam[rows] / 2.0) / params.hbar
-        else:
-            gen = np.multiply.outer(lam[rows], dU)
+        gen = lam[rows, None] * U.averaged_force(params.hbar * lam[rows])
         np.exp(1j * params.dt * gen, out=kick[:, rows].T)
     return kick
 

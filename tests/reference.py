@@ -387,13 +387,11 @@ def dense_joint_series(rho, W, hbar):
     return total
 
 
-def full_spectrum_derivatives(values, grid, first):
+def full_spectrum_derivatives(values, grid):
     """spectral_derivatives as it ran before it took the real half spectrum:
     the full floored FFT over axis 0, multiplied in place, and the real part
     of each full inverse."""
     spectrum = floored_fft(values, axis=0)
-    if first:
-        spectrum *= _reshape_for(full_derivative_multiplier(grid, first), values.ndim, 0)
     mult = _reshape_for(full_derivative_multiplier(grid, 2), values.ndim, 0)
     while True:
         spectrum *= mult
@@ -459,7 +457,7 @@ def complex_strang_reference(W0, U, params):
     lam = native_frequencies(grid_p)
     r = grid_r.points
     if params.hbar == 0.0:
-        gen = np.multiply.outer(lam, U.derivative_samples(1))
+        gen = lam[:, None] * U.averaged_force((0.0,))
     else:
         shift = params.hbar * lam / 2.0
         plus = potential_at(U, r[None, :] + shift[:, None])
@@ -514,10 +512,7 @@ def whole_array_propagate(W0, U, params):
     full stream, and each snapshot closed from a copy of the state.  Returns
     what :func:`collect` does: ([(t, W), ...], the conserved rows)."""
     lam = native_frequencies(W0.grid_p)
-    if params.hbar > 0.0:
-        gen = U.shifted_difference(params.hbar * lam / 2.0) / params.hbar
-    else:
-        gen = np.multiply.outer(lam, U.derivative_samples(1))
+    gen = lam[:, None] * U.averaged_force(params.hbar * lam)
     kick = np.exp(1j * params.dt * gen)
     kicks = (kick != 1.0).any()
     half_stream = _whole_shear(W0, params.dt / 2.0, params.mass)
@@ -547,10 +542,7 @@ def inplace_propagate(W0, U, params):
     lam = native_frequencies(grid_p)
     kick = np.empty((grid_p.n, grid_r.n), dtype=complex)
     for rows in _row_blocks(grid_p.n):
-        if params.hbar > 0.0:
-            gen = U.shifted_difference(params.hbar * lam[rows] / 2.0) / params.hbar
-        else:
-            gen = np.multiply.outer(lam[rows], U.derivative_samples(1))
+        gen = lam[rows, None] * U.averaged_force(params.hbar * lam[rows])
         np.exp(1j * params.dt * gen, out=kick[rows])
     kicks = (kick != 1.0).any()
     full_stream = np.empty_like(kick)

@@ -351,16 +351,20 @@ class TestDeterminismAndRoundTrip:
     @pytest.mark.parametrize("command, loaded", [("cumulants", False), ("verify", False), ("simulate", True), ("joint", True)])
     def test_only_a_command_that_writes_an_array_loads_openssl(self, tmp_path, command, loaded):
         # hashlib, and with it OpenSSL's libcrypto, is imported at the first
-        # checksum; a fresh interpreter, since this one may have loaded it
+        # checksum; a fresh interpreter, since this one may have loaded it.
+        # No command loads numpy.polynomial (1.3 MiB of RSS)
         out = tmp_path / "out"
         cfg = write_config(tmp_path, outputs=str(out), grid={"n2": 64, "n3": 64, "half_width": 8.0})
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(phasekin.__file__)))
-        script = "import sys; from phasekin.cli import main; code = main(sys.argv[1:]); print('_hashlib' in sys.modules); sys.exit(code)"
+        script = (
+            "import sys; from phasekin.cli import main; code = main(sys.argv[1:]); "
+            "print('_hashlib' in sys.modules, 'numpy.polynomial' in sys.modules); sys.exit(code)"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", script, command, "--config", cfg], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == str(loaded)
+        assert proc.stdout.splitlines()[-1] == f"{loaded} False"
         arrays = sorted(path.stem for path in out.glob("*.bin"))
         assert bool(arrays) == loaded
         for name in arrays:
@@ -487,16 +491,19 @@ class TestExitCodes:
         assert "config root: expected an object, got list" in capsys.readouterr().err
 
     # each reaches the overflow or underflow named in the error at this grid;
-    # omega**2 overflows in Python's own float arithmetic, not numpy's
+    # omega**2 overflows in Python's own float arithmetic, not numpy's.  The
+    # kick's averaged force squares its widths hbar lam / 2: at hbar = 1e150
+    # it stays finite and simulate exits 3 on the decay guard, and from
+    # hbar = 1e153 it overflows
     @pytest.mark.parametrize(
         "argv, overrides, code, error",
         [
             (["joint", "--hbar", "1e300"], {}, 3, "series coefficient (hbar/2)^2 overflows"),
-            (["simulate", "--hbar", "1e150"], {}, 3, "numpy floating-point error: overflow"),
+            (["simulate", "--hbar", "1e154"], {}, 3, "numpy floating-point error: overflow"),
             (["simulate"], {"potential": {"kind": "harmonic", "omega": 2e154}}, 3, "arithmetic overflow"),
             (["cumulants", "--hbar", "5e-324"], {}, 3, "scan hbar value is 0"),
             (["cumulants", "--hbar", "1.2e-322"], {}, 3, "scan hbar value is 0 or subnormal"),
-            (["verify", "--hbar", "1e150"], {}, 1, "NonFiniteError: numpy floating-point error: overflow"),
+            (["verify", "--hbar", "1e154"], {}, 1, "NonFiniteError: numpy floating-point error: overflow"),
         ],
         ids=["joint", "simulate", "simulate_omega", "cumulants", "cumulants_subnormal", "verify"],
     )
